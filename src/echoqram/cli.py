@@ -32,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .params import (SystemParams, ParameterError, check_matching,
-                     cooperativities, params_from_dict, params_digest,
-                     solve_matched_params)
+from .params import (PARAM_KEYS, SystemParams, ParameterError,
+                     check_matching, cooperativities, params_from_dict,
+                     params_digest, solve_matched_params)
 from .spectral import FrequencyGrid, spectral_efficiency
 from .dynamics import (PulseSpec, IntegrationError, ensemble_for_params,
                        integrate_storage, run_echo_cycle, blockade_phase_check)
@@ -118,6 +118,10 @@ def _line_of_key(text: str, key: str) -> int | None:
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str],
                 path: str, text: str, source: str) -> None:
+    if not isinstance(obj, dict):
+        name = path.rstrip(".")
+        raise ConfigError(f"'{name}' must be an object", source,
+                          _line_of_key(text, name.rsplit(".", 1)[-1]))
     unknown = set(obj) - allowed
     if unknown:
         k = sorted(unknown)[0]
@@ -130,12 +134,51 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str],
             f"missing required key '{path}{sorted(missing)[0]}'", source)
 
 
+def _number(v, path: str, text: str, source: str, *,
+            allow_inf: bool = False) -> float:
+    """A JSON number (not a boolean), finite unless allow_inf."""
+    def bad(what: str) -> ConfigError:
+        key = path.rsplit(".", 1)[-1].split("[")[0]
+        return ConfigError(f"'{path}' {what}", source, _line_of_key(text, key))
+
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise bad(f"must be a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:
+        raise bad("is out of range") from None
+    if math.isnan(x) or (math.isinf(x) and not allow_inf):
+        raise bad(f"must be finite, got {v!r}")
+    return x
+
+
+def _integer(v, path: str, text: str, source: str) -> int:
+    """A JSON number with an integral value; 100.7 is refused, not cut."""
+    x = _number(v, path, text, source)
+    if x != math.floor(x):
+        raise ConfigError(f"'{path}' must be an integer, got {v!r}", source,
+                          _line_of_key(text, path.rsplit(".", 1)[-1]))
+    return v if isinstance(v, int) else int(x)
+
+
+def _param_value(key: str, v, path: str, text: str, source: str):
+    """A parameter value: t2 may also be the string 'inf', n_atoms is an
+    integer, every other rate a finite number."""
+    if key == "t2":
+        if isinstance(v, str) and v in ("inf", "Infinity"):
+            return math.inf
+        return _number(v, path, text, source, allow_inf=True)
+    if key == "n_atoms":
+        return _integer(v, path, text, source)
+    return _number(v, path, text, source)
+
+
 def _as_complex(v, path: str, text: str, source: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, (int, float)) for x in v)):
-        return complex(v[0], v[1])
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return complex(_number(v, path, text, source))
+    if isinstance(v, list) and len(v) == 2:
+        return complex(_number(v[0], f"{path}[0]", text, source),
+                       _number(v[1], f"{path}[1]", text, source))
     raise ConfigError(f"'{path}' must be a number or [re, im] pair", source)
 
 
@@ -148,16 +191,22 @@ def _build_params(obj, path: str, text: str, source: str) -> SystemParams:
         allowed = {"kappa", "c_atom", "gamma", "n_atoms", "delta_c", "t2"}
         _check_keys(inner, allowed, {"kappa", "c_atom"}, path + ".matched.",
                     text, source)
-        kwargs = {k: inner[k] for k in allowed - {"kappa", "c_atom"} if k in inner}
-        if "t2" in kwargs and kwargs["t2"] in ("inf", "Infinity"):
-            kwargs["t2"] = math.inf
+        kwargs = {k: _param_value(k, v, f"{path}.matched.{k}", text, source)
+                  for k, v in inner.items()}
         try:
-            return solve_matched_params(inner["kappa"], inner["c_atom"], **kwargs)
-        except (ParameterError, TypeError) as exc:
+            return solve_matched_params(kwargs.pop("kappa"),
+                                        kwargs.pop("c_atom"), **kwargs)
+        except (ParameterError, OverflowError) as exc:
             raise ConfigError(f"'{path}.matched': {exc}", source,
                               _line_of_key(text, "matched")) from exc
+    if not isinstance(obj.get("unit_convention", ""), str):
+        raise ConfigError(f"'{path}.unit_convention' must be a string", source,
+                          _line_of_key(text, "unit_convention"))
+    checked = {k: _param_value(k, v, f"{path}.{k}", text, source)
+               if k in PARAM_KEYS and k != "unit_convention" else v
+               for k, v in obj.items()}
     try:
-        return params_from_dict(obj)
+        return params_from_dict(checked)
     except ParameterError as exc:
         # surface the offending key's line when the message names one
         line = None
@@ -171,8 +220,15 @@ def _build_params(obj, path: str, text: str, source: str) -> SystemParams:
 def _build_pulse(obj, text: str, source: str) -> PulseSpec:
     allowed = {"shape", "duration", "center", "carrier_detuning"}
     _check_keys(obj, allowed, {"duration"}, "pulse.", text, source)
+    kw = {k: _number(v, f"pulse.{k}", text, source)
+          for k, v in obj.items() if k != "shape"}
+    if "shape" in obj:
+        if not isinstance(obj["shape"], str):
+            raise ConfigError("'pulse.shape' must be a string", source,
+                              _line_of_key(text, "shape"))
+        kw["shape"] = obj["shape"]
     try:
-        return PulseSpec(**obj)
+        return PulseSpec(**kw)
     except (ParameterError, ValueError) as exc:
         raise ConfigError(f"'pulse': {exc}", source,
                           _line_of_key(text, "pulse")) from exc
@@ -217,21 +273,35 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     if "grid" in doc:
         _check_keys(doc["grid"], {"span", "n", "center"}, {"span", "n"},
                     "grid.", text, source)
-        kw["grid_span"] = float(doc["grid"]["span"])
-        kw["grid_n"] = int(doc["grid"]["n"])
-        kw["grid_center"] = float(doc["grid"].get("center", 0.0))
+        kw["grid_span"] = _number(doc["grid"]["span"], "grid.span", text, source)
+        kw["grid_n"] = _integer(doc["grid"]["n"], "grid.n", text, source)
+        kw["grid_center"] = _number(doc["grid"].get("center", 0.0),
+                                    "grid.center", text, source)
     if "tau" in doc:
-        kw["tau"] = float(doc["tau"])
+        kw["tau"] = _number(doc["tau"], "tau", text, source)
     if "t_span" in doc:
         ts = doc["t_span"]
         if not (isinstance(ts, list) and len(ts) == 2):
             raise ConfigError("'t_span' must be [t0, t1]", source,
                               _line_of_key(text, "t_span"))
-        kw["t_span"] = (float(ts[0]), float(ts[1]))
-    for key, cast in (("n_sim", int), ("span", float), ("scheme", str),
-                      ("solver_tol", float)):
-        if key in doc:
-            kw[key] = cast(doc[key])
+        kw["t_span"] = tuple(_number(t, f"t_span[{i}]", text, source)
+                             for i, t in enumerate(ts))
+    if "n_sim" in doc:
+        kw["n_sim"] = _integer(doc["n_sim"], "n_sim", text, source)
+    if "span" in doc:
+        kw["span"] = _number(doc["span"], "span", text, source)
+    if "scheme" in doc:
+        if doc["scheme"] not in ("quantile", "uniform_weighted"):
+            raise ConfigError(
+                f"'scheme' must be 'quantile' or 'uniform_weighted', got "
+                f"{doc['scheme']!r}", source, _line_of_key(text, "scheme"))
+        kw["scheme"] = doc["scheme"]
+    if "solver_tol" in doc:
+        tol = _number(doc["solver_tol"], "solver_tol", text, source)
+        if not (0 < tol <= 1e-8):
+            raise ConfigError(f"'solver_tol' must be in (0, 1e-8], got {tol!r}",
+                              source, _line_of_key(text, "solver_tol"))
+        kw["solver_tol"] = tol
     if "address" in doc:
         _check_keys(doc["address"], {"amplitudes", "bin_spacing", "bin_duration"},
                     {"amplitudes"}, "address.", text, source)
@@ -244,8 +314,10 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         try:
             kw["address"] = AddressSpec(
                 parsed,
-                bin_spacing=doc["address"].get("bin_spacing", 1.0),
-                bin_duration=doc["address"].get("bin_duration", 0.05))
+                bin_spacing=_number(doc["address"].get("bin_spacing", 1.0),
+                                    "address.bin_spacing", text, source),
+                bin_duration=_number(doc["address"].get("bin_duration", 0.05),
+                                     "address.bin_duration", text, source))
         except ParameterError as exc:
             raise ConfigError(f"'address': {exc}", source,
                               _line_of_key(text, "address")) from exc
@@ -274,6 +346,9 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         _check_keys(doc["output"], {"path", "format"}, set(), "output.",
                     text, source)
         kw["out_path"] = doc["output"].get("path")
+        if kw["out_path"] is not None and not isinstance(kw["out_path"], str):
+            raise ConfigError("'output.path' must be a string", source,
+                              _line_of_key(text, "path"))
         fmt = doc["output"].get("format")
         if fmt is not None and fmt not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got '{fmt}'",
@@ -288,7 +363,7 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         _check_keys(sobj, allowed, {"parameter", "values"}, "sweep.",
                     text, source)
         parameter = sobj["parameter"]
-        if parameter not in SWEEP_PARAMETERS:
+        if not isinstance(parameter, str) or parameter not in SWEEP_PARAMETERS:
             raise ConfigError(
                 f"sweep parameter '{parameter}' not allowed (whitelist: "
                 f"{', '.join(SWEEP_PARAMETERS)})",
@@ -299,8 +374,12 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
                               _line_of_key(text, "values"))
         curve_parameter = sobj.get("curve_parameter")
         curve_values = sobj.get("curve_values", [])
+        if not isinstance(curve_values, list):
+            raise ConfigError("sweep.curve_values must be a list", source,
+                              _line_of_key(text, "curve_values"))
         if curve_parameter is not None:
-            if curve_parameter not in SWEEP_PARAMETERS:
+            if not isinstance(curve_parameter, str) or \
+                    curve_parameter not in SWEEP_PARAMETERS:
                 raise ConfigError(
                     f"sweep curve_parameter '{curve_parameter}' not allowed "
                     f"(whitelist: {', '.join(SWEEP_PARAMETERS)})",
@@ -317,11 +396,19 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
             raise ConfigError("sweep.curve_values without curve_parameter",
                               source, _line_of_key(text, "curve_values"))
         sweep = SweepSpec(parameter=parameter,
-                          values=tuple(float(v) for v in values),
+                          values=tuple(
+                              _param_value(parameter, v, f"sweep.values[{i}]",
+                                           text, source)
+                              for i, v in enumerate(values)),
                           curve_parameter=curve_parameter,
-                          curve_values=tuple(float(v) for v in curve_values),
-                          tau_over_duration=float(
-                              sobj.get("tau_over_duration", 5.0)))
+                          curve_values=tuple(
+                              _param_value(curve_parameter, v,
+                                           f"sweep.curve_values[{i}]",
+                                           text, source)
+                              for i, v in enumerate(curve_values)),
+                          tau_over_duration=_number(
+                              sobj.get("tau_over_duration", 5.0),
+                              "sweep.tau_over_duration", text, source))
         if parameter == "pulse_duration" and "tau" in doc:
             raise ConfigError(
                 "sweeping pulse_duration fixes tau = tau_over_duration * "
@@ -461,9 +548,8 @@ def _run_spectra(cfg: ScenarioConfig, cfg_text: str, out: Path, fmt: str) -> str
     p = cfg.params
     grid = FrequencyGrid.uniform(span=cfg.grid_span, n=cfg.grid_n,
                                  center=cfg.grid_center)
-    p_transfer = p.with_(g1=0.0)
-    eps_t = np.array([spectral_efficiency(nu, p_transfer) for nu in grid.points])
-    eps_b = np.array([spectral_efficiency(nu, p) for nu in grid.points])
+    eps_t = spectral_efficiency(grid.points, p.with_(g1=0.0))
+    eps_b = spectral_efficiency(grid.points, p)
     meta = _artifact_meta(cfg_text, p)
     if fmt == "csv":
         rows = [[float(nu), float(et), _db(float(et)), float(eb), _db(float(eb))]
@@ -673,6 +759,8 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
                            "parameter": sweep.parameter, "value": v,
                            "tau": tau})
             idx += 1
+    # more processes than points or cores only cost start-up and memory
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_sweep_point, tasks))

@@ -13,21 +13,38 @@ quadrature weights w_j; each mode couples with gj = sqrt(N*g2**2 * w_j),
 so sum_j |b_j|**2 is the stored excitation probability and collective
 sums reproduce N * integral(G(Delta) ...) to quadrature accuracy.
 
-Retrieval integrates the same equations with the drive removed and the
+Retrieval solves the same equations with the drive removed and the
 ensemble detunings inverted (Delta_j -> -Delta_j at the inversion time),
 which realizes the rephasing readout: a mode stored with phase
 exp(-i*Delta_j*tau) unwinds to zero phase at 2*tau and the ensemble
 re-emits the pulse time-reversed.
 
+Within each stage the equations are linear and time invariant,
+dy/dt = A y + B a_in(t), and both stages are propagated exactly in the
+eigenbasis of A.  A is complex symmetric with arrowhead structure, so its
+eigenvalues are the roots of a secular equation, found by Aberth
+iteration in O(n**2) operations, and its eigenvectors have closed
+Cauchy forms; nodes that share a detuning are merged first.  One basis
+serves every call on the same (parameters, grid), so storage and
+retrieval share it on a mirrored grid.  The drive enters through closed
+forms of each mode's convolution with the pulse (the Faddeeva function
+for the Gaussian).  No array grows as the square of the mode count.
+
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
-ensemble dephasing integral (2/T2)*sum_j int|b_j|**2.  Every integration
-checks the ledger at each output step and aborts when it drifts beyond
-100x the solver tolerance.
+ensemble dephasing integral (2/T2)*sum_j int|b_j|**2.  The input integral
+is closed form; after the drive the loss integrals are exact Gram forms
+of the modes, during it a quintic Hermite rule on exact time derivatives.
+Every run checks the ledger at each output time and aborts when it drifts
+beyond 100x solver_tol, which is all solver_tol bounds here; a mode basis
+whose eigenpair residual or condition number exceeds a fixed bound is
+refused as well.  The adaptive DOP853 integrator of the full equations
+remains for the CW probe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -40,6 +57,7 @@ import json
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
+from scipy.special import erfc, wofz
 
 from .params import SystemParams, ParameterError, params_digest
 
@@ -205,6 +223,13 @@ def discretize_ensemble(
         w = np.diff(cdf)
         w[0] += cdf[0]           # fold the left tail into the first bin
         w[-1] += 1.0 - cdf[-1]   # and the right tail into the last
+    # the lower half is the negated upper half, so that invert_detunings
+    # reproduces the grid bit for bit and both stages share one mode basis
+    half = n_sim // 2
+    det[:half] = -det[::-1][:half]
+    w[:half] = w[::-1][:half]
+    if n_sim % 2:
+        det[half] = 0.0
     w = w / np.sum(w)
     return AtomEnsemble(detunings=det, weights=w,
                         coherences=np.zeros(n_sim, dtype=complex),
@@ -340,6 +365,29 @@ def _check_ensemble(p: SystemParams, ens: AtomEnsemble) -> None:
             f"params carry {cc}")
 
 
+def _check_tol(solver_tol: float) -> None:
+    # written so that NaN fails the check as well
+    if not (0 < solver_tol <= 1e-8):
+        raise ParameterError(f"solver_tol must be in (0, 1e-8], got {solver_tol}")
+
+
+def _output_times(t_span: tuple[float, float], output_dt: float | None,
+                  extra_eval: tuple[float, ...]) -> np.ndarray:
+    """Uniform output grid over the span plus the requested extra times."""
+    t0, t1 = map(float, t_span)
+    if not t1 > t0:
+        raise ParameterError(f"empty integration span {t_span}")
+    if output_dt is None:
+        output_dt = (t1 - t0) / 600.0
+    m = max(2, int(math.ceil((t1 - t0) / output_dt)) + 1)
+    t_eval = np.linspace(t0, t1, m)
+    if extra_eval:
+        t_eval = np.unique(np.concatenate([t_eval, np.asarray(extra_eval, dtype=float)]))
+        if t_eval[0] < t0 or t_eval[-1] > t1:
+            raise ParameterError("extra evaluation times fall outside the span")
+    return t_eval
+
+
 def _integrate(
     p: SystemParams,
     ens: AtomEnsemble,
@@ -354,11 +402,15 @@ def _integrate(
     kind: str = "storage",
     ledger_check: bool = True,
 ) -> SimulationTrace:
-    if solver_tol > 1e-8 or solver_tol <= 0:
-        raise ParameterError(f"solver_tol must be in (0, 1e-8], got {solver_tol}")
-    t0, t1 = map(float, t_span)
-    if not t1 > t0:
-        raise ParameterError(f"empty integration span {t_span}")
+    """Adaptive DOP853 integration of the full equations with a running ledger.
+
+    The CW probe uses it; the tests use it as an independent oracle for
+    the modal propagator.  Every Runge-Kutta stage costs one Python call
+    of the right-hand side.
+    """
+    _check_tol(solver_tol)
+    t_eval = _output_times(t_span, output_dt, extra_eval)
+    t0, t1 = t_eval[0], t_eval[-1]
     n = ens.n
     kappa, g1, f2 = p.kappa, p.g1, p.f2
     sqrtk = math.sqrt(kappa)
@@ -388,15 +440,6 @@ def _integrate(
     y0[0], y0[1], y0[2] = y0_fields
     y0[3:3 + n] = y0_modes
 
-    if output_dt is None:
-        output_dt = (t1 - t0) / 600.0
-    m = max(2, int(math.ceil((t1 - t0) / output_dt)) + 1)
-    t_eval = np.linspace(t0, t1, m)
-    if extra_eval:
-        t_eval = np.unique(np.concatenate([t_eval, np.asarray(extra_eval, dtype=float)]))
-        if t_eval[0] < t0 or t_eval[-1] > t1:
-            raise ParameterError("extra evaluation times fall outside the span")
-
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
                     rtol=solver_tol, atol=solver_tol * 1e-3, t_eval=t_eval)
     if not sol.success:
@@ -408,35 +451,519 @@ def _integrate(
     b = sol.y[3:3 + n]
     ain = (np.asarray([drive(t) for t in sol.t], dtype=complex)
            if drive is not None else np.zeros_like(sol.t, dtype=complex))
-    aout = sqrtk * a1 - ain
+    p0 = float(np.sum(np.abs(y0_modes) ** 2)
+               + sum(abs(v) ** 2 for v in y0_fields))
+    return _trace(p, ens, kind, solver_tol, ledger_check, sol.t,
+                  a1, bc, a2, ain, np.sum(np.abs(b) ** 2, axis=0),
+                  sol.y[3 + n].real, sol.y[4 + n].real, sol.y[5 + n].real,
+                  sol.y[6 + n].real, p0,
+                  b.T.copy() if store_ensemble else None, b[:, -1])
+
+
+def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
+           ledger_check: bool, times, a1, bc, a2, ain, pe,
+           l_out, l_c, l_t2, l_in, p0: float, coherences,
+           final_coherences) -> SimulationTrace:
+    """Close the probability ledger, enforce it, and package the trace."""
     p1 = np.abs(a1) ** 2
     pc = np.abs(bc) ** 2
     p2 = np.abs(a2) ** 2
-    pe = np.sum(np.abs(b) ** 2, axis=0)
-    l_out = sol.y[3 + n].real
-    l_c = sol.y[4 + n].real
-    l_t2 = sol.y[5 + n].real
-    l_in = sol.y[6 + n].real
-    p0 = float(np.sum(np.abs(y0_modes) ** 2)
-               + sum(abs(v) ** 2 for v in y0_fields))
     residual = (p1 + pc + p2 + pe + l_out + l_c + l_t2) - (l_in + p0)
-
-    if ledger_check and np.max(np.abs(residual)) > 100.0 * solver_tol:
+    worst = float(np.max(np.abs(residual)))
+    if ledger_check and not worst <= 100.0 * solver_tol:
         raise IntegrationError(
             f"probability ledger violated on {kind}: max residual "
-            f"{np.max(np.abs(residual)):.3e} > 100*{solver_tol}")
-
-    final = ens.with_coherences(b[:, -1])
+            f"{worst:.3e} > 100*{solver_tol}")
     return SimulationTrace(
-        times=sol.t, cavity1=a1, control=bc, cavity2=a2,
-        alpha_in=ain, alpha_out=aout,
-        coherences=b.T.copy() if store_ensemble else None,
+        times=times, cavity1=a1, control=bc, cavity2=a2,
+        alpha_in=ain, alpha_out=math.sqrt(p.kappa) * a1 - ain,
+        coherences=coherences,
         p_cavity1=p1, p_control=pc, p_cavity2=p2, p_ensemble=pe,
         out_flux_integral=l_out, control_loss_integral=l_c,
         t2_loss_integral=l_t2, in_flux_integral=l_in,
-        ledger_residual=residual, ensemble=final,
+        ledger_residual=residual, ensemble=ens.with_coherences(final_coherences),
         initial_probability=p0, solver_tol=solver_tol, kind=kind, params=p,
     )
+
+
+# ------------------------------------------------------------ modal basis
+
+#: rows per block in every sum over modes, nodes or samples, so that no
+#: temporary grows as (number of modes)**2
+_BLOCK = 128
+#: Aberth sweeps allowed before the eigen-solve counts as failed
+_ABERTH_MAX_ITER = 100
+#: largest accepted ||V||_F * ||V^-1||_F of the mode basis
+_COND_BOUND = 1e8
+#: largest accepted eigenpair residual ||A v - lam v|| / (||A|| ||v||)
+_RESIDUAL_BOUND = 1e-10
+
+
+@dataclass(frozen=True)
+class _ModalBasis:
+    """Eigen-decomposition A = V diag(lam) V^T of the generator.
+
+    A is complex symmetric, so with columns scaled to v^T v = 1 the
+    inverse of V is V^T.  Only the three field rows of V are stored; the
+    ensemble rows have the Cauchy form V_mk = -i g_m a2_k / (lam_k - D_m)
+    and are formed a block at a time.  Nodes that share a detuning are
+    merged into one node of coupling sqrt(sum g_j**2): `group` maps each
+    original node to its merged node, `share` holds g_j / g_m.
+    """
+
+    lam: np.ndarray
+    a1: np.ndarray
+    bc: np.ndarray
+    a2: np.ndarray
+    ens_sum: np.ndarray     # S_k = sum_m g_m**2 / (lam_k - D_m)
+    ens_norm: np.ndarray    # sum_m |V_mk|**2
+    poles: np.ndarray       # merged ensemble diagonal D_m = -(i*d_m + 1/T2)
+    g: np.ndarray
+    group: np.ndarray
+    share: np.ndarray
+    cond: float             # ||V||_F * ||V^-1||_F, bounds the 2-norm one
+    residual: float         # worst relative eigenpair residual
+    drive: np.ndarray | None = None    # V^-1 e_a1: the mode coordinates of the input
+
+    @property
+    def collective(self) -> np.ndarray:
+        """Row sum_m g_m V_mk: the ensemble amplitude cavity 2 sees."""
+        return -1j * self.a2 * self.ens_sum
+
+    def ensemble_rows(self, lo: int, hi: int) -> np.ndarray:
+        return (-1j * self.g[lo:hi, None]) * self.a2 \
+            / (self.lam - self.poles[lo:hi, None])
+
+
+def _cavity_factor(z: np.ndarray, p: SystemParams, cdamp: complex):
+    """K(z) = -(z + kappa/2) + g1**2/(cdamp - z) and dK/dz.
+
+    Eliminating the control atom and cavity 1 leaves a1 = i*f2*a2/K.
+    """
+    k = -(z + 0.5 * p.kappa)
+    dk = -np.ones_like(z)
+    if p.g1 > 0:
+        x = 1.0 / (cdamp - z)
+        k = k + p.g1 ** 2 * x
+        dk = dk + p.g1 ** 2 * x * x
+    return k, dk
+
+
+def _ensemble_sums(z: np.ndarray, poles: np.ndarray, g2: np.ndarray,
+                   with_norm: bool = False):
+    """sum g2/(z-D) and its z-derivative, then sum 1/(z-D), or with
+    `with_norm` sum g2/|z-D|**2 in its place."""
+    out = np.empty((3, z.size), dtype=complex)
+    for lo in range(0, z.size, _BLOCK):
+        r = 1.0 / (z[lo:lo + _BLOCK, None] - poles)
+        q = r * g2
+        out[0, lo:lo + _BLOCK] = q.sum(axis=1)
+        out[1, lo:lo + _BLOCK] = -(q * r).sum(axis=1)
+        out[2, lo:lo + _BLOCK] = ((q.real * r.real + q.imag * r.imag).sum(axis=1)
+                                  if with_norm else r.sum(axis=1))
+    return out[0], out[1], out[2]
+
+
+def _newton_step(z, p: SystemParams, cdamp: complex, poles, g2):
+    """Newton step of det(z - A) = s(z) * Q(z) * prod(z - D_m), with the
+    secular function s(z) = z - f2**2/K(z) + sum g2/(z - D); zero at a root."""
+    s_ens, ds_ens, r_sum = _ensemble_sums(z, poles, g2)
+    k, dk = _cavity_factor(z, p, cdamp)
+    s = z - p.f2 ** 2 / k + s_ens
+    ds = 1.0 + p.f2 ** 2 * dk / k ** 2 + ds_ens
+    rest = dk / k + r_sum
+    if p.g1 > 0:
+        rest = rest + 1.0 / (z - cdamp)
+    return s / (ds + s * rest)
+
+
+def _repulsion(za: np.ndarray, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum over l != k of 1/(z_k - z_l) for the roots z_k = z[idx]."""
+    out = np.empty_like(za)
+    for lo in range(0, za.size, _BLOCK):
+        d = za[lo:lo + _BLOCK, None] - z
+        d[np.arange(d.shape[0]), idx[lo:lo + _BLOCK]] = np.inf
+        out[lo:lo + _BLOCK] = (1.0 / d).sum(axis=1)
+    return out
+
+
+def _secular_roots(p: SystemParams, cdamp: complex, poles, g2,
+                   scale: float) -> np.ndarray:
+    """All eigenvalues of A by Aberth iteration on det(z - A), O(n**2).
+
+    Start values: each pole shifted by its first-order root estimate
+    -g_m**2 / h_m, with h_m the secular function without that pole's term
+    (the shift is capped at half the distance to the nearest other
+    pole), and the eigenvalues of the bare field block.  Only roots whose
+    correction is still above the tolerance are iterated; a final Newton
+    step polishes every root.
+    """
+    fields = [[-0.5 * p.kappa, -1j * p.f2], [-1j * p.f2, 0.0]]
+    if p.g1 > 0:
+        fields = [[-0.5 * p.kappa, -1j * p.g1, -1j * p.f2],
+                  [-1j * p.g1, cdamp, 0.0], [-1j * p.f2, 0.0, 0.0]]
+    gap = np.full(poles.size, np.inf)
+    gap[1:] = np.abs(np.diff(poles))
+    gap[:-1] = np.minimum(gap[:-1], gap[1:])
+    h = np.empty_like(poles)
+    for lo in range(0, poles.size, _BLOCK):
+        d = poles[lo:lo + _BLOCK, None] - poles
+        d[np.arange(d.shape[0]), np.arange(lo, lo + d.shape[0])] = np.inf
+        h[lo:lo + _BLOCK] = (g2 / d).sum(axis=1)
+    k, _ = _cavity_factor(poles, p, cdamp)
+    shift = -g2 / (poles - p.f2 ** 2 / k + h)
+    big = np.abs(shift) > 0.5 * gap
+    shift[big] *= 0.5 * gap[big] / np.abs(shift[big])
+    z = np.concatenate([poles + shift,
+                        np.linalg.eigvals(np.array(fields, dtype=complex))])
+    tol = 1e-13 * scale
+    active = np.arange(z.size)
+    for _ in range(_ABERTH_MAX_ITER):
+        za = z[active]
+        newton = _newton_step(za, p, cdamp, poles, g2)
+        step = newton / (1.0 - newton * _repulsion(za, active, z))
+        z[active] = za - step
+        active = active[~(np.abs(step) <= tol)]
+        if active.size == 0:
+            break
+    return z - _newton_step(z, p, cdamp, poles, g2)
+
+
+def _modal_basis(p: SystemParams, ens: AtomEnsemble) -> _ModalBasis:
+    """Mode basis for (p, grid); repeated grids reuse the cached solve."""
+    # +0.0 turns -0.0 into 0.0, so an inverted mirrored grid hits the cache
+    return _cached_basis(p, (ens.detunings + 0.0).tobytes(), ens.weights.tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_basis(p: SystemParams, det_bytes: bytes, w_bytes: bytes) -> _ModalBasis:
+    return _build_basis(p, np.frombuffer(det_bytes), np.frombuffer(w_bytes))
+
+
+def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis:
+    cc = p.collective_coupling
+    if p.f2 == 0 or cc == 0:
+        raise ParameterError(
+            "time-domain propagation needs coupled cavities (f2 > 0) and a "
+            "coupled ensemble (N*g2**2 > 0)")
+    inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
+    cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
+    first = np.concatenate(([True], det[1:] != det[:-1]))
+    group = np.cumsum(first) - 1
+    g2_nodes = cc * w
+    g2 = np.bincount(group, weights=g2_nodes)
+    share = np.sqrt(g2_nodes / g2[group])
+    poles = -(1j * det[first] + inv_t2)
+    scale = (float(np.max(np.abs(poles))) + 0.5 * p.kappa + abs(cdamp)
+             + p.f2 + p.g1 + math.sqrt(cc))
+
+    lam = _secular_roots(p, cdamp, poles, g2, scale)
+    s_ens, ds_ens, abs_ens = _ensemble_sums(lam, poles, g2, with_norm=True)
+    abs_ens = abs_ens.real
+    k, _ = _cavity_factor(lam, p, cdamp)
+    a1 = 1j * p.f2 / k
+    bc = -1j * p.g1 * a1 / (lam - cdamp) if p.g1 > 0 else np.zeros_like(lam)
+    # eigenvectors with a2 = 1; A v - lam v vanishes but for the a2 row,
+    # which holds -s(lam)
+    norm2 = 1.0 + np.abs(a1) ** 2 + np.abs(bc) ** 2 + abs_ens
+    secular = lam - p.f2 ** 2 / k + s_ens
+    trace_a = -0.5 * p.kappa + (cdamp if p.g1 > 0 else 0.0) + np.sum(poles)
+    residual = max(float(np.max(np.abs(secular) / np.sqrt(norm2))) / scale,
+                   abs(np.sum(lam) - trace_a) / (lam.size * scale))
+    scale_v = 1.0 / np.sqrt(1.0 + a1 ** 2 + bc ** 2 + ds_ens)   # v^T v = 1
+    cond = float(np.sum(np.abs(scale_v) ** 2 * norm2))
+    if not (residual <= _RESIDUAL_BOUND and cond <= _COND_BOUND):
+        raise IntegrationError(
+            f"mode basis rejected: eigenpair residual {residual:.2e} (bound "
+            f"{_RESIDUAL_BOUND:g}), cond(V) {cond:.3e} (bound {_COND_BOUND:g})")
+    basis = _ModalBasis(
+        lam=lam, a1=a1 * scale_v, bc=bc * scale_v, a2=scale_v,
+        ens_sum=s_ens, ens_norm=np.abs(scale_v) ** 2 * abs_ens,
+        poles=poles, g=np.sqrt(g2), group=group, share=share,
+        cond=cond, residual=residual)
+    return replace(basis, drive=_mode_coordinates(
+        basis, np.array([1.0, 0.0, 0.0]), np.zeros(g2.size)))
+
+
+# ------------------------------------------------------- modal propagation
+
+def _mode_coordinates(basis: _ModalBasis, fields: np.ndarray,
+                      bright: np.ndarray) -> np.ndarray:
+    """Solve V c = y for the state y = (a1, bc, a2, merged ensemble).
+
+    V^T is the inverse of V in exact arithmetic only: in a strongly
+    non-normal basis (large cond) the rounding of the columns leaves
+    V V^T - I far above machine precision, so V^T serves as the
+    preconditioner of a few refinement steps instead.
+    """
+    rows = (basis.a1, basis.bc, basis.a2)
+    y_fields, y_ens = fields.astype(complex), bright.astype(complex)
+    size = math.sqrt(float(np.sum(np.abs(y_fields) ** 2) + np.sum(np.abs(y_ens) ** 2)))
+    c = np.zeros(basis.lam.size, dtype=complex)
+    r_fields, r_ens = y_fields, y_ens
+    err = size
+    for _ in range(4):
+        for row, r in zip(rows, r_fields):
+            c += row * r
+        if np.any(r_ens):
+            for lo in range(0, basis.g.size, _BLOCK):
+                c += r_ens[lo:lo + _BLOCK] @ basis.ensemble_rows(lo, lo + _BLOCK)
+        r_fields = y_fields - np.array([row @ c for row in rows])
+        r_ens = y_ens.copy()
+        for lo in range(0, basis.g.size, _BLOCK):
+            r_ens[lo:lo + _BLOCK] -= basis.ensemble_rows(lo, lo + _BLOCK) @ c
+        last, err = err, math.sqrt(float(np.sum(np.abs(r_fields) ** 2)
+                                         + np.sum(np.abs(r_ens) ** 2)))
+        # stop well inside the ledger bound or once rounding stalls the residual
+        if err <= 1e-12 * size or err > 0.5 * last:
+            break
+    if not err <= 1e-9 * size:
+        raise IntegrationError(
+            f"mode basis cannot resolve the state: relative residual "
+            f"{err / size:.2e} (cond(V) {basis.cond:.3e})")
+    return c
+
+
+def _pulse_cdf(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
+    """integral of |a_in|**2 from -infinity to t."""
+    s = (t - pulse.center) / pulse.duration
+    if pulse.shape is PulseShape.GAUSSIAN:
+        return 0.5 * erfc(-s)
+    if pulse.shape is PulseShape.RISING_EXPONENTIAL:
+        return np.exp(2.0 * np.minimum(s, 0.0))
+    return -np.expm1(-2.0 * np.maximum(s, 0.0))
+
+
+def _pulse_slope(pulse: PulseSpec, t: np.ndarray, side: np.ndarray):
+    """Input amplitude and its first two time derivatives; at the
+    switching instant of an exponential pulse side < 0 selects the left
+    limit, side > 0 the right one."""
+    s = t - pulse.center
+    if pulse.shape is PulseShape.GAUSSIAN:
+        a = pulse.amplitude(t)
+        rate = -s / pulse.duration ** 2 - 1j * pulse.carrier_detuning
+        return a, rate * a, (rate * rate - pulse.duration ** -2) * a
+    rising = pulse.shape is PulseShape.RISING_EXPONENTIAL
+    rate = (1.0 if rising else -1.0) / pulse.duration - 1j * pulse.carrier_detuning
+    on = (s < 0) | ((s == 0) & (side < 0)) if rising else \
+        (s > 0) | ((s == 0) & (side > 0))
+    a = np.where(on, math.sqrt(2.0 / pulse.duration)
+                 * np.exp(rate * np.where(on, s, 0.0)), 0.0)
+    return a, rate * a, rate * rate * a
+
+
+def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
+                     t0: float) -> np.ndarray:
+    """I_k(t) = integral from t0 to t of exp(lam_k (t - s)) a_in(s) ds.
+
+    Gaussian: a completed square turns I into a difference of two
+    erfc values, each written as exp(E) * w(i x) with the Faddeeva
+    function w (Weideman 1994), so no factor overflows.  Exponential
+    pulses give elementary forms.  Filled a block of times at a time.
+    """
+    out = np.empty((lam.size, t.size), dtype=complex)
+    c, sd, om = pulse.center, pulse.duration, pulse.carrier_detuning
+    lam_c = lam[:, None]
+    for lo in range(0, t.size, _BLOCK // 2):
+        tt = t[None, lo:lo + _BLOCK // 2]
+        if pulse.shape is PulseShape.GAUSSIAN:
+            beta = lam_c + 1j * om
+            root = sd * math.sqrt(2.0)
+            u0, u1 = t0 - c, tt - c
+            w0 = (u0 + sd * sd * beta) / root
+            w1 = (u1 + sd * sd * beta) / root
+            e0 = np.exp(lam_c * (tt - t0) - u0 * u0 / (2.0 * sd * sd) - 1j * om * u0)
+            e1 = np.exp(-u1 * u1 / (2.0 * sd * sd) - 1j * om * u1)
+            # exp(E) erfc(x) exp(x**2) = exp(E) w(i x) for Re x >= 0, else
+            # 2 exp(E + x**2) - exp(E) w(-i x); E + x**2 is the same at both
+            # ends, so that term survives only where the ends differ in sign
+            sg0 = np.where(w0.real < 0, -1.0, 1.0)
+            sg1 = np.where(w1.real < 0, -1.0, 1.0)
+            blk = sg0 * e0 * wofz(1j * sg0 * w0) - sg1 * e1 * wofz(1j * sg1 * w1)
+            rows, cols = np.nonzero((sg0 < 0) & (sg1 > 0))
+            if rows.size:
+                blk[rows, cols] += 2.0 * np.exp(
+                    lam[rows] * u1[0, cols] + 0.5 * (sd * beta[rows, 0]) ** 2)
+            blk *= (math.pi * sd * sd) ** -0.25 * sd * math.sqrt(0.5 * math.pi)
+        elif pulse.shape is PulseShape.RISING_EXPONENTIAL:
+            alpha = 1.0 / sd - 1j * om
+            te = np.minimum(tt, c)
+            blk = -(math.sqrt(2.0 / sd) * np.exp(alpha * (te - c))
+                    * np.expm1((lam_c - alpha) * (te - t0)) / (alpha - lam_c)
+                    * np.exp(lam_c * (tt - te)))
+        else:
+            alpha = -1.0 / sd - 1j * om
+            lag = np.maximum(tt - c, 0.0)
+            x = (alpha - lam_c) * lag
+            with np.errstate(invalid="ignore", divide="ignore"):
+                phi = np.where(x == 0, 1.0, np.expm1(x) / x)
+            blk = math.sqrt(2.0 / sd) * lag * np.exp(lam_c * lag) * phi
+        out[:, lo:lo + _BLOCK // 2] = blk
+    return out
+
+
+def _hermite_cumulative(t: np.ndarray, r: np.ndarray, dr: np.ndarray,
+                        ddr: np.ndarray) -> np.ndarray:
+    """Running integral of r by the two-point quintic Hermite rule, exact
+    for polynomials of degree five, from values and two derivatives."""
+    h = np.diff(t)
+    inc = h * (0.5 * (r[:-1] + r[1:]) + h * ((dr[:-1] - dr[1:]) / 10.0
+                                             + h * (ddr[:-1] + ddr[1:]) / 120.0))
+    return np.concatenate(([0.0], np.cumsum(inc)))
+
+
+def _rate(x, dx, ddx, weight: float):
+    """weight*|x|**2 and its first two time derivatives."""
+    return (weight * np.abs(x) ** 2,
+            2.0 * weight * (np.conj(x) * dx).real,
+            2.0 * weight * (np.abs(dx) ** 2 + (np.conj(x) * ddx).real))
+
+
+def _ensemble_at(basis: _ModalBasis, c: np.ndarray, cols: np.ndarray | None):
+    """Bright-ensemble population at every sample, the original nodes'
+    amplitudes at the samples `cols` (None: none kept) and at the last one."""
+    n_nodes = basis.group.size
+    pe = np.zeros(c.shape[1])
+    kept = None if cols is None else np.empty((cols.size, n_nodes), dtype=complex)
+    last = np.empty(n_nodes, dtype=complex)
+    bounds = np.searchsorted(basis.group, np.arange(0, basis.g.size + _BLOCK, _BLOCK))
+    for i, lo in enumerate(range(0, basis.g.size, _BLOCK)):
+        blk = basis.ensemble_rows(lo, lo + _BLOCK) @ c
+        pe += (blk.real ** 2 + blk.imag ** 2).sum(axis=0)
+        j0, j1 = bounds[i], bounds[i + 1]
+        rows = basis.group[j0:j1] - lo
+        share = basis.share[j0:j1]
+        last[j0:j1] = share * blk[rows, -1]
+        if kept is not None:
+            kept[:, j0:j1] = (share[:, None] * blk[rows][:, cols]).T
+    return pe, kept, last
+
+
+def _gram_losses(basis: _ModalBasis, c: np.ndarray, p: SystemParams,
+                 inv_t2: float):
+    """Exact loss integrals of a free evolution c_k(t) = c_k(t0) exp(lam_k t).
+
+    A loss rate y^H W y has the Gram kernel Q = W_kl / (conj(lam_k) + lam_l):
+    Phi(t) = c(t)^H Q c(t) obeys dPhi/dt = rate, so the integral since t0
+    is Phi(t) - Phi(t0).  The ensemble weight sum_m conj(V_mk) V_ml has the
+    closed form conj(a2_k) a2_l (conj(S_k) + S_l) / (conj(lam_k) + lam_l
+    + 2/T2), its diagonal the direct sum.  Q is Hermitian, so only the
+    blocks on and above the diagonal are formed.  Returns the output,
+    control-atom and T2 integrals.
+    """
+    lam, n = basis.lam, basis.lam.size
+    phi = np.zeros((3, c.shape[1]))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        lk = np.conj(lam[lo:hi, None])
+        kernel = 1.0 / (lk + lam[lo:])
+        # within the diagonal block keep the upper triangle, the diagonal
+        # at half weight, so that 2 Re sum covers every pair once
+        kernel[:, :hi - lo] *= np.triu(np.ones((hi - lo, hi - lo)), 1) \
+            + 0.5 * np.eye(hi - lo)
+        ck = c[lo:hi]
+        for i in range(3):
+            if i == 0:
+                w = p.kappa * np.conj(basis.a1[lo:hi, None]) * basis.a1[lo:]
+            elif i == 1 and p.g1 > 0:
+                w = p.gamma * np.conj(basis.bc[lo:hi, None]) * basis.bc[lo:]
+            elif i == 2 and inv_t2 > 0:
+                w = (np.conj(basis.ens_sum[lo:hi, None]) + basis.ens_sum[lo:]) \
+                    / (lk + lam[lo:] + 2.0 * inv_t2)
+                w *= 2.0 * inv_t2 * np.conj(basis.a2[lo:hi, None]) * basis.a2[lo:]
+                diag = np.arange(hi - lo)
+                w[diag, diag] = 2.0 * inv_t2 * basis.ens_norm[lo:hi]
+            else:
+                continue
+            w *= kernel
+            y = w @ c[lo:]
+            phi[i] += 2.0 * (ck.real * y.real + ck.imag * y.imag).sum(axis=0)
+    return phi - phi[:, :1]
+
+
+def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
+                   scale: complex, times: np.ndarray, solver_tol: float,
+                   store_ensemble: bool) -> SimulationTrace:
+    basis = _modal_basis(p, ens)
+    t0, t1 = times[0], times[-1]
+    sqrtk = math.sqrt(p.kappa)
+    inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
+    cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
+    # quadrature nodes: the output times, with the switching instant of an
+    # exponential pulse entered twice, once per one-sided limit
+    nodes, side = times, np.zeros(times.size)
+    if pulse.shape is not PulseShape.GAUSSIAN and t0 < pulse.center < t1:
+        rest = times[times != pulse.center]
+        k = int(np.searchsorted(rest, pulse.center))
+        nodes = np.insert(rest, k, [pulse.center, pulse.center])
+        side = np.insert(np.zeros(rest.size), k, [-1.0, 1.0])
+    out = np.searchsorted(nodes, times)   # a repeated node reads its left limit
+
+    c = _drive_integrals(pulse, basis.lam, nodes, t0)
+    c *= (scale * sqrtk * basis.drive)[:, None]
+    a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
+    pe, kept, last = _ensemble_at(basis, c, out if store_ensemble else None)
+    # time derivatives from the equations of motion; sig = sum_j g_j b_j
+    # and its derivative need the rows sum_m g_m V_mk and sum_m g_m D_m V_mk
+    sig = basis.collective @ c
+    dsig = (-1j * basis.a2 * (basis.lam * basis.ens_sum
+                              - p.collective_coupling)) @ c \
+        - 1j * p.collective_coupling * a2
+    ain, dain, ddain = (scale * x for x in _pulse_slope(pulse, nodes, side))
+    da2 = -1j * sig - 1j * p.f2 * a1
+    dbc = cdamp * bc - 1j * p.g1 * a1
+    da1 = -1j * p.g1 * bc - 1j * p.f2 * a2 - 0.5 * p.kappa * a1 + sqrtk * ain
+    ddbc = cdamp * dbc - 1j * p.g1 * da1
+    dda1 = (-1j * p.g1 * dbc - 1j * p.f2 * da2 - 0.5 * p.kappa * da1
+            + sqrtk * dain)
+    l_out = _hermite_cumulative(nodes, *_rate(
+        sqrtk * a1 - ain, sqrtk * da1 - dain, sqrtk * dda1 - ddain, 1.0))
+    l_c = _hermite_cumulative(nodes, *_rate(bc, dbc, ddbc, p.gamma))
+    dpe = -2.0 * inv_t2 * pe + 2.0 * (-1j * a2 * np.conj(sig)).real
+    ddpe = -2.0 * inv_t2 * dpe + 2.0 * (-1j * (da2 * np.conj(sig)
+                                             + a2 * np.conj(dsig))).real
+    l_t2 = _hermite_cumulative(nodes, 2.0 * inv_t2 * pe, 2.0 * inv_t2 * dpe,
+                               2.0 * inv_t2 * ddpe)
+    l_in = abs(scale) ** 2 * (_pulse_cdf(pulse, times) - _pulse_cdf(pulse, np.asarray(t0)))
+    return _trace(p, ens, "storage", solver_tol, True, times,
+                  a1[out], bc[out], a2[out], scale * pulse.amplitude(times),
+                  pe[out], l_out[out], l_c[out], l_t2[out], l_in, 0.0,
+                  kept, last)
+
+
+def _modal_retrieval(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
+                     solver_tol: float, store_ensemble: bool) -> SimulationTrace:
+    basis = _modal_basis(p, ens)
+    inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
+    b0 = ens.coherences
+    # split each merged node into the part the cavity sees and a dark
+    # remainder, which only dephases
+    weighted = basis.share * b0
+    bright = (np.bincount(basis.group, weights=weighted.real)
+              + 1j * np.bincount(basis.group, weights=weighted.imag))
+    dark = b0 - basis.share * bright[basis.group]
+    c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright)
+    elapsed = times - times[0]
+    c = np.multiply.outer(basis.lam, elapsed)
+    np.exp(c, out=c)
+    c *= c0[:, None]
+
+    a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
+    cols = np.arange(times.size) if store_ensemble else None
+    pe, kept, last = _ensemble_at(basis, c, cols)
+    l_out, l_c, l_t2 = _gram_losses(basis, c, p, inv_t2)
+    dark_p = float(np.sum(np.abs(dark) ** 2))
+    if dark_p > 0:
+        node_poles = -(1j * ens.detunings + inv_t2)
+        pe = pe + dark_p * np.exp(-2.0 * inv_t2 * elapsed)
+        l_t2 = l_t2 - dark_p * np.expm1(-2.0 * inv_t2 * elapsed)
+        last = last + dark * np.exp(node_poles * elapsed[-1])
+        if kept is not None:
+            kept += np.exp(np.multiply.outer(elapsed, node_poles)) * dark
+    return _trace(p, ens, "retrieval", solver_tol, True, times, a1, bc, a2,
+                  np.zeros(times.size, dtype=complex), pe, l_out, l_c, l_t2,
+                  np.zeros(times.size), float(np.sum(np.abs(b0) ** 2)),
+                  kept, last)
 
 
 def integrate_storage(
@@ -458,21 +985,17 @@ def integrate_storage(
     `input_scale` scales the whole trace linearly (single excitation sector).
     """
     _check_ensemble(p, ens)
+    _check_tol(solver_tol)
     if t_span[0] > pulse.center - 5.0 * pulse.duration or \
        t_span[1] < pulse.center + 5.0 * pulse.duration:
         raise ParameterError(
             f"pulse centered at {pulse.center} (duration {pulse.duration}) needs "
             f">= 5 durations of margin inside span {t_span}")
-    scale = complex(input_scale)
-    drive = lambda t: scale * pulse.amplitude(t)
     if output_dt is None:
         output_dt = min(pulse.duration / 30.0, (t_span[1] - t_span[0]) / 400.0)
-    return _integrate(p, ens, drive, t_span,
-                      y0_modes=np.zeros(ens.n, dtype=complex),
-                      y0_fields=(0.0, 0.0, 0.0),
-                      solver_tol=solver_tol, output_dt=output_dt,
-                      extra_eval=extra_eval, store_ensemble=store_ensemble,
-                      kind="storage")
+    times = _output_times(t_span, output_dt, extra_eval)
+    return _modal_storage(p, ens, pulse, complex(input_scale), times,
+                          solver_tol, store_ensemble)
 
 
 def integrate_retrieval(
@@ -491,14 +1014,11 @@ def integrate_retrieval(
     re-emits leaves through the input cavity as alpha_out.
     """
     _check_ensemble(p, ens)
+    _check_tol(solver_tol)
     if ens.probability <= 0.0:
         raise ParameterError("retrieval needs an ensemble with nonzero coherence")
-    return _integrate(p, ens, None, t_span,
-                      y0_modes=ens.coherences.copy(),
-                      y0_fields=(0.0, 0.0, 0.0),
-                      solver_tol=solver_tol, output_dt=output_dt,
-                      extra_eval=extra_eval, store_ensemble=store_ensemble,
-                      kind="retrieval")
+    times = _output_times(t_span, output_dt, extra_eval)
+    return _modal_retrieval(p, ens, times, solver_tol, store_ensemble)
 
 
 # ----------------------------------------------------------------- echo cycle

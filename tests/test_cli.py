@@ -1,8 +1,11 @@
 import json
 import math
+import os
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from echoqram.cli import (ConfigError, Scenario, main, parse_scenario_config,
                           run_sweep, serialize_config)
@@ -176,6 +179,28 @@ class TestMain:
         assert float(mid[0]) == pytest.approx(0.0, abs=1e-12)
         assert float(mid[1]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_spectra_columns_match_scalar_path(self, tmp_path, capsys):
+        # one vectorized call per curve gives the numbers of the
+        # point-by-point evaluation
+        from echoqram.params import solve_matched_params
+        from echoqram.spectral import spectral_efficiency
+        path = write(tmp_path, "s.json", cfg_text(
+            scenario="spectra",
+            params={"matched": {"kappa": 1.0, "c_atom": 10.0}},
+            grid={"span": 3.0, "n": 121}))
+        out = tmp_path / "spectra.csv"
+        assert main(["spectra", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        p = solve_matched_params(1.0, 10.0)
+        lines = [l for l in out.read_text().splitlines()
+                 if not l.startswith("#")]
+        rows = [list(map(float, l.split(","))) for l in lines[1:]]
+        assert len(rows) == 121
+        for nu, eps_t, _, eps_b, _ in rows:
+            for got, expect in ((eps_t, spectral_efficiency(nu, p.with_(g1=0.0))),
+                                (eps_b, spectral_efficiency(nu, p))):
+                assert abs(got - expect) <= 1e-15 * abs(expect)
+
     def test_check_matching_json(self, tmp_path, capsys):
         path = write(tmp_path, "c.json", cfg_text(
             scenario="check_matching", params=MATCHED))
@@ -308,3 +333,133 @@ class TestSweep:
                    "tau_over_duration": 6.0}))
         pts = run_sweep(cfg, workers=1)
         assert pts[0]["tau"] == pytest.approx(24.0)
+
+
+class TestBoundary:
+    """Malformed values exit 2 with a file:line anchor, never a traceback."""
+
+    ECHO = dict(scenario="echo_cycle", params=MATCHED,
+                pulse={"duration": 5.0}, tau=25.0, n_sim=64)
+
+    @pytest.mark.parametrize("change, needle", [
+        ({"tau": "abc"}, "'tau' must be a number"),
+        ({"tau": None}, "'tau' must be a number"),
+        ({"n_sim": 100.7}, "'n_sim' must be an integer"),
+        ({"solver_tol": 1e-6}, "'solver_tol' must be in (0, 1e-8]"),
+        ({"scheme": 5}, "'scheme' must be"),
+        ({"pulse": {"duration": "long"}}, "'pulse.duration' must be a number"),
+        ({"params": {"matched": {"kappa": "1", "c_atom": 0.0}}},
+         "'params.matched.kappa' must be a number"),
+    ])
+    def test_echo_values(self, tmp_path, capsys, change, needle):
+        path = write(tmp_path, "e.json", cfg_text(**{**self.ECHO, **change}))
+        assert main(["echo", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert f"{path}:" in err
+
+    def test_grid_not_an_object(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", cfg_text(
+            scenario="spectra", params=MATCHED, grid=5))
+        assert main(["spectra", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'grid' must be an object" in err
+        assert f"{path}:" in err
+
+    def test_sweep_value_not_a_number(self, tmp_path, capsys):
+        path = write(tmp_path, "w.json", cfg_text(
+            scenario="sweep", params=MATCHED, pulse={"duration": 5.0},
+            tau=25.0, sweep={"parameter": "tau", "values": [25.0, "x"]}))
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'sweep.values[1]' must be a number" in err
+        assert f"{path}:" in err
+
+    def test_nan_solver_tol_exits_quickly(self, tmp_path, capsys):
+        text = cfg_text(**self.ECHO, solver_tol=1e-9).replace("1e-09", "NaN")
+        assert "NaN" in text
+        path = write(tmp_path, "nan.json", text)
+        t0 = time.perf_counter()
+        assert main(["echo", "--config", str(path)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert "'solver_tol' must be finite" in capsys.readouterr().err
+
+    def test_workers_clamped(self, monkeypatch):
+        from echoqram import cli as cli_mod
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+        cfg = parse_scenario_config(cfg_text(
+            scenario="sweep", params=MATCHED, pulse={"duration": 5.0},
+            n_sim=64, span=10.0,
+            sweep={"parameter": "tau", "values": [25.0, 40.0]}))
+        rows = run_sweep(cfg, workers=10_000)
+        assert len(rows) == 2
+        expect = min(2, os.cpu_count() or 1)
+        assert seen == ([expect] if expect > 1 else [])
+
+    @given(st.sampled_from([
+               "tau", "n_sim", "span", "scheme", "solver_tol", "t_span",
+               "grid", "pulse", "params", "read_params", "output", "scenario",
+               "pulse.duration", "pulse.shape", "pulse.center",
+               "params.matched.kappa", "params.matched.c_atom",
+               "params.matched.t2", "params.matched.n_atoms",
+               "read_params.kappa", "read_params.n_atoms", "read_params.t2",
+               "grid.span", "grid.n", "sweep.values", "sweep.curve_values",
+               "sweep.tau_over_duration", "sweep.parameter",
+               "address.amplitudes", "address.bin_spacing", "efficiencies",
+               "efficiencies.transfer_amplitude", "output.path"]),
+           st.one_of(st.none(), st.booleans(),
+                     st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+                     st.floats(allow_nan=True, allow_infinity=True),
+                     st.text(max_size=5),
+                     st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                              max_size=3),
+                     st.dictionaries(st.text(max_size=3), st.integers(),
+                                     max_size=2)))
+    def test_fuzzed_scalars_raise_only_config_error(self, path, value):
+        explicit = {"kappa": 1.0, "gamma": 1.0, "g1": 0.0,
+                    "g2": 0.011180339887498949, "f2": 0.3535533905932738,
+                    "n_atoms": 1000, "delta_in": 0.5}
+        bases = [
+            dict(self.ECHO, read_params=explicit, t_span=[-30.0, 60.0],
+                 span=10.0, scheme="quantile", solver_tol=1e-9,
+                 output={"path": "x.json", "format": "json"}),
+            dict(scenario="spectra", params=MATCHED,
+                 grid={"span": 1.0, "n": 5, "center": 0.0}),
+            dict(scenario="sweep", params=MATCHED, pulse={"duration": 5.0},
+                 sweep={"parameter": "pulse_duration", "values": [5.0],
+                        "curve_parameter": "t2", "curve_values": [100.0],
+                        "tau_over_duration": 5.0}),
+            dict(scenario="address", address={
+                "amplitudes": [[1.0, 0.0]], "bin_spacing": 100.0,
+                "bin_duration": 1.0},
+                efficiencies={"transfer_amplitude": 1.0}),
+        ]
+        keys = path.split(".")
+        for base in bases:
+            doc = json.loads(json.dumps(base))
+            node = doc
+            for k in keys[:-1]:
+                if not isinstance(node.get(k), dict):
+                    break
+                node = node[k]
+            else:
+                node[keys[-1]] = value
+                try:
+                    parse_scenario_config(json.dumps(doc), source="fuzz.json")
+                except ConfigError:
+                    pass

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from echoqram.params import ParameterError
+from echoqram import dynamics
+from echoqram.params import ParameterError, solve_matched_params
 from echoqram.dynamics import (AtomEnsemble, DiscretizationScheme,
                                IntegrationError, PulseShape, PulseSpec,
                                blockade_phase_check, discretize_ensemble,
@@ -348,3 +349,92 @@ class TestTraceExport:
         assert doc["kind"] == "storage"
         assert len(doc["times"]) == len(doc["fields"]["alpha_out"]["re"])
         assert doc["params"]["t2"] == "inf"
+
+
+class TestModalPropagator:
+    """The modal propagator against the adaptive DOP853 integrator."""
+
+    @staticmethod
+    def clipped_grid(p):
+        # clip harder than discretize_ensemble does, so that several
+        # nodes share each edge detuning and get merged
+        ens = ensemble_for_params(p, n_sim=64, span=10.0)
+        det = np.clip(ens.detunings, -4.0, 4.0)
+        assert np.count_nonzero(np.diff(det) == 0) >= 4
+        return AtomEnsemble(det, ens.weights, ens.coherences,
+                            ens.collective_coupling)
+
+    @staticmethod
+    def oracle_cycle(monkeypatch, p_store, p_read, ens, pulse, tau):
+        """run_echo_cycle with both stages integrated by DOP853."""
+        tol = 1e-10
+
+        def storage(p, e, pl, span, solver_tol=1e-9, *, output_dt=None,
+                    store_ensemble=True):
+            if output_dt is None:
+                output_dt = min(pl.duration / 30.0, (span[1] - span[0]) / 400.0)
+            return dynamics._integrate(p, e, pl.amplitude, span,
+                                       np.zeros(e.n, complex), (0, 0, 0),
+                                       tol, output_dt)
+
+        def retrieval(p, e, span, solver_tol=1e-9, *, output_dt=None,
+                      extra_eval=(), store_ensemble=True):
+            return dynamics._integrate(p, e, None, span, e.coherences.copy(),
+                                       (0, 0, 0), tol, output_dt,
+                                       extra_eval=extra_eval, kind="retrieval")
+
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "integrate_storage", storage)
+            m.setattr(dynamics, "integrate_retrieval", retrieval)
+            return run_echo_cycle(p_store, p_read, ens, pulse, tau)
+
+    def compare(self, monkeypatch, p_store, p_read, pulse, tau):
+        ens = self.clipped_grid(p_store)
+        got = run_echo_cycle(p_store, p_read, ens, pulse, tau)
+        ref = self.oracle_cycle(monkeypatch, p_store, p_read, ens, pulse, tau)
+        for name in ("storage_probability", "echo_probability",
+                     "fidelity_time_reversed"):
+            assert getattr(got, name) == pytest.approx(
+                getattr(ref, name), rel=1e-7, abs=1e-12), name
+        assert np.array_equal(got.output_times, ref.output_times)
+        peak = np.max(np.abs(ref.output_waveform))
+        assert np.max(np.abs(got.output_waveform - ref.output_waveform)) \
+            <= 1e-7 * peak
+        assert got.max_ledger_residual < 1e-10
+        return got
+
+    @pytest.mark.parametrize("t2", [100.0, math.inf])
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_matches_dop853(self, monkeypatch, shape, t2):
+        p = solve_matched_params(1.0, 0.0, t2=t2)
+        pulse = PulseSpec(shape=shape, duration=2.0, center=1.0,
+                          carrier_detuning=0.1)
+        self.compare(monkeypatch, p, p, pulse, 10.0)
+
+    def test_blockaded_read_matches_dop853(self, monkeypatch):
+        p = solve_matched_params(1.0, 0.0)
+        echo = self.compare(monkeypatch, p, solve_matched_params(1.0, 30.0),
+                            PulseSpec(duration=2.0, carrier_detuning=0.1), 10.0)
+        assert echo.echo_probability < 0.01
+
+    def test_inverted_mirrored_grid_shares_basis(self, matched):
+        ens = ensemble_for_params(matched, n_sim=65, span=10.0)
+        assert dynamics._modal_basis(matched, invert_detunings(ens)) \
+            is dynamics._modal_basis(matched, ens)
+
+    def test_failed_eigen_solve_raises(self, matched, monkeypatch):
+        ens = ensemble_for_params(matched, n_sim=64, span=10.0)
+        monkeypatch.setattr(dynamics, "_ABERTH_MAX_ITER", 1)
+        dynamics._cached_basis.cache_clear()
+        try:
+            with pytest.raises(IntegrationError, match="eigenpair residual"):
+                integrate_storage(matched, ens, PulseSpec(duration=2.0),
+                                  (-12.0, 12.0))
+        finally:
+            dynamics._cached_basis.cache_clear()
+
+    def test_nan_solver_tol_rejected(self, matched):
+        ens = ensemble_for_params(matched, n_sim=64)
+        with pytest.raises(ParameterError):
+            integrate_storage(matched, ens, PulseSpec(duration=5.0),
+                              (-30.0, 30.0), solver_tol=math.nan)
