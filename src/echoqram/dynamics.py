@@ -33,8 +33,10 @@ for the Gaussian).  No array grows as the square of the mode count.
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
 ensemble dephasing integral (2/T2)*sum_j int|b_j|**2.  The input integral
-is closed form; after the drive the loss integrals are exact Gram forms
-of the modes, during it a quintic Hermite rule on exact time derivatives.
+is closed form.  The loss integrals are exact Gram forms of the modes
+wherever the state is a sum of exponentials: free evolution, and an
+exponential drive taken as one more exponential.  Under a Gaussian drive
+they use a quintic Hermite rule on exact time derivatives.
 Every run checks the ledger at each output time and aborts when it drifts
 beyond 100x solver_tol, which is all solver_tol bounds here; a mode basis
 whose eigenpair residual or condition number exceeds a fixed bound is
@@ -734,24 +736,6 @@ def _pulse_cdf(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
     return -np.expm1(-2.0 * np.maximum(s, 0.0))
 
 
-def _pulse_slope(pulse: PulseSpec, t: np.ndarray, side: np.ndarray):
-    """Input amplitude and its first two time derivatives; at the
-    switching instant of an exponential pulse side < 0 selects the left
-    limit, side > 0 the right one."""
-    s = t - pulse.center
-    if pulse.shape is PulseShape.GAUSSIAN:
-        a = pulse.amplitude(t)
-        rate = -s / pulse.duration ** 2 - 1j * pulse.carrier_detuning
-        return a, rate * a, (rate * rate - pulse.duration ** -2) * a
-    rising = pulse.shape is PulseShape.RISING_EXPONENTIAL
-    rate = (1.0 if rising else -1.0) / pulse.duration - 1j * pulse.carrier_detuning
-    on = (s < 0) | ((s == 0) & (side < 0)) if rising else \
-        (s > 0) | ((s == 0) & (side > 0))
-    a = np.where(on, math.sqrt(2.0 / pulse.duration)
-                 * np.exp(rate * np.where(on, s, 0.0)), 0.0)
-    return a, rate * a, rate * rate * a
-
-
 def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
                      t0: float) -> np.ndarray:
     """I_k(t) = integral from t0 to t of exp(lam_k (t - s)) a_in(s) ds.
@@ -840,18 +824,25 @@ def _ensemble_at(basis: _ModalBasis, c: np.ndarray, cols: np.ndarray | None):
 
 
 def _gram_losses(basis: _ModalBasis, c: np.ndarray, p: SystemParams,
-                 inv_t2: float):
-    """Exact loss integrals of a free evolution c_k(t) = c_k(t0) exp(lam_k t).
+                 inv_t2: float, forced=None):
+    """Exact loss integrals since the first sample of a sum of exponentials.
 
-    A loss rate y^H W y has the Gram kernel Q = W_kl / (conj(lam_k) + lam_l):
-    Phi(t) = c(t)^H Q c(t) obeys dPhi/dt = rate, so the integral since t0
-    is Phi(t) - Phi(t0).  The ensemble weight sum_m conj(V_mk) V_ml has the
+    Free evolution: c_k(t) = c_k(t0) exp(lam_k t).  A loss rate y^H W y
+    has the Gram kernel Q = W_kl / (conj(lam_k) + lam_l): Phi(t) =
+    c(t)^H Q c(t) obeys dPhi/dt = rate, so the integral since t0 is
+    Phi(t) - Phi(t0).  The ensemble weight sum_m conj(V_mk) V_ml has the
     closed form conj(a2_k) a2_l (conj(S_k) + S_l) / (conj(lam_k) + lam_l
     + 2/T2), its diagonal the direct sum.  Q is Hermitian, so only the
-    blocks on and above the diagonal are formed.  Returns the output,
-    control-atom and T2 integrals.
+    blocks on and above the diagonal are formed.
+
+    forced = (alpha, u, amp, xi): an exponential drive a_in = amp * xi with
+    xi(t) = exp(alpha t) splits c = h + u xi into a free part h and the
+    driven profile u; xi joins the modes as one more coordinate.  Returns
+    the output, control-atom and T2 integrals.
     """
     lam, n = basis.lam, basis.lam.size
+    sqrtk, sqrtg = math.sqrt(p.kappa), math.sqrt(p.gamma)
+    h = c if forced is None else c - np.outer(forced[1], forced[3])
     phi = np.zeros((3, c.shape[1]))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
@@ -861,7 +852,7 @@ def _gram_losses(basis: _ModalBasis, c: np.ndarray, p: SystemParams,
         # at half weight, so that 2 Re sum covers every pair once
         kernel[:, :hi - lo] *= np.triu(np.ones((hi - lo, hi - lo)), 1) \
             + 0.5 * np.eye(hi - lo)
-        ck = c[lo:hi]
+        hk = h[lo:hi]
         for i in range(3):
             if i == 0:
                 w = p.kappa * np.conj(basis.a1[lo:hi, None]) * basis.a1[lo:]
@@ -876,8 +867,28 @@ def _gram_losses(basis: _ModalBasis, c: np.ndarray, p: SystemParams,
             else:
                 continue
             w *= kernel
-            y = w @ c[lo:]
-            phi[i] += 2.0 * (ck.real * y.real + ck.imag * y.imag).sum(axis=0)
+            y = w @ h[lo:]
+            phi[i] += 2.0 * (hk.real * y.real + hk.imag * y.imag).sum(axis=0)
+    if forced is not None:
+        alpha, u, amp, xi = forced
+        # the rows' entries on xi: r.u, and for the output also -amp; the
+        # ensemble's are E u = V_E^H (V_E u) and u^H E u = |V_E u|**2
+        out_xi = sqrtk * (basis.a1 @ u) - amp
+        ens_u = np.zeros(n, dtype=complex)
+        ens_uu = 0.0
+        for lo in range(0, basis.g.size if inv_t2 > 0 else 0, _BLOCK):
+            rows = basis.ensemble_rows(lo, lo + _BLOCK)
+            y = rows @ u
+            ens_u += y @ np.conj(rows)
+            ens_uu += float(np.sum(np.abs(y) ** 2))
+        channels = [(np.conj(sqrtk * basis.a1) * out_xi, abs(out_xi) ** 2),
+                    (np.conj(sqrtg * basis.bc) * sqrtg * (basis.bc @ u),
+                     p.gamma * abs(basis.bc @ u) ** 2),
+                    (2.0 * inv_t2 * ens_u, 2.0 * inv_t2 * ens_uu)]
+        for i, (cross, corner) in enumerate(channels):
+            cross_h = (cross / (np.conj(lam) + alpha)) @ np.conj(h)
+            phi[i] += 2.0 * (cross_h * xi).real \
+                + corner * np.abs(xi) ** 2 / (2.0 * alpha.real)
     return phi - phi[:, :1]
 
 
@@ -885,50 +896,78 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
                    scale: complex, times: np.ndarray, solver_tol: float,
                    store_ensemble: bool) -> SimulationTrace:
     basis = _modal_basis(p, ens)
-    t0, t1 = times[0], times[-1]
+    t0 = times[0]
     sqrtk = math.sqrt(p.kappa)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
-    cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
-    # quadrature nodes: the output times, with the switching instant of an
-    # exponential pulse entered twice, once per one-sided limit
-    nodes, side = times, np.zeros(times.size)
-    if pulse.shape is not PulseShape.GAUSSIAN and t0 < pulse.center < t1:
-        rest = times[times != pulse.center]
-        k = int(np.searchsorted(rest, pulse.center))
-        nodes = np.insert(rest, k, [pulse.center, pulse.center])
-        side = np.insert(np.zeros(rest.size), k, [-1.0, 1.0])
-    out = np.searchsorted(nodes, times)   # a repeated node reads its left limit
+    gaussian = pulse.shape is PulseShape.GAUSSIAN
+    # an exponential pulse switches at its center, which the margin check
+    # puts inside the span: sample the state there as well
+    nodes = times if gaussian else np.union1d(times, [pulse.center])
+    out = np.searchsorted(nodes, times)
 
     c = _drive_integrals(pulse, basis.lam, nodes, t0)
     c *= (scale * sqrtk * basis.drive)[:, None]
     a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
     pe, kept, last = _ensemble_at(basis, c, out if store_ensemble else None)
-    # time derivatives from the equations of motion; sig = sum_j g_j b_j
-    # and its derivative need the rows sum_m g_m V_mk and sum_m g_m D_m V_mk
+    if gaussian:
+        losses = _hermite_losses(p, basis, c, nodes, pulse, scale, a1, bc, a2,
+                                 pe, inv_t2)
+    else:
+        # a sum of exponentials on either side of the switching instant:
+        # the driven side with the drive as one more coordinate, exact
+        rising = pulse.shape is PulseShape.RISING_EXPONENTIAL
+        alpha = (1.0 if rising else -1.0) / pulse.duration \
+            - 1j * pulse.carrier_detuning
+        amp = scale * math.sqrt(2.0 / pulse.duration)
+        k = int(np.searchsorted(nodes, pulse.center))
+        driven = slice(0, k + 1) if rising else slice(k, None)
+        xi = np.exp(alpha * (nodes[driven] - pulse.center))
+        u = amp * sqrtk * basis.drive / (alpha - basis.lam)
+        losses = np.zeros((3, nodes.size))
+        losses[:, driven] = _gram_losses(basis, c[:, driven], p, inv_t2,
+                                         forced=(alpha, u, amp, xi))
+        if rising:
+            losses[:, k:] = losses[:, k:k + 1] + _gram_losses(
+                basis, c[:, k:], p, inv_t2)
+    l_in = abs(scale) ** 2 * (_pulse_cdf(pulse, times) - _pulse_cdf(pulse, np.asarray(t0)))
+    return _trace(p, ens, "storage", solver_tol, True, times,
+                  a1[out], bc[out], a2[out], scale * pulse.amplitude(times),
+                  pe[out], *losses[:, out], l_in, 0.0, kept, last)
+
+
+def _hermite_losses(p: SystemParams, basis: _ModalBasis, c: np.ndarray,
+                    nodes: np.ndarray, pulse: PulseSpec, scale: complex,
+                    a1, bc, a2, pe, inv_t2: float) -> np.ndarray:
+    """Loss integrals under a Gaussian drive by the quintic Hermite rule,
+    with first and second time derivatives from the equations of motion;
+    sig = sum_j g_j b_j and its derivative need the rows sum_m g_m V_mk
+    and sum_m g_m D_m V_mk."""
+    sqrtk = math.sqrt(p.kappa)
+    cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
     sig = basis.collective @ c
     dsig = (-1j * basis.a2 * (basis.lam * basis.ens_sum
                               - p.collective_coupling)) @ c \
         - 1j * p.collective_coupling * a2
-    ain, dain, ddain = (scale * x for x in _pulse_slope(pulse, nodes, side))
+    ain = scale * pulse.amplitude(nodes)
+    rate = -(nodes - pulse.center) / pulse.duration ** 2 \
+        - 1j * pulse.carrier_detuning
+    dain = rate * ain
+    ddain = (rate * rate - pulse.duration ** -2) * ain
     da2 = -1j * sig - 1j * p.f2 * a1
     dbc = cdamp * bc - 1j * p.g1 * a1
     da1 = -1j * p.g1 * bc - 1j * p.f2 * a2 - 0.5 * p.kappa * a1 + sqrtk * ain
     ddbc = cdamp * dbc - 1j * p.g1 * da1
     dda1 = (-1j * p.g1 * dbc - 1j * p.f2 * da2 - 0.5 * p.kappa * da1
             + sqrtk * dain)
-    l_out = _hermite_cumulative(nodes, *_rate(
-        sqrtk * a1 - ain, sqrtk * da1 - dain, sqrtk * dda1 - ddain, 1.0))
-    l_c = _hermite_cumulative(nodes, *_rate(bc, dbc, ddbc, p.gamma))
     dpe = -2.0 * inv_t2 * pe + 2.0 * (-1j * a2 * np.conj(sig)).real
     ddpe = -2.0 * inv_t2 * dpe + 2.0 * (-1j * (da2 * np.conj(sig)
                                              + a2 * np.conj(dsig))).real
-    l_t2 = _hermite_cumulative(nodes, 2.0 * inv_t2 * pe, 2.0 * inv_t2 * dpe,
-                               2.0 * inv_t2 * ddpe)
-    l_in = abs(scale) ** 2 * (_pulse_cdf(pulse, times) - _pulse_cdf(pulse, np.asarray(t0)))
-    return _trace(p, ens, "storage", solver_tol, True, times,
-                  a1[out], bc[out], a2[out], scale * pulse.amplitude(times),
-                  pe[out], l_out[out], l_c[out], l_t2[out], l_in, 0.0,
-                  kept, last)
+    return np.array([
+        _hermite_cumulative(nodes, *_rate(sqrtk * a1 - ain, sqrtk * da1 - dain,
+                                          sqrtk * dda1 - ddain, 1.0)),
+        _hermite_cumulative(nodes, *_rate(bc, dbc, ddbc, p.gamma)),
+        _hermite_cumulative(nodes, 2.0 * inv_t2 * pe, 2.0 * inv_t2 * dpe,
+                            2.0 * inv_t2 * ddpe)])
 
 
 def _modal_retrieval(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,

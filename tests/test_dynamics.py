@@ -417,6 +417,25 @@ class TestModalPropagator:
                             PulseSpec(duration=2.0, carrier_detuning=0.1), 10.0)
         assert echo.echo_probability < 0.01
 
+    @pytest.mark.parametrize("shape", ALL_SHAPES[1:])
+    def test_switched_pulse_rings_blockaded_cavity(self, blockade30, shape):
+        # the switching instant of an exponential pulse excites the fast
+        # vacuum-Rabi modes of the C = 30 cavity, far faster than the
+        # output grid of a long pulse resolves
+        ens = ensemble_for_params(blockade30, n_sim=64, span=10.0)
+        pulse = PulseSpec(shape=shape, duration=10.0)
+        span = (-60.0, 60.0)
+        got = integrate_storage(blockade30, ens, pulse, span)
+        ref = dynamics._integrate(blockade30, ens, pulse.amplitude, span,
+                                  np.zeros(ens.n, complex), (0, 0, 0), 1e-10,
+                                  (span[1] - span[0]) / 400.0)
+        assert got.max_ledger_residual < 1e-10
+        assert np.array_equal(got.times, ref.times)
+        assert got.ensemble.probability == pytest.approx(
+            ref.ensemble.probability, rel=1e-6)
+        peak = np.max(np.abs(ref.alpha_out))
+        assert np.max(np.abs(got.alpha_out - ref.alpha_out)) <= 1e-7 * peak
+
     def test_inverted_mirrored_grid_shares_basis(self, matched):
         ens = ensemble_for_params(matched, n_sim=65, span=10.0)
         assert dynamics._modal_basis(matched, invert_detunings(ens)) \
