@@ -506,7 +506,8 @@ class _ModalBasis:
     """Eigen-decomposition A = V diag(lam) V^T of the generator.
 
     A is complex symmetric, so with columns scaled to v^T v = 1 the
-    inverse of V is V^T.  Only the three field rows of V are stored; the
+    inverse of V is V^T in exact arithmetic (_mode_coordinates refines
+    it in floating point).  Only the three field rows of V are stored; the
     ensemble rows have the Cauchy form V_mk = -i g_m a2_k / (lam_k - D_m)
     and are formed a block at a time.  Nodes that share a detuning are
     merged into one node of coupling sqrt(sum g_j**2): `group` maps each
@@ -639,7 +640,11 @@ def _modal_basis(p: SystemParams, ens: AtomEnsemble) -> _ModalBasis:
 
 @functools.lru_cache(maxsize=4)
 def _cached_basis(p: SystemParams, det_bytes: bytes, w_bytes: bytes) -> _ModalBasis:
-    return _build_basis(p, np.frombuffer(det_bytes), np.frombuffer(w_bytes))
+    basis = _build_basis(p, np.frombuffer(det_bytes), np.frombuffer(w_bytes))
+    for value in vars(basis).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False   # every caller shares these arrays
+    return basis
 
 
 def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis:
