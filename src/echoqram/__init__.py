@@ -76,7 +76,6 @@ from .addressing import (
     compose_with_dynamics,
     state_table,
     state_to_dict,
-    save_state,
 )
 
 __all__ = [
@@ -98,5 +97,5 @@ __all__ = [
     "ControlState", "CellStatus", "Cell", "Term", "AddressSpec",
     "BranchEfficiencies", "QramState", "ProtocolError", "store_sequence",
     "absorb_address_bin", "rephase_cell", "reset_control", "run_addressing",
-    "compose_with_dynamics", "state_table", "state_to_dict", "save_state",
+    "compose_with_dynamics", "state_table", "state_to_dict",
 ]

@@ -12,20 +12,24 @@ Subcommands map one-to-one onto scenarios:
     sweep           echo-cycle parameter sweep (optionally two axes)
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.  Every
-artifact embeds the sha256 of the raw config text and the tool version.
-All computation is deterministic; --seed is reserved and unused.
+artifact is stamped with the scenario, the tool version, the sha256 of the
+raw config text and the parameter digest, and is written atomically: a
+temporary file beside the target is renamed over it.  All computation is
+deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -103,6 +107,7 @@ class ScenarioConfig:
     eff_from_dynamics: bool = False
     out_path: str | None = None
     out_format: str | None = None
+    sweep: SweepSpec | None = None
 
 
 # -------------------------------------------------------------- config parsing
@@ -199,12 +204,8 @@ def _build_params(obj, path: str, text: str, source: str) -> SystemParams:
         except (ParameterError, OverflowError) as exc:
             raise ConfigError(f"'{path}.matched': {exc}", source,
                               _line_of_key(text, "matched")) from exc
-    if not isinstance(obj.get("unit_convention", ""), str):
-        raise ConfigError(f"'{path}.unit_convention' must be a string", source,
-                          _line_of_key(text, "unit_convention"))
     checked = {k: _param_value(k, v, f"{path}.{k}", text, source)
-               if k in PARAM_KEYS and k != "unit_convention" else v
-               for k, v in obj.items()}
+               if k in PARAM_KEYS else v for k, v in obj.items()}
     try:
         return params_from_dict(checked)
     except ParameterError as exc:
@@ -355,7 +356,6 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
                               source, _line_of_key(text, "format"))
         kw["out_format"] = fmt
 
-    sweep = None
     if "sweep" in doc:
         sobj = doc["sweep"]
         allowed = {"parameter", "values", "curve_parameter", "curve_values",
@@ -395,20 +395,18 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         elif curve_values:
             raise ConfigError("sweep.curve_values without curve_parameter",
                               source, _line_of_key(text, "curve_values"))
-        sweep = SweepSpec(parameter=parameter,
-                          values=tuple(
-                              _param_value(parameter, v, f"sweep.values[{i}]",
-                                           text, source)
-                              for i, v in enumerate(values)),
-                          curve_parameter=curve_parameter,
-                          curve_values=tuple(
-                              _param_value(curve_parameter, v,
-                                           f"sweep.curve_values[{i}]",
-                                           text, source)
-                              for i, v in enumerate(curve_values)),
-                          tau_over_duration=_number(
-                              sobj.get("tau_over_duration", 5.0),
-                              "sweep.tau_over_duration", text, source))
+        kw["sweep"] = SweepSpec(
+            parameter=parameter,
+            values=tuple(_param_value(parameter, v, f"sweep.values[{i}]",
+                                      text, source)
+                         for i, v in enumerate(values)),
+            curve_parameter=curve_parameter,
+            curve_values=tuple(
+                _param_value(curve_parameter, v, f"sweep.curve_values[{i}]",
+                             text, source)
+                for i, v in enumerate(curve_values)),
+            tau_over_duration=_number(sobj.get("tau_over_duration", 5.0),
+                                      "sweep.tau_over_duration", text, source))
         if parameter == "pulse_duration" and "tau" in doc:
             raise ConfigError(
                 "sweeping pulse_duration fixes tau = tau_over_duration * "
@@ -416,14 +414,14 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
                 source, _line_of_key(text, "tau"))
 
     cfg = ScenarioConfig(**kw)
-    _validate_scenario_fields(cfg, sweep, text, source)
-    object.__setattr__(cfg, "_sweep", sweep)  # carried separately, frozen dataclass
+    _validate_scenario_fields(cfg, text, source)
     return cfg
 
 
-def _validate_scenario_fields(cfg: ScenarioConfig, sweep, text: str,
+def _validate_scenario_fields(cfg: ScenarioConfig, text: str,
                               source: str) -> None:
     sc = cfg.scenario
+    sweep = cfg.sweep
     need_params = sc in (Scenario.SPECTRA, Scenario.CHECK_MATCHING,
                          Scenario.STORE, Scenario.ECHO_CYCLE,
                          Scenario.BLOCKADE, Scenario.SWEEP)
@@ -502,7 +500,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
                 complex(e.blockade_reflection_amplitude).imag],
             "leakage_amplitude": [complex(e.leakage_amplitude).real,
                                   complex(e.leakage_amplitude).imag]}
-    sweep = getattr(cfg, "_sweep", None)
+    sweep = cfg.sweep
     if sweep is not None:
         doc["sweep"] = {"parameter": sweep.parameter,
                         "values": list(sweep.values),
@@ -521,70 +519,89 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 # ------------------------------------------------------------------ scenarios
 
-def _artifact_meta(cfg_text: str, p: SystemParams | None) -> dict:
-    meta = {"config_sha256": hashlib.sha256(cfg_text.encode()).hexdigest(),
-            "version": __version__}
-    if p is not None:
-        meta["params_sha256"] = params_digest(p)
-    return meta
+@dataclass(frozen=True)
+class _Artifact:
+    """One scenario's result, ready for either artifact format.
+
+    `meta` becomes leading `#` lines in CSV and top-level keys in JSON;
+    `header` and `rows` are the CSV table, `body` the rest of the JSON
+    document.  `summary` is the line printed on success.
+    """
+
+    summary: str
+    header: list[str]
+    rows: list
+    body: dict
+    meta: dict = field(default_factory=dict)
 
 
-def _write_rows_csv(path: Path, meta: dict, header: list[str],
-                    rows: list[list]) -> None:
-    with open(path, "w") as fh:
+def _report(summary: str, doc: dict) -> _Artifact:
+    """A flat scalar report: a key,value table in CSV, top-level in JSON."""
+    return _Artifact(summary, ["key", "value"], list(doc.items()), doc)
+
+
+def _write_artifact(out: Path, fmt: str, cfg: ScenarioConfig, cfg_text: str,
+                    art: _Artifact) -> None:
+    """The one artifact writer and the one place provenance is stamped.
+
+    The text goes to a temporary file beside `out` that is then renamed
+    over it, so a failed write leaves any earlier artifact untouched.
+    """
+    meta = {**art.meta,
+            "scenario": cfg.scenario.value,
+            "version": __version__,
+            "config_sha256": hashlib.sha256(cfg_text.encode()).hexdigest(),
+            "params_sha256": (params_digest(cfg.params)
+                              if cfg.params is not None else None)}
+    if fmt == "csv":
+        buf = io.StringIO()
         for k, v in meta.items():
-            fh.write(f"# {k}={v}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            v = json.dumps(v) if isinstance(v, (dict, list)) else v
+            buf.write(f"# {k}={v}\n")
+        table = csv.writer(buf, lineterminator="\n")
+        table.writerow(art.header)
+        table.writerows(art.rows)
+        text = buf.getvalue()
+    else:
+        text = json.dumps({**meta, **art.body}) + "\n"
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _db(x: float) -> float:
     return 10.0 * math.log10(max(x, 1e-300))
 
 
-def _run_spectra(cfg: ScenarioConfig, cfg_text: str, out: Path, fmt: str) -> str:
+def _run_spectra(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     grid = FrequencyGrid.uniform(span=cfg.grid_span, n=cfg.grid_n,
                                  center=cfg.grid_center)
-    eps_t = spectral_efficiency(grid.points, p.with_(g1=0.0))
-    eps_b = spectral_efficiency(grid.points, p)
-    meta = _artifact_meta(cfg_text, p)
-    if fmt == "csv":
-        rows = [[float(nu), float(et), _db(float(et)), float(eb), _db(float(eb))]
-                for nu, et, eb in zip(grid.points, eps_t, eps_b)]
-        _write_rows_csv(out, {"scenario": "spectra", **meta},
-                        ["nu", "eps_transfer", "eps_transfer_db",
-                         "eps_blockade", "eps_blockade_db"], rows)
-    else:
-        doc = {**meta, "scenario": "spectra", "nu": grid.points.tolist(),
-               "eps_transfer": eps_t.tolist(), "eps_blockade": eps_b.tolist(),
-               "eps_transfer_db": [_db(float(x)) for x in eps_t],
-               "eps_blockade_db": [_db(float(x)) for x in eps_b]}
-        out.write_text(json.dumps(doc) + "\n")
-    return (f"spectra: {grid.points.size} points, peak transfer "
-            f"{float(np.max(eps_t)):.6f}, peak blockade {float(np.max(eps_b)):.6f}")
+    eps_t = spectral_efficiency(grid.points, p.with_(g1=0.0)).tolist()
+    eps_b = spectral_efficiency(grid.points, p).tolist()
+    cols = {"nu": grid.points.tolist(),
+            "eps_transfer": eps_t, "eps_transfer_db": [_db(x) for x in eps_t],
+            "eps_blockade": eps_b, "eps_blockade_db": [_db(x) for x in eps_b]}
+    return _Artifact(f"spectra: {grid.points.size} points, peak transfer "
+                     f"{max(eps_t):.6f}, peak blockade {max(eps_b):.6f}",
+                     list(cols), list(zip(*cols.values())), cols)
 
 
-def _run_check_matching(cfg: ScenarioConfig, cfg_text: str, out: Path,
-                        fmt: str) -> str:
-    p = cfg.params
-    report = check_matching(p)
-    coop = cooperativities(p)
-    doc = {**_artifact_meta(cfg_text, p), "scenario": "check_matching",
-           **report.to_dict(), "c_atom": coop.c_atom, "c_pm": coop.c_pm}
-    if fmt == "csv":
-        _write_rows_csv(out, {"scenario": "check_matching"},
-                        ["key", "value"],
-                        [[k, v] for k, v in doc.items()])
-    else:
-        out.write_text(json.dumps(doc, indent=2) + "\n")
-    return (f"check-matching: all_matched={report.all_matched} "
-            f"(c_pm={coop.c_pm:.6g}, c_atom={coop.c_atom:.6g})")
+def _run_check_matching(cfg: ScenarioConfig) -> _Artifact:
+    report = check_matching(cfg.params)
+    coop = cooperativities(cfg.params)
+    return _report(f"check-matching: all_matched={report.all_matched} "
+                   f"(c_pm={coop.c_pm:.6g}, c_atom={coop.c_atom:.6g})",
+                   {**report.to_dict(), "c_atom": coop.c_atom,
+                    "c_pm": coop.c_pm})
 
 
-def _run_store(cfg: ScenarioConfig, cfg_text: str, out: Path, fmt: str) -> str:
+def _run_store(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     pulse = cfg.pulse
     span = cfg.t_span or (pulse.center - 6.0 * pulse.duration,
@@ -592,16 +609,38 @@ def _run_store(cfg: ScenarioConfig, cfg_text: str, out: Path, fmt: str) -> str:
     ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span,
                               scheme=cfg.scheme)
     trace = integrate_storage(p, ens, pulse, span, cfg.solver_tol)
-    meta = _artifact_meta(cfg_text, p)
-    if fmt == "csv":
-        trace.to_csv(out, extra_comments=meta)
-    else:
-        trace.to_json(out, extra=meta)
-    return (f"store: probability {trace.ensemble.probability:.6f}, "
-            f"ledger residual {trace.max_ledger_residual:.2e}")
+    fields = {"alpha_in": trace.alpha_in, "alpha_out": trace.alpha_out,
+              "cavity1": trace.cavity1, "control": trace.control,
+              "cavity2": trace.cavity2}
+    probabilities = {
+        "p_cavity1": trace.p_cavity1, "p_control": trace.p_control,
+        "p_cavity2": trace.p_cavity2, "p_ensemble": trace.p_ensemble,
+        "out_flux_integral": trace.out_flux_integral,
+        "control_loss_integral": trace.control_loss_integral,
+        "t2_loss_integral": trace.t2_loss_integral,
+        "in_flux_integral": trace.in_flux_integral,
+        "ledger_residual": trace.ledger_residual}
+    # long format: one row per (series, time), real series with im = 0
+    times = trace.times.tolist()
+    rows = []
+    for name, arr in {**fields, **probabilities}.items():
+        arr = np.asarray(arr, dtype=complex)
+        rows.extend(zip(times, [name] * len(times), arr.real.tolist(),
+                        arr.imag.tolist()))
+    body = {"params": p.to_dict(), "times": times,
+            "fields": {name: {"re": np.real(arr).tolist(),
+                              "im": np.imag(arr).tolist()}
+                       for name, arr in fields.items()},
+            "probabilities": {name: np.asarray(arr).tolist()
+                              for name, arr in probabilities.items()}}
+    return _Artifact(f"store: probability {trace.ensemble.probability:.6f}, "
+                     f"ledger residual {trace.max_ledger_residual:.2e}",
+                     ["time", "series", "re", "im"], rows, body,
+                     meta={"kind": trace.kind, "solver_tol": trace.solver_tol,
+                           "initial_probability": trace.initial_probability})
 
 
-def _echo_summary(cfg: ScenarioConfig, res) -> dict:
+def _echo_summary(res) -> dict:
     return {
         "storage_probability": res.storage_probability,
         "echo_probability": res.echo_probability,
@@ -612,34 +651,26 @@ def _echo_summary(cfg: ScenarioConfig, res) -> dict:
     }
 
 
-def _run_echo(cfg: ScenarioConfig, cfg_text: str, out: Path, fmt: str) -> str:
+def _run_echo(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     p_read = cfg.read_params or p
     ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span,
                               scheme=cfg.scheme)
     res = run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau, cfg.solver_tol,
                          keep_traces=False)
-    meta = _artifact_meta(cfg_text, p)
-    summary = _echo_summary(cfg, res)
-    if fmt == "csv":
-        rows = [[float(t), float(v.real), float(v.imag)]
-                for t, v in zip(res.output_times, res.output_waveform)]
-        _write_rows_csv(out, {"scenario": "echo_cycle", **meta,
-                              **{k: summary[k] for k in
-                                 ("storage_probability", "echo_probability",
-                                  "fidelity_time_reversed", "tau")}},
-                        ["time", "alpha_out_re", "alpha_out_im"], rows)
-    else:
-        doc = {**meta, "scenario": "echo_cycle", **summary,
-               "output_times": res.output_times.tolist(),
-               "alpha_out_re": np.real(res.output_waveform).tolist(),
-               "alpha_out_im": np.imag(res.output_waveform).tolist()}
-        out.write_text(json.dumps(doc) + "\n")
-    return (f"echo: P={res.echo_probability:.6f}, "
-            f"fidelity={res.fidelity_time_reversed:.6f}")
+    times = res.output_times.tolist()
+    re = np.real(res.output_waveform).tolist()
+    im = np.imag(res.output_waveform).tolist()
+    return _Artifact(f"echo: P={res.echo_probability:.6f}, "
+                     f"fidelity={res.fidelity_time_reversed:.6f}",
+                     ["time", "alpha_out_re", "alpha_out_im"],
+                     list(zip(times, re, im)),
+                     {"output_times": times, "alpha_out_re": re,
+                      "alpha_out_im": im},
+                     meta=_echo_summary(res))
 
 
-def _run_blockade(cfg: ScenarioConfig, cfg_text: str, out: Path, fmt: str) -> str:
+def _run_blockade(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     p_read = cfg.read_params
     ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span,
@@ -649,47 +680,33 @@ def _run_blockade(cfg: ScenarioConfig, cfg_text: str, out: Path, fmt: str) -> st
     chk = blockade_phase_check(p_read, res.ens_final, res.ens_stored, cfg.tau,
                                res.t_final - (cfg.pulse.center + cfg.tau))
     c = cooperativities(p_read).c_atom
-    doc = {**_artifact_meta(cfg_text, p), "scenario": "blockade",
-           **_echo_summary(cfg, res),
-           "c_atom": c,
-           "leak_bound": (1.0 + 2.0 * c) ** -2,
-           "coherence_phase": chk.phase,
-           "coherence_phase_minus_pi": chk.phase - math.pi,
-           "coherence_magnitude_ratio": chk.magnitude_ratio,
-           "final_probability": res.ens_final.probability}
-    if fmt == "csv":
-        _write_rows_csv(out, {"scenario": "blockade"}, ["key", "value"],
-                        [[k, v] for k, v in doc.items()])
-    else:
-        out.write_text(json.dumps(doc, indent=2) + "\n")
-    return (f"blockade: P_echo={res.echo_probability:.3e}, "
-            f"phase-pi={chk.phase - math.pi:+.4f}, "
-            f"|overlap|={chk.magnitude_ratio:.4f}")
+    return _report(f"blockade: P_echo={res.echo_probability:.3e}, "
+                   f"phase-pi={chk.phase - math.pi:+.4f}, "
+                   f"|overlap|={chk.magnitude_ratio:.4f}",
+                   {**_echo_summary(res),
+                    "c_atom": c,
+                    "leak_bound": (1.0 + 2.0 * c) ** -2,
+                    "coherence_phase": chk.phase,
+                    "coherence_phase_minus_pi": chk.phase - math.pi,
+                    "coherence_magnitude_ratio": chk.magnitude_ratio,
+                    "final_probability": res.ens_final.probability})
 
 
-def _run_address(cfg: ScenarioConfig, cfg_text: str, out: Path, fmt: str) -> str:
+def _run_address(cfg: ScenarioConfig) -> _Artifact:
     if cfg.eff_from_dynamics:
         eff = compose_with_dynamics(cfg.params, cfg.tau)
     else:
         eff = cfg.efficiencies or BranchEfficiencies()
     state = run_addressing(cfg.address.m, cfg.address, eff)
-    doc = {**_artifact_meta(cfg_text, cfg.params), "scenario": "address",
-           **state_to_dict(state)}
-    if fmt == "csv":
-        rows = [[t["amplitude"]["re"], t["amplitude"]["im"], t["control"],
-                 "".join(str(b) for b in t["occupied"]),
-                 ";".join(t["emitted"])] for t in doc["terms"]]
-        _write_rows_csv(out, {"scenario": "address",
-                              "norm": doc["norm"],
-                              "losses": json.dumps(doc["losses"]),
-                              "config_sha256": doc["config_sha256"],
-                              "version": doc["version"]},
-                        ["amplitude_re", "amplitude_im", "control",
-                         "occupied", "emitted"], rows)
-    else:
-        out.write_text(json.dumps(doc, indent=2) + "\n")
     print(state_table(state))
-    return f"address: {len(state.terms)} terms, norm {state.norm:.12f}"
+    doc = state_to_dict(state)
+    meta = {"norm": doc.pop("norm"), "losses": doc.pop("losses")}
+    rows = [[t["amplitude"]["re"], t["amplitude"]["im"], t["control"],
+             "".join(str(b) for b in t["occupied"]), ";".join(t["emitted"])]
+            for t in doc["terms"]]
+    return _Artifact(f"address: {len(state.terms)} terms, norm {state.norm:.12f}",
+                     ["amplitude_re", "amplitude_im", "control", "occupied",
+                      "emitted"], rows, doc, meta)
 
 
 # ---------------------------------------------------------------------- sweep
@@ -733,7 +750,7 @@ def _sweep_point(task: tuple) -> tuple:
 
 def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
     """Echo-cycle sweep; rows ordered (curve, value) regardless of workers."""
-    sweep: SweepSpec = getattr(cfg, "_sweep")
+    sweep = cfg.sweep
     p_read0 = cfg.read_params or cfg.params
     curves = (list(zip([sweep.curve_parameter] * len(sweep.curve_values),
                        sweep.curve_values))
@@ -769,41 +786,36 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
     return [{**labels[i], **results[i]} for i in range(idx)]
 
 
-def _run_sweep_scenario(cfg: ScenarioConfig, cfg_text: str, out: Path,
-                        fmt: str, workers: int) -> str:
-    sweep: SweepSpec = getattr(cfg, "_sweep")
+def _run_sweep_scenario(cfg: ScenarioConfig, workers: int) -> _Artifact:
+    sweep = cfg.sweep
     rows = run_sweep(cfg, workers=workers)
-    meta = {"scenario": "sweep", **_artifact_meta(cfg_text, cfg.params)}
-    if fmt == "json":
-        out.write_text(json.dumps({**meta, "points": rows}, indent=2) + "\n")
-    else:
-        if sweep.curve_parameter:
-            # wide table: one row per swept value, one column pair per curve
-            per_curve: dict = {}
-            for r in rows:
-                per_curve.setdefault(r["curve_value"], {})[r["value"]] = r
-            header = [sweep.parameter]
+    if sweep.curve_parameter:
+        # wide table: one row per swept value, one column pair per curve
+        per_curve: dict = {}
+        for r in rows:
+            per_curve.setdefault(r["curve_value"], {})[r["value"]] = r
+        header = [sweep.parameter]
+        for cv in sweep.curve_values:
+            header += [f"p_echo[{sweep.curve_parameter}={cv:g}]",
+                       f"fidelity[{sweep.curve_parameter}={cv:g}]"]
+        table = []
+        for v in sweep.values:
+            row = [float(v)]
             for cv in sweep.curve_values:
-                header += [f"p_echo[{sweep.curve_parameter}={cv:g}]",
-                           f"fidelity[{sweep.curve_parameter}={cv:g}]"]
-            table = []
-            for v in sweep.values:
-                row = [float(v)]
-                for cv in sweep.curve_values:
-                    r = per_curve[cv][v]
-                    row += [r["echo_probability"], r["fidelity_time_reversed"]]
-                table.append(row)
-        else:
-            # the delay column is redundant when tau is the swept axis
-            with_tau = sweep.parameter != "tau"
-            header = ([sweep.parameter] + (["tau"] if with_tau else [])
-                      + ["p_echo", "fidelity", "storage_probability"])
-            table = [[r["value"]] + ([r["tau"]] if with_tau else [])
-                     + [r["echo_probability"], r["fidelity_time_reversed"],
-                        r["storage_probability"]]
-                     for r in rows]
-        _write_rows_csv(out, meta, header, table)
-    return f"sweep: {len(rows)} points written"
+                r = per_curve[cv][v]
+                row += [r["echo_probability"], r["fidelity_time_reversed"]]
+            table.append(row)
+    else:
+        # the delay column is redundant when tau is the swept axis
+        with_tau = sweep.parameter != "tau"
+        header = ([sweep.parameter] + (["tau"] if with_tau else [])
+                  + ["p_echo", "fidelity", "storage_probability"])
+        table = [[r["value"]] + ([r["tau"]] if with_tau else [])
+                 + [r["echo_probability"], r["fidelity_time_reversed"],
+                    r["storage_probability"]]
+                 for r in rows]
+    return _Artifact(f"sweep: {len(rows)} points written", header, table,
+                     {"points": rows})
 
 
 # ----------------------------------------------------------------------- main
@@ -844,8 +856,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="artifact format (overrides config)")
         sp.add_argument("--workers", type=int, default=1,
                         help="parallel workers (sweep only)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="reserved, unused; all computation is deterministic")
     return parser
 
 
@@ -879,10 +889,10 @@ def main(argv=None) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
 
         if cfg.scenario is Scenario.SWEEP:
-            summary = _run_sweep_scenario(cfg, cfg_text, out, fmt,
-                                          max(1, args.workers))
+            art = _run_sweep_scenario(cfg, max(1, args.workers))
         else:
-            summary = _RUNNERS[cfg.scenario](cfg, cfg_text, out, fmt)
+            art = _RUNNERS[cfg.scenario](cfg)
+        _write_artifact(out, fmt, cfg, cfg_text, art)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -892,7 +902,7 @@ def main(argv=None) -> int:
     except (IntegrationError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    print(summary)
+    print(art.summary)
     print(f"wrote {out}")
     return 0
 

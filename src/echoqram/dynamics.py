@@ -50,18 +50,14 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Callable, NamedTuple
-
-import csv
-import json
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc, wofz
 
-from .params import SystemParams, ParameterError, params_digest
+from .params import SystemParams, ParameterError
 
 
 class IntegrationError(RuntimeError):
@@ -297,66 +293,6 @@ class SimulationTrace:
     @property
     def max_ledger_residual(self) -> float:
         return float(np.max(np.abs(self.ledger_residual)))
-
-    def to_csv(self, path: str | Path, extra_comments: dict | None = None) -> None:
-        """Long-format export: time, series, re, im."""
-        series = {
-            "alpha_in": self.alpha_in, "alpha_out": self.alpha_out,
-            "cavity1": self.cavity1, "control": self.control, "cavity2": self.cavity2,
-            "p_cavity1": self.p_cavity1, "p_control": self.p_control,
-            "p_cavity2": self.p_cavity2, "p_ensemble": self.p_ensemble,
-            "out_flux_integral": self.out_flux_integral,
-            "control_loss_integral": self.control_loss_integral,
-            "t2_loss_integral": self.t2_loss_integral,
-            "in_flux_integral": self.in_flux_integral,
-            "ledger_residual": self.ledger_residual,
-        }
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# kind={self.kind}\n")
-            for k, v in (extra_comments or {}).items():
-                fh.write(f"# {k}={v}\n")
-            fh.write(f"# params_sha256={params_digest(self.params)}\n")
-            fh.write(f"# unit_convention={self.params.unit_convention}\n")
-            fh.write(f"# solver_rtol={self.solver_tol!r}\n")
-            fh.write(f"# solver_atol={self.solver_tol * 1e-3!r}\n")
-            w = csv.writer(fh)
-            w.writerow(["time", "series", "re", "im"])
-            for name, arr in series.items():
-                vals = np.asarray(arr)
-                for t, v in zip(self.times, vals):
-                    c = complex(v)
-                    w.writerow([repr(float(t)), name, repr(c.real), repr(c.imag)])
-
-    def to_json(self, path: str | Path, extra: dict | None = None) -> None:
-        doc = {
-            **(extra or {}),
-            "kind": self.kind,
-            "params": self.params.to_dict(),
-            "params_sha256": params_digest(self.params),
-            "solver_rtol": self.solver_tol,
-            "solver_atol": self.solver_tol * 1e-3,
-            "initial_probability": self.initial_probability,
-            "times": self.times.tolist(),
-            "fields": {
-                name: {"re": np.real(arr).tolist(), "im": np.imag(arr).tolist()}
-                for name, arr in [
-                    ("alpha_in", self.alpha_in), ("alpha_out", self.alpha_out),
-                    ("cavity1", self.cavity1), ("control", self.control),
-                    ("cavity2", self.cavity2)]
-            },
-            "probabilities": {
-                "p_cavity1": self.p_cavity1.tolist(),
-                "p_control": self.p_control.tolist(),
-                "p_cavity2": self.p_cavity2.tolist(),
-                "p_ensemble": self.p_ensemble.tolist(),
-                "out_flux_integral": self.out_flux_integral.tolist(),
-                "control_loss_integral": self.control_loss_integral.tolist(),
-                "t2_loss_integral": self.t2_loss_integral.tolist(),
-                "in_flux_integral": self.in_flux_integral.tolist(),
-                "ledger_residual": self.ledger_residual.tolist(),
-            },
-        }
-        Path(path).write_text(json.dumps(doc) + "\n")
 
 
 def _check_ensemble(p: SystemParams, ens: AtomEnsemble) -> None:

@@ -2,7 +2,7 @@
 
 All rates share one unit convention: the decay rate of the input cavity
 (kappa) is the unit, so kappa = 1.0 by default and every other rate is
-quoted relative to it.  Serialized parameter files record the convention.
+quoted relative to it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class ParameterError(ValueError):
 #: keys accepted in a serialized parameter file, in canonical order
 PARAM_KEYS = (
     "kappa", "gamma", "g1", "g2", "f2",
-    "n_atoms", "delta_in", "delta_c", "t2", "unit_convention",
+    "n_atoms", "delta_in", "delta_c", "t2",
 )
 
 
@@ -50,7 +50,6 @@ class SystemParams:
     delta_in: float
     delta_c: float = 0.0
     t2: float = math.inf
-    unit_convention: str = "kappa"
 
     def __post_init__(self) -> None:
         if not (self.kappa > 0):
@@ -193,8 +192,12 @@ def solve_matched_params(
         raise ParameterError(f"kappa must be positive, got {kappa}")
     if c_atom_target < 0:
         raise ParameterError(f"c_atom_target must be >= 0, got {c_atom_target}")
+    if not (n_atoms >= 1 and float(n_atoms).is_integer()):
+        raise ParameterError(f"n_atoms must be a positive integer, got {n_atoms}")
     if gamma is None:
         gamma = kappa
+    if not gamma > 0:
+        raise ParameterError(f"gamma must be positive, got {gamma}")
     delta_in = kappa / 2.0
     ng2sq = delta_in ** 2 * (kappa / 2.0) / (delta_in + kappa / 2.0)
     f2 = math.sqrt(kappa * ng2sq / (2.0 * delta_in))
@@ -222,7 +225,7 @@ def params_from_dict(d: dict) -> SystemParams:
     if unknown:
         raise ParameterError(f"unknown parameter keys: {sorted(unknown)}; "
                              f"accepted keys: {list(PARAM_KEYS)}")
-    missing = set(PARAM_KEYS) - {"delta_c", "t2", "unit_convention"} - set(d)
+    missing = set(PARAM_KEYS) - {"delta_c", "t2"} - set(d)
     if missing:
         raise ParameterError(f"missing parameter keys: {sorted(missing)}")
     d = dict(d)

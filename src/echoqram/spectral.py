@@ -23,23 +23,15 @@ eps(delta) = 2*pi*N*kappa*(g2/f2)**2 * G(delta) * |F(delta)|**2.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad, IntegrationWarning
 
-from .params import (
-    SystemParams,
-    ParameterError,
-    cooperativities,
-    params_digest,
-)
+from .params import SystemParams, ParameterError, cooperativities
 
 #: denominators smaller than this are treated as poles and replaced by limits
 POLE_GUARD = 1e-30
@@ -222,10 +214,6 @@ def echo_probability_narrowband(p: SystemParams, tau: float) -> float:
 # ------------------------------------------------------------------ grid types
 
 class SpectrumKind(str, Enum):
-    STORAGE_TRANSFER = "storage_transfer"
-    CAVITY1_RESPONSE = "cavity1_response"
-    CAVITY2_OVER_CAVITY1 = "cavity2_over_cavity1"
-    BLOCKADE_REFLECTION = "blockade_reflection"
     PHOTON_SPECTRUM = "photon_spectrum"
     EFFICIENCY_REAL = "efficiency_real"
 
@@ -288,79 +276,6 @@ class ComplexSpectrum:
     def l2_norm_sq(self) -> float:
         """Trapezoid integral of |values|**2 over the grid."""
         return float(np.trapezoid(np.abs(self.values) ** 2, self.grid.points))
-
-    def to_csv(self, path: str | Path, p: SystemParams | None = None) -> None:
-        header = {
-            "label": self.kind.value,
-            "unit_convention": p.unit_convention if p else "kappa",
-            "params_sha256": params_digest(p) if p else "none",
-        }
-        header.update({k: v for k, v in self.meta.items() if isinstance(v, (str, int, float))})
-        with open(path, "w", newline="") as fh:
-            for k, v in header.items():
-                fh.write(f"# {k}={v}\n")
-            w = csv.writer(fh)
-            if self.kind is SpectrumKind.EFFICIENCY_REAL:
-                w.writerow(["nu", "value"])
-                for x, v in zip(self.grid.points, self.values.real):
-                    w.writerow([repr(float(x)), repr(float(v))])
-            else:
-                w.writerow(["nu", "re", "im"])
-                for x, v in zip(self.grid.points, self.values):
-                    w.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
-
-    def to_json(self, path: str | Path, p: SystemParams | None = None) -> None:
-        doc = {
-            "label": self.kind.value,
-            "unit_convention": p.unit_convention if p else "kappa",
-            "params": p.to_dict() if p else None,
-            "params_sha256": params_digest(p) if p else None,
-            "meta": {k: v for k, v in self.meta.items() if isinstance(v, (str, int, float))},
-            "nu": [float(x) for x in self.grid.points],
-            "re": [float(v.real) for v in self.values],
-            "im": [float(v.imag) for v in self.values],
-        }
-        Path(path).write_text(json.dumps(doc) + "\n")
-
-
-def transfer_spectrum(grid: FrequencyGrid, p: SystemParams) -> ComplexSpectrum:
-    diag: dict = {}
-    vals = storage_transfer(grid.points, p, diag)
-    return ComplexSpectrum(grid=grid, values=vals,
-                           kind=SpectrumKind.STORAGE_TRANSFER, meta=diag)
-
-
-def efficiency_spectrum(grid: FrequencyGrid, p: SystemParams) -> ComplexSpectrum:
-    diag: dict = {}
-    vals = spectral_efficiency(grid.points, p, diag)
-    return ComplexSpectrum(grid=grid, values=vals.astype(complex),
-                           kind=SpectrumKind.EFFICIENCY_REAL, meta=diag)
-
-
-def reflection_spectrum(grid: FrequencyGrid, p: SystemParams) -> ComplexSpectrum:
-    diag: dict = {}
-    vals = blockade_reflection(grid.points, p, diag)
-    return ComplexSpectrum(grid=grid, values=vals,
-                           kind=SpectrumKind.BLOCKADE_REFLECTION, meta=diag)
-
-
-def gaussian_photon_spectrum(
-    grid: FrequencyGrid, duration: float,
-    center_time: float = 0.0, carrier: float = 0.0,
-) -> ComplexSpectrum:
-    """Spectral amplitude of a normalized Gaussian input photon.
-
-    The field envelope has standard deviation `duration`, so the spectral
-    amplitude is (duration**2/pi)**(1/4) * exp(-(nu-carrier)**2*duration**2/2),
-    unit L2 norm in frequency.
-    """
-    if duration <= 0:
-        raise ParameterError(f"duration must be positive, got {duration}")
-    nu = grid.points
-    amp = (duration ** 2 / np.pi) ** 0.25 * np.exp(-0.5 * (nu - carrier) ** 2 * duration ** 2)
-    vals = amp * np.exp(1j * nu * center_time)
-    return ComplexSpectrum(grid=grid, values=vals, kind=SpectrumKind.PHOTON_SPECTRUM,
-                           meta={"duration": duration, "carrier": carrier})
 
 
 def echo_spectrum(

@@ -12,8 +12,8 @@ from echoqram.addressing import (AddressSpec, BranchEfficiencies, Cell,
                                  QramState, RAMAN_ABSORB_PHASE, Term,
                                  absorb_address_bin, compose_with_dynamics,
                                  rephase_cell, reset_control, run_addressing,
-                                 save_state, state_table, state_to_dict,
-                                 store_sequence)
+                                 state_table, state_to_dict, store_sequence)
+from echoqram.cli import main
 
 
 def addr(*amps, spacing=100.0, duration=1.0):
@@ -45,6 +45,22 @@ class TestSpecs:
         with pytest.raises(ParameterError):
             addr(1.0, spacing=-1.0)
         assert addr(0.6, 0.8j).m == 2
+
+    @pytest.mark.parametrize("amps", [
+        (complex(math.nan, 0.0),),
+        (0.6, complex(0.8, math.nan)),
+        (math.inf,),
+        (1.3407807929942597e+154,),   # |a| ** 2 overflows
+    ])
+    def test_address_rejects_non_finite_norm(self, amps):
+        with pytest.raises(ParameterError):
+            addr(*amps)
+
+    def test_address_rejects_nan_bin_times(self):
+        with pytest.raises(ParameterError):
+            addr(1.0, spacing=math.nan)
+        with pytest.raises(ParameterError):
+            addr(1.0, duration=math.nan)
 
     def test_efficiency_validation(self):
         with pytest.raises(ParameterError):
@@ -331,7 +347,7 @@ class TestReporting:
         # emptied cell renders as '.', bounced bystander as '-'
         assert ". -" in text or "- ." in text
 
-    def test_state_dict_and_save(self, tmp_path):
+    def test_state_dict_and_save(self, tmp_path, capsys):
         s = run_addressing(2, addr(0.6, 0.8))
         doc = state_to_dict(s)
         assert doc["m"] == 2
@@ -339,9 +355,18 @@ class TestReporting:
         assert doc["consumed_bins"] == [1, 2]
         occupied = {tuple(t["occupied"]) for t in doc["terms"]}
         assert occupied == {(0, 1), (1, 0)}
+        # the saved form is the address artifact: the same document
+        config = tmp_path / "a.json"
+        config.write_text(json.dumps({
+            "scenario": "address",
+            "address": {"amplitudes": [0.6, 0.8], "bin_spacing": 100.0,
+                        "bin_duration": 1.0}}))
         path = tmp_path / "state.json"
-        save_state(s, path)
-        assert json.loads(path.read_text())["m"] == 2
+        assert main(["address", "--config", str(config), "--out", str(path),
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+        saved = json.loads(path.read_text())
+        assert {k: saved[k] for k in doc} == doc
 
     def test_phase_rendering_uses_cmath(self):
         # guard the table against regressions that lose the bounce sign

@@ -1,3 +1,7 @@
+import builtins
+import csv
+import errno
+import hashlib
 import json
 import math
 import os
@@ -5,10 +9,12 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from echoqram import __version__
 from echoqram.cli import (ConfigError, Scenario, main, parse_scenario_config,
                           run_sweep, serialize_config)
+from echoqram.params import params_digest
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -279,7 +285,7 @@ class TestMain:
         from echoqram import cli as cli_mod
         from echoqram.dynamics import IntegrationError
 
-        def boom(cfg, text, out, fmt):
+        def boom(cfg):
             raise IntegrationError("synthetic blowup")
 
         monkeypatch.setitem(cli_mod._RUNNERS, Scenario.SPECTRA, boom)
@@ -430,6 +436,8 @@ class TestBoundary:
                               max_size=3),
                      st.dictionaries(st.text(max_size=3), st.integers(),
                                      max_size=2)))
+    @example("params.matched.n_atoms", 0)
+    @example("params.matched.n_atoms", -1.0)
     def test_fuzzed_scalars_raise_only_config_error(self, path, value):
         explicit = {"kappa": 1.0, "gamma": 1.0, "g1": 0.0,
                     "g2": 0.011180339887498949, "f2": 0.3535533905932738,
@@ -463,3 +471,107 @@ class TestBoundary:
                     parse_scenario_config(json.dumps(doc), source="fuzz.json")
                 except ConfigError:
                     pass
+
+
+class TestArtifacts:
+    """One writer: the same provenance in both formats, written atomically."""
+
+    CONFIGS = {
+        "spectra": dict(scenario="spectra", params=MATCHED,
+                        grid={"span": 1.0, "n": 5}),
+        "check-matching": dict(scenario="check_matching", params=MATCHED),
+        "store": dict(scenario="store", params=MATCHED,
+                      pulse={"duration": 5.0}, t_span=[-30.0, 30.0],
+                      n_sim=64),
+        "echo": dict(scenario="echo_cycle", params=MATCHED,
+                     pulse={"duration": 5.0}, tau=25.0, n_sim=64),
+        "blockade": dict(scenario="blockade", params=MATCHED,
+                         read_params={"matched": {"kappa": 1.0,
+                                                  "c_atom": 30.0}},
+                         pulse={"duration": 5.0}, tau=25.0, n_sim=64),
+        "address": dict(scenario="address",
+                        params={"matched": {"kappa": 1.0, "c_atom": 30.0,
+                                            "t2": 1e4}},
+                        tau=50.0, efficiencies={"from_dynamics": True},
+                        address={"amplitudes": [[0.6, 0.0], [0.0, 0.8]],
+                                 "bin_spacing": 100.0, "bin_duration": 1.0}),
+        "sweep": dict(scenario="sweep", params=MATCHED,
+                      pulse={"duration": 5.0}, n_sim=64, span=10.0,
+                      sweep={"parameter": "tau", "values": [25.0]}),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_provenance_in_both_formats(self, tmp_path, capsys, command, fmt):
+        text = cfg_text(**self.CONFIGS[command])
+        path = write(tmp_path, "c.json", text)
+        out = tmp_path / f"artifact.{fmt}"
+        assert main([command, "--config", str(path), "--out", str(out),
+                     "--format", fmt]) == 0
+        capsys.readouterr()
+        cfg = parse_scenario_config(text)
+        expect = {"scenario": cfg.scenario.value, "version": __version__,
+                  "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
+                  "params_sha256": params_digest(cfg.params)}
+        if fmt == "csv":
+            lines = out.read_text().splitlines()
+            stamped = dict(line[2:].split("=", 1) for line in lines
+                           if line.startswith("# "))
+            table = list(csv.reader(l for l in lines if not l.startswith("#")))
+            assert all(len(row) == len(table[0]) for row in table)
+        else:
+            stamped = json.loads(out.read_text())
+        assert {k: stamped.get(k) for k in expect} == expect
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted([path.name, out.name])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_keeps_previous_artifact(self, tmp_path, capsys,
+                                                  monkeypatch, fmt):
+        path = write(tmp_path, "s.json", cfg_text(
+            scenario="spectra", params=MATCHED, grid={"span": 1.0, "n": 41}))
+        out = tmp_path / f"spectra.{fmt}"
+        out.write_bytes(b"previous artifact\n")
+        real_open = builtins.open
+
+        class FullDisk:
+            """A file that takes half of the first write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        def open_on_full_disk(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and Path(file).parent == tmp_path:
+                return FullDisk(fh)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", open_on_full_disk)
+        with pytest.raises(OSError):
+            main(["spectra", "--config", str(path), "--out", str(out),
+                  "--format", fmt])
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert out.read_bytes() == b"previous artifact\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted([path.name, out.name])
+        # with room on the disk the next run replaces it
+        assert main(["spectra", "--config", str(path), "--out", str(out),
+                     "--format", fmt]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() in out.read_text()

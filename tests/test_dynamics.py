@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from echoqram import dynamics
-from echoqram.params import ParameterError, solve_matched_params
+from echoqram.cli import main
+from echoqram.params import (ParameterError, params_digest,
+                             solve_matched_params)
 from echoqram.dynamics import (AtomEnsemble, DiscretizationScheme,
                                IntegrationError, PulseShape, PulseSpec,
                                blockade_phase_check, discretize_ensemble,
@@ -325,30 +328,50 @@ class TestProbe:
 
 
 class TestTraceExport:
-    def test_csv(self, storage_cases, tmp_path):
-        trace, _ = storage_cases[5.0]
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path, extra_comments={"note": "check"})
-        lines = path.read_text().splitlines()
+    """A storage trace reaches files through the store subcommand."""
+
+    @staticmethod
+    def export(matched, tmp_path, fmt):
+        config = tmp_path / "store.json"
+        config.write_text(json.dumps({
+            "scenario": "store", "params": matched.to_dict(),
+            "pulse": {"duration": 5.0}, "t_span": [-30.0, 30.0],
+            "n_sim": 64}))
+        path = tmp_path / f"trace.{fmt}"
+        assert main(["store", "--config", str(config), "--out", str(path),
+                     "--format", fmt]) == 0
+        trace = integrate_storage(matched, ensemble_for_params(matched, 64),
+                                  PulseSpec(duration=5.0), (-30.0, 30.0))
+        return path.read_text(), trace
+
+    def test_csv(self, matched, tmp_path, capsys):
+        text, trace = self.export(matched, tmp_path, "csv")
+        capsys.readouterr()
+        lines = text.splitlines()
         assert lines[0] == "# kind=storage"
-        assert "# note=check" in lines
-        assert any(l.startswith("# params_sha256=") for l in lines)
+        assert "# scenario=store" in lines
+        assert "# solver_tol=1e-09" in lines
+        assert f"# params_sha256={params_digest(matched)}" in lines
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "time,series,re,im"
-        names = {l.split(",")[1] for l in lines
-                 if not l.startswith("#") and l != header}
+        rows = [l.split(",") for l in lines
+                if not l.startswith("#") and l != header]
+        names = {r[1] for r in rows}
         assert {"alpha_in", "alpha_out", "ledger_residual"} <= names
+        p_ens = [float(r[2]) for r in rows if r[1] == "p_ensemble"]
+        assert p_ens == trace.p_ensemble.tolist()
 
-    def test_json(self, storage_cases, tmp_path):
-        import json
-        trace, _ = storage_cases[5.0]
-        path = tmp_path / "trace.json"
-        trace.to_json(path, extra={"scenario": "store"})
-        doc = json.loads(path.read_text())
+    def test_json(self, matched, tmp_path, capsys):
+        text, trace = self.export(matched, tmp_path, "json")
+        capsys.readouterr()
+        doc = json.loads(text)
         assert doc["scenario"] == "store"
         assert doc["kind"] == "storage"
+        assert doc["solver_tol"] == 1e-9
         assert len(doc["times"]) == len(doc["fields"]["alpha_out"]["re"])
         assert doc["params"]["t2"] == "inf"
+        assert doc["fields"]["alpha_out"]["im"] == \
+            np.imag(trace.alpha_out).tolist()
 
 
 class TestModalPropagator:

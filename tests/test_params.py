@@ -91,6 +91,17 @@ class TestMatching:
     def test_solve_then_check(self, kappa, c_atom):
         assert check_matching(solve_matched_params(kappa, c_atom)).all_matched
 
+    @pytest.mark.parametrize("kw", [
+        dict(n_atoms=0), dict(n_atoms=-1.0), dict(n_atoms=2.5),
+        dict(n_atoms=math.nan), dict(n_atoms=math.inf),
+        dict(gamma=0.0), dict(gamma=-1.0), dict(gamma=math.nan),
+    ])
+    def test_solve_rejects_bad_inputs(self, kw):
+        # each would otherwise reach a square root of a negative number
+        # or the division by n_atoms
+        with pytest.raises(ParameterError):
+            solve_matched_params(1.0, 30.0, **kw)
+
 
 class TestValidation:
     @pytest.mark.parametrize("kw", [
