@@ -17,8 +17,21 @@ final entangled state:
     ECHO_EMISSION_PHASE  applied when a rephased cell emits its payload,
     CONTROL_RESET_PHASE  applied when the control atom re-emits the bin.
 
+A QramState keeps its T branches as parallel arrays, one row per branch:
+complex amplitudes (T,), complex cell coherence factors (T, M), and integer
+codes (T,) for the control state, the pending bin and the absorbed bin.
+The emitted labels are one frozenset per row.  An operation updates the
+rows it acts on, and the one cell column a rephasing touches, with array
+operations; Python work is done only on rows whose labels change.  It then
+merges rows that have become the same branch, adding their amplitudes:
+rows are grouped on control state, bins and emitted labels, and cell rows
+are compared only inside a group of more than one row.  Branches whose
+squared amplitude is below 1e-30 are dropped.  QramState.terms, the sorted
+tuple of Term objects, is built when it is first read.
+
 States are immutable; every operation returns a new QramState and checks
-that the squared-amplitude sum plus the loss ledger is conserved exactly.
+that the squared-amplitude sum plus the loss ledger is conserved, to 1e-12,
+raising ProtocolError otherwise.
 """
 
 from __future__ import annotations
@@ -27,6 +40,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .params import SystemParams, ParameterError, check_matching, cooperativities
 
@@ -59,7 +74,6 @@ class Cell:
 
     index: int
     payload_label: str
-    time_label: float | None = None
 
 
 def _address_label(n: int) -> str:
@@ -83,10 +97,6 @@ class Term:
     pending_bin: int | None = None
     absorbed_bin: int | None = None
     emitted: frozenset[str] = frozenset()
-
-    def key(self):
-        return (self.control, self.cells, self.pending_bin,
-                self.absorbed_bin, self.emitted)
 
     def cell_status(self, m: int) -> CellStatus:
         return CellStatus.EMPTY if self.cells[m - 1] == 0 else CellStatus.OCCUPIED
@@ -151,15 +161,100 @@ class BranchEfficiencies:
                 f"blockade branch over-unit: |b|^2 + |leak|^2 = {b*b + lk*lk}")
 
 
-@dataclass(frozen=True)
-class QramState:
-    """Immutable superposition over protocol branches plus loss ledger."""
+# Row codes of a QramState's control array, and the code of "no bin" in its
+# pending and absorbed arrays (bins are 1-based).
+_CONTROLS = (ControlState.G, ControlState.AU, ControlState.E)
+_G, _AU = 0, 1
+_NO_BIN = -1
 
-    cells_meta: tuple[Cell, ...]
-    terms: tuple[Term, ...]
-    losses: tuple[tuple[str, float], ...] = ()
-    consumed_bins: frozenset[int] = frozenset()
-    rephased_cells: frozenset[int] = frozenset()
+
+def _bin_code(b: int | None) -> int:
+    return _NO_BIN if b is None else b
+
+
+def _bin(code: int) -> int | None:
+    return None if code == _NO_BIN else code
+
+
+class QramState:
+    """Immutable superposition over protocol branches plus loss ledger.
+
+    QramState(cells_meta, terms, ...) builds a state from Term objects;
+    the protocol operations build theirs directly from branch arrays.
+    terms is the tuple of Term objects sorted by pending bin, absorbed bin,
+    control state and emitted labels (ties in row order), built on first
+    access; a state built from terms keeps the given order.
+    """
+
+    __slots__ = ("cells_meta", "losses", "consumed_bins", "rephased_cells",
+                 "_amp", "_cells", "_control", "_pending", "_absorbed",
+                 "_emitted", "_order", "_terms", "_norm")
+
+    def __init__(self, cells_meta: tuple[Cell, ...], terms: tuple[Term, ...],
+                 losses: tuple[tuple[str, float], ...] = (),
+                 consumed_bins: frozenset[int] = frozenset(),
+                 rephased_cells: frozenset[int] = frozenset()) -> None:
+        terms = tuple(terms)
+        m = len(cells_meta)
+        if any(len(t.cells) != m for t in terms):
+            raise ParameterError(f"every term needs one factor per cell ({m})")
+        self._set(tuple(cells_meta), losses, consumed_bins, rephased_cells,
+                  np.array([t.amplitude for t in terms], dtype=complex),
+                  np.array([t.cells for t in terms],
+                           dtype=complex).reshape(len(terms), m),
+                  np.array([_CONTROLS.index(t.control) for t in terms], dtype=int),
+                  np.array([_bin_code(t.pending_bin) for t in terms], dtype=int),
+                  np.array([_bin_code(t.absorbed_bin) for t in terms], dtype=int),
+                  tuple(t.emitted for t in terms))
+        self._order = list(range(len(terms)))
+        self._terms = terms
+
+    @classmethod
+    def _of(cls, *fields) -> QramState:
+        """A state from the fields of _set, without going through Terms."""
+        state = cls.__new__(cls)
+        state._set(*fields)
+        return state
+
+    def _set(self, cells_meta, losses, consumed_bins, rephased_cells,
+             amp, cells, control, pending, absorbed, emitted) -> None:
+        self.cells_meta = cells_meta
+        self.losses = losses
+        self.consumed_bins = consumed_bins
+        self.rephased_cells = rephased_cells
+        for a in (amp, cells, control, pending, absorbed):
+            a.flags.writeable = False   # rows are shared between states
+        self._amp = amp
+        self._cells = cells
+        self._control = control
+        self._pending = pending
+        self._absorbed = absorbed
+        self._emitted = emitted
+        self._order = self._terms = self._norm = None
+
+    def _row_order(self) -> list[int]:
+        if self._order is None:
+            keys = list(zip(self._pending.tolist(), self._absorbed.tolist(),
+                            [_CONTROLS[c].value for c in self._control.tolist()],
+                            [sorted(e) for e in self._emitted]))
+            self._order = sorted(range(len(keys)), key=keys.__getitem__)
+        return self._order
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        if self._terms is None:
+            order = self._row_order()
+            self._terms = tuple(
+                Term(amplitude=a, control=_CONTROLS[c], cells=tuple(cells),
+                     pending_bin=_bin(p), absorbed_bin=_bin(b),
+                     emitted=self._emitted[i])
+                for i, a, c, cells, p, b in zip(
+                    order, self._amp[order].tolist(),
+                    self._control[order].tolist(),
+                    self._cells[order].tolist(),
+                    self._pending[order].tolist(),
+                    self._absorbed[order].tolist()))
+        return self._terms
 
     @property
     def m(self) -> int:
@@ -167,7 +262,9 @@ class QramState:
 
     @property
     def norm(self) -> float:
-        return sum(abs(t.amplitude) ** 2 for t in self.terms)
+        if self._norm is None:
+            self._norm = float(np.vdot(self._amp, self._amp).real)
+        return self._norm
 
     @property
     def loss_total(self) -> float:
@@ -177,21 +274,66 @@ class QramState:
         return dict(self.losses)
 
 
-def _merge_terms(terms) -> tuple[Term, ...]:
-    merged: dict = {}
-    for t in terms:
-        k = t.key()
-        if k in merged:
-            merged[k] = merged[k] + t.amplitude
-        else:
-            merged[k] = t.amplitude
-    out = [Term(amplitude=a, control=k[0], cells=k[1], pending_bin=k[2],
-                absorbed_bin=k[3], emitted=k[4])
-           for k, a in merged.items() if abs(a) ** 2 > _DROP]
-    out.sort(key=lambda t: (t.pending_bin if t.pending_bin is not None else -1,
-                            t.absorbed_bin if t.absorbed_bin is not None else -1,
-                            t.control.value, sorted(t.emitted)))
-    return tuple(out)
+def _times(a: np.ndarray, z) -> np.ndarray:
+    """a * z for a scalar z or an array of a's shape, rounded as Python's
+    complex product; numpy's vector loop fuses the multiply-add and can
+    move the last bit."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * z.real - a.imag * z.imag
+    out.imag = a.real * z.imag + a.imag * z.real
+    return out
+
+
+def _merge_rows(keys: list, amp: np.ndarray,
+                cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows left after adding identical branches, in first-appearance order,
+    and the amplitudes with each duplicate added into the first row like it.
+
+    Rows with different keys are different branches; cell rows are compared
+    only within a key.
+    """
+    groups: dict = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    amp = amp.copy()
+    rows = []
+    for group in groups.values():
+        firsts: list[int] = []
+        for i in group:
+            for f in firsts:
+                if np.array_equal(cells[f], cells[i]):
+                    amp[f] = amp[f] + amp[i]
+                    break
+            else:
+                firsts.append(i)
+        rows.extend(firsts)
+    rows.sort()
+    return np.array(rows, dtype=int), amp
+
+
+def _next_state(before: QramState, op: str, amp, cells, control, pending,
+                absorbed, emitted, losses=None, consumed_bins=None,
+                rephased_cells=None) -> QramState:
+    """Merge identical branches, drop negligible ones, check conservation."""
+    keys = list(zip(control.tolist(), pending.tolist(), absorbed.tolist(),
+                    emitted))
+    if len(set(keys)) < len(keys):
+        rows, amp = _merge_rows(keys, amp, cells)
+    else:
+        rows = np.arange(len(keys))
+    rows = rows[np.abs(amp[rows]) ** 2 > _DROP]
+    if len(rows) < len(keys):
+        amp, cells, control, pending, absorbed = (
+            a[rows] for a in (amp, cells, control, pending, absorbed))
+        emitted = tuple(emitted[i] for i in rows.tolist())
+    after = QramState._of(
+        before.cells_meta,
+        before.losses if losses is None else losses,
+        before.consumed_bins if consumed_bins is None else consumed_bins,
+        before.rephased_cells if rephased_cells is None else rephased_cells,
+        amp, cells, control, pending, absorbed, emitted)
+    return _conserving(before, after, op)
 
 
 def _conserving(before: QramState, after: QramState, op: str) -> QramState:
@@ -203,16 +345,24 @@ def _conserving(before: QramState, after: QramState, op: str) -> QramState:
     return after
 
 
-def _add_loss(losses: tuple[tuple[str, float], ...], channel: str,
-              amount: float) -> tuple[tuple[str, float], ...]:
-    if amount <= 0.0:
-        return losses
+def _add_losses(losses: tuple[tuple[str, float], ...],
+                **amounts: float) -> tuple[tuple[str, float], ...]:
     d = dict(losses)
-    d[channel] = d.get(channel, 0.0) + amount
+    for channel, amount in amounts.items():
+        if amount > 0.0:
+            d[channel] = d.get(channel, 0.0) + amount
     return tuple(sorted(d.items()))
 
 
-def store_sequence(m: int, payload_labels=None, time_labels=None) -> QramState:
+def _with_label(emitted: tuple[frozenset[str], ...], mask: np.ndarray,
+                label: str) -> tuple[frozenset[str], ...]:
+    out = list(emitted)
+    for i in np.flatnonzero(mask).tolist():
+        out[i] = out[i] | {label}
+    return tuple(out)
+
+
+def store_sequence(m: int, payload_labels=None) -> QramState:
     """Memory loaded with M distinct qubits, control atom in its ground state."""
     if m < 1:
         raise ParameterError(f"need at least one cell, got M = {m}")
@@ -223,10 +373,8 @@ def store_sequence(m: int, payload_labels=None, time_labels=None) -> QramState:
         raise ParameterError(f"expected {m} payload labels, got {len(payload_labels)}")
     if len(set(payload_labels)) != m:
         raise ParameterError("payload labels must be distinct")
-    if time_labels is None:
-        time_labels = [None] * m
-    cells = tuple(Cell(index=i + 1, payload_label=payload_labels[i],
-                       time_label=time_labels[i]) for i in range(m))
+    cells = tuple(Cell(index=i + 1, payload_label=payload_labels[i])
+                  for i in range(m))
     root = Term(amplitude=1.0 + 0.0j, control=ControlState.G,
                 cells=(1.0 + 0.0j,) * m)
     return QramState(cells_meta=cells, terms=(root,))
@@ -247,38 +395,36 @@ def absorb_address_bin(state: QramState, n: int, addr: AddressSpec) -> QramState
         raise ParameterError(f"bin {n} out of range 1..{state.m}")
     if n in state.consumed_bins:
         raise ProtocolError(f"bin {n} was already consumed")
-    if any(t.control is ControlState.AU for t in state.terms):
+    if (state._control == _AU).any():
         raise ProtocolError(
             "an address bin is still mapped on the control atom; "
             "reset_control must run before the next bin")
 
-    expanded = []
-    for t in state.terms:
-        fresh = (t.control is ControlState.G and t.pending_bin is None
-                 and t.absorbed_bin is None and not t.emitted
-                 and not state.consumed_bins)
-        if fresh:
-            for k, alpha in enumerate(addr.amplitudes, start=1):
-                expanded.append(Term(amplitude=t.amplitude * alpha,
-                                     control=ControlState.G, cells=t.cells,
-                                     pending_bin=k, emitted=t.emitted))
-        else:
-            expanded.append(t)
+    amp, cells, control = state._amp, state._cells, state._control
+    pending, absorbed, emitted = state._pending, state._absorbed, state._emitted
+    if not state.consumed_bins:
+        fresh = ((control == _G) & (pending == _NO_BIN) & (absorbed == _NO_BIN)
+                 & np.array([not e for e in emitted], dtype=bool))
+        if fresh.any():
+            # each fresh row becomes M rows in place, one per time bin
+            counts = np.where(fresh, state.m, 1)
+            rows = np.repeat(np.arange(len(amp)), counts)
+            split = np.repeat(fresh, counts)
+            n_fresh = int(fresh.sum())
+            amp = amp[rows]
+            amp[split] = _times(amp[split], np.tile(addr.amplitudes, n_fresh))
+            pending = pending[rows]
+            pending[split] = np.tile(np.arange(1, state.m + 1), n_fresh)
+            cells, control, absorbed = cells[rows], control[rows], absorbed[rows]
+            emitted = tuple(emitted[i] for i in rows.tolist())
 
-    out = []
-    for t in expanded:
-        if t.pending_bin == n:
-            out.append(Term(amplitude=t.amplitude * RAMAN_ABSORB_PHASE,
-                            control=ControlState.AU, cells=t.cells,
-                            pending_bin=None, absorbed_bin=n,
-                            emitted=t.emitted))
-        else:
-            out.append(t)
-    after = QramState(cells_meta=state.cells_meta, terms=_merge_terms(out),
-                      losses=state.losses,
-                      consumed_bins=state.consumed_bins | {n},
-                      rephased_cells=state.rephased_cells)
-    return _conserving(state, after, f"absorb_address_bin({n})")
+    hit = pending == n
+    return _next_state(
+        state, f"absorb_address_bin({n})",
+        np.where(hit, _times(amp, RAMAN_ABSORB_PHASE), amp), cells,
+        np.where(hit, _AU, control), np.where(hit, _NO_BIN, pending),
+        np.where(hit, n, absorbed), emitted,
+        consumed_bins=state.consumed_bins | {n})
 
 
 def rephase_cell(state: QramState, m: int,
@@ -299,8 +445,15 @@ def rephase_cell(state: QramState, m: int,
     if m not in state.consumed_bins:
         raise ProtocolError(
             f"cell {m} rephased before address bin {m} was processed")
-    if any(t.cells[m - 1] == 0 for t in state.terms):
+    column = state._cells[:, m - 1]
+    if (column == 0).any():
         raise ProtocolError(f"cell {m} is already empty in some branch")
+    au = state._control == _AU
+    wrong = state._absorbed[au & (state._absorbed != m)]
+    if wrong.size:
+        raise ProtocolError(
+            f"control atom holds bin {_bin(int(wrong[0]))} while cell {m} "
+            "is rephased; the protocol pairs bin n with cell n")
 
     t_amp = complex(eff.transfer_amplitude)
     b_amp = complex(eff.blockade_reflection_amplitude)
@@ -309,35 +462,22 @@ def rephase_cell(state: QramState, m: int,
     b_phase = b_amp / abs(b_amp) if abs(b_amp) > 0 else 1.0
     payload = state.cells_meta[m - 1].payload_label
 
-    out = []
-    losses = state.losses
-    for t in state.terms:
-        if t.control is ControlState.AU:
-            if t.absorbed_bin != m:
-                raise ProtocolError(
-                    f"control atom holds bin {t.absorbed_bin} while cell {m} "
-                    "is rephased; the protocol pairs bin n with cell n")
-            w = abs(t.amplitude) ** 2
-            losses = _add_loss(losses, "transfer", w * (1.0 - abs(t_amp) ** 2))
-            cells = t.cells[:m - 1] + (0.0 + 0.0j,) + t.cells[m:]
-            out.append(Term(amplitude=t.amplitude * ECHO_EMISSION_PHASE * t_amp,
-                            control=ControlState.AU, cells=cells,
-                            absorbed_bin=t.absorbed_bin,
-                            emitted=t.emitted | {payload}))
-        else:
-            w = abs(t.amplitude) ** 2
-            losses = _add_loss(losses, "blockade_leak", w * leak2)
-            losses = _add_loss(losses, "blockade_scatter", w * scatter2)
-            cells = (t.cells[:m - 1] + (t.cells[m - 1] * b_phase,)
-                     + t.cells[m:])
-            out.append(Term(amplitude=t.amplitude * abs(b_amp),
-                            control=t.control, cells=cells,
-                            pending_bin=t.pending_bin,
-                            absorbed_bin=t.absorbed_bin, emitted=t.emitted))
-    after = QramState(cells_meta=state.cells_meta, terms=_merge_terms(out),
-                      losses=losses, consumed_bins=state.consumed_bins,
-                      rephased_cells=state.rephased_cells | {m})
-    return _conserving(state, after, f"rephase_cell({m})")
+    amp = state._amp
+    w_emit = float(np.vdot(amp[au], amp[au]).real)
+    w_stay = float(np.vdot(amp[~au], amp[~au]).real)
+    losses = _add_losses(state.losses,
+                         transfer=w_emit * (1.0 - abs(t_amp) ** 2),
+                         blockade_leak=w_stay * leak2,
+                         blockade_scatter=w_stay * scatter2)
+    cells = state._cells.copy()
+    cells[:, m - 1] = np.where(au, 0.0 + 0.0j, _times(column, b_phase))
+    return _next_state(
+        state, f"rephase_cell({m})",
+        np.where(au, _times(_times(amp, ECHO_EMISSION_PHASE), t_amp),
+                 _times(amp, abs(b_amp))),
+        cells, state._control, np.where(au, _NO_BIN, state._pending),
+        state._absorbed, _with_label(state._emitted, au, payload),
+        losses=losses, rephased_cells=state.rephased_cells | {m})
 
 
 def reset_control(state: QramState, n: int) -> QramState:
@@ -348,25 +488,20 @@ def reset_control(state: QramState, n: int) -> QramState:
     """
     if not 1 <= n <= state.m:
         raise ParameterError(f"bin {n} out of range 1..{state.m}")
-    out = []
-    changed = False
-    for t in state.terms:
-        if t.control is ControlState.AU:
-            if t.absorbed_bin != n:
-                raise ProtocolError(
-                    f"control atom holds bin {t.absorbed_bin}, cannot reset bin {n}")
-            out.append(Term(amplitude=t.amplitude * CONTROL_RESET_PHASE,
-                            control=ControlState.G, cells=t.cells,
-                            emitted=t.emitted | {_address_label(n)}))
-            changed = True
-        else:
-            out.append(t)
-    if not changed:
+    au = state._control == _AU
+    wrong = state._absorbed[au & (state._absorbed != n)]
+    if wrong.size:
+        raise ProtocolError(
+            f"control atom holds bin {_bin(int(wrong[0]))}, cannot reset bin {n}")
+    if not au.any():
         return state
-    after = QramState(cells_meta=state.cells_meta, terms=_merge_terms(out),
-                      losses=state.losses, consumed_bins=state.consumed_bins,
-                      rephased_cells=state.rephased_cells)
-    return _conserving(state, after, f"reset_control({n})")
+    return _next_state(
+        state, f"reset_control({n})",
+        np.where(au, _times(state._amp, CONTROL_RESET_PHASE), state._amp),
+        state._cells, np.where(au, _G, state._control),
+        np.where(au, _NO_BIN, state._pending),
+        np.where(au, _NO_BIN, state._absorbed),
+        _with_label(state._emitted, au, _address_label(n)))
 
 
 def run_addressing(m: int, addr: AddressSpec,
@@ -436,19 +571,27 @@ def state_table(state: QramState) -> str:
 
 def state_to_dict(state: QramState) -> dict:
     """JSON-ready term list: amplitudes, control state, cell map, labels."""
+    order = state._row_order()
+    amp = state._amp[order]
+    cells = state._cells[order]
+    rows = zip(order, amp.real.tolist(), amp.imag.tolist(),
+               state._control[order].tolist(), cells.real.tolist(),
+               cells.imag.tolist(), (cells != 0).astype(int).tolist(),
+               state._pending[order].tolist(), state._absorbed[order].tolist())
     return {
         "m": state.m,
-        "cells": [{"index": c.index, "payload_label": c.payload_label,
-                   "time_label": c.time_label} for c in state.cells_meta],
+        "cells": [{"index": c.index, "payload_label": c.payload_label}
+                  for c in state.cells_meta],
         "terms": [{
-            "amplitude": {"re": t.amplitude.real, "im": t.amplitude.imag},
-            "control": t.control.value,
-            "cells": [{"re": c.real, "im": c.imag} for c in t.cells],
-            "occupied": [int(c != 0) for c in t.cells],
-            "pending_bin": t.pending_bin,
-            "absorbed_bin": t.absorbed_bin,
-            "emitted": sorted(t.emitted),
-        } for t in state.terms],
+            "amplitude": {"re": a_re, "im": a_im},
+            "control": _CONTROLS[control].value,
+            "cells": [{"re": re, "im": im} for re, im in zip(c_re, c_im)],
+            "occupied": occupied,
+            "pending_bin": _bin(pending),
+            "absorbed_bin": _bin(absorbed),
+            "emitted": sorted(state._emitted[i]),
+        } for i, a_re, a_im, control, c_re, c_im, occupied, pending, absorbed
+            in rows],
         "norm": state.norm,
         "losses": state.loss_ledger(),
         "consumed_bins": sorted(state.consumed_bins),

@@ -11,11 +11,11 @@ Subcommands map one-to-one onto scenarios:
     address         time-bin addressing protocol state
     sweep           echo-cycle parameter sweep (optionally two axes)
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.  Every
-artifact is stamped with the scenario, the tool version, the sha256 of the
-raw config text and the parameter digest, and is written atomically: a
-temporary file beside the target is renamed over it.  All computation is
-deterministic.
+Exit codes: 0 success, 2 config error or an artifact that cannot be
+written, 3 numerical failure.  Every artifact is stamped with the scenario,
+the tool version, the sha256 of the raw config text and the digests of the
+storage and read parameters, and is written atomically: a temporary file
+beside the target is renamed over it.  All computation is deterministic.
 """
 
 from __future__ import annotations
@@ -552,7 +552,9 @@ def _write_artifact(out: Path, fmt: str, cfg: ScenarioConfig, cfg_text: str,
             "version": __version__,
             "config_sha256": hashlib.sha256(cfg_text.encode()).hexdigest(),
             "params_sha256": (params_digest(cfg.params)
-                              if cfg.params is not None else None)}
+                              if cfg.params is not None else None),
+            "read_params_sha256": (params_digest(cfg.read_params)
+                                   if cfg.read_params is not None else None)}
     if fmt == "csv":
         buf = io.StringIO()
         for k, v in meta.items():
@@ -859,6 +861,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(out: Path, exc: OSError) -> int:
+    print(f"cannot write artifact {out}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     expected = _SUBCOMMANDS[args.command]
@@ -886,13 +893,19 @@ def main(argv=None) -> int:
                 out = out_dir / out
         else:
             out = out_dir / f"{cfg.scenario.value}.{fmt}"
-        out.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write(out, exc)
 
         if cfg.scenario is Scenario.SWEEP:
             art = _run_sweep_scenario(cfg, max(1, args.workers))
         else:
             art = _RUNNERS[cfg.scenario](cfg)
-        _write_artifact(out, fmt, cfg, cfg_text, art)
+        try:
+            _write_artifact(out, fmt, cfg, cfg_text, art)
+        except OSError as exc:
+            return _cannot_write(out, exc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

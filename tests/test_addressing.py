@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -211,6 +212,14 @@ class TestProtocolErrors:
         with pytest.raises(ProtocolError):
             rephase_cell(s, 1)
 
+    def test_term_with_wrong_cell_count(self):
+        meta = tuple(Cell(index=i, payload_label=f"psi_in[{i}]")
+                     for i in (1, 2))
+        term = Term(amplitude=1.0 + 0.0j, control=ControlState.G,
+                    cells=(1.0 + 0.0j,))
+        with pytest.raises(ParameterError):
+            QramState(cells_meta=meta, terms=(term,))
+
     def test_rephase_wrong_pairing(self):
         meta = tuple(Cell(index=i, payload_label=f"psi_in[{i}]")
                      for i in (1, 2))
@@ -229,6 +238,38 @@ class TestProtocolErrors:
     def test_reset_noop_without_excitation(self):
         s = store_sequence(1)
         assert reset_control(s, 1) is s
+
+
+class TestInterference:
+    """Branches that become identical are merged on every step."""
+
+    META = tuple(Cell(index=i, payload_label=f"psi_in[{i}]") for i in (1, 2))
+
+    def au_pair(self, a1, a2):
+        # two branches that differ only in the bounce phase of cell 1
+        terms = tuple(Term(amplitude=a, control=ControlState.AU,
+                           cells=(phase, 1.0 + 0.0j), absorbed_bin=1)
+                      for a, phase in ((a1, 1.0 + 0.0j), (a2, -1.0 + 0.0j)))
+        return QramState(cells_meta=self.META, terms=terms,
+                         consumed_bins=frozenset({1}))
+
+    def test_emptied_cell_merges_branches(self):
+        t_amp = 0.9
+        r = 1.0 / math.sqrt(2.0)
+        s = rephase_cell(self.au_pair(r, 1j * r), 1,
+                         BranchEfficiencies(transfer_amplitude=t_amp))
+        assert len(s.terms) == 1
+        t = s.terms[0]
+        assert t.amplitude == pytest.approx(-(1 + 1j) * r * t_amp, abs=1e-15)
+        assert t.cells == (0.0, 1.0)
+        assert t.emitted == frozenset({"psi_in[1]"})
+        assert s.loss_ledger()["transfer"] == pytest.approx(1 - t_amp ** 2)
+        assert s.norm + s.loss_total == pytest.approx(1.0, abs=1e-12)
+
+    def test_cancelling_branches_break_conservation(self):
+        a = complex(0.6, 0.1)
+        with pytest.raises(ProtocolError):
+            rephase_cell(self.au_pair(a, -a), 1)
 
 
 class TestFullProtocol:
@@ -278,6 +319,48 @@ class TestFullProtocol:
         assert empties == sorted(empties)
         assert s.consumed_bins == frozenset({1, 2, 3})
         assert s.rephased_cells == frozenset({1, 2, 3})
+
+    def test_terms_sorted_by_emitted_labels(self):
+        # the final branches differ only in their emitted labels, which
+        # sort as strings: "psi_a[10]" < "psi_a[1]" < "psi_a[2]"
+        s = run_addressing(12, uniform_addr(12))
+        bins = [int(min(t.emitted)[len("psi_a["):-1]) for t in s.terms]
+        assert bins == [10, 11, 12, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+        assert all(t.emitted == frozenset({f"psi_a[{k}]", f"psi_in[{k}]"})
+                   for k, t in zip(bins, s.terms))
+
+    def test_closed_form_large_register(self):
+        # far beyond the property test's six bins: branch k carries
+        # -alpha_k * t * |b|^(M-1) and one bounce phase on every bystander
+        m = 160
+        rng = random.Random(160)
+        raw = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m)]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in raw))
+        amps = [a / norm for a in raw]
+        t_amp = math.exp(-0.01)
+        b = 60.0 / 61.0 * cmath.exp(2.5j)
+        eff = BranchEfficiencies(transfer_amplitude=t_amp,
+                                 blockade_reflection_amplitude=b,
+                                 leakage_amplitude=1.0 / 61.0)
+        s = run_addressing(m, addr(*amps), eff)
+        assert len(s.terms) == m
+        b_phase = b / abs(b)
+        seen = set()
+        for t in s.terms:
+            empty = [i for i, c in enumerate(t.cells, start=1) if c == 0]
+            assert len(empty) == 1
+            k = empty[0]
+            seen.add(k)
+            assert t.control is ControlState.G
+            assert t.emitted == frozenset({f"psi_in[{k}]", f"psi_a[{k}]"})
+            expect = -amps[k - 1] * t_amp * abs(b) ** (m - 1)
+            assert abs(t.amplitude - expect) <= 1e-12 * abs(expect)
+            assert all(abs(c - b_phase) <= 1e-15
+                       for i, c in enumerate(t.cells, start=1) if i != k)
+        assert seen == set(range(1, m + 1))
+        assert set(s.loss_ledger()) == {"transfer", "blockade_leak",
+                                        "blockade_scatter"}
+        assert s.norm + s.loss_total == pytest.approx(1.0, abs=1e-12)
 
     @given(raw=st.lists(
         st.complex_numbers(max_magnitude=1.0, allow_nan=False,
@@ -353,6 +436,8 @@ class TestReporting:
         assert doc["m"] == 2
         assert doc["norm"] == pytest.approx(1.0, abs=1e-12)
         assert doc["consumed_bins"] == [1, 2]
+        assert doc["cells"] == [{"index": 1, "payload_label": "psi_in[1]"},
+                                {"index": 2, "payload_label": "psi_in[2]"}]
         occupied = {tuple(t["occupied"]) for t in doc["terms"]}
         assert occupied == {(0, 1), (1, 0)}
         # the saved form is the address artifact: the same document

@@ -510,10 +510,17 @@ class TestArtifacts:
                      "--format", fmt]) == 0
         capsys.readouterr()
         cfg = parse_scenario_config(text)
+        read_digest = (params_digest(cfg.read_params)
+                       if cfg.read_params is not None else None)
+        assert (read_digest is None) == (command != "blockade")
+        assert read_digest != params_digest(cfg.params)
         expect = {"scenario": cfg.scenario.value, "version": __version__,
                   "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
-                  "params_sha256": params_digest(cfg.params)}
+                  "params_sha256": params_digest(cfg.params),
+                  "read_params_sha256": read_digest}
         if fmt == "csv":
+            # CSV writes a missing digest as None
+            expect["read_params_sha256"] = str(read_digest)
             lines = out.read_text().splitlines()
             stamped = dict(line[2:].split("=", 1) for line in lines
                            if line.startswith("# "))
@@ -562,11 +569,11 @@ class TestArtifacts:
             return fh
 
         monkeypatch.setattr(builtins, "open", open_on_full_disk)
-        with pytest.raises(OSError):
-            main(["spectra", "--config", str(path), "--out", str(out),
-                  "--format", fmt])
+        assert main(["spectra", "--config", str(path), "--out", str(out),
+                     "--format", fmt]) == 2
         monkeypatch.undo()
-        capsys.readouterr()
+        assert capsys.readouterr().err == (
+            f"cannot write artifact {out}: No space left on device\n")
         assert out.read_bytes() == b"previous artifact\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             sorted([path.name, out.name])
@@ -575,3 +582,23 @@ class TestArtifacts:
                      "--format", fmt]) == 0
         capsys.readouterr()
         assert hashlib.sha256(path.read_bytes()).hexdigest() in out.read_text()
+
+    @pytest.mark.parametrize("where", ["directory", "under_a_file"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        path = write(tmp_path, "c.json",
+                     cfg_text(**self.CONFIGS["check-matching"]))
+        if where == "directory":
+            # the artifact would replace an existing directory
+            out = tmp_path / "taken"
+            out.mkdir()
+        else:
+            # the artifact's parent directory cannot be made
+            out = path / "report.csv"
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["check-matching", "--config", str(path),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write artifact {out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert out.is_dir() == (where == "directory")
+        assert path.read_text() == cfg_text(**self.CONFIGS["check-matching"])
