@@ -40,8 +40,9 @@ from .params import (PARAM_KEYS, SystemParams, ParameterError,
                      check_matching, cooperativities, params_from_dict,
                      params_digest, solve_matched_params)
 from .spectral import FrequencyGrid, spectral_efficiency
-from .dynamics import (PulseSpec, IntegrationError, ensemble_for_params,
-                       integrate_storage, run_echo_cycle, blockade_phase_check)
+from .dynamics import (MIN_N_SIM, PulseSpec, IntegrationError,
+                       ensemble_for_params, integrate_storage, run_echo_cycle,
+                       blockade_phase_check)
 from .addressing import (AddressSpec, BranchEfficiencies, run_addressing,
                          compose_with_dynamics, state_table, state_to_dict,
                          ProtocolError)
@@ -275,7 +276,13 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         _check_keys(doc["grid"], {"span", "n", "center"}, {"span", "n"},
                     "grid.", text, source)
         kw["grid_span"] = _number(doc["grid"]["span"], "grid.span", text, source)
+        if kw["grid_span"] <= 0:
+            raise ConfigError(f"'grid.span' must be > 0, got {kw['grid_span']}",
+                              source, _line_of_key(text, "span"))
         kw["grid_n"] = _integer(doc["grid"]["n"], "grid.n", text, source)
+        if kw["grid_n"] < 2:
+            raise ConfigError(f"'grid.n' must be >= 2, got {kw['grid_n']}",
+                              source, _line_of_key(text, "n"))
         kw["grid_center"] = _number(doc["grid"].get("center", 0.0),
                                     "grid.center", text, source)
     if "tau" in doc:
@@ -289,6 +296,10 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
                              for i, t in enumerate(ts))
     if "n_sim" in doc:
         kw["n_sim"] = _integer(doc["n_sim"], "n_sim", text, source)
+        if kw["n_sim"] < MIN_N_SIM:
+            raise ConfigError(
+                f"'n_sim' must be >= {MIN_N_SIM}, got {kw['n_sim']}", source,
+                _line_of_key(text, "n_sim"))
     if "span" in doc:
         kw["span"] = _number(doc["span"], "span", text, source)
     if "scheme" in doc:
@@ -869,8 +880,8 @@ def _cannot_write(out: Path, exc: OSError) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     expected = _SUBCOMMANDS[args.command]
+    cfg_path = Path(args.config)
     try:
-        cfg_path = Path(args.config)
         try:
             cfg_text = cfg_path.read_text()
         except OSError as exc:
@@ -910,7 +921,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ParameterError, ProtocolError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # the library refused a parsed config: name the file it came from
+        print(f"config error: {cfg_path}: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

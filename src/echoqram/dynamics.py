@@ -42,6 +42,12 @@ beyond 100x solver_tol, which is all solver_tol bounds here; a mode basis
 whose eigenpair residual or condition number exceeds a fixed bound is
 refused as well.  The adaptive DOP853 integrator of the full equations
 remains for the CW probe.
+
+scipy is imported inside the functions that call it: solve_ivp in
+_integrate, erfc and wofz in the Gaussian branches of the pulse
+integrals, minimize_scalar in the fidelity search.  Importing this module
+loads no scipy, so commands that never reach those calls do not pay
+for it; keep these imports local.
 """
 
 from __future__ import annotations
@@ -53,9 +59,6 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
-from scipy.special import erfc, wofz
 
 from .params import SystemParams, ParameterError
 
@@ -182,6 +185,10 @@ class AtomEnsemble:
         return replace(self, coherences=np.asarray(coherences, dtype=complex))
 
 
+#: fewest quadrature nodes a discretized line may have
+MIN_N_SIM = 16
+
+
 def discretize_ensemble(
     n_sim: int,
     delta_in: float,
@@ -198,8 +205,8 @@ def discretize_ensemble(
     exact line mass per bin, folding the outer tails into the edge bins.
     """
     scheme = DiscretizationScheme(scheme)
-    if n_sim < 16:
-        raise ParameterError(f"n_sim must be >= 16, got {n_sim}")
+    if n_sim < MIN_N_SIM:
+        raise ParameterError(f"n_sim must be >= {MIN_N_SIM}, got {n_sim}")
     if delta_in <= 0:
         raise ParameterError(f"delta_in must be positive, got {delta_in}")
     if span is None:
@@ -377,6 +384,8 @@ def _integrate(
     y0 = np.zeros(n + 7, dtype=complex)
     y0[0], y0[1], y0[2] = y0_fields
     y0[3:3 + n] = y0_modes
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
                     rtol=solver_tol, atol=solver_tol * 1e-3, t_eval=t_eval)
@@ -671,6 +680,7 @@ def _pulse_cdf(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
     """integral of |a_in|**2 from -infinity to t."""
     s = (t - pulse.center) / pulse.duration
     if pulse.shape is PulseShape.GAUSSIAN:
+        from scipy.special import erfc
         return 0.5 * erfc(-s)
     if pulse.shape is PulseShape.RISING_EXPONENTIAL:
         return np.exp(2.0 * np.minimum(s, 0.0))
@@ -692,6 +702,7 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
     for lo in range(0, t.size, _BLOCK // 2):
         tt = t[None, lo:lo + _BLOCK // 2]
         if pulse.shape is PulseShape.GAUSSIAN:
+            from scipy.special import wofz
             beta = lam_c + 1j * om
             root = sd * math.sqrt(2.0)
             u0, u1 = t0 - c, tt - c
@@ -1080,6 +1091,7 @@ def run_echo_cycle(
         return -num / den if den > 0 else 0.0
 
     if out_norm > 0:
+        from scipy.optimize import minimize_scalar
         res = minimize_scalar(neg_overlap, bounds=(echo_center - 2.0 * dt,
                                                    echo_center + 2.0 * dt),
                               method="bounded",

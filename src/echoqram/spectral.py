@@ -8,7 +8,9 @@ same units as kappa.  The broadened ensemble enters through
 
 For the Lorentzian the response integral has the closed form
 Gt(delta) = 1 / (delta_in - i*delta); `broadened_response_quadrature`
-keeps the defining integral available as a numerical cross-check.
+keeps the defining integral available as a numerical cross-check.  It
+is the only user of scipy here and imports quad itself, so that importing
+this module loads no scipy; keep that import local.
 
 The storage transfer function of an input photon component at detuning
 delta into the ensemble coherence is
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad, IntegrationWarning
 
 from .params import SystemParams, ParameterError, cooperativities
 
@@ -73,6 +74,7 @@ def broadened_response_quadrature(
         raise ParameterError(f"delta_in must be positive, got {delta_in}")
     if not (0 < epsilon < delta_in):
         raise ParameterError("epsilon must satisfy 0 < epsilon < delta_in")
+    from scipy.integrate import quad, IntegrationWarning
 
     def integrand_re(nu):
         g = delta_in / (math.pi * (nu * nu + delta_in * delta_in))

@@ -5,7 +5,10 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -14,9 +17,12 @@ from hypothesis import example, given, strategies as st
 from echoqram import __version__
 from echoqram.cli import (ConfigError, Scenario, main, parse_scenario_config,
                           run_sweep, serialize_config)
-from echoqram.params import params_digest
+from echoqram.dynamics import MIN_N_SIM, discretize_ensemble
+from echoqram.params import ParameterError, params_digest
+from echoqram.spectral import FrequencyGrid
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
 
 MATCHED = {"matched": {"kappa": 1.0, "c_atom": 0.0}}
 
@@ -381,6 +387,60 @@ class TestBoundary:
         assert "'sweep.values[1]' must be a number" in err
         assert f"{path}:" in err
 
+    SPECTRA = dict(scenario="spectra", params=MATCHED,
+                   grid={"span": 1.0, "n": 5})
+
+    @pytest.mark.parametrize("command, base, key, bad, ok, needle", [
+        ("echo", ECHO, "n_sim", MIN_N_SIM - 1, MIN_N_SIM,
+         f"'n_sim' must be >= {MIN_N_SIM}, got {MIN_N_SIM - 1}"),
+        ("spectra", SPECTRA, "grid.n", 1, 2, "'grid.n' must be >= 2, got 1"),
+        ("spectra", SPECTRA, "grid.span", 0.0, 1e-9,
+         "'grid.span' must be > 0, got 0.0"),
+    ])
+    def test_minimum_refused_at_parse(self, tmp_path, capsys, command, base,
+                                      key, bad, ok, needle):
+        def doc(value):
+            d = json.loads(json.dumps(base))
+            node = d
+            *outer, last = key.split(".")
+            for k in outer:
+                node = node[k]
+            node[last] = value
+            return cfg_text(**d)
+
+        parse_scenario_config(doc(ok))
+        text = doc(bad)
+        path = write(tmp_path, "c.json", text)
+        assert main([command, "--config", str(path)]) == 2
+        line = next(i for i, l in enumerate(text.splitlines(), start=1)
+                    if f'"{key.split(".")[-1]}"' in l)
+        assert (capsys.readouterr().err
+                == f"config error: {path}:{line}: {needle}\n")
+
+    @pytest.mark.parametrize("change, ok, needle", [
+        ({"span": 9.99}, {"span": 10.0}, "span 9.99 too small"),
+        ({"tau": 24.9}, {"tau": 25.0}, "tau = 24.9 too small"),
+    ])
+    def test_library_refusal_names_config(self, tmp_path, capsys, change,
+                                          ok, needle):
+        # delta_in is 0.5 and the pulse duration 5: span >= 10, tau >= 25
+        path = write(tmp_path, "ok.json", cfg_text(**{**self.ECHO, **ok}))
+        assert main(["echo", "--config", str(path),
+                     "--out", str(tmp_path / "e.csv")]) == 0
+        capsys.readouterr()
+        path = write(tmp_path, "e.json", cfg_text(**{**self.ECHO, **change}))
+        assert main(["echo", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ")
+        assert needle in err
+
+    def test_library_checks_remain(self):
+        with pytest.raises(ParameterError, match=f">= {MIN_N_SIM}"):
+            discretize_ensemble(MIN_N_SIM - 1, 0.5)
+        for span, n in ((0.0, 5), (1.0, 1)):
+            with pytest.raises(ParameterError):
+                FrequencyGrid.uniform(span=span, n=n)
+
     def test_nan_solver_tol_exits_quickly(self, tmp_path, capsys):
         text = cfg_text(**self.ECHO, solver_tol=1e-9).replace("1e-09", "NaN")
         assert "NaN" in text
@@ -602,3 +662,64 @@ class TestArtifacts:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert out.is_dir() == (where == "directory")
         assert path.read_text() == cfg_text(**self.CONFIGS["check-matching"])
+
+
+class TestImportLayering:
+    """scipy loads on first use: only the dynamics stages that call it pay.
+
+    Each case runs in a fresh interpreter; two at a time keep the class
+    under three seconds.
+    """
+
+    # case: (subcommand or None for a bare import, committed config or None
+    # for the small TestBoundary.ECHO, scipy modules that must be loaded,
+    # scipy packages that must not be, submodules included)
+    CASES = {
+        "import": (None, None, set(), {"scipy"}),
+        "check-matching": ("check-matching", "check_matching.json", set(),
+                           {"scipy"}),
+        "spectra": ("spectra", "spectra_matched_c10.json", set(), {"scipy"}),
+        "address": ("address", "address_m4.json", set(), {"scipy"}),
+        "store": ("store", "store_gaussian.json", {"scipy.special"},
+                  {"scipy.optimize", "scipy.integrate"}),
+        "echo": ("echo", None, set(), {"scipy.integrate"}),
+    }
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from echoqram import cli\n"
+        "if len(sys.argv) > 1:\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+    )
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("layering")
+        echo_cfg = write(tmp, "echo.json", cfg_text(**TestBoundary.ECHO))
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+
+        def run(case):
+            command, config, _, _ = self.CASES[case]
+            argv = []
+            if command is not None:
+                cfg = CONFIG_DIR / config if config is not None else echo_cfg
+                argv = [command, "--config", str(cfg),
+                        "--out", str(tmp / f"{case}.out")]
+            return subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
+                                  cwd=tmp, env=env, capture_output=True,
+                                  text=True, timeout=60)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return dict(zip(self.CASES, pool.map(run, self.CASES)))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_scipy_modules_loaded(self, runs, case):
+        _, _, required, forbidden = self.CASES[case]
+        run = runs[case]
+        assert run.returncode == 0, run.stderr
+        loaded = set(json.loads(run.stdout.splitlines()[-1]))
+        assert required <= loaded
+        assert not {m for m in loaded for f in forbidden
+                    if m == f or m.startswith(f + ".")}
