@@ -28,7 +28,8 @@ Cauchy forms; nodes that share a detuning are merged first.  One basis
 serves every call on the same (parameters, grid), so storage and
 retrieval share it on a mirrored grid.  The drive enters through closed
 forms of each mode's convolution with the pulse (the Faddeeva function
-for the Gaussian).  No array grows as the square of the mode count.
+for the Gaussian, evaluated by Weideman's rational series).  No array
+grows as the square of the mode count.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
@@ -40,14 +41,8 @@ they use a quintic Hermite rule on exact time derivatives.
 Every run checks the ledger at each output time and aborts when it drifts
 beyond 100x solver_tol, which is all solver_tol bounds here; a mode basis
 whose eigenpair residual or condition number exceeds a fixed bound is
-refused as well.  The adaptive DOP853 integrator of the full equations
-remains for the CW probe.
-
-scipy is imported inside the functions that call it: solve_ivp in
-_integrate, erfc and wofz in the Gaussian branches of the pulse
-integrals, minimize_scalar in the fidelity search.  Importing this module
-loads no scipy, so commands that never reach those calls do not pay
-for it; keep these imports local.
+refused as well.  The CW probe's steady state is one O(n) solve of the
+same arrowhead.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,6 +305,13 @@ def _check_ensemble(p: SystemParams, ens: AtomEnsemble) -> None:
             f"params carry {cc}")
 
 
+def _check_coupled(p: SystemParams) -> None:
+    if p.f2 == 0 or p.collective_coupling == 0:
+        raise ParameterError(
+            "time-domain propagation needs coupled cavities (f2 > 0) and a "
+            "coupled ensemble (N*g2**2 > 0)")
+
+
 def _check_tol(solver_tol: float) -> None:
     # written so that NaN fails the check as well
     if not (0 < solver_tol <= 1e-8):
@@ -331,80 +333,6 @@ def _output_times(t_span: tuple[float, float], output_dt: float | None,
         if t_eval[0] < t0 or t_eval[-1] > t1:
             raise ParameterError("extra evaluation times fall outside the span")
     return t_eval
-
-
-def _integrate(
-    p: SystemParams,
-    ens: AtomEnsemble,
-    drive: Callable[[float], complex] | None,
-    t_span: tuple[float, float],
-    y0_modes: np.ndarray,
-    y0_fields: tuple[complex, complex, complex],
-    solver_tol: float,
-    output_dt: float | None,
-    extra_eval: tuple[float, ...] = (),
-    store_ensemble: bool = True,
-    kind: str = "storage",
-    ledger_check: bool = True,
-) -> SimulationTrace:
-    """Adaptive DOP853 integration of the full equations with a running ledger.
-
-    The CW probe uses it; the tests use it as an independent oracle for
-    the modal propagator.  Every Runge-Kutta stage costs one Python call
-    of the right-hand side.
-    """
-    _check_tol(solver_tol)
-    t_eval = _output_times(t_span, output_dt, extra_eval)
-    t0, t1 = t_eval[0], t_eval[-1]
-    n = ens.n
-    kappa, g1, f2 = p.kappa, p.g1, p.f2
-    sqrtk = math.sqrt(kappa)
-    inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
-    gj = np.sqrt(p.collective_coupling * ens.weights)
-    damp = -(1j * ens.detunings + inv_t2)
-    mig = -1j * gj
-    cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        a1, bc, a2 = y[0], y[1], y[2]
-        b = y[3:3 + n]
-        ain = drive(t) if drive is not None else 0.0
-        dy = np.empty_like(y)
-        dy[0] = -1j * g1 * bc - 1j * f2 * a2 - 0.5 * kappa * a1 + sqrtk * ain
-        dy[1] = cdamp * bc - 1j * g1 * a1
-        dy[2] = mig @ b - 1j * f2 * a1
-        dy[3:3 + n] = damp * b + mig * a2
-        aout = sqrtk * a1 - ain
-        dy[3 + n] = abs(aout) ** 2
-        dy[4 + n] = p.gamma * abs(bc) ** 2
-        dy[5 + n] = 2.0 * inv_t2 * float(b.real @ b.real + b.imag @ b.imag)
-        dy[6 + n] = abs(ain) ** 2
-        return dy
-
-    y0 = np.zeros(n + 7, dtype=complex)
-    y0[0], y0[1], y0[2] = y0_fields
-    y0[3:3 + n] = y0_modes
-
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
-                    rtol=solver_tol, atol=solver_tol * 1e-3, t_eval=t_eval)
-    if not sol.success:
-        raise IntegrationError(f"solver failed on {kind} span {t_span}: {sol.message}")
-
-    a1 = sol.y[0]
-    bc = sol.y[1]
-    a2 = sol.y[2]
-    b = sol.y[3:3 + n]
-    ain = (np.asarray([drive(t) for t in sol.t], dtype=complex)
-           if drive is not None else np.zeros_like(sol.t, dtype=complex))
-    p0 = float(np.sum(np.abs(y0_modes) ** 2)
-               + sum(abs(v) ** 2 for v in y0_fields))
-    return _trace(p, ens, kind, solver_tol, ledger_check, sol.t,
-                  a1, bc, a2, ain, np.sum(np.abs(b) ** 2, axis=0),
-                  sol.y[3 + n].real, sol.y[4 + n].real, sol.y[5 + n].real,
-                  sol.y[6 + n].real, p0,
-                  b.T.copy() if store_ensemble else None, b[:, -1])
 
 
 def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
@@ -593,11 +521,8 @@ def _cached_basis(p: SystemParams, det_bytes: bytes, w_bytes: bytes) -> _ModalBa
 
 
 def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis:
+    _check_coupled(p)
     cc = p.collective_coupling
-    if p.f2 == 0 or cc == 0:
-        raise ParameterError(
-            "time-domain propagation needs coupled cavities (f2 > 0) and a "
-            "coupled ensemble (N*g2**2 > 0)")
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
     first = np.concatenate(([True], det[1:] != det[:-1]))
@@ -676,12 +601,59 @@ def _mode_coordinates(basis: _ModalBasis, fields: np.ndarray,
     return c
 
 
+#: terms of the Faddeeva series; N = 40 holds double precision
+_W_TERMS = 40
+
+
+@functools.cache
+def _faddeeva_coefficients() -> tuple[float, np.ndarray]:
+    """Scale L and the series coefficients, highest power first, of
+    Weideman's rational approximation of w (SIAM J. Numer. Anal. 31,
+    1994): the discrete Fourier coefficients 1..N of exp(-t**2)
+    (L**2 + t**2) on the 4N points t = L tan(pi j / 4N).
+
+    Computed on first use and summed directly rather than through
+    numpy.fft, so that commands without a Gaussian drive pay nothing.
+    """
+    n = _W_TERMS
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    j = np.arange(-m, m)
+    t = scale * np.tan(0.5 * np.pi * j[1:] / m)
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
+    a = np.cos(np.pi * np.outer(np.arange(n, 0, -1), j) / m) @ f / (2 * m)
+    a.flags.writeable = False   # every caller shares it
+    return scale, a
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """Faddeeva function w(z) = exp(-z**2) erfc(-i z) for Im z >= 0.
+
+    Weideman's series in Z = (L + i z)/(L - i z), summed by Horner:
+    w = 2 p(Z)/(L - i z)**2 + 1/(sqrt(pi) (L - i z)), relative error
+    near 1e-14 over the closed upper half plane.
+    """
+    scale, coeffs = _faddeeva_coefficients()
+    den = 1.0 / (scale - 1j * z)
+    zz = (scale + 1j * z) * den
+    p = np.full(np.shape(zz), coeffs[0], dtype=complex)
+    for coeff in coeffs[1:]:
+        p *= zz
+        p += coeff
+    p *= 2.0 * den
+    p += 1.0 / math.sqrt(math.pi)
+    p *= den
+    return p
+
+
 def _pulse_cdf(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
     """integral of |a_in|**2 from -infinity to t."""
     s = (t - pulse.center) / pulse.duration
     if pulse.shape is PulseShape.GAUSSIAN:
-        from scipy.special import erfc
-        return 0.5 * erfc(-s)
+        # 0.5 erfc(|s|), with erfc(x) = exp(-x**2) w(i x) for x >= 0
+        x = np.abs(s)
+        tail = 0.5 * np.exp(-x * x) * _faddeeva(1j * x).real
+        return np.where(s < 0, tail, 1.0 - tail)
     if pulse.shape is PulseShape.RISING_EXPONENTIAL:
         return np.exp(2.0 * np.minimum(s, 0.0))
     return -np.expm1(-2.0 * np.maximum(s, 0.0))
@@ -702,7 +674,6 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
     for lo in range(0, t.size, _BLOCK // 2):
         tt = t[None, lo:lo + _BLOCK // 2]
         if pulse.shape is PulseShape.GAUSSIAN:
-            from scipy.special import wofz
             beta = lam_c + 1j * om
             root = sd * math.sqrt(2.0)
             u0, u1 = t0 - c, tt - c
@@ -715,7 +686,8 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
             # ends, so that term survives only where the ends differ in sign
             sg0 = np.where(w0.real < 0, -1.0, 1.0)
             sg1 = np.where(w1.real < 0, -1.0, 1.0)
-            blk = sg0 * e0 * wofz(1j * sg0 * w0) - sg1 * e1 * wofz(1j * sg1 * w1)
+            blk = (sg0 * e0 * _faddeeva(1j * sg0 * w0)
+                   - sg1 * e1 * _faddeeva(1j * sg1 * w1))
             rows, cols = np.nonzero((sg0 < 0) & (sg1 > 0))
             if rows.size:
                 blk[rows, cols] += 2.0 * np.exp(
@@ -1033,6 +1005,57 @@ class EchoResult:
     retrieval_trace: SimulationTrace | None = None
 
 
+#: golden-section bracket, in pulse durations, at which the fidelity search
+#: stops: a delay 1e-6 durations off the peak loses about 1e-12 of overlap
+_DELAY_TOL = 1e-6
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
+                  lo: float, hi: float) -> float:
+    """Largest normalized overlap of a_out with the conjugated pulse
+    mirrored at a delay in [lo, hi], by the trapezoid rule on t_out.
+
+    The carrier phase of the mirrored pulse factors out of the modulus,
+    so only its envelope is evaluated.  The delays halfway between the
+    samples, shifted by the pulse center, are evaluated in one call: an
+    exponential pulse's edge crosses a sample only between two of them,
+    so its overlap is constant around each and no peak is missed.  Golden
+    section then refines the bracket around the best delay, where the
+    overlap of a smooth pulse peaks.
+    """
+    h = np.diff(t_out)
+    weights = 0.5 * (np.concatenate((h, [0.0])) + np.concatenate(([0.0], h)))
+    out_norm = float(np.abs(a_out) ** 2 @ weights)
+    if not out_norm > 0:
+        return 0.0
+    carried = weights * a_out * np.exp(1j * pulse.carrier_detuning * t_out)
+
+    def overlap(delays: np.ndarray) -> np.ndarray:
+        env = pulse.envelope(delays[:, None] - t_out)
+        num = np.abs(env @ carried) ** 2
+        den = (env * env) @ weights * out_norm
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+    mids = pulse.center + 0.5 * (t_out[:-1] + t_out[1:])
+    delays = np.concatenate(([lo], mids[(mids > lo) & (mids < hi)], [hi]))
+    values = overlap(delays)
+    k = int(np.argmax(values))
+    a, b = delays[max(k - 1, 0)], delays[min(k + 1, delays.size - 1)]
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = overlap(np.array([x1, x2]))
+    while b - a > _DELAY_TOL * pulse.duration:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = overlap(np.array([x1]))[0]
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = overlap(np.array([x2]))[0]
+    return float(max(values[k], f1, f2))
+
+
 def run_echo_cycle(
     p_store: SystemParams,
     p_read: SystemParams,
@@ -1082,23 +1105,8 @@ def run_echo_cycle(
     sel = slice(i_lo, i_hi + 1)
     t_out = retrieval.times[sel]
     a_out = retrieval.alpha_out[sel]
-    out_norm = float(np.trapezoid(np.abs(a_out) ** 2, t_out))
-
-    def neg_overlap(t_mirror: float) -> float:
-        ref = np.conj(pulse.amplitude(t_mirror - t_out))
-        num = abs(np.trapezoid(np.conj(ref) * a_out, t_out)) ** 2
-        den = float(np.trapezoid(np.abs(ref) ** 2, t_out)) * out_norm
-        return -num / den if den > 0 else 0.0
-
-    if out_norm > 0:
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(neg_overlap, bounds=(echo_center - 2.0 * dt,
-                                                   echo_center + 2.0 * dt),
-                              method="bounded",
-                              options={"xatol": 1e-4 * dt})
-        fidelity = float(-res.fun)
-    else:
-        fidelity = 0.0
+    fidelity = _best_overlap(pulse, t_out, a_out, echo_center - 2.0 * dt,
+                             echo_center + 2.0 * dt)
 
     return EchoResult(
         echo_probability=echo_probability,
@@ -1170,48 +1178,47 @@ class ProbeResult(NamedTuple):
     cavity2_over_cavity1: complex
 
 
+#: node spacings around the probe detuning that the homogeneous width
+#: 1/T2 must span for the discrete line to stand for the continuous one
+_PROBE_RESOLUTION = 2.0
+
+
 def transfer_function_probe(
     p: SystemParams,
     delta: float,
     *,
     n_sim: int = 801,
     span: float | None = None,
-    solver_tol: float = 1e-9,
-    hold: float = 140.0,
 ) -> ProbeResult:
     """Steady-state response ratios under a CW drive at detuning delta.
 
-    Ramps a constant drive on smoothly, lets every pole settle, and reads
-    the complex ratios a1/a_in and a2/a1.  Raises when the two late-time
-    checkpoints disagree, which means the hold was too short.
+    The steady state y = -(A + i*delta)**-1 B of the driven equations is
+    one O(n) solve through the arrowhead: each mode follows cavity 2 as
+    b_j = -i*g_j*a2 / (-i*delta - D_j), the control atom follows cavity 1,
+    so a2/a1 = -i*f2 / (S - i*delta) with S = sum_j g_j**2 / (-i*delta - D_j)
+    and a1/a_in = sqrt(kappa) / (kappa/2 - i*delta
+    + g1**2/(gamma/2 + i*(delta_c - delta)) + f2**2/(S - i*delta)).
+
+    A line of discrete modes has the steady state of the continuous line
+    only when the homogeneous width 1/T2 spans a few node spacings around
+    delta; a narrower line, T2 = inf included, is refused.
     """
+    _check_coupled(p)
     ens = ensemble_for_params(p, n_sim=n_sim, span=span)
-    w = 6.0 / p.kappa
-    t_ramp = 5.0 * w
-    t_end = t_ramp + hold / p.kappa
-
-    def drive(t: float) -> complex:
-        return 0.5 * (1.0 + math.tanh((t - t_ramp) / w)) * np.exp(-1j * delta * t)
-
-    t_a = t_end - 25.0 / p.kappa
-    trace = _integrate(p, ens, drive, (0.0, t_end),
-                       y0_modes=np.zeros(ens.n, dtype=complex),
-                       y0_fields=(0.0, 0.0, 0.0),
-                       solver_tol=solver_tol, output_dt=None,
-                       extra_eval=(t_a,), kind="probe", ledger_check=False)
-    idx_a = int(np.searchsorted(trace.times, t_a))
-    ratios = []
-    for idx in (idx_a, len(trace.times) - 1):
-        ain = trace.alpha_in[idx]
-        a1 = trace.cavity1[idx]
-        r1 = a1 / ain
-        r21 = trace.cavity2[idx] / a1 if abs(a1) > 0 else 0.0j
-        ratios.append((complex(r1), complex(r21)))
-    (r1a, r21a), (r1b, r21b) = ratios
-    if abs(r1a - r1b) > 1e-3 * max(abs(r1b), 1e-12):
-        raise IntegrationError(
-            f"probe did not reach steady state: a1/a_in moved {r1a} -> {r1b}")
-    if abs(r21a - r21b) > 1e-3 * max(abs(r21b), 1e-12):
-        raise IntegrationError(
-            f"probe did not reach steady state: a2/a1 moved {r21a} -> {r21b}")
-    return ProbeResult(cavity1_over_input=r1b, cavity2_over_cavity1=r21b)
+    inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
+    det = ens.detunings
+    i = min(max(int(np.searchsorted(det, delta)), 1), det.size - 1)
+    spacing = det[i] - det[i - 1]
+    if not inv_t2 >= _PROBE_RESOLUTION * spacing:
+        raise ParameterError(
+            f"a CW steady state needs 1/T2 >= {_PROBE_RESOLUTION:g} node "
+            f"spacings ({_PROBE_RESOLUTION * spacing:.3e}) around delta = "
+            f"{delta}, got 1/T2 = {inv_t2:.3e}")
+    s_ens = np.sum(p.collective_coupling * ens.weights
+                   / (1j * (det - delta) + inv_t2))
+    cavity2 = -1j * p.f2 / (s_ens - 1j * delta)
+    atom = p.g1 ** 2 / (1j * (p.delta_c - delta) + 0.5 * p.gamma)
+    cavity1 = math.sqrt(p.kappa) / (0.5 * p.kappa - 1j * delta + atom
+                                    + 1j * p.f2 * cavity2)
+    return ProbeResult(cavity1_over_input=complex(cavity1),
+                       cavity2_over_cavity1=complex(cavity2))

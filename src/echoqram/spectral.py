@@ -7,10 +7,7 @@ same units as kappa.  The broadened ensemble enters through
     Gt(delta)   = integral dnu G(nu) / (eps + i*(nu - delta)),  eps -> 0+
 
 For the Lorentzian the response integral has the closed form
-Gt(delta) = 1 / (delta_in - i*delta); `broadened_response_quadrature`
-keeps the defining integral available as a numerical cross-check.  It
-is the only user of scipy here and imports quad itself, so that importing
-this module loads no scipy; keep that import local.
+Gt(delta) = 1 / (delta_in - i*delta).
 
 The storage transfer function of an input photon component at detuning
 delta into the ensemble coherence is
@@ -26,7 +23,6 @@ eps(delta) = 2*pi*N*kappa*(g2/f2)**2 * G(delta) * |F(delta)|**2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,47 +54,6 @@ def broadened_response(delta, delta_in: float):
     delta = np.asarray(delta, dtype=float)
     out = 1.0 / (delta_in - 1j * delta)
     return out if out.ndim else complex(out)
-
-
-def broadened_response_quadrature(
-    delta: float, delta_in: float, epsilon: float = 1e-6
-) -> complex:
-    """Direct numerical quadrature of the defining response integral.
-
-    Diagnostics route only: slow, scalar, used to validate the closed form.
-    The regulator epsilon must stay small against delta_in; the integrand
-    develops a peak of width epsilon at nu = delta, so that neighborhood
-    is integrated on its own panel.
-    """
-    if delta_in <= 0:
-        raise ParameterError(f"delta_in must be positive, got {delta_in}")
-    if not (0 < epsilon < delta_in):
-        raise ParameterError("epsilon must satisfy 0 < epsilon < delta_in")
-    from scipy.integrate import quad, IntegrationWarning
-
-    def integrand_re(nu):
-        g = delta_in / (math.pi * (nu * nu + delta_in * delta_in))
-        return g * epsilon / (epsilon ** 2 + (nu - delta) ** 2)
-
-    def integrand_im(nu):
-        g = delta_in / (math.pi * (nu * nu + delta_in * delta_in))
-        return -g * (nu - delta) / (epsilon ** 2 + (nu - delta) ** 2)
-
-    span = 2e3 * delta_in + 10 * abs(delta)
-    w = min(1e5 * epsilon, 0.3 * delta_in)
-    edges = sorted({-span, delta - w, delta + w, span})
-    peak_pts = [delta - 10 * epsilon, delta, delta + 10 * epsilon]
-    re = im = 0.0
-    with warnings.catch_warnings():
-        # far panels converge like 1/nu**2 and trip quad's heuristic
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(edges[:-1], edges[1:]):
-            pts = [x for x in peak_pts if a < x < b] or None
-            r, _ = quad(integrand_re, a, b, points=pts, limit=800)
-            i, _ = quad(integrand_im, a, b, points=pts, limit=800)
-            re += r
-            im += i
-    return complex(re, im)
 
 
 def _atom_term(delta, p: SystemParams):

@@ -665,46 +665,51 @@ class TestArtifacts:
 
 
 class TestImportLayering:
-    """scipy loads on first use: only the dynamics stages that call it pay.
+    """The package runs on numpy alone: every subcommand completes in a
+    fresh interpreter where scipy cannot be imported, and loads none of it.
 
-    Each case runs in a fresh interpreter; two at a time keep the class
-    under three seconds.
+    Two cases at a time keep the class under three seconds.
     """
 
-    # case: (subcommand or None for a bare import, committed config or None
-    # for the small TestBoundary.ECHO, scipy modules that must be loaded,
-    # scipy packages that must not be, submodules included)
+    SWEEP = dict(scenario="sweep", params=MATCHED, pulse={"duration": 5.0},
+                 tau=25.0, n_sim=64,
+                 sweep={"parameter": "tau", "values": [25.0, 30.0]})
+
+    # case: (subcommand or None for a bare import, committed config name or
+    # a config document)
     CASES = {
-        "import": (None, None, set(), {"scipy"}),
-        "check-matching": ("check-matching", "check_matching.json", set(),
-                           {"scipy"}),
-        "spectra": ("spectra", "spectra_matched_c10.json", set(), {"scipy"}),
-        "address": ("address", "address_m4.json", set(), {"scipy"}),
-        "store": ("store", "store_gaussian.json", {"scipy.special"},
-                  {"scipy.optimize", "scipy.integrate"}),
-        "echo": ("echo", None, set(), {"scipy.integrate"}),
+        "import": (None, None),
+        "check-matching": ("check-matching", "check_matching.json"),
+        "spectra": ("spectra", "spectra_matched_c10.json"),
+        "address": ("address", "address_m4.json"),
+        "store": ("store", "store_gaussian.json"),
+        "echo": ("echo", TestBoundary.ECHO),
+        "blockade": ("blockade", "blockade_c30.json"),
+        "sweep": ("sweep", SWEEP),
     }
 
     SCRIPT = (
         "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from echoqram import cli\n"
         "if len(sys.argv) > 1:\n"
         "    assert cli.main(sys.argv[1:]) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+        "print(json.dumps(sorted(m for m, mod in sys.modules.items()\n"
+        "                        if mod is not None and\n"
+        "                        (m == 'scipy' or m.startswith('scipy.')))))\n"
     )
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("layering")
-        echo_cfg = write(tmp, "echo.json", cfg_text(**TestBoundary.ECHO))
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
 
         def run(case):
-            command, config, _, _ = self.CASES[case]
+            command, config = self.CASES[case]
             argv = []
             if command is not None:
-                cfg = CONFIG_DIR / config if config is not None else echo_cfg
+                cfg = (CONFIG_DIR / config if isinstance(config, str)
+                       else write(tmp, f"{case}.json", cfg_text(**config)))
                 argv = [command, "--config", str(cfg),
                         "--out", str(tmp / f"{case}.out")]
             return subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
@@ -716,10 +721,6 @@ class TestImportLayering:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_scipy_modules_loaded(self, runs, case):
-        _, _, required, forbidden = self.CASES[case]
         run = runs[case]
         assert run.returncode == 0, run.stderr
-        loaded = set(json.loads(run.stdout.splitlines()[-1]))
-        assert required <= loaded
-        assert not {m for m in loaded for f in forbidden
-                    if m == f or m.startswith(f + ".")}
+        assert json.loads(run.stdout.splitlines()[-1]) == []

@@ -1,12 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc, wofz
 
 from echoqram import dynamics
-from echoqram.cli import main
+from echoqram.cli import main, parse_scenario_config
 from echoqram.params import (ParameterError, params_digest,
                              solve_matched_params)
 from echoqram.dynamics import (AtomEnsemble, DiscretizationScheme,
@@ -17,6 +19,9 @@ from echoqram.dynamics import (AtomEnsemble, DiscretizationScheme,
                                run_echo_cycle, transfer_function_probe)
 from echoqram.spectral import (blockade_reflection, broadened_response,
                                spectral_efficiency, storage_transfer)
+from oracles import integrate
+
+REPO = Path(__file__).resolve().parents[1]
 
 ALL_SHAPES = [PulseShape.GAUSSIAN, PulseShape.RISING_EXPONENTIAL,
               PulseShape.DECAYING_EXPONENTIAL]
@@ -306,25 +311,121 @@ class TestBlockadePhase:
 
 
 class TestProbe:
+    """The CW steady state needs a homogeneous width 1/T2 that spans the
+    node spacing of the 801-node line; T2 = 100 widens the line by 2 %,
+    which the closed forms take as delta_in + 1/T2."""
+
+    T2 = 100.0
+
     def test_matched_response(self, matched):
         delta = 0.3
-        got = transfer_function_probe(matched, delta)
-        r1 = (blockade_reflection(delta, matched) + 1.0) \
-            / math.sqrt(matched.kappa)
-        r21 = matched.f2 / (delta + 1j * matched.collective_coupling
-                            * broadened_response(delta, matched.delta_in))
+        p = matched.with_(t2=self.T2)
+        line = p.with_(delta_in=p.delta_in + 1.0 / self.T2)
+        got = transfer_function_probe(p, delta)
+        r1 = (blockade_reflection(delta, line) + 1.0) / math.sqrt(p.kappa)
+        r21 = p.f2 / (delta + 1j * p.collective_coupling
+                      * broadened_response(delta, line.delta_in))
         assert got.cavity1_over_input == pytest.approx(r1, rel=1e-3)
         assert got.cavity2_over_cavity1 == pytest.approx(r21, rel=1e-3)
 
     def test_blockaded_response(self, blockade30):
-        got = transfer_function_probe(blockade30, 0.0)
+        got = transfer_function_probe(blockade30.with_(t2=self.T2), 0.0)
         # the bounce leaves 1/(1+2C) of the drive inside the input cavity
         assert abs(got.cavity1_over_input) == pytest.approx(
             1.0 / 61.0, rel=1e-3)
 
-    def test_detects_unconverged_hold(self, matched):
-        with pytest.raises(IntegrationError):
-            transfer_function_probe(matched, 0.3, hold=5.0)
+    def test_matches_ramped_dop853(self):
+        # a CW drive ramped on smoothly, integrated until every pole of the
+        # 64-node line has settled, reads the steady-state ratios
+        p = solve_matched_params(1.0, 0.0, t2=10.0)
+        delta, width, t_ramp = 0.3, 6.0, 30.0
+        ens = ensemble_for_params(p, n_sim=64)
+
+        def drive(t):
+            return 0.5 * (1.0 + math.tanh((t - t_ramp) / width)) \
+                * np.exp(-1j * delta * t)
+
+        ref = integrate(p, ens, drive, (0.0, 250.0), np.zeros(ens.n, complex),
+                        (0, 0, 0), 1e-11, 1.0, kind="probe")
+        got = transfer_function_probe(p, delta, n_sim=64)
+        assert got.cavity1_over_input == pytest.approx(
+            ref.cavity1[-1] / ref.alpha_in[-1], rel=1e-6)
+        assert got.cavity2_over_cavity1 == pytest.approx(
+            ref.cavity2[-1] / ref.cavity1[-1], rel=1e-6)
+
+    @pytest.mark.parametrize("t2", [math.inf, 1e3])
+    def test_refuses_unresolved_line(self, matched, t2):
+        # a line narrower than its node spacing has a comb of lossless
+        # resonances for a steady state, not the continuous line's
+        with pytest.raises(ParameterError, match="node spacings"):
+            transfer_function_probe(matched.with_(t2=t2), 0.3)
+
+
+class TestFaddeeva:
+    """The numpy Faddeeva series and the Gaussian CDF against scipy."""
+
+    def test_against_wofz(self):
+        rng = np.random.default_rng(3)
+        r = 10.0 ** rng.uniform(-6.0, 6.0, 20000)
+        z = r * np.exp(1j * rng.uniform(0.0, math.pi, r.size))
+        axis = 10.0 ** np.linspace(-6.0, 6.0, 601)
+        z = np.concatenate([z, axis, -axis, 1j * axis, [0.0]])
+        ref = wofz(z)
+        assert np.max(np.abs(dynamics._faddeeva(z) - ref) / np.abs(ref)) \
+            <= 1e-13
+
+    def test_gaussian_cdf_against_erfc(self):
+        s = np.concatenate([np.linspace(-27.0, 27.0, 5401),
+                            np.random.default_rng(4).uniform(-27.0, 27.0, 5000)])
+        pulse = PulseSpec(duration=2.0, center=1.0)
+        ref = 0.5 * erfc(-s)
+        kept = ref > 1e-300
+        got = dynamics._pulse_cdf(pulse, pulse.center + pulse.duration * s)
+        assert np.max(np.abs(got - ref)[kept] / ref[kept]) <= 1e-13
+
+
+def overlaps(pulse, t, a_out, delays):
+    """The fidelity objective: normalized trapezoid overlap of a_out with
+    the conjugated pulse mirrored at each delay."""
+    ref = np.conj(pulse.amplitude(np.asarray(delays)[:, None] - t))
+    num = np.abs(np.trapezoid(np.conj(ref) * a_out, t, axis=1)) ** 2
+    return num / (np.trapezoid(np.abs(ref) ** 2, t, axis=1)
+                  * np.trapezoid(np.abs(a_out) ** 2, t))
+
+
+class TestFidelitySearch:
+    @pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN,
+                                       PulseShape.DECAYING_EXPONENTIAL])
+    def test_two_peaks_returns_the_higher(self, shape):
+        # the lower peak sits where a bounded Brent search starts, seven
+        # durations from the higher one; an exponential's overlap is a
+        # staircase in the delay, one step per sample
+        pulse = PulseSpec(shape=shape, duration=0.3)
+        t = np.linspace(-4.0, 4.0, 1601)
+        lo, hi = -2.0, 2.0
+        low, high = lo + 0.38 * (hi - lo), 1.6
+        a_out = 0.8 * np.conj(pulse.amplitude(low - t)) \
+            + np.conj(pulse.amplitude(high - t))
+        got = dynamics._best_overlap(pulse, t, a_out, lo, hi)
+        delays = np.linspace(lo, hi, 4001)
+        grid = overlaps(pulse, t, a_out, delays)
+        near_low = np.abs(delays - low) < 0.3
+        near_high = np.abs(delays - high) < 0.3
+        assert np.max(grid[near_high]) > np.max(grid[near_low])
+        assert got >= np.max(grid[near_high]) - 1e-12
+        assert got < np.max(grid[near_high]) + 1e-3
+
+    def test_echo_config_beats_fine_grid(self):
+        cfg = parse_scenario_config(
+            (REPO / "configs" / "echo_matched.json").read_text())
+        p, pulse = cfg.params, cfg.pulse
+        ens = ensemble_for_params(p, n_sim=128)
+        echo = run_echo_cycle(p, p, ens, pulse, cfg.tau, keep_traces=False)
+        center = pulse.center + 2.0 * cfg.tau
+        delays = np.linspace(center - 2.0 * pulse.duration,
+                             center + 2.0 * pulse.duration, 4001)
+        grid = overlaps(pulse, echo.output_times, echo.output_waveform, delays)
+        assert echo.fidelity_time_reversed >= np.max(grid) - 1e-12
 
 
 class TestTraceExport:
@@ -396,15 +497,15 @@ class TestModalPropagator:
                     store_ensemble=True):
             if output_dt is None:
                 output_dt = min(pl.duration / 30.0, (span[1] - span[0]) / 400.0)
-            return dynamics._integrate(p, e, pl.amplitude, span,
-                                       np.zeros(e.n, complex), (0, 0, 0),
-                                       tol, output_dt)
+            return integrate(p, e, pl.amplitude, span,
+                             np.zeros(e.n, complex), (0, 0, 0), tol,
+                             output_dt)
 
         def retrieval(p, e, span, solver_tol=1e-9, *, output_dt=None,
                       extra_eval=(), store_ensemble=True):
-            return dynamics._integrate(p, e, None, span, e.coherences.copy(),
-                                       (0, 0, 0), tol, output_dt,
-                                       extra_eval=extra_eval, kind="retrieval")
+            return integrate(p, e, None, span, e.coherences.copy(),
+                             (0, 0, 0), tol, output_dt,
+                             extra_eval=extra_eval, kind="retrieval")
 
         with monkeypatch.context() as m:
             m.setattr(dynamics, "integrate_storage", storage)
@@ -449,9 +550,9 @@ class TestModalPropagator:
         pulse = PulseSpec(shape=shape, duration=10.0)
         span = (-60.0, 60.0)
         got = integrate_storage(blockade30, ens, pulse, span)
-        ref = dynamics._integrate(blockade30, ens, pulse.amplitude, span,
-                                  np.zeros(ens.n, complex), (0, 0, 0), 1e-10,
-                                  (span[1] - span[0]) / 400.0)
+        ref = integrate(blockade30, ens, pulse.amplitude, span,
+                        np.zeros(ens.n, complex), (0, 0, 0), 1e-10,
+                        (span[1] - span[0]) / 400.0)
         assert got.max_ledger_residual < 1e-10
         assert np.array_equal(got.times, ref.times)
         assert got.ensemble.probability == pytest.approx(

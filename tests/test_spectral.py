@@ -13,12 +13,12 @@ from echoqram.params import (ParameterError, params_digest,
                              solve_matched_params)
 from echoqram.spectral import (ComplexSpectrum, FrequencyGrid, SpectrumKind,
                                blockade_reflection, blockade_response_factor,
-                               broadened_response,
-                               broadened_response_quadrature, echo_spectrum,
+                               broadened_response, echo_spectrum,
                                echo_probability_narrowband,
                                lorentzian_lineshape, matched_window,
                                resonant_efficiency, spectral_efficiency,
                                storage_transfer)
+from oracles import broadened_response_quadrature
 
 
 def photon(grid, duration):
