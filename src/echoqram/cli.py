@@ -621,7 +621,8 @@ def _run_store(cfg: ScenarioConfig) -> _Artifact:
                           pulse.center + 6.0 * pulse.duration)
     ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span,
                               scheme=cfg.scheme)
-    trace = integrate_storage(p, ens, pulse, span, cfg.solver_tol)
+    trace = integrate_storage(p, ens, pulse, span, cfg.solver_tol,
+                              store_ensemble=False)
     fields = {"alpha_in": trace.alpha_in, "alpha_out": trace.alpha_out,
               "cavity1": trace.cavity1, "control": trace.control,
               "cavity2": trace.cavity2}

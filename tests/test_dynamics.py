@@ -280,6 +280,19 @@ class TestEchoCycle:
             run_echo_cycle(matched, matched, ens, PulseSpec(duration=10.0),
                            20.0)
 
+    @pytest.mark.parametrize("center", [-40.0, 25.0, 100.0])
+    def test_fidelity_follows_pulse_center(self, matched, center):
+        # the mirrored pulse lines up with the echo at 2*center + 2*tau, so
+        # moving the pulse moves nothing but the time axis
+        p = matched.with_(t2=1e4)
+        ens = ensemble_for_params(p, n_sim=401)
+
+        def fidelity(c):
+            return run_echo_cycle(p, p, ens, PulseSpec(duration=10.0, center=c),
+                                  50.0, keep_traces=False).fidelity_time_reversed
+
+        assert fidelity(center) == pytest.approx(fidelity(0.0), abs=1e-9)
+
 
 class TestBlockadePhase:
     def test_pi_phase_and_magnitude(self, blockade_cycle, blockade30):
@@ -382,6 +395,59 @@ class TestFaddeeva:
         kept = ref > 1e-300
         got = dynamics._pulse_cdf(pulse, pulse.center + pulse.duration * s)
         assert np.max(np.abs(got - ref)[kept] / ref[kept]) <= 1e-13
+
+
+class TestKernels:
+    """The propagation kernels against direct dense evaluations."""
+
+    @pytest.mark.parametrize("extra", [(), (-6.789, 4.321), (-9.99, -9.5)])
+    def test_propagator_matches_exp(self, blockade30, extra):
+        # extra samples off the uniform grid, in a later block and in the
+        # first, whose offsets the other blocks are compared against.  Both
+        # sides round the phase lam*(t - t0) to about 2e-16 of its size,
+        # which this grid keeps below 200
+        p = blockade30.with_(t2=100.0)
+        basis = dynamics._modal_basis(
+            p, ensemble_for_params(p, n_sim=64, span=10.0))
+        times = dynamics._output_times((-10.0, 10.0), 0.02, extra)
+        amp = [1.0, 1j] @ np.random.default_rng(5).normal(size=(2, basis.lam.size))
+        got = dynamics._propagator(basis.lam, amp, times, times[0])
+        ref = amp[:, None] * np.exp(np.multiply.outer(basis.lam, times - times[0]))
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_gaussian_storage_over_long_span(self, matched):
+        # the reflected term of the drive integral splits into per-mode
+        # and per-time factors that overflow here: exp(sd**2 Re(lam)**2 / 2)
+        # reaches exp(1250) for the modes T2 = 2 damps; the term is <= 2
+        sd, c = 100.0, 20.0
+        p = matched.with_(t2=2.0)
+        ens = ensemble_for_params(p, n_sim=64)
+        trace = integrate_storage(p, ens, PulseSpec(duration=sd, center=c),
+                                  (c - 6.0 * sd, c + 300.0 * sd),
+                                  store_ensemble=False)
+        for name in ("cavity1", "control", "cavity2", "p_ensemble",
+                     "out_flux_integral"):
+            assert np.all(np.isfinite(getattr(trace, name))), name
+        assert trace.max_ledger_residual < 1e-10
+
+    def test_gram_losses_match_dense_reference(self, blockade30):
+        p = blockade30.with_(t2=100.0)
+        basis = dynamics._modal_basis(p, ensemble_for_params(p, n_sim=64))
+        lam = basis.lam
+        times = np.linspace(0.0, 40.0, 301)
+        c0 = [1.0, 1j] @ np.random.default_rng(6).normal(size=(2, lam.size))
+        c = c0[:, None] * np.exp(np.multiply.outer(lam, times))
+        got = dynamics._gram_losses(basis, c, p, 1.0 / p.t2)
+        # dense per-channel weights, the ensemble one summed over its nodes
+        v_ens = basis.ensemble_rows(0, basis.g.size)
+        weights = [p.kappa * np.outer(np.conj(basis.a1), basis.a1),
+                   p.gamma * np.outer(np.conj(basis.bc), basis.bc),
+                   2.0 / p.t2 * (np.conj(v_ens).T @ v_ens)]
+        kernel = 1.0 / np.add.outer(np.conj(lam), lam)
+        for w, loss in zip(weights, got):
+            phi = np.einsum("ks,kl,ls->s", np.conj(c), w * kernel, c).real
+            ref = phi - phi[0]
+            assert np.max(np.abs(loss - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def overlaps(pulse, t, a_out, delays):
