@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -793,6 +792,9 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
     # more processes than points or cores only cost start-up and memory
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the process pool machinery costs every other
+        # command 20-25 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_sweep_point, tasks))
     else:

@@ -26,15 +26,17 @@ eigenvalues are the roots of a secular equation, found by Aberth
 iteration in O(n**2) operations, and its eigenvectors have closed
 Cauchy forms; nodes that share a detuning are merged first.  One basis
 serves every call on the same (parameters, grid), so storage and
-retrieval share it on a mirrored grid.  The drive enters through closed
-forms of each mode's convolution with the pulse (the Faddeeva function
-for the Gaussian, evaluated by Weideman's rational series).  Each mode's
-free evolution at the samples is a complex exp per block of samples
-times a table of in-block offset factors that every regular block
-shares, so a cycle costs its matrix products (node populations at every
-sample, the Gram forms of the loss ledger), one Faddeeva value per mode
-and sample under a Gaussian drive, and little else.  No array grows as
-the square of the mode count.
+retrieval share it on a mirrored grid.  The drive enters through each
+mode's convolution with the pulse, one exponential-quadrature recurrence
+for every pulse shape: per output step the mode decays by exp(lam h) and
+gains weights, exact in its exponential, times the envelope at eight
+Gauss nodes; the weights are formed once per distinct step length.
+Each mode's free evolution at the samples is a complex exp per block of
+samples times a table of in-block offset factors that every regular
+block shares.  So a cycle costs its matrix products (node populations at
+every sample, the Gram forms of the loss ledger), one O(n) drive update
+per storage sample, and little else.  No array grows as the square of
+the mode count.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
@@ -323,6 +325,11 @@ def _check_tol(solver_tol: float) -> None:
         raise ParameterError(f"solver_tol must be in (0, 1e-8], got {solver_tol}")
 
 
+#: relative rounding within which a step count is whole and an extra time
+#: replaces its grid point: the grid keeps one step and every extra time
+_GRID_SNAP = 1e-9
+
+
 def _output_times(t_span: tuple[float, float], output_dt: float | None,
                   extra_eval: tuple[float, ...]) -> np.ndarray:
     """Uniform output grid over the span plus the requested extra times."""
@@ -331,12 +338,20 @@ def _output_times(t_span: tuple[float, float], output_dt: float | None,
         raise ParameterError(f"empty integration span {t_span}")
     if output_dt is None:
         output_dt = (t1 - t0) / 600.0
-    m = max(2, int(math.ceil((t1 - t0) / output_dt)) + 1)
-    t_eval = np.linspace(t0, t1, m)
+    if not (output_dt > 0 and math.isfinite(output_dt)):
+        raise ParameterError(f"output_dt must be positive and finite, got {output_dt}")
+    ratio = (t1 - t0) / output_dt
+    whole = abs(ratio - round(ratio)) <= _GRID_SNAP * ratio
+    t_eval = np.linspace(t0, t1, (round(ratio) if whole else math.ceil(ratio)) + 1)
     if extra_eval:
-        t_eval = np.unique(np.concatenate([t_eval, np.asarray(extra_eval, dtype=float)]))
-        if t_eval[0] < t0 or t_eval[-1] > t1:
+        extra = np.asarray(extra_eval, dtype=float)
+        if not np.all((extra >= t0) & (extra <= t1)):
             raise ParameterError("extra evaluation times fall outside the span")
+        step = t_eval[1] - t_eval[0]
+        near = np.rint((extra - t0) / step).astype(int)
+        snap = np.abs(t_eval[near] - extra) <= _GRID_SNAP * step
+        t_eval[near[snap]] = extra[snap]
+        t_eval = np.unique(np.concatenate([t_eval, extra[~snap]]))
     return t_eval
 
 
@@ -640,139 +655,123 @@ def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray,
     return out
 
 
-#: terms of the Faddeeva series; N = 36 holds double precision (largest
-#: relative error 1.9e-14 against scipy's wofz on 2e5 points with |z| in
-#: [1e-3, 1e3]; N = 40 gave 2.1e-14)
-_W_TERMS = 36
+#: Gauss nodes theta_q per drive step of at most _DRIVE_STEP durations
+_DRIVE_NODES = 8
+_DRIVE_STEP = 1.0 / 30.0
+#: a drive weight is closed form from |mu h| = _DRIVE_SPLIT up, else a
+#: _DRIVE_RULE-point Gauss rule; both within 6e-15 of sum |W| there
+_DRIVE_SPLIT = 12.0
+_DRIVE_RULE = 32
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on (0, 1) by Newton's method
+    on the Legendre recurrence: no LAPACK code is paged in for this alone."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
 
 
 @functools.cache
-def _faddeeva_coefficients() -> tuple[float, np.ndarray]:
-    """Scale L and twice the series coefficients, highest power first, of
-    Weideman's rational approximation of w (SIAM J. Numer. Anal. 31,
-    1994): the discrete Fourier coefficients 1..N of exp(-t**2)
-    (L**2 + t**2) on the 4N points t = L tan(pi j / 4N).
-
-    Computed on first use and summed directly rather than through
-    numpy.fft, so that commands without a Gaussian drive pay nothing.
-    """
-    n = _W_TERMS
-    m = 2 * n
-    scale = math.sqrt(n / math.sqrt(2.0))
-    j = np.arange(-m, m)
-    t = scale * np.tan(0.5 * np.pi * j[1:] / m)
-    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
-    a = np.cos(np.pi * np.outer(np.arange(n, 0, -1), j) / m) @ f / m
-    a.flags.writeable = False   # every caller shares it
-    return scale, a
+def _drive_rule() -> tuple[np.ndarray, ...]:
+    """theta_q; their Lagrange basis l_q times the fine rule's weights at
+    its points 1 - x; l_q^(k)(0) and l_q^(k)(1) for k < P, from powers of
+    x - 0 and x - 1, in which the roots have one sign and nothing cancels."""
+    theta = _gauss_legendre(_DRIVE_NODES)[0]
+    x, w = _gauss_legendre(_DRIVE_RULE)
+    values = np.empty((x.size, _DRIVE_NODES))
+    ends = np.empty((2, _DRIVE_NODES, _DRIVE_NODES))
+    factorials = np.cumprod(np.concatenate(([1.0], np.arange(1.0, _DRIVE_NODES))))
+    for q in range(_DRIVE_NODES):
+        others = np.delete(theta, q)
+        scale = np.prod(theta[q] - others)
+        values[:, q] = w * np.prod(x[:, None] - others, axis=1) / scale
+        for i, e in enumerate((0.0, 1.0)):
+            ends[i, :, q] = factorials * np.poly(others - e)[::-1] / scale
+    return theta, 1.0 - x, values, ends[0], ends[1]
 
 
-def _faddeeva(z: np.ndarray) -> np.ndarray:
-    """Faddeeva function w(z) = exp(-z**2) erfc(-i z) for Im z >= 0.
-
-    Weideman's series in Z = (L + i z)/(L - i z) = 2L/(L - i z) - 1,
-    summed by Horner with the doubled coefficients q = 2 p:
-    w = (q(Z)/(L - i z) + 1/sqrt(pi)) / (L - i z), relative error near
-    1e-14 over the closed upper half plane.
-    """
-    scale, coeffs = _faddeeva_coefficients()
-    # an explicit out keeps a 0-d input an array, so it can be updated in place
-    den = np.multiply(z, -1j, out=np.empty(np.shape(z), dtype=complex))
-    den += scale
-    np.reciprocal(den, out=den)
-    zz = den * (2.0 * scale)
-    zz -= 1.0
-    p = zz * coeffs[0]
-    p += coeffs[1]
-    for coeff in coeffs[2:]:
-        p *= zz
-        p += coeff
-    p *= den
-    p += 1.0 / math.sqrt(math.pi)
-    p *= den
-    return p
+def _drive_weights(mu: np.ndarray, s: float, m: int) -> np.ndarray:
+    """Weights of env(t + (r + theta_q) s), r < m, in the integral over
+    [t, t + m s] of exp(mu_k (t + m s - u)) env(u) du: s times the integral
+    of exp(z (1 - theta)) l_q(theta), z = mu s, by the fine rule for |z| <
+    _DRIVE_SPLIT, else by parts, sum_k<P (exp(z) l_q^(k)(0) - l_q^(k)(1)) /
+    z**(k+1), whose terms stay within 15 times the first; times
+    exp(z (m - 1 - r)) for the sub-intervals that follow."""
+    _, x1, values, d0, d1 = _drive_rule()
+    z = mu * s
+    w = np.empty((z.size, _DRIVE_NODES), dtype=complex)
+    near = np.abs(z) < _DRIVE_SPLIT
+    w[near] = np.exp(np.multiply.outer(z[near], x1)) @ values
+    powers = np.cumprod(np.repeat(1.0 / z[~near, None], _DRIVE_NODES, axis=1), axis=1)
+    w[~near] = np.exp(z[~near, None]) * (powers @ d0) - powers @ d1
+    later = np.exp(np.multiply.outer(z, np.arange(m - 1, -1, -1.0)))
+    return (later[:, :, None] * (s * w)[:, None, :]).reshape(z.size, m * _DRIVE_NODES)
 
 
 def _pulse_cdf(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
     """integral of |a_in|**2 from -infinity to t."""
     s = (t - pulse.center) / pulse.duration
     if pulse.shape is PulseShape.GAUSSIAN:
-        # 0.5 erfc(|s|), with erfc(x) = exp(-x**2) w(i x) for x >= 0
-        x = np.abs(s)
-        tail = 0.5 * np.exp(-x * x) * _faddeeva(1j * x).real
-        return np.where(s < 0, tail, 1.0 - tail)
+        return 0.5 * np.vectorize(math.erfc, otypes=[float])(-s)
     if pulse.shape is PulseShape.RISING_EXPONENTIAL:
         return np.exp(2.0 * np.minimum(s, 0.0))
     return -np.expm1(-2.0 * np.maximum(s, 0.0))
 
 
-def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
-                     t0: float) -> np.ndarray:
-    """I_k(t) = integral from t0 to t of exp(lam_k (t - s)) a_in(s) ds.
+def _drive_integrals(pulse: PulseSpec, lam: np.ndarray,
+                     t: np.ndarray) -> np.ndarray:
+    """I_k(t_j) = integral from t_0 to t_j of exp(lam_k (t_j - s)) a_in(s) ds.
 
-    Gaussian: a completed square turns I into a difference of two
-    erfc values, each written as exp(E) * w(i x) with the Faddeeva
-    function w (Weideman 1994), so no factor overflows.  The t0 end is
-    one w value per mode carried by the propagator, the t end one w value
-    per mode and sample.  Exponential pulses give elementary forms.
-    Filled a block of times at a time.
+    One exponential-quadrature recurrence for every pulse shape
+    (Hochbruck & Ostermann, Acta Numerica 19, 2010),
+    I(t_j+1) = exp(lam h) I(t_j) + carrier(t_j+1) sum W(h) env(nodes); the
+    weights take the carrier detuning into mu = lam + i om, so only the
+    real envelope is interpolated.  Gauss nodes are interior and an
+    exponential pulse's switching instant is a sample, so no step
+    interpolates across the edge.
     """
-    c, sd, om = pulse.center, pulse.duration, pulse.carrier_detuning
-    lam_c = lam[:, None]
-    if pulse.shape is PulseShape.GAUSSIAN:
-        beta = lam + 1j * om
-        root = sd * math.sqrt(2.0)
-        norm = (math.pi * sd * sd) ** -0.25 * sd * math.sqrt(0.5 * math.pi)
-        u0 = t0 - c
-        # exp(E) erfc(x) exp(x**2) = exp(E) w(i x) for Re x >= 0, else
-        # 2 exp(E + x**2) - exp(E) w(-i x); E + x**2 is the same at both
-        # ends, so that term survives only where the ends differ in sign
-        w0 = (u0 + sd * sd * beta) / root
-        sg0 = np.where(w0.real < 0, -1.0, 1.0)
-        out = _propagator(lam, norm * sg0 * _faddeeva(1j * sg0 * w0)
-                          * np.exp(-u0 * u0 / (2.0 * sd * sd) - 1j * om * u0),
-                          t, t0)
-        flip0 = (sg0 < 0)[:, None]
-        # i x at the t end is i sd**2 beta / root + i u / root; the
-        # reflected term's exponent carries its factor 2*norm as a log
-        ix_mode = (1j * sd * sd / root) * beta[:, None]
-        refl_mode = (0.5 * (sd * beta) ** 2 + math.log(2.0 * norm))[:, None]
-        for lo in range(0, t.size, _BLOCK // 2):
-            u1 = t[lo:lo + _BLOCK // 2] - c
-            z = ix_mode + (1j / root) * u1
-            flip = z.imag < 0
-            np.negative(z, out=z, where=flip)
-            f = _faddeeva(z)
-            f *= norm * np.exp(-u1 * u1 / (2.0 * sd * sd) - 1j * om * u1)
-            np.negative(f, out=f, where=flip)
-            blk = out[:, lo:lo + _BLOCK // 2]
-            blk -= f
-            # kept whole: split into per-mode and per-time factors the
-            # exponent overflows for strongly damped modes on long spans,
-            # while the term itself stays <= 2*norm
-            refl = np.multiply.outer(lam, u1)
-            refl += refl_mode
-            mask = flip0 > flip
-            np.exp(refl, out=refl, where=mask)
-            np.add(blk, refl, out=blk, where=mask)
-        return out
-    out = np.empty((lam.size, t.size), dtype=complex)
-    for lo in range(0, t.size, _BLOCK // 2):
-        tt = t[None, lo:lo + _BLOCK // 2]
-        if pulse.shape is PulseShape.RISING_EXPONENTIAL:
-            alpha = 1.0 / sd - 1j * om
-            te = np.minimum(tt, c)
-            blk = -(math.sqrt(2.0 / sd) * np.exp(alpha * (te - c))
-                    * np.expm1((lam_c - alpha) * (te - t0)) / (alpha - lam_c)
-                    * np.exp(lam_c * (tt - te)))
-        else:
-            alpha = -1.0 / sd - 1j * om
-            lag = np.maximum(tt - c, 0.0)
-            x = (alpha - lam_c) * lag
-            with np.errstate(invalid="ignore", divide="ignore"):
-                phi = np.where(x == 0, 1.0, np.expm1(x) / x)
-            blk = math.sqrt(2.0 / sd) * lag * np.exp(lam_c * lag) * phi
-        out[:, lo:lo + _BLOCK // 2] = blk
+    n = lam.size
+    h = np.diff(t)
+    # one group per run of lengths within rounding: its mean keeps the
+    # summed steps on the samples
+    order = np.argsort(h)
+    tol = 16.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    group = np.empty(h.size, dtype=int)
+    group[order] = np.cumsum(np.diff(h[order], prepend=-np.inf) > tol) - 1
+    lengths = np.bincount(group, weights=h) / np.bincount(group)
+    out = np.zeros((n, t.size), dtype=complex)
+    for g, length in enumerate(lengths):
+        m = max(1, math.ceil(length / (_DRIVE_STEP * pulse.duration) - _GRID_SNAP))
+        w = _drive_weights(lam + 1j * pulse.carrier_detuning, length / m, m)
+        # real and imaginary parts stacked for one real product: a complex
+        # product this thin is slow on threaded BLAS
+        stacked = np.concatenate((w.real, w.imag))
+        steps = np.flatnonzero(group == g)
+        nodes = ((np.arange(m)[:, None] + _drive_rule()[0]) * (length / m)).ravel()
+        env = pulse.envelope(t[steps] + nodes[:, None])
+        for k in range(0, steps.size, _BLOCK):
+            part = stacked @ env[:, k:k + _BLOCK]
+            out.real[:, steps[k:k + _BLOCK] + 1] = part[:n]
+            out.imag[:, steps[k:k + _BLOCK] + 1] = part[n:]
+    if pulse.carrier_detuning:
+        out[:, 1:] *= np.exp(-1j * pulse.carrier_detuning * (t[1:] - pulse.center))
+    # the recurrence, one O(n) update per step in place; exp(lam h) is the
+    # sum hi + lo of two doubles, from extended precision where there is
+    # any, since one factor reused at every step compounds its rounding
+    decay = np.exp(np.multiply.outer(lengths.astype(np.longdouble),
+                                     lam.astype(np.clongdouble)))
+    hi = decay.astype(complex)
+    lo = (decay - hi).astype(complex)
+    cols = list(out.T)
+    for j, g in enumerate(group.tolist()):
+        cols[j + 1] += lo[g] * cols[j]
+        cols[j + 1] += hi[g] * cols[j]
     return out
 
 
@@ -893,7 +892,6 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
                    scale: complex, times: np.ndarray, solver_tol: float,
                    store_ensemble: bool) -> SimulationTrace:
     basis = _modal_basis(p, ens)
-    t0 = times[0]
     sqrtk = math.sqrt(p.kappa)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     gaussian = pulse.shape is PulseShape.GAUSSIAN
@@ -902,7 +900,7 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
     nodes = times if gaussian else np.union1d(times, [pulse.center])
     out = np.searchsorted(nodes, times)
 
-    c = _drive_integrals(pulse, basis.lam, nodes, t0)
+    c = _drive_integrals(pulse, basis.lam, nodes)
     c *= (scale * sqrtk * basis.drive)[:, None]
     a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
     pe, kept, last = _ensemble_at(basis, c, out if store_ensemble else None)
@@ -926,7 +924,8 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
         if rising:
             losses[:, k:] = losses[:, k:k + 1] + _gram_losses(
                 basis, c[:, k:], p, inv_t2)
-    l_in = abs(scale) ** 2 * (_pulse_cdf(pulse, times) - _pulse_cdf(pulse, np.asarray(t0)))
+    cdf = _pulse_cdf(pulse, times)
+    l_in = abs(scale) ** 2 * (cdf - cdf[0])
     return _trace(p, ens, "storage", solver_tol, True, times,
                   a1[out], bc[out], a2[out], scale * pulse.amplitude(times),
                   pe[out], *losses[:, out], l_in, 0.0, kept, last)

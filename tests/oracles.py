@@ -4,11 +4,16 @@ integrate: adaptive DOP853 integration of the full equations of motion,
 the oracle of the modal propagator and of the CW probe.
 broadened_response_quadrature: direct quadrature of the regulated line
 integral that spectral.broadened_response evaluates in closed form.
-Both need scipy, which only the tests depend on.
+drive_integral_quadrature: adaptive quadrature of one mode's convolution
+with the input pulse, which the storage drive evaluates by recurrence;
+gaussian_drive_closed_form: the same convolutions for a Gaussian pulse
+through the Faddeeva function.  All need scipy, which only the tests
+depend on.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from typing import Callable
@@ -16,9 +21,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
-from echoqram.dynamics import (AtomEnsemble, IntegrationError,
-                               SimulationTrace, _check_tol, _output_times,
-                               _trace)
+from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
+                               PulseSpec, SimulationTrace, _check_tol,
+                               _output_times, _trace)
 from echoqram.params import ParameterError, SystemParams
 
 
@@ -125,3 +130,70 @@ def broadened_response_quadrature(
             re += r
             im += i
     return complex(re, im)
+
+
+def drive_integral_quadrature(pulse: PulseSpec, lam: complex, t0: float,
+                              t: float) -> complex:
+    """integral from t0 to t of exp(lam (t - s)) a_in(s) ds, scalar.
+
+    The integrand is g(s) exp(i (phi - w s)) with the real g(s) =
+    env(s) exp(Re(lam) (t - s)) and w = Im(lam) + carrier_detuning, so
+    quad's Fourier-weighted rule takes the oscillation however fast it
+    is.  The range is split at an exponential pulse's switching instant
+    and starts where exp(Re(lam) (t - s)) has fallen to e**-40, below
+    rounding of the rest.
+    """
+    om = pulse.carrier_detuning
+    w = lam.imag + om
+    phase = lam.imag * t + om * pulse.center
+
+    def g(s):
+        return pulse.envelope(s) * math.exp(lam.real * (t - s))
+
+    start = t0 if lam.real == 0 else max(t0, t + 40.0 / lam.real)
+    edges = {start, t}
+    if pulse.shape is not PulseShape.GAUSSIAN and start < pulse.center < t:
+        edges.add(pulse.center)
+    edges = sorted(edges)
+    total = 0j
+    with warnings.catch_warnings():
+        # the tolerance sits at rounding level, where quad reports roundoff
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in zip(edges[:-1], edges[1:]):
+            re, _ = quad(g, a, b, weight="cos", wvar=w, limit=400,
+                         epsabs=1e-15, epsrel=1e-13)
+            im, _ = quad(g, a, b, weight="sin", wvar=w, limit=400,
+                         epsabs=1e-15, epsrel=1e-13)
+            total += re - 1j * im
+    return cmath.exp(1j * phase) * total
+
+
+def gaussian_drive_closed_form(pulse: PulseSpec, lam: np.ndarray,
+                               t: np.ndarray) -> np.ndarray:
+    """integral from t[0] to t of exp(lam (t - s)) a_in(s) ds for a
+    Gaussian pulse, every mode and sample.
+
+    Completing the square gives N sd sqrt(pi/2) exp(lam (t - c))
+    (G(u0) - G(u)) with u = t - c, beta = lam + i om and G(u) =
+    exp(sd**2 beta**2 / 2) erfc((u + sd**2 beta) / (sd sqrt 2)), written
+    with wofz on the upper half plane: exp(-u**2 / 2 sd**2 - u beta) w(i a)
+    for Re a >= 0, else 2 exp(sd**2 beta**2 / 2) minus the mirrored term.
+    No factor overflows while sd**2 Re(beta**2) / 2 and Re(lam) (t - c)
+    stay moderate.
+    """
+    from scipy.special import wofz
+
+    sd, c, om = pulse.duration, pulse.center, pulse.carrier_detuning
+    beta = (lam + 1j * om)[:, None]
+    lead = lam[:, None] * (t - c)
+
+    def g_scaled(u):
+        # exp(lam (t - c)) G(u)
+        a = (u + sd * sd * beta) / (sd * math.sqrt(2.0))
+        sign = np.where(a.real >= 0, 1.0, -1.0)
+        term = (sign * np.exp(lead - u * u / (2 * sd * sd) - u * beta)
+                * wofz(1j * sign * a))
+        return term + (sign < 0) * 2.0 * np.exp(lead + 0.5 * (sd * beta) ** 2)
+
+    norm = (math.pi * sd * sd) ** -0.25 * sd * math.sqrt(0.5 * math.pi)
+    return norm * (g_scaled(t[0] - c) - g_scaled(t - c))

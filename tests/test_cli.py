@@ -1,4 +1,5 @@
 import builtins
+import concurrent.futures
 import csv
 import errno
 import hashlib
@@ -451,7 +452,6 @@ class TestBoundary:
         assert "'solver_tol' must be finite" in capsys.readouterr().err
 
     def test_workers_clamped(self, monkeypatch):
-        from echoqram import cli as cli_mod
         seen = []
 
         class RecordingPool:
@@ -467,7 +467,9 @@ class TestBoundary:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+        # run_sweep imports the pool class from here when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         cfg = parse_scenario_config(cfg_text(
             scenario="sweep", params=MATCHED, pulse={"duration": 5.0},
             n_sim=64, span=10.0,
@@ -667,6 +669,8 @@ class TestArtifacts:
 class TestImportLayering:
     """The package runs on numpy alone: every subcommand completes in a
     fresh interpreter where scipy cannot be imported, and loads none of it.
+    None loads the process-pool machinery either, which only a sweep with
+    more than one worker needs; the sweep case asks for one.
 
     Two cases at a time keep the class under three seconds.
     """
@@ -696,7 +700,8 @@ class TestImportLayering:
         "    assert cli.main(sys.argv[1:]) == 0\n"
         "print(json.dumps(sorted(m for m, mod in sys.modules.items()\n"
         "                        if mod is not None and\n"
-        "                        (m == 'scipy' or m.startswith('scipy.')))))\n"
+        "                        (m == 'scipy' or m.startswith('scipy.')\n"
+        "                         or m == 'concurrent.futures.process'))))\n"
     )
 
     @pytest.fixture(scope="class")
@@ -712,6 +717,8 @@ class TestImportLayering:
                        else write(tmp, f"{case}.json", cfg_text(**config)))
                 argv = [command, "--config", str(cfg),
                         "--out", str(tmp / f"{case}.out")]
+            if command == "sweep":
+                argv += ["--workers", "1"]
             return subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
                                   cwd=tmp, env=env, capture_output=True,
                                   text=True, timeout=60)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc, wofz
+from scipy.special import erfc
 
 from echoqram import dynamics
 from echoqram.cli import main, parse_scenario_config
@@ -19,7 +19,8 @@ from echoqram.dynamics import (AtomEnsemble, DiscretizationScheme,
                                run_echo_cycle, transfer_function_probe)
 from echoqram.spectral import (blockade_reflection, broadened_response,
                                spectral_efficiency, storage_transfer)
-from oracles import integrate
+from oracles import (drive_integral_quadrature, gaussian_drive_closed_form,
+                     integrate)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -293,6 +294,27 @@ class TestEchoCycle:
 
         assert fidelity(center) == pytest.approx(fidelity(0.0), abs=1e-9)
 
+    def test_sweep_retrieval_grids_have_one_step(self, matched):
+        # the committed sweep's durations: its dt/40 grid must not gain an
+        # interval from rounding, nor a sliver next to the echo window
+        cfg = parse_scenario_config(
+            (REPO / "configs" / "echo_sweep_t2.json").read_text())
+        ens = ensemble_for_params(matched, n_sim=64, span=cfg.span)
+        for dt in cfg.sweep.values:
+            echo = run_echo_cycle(matched, matched, ens, PulseSpec(duration=dt),
+                                  cfg.sweep.tau_over_duration * dt)
+            times = echo.retrieval_trace.times
+            steps = np.diff(times)
+            assert np.all(np.abs(steps - dt / 40.0) <= 1e-12 * dt), dt
+            assert set(echo.echo_window) <= set(times.tolist()), dt
+
+    @pytest.mark.parametrize("output_dt", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_output_step_refused(self, matched, output_dt):
+        ens = ensemble_for_params(matched, n_sim=64)
+        with pytest.raises(ParameterError, match="output_dt"):
+            integrate_storage(matched, ens, PulseSpec(duration=1.0), (-6.0, 6.0),
+                              output_dt=output_dt)
+
 
 class TestBlockadePhase:
     def test_pi_phase_and_magnitude(self, blockade_cycle, blockade30):
@@ -375,17 +397,7 @@ class TestProbe:
 
 
 class TestFaddeeva:
-    """The numpy Faddeeva series and the Gaussian CDF against scipy."""
-
-    def test_against_wofz(self):
-        rng = np.random.default_rng(3)
-        r = 10.0 ** rng.uniform(-6.0, 6.0, 20000)
-        z = r * np.exp(1j * rng.uniform(0.0, math.pi, r.size))
-        axis = 10.0 ** np.linspace(-6.0, 6.0, 601)
-        z = np.concatenate([z, axis, -axis, 1j * axis, [0.0]])
-        ref = wofz(z)
-        assert np.max(np.abs(dynamics._faddeeva(z) - ref) / np.abs(ref)) \
-            <= 1e-13
+    """The Gaussian CDF, erfc(x) = exp(-x**2) w(i x), against scipy."""
 
     def test_gaussian_cdf_against_erfc(self):
         s = np.concatenate([np.linspace(-27.0, 27.0, 5401),
@@ -416,9 +428,9 @@ class TestKernels:
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
     def test_gaussian_storage_over_long_span(self, matched):
-        # the reflected term of the drive integral splits into per-mode
-        # and per-time factors that overflow here: exp(sd**2 Re(lam)**2 / 2)
-        # reaches exp(1250) for the modes T2 = 2 damps; the term is <= 2
+        # 9,000 drive steps of modes that T2 = 2 damps: a closed form that
+        # completes the square has the factor exp(sd**2 Re(lam)**2 / 2) =
+        # exp(1250) here; the recurrence only multiplies by |exp(lam h)| < 1
         sd, c = 100.0, 20.0
         p = matched.with_(t2=2.0)
         ens = ensemble_for_params(p, n_sim=64)
@@ -429,6 +441,81 @@ class TestKernels:
                      "out_flux_integral"):
             assert np.all(np.isfinite(getattr(trace, name))), name
         assert trace.max_ledger_residual < 1e-10
+
+    @staticmethod
+    def check_drive(pulse, lam, times, extra):
+        # the switching instant of an exponential pulse is a sample, as in
+        # storage; compared at a few samples, those after the extra ones
+        # and the switching instant among them
+        nodes = (times if pulse.shape is PulseShape.GAUSSIAN
+                 else np.union1d(times, [pulse.center]))
+        got = dynamics._drive_integrals(pulse, lam, nodes)
+        cols = np.union1d(np.linspace(0, nodes.size - 1, 4).astype(int),
+                          np.searchsorted(nodes, [*extra, pulse.center]))
+        ref = np.array([[drive_integral_quadrature(pulse, mode, nodes[0],
+                                                   nodes[j]) for j in cols]
+                        for mode in lam])
+        assert np.max(np.abs(got[:, cols] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("t2", [100.0, math.inf])
+    @pytest.mark.parametrize("carrier", [0.0, 0.3])
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_drive_integrals_match_quad(self, matched, shape, carrier, t2):
+        p = matched.with_(t2=t2)
+        lam = dynamics._modal_basis(p, ensemble_for_params(p, n_sim=64)).lam
+        pulse = PulseSpec(shape=shape, duration=2.0, center=1.0,
+                          carrier_detuning=carrier)
+        extra = (-3.217, 4.4444)
+        times = dynamics._output_times((-11.0, 13.0), 2.0 / 30.0, extra)
+        self.check_drive(pulse, lam[np.argsort(np.abs(lam))[::6]], times, extra)
+
+    @pytest.mark.parametrize("steps", [5, 60])
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_drive_integrals_long_steps_stiff_modes(self, shape, steps):
+        # output steps of 5 and 60 sub-intervals h, and modes with |lam h|
+        # from 1e-8 to 300, on both sides of the weights' closed-form
+        # threshold, that oscillate, decay, or both
+        pulse = PulseSpec(shape=shape, duration=2.0, center=1.0,
+                          carrier_detuning=0.3)
+        h = pulse.duration / 30.0
+        r = np.concatenate([np.logspace(-8.0, math.log10(300.0), 8),
+                            [4.0, 11.0, 13.0, 40.0]]) / h
+        lam = np.concatenate([1j * r, (-1.0 + 1j) * r / math.sqrt(2.0), -r])
+        extra = (-3.217, 4.4444)
+        times = dynamics._output_times((-11.0, 13.0), steps * h, extra)
+        self.check_drive(pulse, lam, times, extra)
+
+    def test_drive_integrals_long_grid(self):
+        # a 400-step storage grid of a long sweep pulse, whose step lengths
+        # differ in the last bits: steps grouped by length must keep their
+        # summed lengths on the samples, or modes near the carrier pick up
+        # a phase drift of about 2e-13
+        pulse = PulseSpec(duration=31.6, center=1.0, carrier_detuning=0.3)
+        times = dynamics._output_times((1.0 - 6.0 * 31.6, 1.0 + 5.0 * 31.6),
+                                       11.0 * 31.6 / 400.0, ())
+        lam = np.array([-0.0014 - 0.29j, -0.01 + 0.5j, -1e-6 - 2.0j])
+        got = dynamics._drive_integrals(pulse, lam, times)
+        cols = [100, 200, 300, 400]
+        ref = np.array([[drive_integral_quadrature(pulse, mode, times[0],
+                                                   times[j]) for j in cols]
+                        for mode in lam])
+        assert np.max(np.abs(got[:, cols] - ref)) <= 5e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="exp(lam h) needs extended precision to hold this")
+    @pytest.mark.parametrize("carrier", [0.0, 0.3])
+    def test_gaussian_drive_against_closed_form(self, matched, carrier):
+        # the store config's modes and grid (401 nodes, T2 = inf, 400
+        # steps): exp(lam h) rounded in double and reused at every step
+        # compounds to 2e-14 of max|I| here, which moved that artifact's
+        # cavity amplitudes by 2e-11
+        lam = dynamics._modal_basis(
+            matched, ensemble_for_params(matched, n_sim=401)).lam
+        pulse = PulseSpec(duration=10.0, carrier_detuning=carrier)
+        times = dynamics._output_times((-60.0, 60.0), 0.3, ())
+        ref = gaussian_drive_closed_form(pulse, lam, times)
+        got = dynamics._drive_integrals(pulse, lam, times)
+        assert np.max(np.abs(got - ref)) <= 1.2e-14 * np.max(np.abs(ref))
 
     def test_gram_losses_match_dense_reference(self, blockade30):
         p = blockade30.with_(t2=100.0)
