@@ -19,8 +19,6 @@ from .params import (
     cooperativities,
     check_matching,
     solve_matched_params,
-    load_params,
-    save_params,
     params_digest,
 )
 from .spectral import (
@@ -82,7 +80,7 @@ __all__ = [
     "__version__",
     "SystemParams", "ParameterError", "Cooperativities", "MatchingReport",
     "cooperativities", "check_matching", "solve_matched_params",
-    "load_params", "save_params", "params_digest",
+    "params_digest",
     "FrequencyGrid", "ComplexSpectrum", "SpectrumKind",
     "lorentzian_lineshape", "broadened_response", "storage_transfer",
     "spectral_efficiency", "resonant_efficiency", "matched_window",

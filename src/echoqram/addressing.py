@@ -111,25 +111,17 @@ class AddressSpec:
     """Normalized M-bin address photon."""
 
     amplitudes: tuple[complex, ...]
-    bin_spacing: float = 1.0
-    bin_duration: float = 0.05
 
     def __post_init__(self) -> None:
         amps = tuple(complex(a) for a in self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         if not amps:
             raise ParameterError("address needs at least one bin")
-        # x * x overflows to inf where x ** 2 would raise; every check
+        # x * x overflows to inf where x ** 2 would raise; the check
         # below is written so that NaN and inf fail it
         norm = sum(abs(a) * abs(a) for a in amps)
         if not abs(norm - 1.0) <= 1e-12:
             raise ParameterError(f"address amplitudes must have unit norm, got {norm}")
-        if not (self.bin_spacing > 0 and self.bin_duration > 0):
-            raise ParameterError("bin_spacing and bin_duration must be positive")
-        if not self.bin_duration <= 0.1 * self.bin_spacing:
-            raise ParameterError(
-                f"bin_duration {self.bin_duration} must be <= 0.1 * bin_spacing "
-                f"{self.bin_spacing}: bins must stay temporally resolved")
 
     @property
     def m(self) -> int:

@@ -16,6 +16,11 @@ written, 3 numerical failure.  Every artifact is stamped with the scenario,
 the tool version, the sha256 of the raw config text and the digests of the
 storage and read parameters, and is written atomically: a temporary file
 beside the target is renamed over it.  All computation is deterministic.
+
+The config schema is the table `_SCHEMA` in this module: one row per key
+with its path, kind, bound, default and the scenarios that need it.
+`parse_scenario_config` walks a document against it and anchors every
+error at the line of the key path it names.
 """
 
 from __future__ import annotations
@@ -27,19 +32,20 @@ import io
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .params import (PARAM_KEYS, SystemParams, ParameterError,
-                     check_matching, cooperativities, params_from_dict,
-                     params_digest, solve_matched_params)
+from .params import (SystemParams, ParameterError, check_matching,
+                     cooperativities, params_digest, solve_matched_params)
 from .spectral import FrequencyGrid, spectral_efficiency
-from .dynamics import (MIN_N_SIM, PulseSpec, IntegrationError,
+from .dynamics import (MIN_N_SIM, PulseShape, PulseSpec, IntegrationError,
                        ensemble_for_params, integrate_storage, run_echo_cycle,
                        blockade_phase_check)
 from .addressing import (AddressSpec, BranchEfficiencies, run_addressing,
@@ -110,421 +116,366 @@ class ScenarioConfig:
     sweep: SweepSpec | None = None
 
 
-# -------------------------------------------------------------- config parsing
+# --------------------------------------------------------------- config schema
+#
+# Every config key is one row of _SCHEMA, and _Walker reads the rows: it has
+# no code for any one key.  The keys of a parameter object sit under
+# "params." and serve "read_params" too.  The README's config table lists
+# the same paths, and tests/test_readme.py holds the two together.
 
-def _line_of_key(text: str, key: str) -> int | None:
-    """Best-effort line anchor: first line that mentions the quoted key."""
-    needle = f'"{key}"'
-    for i, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return i
-    return None
-
-
-def _check_keys(obj: dict, allowed: set[str], required: set[str],
-                path: str, text: str, source: str) -> None:
-    if not isinstance(obj, dict):
-        name = path.rstrip(".")
-        raise ConfigError(f"'{name}' must be an object", source,
-                          _line_of_key(text, name.rsplit(".", 1)[-1]))
-    unknown = set(obj) - allowed
-    if unknown:
-        k = sorted(unknown)[0]
-        raise ConfigError(
-            f"unknown key '{path}{k}' (accepted here: {', '.join(sorted(allowed))})",
-            source, _line_of_key(text, k))
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(
-            f"missing required key '{path}{sorted(missing)[0]}'", source)
+_NUM = "number"
+_INF = "number or 'inf'"
+_INT = "integer"
+_STR = "string"
+_CHOICE = "choice"
+_COMPLEX = "number or [re, im]"
+_LIST = "nonempty list"
+_PAIR = "[t0, t1]"
+_OBJECT = "object"
+_PARAMS = "params object"
 
 
-def _number(v, path: str, text: str, source: str, *,
-            allow_inf: bool = False) -> float:
-    """A JSON number (not a boolean), finite unless allow_inf."""
-    def bad(what: str) -> ConfigError:
-        key = path.rsplit(".", 1)[-1].split("[")[0]
-        return ConfigError(f"'{path}' {what}", source, _line_of_key(text, key))
+@dataclass(frozen=True)
+class _Key:
+    """One config key.
 
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise bad(f"must be a number, got {v!r}")
-    try:
-        x = float(v)
-    except OverflowError:
-        raise bad("is out of range") from None
-    if math.isnan(x) or (math.isinf(x) and not allow_inf):
-        raise bad(f"must be finite, got {v!r}")
-    return x
+    kind       one of the kinds above; `item` is the kind of a list's items
+    choices    the values a choice accepts
+    bound      (text, test) that a number must pass
+    default    the value taken when the key is absent; None passes nothing
+    required   the key must be present whenever its object is
+    needed_by  the scenarios that need this top-level key
+    alone      the key must be the only one in its object, and it stands
+               for the object: its value, or none when it has a dest
+    build      makes what the config holds from the checked value, or from
+               an object's values by key name
+    dest       the ScenarioConfig field that takes the value, for a key
+               whose object is not built into one
+    """
+
+    path: str
+    kind: str
+    item: str | None = None
+    choices: tuple = ()
+    bound: tuple[str, Callable[[float], bool]] | None = None
+    default: object = None
+    required: bool = False
+    needed_by: tuple[Scenario, ...] = ()
+    alone: bool = False
+    build: Callable | None = None
+    dest: str | None = None
 
 
-def _integer(v, path: str, text: str, source: str) -> int:
-    """A JSON number with an integral value; 100.7 is refused, not cut."""
-    x = _number(v, path, text, source)
-    if x != math.floor(x):
-        raise ConfigError(f"'{path}' must be an integer, got {v!r}", source,
-                          _line_of_key(text, path.rsplit(".", 1)[-1]))
-    return v if isinstance(v, int) else int(x)
+def _matched(kappa: float, c_atom: float, **rest) -> SystemParams:
+    """`params.matched`: the config's c_atom is the solver's c_atom_target."""
+    return solve_matched_params(kappa, c_atom, **rest)
 
 
-def _param_value(key: str, v, path: str, text: str, source: str):
-    """A parameter value: t2 may also be the string 'inf', n_atoms is an
-    integer, every other rate a finite number."""
-    if key == "t2":
-        if isinstance(v, str) and v in ("inf", "Infinity"):
+_S = Scenario
+_SCHEMA = (
+    _Key("scenario", _CHOICE, choices=tuple(s.value for s in Scenario),
+         required=True, build=Scenario),
+    _Key("params", _PARAMS, build=SystemParams,
+         needed_by=(_S.SPECTRA, _S.CHECK_MATCHING, _S.STORE, _S.ECHO_CYCLE,
+                    _S.BLOCKADE, _S.SWEEP)),
+    _Key("read_params", _PARAMS, build=SystemParams, needed_by=(_S.BLOCKADE,)),
+    _Key("pulse", _OBJECT, build=PulseSpec,
+         needed_by=(_S.STORE, _S.ECHO_CYCLE, _S.BLOCKADE, _S.SWEEP)),
+    _Key("pulse.shape", _CHOICE, choices=tuple(s.value for s in PulseShape),
+         default=PulseShape.GAUSSIAN.value),
+    _Key("pulse.duration", _NUM, required=True),
+    _Key("pulse.center", _NUM, default=0.0),
+    _Key("pulse.carrier_detuning", _NUM, default=0.0),
+    _Key("grid", _OBJECT),
+    _Key("grid.span", _NUM, bound=("> 0", lambda x: x > 0), required=True,
+         dest="grid_span"),
+    _Key("grid.n", _INT, bound=(">= 2", lambda x: x >= 2), required=True,
+         dest="grid_n"),
+    _Key("grid.center", _NUM, default=0.0, dest="grid_center"),
+    _Key("tau", _NUM, needed_by=(_S.ECHO_CYCLE, _S.BLOCKADE)),
+    _Key("t_span", _PAIR),
+    _Key("n_sim", _INT, bound=(f">= {MIN_N_SIM}", lambda x: x >= MIN_N_SIM),
+         default=801),
+    _Key("span", _NUM),
+    _Key("scheme", _CHOICE, choices=("quantile", "uniform_weighted"),
+         default="quantile"),
+    _Key("solver_tol", _NUM, bound=("in (0, 1e-8]", lambda x: 0 < x <= 1e-8),
+         default=1e-9),
+    _Key("address", _OBJECT, build=AddressSpec, needed_by=(_S.ADDRESS,)),
+    _Key("address.amplitudes", _LIST, item=_COMPLEX, required=True),
+    _Key("efficiencies", _OBJECT, build=BranchEfficiencies),
+    _Key("efficiencies.transfer_amplitude", _COMPLEX, default=1.0),
+    _Key("efficiencies.blockade_reflection_amplitude", _COMPLEX, default=-1.0),
+    _Key("efficiencies.leakage_amplitude", _COMPLEX, default=0.0),
+    _Key("efficiencies.from_dynamics", _CHOICE, choices=(True,), alone=True,
+         dest="eff_from_dynamics"),
+    _Key("sweep", _OBJECT, build=SweepSpec, needed_by=(_S.SWEEP,)),
+    _Key("sweep.parameter", _CHOICE, choices=SWEEP_PARAMETERS, required=True),
+    _Key("sweep.values", _LIST, item=_INF, required=True),
+    _Key("sweep.curve_parameter", _CHOICE, choices=SWEEP_PARAMETERS),
+    _Key("sweep.curve_values", _LIST, item=_INF, default=()),
+    _Key("sweep.tau_over_duration", _NUM, default=5.0),
+    _Key("output", _OBJECT),
+    _Key("output.path", _STR, dest="out_path"),
+    _Key("output.format", _CHOICE, choices=("csv", "json"), dest="out_format"),
+    _Key("params.kappa", _NUM, required=True),
+    _Key("params.gamma", _NUM, required=True),
+    _Key("params.g1", _NUM, required=True),
+    _Key("params.g2", _NUM, required=True),
+    _Key("params.f2", _NUM, required=True),
+    _Key("params.n_atoms", _INT, required=True),
+    _Key("params.delta_in", _NUM, required=True),
+    _Key("params.delta_c", _NUM, default=0.0),
+    _Key("params.t2", _INF, default=math.inf),
+    _Key("params.matched", _OBJECT, alone=True, build=_matched),
+    _Key("params.matched.kappa", _NUM, required=True),
+    _Key("params.matched.c_atom", _NUM, required=True),
+    _Key("params.matched.gamma", _NUM),
+    _Key("params.matched.n_atoms", _INT, default=1000),
+    _Key("params.matched.delta_c", _NUM, default=0.0),
+    _Key("params.matched.t2", _INF, default=math.inf),
+)
+
+
+def _group(schema: tuple[_Key, ...]) -> dict[str, dict[str, _Key]]:
+    """Rows by the path of their object ('' for the top level), then name."""
+    groups: dict[str, dict[str, _Key]] = {}
+    for key in schema:
+        parent, _, name = key.path.rpartition(".")
+        groups.setdefault(parent, {})[name] = key
+    return groups
+
+
+_CHILDREN = _group(_SCHEMA)
+
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}\[\],:]|[^\s{}\[\],:"]+')
+
+
+def _key_lines(text: str) -> dict[str, int]:
+    """The line of every key path in JSON text that json.loads accepted.
+
+    "grid.span" is the key "span" inside "grid", "sweep.values[1]" the
+    second item of that list and "" the document itself.  A repeated key
+    keeps its last line, as json.loads keeps its last value.
+    """
+    lines: dict[str, int] = {}
+    containers: list[list] = []   # open: [path, next item index or None]
+    path, want_key = "", False
+    line, pos = 1, 0
+    for m in _TOKEN.finditer(text):
+        line += text.count("\n", pos, m.start())
+        pos = m.start()
+        tok = m.group()
+        if tok == ":":
+            continue
+        if tok in ("}", "]"):
+            containers.pop()
+            want_key = False
+        elif tok == ",":
+            if containers[-1][1] is None:
+                want_key = True
+            else:
+                containers[-1][1] += 1
+        elif want_key:
+            parent = containers[-1][0]
+            name = json.loads(tok)
+            path = f"{parent}.{name}" if parent else name
+            lines[path] = line
+            want_key = False
+        else:
+            # a value: an object's value sits on its key's line already
+            if not containers:
+                lines[path] = line
+            elif containers[-1][1] is not None:
+                path = f"{containers[-1][0]}[{containers[-1][1]}]"
+                lines[path] = line
+            if tok in ("{", "["):
+                containers.append([path, None if tok == "{" else 0])
+                want_key = tok == "{"
+    return lines
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+class _Walker:
+    """Checks a config document against _SCHEMA and converts its values.
+
+    An error is anchored at the line of the key path it names, or of the
+    nearest enclosing key that the document has; the lines are found only
+    then, so a valid config does not pay for them.  A value whose key has
+    a `dest` is collected in `routed`.
+    """
+
+    def __init__(self, text: str, source: str):
+        self.text = text
+        self.source = source
+        self.routed: dict = {}
+
+    def error(self, path: str, message: str) -> ConfigError:
+        lines = _key_lines(self.text)
+        while path not in lines:
+            path = path[:max(path.rfind("."), path.rfind("["), 0)]
+        return ConfigError(message, self.source, lines[path])
+
+    def object(self, node, path: str, schema: str) -> dict:
+        """The values of one object's keys by name, defaults filled in."""
+        if not isinstance(node, dict):
+            raise self.error(path, f"'{path}' must be an object" if path
+                             else "top level must be a JSON object")
+        keys = _CHILDREN[schema]
+        for name in node:
+            here = _join(path, name)
+            if name not in keys:
+                raise self.error(here, f"unknown key '{here}' (accepted here: "
+                                       f"{', '.join(sorted(keys))})")
+            if keys[name].alone and len(node) > 1:
+                raise self.error(here, f"'{here}' must be the only key in "
+                                       f"'{path}'")
+        alone = any(keys[name].alone for name in node)
+        values = {}
+        for name, key in keys.items():
+            if name in node:
+                value = self.value(node[name], _join(path, name), key)
+            elif key.required and not alone:
+                raise self.error(path, "missing required key "
+                                       f"'{_join(path, name)}'")
+            elif key.default is None or alone:
+                continue
+            else:
+                value = key.default
+            if key.dest:
+                self.routed[key.dest] = value
+            elif key.build or key.kind != _OBJECT:
+                # an object without a build only groups keys with a dest
+                values[name] = value
+        return values
+
+    def value(self, v, path: str, key: _Key):
+        """What the config holds for one present key."""
+        if key.kind in (_OBJECT, _PARAMS):
+            schema = "params" if key.kind == _PARAMS else key.path
+            values = self.object(v, path, schema)
+            alone = [name for name in v if _CHILDREN[schema][name].alone]
+            if alone:
+                return values.get(alone[0])
+            if key.build is None:
+                return None
+            try:
+                return key.build(**values)
+            except (ParameterError, ArithmeticError) as exc:
+                raise self.error(path, f"'{path}': {exc}") from exc
+        x = self.scalar(v, path, key.kind, key)
+        if key.bound is not None and not key.bound[1](x):
+            raise self.error(path, f"'{path}' must be {key.bound[0]}, got {x!r}")
+        return key.build(x) if key.build else x
+
+    def scalar(self, v, path: str, kind: str, key: _Key):
+        """A value that is not an object, checked and converted by kind."""
+        if kind == _LIST:
+            if not isinstance(v, list) or not v:
+                raise self.error(path, f"'{path}' must be a nonempty list")
+            return tuple(self.scalar(x, f"{path}[{i}]", key.item, key)
+                         for i, x in enumerate(v))
+        if kind == _PAIR:
+            if not (isinstance(v, list) and len(v) == 2):
+                raise self.error(path, f"'{path}' must be [t0, t1]")
+            return tuple(self.number(x, f"{path}[{i}]") for i, x in enumerate(v))
+        if kind == _COMPLEX:
+            if isinstance(v, list) and len(v) == 2:
+                return complex(self.number(v[0], f"{path}[0]"),
+                               self.number(v[1], f"{path}[1]"))
+            if isinstance(v, (int, float)) and not isinstance(v, bool):
+                return complex(self.number(v, path))
+            raise self.error(path, f"'{path}' must be a number or [re, im] pair")
+        if kind == _CHOICE:
+            if not any(type(v) is type(c) and v == c for c in key.choices):
+                raise self.error(path, f"unknown {path} {v!r} not allowed: "
+                                       f"'{path}' must be one of "
+                                       + ", ".join(map(json.dumps, key.choices)))
+            return v
+        if kind == _STR:
+            if not isinstance(v, str):
+                raise self.error(path, f"'{path}' must be a string")
+            return v
+        if kind == _INF and v in ("inf", "Infinity"):
             return math.inf
-        return _number(v, path, text, source, allow_inf=True)
-    if key == "n_atoms":
-        return _integer(v, path, text, source)
-    return _number(v, path, text, source)
+        x = self.number(v, path, allow_inf=kind == _INF)
+        if kind == _INT:
+            if x != math.floor(x):
+                raise self.error(path, f"'{path}' must be an integer, got {v!r}")
+            return v if isinstance(v, int) else int(x)
+        return x
 
-
-def _as_complex(v, path: str, text: str, source: str) -> complex:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(_number(v, path, text, source))
-    if isinstance(v, list) and len(v) == 2:
-        return complex(_number(v[0], f"{path}[0]", text, source),
-                       _number(v[1], f"{path}[1]", text, source))
-    raise ConfigError(f"'{path}' must be a number or [re, im] pair", source)
-
-
-def _build_params(obj, path: str, text: str, source: str) -> SystemParams:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"'{path}' must be an object", source)
-    if "matched" in obj:
-        inner = obj["matched"]
-        _check_keys(obj, {"matched"}, {"matched"}, path + ".", text, source)
-        allowed = {"kappa", "c_atom", "gamma", "n_atoms", "delta_c", "t2"}
-        _check_keys(inner, allowed, {"kappa", "c_atom"}, path + ".matched.",
-                    text, source)
-        kwargs = {k: _param_value(k, v, f"{path}.matched.{k}", text, source)
-                  for k, v in inner.items()}
+    def number(self, v, path: str, allow_inf: bool = False) -> float:
+        """A JSON number (not a boolean), finite unless allow_inf."""
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise self.error(path, f"'{path}' must be a number, got {v!r}")
         try:
-            return solve_matched_params(kwargs.pop("kappa"),
-                                        kwargs.pop("c_atom"), **kwargs)
-        except (ParameterError, OverflowError) as exc:
-            raise ConfigError(f"'{path}.matched': {exc}", source,
-                              _line_of_key(text, "matched")) from exc
-    checked = {k: _param_value(k, v, f"{path}.{k}", text, source)
-               if k in PARAM_KEYS else v for k, v in obj.items()}
-    try:
-        return params_from_dict(checked)
-    except ParameterError as exc:
-        # surface the offending key's line when the message names one
-        line = None
-        for k in obj:
-            if f"'{k}'" in str(exc) or str(exc).startswith(k):
-                line = _line_of_key(text, k)
-                break
-        raise ConfigError(f"'{path}': {exc}", source, line) from exc
-
-
-def _build_pulse(obj, text: str, source: str) -> PulseSpec:
-    allowed = {"shape", "duration", "center", "carrier_detuning"}
-    _check_keys(obj, allowed, {"duration"}, "pulse.", text, source)
-    kw = {k: _number(v, f"pulse.{k}", text, source)
-          for k, v in obj.items() if k != "shape"}
-    if "shape" in obj:
-        if not isinstance(obj["shape"], str):
-            raise ConfigError("'pulse.shape' must be a string", source,
-                              _line_of_key(text, "shape"))
-        kw["shape"] = obj["shape"]
-    try:
-        return PulseSpec(**kw)
-    except (ParameterError, ValueError) as exc:
-        raise ConfigError(f"'pulse': {exc}", source,
-                          _line_of_key(text, "pulse")) from exc
+            x = float(v)
+        except OverflowError:
+            raise self.error(path, f"'{path}' is out of range") from None
+        if math.isnan(x) or (math.isinf(x) and not allow_inf):
+            raise self.error(path, f"'{path}' must be finite, got {v!r}")
+        return x
 
 
 def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     """Validate raw JSON text into a ScenarioConfig.
 
-    Unknown keys are rejected at every nesting level; messages carry the
-    source name and, where determinable, a line anchor.
+    _SCHEMA gives every key, its kind, bound and default and the scenarios
+    that need it; the checks after the walk tie two keys together.  Every
+    message names the source and the line of the key path it is about.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", source,
                           exc.lineno, exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("top level must be a JSON object", source)
-
-    top_allowed = {"scenario", "params", "read_params", "pulse", "grid", "tau",
-                   "t_span", "n_sim", "span", "scheme", "solver_tol",
-                   "address", "efficiencies", "sweep", "output"}
-    _check_keys(doc, top_allowed, {"scenario"}, "", text, source)
-
-    try:
-        scenario = Scenario(doc["scenario"])
-    except ValueError:
-        raise ConfigError(
-            f"unknown scenario '{doc['scenario']}' (one of: "
-            f"{', '.join(s.value for s in Scenario)})",
-            source, _line_of_key(text, "scenario")) from None
-
-    kw: dict = {"scenario": scenario}
-
-    if "params" in doc:
-        kw["params"] = _build_params(doc["params"], "params", text, source)
-    if "read_params" in doc:
-        kw["read_params"] = _build_params(doc["read_params"], "read_params",
-                                          text, source)
-    if "pulse" in doc:
-        kw["pulse"] = _build_pulse(doc["pulse"], text, source)
-    if "grid" in doc:
-        _check_keys(doc["grid"], {"span", "n", "center"}, {"span", "n"},
-                    "grid.", text, source)
-        kw["grid_span"] = _number(doc["grid"]["span"], "grid.span", text, source)
-        if kw["grid_span"] <= 0:
-            raise ConfigError(f"'grid.span' must be > 0, got {kw['grid_span']}",
-                              source, _line_of_key(text, "span"))
-        kw["grid_n"] = _integer(doc["grid"]["n"], "grid.n", text, source)
-        if kw["grid_n"] < 2:
-            raise ConfigError(f"'grid.n' must be >= 2, got {kw['grid_n']}",
-                              source, _line_of_key(text, "n"))
-        kw["grid_center"] = _number(doc["grid"].get("center", 0.0),
-                                    "grid.center", text, source)
-    if "tau" in doc:
-        kw["tau"] = _number(doc["tau"], "tau", text, source)
-    if "t_span" in doc:
-        ts = doc["t_span"]
-        if not (isinstance(ts, list) and len(ts) == 2):
-            raise ConfigError("'t_span' must be [t0, t1]", source,
-                              _line_of_key(text, "t_span"))
-        kw["t_span"] = tuple(_number(t, f"t_span[{i}]", text, source)
-                             for i, t in enumerate(ts))
-    if "n_sim" in doc:
-        kw["n_sim"] = _integer(doc["n_sim"], "n_sim", text, source)
-        if kw["n_sim"] < MIN_N_SIM:
-            raise ConfigError(
-                f"'n_sim' must be >= {MIN_N_SIM}, got {kw['n_sim']}", source,
-                _line_of_key(text, "n_sim"))
-    if "span" in doc:
-        kw["span"] = _number(doc["span"], "span", text, source)
-    if "scheme" in doc:
-        if doc["scheme"] not in ("quantile", "uniform_weighted"):
-            raise ConfigError(
-                f"'scheme' must be 'quantile' or 'uniform_weighted', got "
-                f"{doc['scheme']!r}", source, _line_of_key(text, "scheme"))
-        kw["scheme"] = doc["scheme"]
-    if "solver_tol" in doc:
-        tol = _number(doc["solver_tol"], "solver_tol", text, source)
-        if not (0 < tol <= 1e-8):
-            raise ConfigError(f"'solver_tol' must be in (0, 1e-8], got {tol!r}",
-                              source, _line_of_key(text, "solver_tol"))
-        kw["solver_tol"] = tol
-    if "address" in doc:
-        _check_keys(doc["address"], {"amplitudes", "bin_spacing", "bin_duration"},
-                    {"amplitudes"}, "address.", text, source)
-        amps = doc["address"]["amplitudes"]
-        if not isinstance(amps, list) or not amps:
-            raise ConfigError("'address.amplitudes' must be a nonempty list",
-                              source, _line_of_key(text, "amplitudes"))
-        parsed = tuple(_as_complex(a, f"address.amplitudes[{i}]", text, source)
-                       for i, a in enumerate(amps))
-        try:
-            kw["address"] = AddressSpec(
-                parsed,
-                bin_spacing=_number(doc["address"].get("bin_spacing", 1.0),
-                                    "address.bin_spacing", text, source),
-                bin_duration=_number(doc["address"].get("bin_duration", 0.05),
-                                     "address.bin_duration", text, source))
-        except ParameterError as exc:
-            raise ConfigError(f"'address': {exc}", source,
-                              _line_of_key(text, "address")) from exc
-    if "efficiencies" in doc:
-        eobj = doc["efficiencies"]
-        if eobj == {"from_dynamics": True}:
-            kw["eff_from_dynamics"] = True
-        else:
-            allowed = {"transfer_amplitude", "blockade_reflection_amplitude",
-                       "leakage_amplitude"}
-            _check_keys(eobj, allowed | {"from_dynamics"}, set(),
-                        "efficiencies.", text, source)
-            if "from_dynamics" in eobj:
-                raise ConfigError(
-                    "'efficiencies.from_dynamics' must be exactly "
-                    '{"from_dynamics": true} with no other keys',
-                    source, _line_of_key(text, "from_dynamics"))
-            try:
-                kw["efficiencies"] = BranchEfficiencies(**{
-                    k: _as_complex(v, f"efficiencies.{k}", text, source)
-                    for k, v in eobj.items()})
-            except ParameterError as exc:
-                raise ConfigError(f"'efficiencies': {exc}", source,
-                                  _line_of_key(text, "efficiencies")) from exc
-    if "output" in doc:
-        _check_keys(doc["output"], {"path", "format"}, set(), "output.",
-                    text, source)
-        kw["out_path"] = doc["output"].get("path")
-        if kw["out_path"] is not None and not isinstance(kw["out_path"], str):
-            raise ConfigError("'output.path' must be a string", source,
-                              _line_of_key(text, "path"))
-        fmt = doc["output"].get("format")
-        if fmt is not None and fmt not in ("csv", "json"):
-            raise ConfigError(f"output.format must be csv or json, got '{fmt}'",
-                              source, _line_of_key(text, "format"))
-        kw["out_format"] = fmt
-
-    if "sweep" in doc:
-        sobj = doc["sweep"]
-        allowed = {"parameter", "values", "curve_parameter", "curve_values",
-                   "tau_over_duration"}
-        _check_keys(sobj, allowed, {"parameter", "values"}, "sweep.",
-                    text, source)
-        parameter = sobj["parameter"]
-        if not isinstance(parameter, str) or parameter not in SWEEP_PARAMETERS:
-            raise ConfigError(
-                f"sweep parameter '{parameter}' not allowed (whitelist: "
-                f"{', '.join(SWEEP_PARAMETERS)})",
-                source, _line_of_key(text, "parameter"))
-        values = sobj["values"]
-        if not isinstance(values, list) or not values:
-            raise ConfigError("sweep.values must be a nonempty list", source,
-                              _line_of_key(text, "values"))
-        curve_parameter = sobj.get("curve_parameter")
-        curve_values = sobj.get("curve_values", [])
-        if not isinstance(curve_values, list):
-            raise ConfigError("sweep.curve_values must be a list", source,
-                              _line_of_key(text, "curve_values"))
-        if curve_parameter is not None:
-            if not isinstance(curve_parameter, str) or \
-                    curve_parameter not in SWEEP_PARAMETERS:
-                raise ConfigError(
-                    f"sweep curve_parameter '{curve_parameter}' not allowed "
-                    f"(whitelist: {', '.join(SWEEP_PARAMETERS)})",
-                    source, _line_of_key(text, "curve_parameter"))
-            if curve_parameter == parameter:
-                raise ConfigError("sweep.curve_parameter must differ from "
-                                  "sweep.parameter", source,
-                                  _line_of_key(text, "curve_parameter"))
-            if not curve_values:
-                raise ConfigError("sweep.curve_values must be nonempty when "
-                                  "curve_parameter is set", source,
-                                  _line_of_key(text, "curve_parameter"))
-        elif curve_values:
-            raise ConfigError("sweep.curve_values without curve_parameter",
-                              source, _line_of_key(text, "curve_values"))
-        kw["sweep"] = SweepSpec(
-            parameter=parameter,
-            values=tuple(_param_value(parameter, v, f"sweep.values[{i}]",
-                                      text, source)
-                         for i, v in enumerate(values)),
-            curve_parameter=curve_parameter,
-            curve_values=tuple(
-                _param_value(curve_parameter, v, f"sweep.curve_values[{i}]",
-                             text, source)
-                for i, v in enumerate(curve_values)),
-            tau_over_duration=_number(sobj.get("tau_over_duration", 5.0),
-                                      "sweep.tau_over_duration", text, source))
-        if parameter == "pulse_duration" and "tau" in doc:
-            raise ConfigError(
-                "sweeping pulse_duration fixes tau = tau_over_duration * "
-                "duration; remove the explicit 'tau'",
-                source, _line_of_key(text, "tau"))
-
-    cfg = ScenarioConfig(**kw)
-    _validate_scenario_fields(cfg, text, source)
-    return cfg
-
-
-def _validate_scenario_fields(cfg: ScenarioConfig, text: str,
-                              source: str) -> None:
-    sc = cfg.scenario
-    sweep = cfg.sweep
-    need_params = sc in (Scenario.SPECTRA, Scenario.CHECK_MATCHING,
-                         Scenario.STORE, Scenario.ECHO_CYCLE,
-                         Scenario.BLOCKADE, Scenario.SWEEP)
-    if need_params and cfg.params is None:
-        raise ConfigError(f"scenario '{sc.value}' requires 'params'", source)
-    if sc in (Scenario.STORE, Scenario.ECHO_CYCLE, Scenario.BLOCKADE,
-              Scenario.SWEEP) and cfg.pulse is None:
-        raise ConfigError(f"scenario '{sc.value}' requires 'pulse'", source)
-    if sc in (Scenario.ECHO_CYCLE, Scenario.BLOCKADE) and cfg.tau is None:
-        raise ConfigError(f"scenario '{sc.value}' requires 'tau'", source)
-    if sc is Scenario.BLOCKADE:
-        if cfg.read_params is None:
-            raise ConfigError(
-                "scenario 'blockade' requires 'read_params' with a coupled "
-                "control atom (g1 > 0)", source)
-        if cfg.read_params.g1 == 0:
-            raise ConfigError("'read_params.g1' must be > 0 for a blockade run",
-                              source, _line_of_key(text, "read_params"))
-    if sc is Scenario.ADDRESS:
-        if cfg.address is None:
-            raise ConfigError("scenario 'address' requires 'address'", source)
-        if cfg.eff_from_dynamics:
-            if cfg.params is None or cfg.tau is None:
-                raise ConfigError(
-                    "efficiencies.from_dynamics needs 'params' and 'tau'",
-                    source)
-    if sc is Scenario.SWEEP and sweep is None:
-        raise ConfigError("scenario 'sweep' requires 'sweep'", source)
+    w = _Walker(text, source)
+    cfg = ScenarioConfig(**w.object(doc, "", ""), **w.routed)
+    sc, sweep = cfg.scenario, cfg.sweep
+    for key in _SCHEMA:
+        if sc in key.needed_by and key.path not in doc:
+            raise w.error("scenario", f"scenario '{sc.value}' requires "
+                                      f"'{key.path}'")
     if sweep is not None and sc is not Scenario.SWEEP:
-        raise ConfigError(f"'sweep' given but scenario is '{sc.value}'", source)
-    if sweep is not None and cfg.tau is None \
-            and sweep.parameter not in ("pulse_duration", "tau") \
-            and sweep.curve_parameter not in ("pulse_duration", "tau"):
-        raise ConfigError("sweep needs 'tau' unless pulse_duration or tau "
-                          "is swept (those set the delay per point)", source)
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """Canonical JSON for a validated config; parse(serialize(x)) == x."""
-    doc: dict = {"scenario": cfg.scenario.value}
-    if cfg.params is not None:
-        doc["params"] = cfg.params.to_dict()
-    if cfg.read_params is not None:
-        doc["read_params"] = cfg.read_params.to_dict()
-    if cfg.pulse is not None:
-        doc["pulse"] = {"shape": cfg.pulse.shape.value,
-                        "duration": cfg.pulse.duration,
-                        "center": cfg.pulse.center,
-                        "carrier_detuning": cfg.pulse.carrier_detuning}
-    if cfg.scenario is Scenario.SPECTRA:
-        doc["grid"] = {"span": cfg.grid_span, "n": cfg.grid_n,
-                       "center": cfg.grid_center}
-    if cfg.tau is not None:
-        doc["tau"] = cfg.tau
-    if cfg.t_span is not None:
-        doc["t_span"] = list(cfg.t_span)
-    doc["n_sim"] = cfg.n_sim
-    if cfg.span is not None:
-        doc["span"] = cfg.span
-    doc["scheme"] = cfg.scheme
-    doc["solver_tol"] = cfg.solver_tol
-    if cfg.address is not None:
-        doc["address"] = {
-            "amplitudes": [[a.real, a.imag] for a in cfg.address.amplitudes],
-            "bin_spacing": cfg.address.bin_spacing,
-            "bin_duration": cfg.address.bin_duration}
-    if cfg.eff_from_dynamics:
-        doc["efficiencies"] = {"from_dynamics": True}
-    elif cfg.efficiencies is not None:
-        e = cfg.efficiencies
-        doc["efficiencies"] = {
-            "transfer_amplitude": [complex(e.transfer_amplitude).real,
-                                   complex(e.transfer_amplitude).imag],
-            "blockade_reflection_amplitude": [
-                complex(e.blockade_reflection_amplitude).real,
-                complex(e.blockade_reflection_amplitude).imag],
-            "leakage_amplitude": [complex(e.leakage_amplitude).real,
-                                  complex(e.leakage_amplitude).imag]}
-    sweep = cfg.sweep
-    if sweep is not None:
-        doc["sweep"] = {"parameter": sweep.parameter,
-                        "values": list(sweep.values),
-                        "tau_over_duration": sweep.tau_over_duration}
-        if sweep.curve_parameter is not None:
-            doc["sweep"]["curve_parameter"] = sweep.curve_parameter
-            doc["sweep"]["curve_values"] = list(sweep.curve_values)
-    if cfg.out_path is not None or cfg.out_format is not None:
-        doc["output"] = {}
-        if cfg.out_path is not None:
-            doc["output"]["path"] = cfg.out_path
-        if cfg.out_format is not None:
-            doc["output"]["format"] = cfg.out_format
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        raise w.error("scenario", f"'sweep' given but scenario is '{sc.value}'")
+    if sc is Scenario.BLOCKADE and cfg.read_params.g1 == 0:
+        raise w.error("read_params",
+                      "'read_params.g1' must be > 0 for a blockade run")
+    if cfg.eff_from_dynamics and (cfg.params is None or cfg.tau is None):
+        raise w.error("efficiencies.from_dynamics",
+                      "efficiencies.from_dynamics needs 'params' and 'tau'")
+    if sweep is None:
+        return cfg
+    if sweep.curve_parameter == sweep.parameter:
+        raise w.error("sweep", "sweep.curve_parameter must differ from "
+                               "sweep.parameter")
+    if sweep.curve_values and sweep.curve_parameter is None:
+        raise w.error("sweep.curve_values",
+                      "sweep.curve_values without curve_parameter")
+    if sweep.curve_parameter is not None and not sweep.curve_values:
+        raise w.error("sweep.curve_parameter",
+                      "sweep.curve_parameter needs sweep.curve_values")
+    if sweep.parameter == "pulse_duration" and cfg.tau is not None:
+        raise w.error("tau", "sweeping pulse_duration fixes tau = "
+                             "tau_over_duration * duration; remove the "
+                             "explicit 'tau'")
+    axes = (sweep.parameter, sweep.curve_parameter)
+    if cfg.tau is None and "pulse_duration" not in axes and "tau" not in axes:
+        raise w.error("sweep.parameter",
+                      "sweep needs 'tau' unless pulse_duration or tau is "
+                      "swept (those set the delay per point)")
+    for name, values, path in (
+            (sweep.parameter, sweep.values, "sweep.values"),
+            (sweep.curve_parameter, sweep.curve_values, "sweep.curve_values")):
+        for i, v in enumerate(values):
+            if math.isinf(v) and name != "t2":
+                raise w.error(f"{path}[{i}]",
+                              f"'{path}[{i}]' must be finite, got {v!r}")
+    return cfg
 
 
 # ------------------------------------------------------------------ scenarios
@@ -728,9 +679,7 @@ def _apply_sweep_value(p_store: SystemParams, p_read: SystemParams,
                        pulse: PulseSpec, tau: float | None, name: str,
                        value: float, tau_over_duration: float):
     if name == "pulse_duration":
-        pulse = PulseSpec(shape=pulse.shape, duration=value,
-                          center=pulse.center,
-                          carrier_detuning=pulse.carrier_detuning)
+        pulse = replace(pulse, duration=value)
         tau = tau_over_duration * value
     elif name == "tau":
         tau = value
@@ -746,19 +695,17 @@ def _apply_sweep_value(p_store: SystemParams, p_read: SystemParams,
     return p_store, p_read, pulse, tau
 
 
-def _sweep_point(task: tuple) -> tuple:
+def _sweep_point(task: tuple) -> dict:
     """Worker: one echo cycle. Top-level so process pools can pickle it."""
-    (idx, store_d, read_d, pulse_d, tau, n_sim, span, scheme, solver_tol) = task
-    p_store = params_from_dict(store_d)
-    p_read = params_from_dict(read_d)
-    pulse = PulseSpec(**pulse_d)
-    ens = ensemble_for_params(p_store, n_sim=n_sim, span=span, scheme=scheme)
-    res = run_echo_cycle(p_store, p_read, ens, pulse, tau, solver_tol,
+    cfg, p_store, p_read, pulse, tau = task
+    ens = ensemble_for_params(p_store, n_sim=cfg.n_sim, span=cfg.span,
+                              scheme=cfg.scheme)
+    res = run_echo_cycle(p_store, p_read, ens, pulse, tau, cfg.solver_tol,
                          keep_traces=False)
-    return idx, {"echo_probability": res.echo_probability,
-                 "fidelity_time_reversed": res.fidelity_time_reversed,
-                 "storage_probability": res.storage_probability,
-                 "max_ledger_residual": res.max_ledger_residual}
+    return {"echo_probability": res.echo_probability,
+            "fidelity_time_reversed": res.fidelity_time_reversed,
+            "storage_probability": res.storage_probability,
+            "max_ledger_residual": res.max_ledger_residual}
 
 
 def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
@@ -770,25 +717,18 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
               if sweep.curve_parameter else [(None, None)])
     tasks = []
     labels = []
-    idx = 0
     for cname, cval in curves:
         for v in sweep.values:
-            p_s, p_r, pulse, tau = cfg.params, p_read0, cfg.pulse, cfg.tau
+            point = (cfg.params, p_read0, cfg.pulse, cfg.tau)
             if cname is not None:
-                p_s, p_r, pulse, tau = _apply_sweep_value(
-                    p_s, p_r, pulse, tau, cname, cval, sweep.tau_over_duration)
-            p_s, p_r, pulse, tau = _apply_sweep_value(
-                p_s, p_r, pulse, tau, sweep.parameter, v,
-                sweep.tau_over_duration)
-            pulse_d = {"shape": pulse.shape.value, "duration": pulse.duration,
-                       "center": pulse.center,
-                       "carrier_detuning": pulse.carrier_detuning}
-            tasks.append((idx, p_s.to_dict(), p_r.to_dict(), pulse_d, tau,
-                          cfg.n_sim, cfg.span, cfg.scheme, cfg.solver_tol))
+                point = _apply_sweep_value(*point, cname, cval,
+                                           sweep.tau_over_duration)
+            point = _apply_sweep_value(*point, sweep.parameter, v,
+                                       sweep.tau_over_duration)
+            tasks.append((cfg, *point))
             labels.append({"curve_parameter": cname, "curve_value": cval,
                            "parameter": sweep.parameter, "value": v,
-                           "tau": tau})
-            idx += 1
+                           "tau": point[3]})
     # more processes than points or cores only cost start-up and memory
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -796,10 +736,10 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
         # command 20-25 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_sweep_point, tasks))
+            results = list(pool.map(_sweep_point, tasks))
     else:
-        results = dict(map(_sweep_point, tasks))
-    return [{**labels[i], **results[i]} for i in range(idx)]
+        results = list(map(_sweep_point, tasks))
+    return [{**label, **res} for label, res in zip(labels, results)]
 
 
 def _run_sweep_scenario(cfg: ScenarioConfig, workers: int) -> _Artifact:
@@ -894,7 +834,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares scenario '{cfg.scenario.value}' but the "
                 f"'{args.command}' subcommand expects '{expected.value}'",
-                str(cfg_path), _line_of_key(cfg_text, "scenario"))
+                str(cfg_path), _key_lines(cfg_text)["scenario"])
         fmt = args.format or cfg.out_format or "csv"
         out_dir = Path(os.environ.get(OUT_DIR_ENV, "."))
         if args.out is not None:

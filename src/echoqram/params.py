@@ -11,19 +11,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, asdict, replace
-from pathlib import Path
 from typing import NamedTuple
 
 
 class ParameterError(ValueError):
     """Physically invalid or inconsistent system parameters."""
-
-
-#: keys accepted in a serialized parameter file, in canonical order
-PARAM_KEYS = (
-    "kappa", "gamma", "g1", "g2", "f2",
-    "n_atoms", "delta_in", "delta_c", "t2",
-)
 
 
 @dataclass(frozen=True)
@@ -212,50 +204,6 @@ def solve_matched_params(
             and report.third_condition_matched):
         raise ParameterError(f"matched solve failed self-check: {report.to_dict()}")
     return p
-
-
-# ---------------------------------------------------------------- serialization
-
-def params_to_json(p: SystemParams) -> str:
-    return json.dumps(p.to_dict(), indent=2, sort_keys=True)
-
-
-def params_from_dict(d: dict) -> SystemParams:
-    unknown = set(d) - set(PARAM_KEYS)
-    if unknown:
-        raise ParameterError(f"unknown parameter keys: {sorted(unknown)}; "
-                             f"accepted keys: {list(PARAM_KEYS)}")
-    missing = set(PARAM_KEYS) - {"delta_c", "t2"} - set(d)
-    if missing:
-        raise ParameterError(f"missing parameter keys: {sorted(missing)}")
-    d = dict(d)
-    t2 = d.get("t2", math.inf)
-    if isinstance(t2, str):
-        if t2 not in ("inf", "Infinity"):
-            raise ParameterError(f"t2 must be a number or 'inf', got {t2!r}")
-        t2 = math.inf
-    d["t2"] = t2
-    if "n_atoms" in d:
-        d["n_atoms"] = int(d["n_atoms"])
-    return SystemParams(**d)
-
-
-def params_from_json(text: str) -> SystemParams:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"parameter file is not valid JSON: {exc}") from exc
-    if not isinstance(d, dict):
-        raise ParameterError("parameter file must contain a JSON object")
-    return params_from_dict(d)
-
-
-def save_params(p: SystemParams, path: str | Path) -> None:
-    Path(path).write_text(params_to_json(p) + "\n")
-
-
-def load_params(path: str | Path) -> SystemParams:
-    return params_from_json(Path(path).read_text())
 
 
 def params_digest(p: SystemParams) -> str:

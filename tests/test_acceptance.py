@@ -195,8 +195,7 @@ def test_criterion_10_addressing_identity():
     for m in range(1, 9):
         raw = rng.normal(size=m) + 1j * rng.normal(size=m)
         amps = tuple(raw / np.linalg.norm(raw))
-        addr = AddressSpec(amplitudes=amps, bin_spacing=100.0,
-                           bin_duration=1.0)
+        addr = AddressSpec(amplitudes=amps)
         state = run_addressing(m, addr)
         ok = ok and abs(state.norm - 1.0) <= 1e-12
         ok = ok and len(state.terms) == m

@@ -17,9 +17,8 @@ from echoqram.addressing import (AddressSpec, BranchEfficiencies, Cell,
 from echoqram.cli import main
 
 
-def addr(*amps, spacing=100.0, duration=1.0):
-    return AddressSpec(amplitudes=amps, bin_spacing=spacing,
-                       bin_duration=duration)
+def addr(*amps):
+    return AddressSpec(amplitudes=amps)
 
 
 def uniform_addr(m):
@@ -41,10 +40,6 @@ class TestSpecs:
             AddressSpec(amplitudes=())
         with pytest.raises(ParameterError):
             addr(1.0, 1.0)  # norm 2
-        with pytest.raises(ParameterError):
-            addr(1.0, spacing=1.0, duration=0.5)  # bins not resolved
-        with pytest.raises(ParameterError):
-            addr(1.0, spacing=-1.0)
         assert addr(0.6, 0.8j).m == 2
 
     @pytest.mark.parametrize("amps", [
@@ -56,12 +51,6 @@ class TestSpecs:
     def test_address_rejects_non_finite_norm(self, amps):
         with pytest.raises(ParameterError):
             addr(*amps)
-
-    def test_address_rejects_nan_bin_times(self):
-        with pytest.raises(ParameterError):
-            addr(1.0, spacing=math.nan)
-        with pytest.raises(ParameterError):
-            addr(1.0, duration=math.nan)
 
     def test_efficiency_validation(self):
         with pytest.raises(ParameterError):
@@ -444,8 +433,7 @@ class TestReporting:
         config = tmp_path / "a.json"
         config.write_text(json.dumps({
             "scenario": "address",
-            "address": {"amplitudes": [0.6, 0.8], "bin_spacing": 100.0,
-                        "bin_duration": 1.0}}))
+            "address": {"amplitudes": [0.6, 0.8]}}))
         path = tmp_path / "state.json"
         assert main(["address", "--config", str(config), "--out", str(path),
                      "--format", "json"]) == 0

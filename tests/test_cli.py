@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from hypothesis import example, given, strategies as st
 
 from echoqram import __version__
 from echoqram.cli import (ConfigError, Scenario, main, parse_scenario_config,
-                          run_sweep, serialize_config)
+                          run_sweep)
 from echoqram.dynamics import MIN_N_SIM, discretize_ensemble
 from echoqram.params import ParameterError, params_digest
 from echoqram.spectral import FrequencyGrid
@@ -30,6 +31,28 @@ MATCHED = {"matched": {"kappa": 1.0, "c_atom": 0.0}}
 
 def cfg_text(**doc):
     return json.dumps(doc, indent=1)
+
+
+def indent_lines(value, path="", line=1, lines=None, ends=None):
+    """First and last line of every key path in json.dumps(value, indent=1),
+    where each key and list item starts a line of its own."""
+    if lines is None:
+        lines, ends = {}, {}
+    lines[path] = line
+    if isinstance(value, dict) and value:
+        items = [(f"{path}.{k}" if path else k, v) for k, v in value.items()]
+    elif isinstance(value, list) and value:
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        items = None
+    if items:
+        for item_path, item in items:
+            indent_lines(item, item_path, ends.get(path, line) + 1, lines, ends)
+            ends[path] = ends[item_path]
+        ends[path] += 1                      # the closing bracket
+    else:
+        ends[path] = line
+    return lines, ends
 
 
 def write(tmp_path, name, text):
@@ -50,13 +73,6 @@ class TestParsing:
         for path in sorted(CONFIG_DIR.glob("*.json")):
             cfg = parse_scenario_config(path.read_text(), source=str(path))
             assert cfg.scenario is not None, path.name
-
-    def test_serialize_roundtrip_is_fixed_point(self):
-        for path in sorted(CONFIG_DIR.glob("*.json")):
-            cfg = parse_scenario_config(path.read_text(), source=str(path))
-            canon = serialize_config(cfg)
-            again = serialize_config(parse_scenario_config(canon))
-            assert canon == again, path.name
 
     def test_explicit_params_with_inf_t2(self):
         cfg = parse_scenario_config(cfg_text(
@@ -143,16 +159,79 @@ class TestParseErrors:
     def test_address_from_dynamics_needs_params_and_tau(self):
         self.check(dict(
             scenario="address",
-            address={"amplitudes": [[1.0, 0.0]], "bin_spacing": 100.0,
-                     "bin_duration": 1.0},
+            address={"amplitudes": [[1.0, 0.0]]},
             efficiencies={"from_dynamics": True}),
             "from_dynamics")
+
+    def test_bin_times_are_unknown_keys(self):
+        # address.bin_spacing and address.bin_duration changed no result
+        err = self.check(dict(scenario="address",
+                              address={"amplitudes": [[1.0, 0.0]],
+                                       "bin_spacing": 100.0}),
+                         "unknown key 'address.bin_spacing'")
+        assert "accepted here: amplitudes" in str(err)
 
     def test_sweep_key_on_other_scenario(self):
         self.check(dict(scenario="spectra", params=MATCHED,
                         grid={"span": 1.0, "n": 3},
                         sweep={"parameter": "tau", "values": [1.0]}),
                    "scenario is 'spectra'")
+
+    @pytest.mark.parametrize("lines, anchor, message", [
+        # "params" shadowed by the earlier "read_params"
+        (['{',
+          ' "scenario": "check_matching",',
+          ' "read_params": {"matched": {"kappa": 1.0, "c_atom": 0.0}},',
+          ' "params": {"matched": {"kappa": "x", "c_atom": 0.0}}',
+          '}'], 4, "'params.matched.kappa' must be a number, got 'x'"),
+        # "grid.span" shadowed by a top-level "span"
+        (['{',
+          ' "scenario": "spectra",',
+          ' "span": 10.0,',
+          ' "params": {"matched": {"kappa": 1.0, "c_atom": 0.0}},',
+          ' "grid": {"span": 0.0, "n": 5}',
+          '}'], 5, "'grid.span' must be > 0, got 0.0"),
+        # a missing key: at the object that lacks it
+        (['{',
+          ' "scenario": "spectra",',
+          ' "params": {"matched": {"kappa": 1.0, "c_atom": 0.0}},',
+          ' "grid": {',
+          '  "span": 1.0',
+          ' }',
+          '}'], 4, "missing required key 'grid.n'"),
+        # a scenario's requirement: at "scenario"
+        (['{',
+          ' "params": {"matched": {"kappa": 1.0, "c_atom": 0.0}},',
+          ' "pulse": {"duration": 5.0},',
+          ' "scenario": "echo_cycle"',
+          '}'], 4, "scenario 'echo_cycle' requires 'tau'"),
+        # a list item: at the item's own line
+        (['{',
+          ' "scenario": "sweep",',
+          ' "params": {"matched": {"kappa": 1.0, "c_atom": 0.0}},',
+          ' "pulse": {"duration": 5.0},',
+          ' "tau": 25.0,',
+          ' "sweep": {"parameter": "tau", "values": [',
+          '  25.0,',
+          '  "values"',
+          ' ]}',
+          '}'], 8, "'sweep.values[1]' must be a number, got 'values'"),
+        # a library refusal: at the object the library refused
+        (['{',
+          ' "scenario": "echo_cycle",',
+          ' "params": {"matched": {"kappa": 1.0, "c_atom": 0.0}},',
+          ' "tau": 25.0,',
+          ' "pulse": {',
+          '  "duration": -5.0',
+          ' }',
+          '}'], 5, "'pulse': pulse duration must be positive"),
+    ], ids=["params-after-read_params", "grid.span-after-span",
+            "missing-grid.n", "scenario-requirement", "list-item",
+            "library-refusal"])
+    def test_anchor_is_the_key_path_line(self, lines, anchor, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_scenario_config("\n".join(lines), source="k.json")
+        assert str(exc.value).startswith(f"k.json:{anchor}: {message}")
 
 
 class TestMain:
@@ -230,8 +309,7 @@ class TestMain:
         r = 1.0 / math.sqrt(3.0)
         path = write(tmp_path, "a.json", cfg_text(
             scenario="address",
-            address={"amplitudes": [[r, 0.0], [r, 0.0], [r, 0.0]],
-                     "bin_spacing": 100.0, "bin_duration": 1.0}))
+            address={"amplitudes": [[r, 0.0], [r, 0.0], [r, 0.0]]}))
         out = tmp_path / "a_out.json"
         assert main(["address", "--config", str(path), "--out", str(out),
                      "--format", "json"]) == 0
@@ -500,6 +578,9 @@ class TestBoundary:
                                      max_size=2)))
     @example("params.matched.n_atoms", 0)
     @example("params.matched.n_atoms", -1.0)
+    @example("params.matched.kappa", 5e-324)   # delta_in = kappa/2 is 0
+    @example("sweep.parameter", "t2")          # the curve's parameter
+    @example("grid", {"a": 1})
     def test_fuzzed_scalars_raise_only_config_error(self, path, value):
         explicit = {"kappa": 1.0, "gamma": 1.0, "g1": 0.0,
                     "g2": 0.011180339887498949, "f2": 0.3535533905932738,
@@ -514,10 +595,8 @@ class TestBoundary:
                  sweep={"parameter": "pulse_duration", "values": [5.0],
                         "curve_parameter": "t2", "curve_values": [100.0],
                         "tau_over_duration": 5.0}),
-            dict(scenario="address", address={
-                "amplitudes": [[1.0, 0.0]], "bin_spacing": 100.0,
-                "bin_duration": 1.0},
-                efficiencies={"transfer_amplitude": 1.0}),
+            dict(scenario="address", address={"amplitudes": [[1.0, 0.0]]},
+                 efficiencies={"transfer_amplitude": 1.0}),
         ]
         keys = path.split(".")
         for base in bases:
@@ -530,9 +609,17 @@ class TestBoundary:
             else:
                 node[keys[-1]] = value
                 try:
-                    parse_scenario_config(json.dumps(doc), source="fuzz.json")
-                except ConfigError:
-                    pass
+                    parse_scenario_config(json.dumps(doc, indent=1),
+                                          source="fuzz.json")
+                except ConfigError as exc:
+                    # the error sits on a line of the fuzzed value or on
+                    # the line of an object around it
+                    lines, ends = indent_lines(doc)
+                    allowed = set(range(lines[path], ends[path] + 1))
+                    allowed.update(lines[".".join(keys[:i])]
+                                   for i in range(len(keys)))
+                    anchor = re.match(r"fuzz\.json:(\d+): ", str(exc))
+                    assert anchor and int(anchor[1]) in allowed, str(exc)
 
 
 class TestArtifacts:
@@ -555,8 +642,7 @@ class TestArtifacts:
                         params={"matched": {"kappa": 1.0, "c_atom": 30.0,
                                             "t2": 1e4}},
                         tau=50.0, efficiencies={"from_dynamics": True},
-                        address={"amplitudes": [[0.6, 0.0], [0.0, 0.8]],
-                                 "bin_spacing": 100.0, "bin_duration": 1.0}),
+                        address={"amplitudes": [[0.6, 0.0], [0.0, 0.8]]}),
         "sweep": dict(scenario="sweep", params=MATCHED,
                       pulse={"duration": 5.0}, n_sim=64, span=10.0,
                       sweep={"parameter": "tau", "values": [25.0]}),

@@ -4,10 +4,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from echoqram.cli import ConfigError, parse_scenario_config
 from echoqram.params import (ParameterError, SystemParams, check_matching,
-                             cooperativities, load_params, params_digest,
-                             params_from_dict, params_from_json,
-                             params_to_json, save_params,
+                             cooperativities, params_digest,
                              second_condition_target, solve_matched_params)
 
 
@@ -129,37 +128,38 @@ class TestValidation:
         assert q.g1 == 0.25 and p.g1 == 0.0 and q is not p
 
 
+def read_back(d: dict) -> SystemParams:
+    """A parameter dict through the config reader, as a config's params."""
+    text = json.dumps({"scenario": "check_matching", "params": d})
+    return parse_scenario_config(text).params
+
+
 class TestSerialization:
+    """to_dict writes what a config's params object reads back."""
+
     def test_roundtrip_infinite_t2(self):
         p = solve_matched_params(1.0, 30.0)
-        q = params_from_json(params_to_json(p))
-        assert q == p
-        assert json.loads(params_to_json(p))["t2"] == "inf"
+        assert read_back(p.to_dict()) == p
+        assert p.to_dict()["t2"] == "inf"
 
     def test_roundtrip_finite_t2(self):
         p = solve_matched_params(2.5, 3.0, t2=1e4, delta_c=0.3)
-        assert params_from_json(params_to_json(p)) == p
+        assert read_back(p.to_dict()) == p
 
     def test_unknown_key_named(self):
-        d = json.loads(params_to_json(make()))
+        d = make().to_dict()
         d["zeta"] = 1.0
-        with pytest.raises(ParameterError, match="zeta"):
-            params_from_dict(d)
-        with pytest.raises(ParameterError, match="kappa"):
+        with pytest.raises(ConfigError, match="zeta"):
+            read_back(d)
+        with pytest.raises(ConfigError, match="kappa"):
             # the error lists which keys would have been accepted
-            params_from_dict(d)
+            read_back(d)
 
     def test_missing_key(self):
-        d = json.loads(params_to_json(make()))
+        d = make().to_dict()
         del d["kappa"]
-        with pytest.raises(ParameterError):
-            params_from_dict(d)
-
-    def test_file_roundtrip(self, tmp_path):
-        p = solve_matched_params(1.0, 10.0, t2=5e3)
-        path = tmp_path / "params.json"
-        save_params(p, path)
-        assert load_params(path) == p
+        with pytest.raises(ConfigError, match="'params.kappa'"):
+            read_back(d)
 
     def test_digest_stable_and_sensitive(self):
         p = make()
