@@ -22,9 +22,6 @@ from .params import (
     params_digest,
 )
 from .spectral import (
-    FrequencyGrid,
-    ComplexSpectrum,
-    SpectrumKind,
     lorentzian_lineshape,
     broadened_response,
     storage_transfer,
@@ -32,14 +29,12 @@ from .spectral import (
     resonant_efficiency,
     matched_window,
     blockade_reflection,
-    echo_spectrum,
     echo_probability_narrowband,
 )
 from .dynamics import (
     PulseSpec,
     PulseShape,
     AtomEnsemble,
-    DiscretizationScheme,
     discretize_ensemble,
     ensemble_for_params,
     invert_detunings,
@@ -59,7 +54,6 @@ from .addressing import (
     ECHO_EMISSION_PHASE,
     CONTROL_RESET_PHASE,
     ControlState,
-    CellStatus,
     Cell,
     Term,
     AddressSpec,
@@ -81,19 +75,17 @@ __all__ = [
     "SystemParams", "ParameterError", "Cooperativities", "MatchingReport",
     "cooperativities", "check_matching", "solve_matched_params",
     "params_digest",
-    "FrequencyGrid", "ComplexSpectrum", "SpectrumKind",
     "lorentzian_lineshape", "broadened_response", "storage_transfer",
     "spectral_efficiency", "resonant_efficiency", "matched_window",
-    "blockade_reflection", "echo_spectrum", "echo_probability_narrowband",
-    "PulseSpec", "PulseShape", "AtomEnsemble", "DiscretizationScheme",
-    "discretize_ensemble", "ensemble_for_params", "invert_detunings",
-    "SimulationTrace", "IntegrationError", "integrate_storage",
-    "integrate_retrieval", "run_echo_cycle", "EchoResult",
-    "blockade_phase_check", "PhaseCheck", "transfer_function_probe",
-    "ProbeResult",
+    "blockade_reflection", "echo_probability_narrowband",
+    "PulseSpec", "PulseShape", "AtomEnsemble", "discretize_ensemble",
+    "ensemble_for_params", "invert_detunings", "SimulationTrace",
+    "IntegrationError", "integrate_storage", "integrate_retrieval",
+    "run_echo_cycle", "EchoResult", "blockade_phase_check", "PhaseCheck",
+    "transfer_function_probe", "ProbeResult",
     "RAMAN_ABSORB_PHASE", "ECHO_EMISSION_PHASE", "CONTROL_RESET_PHASE",
-    "ControlState", "CellStatus", "Cell", "Term", "AddressSpec",
-    "BranchEfficiencies", "QramState", "ProtocolError", "store_sequence",
+    "ControlState", "Cell", "Term", "AddressSpec", "BranchEfficiencies",
+    "QramState", "ProtocolError", "store_sequence",
     "absorb_address_bin", "rephase_cell", "reset_control", "run_addressing",
     "compose_with_dynamics", "state_table", "state_to_dict",
 ]

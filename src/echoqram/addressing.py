@@ -60,12 +60,6 @@ class ProtocolError(RuntimeError):
 class ControlState(str, Enum):
     G = "g_c"
     AU = "au_c"
-    E = "e_c"   # transient upper level, never populated between steps
-
-
-class CellStatus(str, Enum):
-    OCCUPIED = "D"
-    EMPTY = "empty"
 
 
 @dataclass(frozen=True)
@@ -97,9 +91,6 @@ class Term:
     pending_bin: int | None = None
     absorbed_bin: int | None = None
     emitted: frozenset[str] = frozenset()
-
-    def cell_status(self, m: int) -> CellStatus:
-        return CellStatus.EMPTY if self.cells[m - 1] == 0 else CellStatus.OCCUPIED
 
     @property
     def empty_count(self) -> int:
@@ -146,16 +137,17 @@ class BranchEfficiencies:
         t = abs(complex(self.transfer_amplitude))
         b = abs(complex(self.blockade_reflection_amplitude))
         lk = abs(complex(self.leakage_amplitude))
-        if t > 1.0 + 1e-12:
-            raise ParameterError(f"|transfer_amplitude| = {t} exceeds 1")
-        if b * b + lk * lk > 1.0 + 1e-12:
-            raise ParameterError(
-                f"blockade branch over-unit: |b|^2 + |leak|^2 = {b*b + lk*lk}")
+        # written so that NaN fails the checks as well
+        if not t <= 1.0 + 1e-12:
+            raise ParameterError(f"|transfer_amplitude| must be <= 1, got {t}")
+        if not b * b + lk * lk <= 1.0 + 1e-12:
+            raise ParameterError("blockade branch must not exceed unit "
+                                 f"probability: |b|^2 + |leak|^2 = {b*b + lk*lk}")
 
 
 # Row codes of a QramState's control array, and the code of "no bin" in its
 # pending and absorbed arrays (bins are 1-based).
-_CONTROLS = (ControlState.G, ControlState.AU, ControlState.E)
+_CONTROLS = (ControlState.G, ControlState.AU)
 _G, _AU = 0, 1
 _NO_BIN = -1
 

@@ -18,8 +18,8 @@ storage and read parameters, and is written atomically: a temporary file
 beside the target is renamed over it.  All computation is deterministic.
 
 The config schema is the table `_SCHEMA` in this module: one row per key
-with its path, kind, bound, default and the scenarios that need it.
-`parse_scenario_config` walks a document against it and anchors every
+with its path, kind, bound, default and the scenarios that need and read
+it. `parse_scenario_config` walks a document against it and anchors every
 error at the line of the key path it names.
 """
 
@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .params import (SystemParams, ParameterError, check_matching,
                      cooperativities, params_digest, solve_matched_params)
-from .spectral import FrequencyGrid, spectral_efficiency
+from .spectral import spectral_efficiency
 from .dynamics import (MIN_N_SIM, PulseShape, PulseSpec, IntegrationError,
                        ensemble_for_params, integrate_storage, run_echo_cycle,
                        blockade_phase_check)
@@ -106,7 +106,6 @@ class ScenarioConfig:
     t_span: tuple[float, float] | None = None
     n_sim: int = 801
     span: float | None = None
-    scheme: str = "quantile"
     solver_tol: float = 1e-9
     address: AddressSpec | None = None
     efficiencies: BranchEfficiencies | None = None
@@ -145,6 +144,8 @@ class _Key:
     default    the value taken when the key is absent; None passes nothing
     required   the key must be present whenever its object is
     needed_by  the scenarios that need this top-level key
+    read_by    the scenarios whose runner reads this top-level key; the
+               others refuse it
     alone      the key must be the only one in its object, and it stands
                for the object: its value, or none when it has a dest
     build      makes what the config holds from the checked value, or from
@@ -161,6 +162,7 @@ class _Key:
     default: object = None
     required: bool = False
     needed_by: tuple[Scenario, ...] = ()
+    read_by: tuple[Scenario, ...] = ()
     alone: bool = False
     build: Callable | None = None
     dest: str | None = None
@@ -172,50 +174,55 @@ def _matched(kappa: float, c_atom: float, **rest) -> SystemParams:
 
 
 _S = Scenario
+_ANY = tuple(Scenario)
+_CYCLES = (_S.ECHO_CYCLE, _S.BLOCKADE, _S.SWEEP)
+_DYNAMICS = (_S.STORE, *_CYCLES)
 _SCHEMA = (
     _Key("scenario", _CHOICE, choices=tuple(s.value for s in Scenario),
-         required=True, build=Scenario),
+         required=True, build=Scenario, read_by=_ANY),
     _Key("params", _PARAMS, build=SystemParams,
-         needed_by=(_S.SPECTRA, _S.CHECK_MATCHING, _S.STORE, _S.ECHO_CYCLE,
-                    _S.BLOCKADE, _S.SWEEP)),
-    _Key("read_params", _PARAMS, build=SystemParams, needed_by=(_S.BLOCKADE,)),
-    _Key("pulse", _OBJECT, build=PulseSpec,
-         needed_by=(_S.STORE, _S.ECHO_CYCLE, _S.BLOCKADE, _S.SWEEP)),
+         needed_by=(_S.SPECTRA, _S.CHECK_MATCHING, *_DYNAMICS), read_by=_ANY),
+    _Key("read_params", _PARAMS, build=SystemParams, needed_by=(_S.BLOCKADE,),
+         read_by=_CYCLES),
+    _Key("pulse", _OBJECT, build=PulseSpec, needed_by=_DYNAMICS,
+         read_by=_DYNAMICS),
     _Key("pulse.shape", _CHOICE, choices=tuple(s.value for s in PulseShape),
          default=PulseShape.GAUSSIAN.value),
     _Key("pulse.duration", _NUM, required=True),
     _Key("pulse.center", _NUM, default=0.0),
     _Key("pulse.carrier_detuning", _NUM, default=0.0),
-    _Key("grid", _OBJECT),
+    _Key("grid", _OBJECT, read_by=(_S.SPECTRA,)),
     _Key("grid.span", _NUM, bound=("> 0", lambda x: x > 0), required=True,
          dest="grid_span"),
     _Key("grid.n", _INT, bound=(">= 2", lambda x: x >= 2), required=True,
          dest="grid_n"),
     _Key("grid.center", _NUM, default=0.0, dest="grid_center"),
-    _Key("tau", _NUM, needed_by=(_S.ECHO_CYCLE, _S.BLOCKADE)),
-    _Key("t_span", _PAIR),
+    _Key("tau", _NUM, needed_by=(_S.ECHO_CYCLE, _S.BLOCKADE),
+         read_by=(*_CYCLES, _S.ADDRESS)),
+    _Key("t_span", _PAIR, read_by=(_S.STORE,)),
     _Key("n_sim", _INT, bound=(f">= {MIN_N_SIM}", lambda x: x >= MIN_N_SIM),
-         default=801),
-    _Key("span", _NUM),
-    _Key("scheme", _CHOICE, choices=("quantile", "uniform_weighted"),
-         default="quantile"),
+         default=801, read_by=_DYNAMICS),
+    _Key("span", _NUM, read_by=_DYNAMICS),
     _Key("solver_tol", _NUM, bound=("in (0, 1e-8]", lambda x: 0 < x <= 1e-8),
-         default=1e-9),
-    _Key("address", _OBJECT, build=AddressSpec, needed_by=(_S.ADDRESS,)),
+         default=1e-9, read_by=_DYNAMICS),
+    _Key("address", _OBJECT, build=AddressSpec, needed_by=(_S.ADDRESS,),
+         read_by=(_S.ADDRESS,)),
     _Key("address.amplitudes", _LIST, item=_COMPLEX, required=True),
-    _Key("efficiencies", _OBJECT, build=BranchEfficiencies),
+    _Key("efficiencies", _OBJECT, build=BranchEfficiencies,
+         read_by=(_S.ADDRESS,)),
     _Key("efficiencies.transfer_amplitude", _COMPLEX, default=1.0),
     _Key("efficiencies.blockade_reflection_amplitude", _COMPLEX, default=-1.0),
     _Key("efficiencies.leakage_amplitude", _COMPLEX, default=0.0),
     _Key("efficiencies.from_dynamics", _CHOICE, choices=(True,), alone=True,
          dest="eff_from_dynamics"),
-    _Key("sweep", _OBJECT, build=SweepSpec, needed_by=(_S.SWEEP,)),
+    _Key("sweep", _OBJECT, build=SweepSpec, needed_by=(_S.SWEEP,),
+         read_by=(_S.SWEEP,)),
     _Key("sweep.parameter", _CHOICE, choices=SWEEP_PARAMETERS, required=True),
     _Key("sweep.values", _LIST, item=_INF, required=True),
     _Key("sweep.curve_parameter", _CHOICE, choices=SWEEP_PARAMETERS),
     _Key("sweep.curve_values", _LIST, item=_INF, default=()),
     _Key("sweep.tau_over_duration", _NUM, default=5.0),
-    _Key("output", _OBJECT),
+    _Key("output", _OBJECT, read_by=_ANY),
     _Key("output.path", _STR, dest="out_path"),
     _Key("output.format", _CHOICE, choices=("csv", "json"), dest="out_format"),
     _Key("params.kappa", _NUM, required=True),
@@ -436,12 +443,25 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     w = _Walker(text, source)
     cfg = ScenarioConfig(**w.object(doc, "", ""), **w.routed)
     sc, sweep = cfg.scenario, cfg.sweep
+    for name in doc:
+        if sc not in _CHILDREN[""][name].read_by:
+            raise w.error(name, f"'{name}' given but scenario is "
+                                f"'{sc.value}', which does not read it")
     for key in _SCHEMA:
         if sc in key.needed_by and key.path not in doc:
             raise w.error("scenario", f"scenario '{sc.value}' requires "
                                       f"'{key.path}'")
-    if sweep is not None and sc is not Scenario.SWEEP:
-        raise w.error("scenario", f"'sweep' given but scenario is '{sc.value}'")
+    if sc is Scenario.SPECTRA:
+        # linspace overflows to inf or nan where center +- span does
+        with np.errstate(all="ignore"):
+            nu = _grid_points(cfg)
+            rising = bool(np.all(np.diff(nu) > 0))
+        if not np.all(np.isfinite(nu)):
+            raise w.error("grid", "'grid' points must be finite: center +- "
+                                  "span overflows")
+        if not rising:
+            raise w.error("grid", "'grid' points must strictly increase: "
+                                  "span is below the rounding of center")
     if sc is Scenario.BLOCKADE and cfg.read_params.g1 == 0:
         raise w.error("read_params",
                       "'read_params.g1' must be > 0 for a blockade run")
@@ -541,16 +561,21 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(max(x, 1e-300))
 
 
+def _grid_points(cfg: ScenarioConfig) -> np.ndarray:
+    """The spectra frequency grid: grid_n points over center +- span."""
+    return np.linspace(cfg.grid_center - cfg.grid_span,
+                       cfg.grid_center + cfg.grid_span, cfg.grid_n)
+
+
 def _run_spectra(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
-    grid = FrequencyGrid.uniform(span=cfg.grid_span, n=cfg.grid_n,
-                                 center=cfg.grid_center)
-    eps_t = spectral_efficiency(grid.points, p.with_(g1=0.0)).tolist()
-    eps_b = spectral_efficiency(grid.points, p).tolist()
-    cols = {"nu": grid.points.tolist(),
+    nu = _grid_points(cfg)
+    eps_t = spectral_efficiency(nu, p.with_(g1=0.0)).tolist()
+    eps_b = spectral_efficiency(nu, p).tolist()
+    cols = {"nu": nu.tolist(),
             "eps_transfer": eps_t, "eps_transfer_db": [_db(x) for x in eps_t],
             "eps_blockade": eps_b, "eps_blockade_db": [_db(x) for x in eps_b]}
-    return _Artifact(f"spectra: {grid.points.size} points, peak transfer "
+    return _Artifact(f"spectra: {nu.size} points, peak transfer "
                      f"{max(eps_t):.6f}, peak blockade {max(eps_b):.6f}",
                      list(cols), list(zip(*cols.values())), cols)
 
@@ -569,8 +594,7 @@ def _run_store(cfg: ScenarioConfig) -> _Artifact:
     pulse = cfg.pulse
     span = cfg.t_span or (pulse.center - 6.0 * pulse.duration,
                           pulse.center + 6.0 * pulse.duration)
-    ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span,
-                              scheme=cfg.scheme)
+    ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
     trace = integrate_storage(p, ens, pulse, span, cfg.solver_tol,
                               store_ensemble=False)
     fields = {"alpha_in": trace.alpha_in, "alpha_out": trace.alpha_out,
@@ -618,8 +642,7 @@ def _echo_summary(res) -> dict:
 def _run_echo(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     p_read = cfg.read_params or p
-    ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span,
-                              scheme=cfg.scheme)
+    ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
     res = run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau, cfg.solver_tol,
                          keep_traces=False)
     times = res.output_times.tolist()
@@ -637,8 +660,7 @@ def _run_echo(cfg: ScenarioConfig) -> _Artifact:
 def _run_blockade(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     p_read = cfg.read_params
-    ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span,
-                              scheme=cfg.scheme)
+    ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
     res = run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau, cfg.solver_tol,
                          keep_traces=False)
     chk = blockade_phase_check(p_read, res.ens_final, res.ens_stored, cfg.tau,
@@ -698,8 +720,7 @@ def _apply_sweep_value(p_store: SystemParams, p_read: SystemParams,
 def _sweep_point(task: tuple) -> dict:
     """Worker: one echo cycle. Top-level so process pools can pickle it."""
     cfg, p_store, p_read, pulse, tau = task
-    ens = ensemble_for_params(p_store, n_sim=cfg.n_sim, span=cfg.span,
-                              scheme=cfg.scheme)
+    ens = ensemble_for_params(p_store, n_sim=cfg.n_sim, span=cfg.span)
     res = run_echo_cycle(p_store, p_read, ens, pulse, tau, cfg.solver_tol,
                          keep_traces=False)
     return {"echo_probability": res.echo_probability,

@@ -138,11 +138,6 @@ class PulseSpec:
 
 # -------------------------------------------------------------------- ensemble
 
-class DiscretizationScheme(str, Enum):
-    QUANTILE = "quantile"
-    UNIFORM_WEIGHTED = "uniform_weighted"
-
-
 @dataclass(frozen=True)
 class AtomEnsemble:
     """Discretized inhomogeneous line.
@@ -166,14 +161,16 @@ class AtomEnsemble:
         object.__setattr__(self, "coherences", c)
         if not (d.shape == w.shape == c.shape) or d.ndim != 1 or d.size == 0:
             raise ParameterError("detunings, weights, coherences must be equal-length 1-d arrays")
-        if np.any(np.diff(d) < 0):
-            raise ParameterError("detunings must be sorted ascending")
-        if np.any(w <= 0):
+        # every check below is written so that NaN fails it
+        if not (np.all(np.isfinite(d)) and np.all(np.diff(d) >= 0)):
+            raise ParameterError("detunings must be finite and sorted ascending")
+        if not np.all(w > 0):
             raise ParameterError("weights must be positive")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12:
+        if not abs(float(np.sum(w)) - 1.0) <= 1e-12:
             raise ParameterError(f"weights must sum to 1 within 1e-12, got {np.sum(w)}")
-        if self.collective_coupling < 0:
-            raise ParameterError("collective_coupling must be >= 0")
+        if not 0 <= self.collective_coupling < math.inf:
+            raise ParameterError("collective_coupling must be finite and >= 0, "
+                                 f"got {self.collective_coupling}")
 
     @property
     def n(self) -> int:
@@ -195,49 +192,37 @@ def discretize_ensemble(
     n_sim: int,
     delta_in: float,
     span: float | None = None,
-    scheme: DiscretizationScheme | str = DiscretizationScheme.QUANTILE,
     collective_coupling: float = 0.0,
 ) -> AtomEnsemble:
     """Build quadrature nodes and weights for the Lorentzian line.
 
     span is the half width of the detuning window (default 40*delta_in).
-    The quantile scheme places nodes at equal-probability midpoints of the
-    full line and clips outliers to +-span, so weights are exactly 1/n and
-    no mass is dropped.  The uniform scheme uses equidistant nodes with
-    exact line mass per bin, folding the outer tails into the edge bins.
+    Nodes sit at equal-probability midpoints of the full line, with
+    outliers clipped to +-span, so weights are exactly 1/n and no mass is
+    dropped.
     """
-    scheme = DiscretizationScheme(scheme)
     if n_sim < MIN_N_SIM:
         raise ParameterError(f"n_sim must be >= {MIN_N_SIM}, got {n_sim}")
-    if delta_in <= 0:
-        raise ParameterError(f"delta_in must be positive, got {delta_in}")
+    # written so that NaN fails the checks as well
+    if not 0 < delta_in < math.inf:
+        raise ParameterError(f"delta_in must be positive and finite, got {delta_in}")
     if span is None:
         span = 40.0 * delta_in
-    if span < 20.0 * delta_in:
+    if not span >= 20.0 * delta_in:
         raise ParameterError(
             f"span {span} too small: need >= 20*delta_in = {20.0 * delta_in} "
             "to keep the truncated line mass negligible")
 
-    if scheme is DiscretizationScheme.QUANTILE:
-        u = (np.arange(n_sim) + 0.5) / n_sim
-        det = delta_in * np.tan(np.pi * (u - 0.5))
-        det = np.clip(det, -span, span)
-        w = np.full(n_sim, 1.0 / n_sim)
-    else:
-        edges = np.linspace(-span, span, n_sim + 1)
-        det = 0.5 * (edges[:-1] + edges[1:])
-        cdf = 0.5 + np.arctan(edges / delta_in) / np.pi
-        w = np.diff(cdf)
-        w[0] += cdf[0]           # fold the left tail into the first bin
-        w[-1] += 1.0 - cdf[-1]   # and the right tail into the last
+    u = (np.arange(n_sim) + 0.5) / n_sim
+    det = np.clip(delta_in * np.tan(np.pi * (u - 0.5)), -span, span)
     # the lower half is the negated upper half, so that invert_detunings
     # reproduces the grid bit for bit and both stages share one mode basis
     half = n_sim // 2
     det[:half] = -det[::-1][:half]
-    w[:half] = w[::-1][:half]
     if n_sim % 2:
         det[half] = 0.0
-    w = w / np.sum(w)
+    w = np.full(n_sim, 1.0 / n_sim)
+    w /= np.sum(w)
     return AtomEnsemble(detunings=det, weights=w,
                         coherences=np.zeros(n_sim, dtype=complex),
                         collective_coupling=collective_coupling)
@@ -247,10 +232,9 @@ def ensemble_for_params(
     p: SystemParams,
     n_sim: int = 801,
     span: float | None = None,
-    scheme: DiscretizationScheme | str = DiscretizationScheme.QUANTILE,
 ) -> AtomEnsemble:
     """Discretize the line of `p` carrying its collective coupling along."""
-    return discretize_ensemble(n_sim, p.delta_in, span=span, scheme=scheme,
+    return discretize_ensemble(n_sim, p.delta_in, span=span,
                                collective_coupling=p.collective_coupling)
 
 
@@ -356,7 +340,7 @@ def _output_times(t_span: tuple[float, float], output_dt: float | None,
 
 
 def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
-           ledger_check: bool, times, a1, bc, a2, ain, pe,
+           times, a1, bc, a2, ain, pe,
            l_out, l_c, l_t2, l_in, p0: float, coherences,
            final_coherences) -> SimulationTrace:
     """Close the probability ledger, enforce it, and package the trace."""
@@ -365,7 +349,7 @@ def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
     p2 = np.abs(a2) ** 2
     residual = (p1 + pc + p2 + pe + l_out + l_c + l_t2) - (l_in + p0)
     worst = float(np.max(np.abs(residual)))
-    if ledger_check and not worst <= 100.0 * solver_tol:
+    if not worst <= 100.0 * solver_tol:
         raise IntegrationError(
             f"probability ledger violated on {kind}: max residual "
             f"{worst:.3e} > 100*{solver_tol}")
@@ -889,7 +873,7 @@ def _gram_losses(basis: _ModalBasis, c: np.ndarray, p: SystemParams,
 
 
 def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
-                   scale: complex, times: np.ndarray, solver_tol: float,
+                   times: np.ndarray, solver_tol: float,
                    store_ensemble: bool) -> SimulationTrace:
     basis = _modal_basis(p, ens)
     sqrtk = math.sqrt(p.kappa)
@@ -901,19 +885,19 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
     out = np.searchsorted(nodes, times)
 
     c = _drive_integrals(pulse, basis.lam, nodes)
-    c *= (scale * sqrtk * basis.drive)[:, None]
+    c *= (sqrtk * basis.drive)[:, None]
     a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
     pe, kept, last = _ensemble_at(basis, c, out if store_ensemble else None)
     if gaussian:
-        losses = _hermite_losses(p, basis, c, nodes, pulse, scale, a1, bc, a2,
-                                 pe, inv_t2)
+        losses = _hermite_losses(p, basis, c, nodes, pulse, a1, bc, a2, pe,
+                                 inv_t2)
     else:
         # a sum of exponentials on either side of the switching instant:
         # the driven side with the drive as one more coordinate, exact
         rising = pulse.shape is PulseShape.RISING_EXPONENTIAL
         alpha = (1.0 if rising else -1.0) / pulse.duration \
             - 1j * pulse.carrier_detuning
-        amp = scale * math.sqrt(2.0 / pulse.duration)
+        amp = math.sqrt(2.0 / pulse.duration)
         k = int(np.searchsorted(nodes, pulse.center))
         driven = slice(0, k + 1) if rising else slice(k, None)
         xi = np.exp(alpha * (nodes[driven] - pulse.center))
@@ -925,15 +909,15 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
             losses[:, k:] = losses[:, k:k + 1] + _gram_losses(
                 basis, c[:, k:], p, inv_t2)
     cdf = _pulse_cdf(pulse, times)
-    l_in = abs(scale) ** 2 * (cdf - cdf[0])
-    return _trace(p, ens, "storage", solver_tol, True, times,
-                  a1[out], bc[out], a2[out], scale * pulse.amplitude(times),
+    l_in = cdf - cdf[0]
+    return _trace(p, ens, "storage", solver_tol, times,
+                  a1[out], bc[out], a2[out], pulse.amplitude(times),
                   pe[out], *losses[:, out], l_in, 0.0, kept, last)
 
 
 def _hermite_losses(p: SystemParams, basis: _ModalBasis, c: np.ndarray,
-                    nodes: np.ndarray, pulse: PulseSpec, scale: complex,
-                    a1, bc, a2, pe, inv_t2: float) -> np.ndarray:
+                    nodes: np.ndarray, pulse: PulseSpec, a1, bc, a2, pe,
+                    inv_t2: float) -> np.ndarray:
     """Loss integrals under a Gaussian drive by the quintic Hermite rule,
     with first and second time derivatives from the equations of motion;
     sig = sum_j g_j b_j and its derivative need the rows sum_m g_m V_mk
@@ -944,7 +928,7 @@ def _hermite_losses(p: SystemParams, basis: _ModalBasis, c: np.ndarray,
     dsig = (-1j * basis.a2 * (basis.lam * basis.ens_sum
                               - p.collective_coupling)) @ c \
         - 1j * p.collective_coupling * a2
-    ain = scale * pulse.amplitude(nodes)
+    ain = pulse.amplitude(nodes)
     rate = -(nodes - pulse.center) / pulse.duration ** 2 \
         - 1j * pulse.carrier_detuning
     dain = rate * ain
@@ -993,7 +977,7 @@ def _modal_retrieval(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
         last = last + dark * np.exp(node_poles * elapsed[-1])
         if kept is not None:
             kept += _propagator(node_poles, dark, times, times[0]).T
-    return _trace(p, ens, "retrieval", solver_tol, True, times, a1, bc, a2,
+    return _trace(p, ens, "retrieval", solver_tol, times, a1, bc, a2,
                   np.zeros(times.size, dtype=complex), pe, l_out, l_c, l_t2,
                   np.zeros(times.size), float(np.sum(np.abs(b0) ** 2)),
                   kept, last)
@@ -1006,7 +990,6 @@ def integrate_storage(
     t_span: tuple[float, float],
     solver_tol: float = 1e-9,
     *,
-    input_scale: complex = 1.0,
     output_dt: float | None = None,
     extra_eval: tuple[float, ...] = (),
     store_ensemble: bool = True,
@@ -1014,8 +997,7 @@ def integrate_storage(
     """Drive the empty memory with a normalized input pulse.
 
     The span must contain the pulse with at least 5 durations of margin on
-    each side so the stored probability has settled at the end.  Scaling
-    `input_scale` scales the whole trace linearly (single excitation sector).
+    each side so the stored probability has settled at the end.
     """
     _check_ensemble(p, ens)
     _check_tol(solver_tol)
@@ -1027,8 +1009,7 @@ def integrate_storage(
     if output_dt is None:
         output_dt = min(pulse.duration / 30.0, (t_span[1] - t_span[0]) / 400.0)
     times = _output_times(t_span, output_dt, extra_eval)
-    return _modal_storage(p, ens, pulse, complex(input_scale), times,
-                          solver_tol, store_ensemble)
+    return _modal_storage(p, ens, pulse, times, solver_tol, store_ensemble)
 
 
 def integrate_retrieval(

@@ -23,8 +23,6 @@ eps(delta) = 2*pi*N*kappa*(g2/f2)**2 * G(delta) * |F(delta)|**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -149,13 +147,6 @@ def blockade_reflection(nu, p: SystemParams, diagnostics: dict | None = None):
     return out if out.ndim else complex(out)
 
 
-def blockade_response_factor(nu, kappa: float):
-    """Collective reabsorption factor J(nu) = kappa*(kappa - 2i*nu) / (kappa**2 - 4i*kappa*nu - 8*nu**2)."""
-    nu = np.asarray(nu, dtype=float)
-    out = kappa * (kappa - 2j * nu) / (kappa ** 2 - 4j * kappa * nu - 8.0 * nu ** 2)
-    return out if out.ndim else complex(out)
-
-
 def echo_probability_narrowband(p: SystemParams, tau: float) -> float:
     """Echo retrieval probability for a narrowband pulse, transfer read stage.
 
@@ -166,113 +157,3 @@ def echo_probability_narrowband(p: SystemParams, tau: float) -> float:
     c = cooperativities(p)
     decay = 0.0 if math.isinf(p.t2) else 4.0 * tau / p.t2
     return 16.0 * c.c_pm ** 2 * math.exp(-decay) / (1.0 + c.c_pm) ** 4
-
-
-# ------------------------------------------------------------------ grid types
-
-class SpectrumKind(str, Enum):
-    PHOTON_SPECTRUM = "photon_spectrum"
-    EFFICIENCY_REAL = "efficiency_real"
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Strictly increasing detuning grid; `spacing` is set when uniform."""
-
-    points: np.ndarray
-    spacing: float | None = None
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ParameterError("grid must be a non-empty 1-d array")
-        if not np.all(np.isfinite(pts)):
-            raise ParameterError("grid points must be finite")
-        if np.any(np.diff(pts) <= 0):
-            raise ParameterError("grid points must be strictly increasing")
-
-    def __len__(self) -> int:
-        return int(self.points.size)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return bool(np.allclose(self.points, -self.points[::-1],
-                                rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(self.points))))))
-
-    @classmethod
-    def uniform(cls, span: float = 8.0, n: int = 4096, center: float = 0.0) -> "FrequencyGrid":
-        """Uniform grid of n points covering center +- span (default |nu| <= 8)."""
-        if span <= 0 or n < 2:
-            raise ParameterError("uniform grid needs span > 0 and n >= 2")
-        pts = np.linspace(center - span, center + span, n)
-        return cls(points=pts, spacing=float(pts[1] - pts[0]))
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Values over a frequency grid with a label naming what they are."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-    kind: SpectrumKind
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != self.grid.points.shape:
-            raise ParameterError("values and grid must have matching shape")
-        if self.kind is SpectrumKind.EFFICIENCY_REAL:
-            if np.any(np.abs(vals.imag) > 0):
-                raise ParameterError("efficiency spectrum must be real")
-            re = vals.real
-            if np.any(re < -1e-12) or np.any(re > 1.0 + 1e-9):
-                raise ParameterError("efficiency values must lie in [0, 1 + 1e-9]")
-
-    def l2_norm_sq(self) -> float:
-        """Trapezoid integral of |values|**2 over the grid."""
-        return float(np.trapezoid(np.abs(self.values) ** 2, self.grid.points))
-
-
-def echo_spectrum(
-    input_spectrum: ComplexSpectrum,
-    p_store: SystemParams,
-    p_read: SystemParams,
-    tau: float,
-    t: float | None = None,
-) -> ComplexSpectrum:
-    """Spectral amplitude of the retrieved echo after detuning inversion at tau.
-
-    alpha(nu) = -2*pi*kappa*N*(g2/f2)**2 * G(nu) * F_store(-nu) * F_read(nu)
-                * alpha_in(-nu) * exp(-i*nu*(t - 2*tau)) * exp(-2*tau/T2)
-
-    The default observation time t = 2*tau drops the translation phase.
-    The input spectrum must be unit-normalized on a symmetric grid, since
-    the echo inverts the spectrum around line center.
-    """
-    if tau < 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
-    if input_spectrum.kind is not SpectrumKind.PHOTON_SPECTRUM:
-        raise ParameterError("echo_spectrum expects a photon_spectrum input")
-    if not input_spectrum.grid.is_symmetric:
-        raise ParameterError("echo_spectrum needs a symmetric frequency grid")
-    norm = input_spectrum.l2_norm_sq()
-    if abs(norm - 1.0) > 1e-6:
-        raise ParameterError(f"input spectrum norm**2 = {norm}, expected 1 within 1e-6")
-    if p_store.f2 == 0 or p_read.f2 == 0:
-        raise ParameterError("echo spectrum undefined for f2 = 0")
-    nu = input_spectrum.grid.points
-    t_obs = 2.0 * tau if t is None else t
-    f_store_rev = storage_transfer(-nu, p_store)
-    f_read = storage_transfer(nu, p_read)
-    g = lorentzian_lineshape(nu, p_store.delta_in)
-    alpha_rev = input_spectrum.values[::-1]  # alpha_in(-nu) on a symmetric grid
-    decay = 1.0 if math.isinf(p_store.t2) else math.exp(-2.0 * tau / p_store.t2)
-    prefac = 2.0 * np.pi * p_store.kappa * p_store.n_atoms * (p_store.g2 / p_store.f2) ** 2
-    vals = (-prefac * g * f_store_rev * f_read * alpha_rev
-            * np.exp(-1j * nu * (t_obs - 2.0 * tau)) * decay)
-    meta = {"tau": tau, "t": t_obs, "total_probability":
-            float(np.trapezoid(np.abs(vals) ** 2, nu))}
-    return ComplexSpectrum(grid=input_spectrum.grid, values=vals,
-                           kind=SpectrumKind.PHOTON_SPECTRUM, meta=meta)

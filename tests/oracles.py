@@ -2,6 +2,9 @@
 
 integrate: adaptive DOP853 integration of the full equations of motion,
 the oracle of the modal propagator and of the CW probe.
+echo_spectrum: the retrieved echo's spectral amplitude from the closed
+storage transfer functions, the frequency-domain route to the echo
+probability.
 broadened_response_quadrature: direct quadrature of the regulated line
 integral that spectral.broadened_response evaluates in closed form.
 drive_integral_quadrature: adaptive quadrature of one mode's convolution
@@ -25,6 +28,7 @@ from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
                                PulseSpec, SimulationTrace, _check_tol,
                                _output_times, _trace)
 from echoqram.params import ParameterError, SystemParams
+from echoqram.spectral import lorentzian_lineshape, storage_transfer
 
 
 def integrate(
@@ -38,7 +42,6 @@ def integrate(
     output_dt: float | None,
     extra_eval: tuple[float, ...] = (),
     kind: str = "storage",
-    ledger_check: bool = True,
 ) -> SimulationTrace:
     """Adaptive DOP853 integration of the full equations with a running
     ledger; every Runge-Kutta stage costs one Python call of the
@@ -87,10 +90,35 @@ def integrate(
            if drive is not None else np.zeros_like(sol.t, dtype=complex))
     p0 = float(np.sum(np.abs(y0_modes) ** 2)
                + sum(abs(v) ** 2 for v in y0_fields))
-    return _trace(p, ens, kind, solver_tol, ledger_check, sol.t,
+    return _trace(p, ens, kind, solver_tol, sol.t,
                   a1, bc, a2, ain, np.sum(np.abs(b) ** 2, axis=0),
                   sol.y[3 + n].real, sol.y[4 + n].real, sol.y[5 + n].real,
                   sol.y[6 + n].real, p0, b.T.copy(), b[:, -1])
+
+
+def echo_spectrum(nu: np.ndarray, alpha_in: np.ndarray, p_store: SystemParams,
+                  p_read: SystemParams, tau: float) -> np.ndarray:
+    """Spectral amplitude of the echo retrieved at 2*tau after detuning
+    inversion at tau, for the input amplitude alpha_in on the grid nu.
+
+    alpha(nu) = -2*pi*kappa*N*(g2/f2)**2 * G(nu) * F_store(-nu) * F_read(nu)
+                * alpha_in(-nu) * exp(-2*tau/T2)
+
+    The echo inverts the spectrum around line center, so nu must be
+    symmetric, and alpha_in must have unit norm on it.
+    """
+    scale = max(1.0, float(np.max(np.abs(nu))))
+    if not np.allclose(nu, -nu[::-1], rtol=0.0, atol=1e-12 * scale):
+        raise ParameterError("echo_spectrum needs a symmetric frequency grid")
+    norm = float(np.trapezoid(np.abs(alpha_in) ** 2, nu))
+    if abs(norm - 1.0) > 1e-6:
+        raise ParameterError(f"input spectrum norm**2 = {norm}, expected 1 within 1e-6")
+    decay = 1.0 if math.isinf(p_store.t2) else math.exp(-2.0 * tau / p_store.t2)
+    prefac = (2.0 * np.pi * p_store.kappa * p_store.n_atoms
+              * (p_store.g2 / p_store.f2) ** 2)
+    return (-prefac * lorentzian_lineshape(nu, p_store.delta_in)
+            * storage_transfer(-nu, p_store) * storage_transfer(nu, p_read)
+            * alpha_in[::-1] * decay)
 
 
 def broadened_response_quadrature(

@@ -62,6 +62,17 @@ class TestSpecs:
         assert (e.transfer_amplitude, e.blockade_reflection_amplitude,
                 e.leakage_amplitude) == (1.0, -1.0, 0.0)
 
+    @pytest.mark.parametrize("amplitudes", [
+        dict(transfer_amplitude=complex(math.nan, 0.0),
+             leakage_amplitude=math.nan),
+        dict(transfer_amplitude=complex(0.0, math.nan)),
+        dict(blockade_reflection_amplitude=math.nan),
+        dict(leakage_amplitude=complex(math.nan, math.nan)),
+    ])
+    def test_efficiency_refuses_nan(self, amplitudes):
+        with pytest.raises(ParameterError):
+            BranchEfficiencies(**amplitudes)
+
     def test_store_sequence(self):
         s = store_sequence(3)
         assert s.m == 3

@@ -17,11 +17,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from echoqram import __version__
-from echoqram.cli import (ConfigError, Scenario, main, parse_scenario_config,
-                          run_sweep)
+from echoqram.cli import (_SCHEMA, ConfigError, Scenario, main,
+                          parse_scenario_config, run_sweep)
 from echoqram.dynamics import MIN_N_SIM, discretize_ensemble
 from echoqram.params import ParameterError, params_digest
-from echoqram.spectral import FrequencyGrid
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -170,6 +169,25 @@ class TestParseErrors:
                                        "bin_spacing": 100.0}),
                          "unknown key 'address.bin_spacing'")
         assert "accepted here: amplitudes" in str(err)
+
+    def test_unread_key_refused_at_its_line(self, tmp_path, capsys):
+        # check_matching reads only params and output; the first key it
+        # does not read is refused at its own line
+        text = cfg_text(scenario="check_matching", params=MATCHED,
+                        grid={"span": 0.5, "n": 3}, t_span=[5, 1],
+                        pulse={"duration": 5.0})
+        path = write(tmp_path, "m.json", text)
+        assert main(["check-matching", "--config", str(path),
+                     "--out", str(tmp_path / "m.csv")]) == 2
+        line = indent_lines(json.loads(text))[0]["grid"]
+        assert capsys.readouterr().err == (
+            f"config error: {path}:{line}: 'grid' given but scenario is "
+            "'check_matching', which does not read it\n")
+
+    def test_needed_keys_are_read(self):
+        for key in _SCHEMA:
+            assert set(key.needed_by) <= set(key.read_by), key.path
+            assert bool(key.read_by) == ("." not in key.path), key.path
 
     def test_sweep_key_on_other_scenario(self):
         self.check(dict(scenario="spectra", params=MATCHED,
@@ -437,17 +455,23 @@ class TestBoundary:
         ({"tau": None}, "'tau' must be a number"),
         ({"n_sim": 100.7}, "'n_sim' must be an integer"),
         ({"solver_tol": 1e-6}, "'solver_tol' must be in (0, 1e-8]"),
-        ({"scheme": 5}, "'scheme' must be"),
+        ({"scheme": 5}, "unknown key 'scheme'"),
         ({"pulse": {"duration": "long"}}, "'pulse.duration' must be a number"),
         ({"params": {"matched": {"kappa": "1", "c_atom": 0.0}}},
          "'params.matched.kappa' must be a number"),
     ])
     def test_echo_values(self, tmp_path, capsys, change, needle):
-        path = write(tmp_path, "e.json", cfg_text(**{**self.ECHO, **change}))
+        doc = {**self.ECHO, **change}
+        path = write(tmp_path, "e.json", cfg_text(**doc))
         assert main(["echo", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert needle in err
-        assert f"{path}:" in err
+        # anchored at the line of the first key path inside the change
+        key, node = "", change
+        while isinstance(node, dict):
+            name = next(iter(node))
+            key, node = f"{key}.{name}" if key else name, node[name]
+        assert f"{path}:{indent_lines(doc)[0][key]}: " in err
 
     def test_grid_not_an_object(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", cfg_text(
@@ -516,9 +540,6 @@ class TestBoundary:
     def test_library_checks_remain(self):
         with pytest.raises(ParameterError, match=f">= {MIN_N_SIM}"):
             discretize_ensemble(MIN_N_SIM - 1, 0.5)
-        for span, n in ((0.0, 5), (1.0, 1)):
-            with pytest.raises(ParameterError):
-                FrequencyGrid.uniform(span=span, n=n)
 
     def test_nan_solver_tol_exits_quickly(self, tmp_path, capsys):
         text = cfg_text(**self.ECHO, solver_tol=1e-9).replace("1e-09", "NaN")
@@ -586,9 +607,10 @@ class TestBoundary:
                     "g2": 0.011180339887498949, "f2": 0.3535533905932738,
                     "n_atoms": 1000, "delta_in": 0.5}
         bases = [
-            dict(self.ECHO, read_params=explicit, t_span=[-30.0, 60.0],
-                 span=10.0, scheme="quantile", solver_tol=1e-9,
+            dict(self.ECHO, read_params=explicit, span=10.0, solver_tol=1e-9,
                  output={"path": "x.json", "format": "json"}),
+            dict(scenario="store", params=MATCHED, pulse={"duration": 5.0},
+                 t_span=[-30.0, 60.0]),
             dict(scenario="spectra", params=MATCHED,
                  grid={"span": 1.0, "n": 5, "center": 0.0}),
             dict(scenario="sweep", params=MATCHED, pulse={"duration": 5.0},

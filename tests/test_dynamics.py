@@ -11,12 +11,12 @@ from echoqram import dynamics
 from echoqram.cli import main, parse_scenario_config
 from echoqram.params import (ParameterError, params_digest,
                              solve_matched_params)
-from echoqram.dynamics import (AtomEnsemble, DiscretizationScheme,
-                               IntegrationError, PulseShape, PulseSpec,
-                               blockade_phase_check, discretize_ensemble,
-                               ensemble_for_params, integrate_retrieval,
-                               integrate_storage, invert_detunings,
-                               run_echo_cycle, transfer_function_probe)
+from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
+                               PulseSpec, blockade_phase_check,
+                               discretize_ensemble, ensemble_for_params,
+                               integrate_retrieval, integrate_storage,
+                               invert_detunings, run_echo_cycle,
+                               transfer_function_probe)
 from echoqram.spectral import (blockade_reflection, broadened_response,
                                spectral_efficiency, storage_transfer)
 from oracles import (drive_integral_quadrature, gaussian_drive_closed_form,
@@ -107,33 +107,15 @@ class TestDiscretization:
         assert ens.detunings[-1] == 20.0
         assert np.sum(ens.weights) == pytest.approx(1.0, abs=1e-15)
 
-    def test_uniform_bin_masses(self):
-        d_in = 0.5
-        ens = discretize_ensemble(64, d_in, span=16.0,
-                                  scheme="uniform_weighted")
-        assert np.sum(ens.weights) == pytest.approx(1.0, abs=1e-12)
-        # an interior bin holds exactly the line mass between its edges
-        edges = np.linspace(-16.0, 16.0, 65)
-        k = 32
-        mass, _ = quad(lambda nu: d_in / (math.pi * (nu * nu + d_in * d_in)),
-                       edges[k], edges[k + 1])
-        assert ens.weights[k] == pytest.approx(mass, rel=1e-9)
-        # edge bins absorb the clipped tails, so they outweigh raw bin mass
-        raw0, _ = quad(lambda nu: d_in / (math.pi * (nu * nu + d_in * d_in)),
-                       edges[0], edges[1])
-        assert ens.weights[0] > raw0
-
-    def test_scheme_enum_roundtrip(self):
-        assert DiscretizationScheme("quantile") is DiscretizationScheme.QUANTILE
-
     @pytest.mark.parametrize("call", [
         lambda: discretize_ensemble(8, 0.5),
         lambda: discretize_ensemble(64, 0.0),
         lambda: discretize_ensemble(64, 0.5, span=5.0),
-        lambda: discretize_ensemble(64, 0.5, scheme="nope"),
+        lambda: discretize_ensemble(64, 0.5, span=math.nan),
+        lambda: discretize_ensemble(64, math.nan),
     ])
     def test_rejects(self, call):
-        with pytest.raises((ParameterError, ValueError)):
+        with pytest.raises(ParameterError):
             call()
 
     def test_ensemble_validation(self):
@@ -149,6 +131,22 @@ class TestDiscretization:
             AtomEnsemble(detunings=np.array([0.0, 1.0]),
                          weights=np.array([0.5, 0.5]),
                          coherences=np.zeros(3, complex))
+
+    @pytest.mark.parametrize("field, value", [
+        ("detunings", [0.0, math.nan]),
+        ("detunings", [math.nan, math.nan]),
+        ("weights", [0.5, math.nan]),
+        ("weights", [math.nan, math.nan]),
+        ("collective_coupling", math.nan),
+        ("collective_coupling", math.inf),
+    ])
+    def test_ensemble_refuses_nan(self, field, value):
+        good = dict(detunings=np.array([0.0, 1.0]),
+                    weights=np.array([0.5, 0.5]),
+                    coherences=np.zeros(2, complex), collective_coupling=1.0)
+        AtomEnsemble(**good)
+        with pytest.raises(ParameterError):
+            AtomEnsemble(**{**good, field: value})
 
     def test_for_params_carries_coupling(self, matched):
         ens = ensemble_for_params(matched, n_sim=64)
@@ -197,19 +195,6 @@ class TestStorage:
                       * pulse.spectral_density(nu), -6.0, 6.0,
                       points=[0.0], limit=800)
         assert trace.ensemble.probability == pytest.approx(ref, rel=1e-3)
-
-    def test_linearity(self, matched):
-        ens = ensemble_for_params(matched, n_sim=101)
-        pulse = PulseSpec(duration=5.0)
-        span = (-30.0, 30.0)
-        base = integrate_storage(matched, ens, pulse, span)
-        scaled = integrate_storage(matched, ens, pulse, span,
-                                   input_scale=0.5j)
-        ref = 0.5j * base.alpha_out
-        tol = 1e-8 * np.max(np.abs(base.alpha_out))
-        assert np.max(np.abs(scaled.alpha_out - ref)) < tol
-        assert scaled.ensemble.probability == pytest.approx(
-            0.25 * base.ensemble.probability, rel=1e-7)
 
     def test_ledger_residual_small(self, storage_cases):
         for dt, (trace, _) in storage_cases.items():

@@ -6,7 +6,7 @@ import math
 import re
 from pathlib import Path
 
-from echoqram.cli import _SCHEMA
+from echoqram.cli import _SCHEMA, Scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,7 +21,8 @@ def test_python_blocks_run(capsys):
 
 def test_config_table_is_the_schema():
     """The README's config table lists the paths of cli._SCHEMA, each with
-    its kind, default, bound or choices and where it is required."""
+    its kind, default, bound or choices, where it is required and which
+    scenarios read it."""
     section = README.read_text().split("### Config schema")[1]
     section = section.split("\n### ")[0]
     rows = {m[1]: [c.strip() for c in m[2].split("|")]
@@ -32,7 +33,7 @@ def test_config_table_is_the_schema():
         return f"`{json.dumps(value).strip(chr(34))}`"
 
     for key in _SCHEMA:
-        kind, default, bound, needed, _ = rows[key.path]
+        kind, default, bound, needed, read, _ = rows[key.path]
         assert kind == (f"{key.kind} of {key.item}" if key.item
                         else key.kind), key.path
         if key.default is None:
@@ -44,4 +45,7 @@ def test_config_table_is_the_schema():
                          else ", ".join(map(code, key.choices))), key.path
         assert needed == ("yes" if key.required
                           else ", ".join(code(s.value) for s in key.needed_by)), \
+            key.path
+        assert read == ("any" if set(key.read_by) == set(Scenario)
+                        else ", ".join(code(s.value) for s in key.read_by)), \
             key.path

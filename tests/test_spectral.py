@@ -7,25 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from echoqram.cli import main
+from echoqram.cli import ConfigError, main, parse_scenario_config
 from echoqram.dynamics import PulseSpec
 from echoqram.params import (ParameterError, params_digest,
                              solve_matched_params)
-from echoqram.spectral import (ComplexSpectrum, FrequencyGrid, SpectrumKind,
-                               blockade_reflection, blockade_response_factor,
-                               broadened_response, echo_spectrum,
+from echoqram.spectral import (blockade_reflection, broadened_response,
                                echo_probability_narrowband,
                                lorentzian_lineshape, matched_window,
                                resonant_efficiency, spectral_efficiency,
                                storage_transfer)
-from oracles import broadened_response_quadrature
+from oracles import broadened_response_quadrature, echo_spectrum
 
 
-def photon(grid, duration):
-    """Unit-norm Gaussian input photon sampled on the grid."""
-    return ComplexSpectrum(
-        grid=grid, values=PulseSpec(duration=duration).spectral_amplitude(
-            grid.points), kind=SpectrumKind.PHOTON_SPECTRUM)
+def photon(nu, duration):
+    """Unit-norm Gaussian input photon sampled at the frequencies nu."""
+    return PulseSpec(duration=duration).spectral_amplitude(nu)
 
 
 def spectra_artifact(p, tmp_path, fmt):
@@ -190,9 +186,6 @@ class TestBlockadeReflection:
         assert abs(f.imag) < 1e-12
         assert abs(f) ** 2 == pytest.approx(0.9674818597151303, rel=1e-12)
 
-    def test_response_factor_resonant(self):
-        assert blockade_response_factor(0.0, 1.0) == pytest.approx(1.0 + 0.0j)
-
     def test_narrowband_echo_probability(self, matched):
         p = with_c_pm(matched, 2.0)
         assert echo_probability_narrowband(p, 0.0) == pytest.approx(
@@ -205,39 +198,46 @@ class TestBlockadeReflection:
 
 
 class TestGridAndSpectrum:
-    def test_uniform_grid(self):
-        g = FrequencyGrid.uniform(span=2.0, n=5)
-        assert list(g.points) == [-2.0, -1.0, 0.0, 1.0, 2.0]
-        assert g.spacing == 1.0
-        assert g.is_symmetric
+    def test_uniform_grid(self, matched, tmp_path, capsys):
+        # the spectra grid: n points from center - span to center + span
+        config = tmp_path / "g.json"
+        config.write_text(json.dumps({
+            "scenario": "spectra", "params": matched.to_dict(),
+            "grid": {"span": 2.0, "n": 5, "center": 0.5}}))
+        path = tmp_path / "g.json.out"
+        assert main(["spectra", "--config", str(config), "--out", str(path),
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+        assert json.loads(path.read_text())["nu"] == [-1.5, -0.5, 0.5, 1.5,
+                                                       2.5]
 
-    def test_grid_validation(self):
-        with pytest.raises(ParameterError):
-            FrequencyGrid(points=np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ParameterError):
-            FrequencyGrid(points=np.array([[0.0, 1.0]]))
-        with pytest.raises(ParameterError):
-            FrequencyGrid.uniform(span=-1.0)
-
-    def test_efficiency_kind_must_be_real_and_bounded(self):
-        g = FrequencyGrid.uniform(span=1.0, n=3)
-        with pytest.raises(ParameterError):
-            ComplexSpectrum(grid=g, values=np.array([0.0, 1j, 0.0]),
-                            kind=SpectrumKind.EFFICIENCY_REAL)
-        with pytest.raises(ParameterError):
-            ComplexSpectrum(grid=g, values=np.array([0.0, 1.5, 0.0]),
-                            kind=SpectrumKind.EFFICIENCY_REAL)
-
-    def test_shape_mismatch(self):
-        g = FrequencyGrid.uniform(span=1.0, n=3)
-        with pytest.raises(ParameterError):
-            ComplexSpectrum(grid=g, values=np.zeros(4, complex),
-                            kind=SpectrumKind.PHOTON_SPECTRUM)
+    def test_grid_validation(self, tmp_path, capsys):
+        # a grid whose points overflow or round onto each other is refused
+        # while the config is read, at the line of "grid", and nothing
+        # else reaches stderr (no numpy warning either)
+        for grid, message in (
+                ({"span": 1e-10, "n": 1201, "center": 1e10},
+                 "'grid' points must strictly increase"),
+                ({"span": 1e308, "n": 5, "center": 1e308},
+                 "'grid' points must be finite")):
+            text = "\n".join([
+                "{", ' "scenario": "spectra",',
+                ' "params": {"matched": {"kappa": 1.0, "c_atom": 0.0}},',
+                f' "grid": {json.dumps(grid)}', "}"])
+            with pytest.raises(ConfigError, match=message):
+                parse_scenario_config(text)
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            assert main(["spectra", "--config", str(path),
+                         "--out", str(tmp_path / "s.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {path}:4: {message}")
+            assert err.count("\n") == 1
 
     def test_gaussian_photon_norm(self):
-        g = FrequencyGrid.uniform(span=8.0, n=4096)
-        assert photon(g, duration=1.0).l2_norm_sq() == pytest.approx(
-            1.0, abs=1e-9)
+        nu = np.linspace(-8.0, 8.0, 4096)
+        norm = np.trapezoid(np.abs(photon(nu, duration=1.0)) ** 2, nu)
+        assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_efficiency_spectrum_csv(self, matched, tmp_path, capsys):
         # efficiency spectra reach files through the spectra artifact
@@ -261,9 +261,9 @@ class TestGridAndSpectrum:
             np.array(doc["nu"]), matched).tolist()
 
     def test_reflection_spectrum_runs(self, blockade30):
-        g = FrequencyGrid.uniform(span=1.0, n=33)
+        nu = np.linspace(-1.0, 1.0, 33)
         diagnostics: dict = {}
-        values = blockade_reflection(g.points, blockade30, diagnostics)
+        values = blockade_reflection(nu, blockade30, diagnostics)
         assert diagnostics["pole_points"] == 0
         mid = abs(values[16]) ** 2
         assert mid == pytest.approx((60.0 / 61.0) ** 2, rel=1e-9)
@@ -275,30 +275,21 @@ class TestEchoSpectrum:
         # closed narrowband law, valid once the pulse is much narrower
         # than the window (duration 40/kappa -> 0.05*kappa bandwidth)
         p = matched.with_(t2=1e4)
-        g = FrequencyGrid.uniform(span=0.5, n=4001)
+        nu = np.linspace(-0.5, 0.5, 4001)
         tau = 200.0
-        inp = photon(g, duration=40.0)
-        out = echo_spectrum(inp, p, p, tau)
+        out = echo_spectrum(nu, photon(nu, duration=40.0), p, p, tau)
+        total = np.trapezoid(np.abs(out) ** 2, nu)
         narrow = echo_probability_narrowband(p, tau)
-        assert out.meta["total_probability"] == pytest.approx(
-            narrow, rel=5e-3)
+        assert total == pytest.approx(narrow, rel=5e-3)
 
-    def test_requires_photon_kind_and_symmetry(self, matched):
-        g = FrequencyGrid.uniform(span=1.0, n=65)
-        eff = ComplexSpectrum(grid=g, values=spectral_efficiency(g.points,
-                                                                  matched),
-                              kind=SpectrumKind.EFFICIENCY_REAL)
+    def test_requires_symmetric_grid(self, matched):
+        asym = np.linspace(-1.0, 2.0, 65)
         with pytest.raises(ParameterError):
-            echo_spectrum(eff, matched, matched, 1.0)
-        asym = FrequencyGrid(points=np.linspace(-1.0, 2.0, 65))
-        bad = photon(asym, duration=40.0)
-        with pytest.raises(ParameterError):
-            echo_spectrum(bad, matched, matched, 1.0)
+            echo_spectrum(asym, photon(asym, duration=40.0), matched,
+                          matched, 1.0)
 
     def test_requires_unit_norm(self, matched):
-        g = FrequencyGrid.uniform(span=0.5, n=513)
-        inp = photon(g, duration=40.0)
-        half = ComplexSpectrum(grid=g, values=0.5 * inp.values,
-                               kind=SpectrumKind.PHOTON_SPECTRUM)
+        nu = np.linspace(-0.5, 0.5, 513)
+        half = 0.5 * photon(nu, duration=40.0)
         with pytest.raises(ParameterError):
-            echo_spectrum(half, matched, matched, 1.0)
+            echo_spectrum(nu, half, matched, matched, 1.0)
