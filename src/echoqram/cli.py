@@ -452,6 +452,9 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
             raise w.error("scenario", f"scenario '{sc.value}' requires "
                                       f"'{key.path}'")
     if sc is Scenario.SPECTRA:
+        # the checks below allocate the grid, so its size is bounded first
+        if not cfg.grid_n <= 1e6:
+            raise w.error("grid.n", f"'grid.n' must be <= 1e6, got {cfg.grid_n}")
         # linspace overflows to inf or nan where center +- span does
         with np.errstate(all="ignore"):
             nu = _grid_points(cfg)
@@ -595,8 +598,7 @@ def _run_store(cfg: ScenarioConfig) -> _Artifact:
     span = cfg.t_span or (pulse.center - 6.0 * pulse.duration,
                           pulse.center + 6.0 * pulse.duration)
     ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-    trace = integrate_storage(p, ens, pulse, span, cfg.solver_tol,
-                              store_ensemble=False)
+    trace = integrate_storage(p, ens, pulse, span, cfg.solver_tol)
     fields = {"alpha_in": trace.alpha_in, "alpha_out": trace.alpha_out,
               "cavity1": trace.cavity1, "control": trace.control,
               "cavity2": trace.cavity2}

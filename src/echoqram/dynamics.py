@@ -33,20 +33,20 @@ gains weights, exact in its exponential, times the envelope at eight
 Gauss nodes; the weights are formed once per distinct step length.
 Each mode's free evolution at the samples is a complex exp per block of
 samples times a table of in-block offset factors that every regular
-block shares.  So a cycle costs its matrix products (node populations at
-every sample, the Gram forms of the loss ledger), one O(n) drive update
-per storage sample, and little else.  No array grows as the square of
-the mode count.
+block shares.  So a cycle costs its node populations at every sample, a
+matrix product that takes half the line's Cauchy rows when the state is
+mirror-conjugate (delta_c = 0, a mirrored line, a real envelope), one
+O(n) drive update per storage sample, and little else.  No array grows
+as the square of the mode count.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
 ensemble dephasing integral (2/T2)*sum_j int|b_j|**2.  The input integral
-is closed form.  The loss integrals are exact Gram forms of the modes
-wherever the state is a sum of exponentials: free evolution, and an
-exponential drive taken as one more exponential.  Under a Gaussian drive
-they use a quintic Hermite rule on exact time derivatives.
-Every run checks the ledger at each output time and aborts when it drifts
-beyond 100x solver_tol, which is all solver_tol bounds here; a mode basis
+is closed form.  Under an exponential drive the loss integrals are exact
+Gram forms of the modes, the drive one more exponential; otherwise a
+quintic Hermite rule on exact time derivatives.  Every run checks the
+ledger at each output time and aborts when it drifts beyond 100x
+solver_tol, which is all solver_tol bounds here; a mode basis
 whose eigenpair residual or condition number exceeds a fixed bound is
 refused as well.  The CW probe's steady state is one O(n) solve of the
 same arrowhead.
@@ -263,7 +263,6 @@ class SimulationTrace:
     cavity2: np.ndarray
     alpha_in: np.ndarray
     alpha_out: np.ndarray
-    coherences: np.ndarray | None       # (n_times, n_atoms) when stored
     p_cavity1: np.ndarray
     p_control: np.ndarray
     p_cavity2: np.ndarray
@@ -341,8 +340,7 @@ def _output_times(t_span: tuple[float, float], output_dt: float | None,
 
 def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
            times, a1, bc, a2, ain, pe,
-           l_out, l_c, l_t2, l_in, p0: float, coherences,
-           final_coherences) -> SimulationTrace:
+           l_out, l_c, l_t2, l_in, p0: float, final_coherences) -> SimulationTrace:
     """Close the probability ledger, enforce it, and package the trace."""
     p1 = np.abs(a1) ** 2
     pc = np.abs(bc) ** 2
@@ -356,7 +354,6 @@ def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
     return SimulationTrace(
         times=times, cavity1=a1, control=bc, cavity2=a2,
         alpha_in=ain, alpha_out=math.sqrt(p.kappa) * a1 - ain,
-        coherences=coherences,
         p_cavity1=p1, p_control=pc, p_cavity2=p2, p_ensemble=pe,
         out_flux_integral=l_out, control_loss_integral=l_c,
         t2_loss_integral=l_t2, in_flux_integral=l_in,
@@ -401,6 +398,7 @@ class _ModalBasis:
     g: np.ndarray
     group: np.ndarray
     share: np.ndarray
+    mirrored: bool          # delta_c = 0, merged nodes mirrored: D_M-1-m = conj(D_m)
     cond: float             # ||V||_F * ||V^-1||_F, bounds the 2-norm one
     residual: float         # worst relative eigenpair residual
     drive: np.ndarray | None = None    # V^-1 e_a1: the mode coordinates of the input
@@ -560,11 +558,13 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
         raise IntegrationError(
             f"mode basis rejected: eigenpair residual {residual:.2e} (bound "
             f"{_RESIDUAL_BOUND:g}), cond(V) {cond:.3e} (bound {_COND_BOUND:g})")
+    mirrored = p.delta_c == 0 and all(np.array_equal(x[::-1], y) for x, y in (
+        (poles, np.conj(poles)), (g2, g2), (share, share), (group, group[-1] - group)))
     basis = _ModalBasis(
         lam=lam, a1=a1 * scale_v, bc=bc * scale_v, a2=scale_v,
         ens_sum=s_ens, ens_norm=np.abs(scale_v) ** 2 * abs_ens,
         poles=poles, g=np.sqrt(g2), group=group, share=share,
-        cond=cond, residual=residual)
+        mirrored=mirrored, cond=cond, residual=residual)
     return replace(basis, drive=_mode_coordinates(
         basis, np.array([1.0, 0.0, 0.0]), np.zeros(g2.size)))
 
@@ -776,29 +776,32 @@ def _rate(x, dx, ddx, weight: float):
             2.0 * weight * (np.abs(dx) ** 2 + (np.conj(x) * ddx).real))
 
 
-def _ensemble_at(basis: _ModalBasis, c: np.ndarray, cols: np.ndarray | None):
-    """Bright-ensemble population at every sample, the original nodes'
-    amplitudes at the samples `cols` (None: none kept) and at the last one."""
-    n_nodes = basis.group.size
+def _ensemble_at(basis: _ModalBasis, c: np.ndarray, mirrored: bool):
+    """Bright-ensemble population at every sample and the original nodes'
+    amplitudes at the last one.  A mirror-conjugate state, b_M-1-m =
+    conj(b_m), takes the rows of the lower half of the merged nodes only:
+    their populations count twice, a centre node once, and the upper half
+    of the last amplitudes is the conjugate mirror, the centre node real."""
+    size = basis.g.size
+    rows = (size + 1) // 2 if mirrored else size
+    weight = np.where(np.arange(rows) < size - rows, 2.0, 1.0)
     pe = np.zeros(c.shape[1])
-    kept = None if cols is None else np.empty((cols.size, n_nodes), dtype=complex)
-    last = np.empty(n_nodes, dtype=complex)
-    bounds = np.searchsorted(basis.group, np.arange(0, basis.g.size + _BLOCK, _BLOCK))
-    for i, lo in enumerate(range(0, basis.g.size, _BLOCK)):
-        blk = basis.ensemble_rows(lo, lo + _BLOCK) @ c
-        pe += (blk.real ** 2 + blk.imag ** 2).sum(axis=0)
-        j0, j1 = bounds[i], bounds[i + 1]
-        rows = basis.group[j0:j1] - lo
-        share = basis.share[j0:j1]
-        last[j0:j1] = share * blk[rows, -1]
-        if kept is not None:
-            kept[:, j0:j1] = (share[:, None] * blk[rows][:, cols]).T
-    return pe, kept, last
+    last = np.empty(size, dtype=complex)
+    for lo in range(0, rows, _BLOCK):
+        hi = min(lo + _BLOCK, rows)
+        blk = basis.ensemble_rows(lo, hi) @ c
+        pe += weight[lo:hi] @ (blk.real ** 2 + blk.imag ** 2)
+        last[lo:hi] = blk[:, -1]
+    if mirrored:
+        last[rows:] = np.conj(last[:size - rows][::-1])
+        last[size - rows:rows] = last[size - rows:rows].real
+    return pe, basis.share * last[basis.group]
 
 
 def _gram_losses(basis: _ModalBasis, c: np.ndarray, p: SystemParams,
                  inv_t2: float, forced=None):
-    """Exact loss integrals since the first sample of a sum of exponentials.
+    """Exact loss integrals since the first sample of storage under an
+    exponential drive, where the state is a sum of exponentials.
 
     Free evolution: c_k(t) = c_k(t0) exp(lam_k t).  A loss rate y^H W y
     has the Gram kernel Q = W_kl / (conj(lam_k) + lam_l): Phi(t) =
@@ -873,8 +876,7 @@ def _gram_losses(basis: _ModalBasis, c: np.ndarray, p: SystemParams,
 
 
 def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
-                   times: np.ndarray, solver_tol: float,
-                   store_ensemble: bool) -> SimulationTrace:
+                   times: np.ndarray, solver_tol: float) -> SimulationTrace:
     basis = _modal_basis(p, ens)
     sqrtk = math.sqrt(p.kappa)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
@@ -887,10 +889,11 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
     c = _drive_integrals(pulse, basis.lam, nodes)
     c *= (sqrtk * basis.drive)[:, None]
     a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
-    pe, kept, last = _ensemble_at(basis, c, out if store_ensemble else None)
+    pe, last = _ensemble_at(basis, c,
+                            basis.mirrored and not pulse.carrier_detuning)
     if gaussian:
-        losses = _hermite_losses(p, basis, c, nodes, pulse, a1, bc, a2, pe,
-                                 inv_t2)
+        losses = _hermite_losses(p, basis, c, nodes, a1, bc, a2, pe, inv_t2,
+                                 pulse)
     else:
         # a sum of exponentials on either side of the switching instant:
         # the driven side with the drive as one more coordinate, exact
@@ -912,27 +915,29 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
     l_in = cdf - cdf[0]
     return _trace(p, ens, "storage", solver_tol, times,
                   a1[out], bc[out], a2[out], pulse.amplitude(times),
-                  pe[out], *losses[:, out], l_in, 0.0, kept, last)
+                  pe[out], *losses[:, out], l_in, 0.0, last)
 
 
 def _hermite_losses(p: SystemParams, basis: _ModalBasis, c: np.ndarray,
-                    nodes: np.ndarray, pulse: PulseSpec, a1, bc, a2, pe,
-                    inv_t2: float) -> np.ndarray:
-    """Loss integrals under a Gaussian drive by the quintic Hermite rule,
-    with first and second time derivatives from the equations of motion;
-    sig = sum_j g_j b_j and its derivative need the rows sum_m g_m V_mk
-    and sum_m g_m D_m V_mk."""
+                    nodes: np.ndarray, a1, bc, a2, pe, inv_t2: float,
+                    pulse: PulseSpec | None = None) -> np.ndarray:
+    """Loss integrals under a Gaussian drive, or none, by the quintic Hermite
+    rule on time derivatives from the equations of motion, with no Gram
+    kernel 1/(conj(lam_k) + lam_l) to cancel; sig = sum_j g_j b_j and its
+    derivative need the rows sum_m g_m V_mk and sum_m g_m D_m V_mk."""
     sqrtk = math.sqrt(p.kappa)
     cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
     sig = basis.collective @ c
     dsig = (-1j * basis.a2 * (basis.lam * basis.ens_sum
                               - p.collective_coupling)) @ c \
         - 1j * p.collective_coupling * a2
-    ain = pulse.amplitude(nodes)
-    rate = -(nodes - pulse.center) / pulse.duration ** 2 \
-        - 1j * pulse.carrier_detuning
-    dain = rate * ain
-    ddain = (rate * rate - pulse.duration ** -2) * ain
+    ain = dain = ddain = 0.0
+    if pulse is not None:
+        ain = pulse.amplitude(nodes)
+        rate = -(nodes - pulse.center) / pulse.duration ** 2 \
+            - 1j * pulse.carrier_detuning
+        dain = rate * ain
+        ddain = (rate * rate - pulse.duration ** -2) * ain
     da2 = -1j * sig - 1j * p.f2 * a1
     dbc = cdamp * bc - 1j * p.g1 * a1
     da1 = -1j * p.g1 * bc - 1j * p.f2 * a2 - 0.5 * p.kappa * a1 + sqrtk * ain
@@ -951,7 +956,7 @@ def _hermite_losses(p: SystemParams, basis: _ModalBasis, c: np.ndarray,
 
 
 def _modal_retrieval(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
-                     solver_tol: float, store_ensemble: bool) -> SimulationTrace:
+                     solver_tol: float) -> SimulationTrace:
     basis = _modal_basis(p, ens)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     b0 = ens.coherences
@@ -966,21 +971,18 @@ def _modal_retrieval(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     c = _propagator(basis.lam, c0, times, times[0])
 
     a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
-    cols = np.arange(times.size) if store_ensemble else None
-    pe, kept, last = _ensemble_at(basis, c, cols)
-    l_out, l_c, l_t2 = _gram_losses(basis, c, p, inv_t2)
+    pe, last = _ensemble_at(basis, c, basis.mirrored
+                            and np.array_equal(b0[::-1], np.conj(b0)))
+    l_out, l_c, l_t2 = _hermite_losses(p, basis, c, times, a1, bc, a2, pe,
+                                       inv_t2)
     dark_p = float(np.sum(np.abs(dark) ** 2))
     if dark_p > 0:
-        node_poles = -(1j * ens.detunings + inv_t2)
         pe = pe + dark_p * np.exp(-2.0 * inv_t2 * elapsed)
         l_t2 = l_t2 - dark_p * np.expm1(-2.0 * inv_t2 * elapsed)
-        last = last + dark * np.exp(node_poles * elapsed[-1])
-        if kept is not None:
-            kept += _propagator(node_poles, dark, times, times[0]).T
+        last = last + dark * np.exp(-(1j * ens.detunings + inv_t2) * elapsed[-1])
     return _trace(p, ens, "retrieval", solver_tol, times, a1, bc, a2,
                   np.zeros(times.size, dtype=complex), pe, l_out, l_c, l_t2,
-                  np.zeros(times.size), float(np.sum(np.abs(b0) ** 2)),
-                  kept, last)
+                  np.zeros(times.size), float(np.sum(np.abs(b0) ** 2)), last)
 
 
 def integrate_storage(
@@ -992,7 +994,6 @@ def integrate_storage(
     *,
     output_dt: float | None = None,
     extra_eval: tuple[float, ...] = (),
-    store_ensemble: bool = True,
 ) -> SimulationTrace:
     """Drive the empty memory with a normalized input pulse.
 
@@ -1009,7 +1010,7 @@ def integrate_storage(
     if output_dt is None:
         output_dt = min(pulse.duration / 30.0, (t_span[1] - t_span[0]) / 400.0)
     times = _output_times(t_span, output_dt, extra_eval)
-    return _modal_storage(p, ens, pulse, times, solver_tol, store_ensemble)
+    return _modal_storage(p, ens, pulse, times, solver_tol)
 
 
 def integrate_retrieval(
@@ -1020,7 +1021,6 @@ def integrate_retrieval(
     *,
     output_dt: float | None = None,
     extra_eval: tuple[float, ...] = (),
-    store_ensemble: bool = True,
 ) -> SimulationTrace:
     """Free evolution of a loaded ensemble with the drive removed.
 
@@ -1032,7 +1032,7 @@ def integrate_retrieval(
     if ens.probability <= 0.0:
         raise ParameterError("retrieval needs an ensemble with nonzero coherence")
     times = _output_times(t_span, output_dt, extra_eval)
-    return _modal_retrieval(p, ens, times, solver_tol, store_ensemble)
+    return _modal_retrieval(p, ens, times, solver_tol)
 
 
 # ----------------------------------------------------------------- echo cycle
@@ -1136,8 +1136,7 @@ def run_echo_cycle(
     c = pulse.center
     t_inv = c + tau
     storage = integrate_storage(
-        p_store, ens, pulse, (c - 6.0 * dt, t_inv), solver_tol,
-        store_ensemble=keep_traces)
+        p_store, ens, pulse, (c - 6.0 * dt, t_inv), solver_tol)
     ens_stored = storage.ensemble
     inverted = invert_detunings(ens_stored)
 
@@ -1147,8 +1146,7 @@ def run_echo_cycle(
     w_hi = min(echo_center + 6.0 * dt, t_end)
     retrieval = integrate_retrieval(
         p_read, inverted, (t_inv, t_end), solver_tol,
-        output_dt=dt / 40.0, extra_eval=(w_lo, w_hi),
-        store_ensemble=keep_traces)
+        output_dt=dt / 40.0, extra_eval=(w_lo, w_hi))
 
     i_lo = int(np.searchsorted(retrieval.times, w_lo))
     i_hi = int(np.searchsorted(retrieval.times, w_hi))

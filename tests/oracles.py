@@ -12,6 +12,9 @@ with the input pulse, which the storage drive evaluates by recurrence;
 gaussian_drive_closed_form: the same convolutions for a Gaussian pulse
 through the Faddeeva function.  All need scipy, which only the tests
 depend on.
+echo_probability_quadrature: the echo probability as a direct
+Gauss-Legendre integral of kappa |a1|**2 between the retrieval's samples,
+the check of the loss ledger's quadrature.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
                                PulseSpec, SimulationTrace, _check_tol,
-                               _output_times, _trace)
+                               _modal_basis, _mode_coordinates,
+                               _output_times, _trace, invert_detunings)
 from echoqram.params import ParameterError, SystemParams
 from echoqram.spectral import lorentzian_lineshape, storage_transfer
 
@@ -93,7 +97,7 @@ def integrate(
     return _trace(p, ens, kind, solver_tol, sol.t,
                   a1, bc, a2, ain, np.sum(np.abs(b) ** 2, axis=0),
                   sol.y[3 + n].real, sol.y[4 + n].real, sol.y[5 + n].real,
-                  sol.y[6 + n].real, p0, b.T.copy(), b[:, -1])
+                  sol.y[6 + n].real, p0, b[:, -1])
 
 
 def echo_spectrum(nu: np.ndarray, alpha_in: np.ndarray, p_store: SystemParams,
@@ -225,3 +229,34 @@ def gaussian_drive_closed_form(pulse: PulseSpec, lam: np.ndarray,
 
     norm = (math.pi * sd * sd) ** -0.25 * sd * math.sqrt(0.5 * math.pi)
     return norm * (g_scaled(t[0] - c) - g_scaled(t - c))
+
+
+def echo_probability_quadrature(p_read: SystemParams, ens_stored: AtomEnsemble,
+                                t_inv: float, times: np.ndarray) -> float:
+    """integral of kappa |a1|**2 from times[0] to times[-1] in the
+    retrieval that starts from invert_detunings(ens_stored) at t_inv.
+
+    a1(t) = sum_k a1_k c_k exp(lam_k (t - t_inv)) in the modes of the
+    read stage, with c the mode coordinates of the part of the initial
+    state the cavity sees; the dark remainder of merged nodes never
+    reaches a1.  Each interval between consecutive times takes a
+    16-point Gauss-Legendre rule, far inside rounding for the intervals
+    a cycle samples, so the result checks the ledger's quadrature and
+    not the propagation.
+    """
+    ens = invert_detunings(ens_stored)
+    basis = _modal_basis(p_read, ens)
+    weighted = basis.share * ens.coherences
+    bright = (np.bincount(basis.group, weights=weighted.real)
+              + 1j * np.bincount(basis.group, weights=weighted.imag))
+    c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright)
+    x, w = np.polynomial.legendre.leggauss(16)
+    h = np.diff(times)
+    t = (times[:-1, None] + 0.5 * h[:, None] * (x + 1.0)).ravel()
+    wt = (0.5 * h[:, None] * w).ravel()
+    total = 0.0
+    for lo in range(0, t.size, 512):
+        a1 = np.exp(np.multiply.outer(t[lo:lo + 512] - t_inv, basis.lam)) \
+            @ (basis.a1 * c0)
+        total += float(wt[lo:lo + 512] @ (a1.real ** 2 + a1.imag ** 2))
+    return p_read.kappa * total

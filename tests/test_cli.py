@@ -602,6 +602,7 @@ class TestBoundary:
     @example("params.matched.kappa", 5e-324)   # delta_in = kappa/2 is 0
     @example("sweep.parameter", "t2")          # the curve's parameter
     @example("grid", {"a": 1})
+    @example("grid.n", 10 ** 12)               # a grid no memory holds
     def test_fuzzed_scalars_raise_only_config_error(self, path, value):
         explicit = {"kappa": 1.0, "gamma": 1.0, "g1": 0.0,
                     "g2": 0.011180339887498949, "f2": 0.3535533905932738,

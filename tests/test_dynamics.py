@@ -19,8 +19,8 @@ from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
                                transfer_function_probe)
 from echoqram.spectral import (blockade_reflection, broadened_response,
                                spectral_efficiency, storage_transfer)
-from oracles import (drive_integral_quadrature, gaussian_drive_closed_form,
-                     integrate)
+from oracles import (drive_integral_quadrature, echo_probability_quadrature,
+                     gaussian_drive_closed_form, integrate)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -281,10 +281,13 @@ class TestEchoCycle:
 
     def test_sweep_retrieval_grids_have_one_step(self, matched):
         # the committed sweep's durations: its dt/40 grid must not gain an
-        # interval from rounding, nor a sliver next to the echo window
+        # interval from rounding, nor a sliver next to the echo window.
+        # 256 nodes keep the line's revival period above the echo time at
+        # every duration, so that each cycle is resolved and passes its
+        # ledger
         cfg = parse_scenario_config(
             (REPO / "configs" / "echo_sweep_t2.json").read_text())
-        ens = ensemble_for_params(matched, n_sim=64, span=cfg.span)
+        ens = ensemble_for_params(matched, n_sim=256, span=cfg.span)
         for dt in cfg.sweep.values:
             echo = run_echo_cycle(matched, matched, ens, PulseSpec(duration=dt),
                                   cfg.sweep.tau_over_duration * dt)
@@ -292,6 +295,41 @@ class TestEchoCycle:
             steps = np.diff(times)
             assert np.all(np.abs(steps - dt / 40.0) <= 1e-12 * dt), dt
             assert set(echo.echo_window) <= set(times.tolist()), dt
+
+    @pytest.mark.parametrize("n_sim", [1201, 1601])
+    def test_fine_grid_short_pulse_passes_its_ledger(self, matched, n_sim):
+        # T2 = inf puts modes within 1e-9 of the imaginary axis, where the
+        # free Gram form Phi(t) - Phi(t0) cancels: a finer, more accurate
+        # line was refused at 2.6e-7 and 1.4e-6
+        ens = ensemble_for_params(matched, n_sim=n_sim, span=10.0)
+        echo = run_echo_cycle(matched, matched, ens, PulseSpec(duration=1.0),
+                              5.0)
+        assert echo.retrieval_trace.max_ledger_residual <= 1e-11
+        direct = echo_probability_quadrature(matched, echo.ens_stored, 5.0,
+                                             echo.output_times)
+        assert abs(echo.echo_probability - direct) <= 1e-12
+
+    def test_sweep_echo_is_the_direct_integral(self, matched):
+        # the sweep's worst point for the Gram form of the output integral,
+        # which missed the direct integral by 1.05e-11
+        cfg = parse_scenario_config(
+            (REPO / "configs" / "echo_sweep_t2.json").read_text())
+        p = matched.with_(t2=1e4)
+        tau = cfg.sweep.tau_over_duration
+        ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
+        echo = run_echo_cycle(p, p, ens, PulseSpec(duration=1.0), tau,
+                              keep_traces=False)
+        direct = echo_probability_quadrature(p, echo.ens_stored, tau,
+                                             echo.output_times)
+        assert abs(echo.echo_probability - direct) <= 1e-13
+
+    def test_under_resolved_line_refused(self, matched):
+        # 128 nodes revive at half the echo time: the cycle returned
+        # P_echo 0.478 where the converged value is 0.820
+        p = matched.with_(t2=1e4)
+        ens = ensemble_for_params(p, n_sim=128, span=10.0)
+        with pytest.raises(IntegrationError, match="ledger violated on retrieval"):
+            run_echo_cycle(p, p, ens, PulseSpec(duration=100.0), 500.0)
 
     @pytest.mark.parametrize("output_dt", [0.0, -1.0, math.nan, math.inf])
     def test_bad_output_step_refused(self, matched, output_dt):
@@ -420,8 +458,7 @@ class TestKernels:
         p = matched.with_(t2=2.0)
         ens = ensemble_for_params(p, n_sim=64)
         trace = integrate_storage(p, ens, PulseSpec(duration=sd, center=c),
-                                  (c - 6.0 * sd, c + 300.0 * sd),
-                                  store_ensemble=False)
+                                  (c - 6.0 * sd, c + 300.0 * sd))
         for name in ("cavity1", "control", "cavity2", "p_ensemble",
                      "out_flux_integral"):
             assert np.all(np.isfinite(getattr(trace, name))), name
@@ -631,8 +668,7 @@ class TestModalPropagator:
         """run_echo_cycle with both stages integrated by DOP853."""
         tol = 1e-10
 
-        def storage(p, e, pl, span, solver_tol=1e-9, *, output_dt=None,
-                    store_ensemble=True):
+        def storage(p, e, pl, span, solver_tol=1e-9, *, output_dt=None):
             if output_dt is None:
                 output_dt = min(pl.duration / 30.0, (span[1] - span[0]) / 400.0)
             return integrate(p, e, pl.amplitude, span,
@@ -640,7 +676,7 @@ class TestModalPropagator:
                              output_dt)
 
         def retrieval(p, e, span, solver_tol=1e-9, *, output_dt=None,
-                      extra_eval=(), store_ensemble=True):
+                      extra_eval=()):
             return integrate(p, e, None, span, e.coherences.copy(),
                              (0, 0, 0), tol, output_dt,
                              extra_eval=extra_eval, kind="retrieval")
@@ -719,3 +755,96 @@ class TestModalPropagator:
         with pytest.raises(ParameterError):
             integrate_storage(matched, ens, PulseSpec(duration=5.0),
                               (-30.0, 30.0), solver_tol=math.nan)
+
+
+class TestMirroredLine:
+    """A mirror-conjugate state takes the rows of half the line."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the `mirrored` flag of every node-population call."""
+        flags = []
+        inner = dynamics._ensemble_at
+
+        def recording(basis, c, mirrored):
+            flags.append(mirrored)
+            return inner(basis, c, mirrored)
+
+        monkeypatch.setattr(dynamics, "_ensemble_at", recording)
+        return flags
+
+    @staticmethod
+    def dense_populations(basis, c):
+        """sum over every merged node of |b_m|**2, the full rows at once."""
+        rows = basis.ensemble_rows(0, basis.g.size) @ c
+        return np.sum(np.abs(rows) ** 2, axis=0)
+
+    def storage_reference(self, p, ens, pulse, trace):
+        """The stored populations and final node amplitudes, full rows."""
+        basis = dynamics._modal_basis(p, ens)
+        c = dynamics._drive_integrals(pulse, basis.lam, trace.times)
+        c *= (math.sqrt(p.kappa) * basis.drive)[:, None]
+        last = basis.ensemble_rows(0, basis.g.size) @ c[:, -1]
+        return self.dense_populations(basis, c), basis.share * last[basis.group]
+
+    def retrieval_reference(self, p, trace):
+        # a line with no merged nodes: the whole state is bright
+        ens = invert_detunings(trace.ensemble)
+        basis = dynamics._modal_basis(p, ens)
+        assert basis.g.size == ens.n
+        c0 = dynamics._mode_coordinates(basis, np.zeros(3), ens.coherences)
+        return basis, c0
+
+    def test_symmetric_cycle_matches_full_rows(self, matched, monkeypatch):
+        p = matched.with_(t2=1e3)
+        ens = ensemble_for_params(p, n_sim=129)
+        pulse = PulseSpec(duration=5.0)
+        flags = self.spy(monkeypatch)
+        echo = run_echo_cycle(p, p, ens, pulse, 25.0)
+        assert flags == [True, True]
+        stored = echo.ens_stored.coherences
+        assert np.array_equal(stored[::-1], np.conj(stored))
+        assert stored[ens.n // 2].imag == 0.0
+        ref, last = self.storage_reference(p, ens, pulse, echo.storage_trace)
+        assert np.max(np.abs(echo.storage_trace.p_ensemble - ref)) <= 1e-11
+        assert np.max(np.abs(stored - last)) <= 1e-11
+        # the retrieval starts from the stored state, inverted
+        retrieval = echo.retrieval_trace
+        basis, c0 = self.retrieval_reference(p, echo.storage_trace)
+        c = dynamics._propagator(basis.lam, c0, retrieval.times,
+                                 retrieval.times[0])
+        assert np.max(np.abs(retrieval.p_ensemble
+                             - self.dense_populations(basis, c))) <= 1e-11
+
+    @pytest.mark.parametrize("case", ["carrier", "delta_c", "weights"])
+    def test_asymmetric_line_takes_full_rows(self, blockade30, monkeypatch,
+                                             case):
+        p = blockade30.with_(t2=1e3, delta_c=0.2 if case == "delta_c" else 0.0)
+        ens = ensemble_for_params(p, n_sim=64)
+        if case == "weights":
+            w = 1.0 + 0.2 * np.linspace(-1.0, 1.0, ens.n)
+            ens = AtomEnsemble(ens.detunings, w / np.sum(w), ens.coherences,
+                               ens.collective_coupling)
+        pulse = PulseSpec(duration=5.0,
+                          carrier_detuning=0.1 if case == "carrier" else 0.0)
+        flags = self.spy(monkeypatch)
+        trace = integrate_storage(p, ens, pulse, (-30.0, 30.0))
+        assert flags == [False]
+        ref, last = self.storage_reference(p, ens, pulse, trace)
+        assert np.max(np.abs(trace.p_ensemble - ref)) <= 1e-11
+        assert np.max(np.abs(trace.ensemble.coherences - last)) <= 1e-11
+
+    def test_mirrored_state_needs_a_mirrored_start(self, matched, monkeypatch):
+        # a retrieval from a state that is not mirror-conjugate bit for bit
+        # takes the full rows on a mirrored line
+        ens = ensemble_for_params(matched, n_sim=64)
+        b0 = np.exp(1j * np.linspace(0.0, 1.0, ens.n)) / math.sqrt(ens.n)
+        flags = self.spy(monkeypatch)
+        trace = integrate_retrieval(matched, ens.with_coherences(b0),
+                                    (0.0, 20.0))
+        assert flags == [False]
+        basis = dynamics._modal_basis(matched, ens)
+        c0 = dynamics._mode_coordinates(basis, np.zeros(3), b0)
+        c = dynamics._propagator(basis.lam, c0, trace.times, 0.0)
+        assert np.max(np.abs(trace.p_ensemble
+                             - self.dense_populations(basis, c))) <= 1e-11
