@@ -46,8 +46,6 @@ from .dynamics import (
     EchoResult,
     blockade_phase_check,
     PhaseCheck,
-    transfer_function_probe,
-    ProbeResult,
 )
 from .addressing import (
     RAMAN_ABSORB_PHASE,
@@ -82,7 +80,6 @@ __all__ = [
     "ensemble_for_params", "invert_detunings", "SimulationTrace",
     "IntegrationError", "integrate_storage", "integrate_retrieval",
     "run_echo_cycle", "EchoResult", "blockade_phase_check", "PhaseCheck",
-    "transfer_function_probe", "ProbeResult",
     "RAMAN_ABSORB_PHASE", "ECHO_EMISSION_PHASE", "CONTROL_RESET_PHASE",
     "ControlState", "Cell", "Term", "AddressSpec", "BranchEfficiencies",
     "QramState", "ProtocolError", "store_sequence",

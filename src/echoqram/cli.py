@@ -468,6 +468,13 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     if sc is Scenario.BLOCKADE and cfg.read_params.g1 == 0:
         raise w.error("read_params",
                       "'read_params.g1' must be > 0 for a blockade run")
+    # the library's refusals of the line and of the delay, at their lines
+    if cfg.span is not None and not cfg.span >= 20.0 * cfg.params.delta_in:
+        raise w.error("span", f"span {cfg.span} too small: need >= "
+                              f"20*delta_in = {20.0 * cfg.params.delta_in} to "
+                              "keep the truncated line mass negligible")
+    if sc in (Scenario.ECHO_CYCLE, Scenario.BLOCKADE):
+        _check_delay(w, "tau", cfg.tau, cfg.pulse.duration)
     if cfg.eff_from_dynamics and (cfg.params is None or cfg.tau is None):
         raise w.error("efficiencies.from_dynamics",
                       "efficiencies.from_dynamics needs 'params' and 'tau'")
@@ -498,7 +505,29 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
             if math.isinf(v) and name != "t2":
                 raise w.error(f"{path}[{i}]",
                               f"'{path}[{i}]' must be finite, got {v!r}")
+    # every point's delay, set as _apply_sweep_value sets it, at the line
+    # of the key that set it last
+    for j, cval in enumerate(sweep.curve_values or (None,)):
+        for i, v in enumerate(sweep.values):
+            duration, tau, anchor = cfg.pulse.duration, cfg.tau, "tau"
+            for name, value, path in (
+                    (sweep.curve_parameter, cval, f"sweep.curve_values[{j}]"),
+                    (sweep.parameter, v, f"sweep.values[{i}]")):
+                if name == "pulse_duration":
+                    duration, tau = value, sweep.tau_over_duration * value
+                    anchor = "sweep.tau_over_duration"
+                elif name == "tau":
+                    tau, anchor = value, path
+            _check_delay(w, anchor, tau, duration)
     return cfg
+
+
+def _check_delay(w: _Walker, anchor: str, tau: float, duration: float) -> None:
+    """run_echo_cycle's refusal of a delay under five pulse durations."""
+    if tau < 5.0 * duration:
+        raise w.error(anchor, f"tau = {tau} too small: need >= 5 pulse "
+                              f"durations ({5.0 * duration}) after the pulse "
+                              "center")
 
 
 # ------------------------------------------------------------------ scenarios

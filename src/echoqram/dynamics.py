@@ -24,13 +24,17 @@ dy/dt = A y + B a_in(t), and both stages are propagated exactly in the
 eigenbasis of A.  A is complex symmetric with arrowhead structure, so its
 eigenvalues are the roots of a secular equation, found by Aberth
 iteration in O(n**2) operations, and its eigenvectors have closed
-Cauchy forms; nodes that share a detuning are merged first.  One basis
-serves every call on the same (parameters, grid), so storage and
-retrieval share it on a mirrored grid.  The drive enters through each
-mode's convolution with the pulse, one exponential-quadrature recurrence
-for every pulse shape: per output step the mode decays by exp(lam h) and
-gains weights, exact in its exponential, times the envelope at eight
-Gauss nodes; the weights are formed once per distinct step length.
+Cauchy forms; nodes that share a detuning are merged first.  On a
+mirrored line (delta_c = 0) the roots are real or conjugate pairs, and
+Aberth iterates one root of each pair, so the solve, the ensemble sums
+and the Cauchy rows of a mirror-conjugate state's coordinates take half
+the work.  One basis serves every call on the same (parameters, grid),
+so storage and retrieval share it on a mirrored grid.  The drive enters
+through each mode's convolution with the pulse, one exponential-quadrature
+recurrence for every pulse shape: per output step the mode decays by
+exp(lam h) and gains weights, exact in its exponential, times the
+envelope at eight Gauss nodes; the weights are formed once per distinct
+step length.
 Each mode's free evolution at the samples is a complex exp per block of
 samples times a table of in-block offset factors that every regular
 block shares.  So a cycle costs its node populations at every sample, a
@@ -48,8 +52,7 @@ quintic Hermite rule on exact time derivatives.  Every run checks the
 ledger at each output time and aborts when it drifts beyond 100x
 solver_tol, which is all solver_tol bounds here; a mode basis
 whose eigenpair residual or condition number exceeds a fixed bound is
-refused as well.  The CW probe's steady state is one O(n) solve of the
-same arrowhead.
+refused as well.
 """
 
 from __future__ import annotations
@@ -367,8 +370,14 @@ def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
 #: rows per block in every sum over modes, nodes or samples, so that no
 #: temporary grows as (number of modes)**2
 _BLOCK = 128
+#: rows per block of the elementwise sums over poles or roots, which take
+#: no matrix product: a block this small keeps its temporaries in cache
+_ROW_BLOCK = 16
 #: Aberth sweeps allowed before the eigen-solve counts as failed
 _ABERTH_MAX_ITER = 100
+#: poles on each side of a mirrored line's centre whose roots iterate
+#: without their conjugates: a pair may turn real there, or two reals pair
+_FREE_POLES = 8
 #: largest accepted ||V||_F * ||V^-1||_F of the mode basis
 _COND_BOUND = 1e8
 #: largest accepted eigenpair residual ||A v - lam v|| / (||A|| ||v||)
@@ -385,7 +394,9 @@ class _ModalBasis:
     ensemble rows have the Cauchy form V_mk = -i g_m a2_k / (lam_k - D_m)
     and are formed a block at a time.  Nodes that share a detuning are
     merged into one node of coupling sqrt(sum g_j**2): `group` maps each
-    original node to its merged node, `share` holds g_j / g_m.
+    original node to its merged node, `share` holds g_j / g_m.  On a
+    mirrored line the modes are laid out as [pairs, reals, conjugates of
+    the pairs]: lam[-pairs:] = conj(lam[:pairs]) bit for bit.
     """
 
     lam: np.ndarray
@@ -399,6 +410,7 @@ class _ModalBasis:
     group: np.ndarray
     share: np.ndarray
     mirrored: bool          # delta_c = 0, merged nodes mirrored: D_M-1-m = conj(D_m)
+    pairs: int              # conjugate pairs among the modes, 0 unless mirrored
     cond: float             # ||V||_F * ||V^-1||_F, bounds the 2-norm one
     residual: float         # worst relative eigenpair residual
     drive: np.ndarray | None = None    # V^-1 e_a1: the mode coordinates of the input
@@ -407,6 +419,13 @@ class _ModalBasis:
     def collective(self) -> np.ndarray:
         """Row sum_m g_m V_mk: the ensemble amplitude cavity 2 sees."""
         return -1j * self.a2 * self.ens_sum
+
+    @property
+    def partner(self) -> np.ndarray:
+        """Index of each mode's conjugate; a real mode is its own."""
+        n, k = self.lam.size, self.pairs
+        idx = np.arange(n)
+        return np.concatenate((idx[n - k:], idx[k:n - k], idx[:k]))
 
     def ensemble_rows(self, lo: int, hi: int) -> np.ndarray:
         rows = self.lam - self.poles[lo:hi, None]
@@ -435,13 +454,13 @@ def _ensemble_sums(z: np.ndarray, poles: np.ndarray, g2: np.ndarray,
     """sum g2/(z-D) and its z-derivative, then sum 1/(z-D), or with
     `with_norm` sum g2/|z-D|**2 in its place."""
     out = np.empty((3, z.size), dtype=complex)
-    for lo in range(0, z.size, _BLOCK):
-        r = 1.0 / (z[lo:lo + _BLOCK, None] - poles)
+    for lo in range(0, z.size, _ROW_BLOCK):
+        r = 1.0 / (z[lo:lo + _ROW_BLOCK, None] - poles)
         q = r * g2
-        out[0, lo:lo + _BLOCK] = q.sum(axis=1)
-        out[1, lo:lo + _BLOCK] = -(q * r).sum(axis=1)
-        out[2, lo:lo + _BLOCK] = ((q.real * r.real + q.imag * r.imag).sum(axis=1)
-                                  if with_norm else r.sum(axis=1))
+        out[0, lo:lo + _ROW_BLOCK] = q.sum(axis=1)
+        out[1, lo:lo + _ROW_BLOCK] = -(q * r).sum(axis=1)
+        out[2, lo:lo + _ROW_BLOCK] = ((q.real * r.real + q.imag * r.imag).sum(axis=1)
+                                      if with_norm else r.sum(axis=1))
     return out[0], out[1], out[2]
 
 
@@ -461,53 +480,108 @@ def _newton_step(z, p: SystemParams, cdamp: complex, poles, g2):
 def _repulsion(za: np.ndarray, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum over l != k of 1/(z_k - z_l) for the roots z_k = z[idx]."""
     out = np.empty_like(za)
-    for lo in range(0, za.size, _BLOCK):
-        d = za[lo:lo + _BLOCK, None] - z
-        d[np.arange(d.shape[0]), idx[lo:lo + _BLOCK]] = np.inf
-        out[lo:lo + _BLOCK] = (1.0 / d).sum(axis=1)
+    for lo in range(0, za.size, _ROW_BLOCK):
+        d = za[lo:lo + _ROW_BLOCK, None] - z
+        d[np.arange(d.shape[0]), idx[lo:lo + _ROW_BLOCK]] = np.inf
+        out[lo:lo + _ROW_BLOCK] = (1.0 / d).sum(axis=1)
     return out
 
 
-def _secular_roots(p: SystemParams, cdamp: complex, poles, g2,
-                   scale: float) -> np.ndarray:
+def _aberth(z: np.ndarray, pairs: int, p: SystemParams, cdamp: complex,
+            poles, g2, tol: float) -> bool:
+    """Aberth sweeps on z in place; z[:pairs] stand for themselves and
+    their conjugates, which enter the repulsion sum implicitly.  Only
+    roots whose correction is still above tol are iterated; returns
+    whether every one converged."""
+    active = np.arange(z.size)
+    for _ in range(_ABERTH_MAX_ITER):
+        za = z[active]
+        newton = _newton_step(za, p, cdamp, poles, g2)
+        others = np.concatenate((z, np.conj(z[:pairs])))
+        step = newton / (1.0 - newton * _repulsion(za, active, others))
+        z[active] = za - step
+        active = active[~(np.abs(step) <= tol)]
+        if active.size == 0:
+            return True
+    return False
+
+
+def _pair_up(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split roots that are closed under conjugation to rounding into one
+    representative per pair, the mean of the two, and real roots.  The
+    roots farthest from the real axis pair first; a root is real when no
+    conjugate lies closer to it than the axis does."""
+    upper = z[z.imag > 0]
+    upper = upper[np.argsort(-upper.imag)]
+    lower = np.conj(z[z.imag <= 0])
+    free = np.ones(lower.size, dtype=bool)
+    reps, reals = [], []
+    for u in upper:
+        dist = np.where(free, np.abs(lower - u), np.inf)
+        j = int(np.argmin(dist)) if free.any() else -1
+        if j >= 0 and dist[j] < u.imag:
+            free[j] = False
+            reps.append(0.5 * (u + lower[j]))
+        else:
+            reals.append(u.real)
+    return np.array(reps, dtype=complex), np.concatenate((reals, lower[free].real))
+
+
+def _secular_roots(p: SystemParams, cdamp: complex, poles, g2, scale: float,
+                   mirrored: bool) -> tuple[np.ndarray, int]:
     """All eigenvalues of A by Aberth iteration on det(z - A), O(n**2).
 
     Start values: each pole shifted by its first-order root estimate
     -g_m**2 / h_m, with h_m the secular function without that pole's term
     (the shift is capped at half the distance to the nearest other
-    pole), and the eigenvalues of the bare field block.  Only roots whose
-    correction is still above the tolerance are iterated; a final Newton
+    pole), and the eigenvalues of the bare field block.  A final Newton
     step polishes every root.
+
+    On a mirrored line the roots are real or come in conjugate pairs
+    (Bini, Numer. Algorithms 13, 1996): the roots of the poles in the
+    upper half plane iterate for their pairs, all but the _FREE_POLES
+    nearest the centre; those and the field roots iterate free, since
+    they may turn real or pair up, and are matched into pairs at the end.
+    Should the pairs stall, every root iterates free.  Returns the roots
+    as [pairs, reals, conjugates of the pairs] and the number of pairs;
+    on any other line (roots, 0).
     """
     fields = [[-0.5 * p.kappa, -1j * p.f2], [-1j * p.f2, 0.0]]
     if p.g1 > 0:
         fields = [[-0.5 * p.kappa, -1j * p.g1, -1j * p.f2],
                   [-1j * p.g1, cdamp, 0.0], [-1j * p.f2, 0.0, 0.0]]
-    gap = np.full(poles.size, np.inf)
+    size = poles.size
+    pairs = max(size // 2 - _FREE_POLES, 0) if mirrored else 0
+    # start values of the poles up to the conjugates of the pairs
+    own = size - pairs
+    gap = np.full(size, np.inf)
     gap[1:] = np.abs(np.diff(poles))
-    gap[:-1] = np.minimum(gap[:-1], gap[1:])
-    h = np.empty_like(poles)
-    for lo in range(0, poles.size, _BLOCK):
-        d = poles[lo:lo + _BLOCK, None] - poles
+    gap = np.minimum(gap, np.append(gap[1:], np.inf))[:own]
+    h = np.empty(own, dtype=complex)
+    for lo in range(0, own, _ROW_BLOCK):
+        d = poles[lo:min(lo + _ROW_BLOCK, own), None] - poles
         d[np.arange(d.shape[0]), np.arange(lo, lo + d.shape[0])] = np.inf
-        h[lo:lo + _BLOCK] = (g2 / d).sum(axis=1)
-    k, _ = _cavity_factor(poles, p, cdamp)
-    shift = -g2 / (poles - p.f2 ** 2 / k + h)
+        h[lo:lo + _ROW_BLOCK] = (g2 / d).sum(axis=1)
+    k, _ = _cavity_factor(poles[:own], p, cdamp)
+    shift = -g2[:own] / (poles[:own] - p.f2 ** 2 / k + h)
     big = np.abs(shift) > 0.5 * gap
     shift[big] *= 0.5 * gap[big] / np.abs(shift[big])
-    z = np.concatenate([poles + shift,
-                        np.linalg.eigvals(np.array(fields, dtype=complex))])
+    starts = poles[:own] + shift
+    field_starts = np.linalg.eigvals(np.array(fields, dtype=complex))
     tol = 1e-13 * scale
-    active = np.arange(z.size)
-    for _ in range(_ABERTH_MAX_ITER):
-        za = z[active]
-        newton = _newton_step(za, p, cdamp, poles, g2)
-        step = newton / (1.0 - newton * _repulsion(za, active, z))
-        z[active] = za - step
-        active = active[~(np.abs(step) <= tol)]
-        if active.size == 0:
-            break
-    return z - _newton_step(z, p, cdamp, poles, g2)
+    z = np.concatenate((starts, field_starts))
+    if not _aberth(z, pairs, p, cdamp, poles, g2, tol) and pairs:
+        pairs = 0
+        z = np.concatenate((starts, np.conj(starts[:size - own][::-1]),
+                            field_starts))
+        _aberth(z, 0, p, cdamp, poles, g2, tol)
+    if not mirrored:
+        return z - _newton_step(z, p, cdamp, poles, g2), 0
+    reps, reals = _pair_up(z[pairs:])
+    reps = np.concatenate((z[:pairs], reps))
+    reps -= _newton_step(reps, p, cdamp, poles, g2)
+    reals -= _newton_step(reals.astype(complex), p, cdamp, poles, g2).real
+    return np.concatenate((reps, reals, np.conj(reps))), reps.size
 
 
 def _modal_basis(p: SystemParams, ens: AtomEnsemble) -> _ModalBasis:
@@ -539,8 +613,17 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
     scale = (float(np.max(np.abs(poles))) + 0.5 * p.kappa + abs(cdamp)
              + p.f2 + p.g1 + math.sqrt(cc))
 
-    lam = _secular_roots(p, cdamp, poles, g2, scale)
-    s_ens, ds_ens, abs_ens = _ensemble_sums(lam, poles, g2, with_norm=True)
+    mirrored = p.delta_c == 0 and all(np.array_equal(x[::-1], y) for x, y in (
+        (poles, np.conj(poles)), (g2, g2), (share, share), (group, group[-1] - group)))
+    lam, pairs = _secular_roots(p, cdamp, poles, g2, scale, mirrored)
+    # the sums at a pair's conjugate are the conjugate sums; at a real root
+    # of a mirrored line they are real
+    reps = lam.size - pairs
+    sums = _ensemble_sums(lam[:reps], poles, g2, with_norm=True)
+    if mirrored:
+        for x in sums:
+            x[pairs:] = x[pairs:].real
+    s_ens, ds_ens, abs_ens = (np.concatenate((x, np.conj(x[:pairs]))) for x in sums)
     abs_ens = abs_ens.real
     k, _ = _cavity_factor(lam, p, cdamp)
     a1 = 1j * p.f2 / k
@@ -558,33 +641,46 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
         raise IntegrationError(
             f"mode basis rejected: eigenpair residual {residual:.2e} (bound "
             f"{_RESIDUAL_BOUND:g}), cond(V) {cond:.3e} (bound {_COND_BOUND:g})")
-    mirrored = p.delta_c == 0 and all(np.array_equal(x[::-1], y) for x, y in (
-        (poles, np.conj(poles)), (g2, g2), (share, share), (group, group[-1] - group)))
     basis = _ModalBasis(
         lam=lam, a1=a1 * scale_v, bc=bc * scale_v, a2=scale_v,
         ens_sum=s_ens, ens_norm=np.abs(scale_v) ** 2 * abs_ens,
         poles=poles, g=np.sqrt(g2), group=group, share=share,
-        mirrored=mirrored, cond=cond, residual=residual)
+        mirrored=mirrored, pairs=pairs, cond=cond, residual=residual)
     return replace(basis, drive=_mode_coordinates(
-        basis, np.array([1.0, 0.0, 0.0]), np.zeros(g2.size)))
+        basis, np.array([1.0, 0.0, 0.0]), np.zeros(g2.size), mirrored))
 
 
 # ------------------------------------------------------- modal propagation
 
 def _mode_coordinates(basis: _ModalBasis, fields: np.ndarray,
-                      bright: np.ndarray) -> np.ndarray:
+                      bright: np.ndarray, mirrored: bool) -> np.ndarray:
     """Solve V c = y for the state y = (a1, bc, a2, merged ensemble).
 
     V^T is the inverse of V in exact arithmetic only: in a strongly
     non-normal basis (large cond) the rounding of the columns leaves
     V V^T - I far above machine precision, so V^T serves as the
     preconditioner of a few refinement steps instead.
+
+    A mirror-conjugate state (a1 real, bc and a2 imaginary, b_M-1-m =
+    conj(b_m)) on a mirrored line has paired coordinates, c_k' =
+    -flip_k conj(c_k) for the partner k' of mode k, lam_k' = conj(lam_k),
+    with flip_k = a2_k' / conj(a2_k) = +-1; each step is made paired bit
+    for bit.  Its residuals are mirror-conjugate, so only the rows of the
+    lower half of the merged nodes are formed, as in _ensemble_at: the
+    upper rows of mode k are -flip_k times the conjugate lower rows of k'.
     """
     rows = (basis.a1, basis.bc, basis.a2)
-    y_fields, y_ens = fields.astype(complex), bright.astype(complex)
-    size = math.sqrt(float(np.sum(np.abs(y_fields) ** 2) + np.sum(np.abs(y_ens) ** 2)))
+    size = basis.g.size
+    half = (size + 1) // 2 if mirrored else size
+    weight = np.where(np.arange(half) < size - half, 2.0, 1.0)
+    y_fields, y_ens = fields.astype(complex), bright[:half].astype(complex)
+    norm = math.sqrt(float(np.sum(np.abs(y_fields) ** 2)
+                           + weight @ np.abs(y_ens) ** 2))
+    if mirrored:
+        partner = basis.partner
+        flip = np.sign((basis.a2[partner] / np.conj(basis.a2)).real)
     c = np.zeros(basis.lam.size, dtype=complex)
-    err = size
+    err = norm
     # each pass forms every Cauchy block once, for both the residual
     # r = y - V c and the step V^T r; the first pass starts from c = 0
     for step in range(5):
@@ -592,23 +688,28 @@ def _mode_coordinates(basis: _ModalBasis, fields: np.ndarray,
         r_ens = y_ens.copy()
         delta = sum(row * r for row, r in zip(rows, r_fields))
         if step or np.any(r_ens):
-            for lo in range(0, basis.g.size, _BLOCK):
-                blk = basis.ensemble_rows(lo, lo + _BLOCK)
+            for lo in range(0, half, _BLOCK):
+                hi = min(lo + _BLOCK, half)
+                blk = basis.ensemble_rows(lo, hi)
                 if step:
-                    r_ens[lo:lo + _BLOCK] -= blk @ c
-                delta += r_ens[lo:lo + _BLOCK] @ blk
+                    r_ens[lo:hi] -= blk @ c
+                delta += (weight[lo:hi] * r_ens[lo:hi]) @ blk
+        if mirrored:
+            # the upper rows as the mirror of the doubled lower rows: the
+            # mean of the step and its mirror counts every row once
+            delta = 0.5 * (delta - flip * np.conj(delta[partner]))
         if step:
             last, err = err, math.sqrt(float(np.sum(np.abs(r_fields) ** 2)
-                                             + np.sum(np.abs(r_ens) ** 2)))
+                                             + weight @ np.abs(r_ens) ** 2))
             # stop well inside the ledger bound, once rounding stalls the
             # residual, or after four steps
-            if err <= 1e-12 * size or err > 0.5 * last or step == 4:
+            if err <= 1e-12 * norm or err > 0.5 * last or step == 4:
                 break
         c += delta
-    if not err <= 1e-9 * size:
+    if not err <= 1e-9 * norm:
         raise IntegrationError(
             f"mode basis cannot resolve the state: relative residual "
-            f"{err / size:.2e} (cond(V) {basis.cond:.3e})")
+            f"{err / norm:.2e} (cond(V) {basis.cond:.3e})")
     return c
 
 
@@ -646,6 +747,9 @@ _DRIVE_STEP = 1.0 / 30.0
 #: _DRIVE_RULE-point Gauss rule; both within 6e-15 of sum |W| there
 _DRIVE_SPLIT = 12.0
 _DRIVE_RULE = 32
+#: samples per block of the drive recurrence, small enough that a block
+#: of all modes stays in cache while it is transposed
+_RECURRENCE_BLOCK = 16
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -741,8 +845,12 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray,
         env = pulse.envelope(t[steps] + nodes[:, None])
         for k in range(0, steps.size, _BLOCK):
             part = stacked @ env[:, k:k + _BLOCK]
-            out.real[:, steps[k:k + _BLOCK] + 1] = part[:n]
-            out.imag[:, steps[k:k + _BLOCK] + 1] = part[n:]
+            cols = steps[k:k + _BLOCK] + 1
+            if cols[-1] - cols[0] == cols.size - 1:
+                # a run of samples: slices, not a scatter into strided memory
+                cols = slice(cols[0], cols[-1] + 1)
+            out.real[:, cols] = part[:n]
+            out.imag[:, cols] = part[n:]
     if pulse.carrier_detuning:
         out[:, 1:] *= np.exp(-1j * pulse.carrier_detuning * (t[1:] - pulse.center))
     # the recurrence, one O(n) update per step in place; exp(lam h) is the
@@ -752,10 +860,18 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray,
                                      lam.astype(np.clongdouble)))
     hi = decay.astype(complex)
     lo = (decay - hi).astype(complex)
-    cols = list(out.T)
-    for j, g in enumerate(group.tolist()):
-        cols[j + 1] += lo[g] * cols[j]
-        cols[j + 1] += hi[g] * cols[j]
+    # a few samples at a time, transposed so that every update runs over
+    # contiguous memory
+    group = group.tolist()
+    buf = np.empty((_RECURRENCE_BLOCK + 1, n), dtype=complex)
+    for j0 in range(0, h.size, _RECURRENCE_BLOCK):
+        j1 = min(j0 + _RECURRENCE_BLOCK, h.size)
+        rows = buf[:j1 - j0 + 1]
+        rows[...] = out[:, j0:j1 + 1].T
+        for j, g in enumerate(group[j0:j1]):
+            rows[j + 1] += lo[g] * rows[j]
+            rows[j + 1] += hi[g] * rows[j]
+        out[:, j0 + 1:j1 + 1] = rows[1:].T
     return out
 
 
@@ -966,13 +1082,13 @@ def _modal_retrieval(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     bright = (np.bincount(basis.group, weights=weighted.real)
               + 1j * np.bincount(basis.group, weights=weighted.imag))
     dark = b0 - basis.share * bright[basis.group]
-    c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright)
+    mirrored = basis.mirrored and np.array_equal(b0[::-1], np.conj(b0))
+    c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright, mirrored)
     elapsed = times - times[0]
     c = _propagator(basis.lam, c0, times, times[0])
 
     a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
-    pe, last = _ensemble_at(basis, c, basis.mirrored
-                            and np.array_equal(b0[::-1], np.conj(b0)))
+    pe, last = _ensemble_at(basis, c, mirrored)
     l_out, l_c, l_t2 = _hermite_losses(p, basis, c, times, a1, bc, a2, pe,
                                        inv_t2)
     dark_p = float(np.sum(np.abs(dark) ** 2))
@@ -1221,56 +1337,3 @@ def blockade_phase_check(
     overlap = np.vdot(stored_at_echo, unwound) / ref
     return PhaseCheck(phase=abs(math.atan2(overlap.imag, overlap.real)),
                       magnitude_ratio=abs(overlap))
-
-
-# ------------------------------------------------------------------ CW probes
-
-class ProbeResult(NamedTuple):
-    cavity1_over_input: complex
-    cavity2_over_cavity1: complex
-
-
-#: node spacings around the probe detuning that the homogeneous width
-#: 1/T2 must span for the discrete line to stand for the continuous one
-_PROBE_RESOLUTION = 2.0
-
-
-def transfer_function_probe(
-    p: SystemParams,
-    delta: float,
-    *,
-    n_sim: int = 801,
-    span: float | None = None,
-) -> ProbeResult:
-    """Steady-state response ratios under a CW drive at detuning delta.
-
-    The steady state y = -(A + i*delta)**-1 B of the driven equations is
-    one O(n) solve through the arrowhead: each mode follows cavity 2 as
-    b_j = -i*g_j*a2 / (-i*delta - D_j), the control atom follows cavity 1,
-    so a2/a1 = -i*f2 / (S - i*delta) with S = sum_j g_j**2 / (-i*delta - D_j)
-    and a1/a_in = sqrt(kappa) / (kappa/2 - i*delta
-    + g1**2/(gamma/2 + i*(delta_c - delta)) + f2**2/(S - i*delta)).
-
-    A line of discrete modes has the steady state of the continuous line
-    only when the homogeneous width 1/T2 spans a few node spacings around
-    delta; a narrower line, T2 = inf included, is refused.
-    """
-    _check_coupled(p)
-    ens = ensemble_for_params(p, n_sim=n_sim, span=span)
-    inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
-    det = ens.detunings
-    i = min(max(int(np.searchsorted(det, delta)), 1), det.size - 1)
-    spacing = det[i] - det[i - 1]
-    if not inv_t2 >= _PROBE_RESOLUTION * spacing:
-        raise ParameterError(
-            f"a CW steady state needs 1/T2 >= {_PROBE_RESOLUTION:g} node "
-            f"spacings ({_PROBE_RESOLUTION * spacing:.3e}) around delta = "
-            f"{delta}, got 1/T2 = {inv_t2:.3e}")
-    s_ens = np.sum(p.collective_coupling * ens.weights
-                   / (1j * (det - delta) + inv_t2))
-    cavity2 = -1j * p.f2 / (s_ens - 1j * delta)
-    atom = p.g1 ** 2 / (1j * (p.delta_c - delta) + 0.5 * p.gamma)
-    cavity1 = math.sqrt(p.kappa) / (0.5 * p.kappa - 1j * delta + atom
-                                    + 1j * p.f2 * cavity2)
-    return ProbeResult(cavity1_over_input=complex(cavity1),
-                       cavity2_over_cavity1=complex(cavity2))

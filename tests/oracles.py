@@ -2,6 +2,11 @@
 
 integrate: adaptive DOP853 integration of the full equations of motion,
 the oracle of the modal propagator and of the CW probe.
+transfer_function_probe: the steady state under a CW drive, one O(n)
+solve through the arrowhead, the check of the discrete line against the
+continuum's closed forms.
+dense_generator: the generator A of the equations of motion as a dense
+matrix, whose LAPACK eigenvalues check the Aberth solve of the modes.
 echo_spectrum: the retrieved echo's spectral amplitude from the closed
 storage transfer functions, the frequency-domain route to the echo
 probability.
@@ -22,15 +27,16 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
-                               PulseSpec, SimulationTrace, _check_tol,
-                               _modal_basis, _mode_coordinates,
-                               _output_times, _trace, invert_detunings)
+                               PulseSpec, SimulationTrace, _check_coupled,
+                               _check_tol, _modal_basis, _mode_coordinates,
+                               _output_times, _trace, ensemble_for_params,
+                               invert_detunings)
 from echoqram.params import ParameterError, SystemParams
 from echoqram.spectral import lorentzian_lineshape, storage_transfer
 
@@ -98,6 +104,75 @@ def integrate(
                   a1, bc, a2, ain, np.sum(np.abs(b) ** 2, axis=0),
                   sol.y[3 + n].real, sol.y[4 + n].real, sol.y[5 + n].real,
                   sol.y[6 + n].real, p0, b[:, -1])
+
+
+def dense_generator(p: SystemParams, ens: AtomEnsemble) -> np.ndarray:
+    """dy/dt = A y on (a1, bc, a2, b_1 .. b_n) without the drive, as a dense
+    matrix; bc is left out when the control atom is uncoupled (g1 = 0)."""
+    n = ens.n
+    inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
+    g = np.sqrt(p.collective_coupling * ens.weights)
+    a = np.zeros((n + 3, n + 3), dtype=complex)
+    a[0, 0] = -0.5 * p.kappa
+    a[0, 1] = a[1, 0] = -1j * p.g1
+    a[0, 2] = a[2, 0] = -1j * p.f2
+    a[1, 1] = -(1j * p.delta_c + 0.5 * p.gamma)
+    a[2, 3:] = a[3:, 2] = -1j * g
+    a[3:, 3:][np.diag_indices(n)] = -(1j * ens.detunings + inv_t2)
+    if p.g1 == 0:
+        a = np.delete(np.delete(a, 1, axis=0), 1, axis=1)
+    return a
+
+
+class ProbeResult(NamedTuple):
+    cavity1_over_input: complex
+    cavity2_over_cavity1: complex
+
+
+#: node spacings around the probe detuning that the homogeneous width
+#: 1/T2 must span for the discrete line to stand for the continuous one
+_PROBE_RESOLUTION = 2.0
+
+
+def transfer_function_probe(
+    p: SystemParams,
+    delta: float,
+    *,
+    n_sim: int = 801,
+    span: float | None = None,
+) -> ProbeResult:
+    """Steady-state response ratios under a CW drive at detuning delta.
+
+    The steady state y = -(A + i*delta)**-1 B of the driven equations is
+    one O(n) solve through the arrowhead: each mode follows cavity 2 as
+    b_j = -i*g_j*a2 / (-i*delta - D_j), the control atom follows cavity 1,
+    so a2/a1 = -i*f2 / (S - i*delta) with S = sum_j g_j**2 / (-i*delta - D_j)
+    and a1/a_in = sqrt(kappa) / (kappa/2 - i*delta
+    + g1**2/(gamma/2 + i*(delta_c - delta)) + f2**2/(S - i*delta)).
+
+    A line of discrete modes has the steady state of the continuous line
+    only when the homogeneous width 1/T2 spans a few node spacings around
+    delta; a narrower line, T2 = inf included, is refused.
+    """
+    _check_coupled(p)
+    ens = ensemble_for_params(p, n_sim=n_sim, span=span)
+    inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
+    det = ens.detunings
+    i = min(max(int(np.searchsorted(det, delta)), 1), det.size - 1)
+    spacing = det[i] - det[i - 1]
+    if not inv_t2 >= _PROBE_RESOLUTION * spacing:
+        raise ParameterError(
+            f"a CW steady state needs 1/T2 >= {_PROBE_RESOLUTION:g} node "
+            f"spacings ({_PROBE_RESOLUTION * spacing:.3e}) around delta = "
+            f"{delta}, got 1/T2 = {inv_t2:.3e}")
+    s_ens = np.sum(p.collective_coupling * ens.weights
+                   / (1j * (det - delta) + inv_t2))
+    cavity2 = -1j * p.f2 / (s_ens - 1j * delta)
+    atom = p.g1 ** 2 / (1j * (p.delta_c - delta) + 0.5 * p.gamma)
+    cavity1 = math.sqrt(p.kappa) / (0.5 * p.kappa - 1j * delta + atom
+                                    + 1j * p.f2 * cavity2)
+    return ProbeResult(cavity1_over_input=complex(cavity1),
+                       cavity2_over_cavity1=complex(cavity2))
 
 
 def echo_spectrum(nu: np.ndarray, alpha_in: np.ndarray, p_store: SystemParams,
@@ -249,7 +324,7 @@ def echo_probability_quadrature(p_read: SystemParams, ens_stored: AtomEnsemble,
     weighted = basis.share * ens.coherences
     bright = (np.bincount(basis.group, weights=weighted.real)
               + 1j * np.bincount(basis.group, weights=weighted.imag))
-    c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright)
+    c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright, False)
     x, w = np.polynomial.legendre.leggauss(16)
     h = np.diff(times)
     t = (times[:-1, None] + 0.5 * h[:, None] * (x + 1.0)).ravel()

@@ -526,16 +526,54 @@ class TestBoundary:
     ])
     def test_library_refusal_names_config(self, tmp_path, capsys, change,
                                           ok, needle):
-        # delta_in is 0.5 and the pulse duration 5: span >= 10, tau >= 25
+        # delta_in is 0.5 and the pulse duration 5: span >= 10, tau >= 25;
+        # the parsed config decides both, so the refusal names the line
         path = write(tmp_path, "ok.json", cfg_text(**{**self.ECHO, **ok}))
         assert main(["echo", "--config", str(path),
                      "--out", str(tmp_path / "e.csv")]) == 0
         capsys.readouterr()
-        path = write(tmp_path, "e.json", cfg_text(**{**self.ECHO, **change}))
+        text = cfg_text(**{**self.ECHO, **change})
+        path = write(tmp_path, "e.json", text)
         assert main(["echo", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {path}: ")
-        assert needle in err
+        (key,) = change
+        line = next(i for i, l in enumerate(text.splitlines(), start=1)
+                    if f'"{key}"' in l)
+        assert err.startswith(f"config error: {path}:{line}: {needle}")
+
+    SWEEP = dict(scenario="sweep", params=MATCHED, pulse={"duration": 5.0},
+                 n_sim=64)
+
+    @pytest.mark.parametrize("sweep, extra, anchor", [
+        ({"parameter": "pulse_duration", "values": [5.0, 6.0],
+          "tau_over_duration": 4.9}, {}, "tau_over_duration"),
+        ({"parameter": "tau", "values": [25.0, 24.9]}, {}, "24.9"),
+        ({"parameter": "t2", "values": [100.0]}, {"tau": 24.9}, "tau"),
+        ({"parameter": "t2", "values": [100.0], "curve_parameter": "tau",
+          "curve_values": [30.0, 20.0]}, {}, "20.0"),
+    ])
+    def test_sweep_delay_refused_at_its_line(self, tmp_path, capsys, sweep,
+                                             extra, anchor):
+        # the key that sets a point's delay last carries the line
+        text = cfg_text(**self.SWEEP, **extra, sweep=sweep)
+        path = write(tmp_path, "s.json", text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        line = next(i for i, l in enumerate(text.splitlines(), start=1)
+                    if (f'"{anchor}"' if anchor.isalpha() else anchor) in l)
+        assert err.startswith(f"config error: {path}:{line}: tau = ")
+        assert "too small: need >= 5 pulse durations" in err
+
+    def test_blockade_span_refused_at_its_line(self, tmp_path, capsys):
+        text = cfg_text(scenario="blockade", params=MATCHED,
+                        read_params={"matched": {"kappa": 1.0, "c_atom": 30.0}},
+                        pulse={"duration": 5.0}, tau=25.0, span=5.0)
+        path = write(tmp_path, "b.json", text)
+        assert main(["blockade", "--config", str(path)]) == 2
+        line = next(i for i, l in enumerate(text.splitlines(), start=1)
+                    if '"span"' in l)
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}:{line}: span 5.0 too small")
 
     def test_library_checks_remain(self):
         with pytest.raises(ParameterError, match=f">= {MIN_N_SIM}"):
@@ -578,6 +616,13 @@ class TestBoundary:
         expect = min(2, os.cpu_count() or 1)
         assert seen == ([expect] if expect > 1 else [])
 
+    # the keys a cross-key refusal anchors at when the fuzzed key moves
+    # the other side: the line's span against delta_in = kappa/2, the
+    # delay against the pulse duration, the swept values as delays
+    TIED = {"params.matched.kappa": ("span",),
+            "pulse.duration": ("tau", "sweep.tau_over_duration"),
+            "sweep.parameter": ("sweep.values",)}
+
     @given(st.sampled_from([
                "tau", "n_sim", "span", "scheme", "solver_tol", "t_span",
                "grid", "pulse", "params", "read_params", "output", "scenario",
@@ -603,6 +648,9 @@ class TestBoundary:
     @example("sweep.parameter", "t2")          # the curve's parameter
     @example("grid", {"a": 1})
     @example("grid.n", 10 ** 12)               # a grid no memory holds
+    @example("pulse.duration", 6.0)            # tau = 25 below 5 durations
+    @example("params.matched.kappa", 2.0)      # span 10 below 20*delta_in
+    @example("sweep.parameter", "tau")         # the durations become delays
     def test_fuzzed_scalars_raise_only_config_error(self, path, value):
         explicit = {"kappa": 1.0, "gamma": 1.0, "g1": 0.0,
                     "g2": 0.011180339887498949, "f2": 0.3535533905932738,
@@ -636,11 +684,15 @@ class TestBoundary:
                                           source="fuzz.json")
                 except ConfigError as exc:
                     # the error sits on a line of the fuzzed value or on
-                    # the line of an object around it
+                    # the line of an object around it; a rule that ties
+                    # two keys sits on the key whose value it refuses
                     lines, ends = indent_lines(doc)
                     allowed = set(range(lines[path], ends[path] + 1))
                     allowed.update(lines[".".join(keys[:i])]
                                    for i in range(len(keys)))
+                    for tied in self.TIED.get(path, ()):
+                        if tied in lines:
+                            allowed.update(range(lines[tied], ends[tied] + 1))
                     anchor = re.match(r"fuzz\.json:(\d+): ", str(exc))
                     assert anchor and int(anchor[1]) in allowed, str(exc)
 

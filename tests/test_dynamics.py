@@ -15,12 +15,12 @@ from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
                                PulseSpec, blockade_phase_check,
                                discretize_ensemble, ensemble_for_params,
                                integrate_retrieval, integrate_storage,
-                               invert_detunings, run_echo_cycle,
-                               transfer_function_probe)
+                               invert_detunings, run_echo_cycle)
 from echoqram.spectral import (blockade_reflection, broadened_response,
                                spectral_efficiency, storage_transfer)
-from oracles import (drive_integral_quadrature, echo_probability_quadrature,
-                     gaussian_drive_closed_form, integrate)
+from oracles import (dense_generator, drive_integral_quadrature,
+                     echo_probability_quadrature, gaussian_drive_closed_form,
+                     integrate, transfer_function_probe)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -757,6 +757,123 @@ class TestModalPropagator:
                               (-30.0, 30.0), solver_tol=math.nan)
 
 
+class TestEigenSolve:
+    """The Aberth roots against LAPACK on the dense generator, and the
+    paired iteration of a mirrored line against the general one."""
+
+    @staticmethod
+    def fresh_basis(p, ens):
+        dynamics._cached_basis.cache_clear()
+        try:
+            return dynamics._modal_basis(p, ens)
+        finally:
+            dynamics._cached_basis.cache_clear()
+
+    @staticmethod
+    def assert_same_roots(got, ref, tol):
+        assert got.size == ref.size
+        dist = np.abs(got[:, None] - ref[None, :])
+        assert np.max(np.min(dist, axis=1)) <= tol
+        assert np.max(np.min(dist, axis=0)) <= tol
+
+    @staticmethod
+    def assert_paired(basis):
+        k, n = basis.pairs, basis.lam.size
+        assert basis.mirrored and k > 0
+        assert np.array_equal(basis.lam[n - k:], np.conj(basis.lam[:k]))
+        assert np.all(basis.lam[:k].imag > 0)
+        assert np.all(basis.lam[k:n - k].imag == 0)
+
+    # odd and even lines, with and without a real root
+    @pytest.mark.parametrize("n_sim", [64, 65])
+    @pytest.mark.parametrize("c_atom", [0.0, 30.0])
+    @pytest.mark.parametrize("t2", [1e3, math.inf])
+    @pytest.mark.parametrize("delta_c", [0.0, 0.2])
+    def test_matches_dense_eigvals(self, n_sim, c_atom, t2, delta_c):
+        p = solve_matched_params(1.0, c_atom, t2=t2, delta_c=delta_c)
+        ens = ensemble_for_params(p, n_sim=n_sim)
+        basis = self.fresh_basis(p, ens)
+        assert basis.g.size == ens.n    # no merged nodes: A is the arrowhead
+        ref = np.linalg.eigvals(dense_generator(p, ens))
+        scale = float(np.max(np.abs(ref)))
+        self.assert_same_roots(basis.lam, ref, 1e-12 * scale)
+        if delta_c == 0:
+            self.assert_paired(basis)
+            reals = basis.lam.size - 2 * basis.pairs
+            assert reals == np.sum(np.abs(ref.imag) <= 1e-8 * scale)
+        else:
+            assert basis.pairs == 0
+
+    def test_real_roots_covered(self):
+        # the cases above include lines with two, one and no real roots
+        reals = {}
+        for n_sim, c_atom in [(64, 0.0), (65, 0.0), (65, 30.0)]:
+            p = solve_matched_params(1.0, c_atom, t2=1e3)
+            basis = self.fresh_basis(p, ensemble_for_params(p, n_sim=n_sim))
+            reals[n_sim, c_atom] = basis.lam.size - 2 * basis.pairs
+        assert reals == {(64, 0.0): 2, (65, 0.0): 1, (65, 30.0): 0}
+
+    @pytest.mark.parametrize("c_atom, t2, n_sim", [
+        (0.0, 1e4, 801), (0.0, math.inf, 801), (30.0, math.inf, 801),
+        (0.0, 100.0, 401)])
+    def test_paired_matches_general(self, c_atom, t2, n_sim):
+        # the committed configs' lines: both paths on the same grid
+        p = solve_matched_params(1.0, c_atom, t2=t2)
+        ens = ensemble_for_params(p, n_sim=n_sim,
+                                  span=10.0 if n_sim == 401 else None)
+        basis = self.fresh_basis(p, ens)
+        self.assert_paired(basis)
+        cdamp = -0.5 * p.gamma
+        scale = float(np.max(np.abs(basis.lam)))
+        general, pairs = dynamics._secular_roots(
+            p, cdamp, basis.poles, basis.g ** 2, scale, False)
+        assert pairs == 0
+        self.assert_same_roots(basis.lam, general, 1e-12 * scale)
+
+    def test_stalled_pairs_fall_back(self, monkeypatch):
+        # should the paired sweeps stall, every root iterates free and the
+        # roots are still paired bit for bit
+        p = solve_matched_params(1.0, 0.0, t2=1e3)
+        ens = ensemble_for_params(p, n_sim=65)
+        calls = []
+        inner = dynamics._aberth
+
+        def stalling(z, pairs, *args):
+            calls.append(pairs)
+            converged = inner(z, pairs, *args)
+            return converged and not pairs
+
+        monkeypatch.setattr(dynamics, "_aberth", stalling)
+        basis = self.fresh_basis(p, ens)
+        assert calls[0] > 0 and calls[1:] == [0]
+        self.assert_paired(basis)
+        ref = np.linalg.eigvals(dense_generator(p, ens))
+        self.assert_same_roots(basis.lam, ref,
+                               1e-12 * float(np.max(np.abs(ref))))
+
+    @pytest.mark.parametrize("c_atom, t2", [(0.0, 1e3), (30.0, math.inf)])
+    def test_half_row_coordinates(self, c_atom, t2):
+        # a mirror-conjugate target: paired coordinates bit for bit, the
+        # full rows' solution to the basis' conditioning
+        p = solve_matched_params(1.0, c_atom, t2=t2)
+        ens = ensemble_for_params(p, n_sim=129)
+        basis = self.fresh_basis(p, ens)
+        x = np.linspace(-1.0, 1.0, ens.n)
+        bright = (np.exp(-x ** 2) + 1j * x) / math.sqrt(ens.n)
+        assert np.array_equal(bright[::-1], np.conj(bright))
+        for fields, target in [((1.0, 0.0, 0.0), np.zeros(ens.n)),
+                               ((0.0, 0.0, 0.0), bright)]:
+            half = dynamics._mode_coordinates(basis, np.array(fields),
+                                              target, True)
+            full = dynamics._mode_coordinates(basis, np.array(fields),
+                                              target, False)
+            flip = np.sign((basis.a2[basis.partner]
+                            / np.conj(basis.a2)).real)
+            assert np.array_equal(half[basis.partner], -flip * np.conj(half))
+            assert np.max(np.abs(half - full)) <= 1e-15 * basis.cond \
+                * np.max(np.abs(full))
+
+
 class TestMirroredLine:
     """A mirror-conjugate state takes the rows of half the line."""
 
@@ -792,7 +909,8 @@ class TestMirroredLine:
         ens = invert_detunings(trace.ensemble)
         basis = dynamics._modal_basis(p, ens)
         assert basis.g.size == ens.n
-        c0 = dynamics._mode_coordinates(basis, np.zeros(3), ens.coherences)
+        c0 = dynamics._mode_coordinates(basis, np.zeros(3), ens.coherences,
+                                        False)
         return basis, c0
 
     def test_symmetric_cycle_matches_full_rows(self, matched, monkeypatch):
@@ -844,7 +962,7 @@ class TestMirroredLine:
                                     (0.0, 20.0))
         assert flags == [False]
         basis = dynamics._modal_basis(matched, ens)
-        c0 = dynamics._mode_coordinates(basis, np.zeros(3), b0)
+        c0 = dynamics._mode_coordinates(basis, np.zeros(3), b0, False)
         c = dynamics._propagator(basis.lam, c0, trace.times, 0.0)
         assert np.max(np.abs(trace.p_ensemble
                              - self.dense_populations(basis, c))) <= 1e-11
