@@ -29,7 +29,6 @@ from .spectral import (
     resonant_efficiency,
     matched_window,
     blockade_reflection,
-    echo_probability_narrowband,
 )
 from .dynamics import (
     PulseSpec,
@@ -75,7 +74,7 @@ __all__ = [
     "params_digest",
     "lorentzian_lineshape", "broadened_response", "storage_transfer",
     "spectral_efficiency", "resonant_efficiency", "matched_window",
-    "blockade_reflection", "echo_probability_narrowband",
+    "blockade_reflection",
     "PulseSpec", "PulseShape", "AtomEnsemble", "discretize_ensemble",
     "ensemble_for_params", "invert_detunings", "SimulationTrace",
     "IntegrationError", "integrate_storage", "integrate_retrieval",

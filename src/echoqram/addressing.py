@@ -92,10 +92,6 @@ class Term:
     absorbed_bin: int | None = None
     emitted: frozenset[str] = frozenset()
 
-    @property
-    def empty_count(self) -> int:
-        return sum(1 for c in self.cells if c == 0)
-
 
 @dataclass(frozen=True)
 class AddressSpec:

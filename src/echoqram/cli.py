@@ -46,8 +46,8 @@ from .params import (SystemParams, ParameterError, check_matching,
                      cooperativities, params_digest, solve_matched_params)
 from .spectral import spectral_efficiency
 from .dynamics import (MIN_N_SIM, PulseShape, PulseSpec, IntegrationError,
-                       ensemble_for_params, integrate_storage, run_echo_cycle,
-                       blockade_phase_check)
+                       check_delay, check_span, ensemble_for_params,
+                       integrate_storage, run_echo_cycle, blockade_phase_check)
 from .addressing import (AddressSpec, BranchEfficiencies, run_addressing,
                          compose_with_dynamics, state_table, state_to_dict,
                          ProtocolError)
@@ -468,13 +468,17 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     if sc is Scenario.BLOCKADE and cfg.read_params.g1 == 0:
         raise w.error("read_params",
                       "'read_params.g1' must be > 0 for a blockade run")
+    # the read stage runs on the ensemble that the store stage loaded
+    store, read = ((p.delta_in, p.collective_coupling) if p else None
+                   for p in (cfg.params, cfg.read_params))
+    if read and not np.allclose(read, store, rtol=1e-9, atol=0.0):
+        raise w.error("read_params", "'read_params' describes another ensemble"
+                      f": (delta_in, N*g2**2) = {read}, params carry {store}")
     # the library's refusals of the line and of the delay, at their lines
-    if cfg.span is not None and not cfg.span >= 20.0 * cfg.params.delta_in:
-        raise w.error("span", f"span {cfg.span} too small: need >= "
-                              f"20*delta_in = {20.0 * cfg.params.delta_in} to "
-                              "keep the truncated line mass negligible")
+    if cfg.span is not None:
+        _anchored(w, "span", check_span, cfg.span, cfg.params.delta_in)
     if sc in (Scenario.ECHO_CYCLE, Scenario.BLOCKADE):
-        _check_delay(w, "tau", cfg.tau, cfg.pulse.duration)
+        _anchored(w, "tau", check_delay, cfg.tau, cfg.pulse.duration)
     if cfg.eff_from_dynamics and (cfg.params is None or cfg.tau is None):
         raise w.error("efficiencies.from_dynamics",
                       "efficiencies.from_dynamics needs 'params' and 'tau'")
@@ -505,29 +509,20 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
             if math.isinf(v) and name != "t2":
                 raise w.error(f"{path}[{i}]",
                               f"'{path}[{i}]' must be finite, got {v!r}")
-    # every point's delay, set as _apply_sweep_value sets it, at the line
-    # of the key that set it last
-    for j, cval in enumerate(sweep.curve_values or (None,)):
-        for i, v in enumerate(sweep.values):
-            duration, tau, anchor = cfg.pulse.duration, cfg.tau, "tau"
-            for name, value, path in (
-                    (sweep.curve_parameter, cval, f"sweep.curve_values[{j}]"),
-                    (sweep.parameter, v, f"sweep.values[{i}]")):
-                if name == "pulse_duration":
-                    duration, tau = value, sweep.tau_over_duration * value
-                    anchor = "sweep.tau_over_duration"
-                elif name == "tau":
-                    tau, anchor = value, path
-            _check_delay(w, anchor, tau, duration)
+    # each point as run_sweep builds it, its refusals at their lines
+    for _, (_, _, pulse, tau), anchor in _sweep_points(cfg, w):
+        _anchored(w, anchor, check_delay, tau, pulse.duration)
     return cfg
 
 
-def _check_delay(w: _Walker, anchor: str, tau: float, duration: float) -> None:
-    """run_echo_cycle's refusal of a delay under five pulse durations."""
-    if tau < 5.0 * duration:
-        raise w.error(anchor, f"tau = {tau} too small: need >= 5 pulse "
-                              f"durations ({5.0 * duration}) after the pulse "
-                              "center")
+def _anchored(w: _Walker | None, path: str, rule: Callable, *args):
+    """rule(*args), with a walker its ParameterError anchored at `path`."""
+    try:
+        return rule(*args)
+    except ParameterError as exc:
+        if w is None:
+            raise
+        raise w.error(path, str(exc)) from exc
 
 
 # ------------------------------------------------------------------ scenarios
@@ -674,8 +669,7 @@ def _run_echo(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     p_read = cfg.read_params or p
     ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-    res = run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau, cfg.solver_tol,
-                         keep_traces=False)
+    res = run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau, cfg.solver_tol)
     times = res.output_times.tolist()
     re = np.real(res.output_waveform).tolist()
     im = np.imag(res.output_waveform).tolist()
@@ -692,8 +686,7 @@ def _run_blockade(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     p_read = cfg.read_params
     ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-    res = run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau, cfg.solver_tol,
-                         keep_traces=False)
+    res = run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau, cfg.solver_tol)
     chk = blockade_phase_check(p_read, res.ens_final, res.ens_stored, cfg.tau,
                                res.t_final - (cfg.pulse.center + cfg.tau))
     c = cooperativities(p_read).c_atom
@@ -728,14 +721,16 @@ def _run_address(cfg: ScenarioConfig) -> _Artifact:
 
 # ---------------------------------------------------------------------- sweep
 
-def _apply_sweep_value(p_store: SystemParams, p_read: SystemParams,
-                       pulse: PulseSpec, tau: float | None, name: str,
-                       value: float, tau_over_duration: float):
+def _apply_sweep_value(point: tuple, anchor: str, name: str, value: float,
+                       path: str, tau_over_duration: float):
+    """Point (p_store, p_read, pulse, tau) with `name` set to the value at
+    `path`, and the key path that now sets its delay."""
+    p_store, p_read, pulse, tau = point
     if name == "pulse_duration":
         pulse = replace(pulse, duration=value)
-        tau = tau_over_duration * value
+        tau, anchor = tau_over_duration * value, "sweep.tau_over_duration"
     elif name == "tau":
-        tau = value
+        tau, anchor = value, path
     elif name == "t2":
         p_store = p_store.with_(t2=value)
         p_read = p_read.with_(t2=value)
@@ -743,17 +738,35 @@ def _apply_sweep_value(p_store: SystemParams, p_read: SystemParams,
         p_read = p_read.with_(g1=value)
     elif name == "delta_c":
         p_read = p_read.with_(delta_c=value)
-    else:
-        raise ParameterError(f"unsupported sweep parameter '{name}'")
-    return p_store, p_read, pulse, tau
+    return (p_store, p_read, pulse, tau), anchor
+
+
+def _sweep_points(cfg: ScenarioConfig, w: _Walker | None = None):
+    """Each sweep point in (curve, value) order: its label, its (p_store,
+    p_read, pulse, tau) and the key path that set its delay.  With a
+    walker, a swept value the library refuses is anchored at its line."""
+    sweep = cfg.sweep
+    start = (cfg.params, cfg.read_params or cfg.params, cfg.pulse, cfg.tau)
+    for j, cval in enumerate(sweep.curve_values or (None,)):
+        for i, v in enumerate(sweep.values):
+            point, anchor = start, "tau"
+            for name, value, path in (
+                    (sweep.curve_parameter, cval, f"sweep.curve_values[{j}]"),
+                    (sweep.parameter, v, f"sweep.values[{i}]")):
+                if name is not None:
+                    point, anchor = _anchored(
+                        w, path, _apply_sweep_value, point, anchor, name,
+                        value, path, sweep.tau_over_duration)
+            yield ({"curve_parameter": sweep.curve_parameter,
+                    "curve_value": cval, "parameter": sweep.parameter,
+                    "value": v, "tau": point[3]}, point, anchor)
 
 
 def _sweep_point(task: tuple) -> dict:
     """Worker: one echo cycle. Top-level so process pools can pickle it."""
     cfg, p_store, p_read, pulse, tau = task
     ens = ensemble_for_params(p_store, n_sim=cfg.n_sim, span=cfg.span)
-    res = run_echo_cycle(p_store, p_read, ens, pulse, tau, cfg.solver_tol,
-                         keep_traces=False)
+    res = run_echo_cycle(p_store, p_read, ens, pulse, tau, cfg.solver_tol)
     return {"echo_probability": res.echo_probability,
             "fidelity_time_reversed": res.fidelity_time_reversed,
             "storage_probability": res.storage_probability,
@@ -762,25 +775,8 @@ def _sweep_point(task: tuple) -> dict:
 
 def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
     """Echo-cycle sweep; rows ordered (curve, value) regardless of workers."""
-    sweep = cfg.sweep
-    p_read0 = cfg.read_params or cfg.params
-    curves = (list(zip([sweep.curve_parameter] * len(sweep.curve_values),
-                       sweep.curve_values))
-              if sweep.curve_parameter else [(None, None)])
-    tasks = []
-    labels = []
-    for cname, cval in curves:
-        for v in sweep.values:
-            point = (cfg.params, p_read0, cfg.pulse, cfg.tau)
-            if cname is not None:
-                point = _apply_sweep_value(*point, cname, cval,
-                                           sweep.tau_over_duration)
-            point = _apply_sweep_value(*point, sweep.parameter, v,
-                                       sweep.tau_over_duration)
-            tasks.append((cfg, *point))
-            labels.append({"curve_parameter": cname, "curve_value": cval,
-                           "parameter": sweep.parameter, "value": v,
-                           "tau": point[3]})
+    points = list(_sweep_points(cfg))
+    tasks = [(cfg, *point) for _, point, _ in points]
     # more processes than points or cores only cost start-up and memory
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -791,7 +787,7 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = list(map(_sweep_point, tasks))
-    return [{**label, **res} for label, res in zip(labels, results)]
+    return [{**label, **res} for (label, _, _), res in zip(points, results)]
 
 
 def _run_sweep_scenario(cfg: ScenarioConfig, workers: int) -> _Artifact:

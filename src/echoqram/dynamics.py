@@ -25,21 +25,21 @@ eigenbasis of A.  A is complex symmetric with arrowhead structure, so its
 eigenvalues are the roots of a secular equation, found by Aberth
 iteration in O(n**2) operations, and its eigenvectors have closed
 Cauchy forms; nodes that share a detuning are merged first.  On a
-mirrored line (delta_c = 0) the roots are real or conjugate pairs, and
-Aberth iterates one root of each pair, so the solve, the ensemble sums
-and the Cauchy rows of a mirror-conjugate state's coordinates take half
-the work.  One basis serves every call on the same (parameters, grid),
-so storage and retrieval share it on a mirrored grid.  The drive enters
-through each mode's convolution with the pulse, one exponential-quadrature
-recurrence for every pulse shape: per output step the mode decays by
-exp(lam h) and gains weights, exact in its exponential, times the
-envelope at eight Gauss nodes; the weights are formed once per distinct
-step length.
+mirrored line (delta_c = 0 or g1 = 0) the roots are real or conjugate
+pairs, and Aberth iterates one root of each pair, so the solve, the
+ensemble sums and the Cauchy rows of a mirror-conjugate state's
+coordinates take half the work.  One basis serves every call on the same
+(parameters, grid), so storage and retrieval share it on a mirrored grid.
+The drive enters through each mode's convolution with the pulse, one
+exponential-quadrature recurrence for every pulse shape: per output step
+the mode decays by exp(lam h) and gains weights, exact in its
+exponential, times the envelope at eight Gauss nodes; the weights are
+formed once per distinct step length.
 Each mode's free evolution at the samples is a complex exp per block of
 samples times a table of in-block offset factors that every regular
 block shares.  So a cycle costs its node populations at every sample, a
 matrix product that takes half the line's Cauchy rows when the state is
-mirror-conjugate (delta_c = 0, a mirrored line, a real envelope), one
+mirror-conjugate (a mirrored line, a real envelope), one
 O(n) drive update per storage sample, and little else.  No array grows
 as the square of the mode count.
 
@@ -146,14 +146,15 @@ class AtomEnsemble:
     """Discretized inhomogeneous line.
 
     coherences holds the mode amplitudes b_j = sqrt(N*w_j) * beta(Delta_j),
-    so `probability` is their plain square sum.  collective_coupling keeps
-    the N*g2**2 the grid was built for (0 when built standalone).
+    so `probability` is their plain square sum.  delta_in keeps the half
+    width of the line the nodes discretize (0 when built standalone): a
+    stage whose parameters carry another line is refused.
     """
 
     detunings: np.ndarray
     weights: np.ndarray
     coherences: np.ndarray
-    collective_coupling: float = 0.0
+    delta_in: float = 0.0
 
     def __post_init__(self) -> None:
         d = np.asarray(self.detunings, dtype=float)
@@ -171,9 +172,8 @@ class AtomEnsemble:
             raise ParameterError("weights must be positive")
         if not abs(float(np.sum(w)) - 1.0) <= 1e-12:
             raise ParameterError(f"weights must sum to 1 within 1e-12, got {np.sum(w)}")
-        if not 0 <= self.collective_coupling < math.inf:
-            raise ParameterError("collective_coupling must be finite and >= 0, "
-                                 f"got {self.collective_coupling}")
+        if not 0 <= self.delta_in < math.inf:
+            raise ParameterError(f"delta_in must be finite and >= 0, got {self.delta_in}")
 
     @property
     def n(self) -> int:
@@ -195,7 +195,6 @@ def discretize_ensemble(
     n_sim: int,
     delta_in: float,
     span: float | None = None,
-    collective_coupling: float = 0.0,
 ) -> AtomEnsemble:
     """Build quadrature nodes and weights for the Lorentzian line.
 
@@ -206,15 +205,12 @@ def discretize_ensemble(
     """
     if n_sim < MIN_N_SIM:
         raise ParameterError(f"n_sim must be >= {MIN_N_SIM}, got {n_sim}")
-    # written so that NaN fails the checks as well
+    # written so that NaN fails the check as well
     if not 0 < delta_in < math.inf:
         raise ParameterError(f"delta_in must be positive and finite, got {delta_in}")
     if span is None:
         span = 40.0 * delta_in
-    if not span >= 20.0 * delta_in:
-        raise ParameterError(
-            f"span {span} too small: need >= 20*delta_in = {20.0 * delta_in} "
-            "to keep the truncated line mass negligible")
+    check_span(span, delta_in)
 
     u = (np.arange(n_sim) + 0.5) / n_sim
     det = np.clip(delta_in * np.tan(np.pi * (u - 0.5)), -span, span)
@@ -228,7 +224,15 @@ def discretize_ensemble(
     w /= np.sum(w)
     return AtomEnsemble(detunings=det, weights=w,
                         coherences=np.zeros(n_sim, dtype=complex),
-                        collective_coupling=collective_coupling)
+                        delta_in=delta_in)
+
+
+def check_span(span: float, delta_in: float) -> None:
+    """Refuse a detuning window narrower than 20*delta_in, or a NaN one."""
+    if not span >= 20.0 * delta_in:
+        raise ParameterError(
+            f"span {span} too small: need >= 20*delta_in = {20.0 * delta_in} "
+            "to keep the truncated line mass negligible")
 
 
 def ensemble_for_params(
@@ -236,9 +240,8 @@ def ensemble_for_params(
     n_sim: int = 801,
     span: float | None = None,
 ) -> AtomEnsemble:
-    """Discretize the line of `p` carrying its collective coupling along."""
-    return discretize_ensemble(n_sim, p.delta_in, span=span,
-                               collective_coupling=p.collective_coupling)
+    """Discretize the line of `p`."""
+    return discretize_ensemble(n_sim, p.delta_in, span=span)
 
 
 def invert_detunings(ens: AtomEnsemble) -> AtomEnsemble:
@@ -246,12 +249,9 @@ def invert_detunings(ens: AtomEnsemble) -> AtomEnsemble:
 
     Applying it twice returns the original ensemble exactly.
     """
-    return AtomEnsemble(
-        detunings=-ens.detunings[::-1],
-        weights=ens.weights[::-1].copy(),
-        coherences=ens.coherences[::-1].copy(),
-        collective_coupling=ens.collective_coupling,
-    )
+    return replace(ens, detunings=-ens.detunings[::-1],
+                   weights=ens.weights[::-1].copy(),
+                   coherences=ens.coherences[::-1].copy())
 
 
 # ----------------------------------------------------------------- integration
@@ -291,11 +291,10 @@ class SimulationTrace:
 
 
 def _check_ensemble(p: SystemParams, ens: AtomEnsemble) -> None:
-    cc = p.collective_coupling
-    if ens.collective_coupling > 0 and abs(ens.collective_coupling - cc) > 1e-9 * max(cc, 1e-30):
+    if ens.delta_in > 0 and abs(ens.delta_in - p.delta_in) > 1e-9 * p.delta_in:
         raise ParameterError(
-            f"ensemble was discretized for N*g2**2 = {ens.collective_coupling}, "
-            f"params carry {cc}")
+            f"ensemble was discretized for delta_in = {ens.delta_in}, "
+            f"params carry {p.delta_in}")
 
 
 def _check_coupled(p: SystemParams) -> None:
@@ -409,7 +408,7 @@ class _ModalBasis:
     g: np.ndarray
     group: np.ndarray
     share: np.ndarray
-    mirrored: bool          # delta_c = 0, merged nodes mirrored: D_M-1-m = conj(D_m)
+    mirrored: bool          # delta_c = 0 or g1 = 0, D_M-1-m = conj(D_m)
     pairs: int              # conjugate pairs among the modes, 0 unless mirrored
     cond: float             # ||V||_F * ||V^-1||_F, bounds the 2-norm one
     residual: float         # worst relative eigenpair residual
@@ -613,7 +612,8 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
     scale = (float(np.max(np.abs(poles))) + 0.5 * p.kappa + abs(cdamp)
              + p.f2 + p.g1 + math.sqrt(cc))
 
-    mirrored = p.delta_c == 0 and all(np.array_equal(x[::-1], y) for x, y in (
+    # with g1 = 0 the control atom, and delta_c with it, enters no equation
+    mirrored = (p.delta_c == 0 or p.g1 == 0) and all(np.array_equal(x[::-1], y) for x, y in (
         (poles, np.conj(poles)), (g2, g2), (share, share), (group, group[-1] - group)))
     lam, pairs = _secular_roots(p, cdamp, poles, g2, scale, mirrored)
     # the sums at a pair's conjugate are the conjugate sums; at a real root
@@ -1109,7 +1109,6 @@ def integrate_storage(
     solver_tol: float = 1e-9,
     *,
     output_dt: float | None = None,
-    extra_eval: tuple[float, ...] = (),
 ) -> SimulationTrace:
     """Drive the empty memory with a normalized input pulse.
 
@@ -1125,7 +1124,7 @@ def integrate_storage(
             f">= 5 durations of margin inside span {t_span}")
     if output_dt is None:
         output_dt = min(pulse.duration / 30.0, (t_span[1] - t_span[0]) / 400.0)
-    times = _output_times(t_span, output_dt, extra_eval)
+    times = _output_times(t_span, output_dt, ())
     return _modal_storage(p, ens, pulse, times, solver_tol)
 
 
@@ -1168,8 +1167,8 @@ class EchoResult:
     ens_stored: AtomEnsemble            # at the inversion time, pre-inversion
     ens_final: AtomEnsemble             # at t_final, inverted detunings
     max_ledger_residual: float
-    storage_trace: SimulationTrace | None = None
-    retrieval_trace: SimulationTrace | None = None
+    storage_trace: SimulationTrace
+    retrieval_trace: SimulationTrace
 
 
 #: golden-section bracket, in pulse durations, at which the fidelity search
@@ -1223,6 +1222,14 @@ def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
     return float(max(values[k], f1, f2))
 
 
+def check_delay(tau: float, duration: float) -> None:
+    """Refuse an inversion less than five pulse durations after the pulse."""
+    if tau < 5.0 * duration:
+        raise ParameterError(
+            f"tau = {tau} too small: need >= 5 pulse durations "
+            f"({5.0 * duration}) after the pulse center")
+
+
 def run_echo_cycle(
     p_store: SystemParams,
     p_read: SystemParams,
@@ -1230,8 +1237,6 @@ def run_echo_cycle(
     pulse: PulseSpec,
     tau: float,
     solver_tol: float = 1e-9,
-    *,
-    keep_traces: bool = True,
 ) -> EchoResult:
     """Store a pulse, invert the detunings tau after the pulse center,
     and integrate the readout stage with parameters p_read.
@@ -1244,10 +1249,7 @@ def run_echo_cycle(
     where the mirror image lands on the echo (a global phase drops out
     of the modulus).
     """
-    if tau < 5.0 * pulse.duration:
-        raise ParameterError(
-            f"tau = {tau} too small: need >= 5 pulse durations "
-            f"({5.0 * pulse.duration}) after the pulse center")
+    check_delay(tau, pulse.duration)
     dt = pulse.duration
     c = pulse.center
     t_inv = c + tau
@@ -1289,8 +1291,8 @@ def run_echo_cycle(
         ens_final=retrieval.ensemble,
         max_ledger_residual=max(storage.max_ledger_residual,
                                 retrieval.max_ledger_residual),
-        storage_trace=storage if keep_traces else None,
-        retrieval_trace=retrieval if keep_traces else None,
+        storage_trace=storage,
+        retrieval_trace=retrieval,
     )
 
 

@@ -22,8 +22,6 @@ eps(delta) = 2*pi*N*kappa*(g2/f2)**2 * G(delta) * |F(delta)|**2.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .params import SystemParams, ParameterError, cooperativities
@@ -63,12 +61,11 @@ def _atom_term(delta, p: SystemParams):
     return out
 
 
-def storage_transfer(delta, p: SystemParams, diagnostics: dict | None = None):
+def storage_transfer(delta, p: SystemParams):
     """Transfer function F(delta) from input photon to ensemble coherence.
 
     Poles at grid points (possible only in lossless corners such as
-    gamma -> 0 with delta = delta_c) return the limiting value 0 and are
-    counted in `diagnostics` when a dict is passed.
+    gamma -> 0 with delta = delta_c) return the limiting value 0.
     """
     delta = np.asarray(delta, dtype=float)
     gt = 1.0 / (p.delta_in - 1j * delta)
@@ -76,19 +73,17 @@ def storage_transfer(delta, p: SystemParams, diagnostics: dict | None = None):
     cavity_factor = p.kappa / 2.0 + 1j * _atom_term(delta, p) - 1j * delta
     den = ensemble_factor * cavity_factor + p.f2 ** 2
     bad = ~np.isfinite(den) | (np.abs(den) < POLE_GUARD)
-    if diagnostics is not None:
-        diagnostics["pole_points"] = int(np.count_nonzero(bad))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(bad, 0.0 + 0.0j, p.f2 ** 2 / np.where(bad, 1.0, den))
     return out if out.ndim else complex(out)
 
 
-def spectral_efficiency(delta, p: SystemParams, diagnostics: dict | None = None):
+def spectral_efficiency(delta, p: SystemParams):
     """Storage efficiency density ratio eps(delta), dimensionless in [0, 1]."""
     if p.f2 == 0:
         raise ParameterError("spectral efficiency undefined for f2 = 0")
     delta = np.asarray(delta, dtype=float)
-    f = storage_transfer(delta, p, diagnostics)
+    f = storage_transfer(delta, p)
     g = lorentzian_lineshape(delta, p.delta_in)
     out = (2.0 * np.pi * p.n_atoms * p.kappa * (p.g2 / p.f2) ** 2
            * g * np.abs(f) ** 2)
@@ -121,7 +116,7 @@ def matched_window(nu, kappa: float):
     return out if out.ndim else float(out)
 
 
-def blockade_reflection(nu, p: SystemParams, diagnostics: dict | None = None):
+def blockade_reflection(nu, p: SystemParams):
     """Reflection coefficient of the loaded input cavity.
 
     f_Bl(nu) = i*kappa / (nu + i*kappa/2 - g1**2/(nu - delta_c + i*gamma/2)
@@ -139,21 +134,8 @@ def blockade_reflection(nu, p: SystemParams, diagnostics: dict | None = None):
                             p.f2 ** 2 / np.where(np.abs(ens_den) < POLE_GUARD, 1.0, ens_den))
     den = nu + 0.5j * p.kappa - atom - ens_term
     bad = ~np.isfinite(den) | (np.abs(den) < POLE_GUARD)
-    if diagnostics is not None:
-        diagnostics["pole_points"] = int(np.count_nonzero(bad))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(bad, -1.0 + 0.0j,
                        1j * p.kappa / np.where(bad, 1.0, den) - 1.0)
     return out if out.ndim else complex(out)
 
-
-def echo_probability_narrowband(p: SystemParams, tau: float) -> float:
-    """Echo retrieval probability for a narrowband pulse, transfer read stage.
-
-    P = 16*C_pm**2 * exp(-4*tau/T2) / (1 + C_pm)**4
-    """
-    if tau < 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
-    c = cooperativities(p)
-    decay = 0.0 if math.isinf(p.t2) else 4.0 * tau / p.t2
-    return 16.0 * c.c_pm ** 2 * math.exp(-decay) / (1.0 + c.c_pm) ** 4

@@ -10,6 +10,8 @@ matrix, whose LAPACK eigenvalues check the Aberth solve of the modes.
 echo_spectrum: the retrieved echo's spectral amplitude from the closed
 storage transfer functions, the frequency-domain route to the echo
 probability.
+echo_probability_narrowband: the closed law 16*C_pm**2*exp(-4*tau/T2) /
+(1 + C_pm)**4 of a narrowband pulse's echo, the check of both routes.
 broadened_response_quadrature: direct quadrature of the regulated line
 integral that spectral.broadened_response evaluates in closed form.
 drive_integral_quadrature: adaptive quadrature of one mode's convolution
@@ -37,7 +39,7 @@ from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
                                _check_tol, _modal_basis, _mode_coordinates,
                                _output_times, _trace, ensemble_for_params,
                                invert_detunings)
-from echoqram.params import ParameterError, SystemParams
+from echoqram.params import ParameterError, SystemParams, cooperativities
 from echoqram.spectral import lorentzian_lineshape, storage_transfer
 
 
@@ -198,6 +200,18 @@ def echo_spectrum(nu: np.ndarray, alpha_in: np.ndarray, p_store: SystemParams,
     return (-prefac * lorentzian_lineshape(nu, p_store.delta_in)
             * storage_transfer(-nu, p_store) * storage_transfer(nu, p_read)
             * alpha_in[::-1] * decay)
+
+
+def echo_probability_narrowband(p: SystemParams, tau: float) -> float:
+    """Echo retrieval probability for a narrowband pulse, transfer read stage.
+
+    P = 16*C_pm**2 * exp(-4*tau/T2) / (1 + C_pm)**4
+    """
+    if tau < 0:
+        raise ParameterError(f"tau must be >= 0, got {tau}")
+    c = cooperativities(p)
+    decay = 0.0 if math.isinf(p.t2) else 4.0 * tau / p.t2
+    return 16.0 * c.c_pm ** 2 * math.exp(-decay) / (1.0 + c.c_pm) ** 4
 
 
 def broadened_response_quadrature(

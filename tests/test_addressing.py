@@ -314,8 +314,9 @@ class TestFullProtocol:
             s = absorb_address_bin(s, n, a)
             s = rephase_cell(s, n)
             s = reset_control(s, n)
-            empties.append(max(t.empty_count for t in s.terms))
-            assert all(t.empty_count <= 1 for t in s.terms)
+            counts = [sum(1 for c in t.cells if c == 0) for t in s.terms]
+            empties.append(max(counts))
+            assert all(n <= 1 for n in counts)
         assert empties == sorted(empties)
         assert s.consumed_bins == frozenset({1, 2, 3})
         assert s.rephased_cells == frozenset({1, 2, 3})
@@ -377,7 +378,7 @@ class TestFullProtocol:
         assert s.loss_total == 0.0
         for t in s.terms:
             assert t.control is ControlState.G
-            assert t.empty_count == 1
+            assert sum(1 for c in t.cells if c == 0) == 1
             k = next(i for i, c in enumerate(t.cells, start=1) if c == 0)
             # the address photon and payload photon always pair up
             assert t.emitted == frozenset({f"psi_in[{k}]", f"psi_a[{k}]"})

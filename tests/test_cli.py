@@ -20,7 +20,7 @@ from echoqram import __version__
 from echoqram.cli import (_SCHEMA, ConfigError, Scenario, main,
                           parse_scenario_config, run_sweep)
 from echoqram.dynamics import MIN_N_SIM, discretize_ensemble
-from echoqram.params import ParameterError, params_digest
+from echoqram.params import ParameterError, params_digest, solve_matched_params
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -564,6 +564,44 @@ class TestBoundary:
         assert err.startswith(f"config error: {path}:{line}: tau = ")
         assert "too small: need >= 5 pulse durations" in err
 
+    @pytest.mark.parametrize("sweep, path, needle", [
+        ({"parameter": "pulse_duration", "values": [5.0, -2.0]},
+         "sweep.values[1]", "pulse duration must be positive, got -2.0"),
+        ({"parameter": "pulse_duration", "values": [5.0],
+          "curve_parameter": "t2", "curve_values": [100.0, -5.0]},
+         "sweep.curve_values[1]", "t2 must be positive"),
+    ])
+    def test_sweep_value_refused_at_its_line(self, tmp_path, capsys, sweep,
+                                             path, needle):
+        # the library refuses the value when the point is built, at parse
+        doc = dict(self.SWEEP, sweep=sweep)
+        config = write(tmp_path, "neg.json", cfg_text(**doc))
+        assert main(["sweep", "--config", str(config)]) == 2
+        line = indent_lines(doc)[0][path]
+        assert capsys.readouterr().err.startswith(
+            f"config error: {config}:{line}: {needle}")
+
+    @pytest.mark.parametrize("change, needle", [
+        ({"delta_in": 0.7}, "(delta_in, N*g2**2) = (0.7, "),
+        ({"n_atoms": 2000}, "params carry (0.5, "),
+    ])
+    def test_read_params_on_another_ensemble(self, tmp_path, capsys, change,
+                                             needle):
+        # the read stage runs on the line and the ensemble that storage
+        # discretized and loaded; delta_in 0.7 on a 0.5 line ran and
+        # returned the matched config's numbers
+        read = {**solve_matched_params(1.0, 30.0).to_dict(), **change}
+        doc = dict(scenario="blockade", params=MATCHED, read_params=read,
+                   pulse={"duration": 5.0}, tau=25.0, n_sim=64)
+        path = write(tmp_path, "b.json", cfg_text(**doc))
+        assert main(["blockade", "--config", str(path),
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        err = capsys.readouterr().err
+        line = indent_lines(doc)[0]["read_params"]
+        assert err.startswith(f"config error: {path}:{line}: 'read_params' "
+                              "describes another ensemble")
+        assert needle in err
+
     def test_blockade_span_refused_at_its_line(self, tmp_path, capsys):
         text = cfg_text(scenario="blockade", params=MATCHED,
                         read_params={"matched": {"kappa": 1.0, "c_atom": 30.0}},
@@ -617,9 +655,10 @@ class TestBoundary:
         assert seen == ([expect] if expect > 1 else [])
 
     # the keys a cross-key refusal anchors at when the fuzzed key moves
-    # the other side: the line's span against delta_in = kappa/2, the
-    # delay against the pulse duration, the swept values as delays
-    TIED = {"params.matched.kappa": ("span",),
+    # the other side: the line's span and the read stage's line against
+    # delta_in = kappa/2, the delay against the pulse duration, the swept
+    # values as delays
+    TIED = {"params.matched.kappa": ("span", "read_params"),
             "pulse.duration": ("tau", "sweep.tau_over_duration"),
             "sweep.parameter": ("sweep.values",)}
 

@@ -137,20 +137,21 @@ class TestDiscretization:
         ("detunings", [math.nan, math.nan]),
         ("weights", [0.5, math.nan]),
         ("weights", [math.nan, math.nan]),
-        ("collective_coupling", math.nan),
-        ("collective_coupling", math.inf),
+        ("delta_in", math.nan),
+        ("delta_in", math.inf),
     ])
     def test_ensemble_refuses_nan(self, field, value):
         good = dict(detunings=np.array([0.0, 1.0]),
                     weights=np.array([0.5, 0.5]),
-                    coherences=np.zeros(2, complex), collective_coupling=1.0)
+                    coherences=np.zeros(2, complex), delta_in=1.0)
         AtomEnsemble(**good)
         with pytest.raises(ParameterError):
             AtomEnsemble(**{**good, field: value})
 
-    def test_for_params_carries_coupling(self, matched):
+    def test_for_params_carries_line(self, matched):
         ens = ensemble_for_params(matched, n_sim=64)
-        assert ens.collective_coupling == matched.collective_coupling
+        assert ens.delta_in == matched.delta_in
+        assert invert_detunings(ens).delta_in == matched.delta_in
 
     def test_invert_is_involution(self):
         ens = discretize_ensemble(33, 0.5)
@@ -219,12 +220,20 @@ class TestStorage:
             integrate_storage(matched, ens, PulseSpec(duration=5.0),
                               (-30.0, 30.0), solver_tol=1e-6)
 
-    def test_grid_coupling_mismatch(self, matched):
+    def test_grid_line_mismatch(self, matched):
+        # the nodes discretize delta_in alone: a stage on another line is
+        # refused, whatever its coupling
         ens = ensemble_for_params(matched, n_sim=64)
-        other = matched.with_(g2=2.0 * matched.g2)
-        with pytest.raises(ParameterError):
+        other = matched.with_(delta_in=0.7)
+        with pytest.raises(ParameterError, match="delta_in = 0.5"):
             integrate_storage(other, ens, PulseSpec(duration=5.0),
                               (-30.0, 30.0))
+        with pytest.raises(ParameterError, match="params carry 0.7"):
+            run_echo_cycle(matched, other, ens, PulseSpec(duration=5.0), 25.0)
+        stronger = matched.with_(g2=2.0 * matched.g2)
+        trace = integrate_storage(stronger, ens, PulseSpec(duration=5.0),
+                                  (-30.0, 30.0))
+        assert trace.ensemble.delta_in == matched.delta_in
 
     def test_retrieval_needs_coherence(self, matched):
         ens = ensemble_for_params(matched, n_sim=64)
@@ -275,7 +284,7 @@ class TestEchoCycle:
 
         def fidelity(c):
             return run_echo_cycle(p, p, ens, PulseSpec(duration=10.0, center=c),
-                                  50.0, keep_traces=False).fidelity_time_reversed
+                                  50.0).fidelity_time_reversed
 
         assert fidelity(center) == pytest.approx(fidelity(0.0), abs=1e-9)
 
@@ -317,8 +326,7 @@ class TestEchoCycle:
         p = matched.with_(t2=1e4)
         tau = cfg.sweep.tau_over_duration
         ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-        echo = run_echo_cycle(p, p, ens, PulseSpec(duration=1.0), tau,
-                              keep_traces=False)
+        echo = run_echo_cycle(p, p, ens, PulseSpec(duration=1.0), tau)
         direct = echo_probability_quadrature(p, echo.ens_stored, tau,
                                              echo.output_times)
         assert abs(echo.echo_probability - direct) <= 1e-13
@@ -595,7 +603,7 @@ class TestFidelitySearch:
             (REPO / "configs" / "echo_matched.json").read_text())
         p, pulse = cfg.params, cfg.pulse
         ens = ensemble_for_params(p, n_sim=128)
-        echo = run_echo_cycle(p, p, ens, pulse, cfg.tau, keep_traces=False)
+        echo = run_echo_cycle(p, p, ens, pulse, cfg.tau)
         center = pulse.center + 2.0 * cfg.tau
         delays = np.linspace(center - 2.0 * pulse.duration,
                              center + 2.0 * pulse.duration, 4001)
@@ -660,8 +668,7 @@ class TestModalPropagator:
         ens = ensemble_for_params(p, n_sim=64, span=10.0)
         det = np.clip(ens.detunings, -4.0, 4.0)
         assert np.count_nonzero(np.diff(det) == 0) >= 4
-        return AtomEnsemble(det, ens.weights, ens.coherences,
-                            ens.collective_coupling)
+        return AtomEnsemble(det, ens.weights, ens.coherences, ens.delta_in)
 
     @staticmethod
     def oracle_cycle(monkeypatch, p_store, p_read, ens, pulse, tau):
@@ -797,7 +804,8 @@ class TestEigenSolve:
         ref = np.linalg.eigvals(dense_generator(p, ens))
         scale = float(np.max(np.abs(ref)))
         self.assert_same_roots(basis.lam, ref, 1e-12 * scale)
-        if delta_c == 0:
+        # with no control atom (C = 0, g1 = 0) delta_c enters no equation
+        if delta_c == 0 or c_atom == 0:
             self.assert_paired(basis)
             reals = basis.lam.size - 2 * basis.pairs
             assert reals == np.sum(np.abs(ref.imag) <= 1e-8 * scale)
@@ -813,17 +821,22 @@ class TestEigenSolve:
             reals[n_sim, c_atom] = basis.lam.size - 2 * basis.pairs
         assert reals == {(64, 0.0): 2, (65, 0.0): 1, (65, 30.0): 0}
 
-    @pytest.mark.parametrize("c_atom, t2, n_sim", [
-        (0.0, 1e4, 801), (0.0, math.inf, 801), (30.0, math.inf, 801),
-        (0.0, 100.0, 401)])
-    def test_paired_matches_general(self, c_atom, t2, n_sim):
-        # the committed configs' lines: both paths on the same grid
-        p = solve_matched_params(1.0, c_atom, t2=t2)
+    # the committed configs' lines, and one with an uncoupled control atom
+    # (g1 = 0) detuned, where delta_c enters no equation
+    @pytest.mark.parametrize("c_atom, t2, n_sim, delta_c", [
+        (0.0, 1e4, 801, 0.0), (0.0, math.inf, 801, 0.0),
+        (30.0, math.inf, 801, 0.0), (0.0, 100.0, 401, 0.0),
+        (0.0, 1e4, 801, 0.2)],
+        ids=["0.0-10000.0-801", "0.0-inf-801", "30.0-inf-801",
+             "0.0-100.0-401", "0.0-10000.0-801-detuned"])
+    def test_paired_matches_general(self, c_atom, t2, n_sim, delta_c):
+        # both paths on the same grid
+        p = solve_matched_params(1.0, c_atom, t2=t2, delta_c=delta_c)
         ens = ensemble_for_params(p, n_sim=n_sim,
                                   span=10.0 if n_sim == 401 else None)
         basis = self.fresh_basis(p, ens)
         self.assert_paired(basis)
-        cdamp = -0.5 * p.gamma
+        cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
         scale = float(np.max(np.abs(basis.lam)))
         general, pairs = dynamics._secular_roots(
             p, cdamp, basis.poles, basis.g ** 2, scale, False)
@@ -942,7 +955,7 @@ class TestMirroredLine:
         if case == "weights":
             w = 1.0 + 0.2 * np.linspace(-1.0, 1.0, ens.n)
             ens = AtomEnsemble(ens.detunings, w / np.sum(w), ens.coherences,
-                               ens.collective_coupling)
+                               ens.delta_in)
         pulse = PulseSpec(duration=5.0,
                           carrier_detuning=0.1 if case == "carrier" else 0.0)
         flags = self.spy(monkeypatch)

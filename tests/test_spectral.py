@@ -12,11 +12,11 @@ from echoqram.dynamics import PulseSpec
 from echoqram.params import (ParameterError, params_digest,
                              solve_matched_params)
 from echoqram.spectral import (blockade_reflection, broadened_response,
-                               echo_probability_narrowband,
                                lorentzian_lineshape, matched_window,
                                resonant_efficiency, spectral_efficiency,
                                storage_transfer)
-from oracles import broadened_response_quadrature, echo_spectrum
+from oracles import (broadened_response_quadrature, echo_spectrum,
+                     echo_probability_narrowband)
 
 
 def photon(nu, duration):
@@ -170,11 +170,6 @@ class TestStorageTransfer:
         b = storage_transfer(-nu, p)
         assert b == pytest.approx(a.conjugate(), rel=1e-12, abs=1e-15)
 
-    def test_diagnostics_pole_count(self, matched):
-        diag = {}
-        storage_transfer(np.linspace(-1, 1, 11), matched, diag)
-        assert diag.get("pole_points", 0) == 0
-
 
 class TestBlockadeReflection:
     def test_matched_transfer_absorbs_everything(self, matched):
@@ -262,9 +257,7 @@ class TestGridAndSpectrum:
 
     def test_reflection_spectrum_runs(self, blockade30):
         nu = np.linspace(-1.0, 1.0, 33)
-        diagnostics: dict = {}
-        values = blockade_reflection(nu, blockade30, diagnostics)
-        assert diagnostics["pole_points"] == 0
+        values = blockade_reflection(nu, blockade30)
         mid = abs(values[16]) ** 2
         assert mid == pytest.approx((60.0 / 61.0) ** 2, rel=1e-9)
 
