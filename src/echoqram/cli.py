@@ -46,8 +46,9 @@ from .params import (SystemParams, ParameterError, check_matching,
                      cooperativities, params_digest, solve_matched_params)
 from .spectral import spectral_efficiency
 from .dynamics import (MIN_N_SIM, PulseShape, PulseSpec, IntegrationError,
-                       check_delay, check_span, ensemble_for_params,
-                       integrate_storage, run_echo_cycle, blockade_phase_check)
+                       check_delay, check_margin, check_span,
+                       ensemble_for_params, integrate_storage, run_echo_cycle,
+                       blockade_phase_check)
 from .addressing import (AddressSpec, BranchEfficiencies, run_addressing,
                          compose_with_dynamics, state_table, state_to_dict,
                          ProtocolError)
@@ -474,9 +475,11 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     if read and not np.allclose(read, store, rtol=1e-9, atol=0.0):
         raise w.error("read_params", "'read_params' describes another ensemble"
                       f": (delta_in, N*g2**2) = {read}, params carry {store}")
-    # the library's refusals of the line and of the delay, at their lines
+    # the library's refusals of line, storage span and delay, at their lines
     if cfg.span is not None:
         _anchored(w, "span", check_span, cfg.span, cfg.params.delta_in)
+    if cfg.t_span is not None:
+        _anchored(w, "t_span", check_margin, cfg.t_span, cfg.pulse)
     if sc in (Scenario.ECHO_CYCLE, Scenario.BLOCKADE):
         _anchored(w, "tau", check_delay, cfg.tau, cfg.pulse.duration)
     if cfg.eff_from_dynamics and (cfg.params is None or cfg.tau is None):

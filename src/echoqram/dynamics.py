@@ -46,13 +46,15 @@ as the square of the mode count.
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
 ensemble dephasing integral (2/T2)*sum_j int|b_j|**2.  The input integral
-is closed form.  Under an exponential drive the loss integrals are exact
-Gram forms of the modes, the drive one more exponential; otherwise a
-quintic Hermite rule on exact time derivatives.  Every run checks the
-ledger at each output time and aborts when it drifts beyond 100x
-solver_tol, which is all solver_tol bounds here; a mode basis
-whose eigenpair residual or condition number exceeds a fixed bound is
-refused as well.
+is closed form; every stage takes its loss integrals from one quintic
+Hermite rule on exact time derivatives.  An exponential pulse switches on
+or off at its center, so storage samples that instant twice, each copy
+with its one-sided drive, and splits every step after it until the
+fastest mode, which the jump rings, turns by at most half a radian per
+step.  Every run checks the ledger at each output time and aborts when
+it drifts beyond 100x solver_tol, which is all solver_tol bounds here; a
+mode basis whose eigenpair residual or condition number exceeds a fixed
+bound is refused as well.
 """
 
 from __future__ import annotations
@@ -235,6 +237,16 @@ def check_span(span: float, delta_in: float) -> None:
             "to keep the truncated line mass negligible")
 
 
+def check_margin(t_span: tuple[float, float], pulse: PulseSpec) -> None:
+    """Refuse a storage span, or a NaN one, that leaves the pulse center
+    less than five pulse durations of margin on either side."""
+    if not (t_span[0] <= pulse.center - 5.0 * pulse.duration
+            and t_span[1] >= pulse.center + 5.0 * pulse.duration):
+        raise ParameterError(
+            f"pulse centered at {pulse.center} (duration {pulse.duration}) needs "
+            f">= 5 durations of margin inside span {t_span}")
+
+
 def ensemble_for_params(
     p: SystemParams,
     n_sim: int = 801,
@@ -403,7 +415,6 @@ class _ModalBasis:
     bc: np.ndarray
     a2: np.ndarray
     ens_sum: np.ndarray     # S_k = sum_m g_m**2 / (lam_k - D_m)
-    ens_norm: np.ndarray    # sum_m |V_mk|**2
     poles: np.ndarray       # merged ensemble diagonal D_m = -(i*d_m + 1/T2)
     g: np.ndarray
     group: np.ndarray
@@ -643,7 +654,7 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
             f"{_RESIDUAL_BOUND:g}), cond(V) {cond:.3e} (bound {_COND_BOUND:g})")
     basis = _ModalBasis(
         lam=lam, a1=a1 * scale_v, bc=bc * scale_v, a2=scale_v,
-        ens_sum=s_ens, ens_norm=np.abs(scale_v) ** 2 * abs_ens,
+        ens_sum=s_ens,
         poles=poles, g=np.sqrt(g2), group=group, share=share,
         mirrored=mirrored, pairs=pairs, cond=cond, residual=residual)
     return replace(basis, drive=_mode_coordinates(
@@ -914,81 +925,31 @@ def _ensemble_at(basis: _ModalBasis, c: np.ndarray, mirrored: bool):
     return pe, basis.share * last[basis.group]
 
 
-def _gram_losses(basis: _ModalBasis, c: np.ndarray, p: SystemParams,
-                 inv_t2: float, forced=None):
-    """Exact loss integrals since the first sample of storage under an
-    exponential drive, where the state is a sum of exponentials.
+#: largest phase of the fastest mode per step after an exponential's switch
+_SWITCH_PHASE = 0.5
 
-    Free evolution: c_k(t) = c_k(t0) exp(lam_k t).  A loss rate y^H W y
-    has the Gram kernel Q = W_kl / (conj(lam_k) + lam_l): Phi(t) =
-    c(t)^H Q c(t) obeys dPhi/dt = rate, so the integral since t0 is
-    Phi(t) - Phi(t0).  The ensemble weight sum_m conj(V_mk) V_ml has the
-    closed form conj(a2_k) a2_l (conj(S_k) + S_l) / (conj(lam_k) + lam_l
-    + 2/T2), its diagonal the direct sum.  Q is Hermitian, so only the
-    blocks on and above the diagonal are formed.
 
-    forced = (alpha, u, amp, xi): an exponential drive a_in = amp * xi with
-    xi(t) = exp(alpha t) splits c = h + u xi into a free part h and the
-    driven profile u; xi joins the modes as one more coordinate.  Returns
-    the output, control-atom and T2 integrals.
-    """
-    lam, n = basis.lam, basis.lam.size
-    sqrtk, sqrtg = math.sqrt(p.kappa), math.sqrt(p.gamma)
-    h = c if forced is None else c - np.outer(forced[1], forced[3])
-    phi = np.zeros((3, c.shape[1]))
-    active = [i for i, on in enumerate((True, p.g1 > 0, inv_t2 > 0)) if on]
-    for lo in range(0, n, _BLOCK // 2):
-        hi = min(lo + _BLOCK // 2, n)
-        lk = np.conj(lam[lo:hi, None])
-        kernel = lk + lam[lo:]
-        np.reciprocal(kernel, out=kernel)
-        # within the diagonal block keep the upper triangle, the diagonal
-        # at half weight, so that 2 Re sum covers every pair once
-        kernel[:, :hi - lo] *= np.triu(np.ones((hi - lo, hi - lo)), 1) \
-            + 0.5 * np.eye(hi - lo)
-        # the active channels' weight blocks, stacked for one product
-        w = np.empty((len(active), hi - lo, n - lo), dtype=complex)
-        for j, i in enumerate(active):
-            if i == 0:
-                np.multiply(p.kappa * np.conj(basis.a1[lo:hi, None]),
-                            basis.a1[lo:], out=w[j])
-            elif i == 1:
-                np.multiply(p.gamma * np.conj(basis.bc[lo:hi, None]),
-                            basis.bc[lo:], out=w[j])
-            else:
-                np.add(lk + 2.0 * inv_t2, lam[lo:], out=w[j])
-                np.reciprocal(w[j], out=w[j])
-                w[j] *= np.conj(basis.ens_sum[lo:hi, None]) + basis.ens_sum[lo:]
-                w[j] *= 2.0 * inv_t2 * np.conj(basis.a2[lo:hi, None]) * basis.a2[lo:]
-                diag = np.arange(hi - lo)
-                w[j, diag, diag] = 2.0 * inv_t2 * basis.ens_norm[lo:hi]
-        w *= kernel
-        y = (w.reshape(-1, n - lo) @ h[lo:]).reshape(len(active), hi - lo, -1)
-        # Re(conj(h) y) summed over the rows: the interleaved real and
-        # imaginary parts of h and y multiply pairwise
-        prod = np.einsum("ms,kms->ks", h[lo:hi].view(float), y.view(float))
-        phi[active] += 2.0 * prod.reshape(len(active), -1, 2).sum(axis=2)
-    if forced is not None:
-        alpha, u, amp, xi = forced
-        # the rows' entries on xi: r.u, and for the output also -amp; the
-        # ensemble's are E u = V_E^H (V_E u) and u^H E u = |V_E u|**2
-        out_xi = sqrtk * (basis.a1 @ u) - amp
-        ens_u = np.zeros(n, dtype=complex)
-        ens_uu = 0.0
-        for lo in range(0, basis.g.size if inv_t2 > 0 else 0, _BLOCK):
-            rows = basis.ensemble_rows(lo, lo + _BLOCK)
-            y = rows @ u
-            ens_u += y @ np.conj(rows)
-            ens_uu += float(np.sum(np.abs(y) ** 2))
-        channels = [(np.conj(sqrtk * basis.a1) * out_xi, abs(out_xi) ** 2),
-                    (np.conj(sqrtg * basis.bc) * sqrtg * (basis.bc @ u),
-                     p.gamma * abs(basis.bc @ u) ** 2),
-                    (2.0 * inv_t2 * ens_u, 2.0 * inv_t2 * ens_uu)]
-        for i, (cross, corner) in enumerate(channels):
-            cross_h = (cross / (np.conj(lam) + alpha)) @ np.conj(h)
-            phi[i] += 2.0 * (cross_h * xi).real \
-                + corner * np.abs(xi) ** 2 / (2.0 * alpha.real)
-    return phi - phi[:, :1]
+def _switched_nodes(pulse: PulseSpec, times: np.ndarray, lam: np.ndarray):
+    """Storage samples of an exponential pulse, and a_in with its first two
+    time derivatives there.  The switching instant is sampled twice, each
+    copy with the one-sided limits (0 on the undriven side), and the
+    zero-length step between the copies takes zero weight and unit decay;
+    every output step after it is split until the fastest mode turns by at
+    most _SWITCH_PHASE per sub-step."""
+    c = pulse.center
+    before, edge = times[times < c], np.append(c, times[times > c])
+    r = math.ceil((times[1] - times[0]) * np.max(np.abs(lam)) / _SWITCH_PHASE)
+    fine = edge[:-1, None] + np.diff(edge)[:, None] * (np.arange(r) / r)
+    nodes = np.concatenate((before, [c], fine.ravel(), edge[-1:]))
+    rising = pulse.shape is PulseShape.RISING_EXPONENTIAL
+    alpha = (1.0 if rising else -1.0) / pulse.duration \
+        - 1j * pulse.carrier_detuning
+    # the first copy closes a rising pulse's drive, the second opens a
+    # decaying pulse's
+    driven = (np.arange(nodes.size) <= before.size) == rising
+    ain = driven * math.sqrt(2.0 / pulse.duration) \
+        * np.exp(alpha * np.where(driven, nodes - c, 0.0))
+    return nodes, ain, alpha * ain, alpha * alpha * ain
 
 
 def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
@@ -996,10 +957,15 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
     basis = _modal_basis(p, ens)
     sqrtk = math.sqrt(p.kappa)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
-    gaussian = pulse.shape is PulseShape.GAUSSIAN
-    # an exponential pulse switches at its center, which the margin check
-    # puts inside the span: sample the state there as well
-    nodes = times if gaussian else np.union1d(times, [pulse.center])
+    if pulse.shape is PulseShape.GAUSSIAN:
+        nodes = times
+        ain = pulse.amplitude(nodes)
+        rate = -(nodes - pulse.center) / pulse.duration ** 2 \
+            - 1j * pulse.carrier_detuning
+        dain = rate * ain
+        ddain = (rate * rate - pulse.duration ** -2) * ain
+    else:
+        nodes, ain, dain, ddain = _switched_nodes(pulse, times, basis.lam)
     out = np.searchsorted(nodes, times)
 
     c = _drive_integrals(pulse, basis.lam, nodes)
@@ -1007,26 +973,8 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
     a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
     pe, last = _ensemble_at(basis, c,
                             basis.mirrored and not pulse.carrier_detuning)
-    if gaussian:
-        losses = _hermite_losses(p, basis, c, nodes, a1, bc, a2, pe, inv_t2,
-                                 pulse)
-    else:
-        # a sum of exponentials on either side of the switching instant:
-        # the driven side with the drive as one more coordinate, exact
-        rising = pulse.shape is PulseShape.RISING_EXPONENTIAL
-        alpha = (1.0 if rising else -1.0) / pulse.duration \
-            - 1j * pulse.carrier_detuning
-        amp = math.sqrt(2.0 / pulse.duration)
-        k = int(np.searchsorted(nodes, pulse.center))
-        driven = slice(0, k + 1) if rising else slice(k, None)
-        xi = np.exp(alpha * (nodes[driven] - pulse.center))
-        u = amp * sqrtk * basis.drive / (alpha - basis.lam)
-        losses = np.zeros((3, nodes.size))
-        losses[:, driven] = _gram_losses(basis, c[:, driven], p, inv_t2,
-                                         forced=(alpha, u, amp, xi))
-        if rising:
-            losses[:, k:] = losses[:, k:k + 1] + _gram_losses(
-                basis, c[:, k:], p, inv_t2)
+    losses = _hermite_losses(p, basis, c, nodes, a1, bc, a2, pe, inv_t2,
+                             ain, dain, ddain)
     cdf = _pulse_cdf(pulse, times)
     l_in = cdf - cdf[0]
     return _trace(p, ens, "storage", solver_tol, times,
@@ -1036,10 +984,10 @@ def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
 
 def _hermite_losses(p: SystemParams, basis: _ModalBasis, c: np.ndarray,
                     nodes: np.ndarray, a1, bc, a2, pe, inv_t2: float,
-                    pulse: PulseSpec | None = None) -> np.ndarray:
-    """Loss integrals under a Gaussian drive, or none, by the quintic Hermite
-    rule on time derivatives from the equations of motion, with no Gram
-    kernel 1/(conj(lam_k) + lam_l) to cancel; sig = sum_j g_j b_j and its
+                    ain=0.0, dain=0.0, ddain=0.0) -> np.ndarray:
+    """Loss integrals by the quintic Hermite rule on time derivatives from
+    the equations of motion, under the input amplitude ain with its first
+    two time derivatives, none in retrieval; sig = sum_j g_j b_j and its
     derivative need the rows sum_m g_m V_mk and sum_m g_m D_m V_mk."""
     sqrtk = math.sqrt(p.kappa)
     cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
@@ -1047,13 +995,6 @@ def _hermite_losses(p: SystemParams, basis: _ModalBasis, c: np.ndarray,
     dsig = (-1j * basis.a2 * (basis.lam * basis.ens_sum
                               - p.collective_coupling)) @ c \
         - 1j * p.collective_coupling * a2
-    ain = dain = ddain = 0.0
-    if pulse is not None:
-        ain = pulse.amplitude(nodes)
-        rate = -(nodes - pulse.center) / pulse.duration ** 2 \
-            - 1j * pulse.carrier_detuning
-        dain = rate * ain
-        ddain = (rate * rate - pulse.duration ** -2) * ain
     da2 = -1j * sig - 1j * p.f2 * a1
     dbc = cdamp * bc - 1j * p.g1 * a1
     da1 = -1j * p.g1 * bc - 1j * p.f2 * a2 - 0.5 * p.kappa * a1 + sqrtk * ain
@@ -1117,11 +1058,7 @@ def integrate_storage(
     """
     _check_ensemble(p, ens)
     _check_tol(solver_tol)
-    if t_span[0] > pulse.center - 5.0 * pulse.duration or \
-       t_span[1] < pulse.center + 5.0 * pulse.duration:
-        raise ParameterError(
-            f"pulse centered at {pulse.center} (duration {pulse.duration}) needs "
-            f">= 5 durations of margin inside span {t_span}")
+    check_margin(t_span, pulse)
     if output_dt is None:
         output_dt = min(pulse.duration / 30.0, (t_span[1] - t_span[0]) / 400.0)
     times = _output_times(t_span, output_dt, ())

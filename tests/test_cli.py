@@ -613,6 +613,18 @@ class TestBoundary:
         assert capsys.readouterr().err.startswith(
             f"config error: {path}:{line}: span 5.0 too small")
 
+    def test_storage_margin_refused_at_its_line(self, tmp_path, capsys):
+        # a pulse of duration 5 at 0 needs the span to reach -25 and 25
+        doc = dict(scenario="store", params=MATCHED, pulse={"duration": 5.0},
+                   t_span=[-10.0, 30.0])
+        path = write(tmp_path, "t.json", cfg_text(**doc))
+        assert main(["store", "--config", str(path)]) == 2
+        line = indent_lines(doc)[0]["t_span"]
+        assert capsys.readouterr().err == (
+            f"config error: {path}:{line}: pulse centered at 0.0 (duration "
+            "5.0) needs >= 5 durations of margin inside span (-10.0, 30.0)\n")
+        parse_scenario_config(cfg_text(**dict(doc, t_span=[-25.0, 25.0])))
+
     def test_library_checks_remain(self):
         with pytest.raises(ParameterError, match=f">= {MIN_N_SIM}"):
             discretize_ensemble(MIN_N_SIM - 1, 0.5)
@@ -656,10 +668,11 @@ class TestBoundary:
 
     # the keys a cross-key refusal anchors at when the fuzzed key moves
     # the other side: the line's span and the read stage's line against
-    # delta_in = kappa/2, the delay against the pulse duration, the swept
-    # values as delays
+    # delta_in = kappa/2, the delay and the storage span against the
+    # pulse, the swept values as delays
     TIED = {"params.matched.kappa": ("span", "read_params"),
-            "pulse.duration": ("tau", "sweep.tau_over_duration"),
+            "pulse.duration": ("tau", "sweep.tau_over_duration", "t_span"),
+            "pulse.center": ("t_span",),
             "sweep.parameter": ("sweep.values",)}
 
     @given(st.sampled_from([
@@ -690,6 +703,8 @@ class TestBoundary:
     @example("pulse.duration", 6.0)            # tau = 25 below 5 durations
     @example("params.matched.kappa", 2.0)      # span 10 below 20*delta_in
     @example("sweep.parameter", "tau")         # the durations become delays
+    @example("pulse.duration", 7.0)            # t_span short of 5 durations
+    @example("pulse.center", 40.0)             # t_span ends 20 after it
     def test_fuzzed_scalars_raise_only_config_error(self, path, value):
         explicit = {"kappa": 1.0, "gamma": 1.0, "g1": 0.0,
                     "g2": 0.011180339887498949, "f2": 0.3535533905932738,

@@ -547,25 +547,6 @@ class TestKernels:
         got = dynamics._drive_integrals(pulse, lam, times)
         assert np.max(np.abs(got - ref)) <= 1.2e-14 * np.max(np.abs(ref))
 
-    def test_gram_losses_match_dense_reference(self, blockade30):
-        p = blockade30.with_(t2=100.0)
-        basis = dynamics._modal_basis(p, ensemble_for_params(p, n_sim=64))
-        lam = basis.lam
-        times = np.linspace(0.0, 40.0, 301)
-        c0 = [1.0, 1j] @ np.random.default_rng(6).normal(size=(2, lam.size))
-        c = c0[:, None] * np.exp(np.multiply.outer(lam, times))
-        got = dynamics._gram_losses(basis, c, p, 1.0 / p.t2)
-        # dense per-channel weights, the ensemble one summed over its nodes
-        v_ens = basis.ensemble_rows(0, basis.g.size)
-        weights = [p.kappa * np.outer(np.conj(basis.a1), basis.a1),
-                   p.gamma * np.outer(np.conj(basis.bc), basis.bc),
-                   2.0 / p.t2 * (np.conj(v_ens).T @ v_ens)]
-        kernel = 1.0 / np.add.outer(np.conj(lam), lam)
-        for w, loss in zip(weights, got):
-            phi = np.einsum("ks,kl,ls->s", np.conj(c), w * kernel, c).real
-            ref = phi - phi[0]
-            assert np.max(np.abs(loss - ref)) <= 1e-12 * np.max(np.abs(ref))
-
 
 def overlaps(pulse, t, a_out, delays):
     """The fidelity objective: normalized trapezoid overlap of a_out with
@@ -740,6 +721,34 @@ class TestModalPropagator:
             ref.ensemble.probability, rel=1e-6)
         peak = np.max(np.abs(ref.alpha_out))
         assert np.max(np.abs(got.alpha_out - ref.alpha_out)) <= 1e-7 * peak
+
+    @pytest.mark.parametrize("shape", ALL_SHAPES[1:])
+    def test_exponential_storage_matches_dop853(self, matched, shape):
+        # the store config's line at n_sim = 801 and T2 = inf, where the
+        # jump at the switching instant rings modes that turn by up to 6
+        # rad per output step
+        ens = ensemble_for_params(matched, n_sim=801)
+        pulse = PulseSpec(shape=shape, duration=10.0)
+        span = (-60.0, 60.0)
+        got = integrate_storage(matched, ens, pulse, span)
+        ref = integrate(matched, ens, pulse.amplitude, span,
+                        np.zeros(ens.n, complex), (0, 0, 0), 1e-10, 0.3)
+        assert got.max_ledger_residual < 1e-10
+        assert np.array_equal(got.times, ref.times)
+        peak = np.max(np.abs(ref.alpha_out))
+        assert np.max(np.abs(got.alpha_out - ref.alpha_out)) <= 1e-7 * peak
+        assert np.max(np.abs(got.out_flux_integral - ref.out_flux_integral)) \
+            <= 1e-9
+        assert got.ensemble.probability == pytest.approx(
+            ref.ensemble.probability, abs=1e-9)
+
+    def test_decaying_pulse_ledger_at_gaussian_level(self, matched):
+        # the pulse's rate -1/duration sits among the modes' eigenvalues
+        p = matched.with_(t2=100.0)
+        trace = integrate_storage(p, ensemble_for_params(p, n_sim=201),
+                                  PulseSpec(shape="decaying_exponential",
+                                            duration=10.0), (-60.0, 60.0))
+        assert trace.max_ledger_residual <= 1e-10
 
     def test_inverted_mirrored_grid_shares_basis(self, matched):
         ens = ensemble_for_params(matched, n_sim=65, span=10.0)
