@@ -17,17 +17,22 @@ final entangled state:
     ECHO_EMISSION_PHASE  applied when a rephased cell emits its payload,
     CONTROL_RESET_PHASE  applied when the control atom re-emits the bin.
 
-A QramState keeps its T branches as parallel arrays, one row per branch:
-complex amplitudes (T,), complex cell coherence factors (T, M), and integer
-codes (T,) for the control state, the pending bin and the absorbed bin.
-The emitted labels are one frozenset per row.  An operation updates the
-rows it acts on, and the one cell column a rephasing touches, with array
-operations; Python work is done only on rows whose labels change.  It then
-merges rows that have become the same branch, adding their amplitudes:
-rows are grouped on control state, bins and emitted labels, and cell rows
-are compared only inside a group of more than one row.  Branches whose
-squared amplitude is below 1e-30 are dropped.  QramState.terms, the sorted
-tuple of Term objects, is built when it is first read.
+A QramState keeps its T branches as parallel read-only arrays, one row per
+branch: complex amplitudes (T,), integer codes (T,) for the control state,
+the pending bin and the absorbed bin, and one (T,) column of complex
+coherence factors per cell.  A state shares every column it does not
+change with the state before it, so rephasing a cell replaces one column
+and costs O(T); only the steps that change the row set (the first
+expansion, merges and drops) index every column.  The emitted labels of a
+row are a frozenset in an object array, with their hashes in a parallel
+integer array.  An operation updates the rows it acts on with array
+operations, then merges rows that have become the same branch, adding
+their amplitudes: only the rows it changed are tested for an integer
+branch key (control state, bins, label hash) that another row shares, and
+only such rows are grouped on their exact keys and have their cell
+columns compared.  Branches whose squared amplitude is below 1e-30 are
+dropped.  QramState.terms, the sorted tuple of Term objects, is built
+when it is first read.  A register of M cells thus costs O(M^2).
 
 States are immutable; every operation returns a new QramState and checks
 that the squared-amplitude sum plus the loss ledger is conserved, to 1e-12,
@@ -146,6 +151,11 @@ class BranchEfficiencies:
 _CONTROLS = (ControlState.G, ControlState.AU)
 _G, _AU = 0, 1
 _NO_BIN = -1
+_FEW_ROWS = 8      # _times multiplies up to this many rows in Python floats
+                   # (3 us for one row, 11 us in numpy, even near 12 rows)
+_FEW_CHANGED = 4   # up to this many changed rows are tested one at a time
+                   # against all keys; more take one sort of all keys (the
+                   # sort is as fast from 3 rows of 32, 6 of 256, 14 of 1024)
 
 
 def _bin_code(b: int | None) -> int:
@@ -154,6 +164,27 @@ def _bin_code(b: int | None) -> int:
 
 def _bin(code: int) -> int | None:
     return None if code == _NO_BIN else code
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False   # arrays are shared between states
+    return a
+
+
+def _label_sets(sets: list[frozenset[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The label sets as an object array, and their hashes as integers."""
+    labels = np.empty(len(sets), dtype=object)
+    labels[:] = sets
+    return labels, np.array([hash(e) for e in sets], dtype=np.int64)
+
+
+def _with_label(labels: np.ndarray, hashes: np.ndarray, rows: np.ndarray,
+                label: str) -> tuple[np.ndarray, np.ndarray]:
+    """labels and hashes with label added to the sets of the given rows."""
+    labels, hashes = labels.copy(), hashes.copy()
+    labels[rows], hashes[rows] = _label_sets(
+        [e | {label} for e in labels[rows].tolist()])
+    return labels, hashes
 
 
 class QramState:
@@ -167,8 +198,8 @@ class QramState:
     """
 
     __slots__ = ("cells_meta", "losses", "consumed_bins", "rephased_cells",
-                 "_amp", "_cells", "_control", "_pending", "_absorbed",
-                 "_emitted", "_order", "_terms", "_norm")
+                 "_amp", "_cols", "_control", "_pending", "_absorbed",
+                 "_labels", "_hashes", "_repeats", "_order", "_terms", "_norm")
 
     def __init__(self, cells_meta: tuple[Cell, ...], terms: tuple[Term, ...],
                  losses: tuple[tuple[str, float], ...] = (),
@@ -178,14 +209,14 @@ class QramState:
         m = len(cells_meta)
         if any(len(t.cells) != m for t in terms):
             raise ParameterError(f"every term needs one factor per cell ({m})")
+        cells = np.array([t.cells for t in terms], dtype=complex)
         self._set(tuple(cells_meta), losses, consumed_bins, rephased_cells,
                   np.array([t.amplitude for t in terms], dtype=complex),
-                  np.array([t.cells for t in terms],
-                           dtype=complex).reshape(len(terms), m),
+                  tuple(_frozen(cells.reshape(len(terms), m).T.copy())),
                   np.array([_CONTROLS.index(t.control) for t in terms], dtype=int),
                   np.array([_bin_code(t.pending_bin) for t in terms], dtype=int),
                   np.array([_bin_code(t.absorbed_bin) for t in terms], dtype=int),
-                  tuple(t.emitted for t in terms))
+                  *_label_sets([t.emitted for t in terms]), True)
         self._order = list(range(len(terms)))
         self._terms = terms
 
@@ -197,26 +228,29 @@ class QramState:
         return state
 
     def _set(self, cells_meta, losses, consumed_bins, rephased_cells,
-             amp, cells, control, pending, absorbed, emitted) -> None:
+             amp, cols, control, pending, absorbed, labels, hashes,
+             repeats) -> None:
+        """cols must hold read-only arrays; repeats is False only when no
+        two rows share a branch key, True when some may."""
         self.cells_meta = cells_meta
         self.losses = losses
         self.consumed_bins = consumed_bins
         self.rephased_cells = rephased_cells
-        for a in (amp, cells, control, pending, absorbed):
-            a.flags.writeable = False   # rows are shared between states
-        self._amp = amp
-        self._cells = cells
-        self._control = control
-        self._pending = pending
-        self._absorbed = absorbed
-        self._emitted = emitted
+        self._amp = _frozen(amp)
+        self._cols = cols
+        self._control = _frozen(control)
+        self._pending = _frozen(pending)
+        self._absorbed = _frozen(absorbed)
+        self._labels = _frozen(labels)
+        self._hashes = _frozen(hashes)
+        self._repeats = repeats
         self._order = self._terms = self._norm = None
 
     def _row_order(self) -> list[int]:
         if self._order is None:
             keys = list(zip(self._pending.tolist(), self._absorbed.tolist(),
                             [_CONTROLS[c].value for c in self._control.tolist()],
-                            [sorted(e) for e in self._emitted]))
+                            [sorted(e) for e in self._labels.tolist()]))
             self._order = sorted(range(len(keys)), key=keys.__getitem__)
         return self._order
 
@@ -226,14 +260,13 @@ class QramState:
             order = self._row_order()
             self._terms = tuple(
                 Term(amplitude=a, control=_CONTROLS[c], cells=tuple(cells),
-                     pending_bin=_bin(p), absorbed_bin=_bin(b),
-                     emitted=self._emitted[i])
-                for i, a, c, cells, p, b in zip(
-                    order, self._amp[order].tolist(),
-                    self._control[order].tolist(),
-                    self._cells[order].tolist(),
+                     pending_bin=_bin(p), absorbed_bin=_bin(b), emitted=e)
+                for a, c, cells, p, b, e in zip(
+                    self._amp[order].tolist(), self._control[order].tolist(),
+                    _cell_rows(self._cols, order).tolist(),
                     self._pending[order].tolist(),
-                    self._absorbed[order].tolist()))
+                    self._absorbed[order].tolist(),
+                    self._labels[order].tolist()))
         return self._terms
 
     @property
@@ -258,61 +291,108 @@ def _times(a: np.ndarray, z) -> np.ndarray:
     """a * z for a scalar z or an array of a's shape, rounded as Python's
     complex product; numpy's vector loop fuses the multiply-add and can
     move the last bit."""
-    z = np.asarray(z, dtype=complex)
+    if len(a) <= _FEW_ROWS and not isinstance(z, np.ndarray):
+        # the same products and sums in Python floats, without numpy's
+        # per-call overhead on the one or few rows an operation moves
+        zr, zi = z.real, z.imag
+        return np.array([complex(x.real * zr - x.imag * zi,
+                                 x.real * zi + x.imag * zr)
+                         for x in a.tolist()], dtype=complex)
     out = np.empty(a.shape, dtype=complex)
     out.real = a.real * z.real - a.imag * z.imag
     out.imag = a.real * z.imag + a.imag * z.real
     return out
 
 
-def _merge_rows(keys: list, amp: np.ndarray,
-                cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows left after adding identical branches, in first-appearance order,
-    and the amplitudes with each duplicate added into the first row like it.
+def _shared_rows(keys: np.ndarray, changed: np.ndarray | None) -> np.ndarray:
+    """The rows whose key another row shares, ascending.
 
-    Rows with different keys are different branches; cell rows are compared
-    only within a key.
+    Rows outside changed are taken to share no key with each other; None
+    means that nothing is known and every row is tested.
+    """
+    shared = np.zeros(len(keys), dtype=bool)
+    if changed is not None and len(changed) <= _FEW_CHANGED:
+        for r in changed.tolist():
+            same = keys == keys[r]
+            if np.count_nonzero(same) > 1:
+                shared |= same
+    else:
+        order = np.argsort(keys, kind="stable")
+        same = keys[order[1:]] == keys[order[:-1]]
+        shared[order[1:][same]] = True
+        shared[order[:-1][same]] = True
+    return shared.nonzero()[0]
+
+
+def _cell_rows(cols: tuple[np.ndarray, ...], rows) -> np.ndarray:
+    """The (len(rows), M) cell factors of the given rows."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return np.array([c[rows] for c in cols], dtype=complex).reshape(
+        len(cols), len(rows)).T
+
+
+def _merge_rows(rows: np.ndarray, amp: np.ndarray, cols, *fields
+                ) -> tuple[list[int], np.ndarray]:
+    """The rows that repeat an earlier row's branch, and the amplitudes with
+    each such row added into the first row like it.
+
+    Only the given rows are looked at.  Rows whose key fields differ are
+    different branches; cell factors are compared only within a key.
     """
     groups: dict = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
+    for i, *key in zip(rows.tolist(), *(f[rows].tolist() for f in fields)):
+        groups.setdefault(tuple(key), []).append(i)
     amp = amp.copy()
-    rows = []
+    gone = []
     for group in groups.values():
+        if len(group) < 2:
+            continue
+        cells = _cell_rows(cols, group)
         firsts: list[int] = []
-        for i in group:
+        for j, i in enumerate(group):
             for f in firsts:
-                if np.array_equal(cells[f], cells[i]):
-                    amp[f] = amp[f] + amp[i]
+                if np.array_equal(cells[f], cells[j]):
+                    amp[group[f]] = amp[group[f]] + amp[i]
+                    gone.append(i)
                     break
             else:
-                firsts.append(i)
-        rows.extend(firsts)
-    rows.sort()
-    return np.array(rows, dtype=int), amp
+                firsts.append(j)
+    return gone, amp
 
 
-def _next_state(before: QramState, op: str, amp, cells, control, pending,
-                absorbed, emitted, losses=None, consumed_bins=None,
+def _next_state(before: QramState, op: str, changed: np.ndarray | None,
+                amp, cols, control, pending, absorbed, labels, hashes,
+                losses=None, consumed_bins=None,
                 rephased_cells=None) -> QramState:
-    """Merge identical branches, drop negligible ones, check conservation."""
-    keys = list(zip(control.tolist(), pending.tolist(), absorbed.tolist(),
-                    emitted))
-    if len(set(keys)) < len(keys):
-        rows, amp = _merge_rows(keys, amp, cells)
-    else:
-        rows = np.arange(len(keys))
-    rows = rows[np.abs(amp[rows]) ** 2 > _DROP]
-    if len(rows) < len(keys):
-        amp, cells, control, pending, absorbed = (
-            a[rows] for a in (amp, cells, control, pending, absorbed))
-        emitted = tuple(emitted[i] for i in rows.tolist())
+    """Merge identical branches, drop negligible ones, check conservation.
+
+    changed holds the rows whose branch key may differ from their row's in
+    before; None means that the rows do not correspond (the row set changed).
+    """
+    # equal branch keys give equal integers; unequal ones rarely collide
+    # (the products wrap), and _merge_rows compares the exact keys
+    span = before.m + 2
+    keys = ((hashes * span + pending) * span + absorbed) * 2 + control
+    shared = _shared_rows(keys, None if before._repeats else changed)
+    gone = []
+    if shared.size:
+        gone, amp = _merge_rows(shared, amp, cols, control, pending,
+                                absorbed, labels)
+    keep = np.abs(amp) ** 2 > _DROP
+    if gone:
+        keep[gone] = False
+    if np.count_nonzero(keep) < len(keep):
+        rows = keep.nonzero()[0]
+        amp, control, pending, absorbed, labels, hashes = (
+            a[rows] for a in (amp, control, pending, absorbed, labels, hashes))
+        cols = tuple(_frozen(c[rows]) for c in cols)
     after = QramState._of(
         before.cells_meta,
         before.losses if losses is None else losses,
         before.consumed_bins if consumed_bins is None else consumed_bins,
         before.rephased_cells if rephased_cells is None else rephased_cells,
-        amp, cells, control, pending, absorbed, emitted)
+        amp, cols, control, pending, absorbed, labels, hashes,
+        bool(shared.size))
     return _conserving(before, after, op)
 
 
@@ -332,14 +412,6 @@ def _add_losses(losses: tuple[tuple[str, float], ...],
         if amount > 0.0:
             d[channel] = d.get(channel, 0.0) + amount
     return tuple(sorted(d.items()))
-
-
-def _with_label(emitted: tuple[frozenset[str], ...], mask: np.ndarray,
-                label: str) -> tuple[frozenset[str], ...]:
-    out = list(emitted)
-    for i in np.flatnonzero(mask).tolist():
-        out[i] = out[i] | {label}
-    return tuple(out)
 
 
 def store_sequence(m: int, payload_labels=None) -> QramState:
@@ -380,11 +452,13 @@ def absorb_address_bin(state: QramState, n: int, addr: AddressSpec) -> QramState
             "an address bin is still mapped on the control atom; "
             "reset_control must run before the next bin")
 
-    amp, cells, control = state._amp, state._cells, state._control
-    pending, absorbed, emitted = state._pending, state._absorbed, state._emitted
+    amp, cols, control = state._amp, state._cols, state._control
+    pending, absorbed = state._pending, state._absorbed
+    labels, hashes = state._labels, state._hashes
+    expanded = False
     if not state.consumed_bins:
         fresh = ((control == _G) & (pending == _NO_BIN) & (absorbed == _NO_BIN)
-                 & np.array([not e for e in emitted], dtype=bool))
+                 & np.array([not e for e in labels.tolist()], dtype=bool))
         if fresh.any():
             # each fresh row becomes M rows in place, one per time bin
             counts = np.where(fresh, state.m, 1)
@@ -395,15 +469,21 @@ def absorb_address_bin(state: QramState, n: int, addr: AddressSpec) -> QramState
             amp[split] = _times(amp[split], np.tile(addr.amplitudes, n_fresh))
             pending = pending[rows]
             pending[split] = np.tile(np.arange(1, state.m + 1), n_fresh)
-            cells, control, absorbed = cells[rows], control[rows], absorbed[rows]
-            emitted = tuple(emitted[i] for i in rows.tolist())
+            control, absorbed = control[rows], absorbed[rows]
+            labels, hashes = labels[rows], hashes[rows]
+            cols = tuple(_frozen(c[rows]) for c in cols)
+            expanded = True
 
-    hit = pending == n
+    hit = (pending == n).nonzero()[0]
+    amp = amp.copy()
+    amp[hit] = _times(amp[hit], RAMAN_ABSORB_PHASE)
+    control, pending, absorbed = control.copy(), pending.copy(), absorbed.copy()
+    control[hit] = _AU
+    pending[hit] = _NO_BIN
+    absorbed[hit] = n
     return _next_state(
-        state, f"absorb_address_bin({n})",
-        np.where(hit, _times(amp, RAMAN_ABSORB_PHASE), amp), cells,
-        np.where(hit, _AU, control), np.where(hit, _NO_BIN, pending),
-        np.where(hit, n, absorbed), emitted,
+        state, f"absorb_address_bin({n})", None if expanded else hit,
+        amp, cols, control, pending, absorbed, labels, hashes,
         consumed_bins=state.consumed_bins | {n})
 
 
@@ -425,7 +505,7 @@ def rephase_cell(state: QramState, m: int,
     if m not in state.consumed_bins:
         raise ProtocolError(
             f"cell {m} rephased before address bin {m} was processed")
-    column = state._cells[:, m - 1]
+    column = state._cols[m - 1]
     if (column == 0).any():
         raise ProtocolError(f"cell {m} is already empty in some branch")
     au = state._control == _AU
@@ -449,14 +529,18 @@ def rephase_cell(state: QramState, m: int,
                          transfer=w_emit * (1.0 - abs(t_amp) ** 2),
                          blockade_leak=w_stay * leak2,
                          blockade_scatter=w_stay * scatter2)
-    cells = state._cells.copy()
-    cells[:, m - 1] = np.where(au, 0.0 + 0.0j, _times(column, b_phase))
+    emit = au.nonzero()[0]
+    amp = _times(amp, abs(b_amp))
+    amp[emit] = _times(_times(state._amp[emit], ECHO_EMISSION_PHASE), t_amp)
+    column = _times(column, b_phase)
+    column[emit] = 0.0
+    pending = state._pending.copy()
+    pending[emit] = _NO_BIN
     return _next_state(
-        state, f"rephase_cell({m})",
-        np.where(au, _times(_times(amp, ECHO_EMISSION_PHASE), t_amp),
-                 _times(amp, abs(b_amp))),
-        cells, state._control, np.where(au, _NO_BIN, state._pending),
-        state._absorbed, _with_label(state._emitted, au, payload),
+        state, f"rephase_cell({m})", emit, amp,
+        state._cols[:m - 1] + (_frozen(column),) + state._cols[m:],
+        state._control, pending, state._absorbed,
+        *_with_label(state._labels, state._hashes, emit, payload),
         losses=losses, rephased_cells=state.rephased_cells | {m})
 
 
@@ -475,13 +559,18 @@ def reset_control(state: QramState, n: int) -> QramState:
             f"control atom holds bin {_bin(int(wrong[0]))}, cannot reset bin {n}")
     if not au.any():
         return state
+    held = au.nonzero()[0]
+    amp = state._amp.copy()
+    amp[held] = _times(amp[held], CONTROL_RESET_PHASE)
+    control, pending, absorbed = (
+        a.copy() for a in (state._control, state._pending, state._absorbed))
+    control[held] = _G
+    pending[held] = _NO_BIN
+    absorbed[held] = _NO_BIN
     return _next_state(
-        state, f"reset_control({n})",
-        np.where(au, _times(state._amp, CONTROL_RESET_PHASE), state._amp),
-        state._cells, np.where(au, _G, state._control),
-        np.where(au, _NO_BIN, state._pending),
-        np.where(au, _NO_BIN, state._absorbed),
-        _with_label(state._emitted, au, _address_label(n)))
+        state, f"reset_control({n})", held, amp, state._cols, control,
+        pending, absorbed,
+        *_with_label(state._labels, state._hashes, held, _address_label(n)))
 
 
 def run_addressing(m: int, addr: AddressSpec,
@@ -553,10 +642,11 @@ def state_to_dict(state: QramState) -> dict:
     """JSON-ready term list: amplitudes, control state, cell map, labels."""
     order = state._row_order()
     amp = state._amp[order]
-    cells = state._cells[order]
-    rows = zip(order, amp.real.tolist(), amp.imag.tolist(),
-               state._control[order].tolist(), cells.real.tolist(),
-               cells.imag.tolist(), (cells != 0).astype(int).tolist(),
+    cells = _cell_rows(state._cols, order)
+    rows = zip(state._labels[order].tolist(), amp.real.tolist(),
+               amp.imag.tolist(), state._control[order].tolist(),
+               cells.real.tolist(), cells.imag.tolist(),
+               (cells != 0).astype(int).tolist(),
                state._pending[order].tolist(), state._absorbed[order].tolist())
     return {
         "m": state.m,
@@ -569,8 +659,8 @@ def state_to_dict(state: QramState) -> dict:
             "occupied": occupied,
             "pending_bin": _bin(pending),
             "absorbed_bin": _bin(absorbed),
-            "emitted": sorted(state._emitted[i]),
-        } for i, a_re, a_im, control, c_re, c_im, occupied, pending, absorbed
+            "emitted": sorted(e),
+        } for e, a_re, a_im, control, c_re, c_im, occupied, pending, absorbed
             in rows],
         "norm": state.norm,
         "losses": state.loss_ledger(),

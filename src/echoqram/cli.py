@@ -15,7 +15,8 @@ Exit codes: 0 success, 2 config error or an artifact that cannot be
 written, 3 numerical failure.  Every artifact is stamped with the scenario,
 the tool version, the sha256 of the raw config text and the digests of the
 storage and read parameters, and is written atomically: a temporary file
-beside the target is renamed over it.  All computation is deterministic.
+beside the target is renamed over it.  All computation is deterministic
+at a given BLAS thread count, whatever the number of sweep workers.
 
 The config schema is the table `_SCHEMA` in this module: one row per key
 with its path, kind, bound, default and the scenarios that need and read

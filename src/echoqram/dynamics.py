@@ -348,7 +348,10 @@ def _output_times(t_span: tuple[float, float], output_dt: float | None,
         near = np.rint((extra - t0) / step).astype(int)
         snap = np.abs(t_eval[near] - extra) <= _GRID_SNAP * step
         t_eval[near[snap]] = extra[snap]
-        t_eval = np.unique(np.concatenate([t_eval, extra[~snap]]))
+        # sorted without repeats, as np.unique returns it; np.unique would
+        # import numpy.ma on its first call
+        t_eval = np.sort(np.concatenate([t_eval, extra[~snap]]))
+        t_eval = t_eval[np.concatenate(([True], t_eval[1:] != t_eval[:-1]))]
     return t_eval
 
 

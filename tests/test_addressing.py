@@ -1,8 +1,11 @@
 import cmath
+import hashlib
 import json
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -14,6 +17,7 @@ from echoqram.addressing import (AddressSpec, BranchEfficiencies, Cell,
                                  absorb_address_bin, compose_with_dynamics,
                                  rephase_cell, reset_control, run_addressing,
                                  state_table, state_to_dict, store_sequence)
+from echoqram.addressing import _FEW_ROWS, _times
 from echoqram.cli import main
 
 
@@ -458,3 +462,180 @@ class TestReporting:
         s = run_addressing(2, uniform_addr(2))
         term = next(t for t in s.terms if t.cells[1] != 0)
         assert abs(cmath.phase(term.cells[1])) == pytest.approx(math.pi)
+
+
+class TestProducts:
+    """_times rounds every product as Python floats do, whether it takes
+    the few-row path or numpy's vector path."""
+
+    def test_paths_agree_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        values = rng.normal(size=4 * _FEW_ROWS) + 1j * rng.normal(size=4 * _FEW_ROWS)
+        values[:4] = [complex(0.0, 0.0), complex(-0.0, 0.0),
+                      complex(0.0, -0.0), complex(-0.0, -0.0)]
+        for z in (-1.0, 0.7, complex(0.3, -0.8), complex(-0.0, 0.0)):
+            wide = _times(values, z)
+            expected = np.array([complex(v.real * z.real - v.imag * z.imag,
+                                         v.real * z.imag + v.imag * z.real)
+                                 for v in values.tolist()])
+            assert wide.view(np.int64).tolist() == expected.view(np.int64).tolist()
+            for k in range(1, _FEW_ROWS + 1):
+                few = _times(values[:k], z)
+                assert few.view(np.int64).tolist() == wide[:k].view(np.int64).tolist()
+
+
+class TestSharedState:
+    """States share their arrays with the states derived from them; no
+    derived state may change the state it came from."""
+
+    @staticmethod
+    def snapshot(s):
+        return json.dumps(state_to_dict(s)), s.terms, s.norm
+
+    @staticmethod
+    def arrays(s):
+        out = []
+        for name in type(s).__slots__:
+            value = getattr(s, name, None)
+            if isinstance(value, np.ndarray):
+                out.append(value)
+            elif isinstance(value, tuple):
+                out.extend(v for v in value if isinstance(v, np.ndarray))
+        return out
+
+    def derive_three(self, make, derive):
+        """Three states derived from one parent made by make(); the parent
+        must read as its twin made apart, whose terms are built only after
+        the derivations."""
+        parent, twin = make(), make()
+        children = [derive(parent) for _ in range(3)]
+        assert self.snapshot(parent) == self.snapshot(twin)
+        for s in [parent, *children]:
+            arrays = self.arrays(s)
+            assert arrays
+            for a in arrays:
+                assert not a.flags.writeable
+                if a.size:
+                    with pytest.raises(ValueError):
+                        a[0] = a[0]
+        return children
+
+    def test_protocol_operations(self):
+        a = uniform_addr(4)
+        eff = BranchEfficiencies(transfer_amplitude=0.9,
+                                 blockade_reflection_amplitude=-0.8j,
+                                 leakage_amplitude=0.3)
+        steps = []
+        for n in (1, 2, 3):
+            steps += [lambda s, n=n: absorb_address_bin(s, n, a),
+                      lambda s, n=n: rephase_cell(s, n, eff),
+                      lambda s, n=n: reset_control(s, n)]
+
+        def made_by(k):
+            def make():
+                s = store_sequence(4)
+                for step in steps[:k]:
+                    s = step(s)
+                return s
+            return make
+
+        for k, step in enumerate(steps):
+            self.derive_three(made_by(k), step)
+        # siblings from one parent with different efficiencies stay apart
+        s = absorb_address_bin(made_by(len(steps))(), 4, a)
+        ideal, lossy = rephase_cell(s, 4), rephase_cell(s, 4, eff)
+        assert ideal.norm == pytest.approx(1.0 - s.loss_total, abs=1e-12)
+        assert lossy.loss_total > ideal.loss_total
+
+    def test_from_terms(self):
+        meta = tuple(Cell(index=i, payload_label=f"psi_in[{i}]")
+                     for i in (1, 2))
+        terms = (Term(amplitude=0.6, control=ControlState.AU,
+                      cells=(1.0, 1.0), absorbed_bin=1),
+                 Term(amplitude=0.8, control=ControlState.G,
+                      cells=(1.0, 1.0), pending_bin=2))
+        children = self.derive_three(
+            lambda: QramState(cells_meta=meta, terms=terms,
+                              consumed_bins=frozenset({1})),
+            lambda p: rephase_cell(p, 1))
+        assert [t.cells for t in children[0].terms] == [(0.0, 1.0), (-1.0, 1.0)]
+
+    def test_pickle_round_trip(self):
+        a = uniform_addr(3)
+        s = rephase_cell(absorb_address_bin(store_sequence(3), 1, a), 1)
+        copy = pickle.loads(pickle.dumps(s))
+        assert state_to_dict(copy) == state_to_dict(s)
+        assert (state_to_dict(absorb_address_bin(reset_control(copy, 1), 2, a))
+                == state_to_dict(absorb_address_bin(reset_control(s, 1), 2, a)))
+
+    def test_merge(self):
+        children = self.derive_three(
+            lambda: TestInterference().au_pair(0.6, 0.8j),
+            lambda p: rephase_cell(p, 1, BranchEfficiencies(
+                transfer_amplitude=0.9)))
+        assert len(children[0].terms) == 1
+
+
+class TestPinnedBytes:
+    """The JSON document of every step of small registers, held to
+    recorded bytes: a faster state layout must not move a single digit.
+
+    Each digest is the first 16 hex digits of the sha256 of the documents
+    of one register, every step in order.  One amplitude of every register
+    with M > 1 is zero, so its branch is dropped and at most seven rows
+    remain: a norm over fewer than eight amplitudes sums in the same order
+    whatever the BLAS kernel.
+    """
+
+    DIGESTS = {
+        "ideal": ("88d620a1f7b86395", "6d708a753bcc7aa1", "0e76110077bd2955",
+                  "cd93212564bb9c86", "c2b2582c6fb2fb19", "86f816bc4c436cd2",
+                  "e3b4858253ce18d4", "4a9b92771d39655c"),
+        "c30": ("0b5063848d192cee", "aaf2fdc035924f35", "cee06e7364b61615",
+                "71381e374a7b5c26", "dc81a616583ffc15", "062c2e61f8750eea",
+                "068b4fb0e7766dd4", "f6bb28e2a9b6fe93"),
+        "lossy": ("aacb09ca46917b31", "71b0be30d4f8cec9", "a1d5ca5a633f7cc0",
+                  "cab8e6c9bfc224b2", "9621730c97509cf5", "3ce68231edd86cbc",
+                  "4c9fd7c491342cfd", "2b2f4f6a4bf88b55"),
+    }
+
+    @staticmethod
+    def efficiencies(name):
+        if name == "ideal":
+            return BranchEfficiencies()
+        if name == "c30":
+            return compose_with_dynamics(
+                solve_matched_params(1.0, 30.0, t2=1e4), 50.0)
+        return BranchEfficiencies(
+            transfer_amplitude=0.9 * cmath.exp(0.3j),
+            blockade_reflection_amplitude=0.8 * cmath.exp(2.1j),
+            leakage_amplitude=0.25j)
+
+    @staticmethod
+    def address(m):
+        rng = random.Random(m)
+        raw = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+               for _ in range(m)]
+        if m > 1:
+            raw[m // 2] = 0.0
+        norm = math.sqrt(sum(abs(a) ** 2 for a in raw))
+        return addr(*(a / norm for a in raw))
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_every_step(self, name):
+        eff = self.efficiencies(name)
+        got = []
+        for m in range(1, 9):
+            a = self.address(m)
+            h = hashlib.sha256()
+            s = store_sequence(m)
+            h.update(json.dumps(state_to_dict(s)).encode())
+            for n in range(1, m + 1):
+                s = absorb_address_bin(s, n, a)
+                h.update(json.dumps(state_to_dict(s)).encode())
+                s = rephase_cell(s, n, eff)
+                h.update(json.dumps(state_to_dict(s)).encode())
+                s = reset_control(s, n)
+                h.update(json.dumps(state_to_dict(s)).encode())
+            got.append(h.hexdigest()[:16])
+        assert tuple(got) == self.DIGESTS[name]

@@ -885,7 +885,9 @@ class TestImportLayering:
     """The package runs on numpy alone: every subcommand completes in a
     fresh interpreter where scipy cannot be imported, and loads none of it.
     None loads the process-pool machinery either, which only a sweep with
-    more than one worker needs; the sweep case asks for one.
+    more than one worker needs; the sweep case asks for one.  Nor does any
+    load numpy.ma, which costs a fresh interpreter 13-19 ms and which
+    np.unique imports on its first call.
 
     Two cases at a time keep the class under three seconds.
     """
@@ -916,7 +918,8 @@ class TestImportLayering:
         "print(json.dumps(sorted(m for m, mod in sys.modules.items()\n"
         "                        if mod is not None and\n"
         "                        (m == 'scipy' or m.startswith('scipy.')\n"
-        "                         or m == 'concurrent.futures.process'))))\n"
+        "                         or m == 'concurrent.futures.process'\n"
+        "                         or m == 'numpy.ma' or m.startswith('numpy.ma.')))))\n"
     )
 
     @pytest.fixture(scope="class")
