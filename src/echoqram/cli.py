@@ -51,8 +51,7 @@ from .dynamics import (MIN_N_SIM, PulseShape, PulseSpec, IntegrationError,
                        ensemble_for_params, integrate_storage, run_echo_cycle,
                        blockade_phase_check)
 from .addressing import (AddressSpec, BranchEfficiencies, run_addressing,
-                         compose_with_dynamics, state_table, state_to_dict,
-                         ProtocolError)
+                         compose_with_dynamics, state_to_dict, ProtocolError)
 
 OUT_DIR_ENV = "ECHOQRAM_OUT_DIR"
 
@@ -712,13 +711,12 @@ def _run_address(cfg: ScenarioConfig) -> _Artifact:
     else:
         eff = cfg.efficiencies or BranchEfficiencies()
     state = run_addressing(cfg.address.m, cfg.address, eff)
-    print(state_table(state))
     doc = state_to_dict(state)
     meta = {"norm": doc.pop("norm"), "losses": doc.pop("losses")}
     rows = [[t["amplitude"]["re"], t["amplitude"]["im"], t["control"],
              "".join(str(b) for b in t["occupied"]), ";".join(t["emitted"])]
             for t in doc["terms"]]
-    return _Artifact(f"address: {len(state.terms)} terms, norm {state.norm:.12f}",
+    return _Artifact(f"address: {len(rows)} terms, norm {state.norm:.12f}",
                      ["amplitude_re", "amplitude_im", "control", "occupied",
                       "emitted"], rows, doc, meta)
 

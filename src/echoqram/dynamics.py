@@ -20,28 +20,29 @@ exp(-i*Delta_j*tau) unwinds to zero phase at 2*tau and the ensemble
 re-emits the pulse time-reversed.
 
 Within each stage the equations are linear and time invariant,
-dy/dt = A y + B a_in(t), and both stages are propagated exactly in the
-eigenbasis of A.  A is complex symmetric with arrowhead structure, so its
+dy/dt = A y + B a_in(t).  One stage function propagates both exactly in
+the eigenbasis of A, from the ensemble's state with the cavities and the
+control atom empty, under the pulse in storage and without it in
+retrieval.  A is complex symmetric with arrowhead structure, so its
 eigenvalues are the roots of a secular equation, found by Aberth
 iteration in O(n**2) operations, and its eigenvectors have closed
-Cauchy forms; nodes that share a detuning are merged first.  On a
-mirrored line (delta_c = 0 or g1 = 0) the roots are real or conjugate
-pairs, and Aberth iterates one root of each pair, so the solve, the
-ensemble sums and the Cauchy rows of a mirror-conjugate state's
-coordinates take half the work.  One basis serves every call on the same
-(parameters, grid), so storage and retrieval share it on a mirrored grid.
-The drive enters through each mode's convolution with the pulse, one
+Cauchy forms; nodes that share a detuning are merged first, and the
+part of their state the cavity does not see dephases in closed form.
+On a mirrored line (delta_c = 0 or g1 = 0) the roots are real or
+conjugate pairs, and Aberth iterates one root of each pair, so the
+solve, the ensemble sums and the Cauchy rows of a mirror-conjugate
+state's coordinates take half the work.  One basis serves every call on
+the same (parameters, grid), so storage and retrieval share it on a
+mirrored grid.  The state is the free evolution of the start, a complex
+exp per block of samples times a table of in-block offset factors that
+every regular block shares, plus the pulse's convolution, one
 exponential-quadrature recurrence for every pulse shape: per output step
 the mode decays by exp(lam h) and gains weights, exact in its
-exponential, times the envelope at eight Gauss nodes; the weights are
-formed once per distinct step length.
-Each mode's free evolution at the samples is a complex exp per block of
-samples times a table of in-block offset factors that every regular
-block shares.  So a cycle costs its node populations at every sample, a
-matrix product that takes half the line's Cauchy rows when the state is
-mirror-conjugate (a mirrored line, a real envelope), one
-O(n) drive update per storage sample, and little else.  No array grows
-as the square of the mode count.
+exponential, times the envelope at eight Gauss nodes.  So a cycle costs
+its node populations at every sample, a matrix product that takes half
+the line's Cauchy rows when the state is mirror-conjugate (a mirrored
+line, a real envelope), one O(n) drive update per storage sample, and
+little else.  No array grows as the square of the mode count.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
@@ -932,13 +933,20 @@ def _ensemble_at(basis: _ModalBasis, c: np.ndarray, mirrored: bool):
 _SWITCH_PHASE = 0.5
 
 
-def _switched_nodes(pulse: PulseSpec, times: np.ndarray, lam: np.ndarray):
-    """Storage samples of an exponential pulse, and a_in with its first two
-    time derivatives there.  The switching instant is sampled twice, each
-    copy with the one-sided limits (0 on the undriven side), and the
-    zero-length step between the copies takes zero weight and unit decay;
-    every output step after it is split until the fastest mode turns by at
-    most _SWITCH_PHASE per sub-step."""
+def _drive_nodes(pulse: PulseSpec, times: np.ndarray, lam: np.ndarray):
+    """Storage samples, and a_in with its first two time derivatives there.
+
+    A Gaussian pulse is sampled at the output times.  An exponential pulse
+    samples its switching instant twice, each copy with the one-sided
+    limits (0 on the undriven side), and the zero-length step between the
+    copies takes zero weight and unit decay; every output step after it is
+    split until the fastest mode turns by at most _SWITCH_PHASE per
+    sub-step."""
+    if pulse.shape is PulseShape.GAUSSIAN:
+        ain = pulse.amplitude(times)
+        rate = -(times - pulse.center) / pulse.duration ** 2 \
+            - 1j * pulse.carrier_detuning
+        return times, ain, rate * ain, (rate * rate - pulse.duration ** -2) * ain
     c = pulse.center
     before, edge = times[times < c], np.append(c, times[times > c])
     r = math.ceil((times[1] - times[0]) * np.max(np.abs(lam)) / _SWITCH_PHASE)
@@ -955,43 +963,13 @@ def _switched_nodes(pulse: PulseSpec, times: np.ndarray, lam: np.ndarray):
     return nodes, ain, alpha * ain, alpha * alpha * ain
 
 
-def _modal_storage(p: SystemParams, ens: AtomEnsemble, pulse: PulseSpec,
-                   times: np.ndarray, solver_tol: float) -> SimulationTrace:
-    basis = _modal_basis(p, ens)
-    sqrtk = math.sqrt(p.kappa)
-    inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
-    if pulse.shape is PulseShape.GAUSSIAN:
-        nodes = times
-        ain = pulse.amplitude(nodes)
-        rate = -(nodes - pulse.center) / pulse.duration ** 2 \
-            - 1j * pulse.carrier_detuning
-        dain = rate * ain
-        ddain = (rate * rate - pulse.duration ** -2) * ain
-    else:
-        nodes, ain, dain, ddain = _switched_nodes(pulse, times, basis.lam)
-    out = np.searchsorted(nodes, times)
-
-    c = _drive_integrals(pulse, basis.lam, nodes)
-    c *= (sqrtk * basis.drive)[:, None]
-    a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
-    pe, last = _ensemble_at(basis, c,
-                            basis.mirrored and not pulse.carrier_detuning)
-    losses = _hermite_losses(p, basis, c, nodes, a1, bc, a2, pe, inv_t2,
-                             ain, dain, ddain)
-    cdf = _pulse_cdf(pulse, times)
-    l_in = cdf - cdf[0]
-    return _trace(p, ens, "storage", solver_tol, times,
-                  a1[out], bc[out], a2[out], pulse.amplitude(times),
-                  pe[out], *losses[:, out], l_in, 0.0, last)
-
-
 def _hermite_losses(p: SystemParams, basis: _ModalBasis, c: np.ndarray,
                     nodes: np.ndarray, a1, bc, a2, pe, inv_t2: float,
-                    ain=0.0, dain=0.0, ddain=0.0) -> np.ndarray:
+                    ain, dain, ddain) -> np.ndarray:
     """Loss integrals by the quintic Hermite rule on time derivatives from
     the equations of motion, under the input amplitude ain with its first
-    two time derivatives, none in retrieval; sig = sum_j g_j b_j and its
-    derivative need the rows sum_m g_m V_mk and sum_m g_m D_m V_mk."""
+    two time derivatives; sig = sum_j g_j b_j and its derivative need the
+    rows sum_m g_m V_mk and sum_m g_m D_m V_mk."""
     sqrtk = math.sqrt(p.kappa)
     cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
     sig = basis.collective @ c
@@ -1015,8 +993,10 @@ def _hermite_losses(p: SystemParams, basis: _ModalBasis, c: np.ndarray,
                             2.0 * inv_t2 * ddpe)])
 
 
-def _modal_retrieval(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
-                     solver_tol: float) -> SimulationTrace:
+def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
+                 solver_tol: float, pulse: PulseSpec | None) -> SimulationTrace:
+    """One stage from the ensemble's state, with the cavities and the
+    control atom empty: storage under `pulse`, retrieval without one."""
     basis = _modal_basis(p, ens)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     b0 = ens.coherences
@@ -1026,23 +1006,42 @@ def _modal_retrieval(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     bright = (np.bincount(basis.group, weights=weighted.real)
               + 1j * np.bincount(basis.group, weights=weighted.imag))
     dark = b0 - basis.share * bright[basis.group]
-    mirrored = basis.mirrored and np.array_equal(b0[::-1], np.conj(b0))
-    c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright, mirrored)
-    elapsed = times - times[0]
-    c = _propagator(basis.lam, c0, times, times[0])
+    mirrored = (basis.mirrored and np.array_equal(b0[::-1], np.conj(b0))
+                and (pulse is None or not pulse.carrier_detuning))
+    # the mode coordinates: the pulse's convolution plus the free evolution
+    # of the bright start; a part that is zero is skipped unless it is alone
+    c = None
+    if pulse is None:
+        nodes, kind = times, "retrieval"
+        ain = dain = ddain = alpha_in = np.zeros(times.size, dtype=complex)
+        l_in = np.zeros(times.size)
+    else:
+        nodes, ain, dain, ddain = _drive_nodes(pulse, times, basis.lam)
+        c = _drive_integrals(pulse, basis.lam, nodes)
+        c *= (math.sqrt(p.kappa) * basis.drive)[:, None]
+        cdf = _pulse_cdf(pulse, times)
+        kind, alpha_in, l_in = "storage", pulse.amplitude(times), cdf - cdf[0]
+    if c is None or np.any(bright):
+        c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright,
+                               mirrored)
+        free = _propagator(basis.lam, c0, nodes, nodes[0])
+        c = free if c is None else np.add(c, free, out=c)
 
     a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
     pe, last = _ensemble_at(basis, c, mirrored)
-    l_out, l_c, l_t2 = _hermite_losses(p, basis, c, times, a1, bc, a2, pe,
-                                       inv_t2)
+    losses = _hermite_losses(p, basis, c, nodes, a1, bc, a2, pe, inv_t2,
+                             ain, dain, ddain)
+    out = np.searchsorted(nodes, times)
+    a1, bc, a2, pe = a1[out], bc[out], a2[out], pe[out]
+    l_out, l_c, l_t2 = losses[:, out]
     dark_p = float(np.sum(np.abs(dark) ** 2))
     if dark_p > 0:
+        elapsed = times - times[0]
         pe = pe + dark_p * np.exp(-2.0 * inv_t2 * elapsed)
         l_t2 = l_t2 - dark_p * np.expm1(-2.0 * inv_t2 * elapsed)
         last = last + dark * np.exp(-(1j * ens.detunings + inv_t2) * elapsed[-1])
-    return _trace(p, ens, "retrieval", solver_tol, times, a1, bc, a2,
-                  np.zeros(times.size, dtype=complex), pe, l_out, l_c, l_t2,
-                  np.zeros(times.size), float(np.sum(np.abs(b0) ** 2)), last)
+    return _trace(p, ens, kind, solver_tol, times, a1, bc, a2, alpha_in, pe,
+                  l_out, l_c, l_t2, l_in, ens.probability, last)
 
 
 def integrate_storage(
@@ -1054,7 +1053,8 @@ def integrate_storage(
     *,
     output_dt: float | None = None,
 ) -> SimulationTrace:
-    """Drive the empty memory with a normalized input pulse.
+    """Drive the memory from the ensemble's state with a normalized input
+    pulse; `initial_probability` is the loaded probability.
 
     The span must contain the pulse with at least 5 durations of margin on
     each side so the stored probability has settled at the end.
@@ -1065,7 +1065,7 @@ def integrate_storage(
     if output_dt is None:
         output_dt = min(pulse.duration / 30.0, (t_span[1] - t_span[0]) / 400.0)
     times = _output_times(t_span, output_dt, ())
-    return _modal_storage(p, ens, pulse, times, solver_tol)
+    return _modal_stage(p, ens, times, solver_tol, pulse)
 
 
 def integrate_retrieval(
@@ -1087,7 +1087,7 @@ def integrate_retrieval(
     if ens.probability <= 0.0:
         raise ParameterError("retrieval needs an ensemble with nonzero coherence")
     times = _output_times(t_span, output_dt, extra_eval)
-    return _modal_retrieval(p, ens, times, solver_tol)
+    return _modal_stage(p, ens, times, solver_tol, None)
 
 
 # ----------------------------------------------------------------- echo cycle

@@ -331,8 +331,9 @@ class TestMain:
         out = tmp_path / "a_out.json"
         assert main(["address", "--config", str(path), "--out", str(out),
                      "--format", "json"]) == 0
-        seen = capsys.readouterr().out
-        assert "norm" in seen  # the state table is printed
+        # like every other command: the summary and the artifact's path
+        assert capsys.readouterr().out.splitlines() == [
+            "address: 3 terms, norm 1.000000000000", f"wrote {out}"]
         doc = json.loads(out.read_text())
         assert doc["m"] == 3
         assert len(doc["terms"]) == 3

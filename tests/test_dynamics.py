@@ -307,9 +307,11 @@ class TestEchoCycle:
 
     @pytest.mark.parametrize("n_sim", [1201, 1601])
     def test_fine_grid_short_pulse_passes_its_ledger(self, matched, n_sim):
-        # T2 = inf puts modes within 1e-9 of the imaginary axis, where the
-        # free Gram form Phi(t) - Phi(t0) cancels: a finer, more accurate
-        # line was refused at 2.6e-7 and 1.4e-6
+        # this keeps free evolution on the closed-form _propagator: the
+        # drive recurrence seeded with the start and given no pulse missed
+        # the direct integral by 6.1e-12 at n_sim = 1201, since its per-step
+        # rounding is uncorrelated across modes and V c amplifies it by
+        # cond(V), 9e5 here
         ens = ensemble_for_params(matched, n_sim=n_sim, span=10.0)
         echo = run_echo_cycle(matched, matched, ens, PulseSpec(duration=1.0),
                               5.0)
@@ -741,6 +743,33 @@ class TestModalPropagator:
             <= 1e-9
         assert got.ensemble.probability == pytest.approx(
             ref.ensemble.probability, abs=1e-9)
+
+    @pytest.mark.parametrize("shape, t2, clipped", [
+        *((shape, t2, False) for shape in ALL_SHAPES for t2 in (100.0, 1e3)),
+        (PulseShape.GAUSSIAN, 100.0, True)])
+    def test_loaded_storage_matches_dop853(self, shape, t2, clipped):
+        # a pulse stored into a memory that already holds 0.25 of an
+        # excitation, with random phases: the loaded part evolves and
+        # re-emits alongside the drive; on the clipped grid the merged
+        # nodes carry a dark part as well
+        p = solve_matched_params(1.0, 0.0, t2=t2)
+        ens = (self.clipped_grid(p) if clipped
+               else ensemble_for_params(p, n_sim=64, span=10.0))
+        phases = np.random.default_rng(16).uniform(0.0, 2.0 * np.pi, ens.n)
+        ens = ens.with_coherences(0.5 * np.sqrt(ens.weights) * np.exp(1j * phases))
+        pulse = PulseSpec(shape=shape, duration=2.0, center=1.0,
+                          carrier_detuning=0.1)
+        span = (-11.0, 13.0)
+        got = integrate_storage(p, ens, pulse, span)
+        ref = integrate(p, ens, pulse.amplitude, span, ens.coherences.copy(),
+                        (0, 0, 0), 1e-10, (span[1] - span[0]) / 400.0)
+        assert got.initial_probability == ens.probability
+        assert got.max_ledger_residual < 1e-10
+        assert np.array_equal(got.times, ref.times)
+        assert got.ensemble.probability == pytest.approx(
+            ref.ensemble.probability, rel=1e-7)
+        peak = np.max(np.abs(ref.alpha_out))
+        assert np.max(np.abs(got.alpha_out - ref.alpha_out)) <= 1e-7 * peak
 
     def test_decaying_pulse_ledger_at_gaussian_level(self, matched):
         # the pulse's rate -1/duration sits among the modes' eigenvalues
