@@ -38,11 +38,14 @@ exp per block of samples times a table of in-block offset factors that
 every regular block shares, plus the pulse's convolution, one
 exponential-quadrature recurrence for every pulse shape: per output step
 the mode decays by exp(lam h) and gains weights, exact in its
-exponential, times the envelope at eight Gauss nodes.  So a cycle costs
-its node populations at every sample, a matrix product that takes half
-the line's Cauchy rows when the state is mirror-conjugate (a mirrored
-line, a real envelope), one O(n) drive update per storage sample, and
-little else.  No array grows as the square of the mode count.
+exponential, times the envelope at eight Gauss nodes.  A mirror-conjugate
+state (a mirrored line, a real envelope) has paired coordinates, so the
+stage carries one per conjugate pair and the real modes.  So a cycle
+costs its node populations at every sample, a matrix product that takes
+half the line's Cauchy rows on a mirror-conjugate state, folded onto the
+carried coordinates as one real product, one O(n) drive update per
+storage sample, and little else.  No array grows as the square of the
+mode count.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
@@ -393,6 +396,9 @@ _ABERTH_MAX_ITER = 100
 #: poles on each side of a mirrored line's centre whose roots iterate
 #: without their conjugates: a pair may turn real there, or two reals pair
 _FREE_POLES = 8
+#: sweeps in a row that converge no paired root before the paired roots
+#: still iterating are freed
+_STALL_SWEEPS = 4
 #: largest accepted ||V||_F * ||V^-1||_F of the mode basis
 _COND_BOUND = 1e8
 #: largest accepted eigenpair residual ||A v - lam v|| / (||A|| ||v||)
@@ -411,7 +417,10 @@ class _ModalBasis:
     merged into one node of coupling sqrt(sum g_j**2): `group` maps each
     original node to its merged node, `share` holds g_j / g_m.  On a
     mirrored line the modes are laid out as [pairs, reals, conjugates of
-    the pairs]: lam[-pairs:] = conj(lam[:pairs]) bit for bit.
+    the pairs]: lam[-pairs:] = conj(lam[:pairs]) bit for bit.  A stage
+    whose state is mirror-conjugate carries the coordinates of the first
+    n - pairs modes only, the representatives; its conjugates follow as
+    c_k' = -flip_k conj(c_k).
     """
 
     lam: np.ndarray
@@ -441,11 +450,21 @@ class _ModalBasis:
         idx = np.arange(n)
         return np.concatenate((idx[n - k:], idx[k:n - k], idx[:k]))
 
+    @property
+    def flip(self) -> np.ndarray:
+        """flip_k = a2_k' / conj(a2_k) = +-1 for the partner k' of mode k."""
+        return np.sign((self.a2[self.partner] / np.conj(self.a2)).real)
+
     def ensemble_rows(self, lo: int, hi: int) -> np.ndarray:
-        rows = self.lam - self.poles[lo:hi, None]
+        return self.node_rows(self.poles[lo:hi], self.g[lo:hi], self.lam.size)
+
+    def node_rows(self, poles: np.ndarray, g: np.ndarray, modes: int) -> np.ndarray:
+        """Rows -i g_m a2_k / (lam_k - D_m) of nodes with poles D_m and
+        couplings g_m, over the first `modes` modes."""
+        rows = self.lam[:modes] - poles[:, None]
         np.reciprocal(rows, out=rows)
-        rows *= self.a2
-        rows *= (-1j * self.g[lo:hi])[:, None]
+        rows *= self.a2[:modes]
+        rows *= (-1j * g)[:, None]
         return rows
 
 
@@ -502,12 +521,15 @@ def _repulsion(za: np.ndarray, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _aberth(z: np.ndarray, pairs: int, p: SystemParams, cdamp: complex,
-            poles, g2, tol: float) -> bool:
-    """Aberth sweeps on z in place; z[:pairs] stand for themselves and
+            poles, g2, tol: float) -> tuple[np.ndarray, int]:
+    """Aberth sweeps from the roots z; z[:pairs] stand for themselves and
     their conjugates, which enter the repulsion sum implicitly.  Only
-    roots whose correction is still above tol are iterated; returns
-    whether every one converged."""
+    roots whose correction is still above tol are iterated.  Should
+    _STALL_SWEEPS sweeps in a row converge no paired root, the paired
+    roots still iterating go on as free roots, each beside its conjugate.
+    Returns the roots, the pairs first, and the number of pairs."""
     active = np.arange(z.size)
+    waiting, idle = pairs, 0
     for _ in range(_ABERTH_MAX_ITER):
         za = z[active]
         newton = _newton_step(za, p, cdamp, poles, g2)
@@ -516,8 +538,21 @@ def _aberth(z: np.ndarray, pairs: int, p: SystemParams, cdamp: complex,
         z[active] = za - step
         active = active[~(np.abs(step) <= tol)]
         if active.size == 0:
-            return True
-    return False
+            break
+        # idle counts the sweeps in a row that converged no paired root
+        paired = active[active < pairs]
+        idle = idle + 1 if paired.size == waiting else 0
+        waiting = paired.size
+        if waiting and idle == _STALL_SWEEPS:
+            keep = np.ones(pairs, dtype=bool)
+            keep[paired] = False
+            z = np.concatenate((z[:pairs][keep], z[paired], np.conj(z[paired]),
+                                z[pairs:]))
+            pairs -= waiting
+            active = np.concatenate((np.arange(pairs, pairs + 2 * waiting),
+                                     active[waiting:] + waiting))
+            waiting = idle = 0
+    return z, pairs
 
 
 def _pair_up(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -556,9 +591,9 @@ def _secular_roots(p: SystemParams, cdamp: complex, poles, g2, scale: float,
     upper half plane iterate for their pairs, all but the _FREE_POLES
     nearest the centre; those and the field roots iterate free, since
     they may turn real or pair up, and are matched into pairs at the end.
-    Should the pairs stall, every root iterates free.  Returns the roots
-    as [pairs, reals, conjugates of the pairs] and the number of pairs;
-    on any other line (roots, 0).
+    A pair whose iteration stalls joins them as its two roots.  Returns
+    the roots as [pairs, reals, conjugates of the pairs] and the number of
+    pairs; on any other line (roots, 0).
     """
     fields = [[-0.5 * p.kappa, -1j * p.f2], [-1j * p.f2, 0.0]]
     if p.g1 > 0:
@@ -583,12 +618,8 @@ def _secular_roots(p: SystemParams, cdamp: complex, poles, g2, scale: float,
     starts = poles[:own] + shift
     field_starts = np.linalg.eigvals(np.array(fields, dtype=complex))
     tol = 1e-13 * scale
-    z = np.concatenate((starts, field_starts))
-    if not _aberth(z, pairs, p, cdamp, poles, g2, tol) and pairs:
-        pairs = 0
-        z = np.concatenate((starts, np.conj(starts[:size - own][::-1]),
-                            field_starts))
-        _aberth(z, 0, p, cdamp, poles, g2, tol)
+    z, pairs = _aberth(np.concatenate((starts, field_starts)), pairs, p,
+                       cdamp, poles, g2, tol)
     if not mirrored:
         return z - _newton_step(z, p, cdamp, poles, g2), 0
     reps, reals = _pair_up(z[pairs:])
@@ -692,8 +723,7 @@ def _mode_coordinates(basis: _ModalBasis, fields: np.ndarray,
     norm = math.sqrt(float(np.sum(np.abs(y_fields) ** 2)
                            + weight @ np.abs(y_ens) ** 2))
     if mirrored:
-        partner = basis.partner
-        flip = np.sign((basis.a2[partner] / np.conj(basis.a2)).real)
+        partner, flip = basis.partner, basis.flip
     c = np.zeros(basis.lam.size, dtype=complex)
     err = norm
     # each pass forms every Cauchy block once, for both the residual
@@ -730,7 +760,8 @@ def _mode_coordinates(basis: _ModalBasis, fields: np.ndarray,
 
 def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray,
                 t0: float) -> np.ndarray:
-    """amp_k exp(lam_k (t_j - t0)) for every mode k and sample j.
+    """amp_k exp(lam_k (t_j - t0)) for every mode k and sample j, stored
+    sample by sample.
 
     Each block of samples is its anchor's exponential exp(lam (t_a - t0))
     times the offset factors exp(lam (t_j - t_a)).  A block whose offsets
@@ -739,20 +770,20 @@ def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray,
     mode and anchor plus one table; a block holding an off-grid sample
     takes its own offsets.
     """
-    out = np.empty((lam.size, t.size), dtype=complex)
+    out = np.empty((t.size, lam.size), dtype=complex)
     width = _BLOCK // 2
     first = t[:width] - t[0]
-    table = np.exp(np.multiply.outer(lam, first))
+    table = np.exp(np.multiply.outer(first, lam))
     tol = 16.0 * np.finfo(float).eps * max(abs(t0), float(np.max(np.abs(t))))
     for lo in range(0, t.size, width):
         off = t[lo:lo + width] - t[lo]
         if np.all(np.abs(off - first[:off.size]) <= tol):
-            factors = table[:, :off.size]
+            factors = table[:off.size]
         else:
-            factors = np.exp(np.multiply.outer(lam, off))
+            factors = np.exp(np.multiply.outer(off, lam))
         anchor = amp * np.exp(lam * (t[lo] - t0))
-        np.multiply(anchor[:, None], factors, out=out[:, lo:lo + width])
-    return out
+        np.multiply(anchor, factors, out=out[lo:lo + width])
+    return out.T
 
 
 #: Gauss nodes theta_q per drive step of at most _DRIVE_STEP durations
@@ -762,9 +793,6 @@ _DRIVE_STEP = 1.0 / 30.0
 #: _DRIVE_RULE-point Gauss rule; both within 6e-15 of sum |W| there
 _DRIVE_SPLIT = 12.0
 _DRIVE_RULE = 32
-#: samples per block of the drive recurrence, small enough that a block
-#: of all modes stays in cache while it is transposed
-_RECURRENCE_BLOCK = 16
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -829,7 +857,8 @@ def _pulse_cdf(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
 
 def _drive_integrals(pulse: PulseSpec, lam: np.ndarray,
                      t: np.ndarray) -> np.ndarray:
-    """I_k(t_j) = integral from t_0 to t_j of exp(lam_k (t_j - s)) a_in(s) ds.
+    """I_k(t_j) = integral from t_0 to t_j of exp(lam_k (t_j - s)) a_in(s) ds,
+    stored sample by sample.
 
     One exponential-quadrature recurrence for every pulse shape
     (Hochbruck & Ostermann, Acta Numerica 19, 2010),
@@ -848,7 +877,7 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray,
     group = np.empty(h.size, dtype=int)
     group[order] = np.cumsum(np.diff(h[order], prepend=-np.inf) > tol) - 1
     lengths = np.bincount(group, weights=h) / np.bincount(group)
-    out = np.zeros((n, t.size), dtype=complex)
+    out = np.zeros((t.size, n), dtype=complex).T
     for g, length in enumerate(lengths):
         m = max(1, math.ceil(length / (_DRIVE_STEP * pulse.duration) - _GRID_SNAP))
         w = _drive_weights(lam + 1j * pulse.carrier_detuning, length / m, m)
@@ -875,18 +904,16 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray,
                                      lam.astype(np.clongdouble)))
     hi = decay.astype(complex)
     lo = (decay - hi).astype(complex)
-    # a few samples at a time, transposed so that every update runs over
-    # contiguous memory
-    group = group.tolist()
-    buf = np.empty((_RECURRENCE_BLOCK + 1, n), dtype=complex)
-    for j0 in range(0, h.size, _RECURRENCE_BLOCK):
-        j1 = min(j0 + _RECURRENCE_BLOCK, h.size)
-        rows = buf[:j1 - j0 + 1]
-        rows[...] = out[:, j0:j1 + 1].T
-        for j, g in enumerate(group[j0:j1]):
-            rows[j + 1] += lo[g] * rows[j]
-            rows[j + 1] += hi[g] * rows[j]
-        out[:, j0 + 1:j1 + 1] = rows[1:].T
+    # every update runs over one sample's contiguous row; an update is
+    # small enough that it writes through row views and a product buffer
+    # made once
+    rows, term = list(out.T), np.empty(n, dtype=complex)
+    lo, hi = list(lo), list(hi)
+    for j, g in enumerate(group.tolist()):
+        np.multiply(lo[g], rows[j], out=term)
+        rows[j + 1] += term
+        np.multiply(hi[g], rows[j], out=term)
+        rows[j + 1] += term
     return out
 
 
@@ -907,22 +934,79 @@ def _rate(x, dx, ddx, weight: float):
             2.0 * weight * (np.abs(dx) ** 2 + (np.conj(x) * ddx).real))
 
 
+def _state_rows(basis: _ModalBasis, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """rows @ (the state) for rows over every mode.  The stage's
+    coordinates c hold every mode, or the n - k representatives of a
+    mirror-conjugate state, whose conjugates add conj(b @ c[:k]) with
+    b = -flip conj(rows at the conjugates): one product of the rows over
+    the representatives stacked on b."""
+    n = basis.lam.size
+    k = n - c.shape[0]
+    if not k:
+        return rows @ c
+    q = rows.shape[0]
+    folded = np.zeros((2 * q, n - k), dtype=complex)
+    folded[:q] = rows[:, :n - k]
+    folded[q:, :k] = -basis.flip[:k] * np.conj(rows[:, n - k:])
+    both = folded @ c
+    return both[:q] + np.conj(both[q:])
+
+
 def _ensemble_at(basis: _ModalBasis, c: np.ndarray, mirrored: bool):
     """Bright-ensemble population at every sample and the original nodes'
     amplitudes at the last one.  A mirror-conjugate state, b_M-1-m =
     conj(b_m), takes the rows of the lower half of the merged nodes only:
     their populations count twice, a centre node once, and the upper half
-    of the last amplitudes is the conjugate mirror, the centre node real."""
+    of the last amplitudes is the conjugate mirror, the centre node real.
+
+    c holds the coordinates of the first n - k modes of the layout: every
+    mode (k = 0), or of a mirror-conjugate state the k pairs and the real
+    modes.  The conjugates' columns of node m are those of its mirror node
+    over the pairs, V_m,k' = -flip_k conj(V_M-1-m,k), so node m reads
+    a c + conj(b c) for its row a over the representatives and the
+    mirror's row b over the pairs (zero on the real modes): Re(b_m) =
+    Re((a + b) c) and Im(b_m) = Im((a - b) c).  Both come from one real
+    product with the real and imaginary parts of c, interleaved mode by
+    mode, which is a view of c when it is stored sample by sample."""
     size = basis.g.size
     rows = (size + 1) // 2 if mirrored else size
     weight = np.where(np.arange(rows) < size - rows, 2.0, 1.0)
     pe = np.zeros(c.shape[1])
     last = np.empty(size, dtype=complex)
-    for lo in range(0, rows, _BLOCK):
-        hi = min(lo + _BLOCK, rows)
-        blk = basis.ensemble_rows(lo, hi) @ c
-        pe += weight[lo:hi] @ (blk.real ** 2 + blk.imag ** 2)
-        last[lo:hi] = blk[:, -1]
+    reps = c.shape[0]
+    k = basis.lam.size - reps
+    if k:
+        xy = np.ascontiguousarray(c.T).view(float).T
+    # a folded block takes two real rows per node, so half as many nodes
+    # keep its temporaries at the size of a complex block's
+    step = _BLOCK // 2 if k else _BLOCK
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        if not k:
+            blk = basis.ensemble_rows(lo, hi) @ c
+            pe += weight[lo:hi] @ (blk.real ** 2 + blk.imag ** 2)
+            last[lo:hi] = blk[:, -1]
+            continue
+        # the mirror node's pole is the conjugate, its coupling the same;
+        # x + iy times a row r takes (Re r, -Im r) for Re and (Im r, Re r)
+        # for Im, the real view of conj(r) and i conj(r)
+        h = hi - lo
+        poles, g = basis.poles[lo:hi], basis.g[lo:hi]
+        blk = basis.node_rows(np.concatenate((poles, np.conj(poles))),
+                              np.concatenate((g, g)), reps)
+        blk[h:, k:] = 0.0
+        np.conjugate(blk, out=blk)
+        diff = blk[:h] - blk[h:]
+        blk[:h] += blk[h:]
+        np.multiply(diff, 1j, out=blk[h:])
+        part = blk.view(float) @ xy
+        last[lo:hi] = part[:h, -1] + 1j * part[h:, -1]
+        np.square(part, out=part)
+        pe += np.concatenate((weight[lo:hi], weight[lo:hi])) @ part
+        # freed before the next block's are made, so that the heap holds
+        # one block's at a time and the allocator keeps reusing it instead
+        # of returning it to the system and faulting it in again
+        del blk, diff, part
     if mirrored:
         last[rows:] = np.conj(last[:size - rows][::-1])
         last[size - rows:rows] = last[size - rows:rows].real
@@ -963,19 +1047,13 @@ def _drive_nodes(pulse: PulseSpec, times: np.ndarray, lam: np.ndarray):
     return nodes, ain, alpha * ain, alpha * alpha * ain
 
 
-def _hermite_losses(p: SystemParams, basis: _ModalBasis, c: np.ndarray,
-                    nodes: np.ndarray, a1, bc, a2, pe, inv_t2: float,
-                    ain, dain, ddain) -> np.ndarray:
+def _hermite_losses(p: SystemParams, nodes: np.ndarray, a1, bc, a2, sig,
+                    dsig, pe, inv_t2: float, ain, dain, ddain) -> np.ndarray:
     """Loss integrals by the quintic Hermite rule on time derivatives from
     the equations of motion, under the input amplitude ain with its first
-    two time derivatives; sig = sum_j g_j b_j and its derivative need the
-    rows sum_m g_m V_mk and sum_m g_m D_m V_mk."""
+    two time derivatives; sig = sum_j g_j b_j comes with its derivative."""
     sqrtk = math.sqrt(p.kappa)
     cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
-    sig = basis.collective @ c
-    dsig = (-1j * basis.a2 * (basis.lam * basis.ens_sum
-                              - p.collective_coupling)) @ c \
-        - 1j * p.collective_coupling * a2
     da2 = -1j * sig - 1j * p.f2 * a1
     dbc = cdamp * bc - 1j * p.g1 * a1
     da1 = -1j * p.g1 * bc - 1j * p.f2 * a2 - 0.5 * p.kappa * a1 + sqrtk * ain
@@ -1008,8 +1086,12 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     dark = b0 - basis.share * bright[basis.group]
     mirrored = (basis.mirrored and np.array_equal(b0[::-1], np.conj(b0))
                 and (pulse is None or not pulse.carrier_detuning))
-    # the mode coordinates: the pulse's convolution plus the free evolution
-    # of the bright start; a part that is zero is skipped unless it is alone
+    # the mode coordinates, of the representatives of a mirrored state and
+    # stored sample by sample: the pulse's convolution plus the free
+    # evolution of the bright start; a part that is zero is skipped unless
+    # it is alone
+    reps = basis.lam.size - (basis.pairs if mirrored else 0)
+    lam = basis.lam[:reps]
     c = None
     if pulse is None:
         nodes, kind = times, "retrieval"
@@ -1017,19 +1099,25 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
         l_in = np.zeros(times.size)
     else:
         nodes, ain, dain, ddain = _drive_nodes(pulse, times, basis.lam)
-        c = _drive_integrals(pulse, basis.lam, nodes)
-        c *= (math.sqrt(p.kappa) * basis.drive)[:, None]
+        c = _drive_integrals(pulse, lam, nodes)
+        c *= (math.sqrt(p.kappa) * basis.drive[:reps])[:, None]
         cdf = _pulse_cdf(pulse, times)
         kind, alpha_in, l_in = "storage", pulse.amplitude(times), cdf - cdf[0]
     if c is None or np.any(bright):
         c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright,
                                mirrored)
-        free = _propagator(basis.lam, c0, nodes, nodes[0])
+        free = _propagator(lam, c0[:reps], nodes, nodes[0])
         c = free if c is None else np.add(c, free, out=c)
 
-    a1, bc, a2 = basis.a1 @ c, basis.bc @ c, basis.a2 @ c
+    # the fields, sig = sum_m g_m b_m and its derivative, from the rows
+    # sum_m g_m V_mk and sum_m g_m D_m V_mk
+    cc = p.collective_coupling
+    a1, bc, a2, sig, dsig = _state_rows(basis, np.array([
+        basis.a1, basis.bc, basis.a2, basis.collective,
+        -1j * basis.a2 * (basis.lam * basis.ens_sum - cc)]), c)
+    dsig -= 1j * cc * a2
     pe, last = _ensemble_at(basis, c, mirrored)
-    losses = _hermite_losses(p, basis, c, nodes, a1, bc, a2, pe, inv_t2,
+    losses = _hermite_losses(p, nodes, a1, bc, a2, sig, dsig, pe, inv_t2,
                              ain, dain, ddain)
     out = np.searchsorted(nodes, times)
     a1, bc, a2, pe = a1[out], bc[out], a2[out], pe[out]

@@ -881,26 +881,44 @@ class TestEigenSolve:
         assert pairs == 0
         self.assert_same_roots(basis.lam, general, 1e-12 * scale)
 
-    def test_stalled_pairs_fall_back(self, monkeypatch):
-        # should the paired sweeps stall, every root iterates free and the
-        # roots are still paired bit for bit
-        p = solve_matched_params(1.0, 0.0, t2=1e3)
-        ens = ensemble_for_params(p, n_sim=65)
+    def freed_pairs(self, monkeypatch, p, ens):
+        """The basis, and the pairs the one Aberth solve took in and kept;
+        the roots must come out paired bit for bit and right."""
         calls = []
         inner = dynamics._aberth
 
-        def stalling(z, pairs, *args):
-            calls.append(pairs)
-            converged = inner(z, pairs, *args)
-            return converged and not pairs
+        def recording(z, pairs, *args):
+            z, left = inner(z, pairs, *args)
+            calls.append((pairs, left))
+            return z, left
 
-        monkeypatch.setattr(dynamics, "_aberth", stalling)
+        monkeypatch.setattr(dynamics, "_aberth", recording)
         basis = self.fresh_basis(p, ens)
-        assert calls[0] > 0 and calls[1:] == [0]
+        assert len(calls) == 1
         self.assert_paired(basis)
         ref = np.linalg.eigvals(dense_generator(p, ens))
         self.assert_same_roots(basis.lam, ref,
                                1e-12 * float(np.max(np.abs(ref))))
+        return calls[0]
+
+    def test_stalled_pairs_fall_back(self, monkeypatch):
+        # a representative of a pole far from the centre wanders into the
+        # field roots' region and stops converging: it goes on free beside
+        # its conjugate, within the one solve
+        p = solve_matched_params(1.0, 0.0, t2=1e3).with_(
+            f2=0.2780861898674829, n_atoms=1916, gamma=2.9721235991858954)
+        pairs, left = self.freed_pairs(
+            monkeypatch, p, ensemble_for_params(p, n_sim=92, span=40.0))
+        assert 0 < left < pairs
+
+    def test_every_pair_freed(self, monkeypatch):
+        # no pair converges in the first sweep, so with a stall limit of
+        # one sweep every pair goes free
+        monkeypatch.setattr(dynamics, "_STALL_SWEEPS", 1)
+        p = solve_matched_params(1.0, 0.0, t2=1e3)
+        pairs, left = self.freed_pairs(monkeypatch, p,
+                                       ensemble_for_params(p, n_sim=65))
+        assert pairs > 0 and left == 0
 
     @pytest.mark.parametrize("c_atom, t2", [(0.0, 1e3), (30.0, math.inf)])
     def test_half_row_coordinates(self, c_atom, t2):
@@ -930,16 +948,29 @@ class TestMirroredLine:
 
     @staticmethod
     def spy(monkeypatch):
-        """Record the `mirrored` flag of every node-population call."""
-        flags = []
+        """Record the basis, coordinates and `mirrored` flag of every
+        node-population call."""
+        calls = []
         inner = dynamics._ensemble_at
 
         def recording(basis, c, mirrored):
-            flags.append(mirrored)
+            calls.append((basis, c, mirrored))
             return inner(basis, c, mirrored)
 
         monkeypatch.setattr(dynamics, "_ensemble_at", recording)
-        return flags
+        return calls
+
+    @staticmethod
+    def handed(calls):
+        """(mirrored, coordinate rows, modes) of every recorded call."""
+        return [(m, c.shape[0], basis.lam.size) for basis, c, m in calls]
+
+    @staticmethod
+    def expand(basis, c):
+        """Every mode's coordinates from the representatives of a
+        mirror-conjugate state: c_k' = -flip_k conj(c_k)."""
+        k = basis.lam.size - c.shape[0]
+        return np.concatenate((c, -basis.flip[:k, None] * np.conj(c[:k])))
 
     @staticmethod
     def dense_populations(basis, c):
@@ -968,9 +999,9 @@ class TestMirroredLine:
         p = matched.with_(t2=1e3)
         ens = ensemble_for_params(p, n_sim=129)
         pulse = PulseSpec(duration=5.0)
-        flags = self.spy(monkeypatch)
+        calls = self.spy(monkeypatch)
         echo = run_echo_cycle(p, p, ens, pulse, 25.0)
-        assert flags == [True, True]
+        assert [m for _, _, m in calls] == [True, True]
         stored = echo.ens_stored.coherences
         assert np.array_equal(stored[::-1], np.conj(stored))
         assert stored[ens.n // 2].imag == 0.0
@@ -996,9 +1027,10 @@ class TestMirroredLine:
                                ens.delta_in)
         pulse = PulseSpec(duration=5.0,
                           carrier_detuning=0.1 if case == "carrier" else 0.0)
-        flags = self.spy(monkeypatch)
+        calls = self.spy(monkeypatch)
         trace = integrate_storage(p, ens, pulse, (-30.0, 30.0))
-        assert flags == [False]
+        n = calls[0][0].lam.size
+        assert self.handed(calls) == [(False, n, n)]
         ref, last = self.storage_reference(p, ens, pulse, trace)
         assert np.max(np.abs(trace.p_ensemble - ref)) <= 1e-11
         assert np.max(np.abs(trace.ensemble.coherences - last)) <= 1e-11
@@ -1008,12 +1040,57 @@ class TestMirroredLine:
         # takes the full rows on a mirrored line
         ens = ensemble_for_params(matched, n_sim=64)
         b0 = np.exp(1j * np.linspace(0.0, 1.0, ens.n)) / math.sqrt(ens.n)
-        flags = self.spy(monkeypatch)
+        calls = self.spy(monkeypatch)
         trace = integrate_retrieval(matched, ens.with_coherences(b0),
                                     (0.0, 20.0))
-        assert flags == [False]
+        n = calls[0][0].lam.size
+        assert self.handed(calls) == [(False, n, n)]
         basis = dynamics._modal_basis(matched, ens)
         c0 = dynamics._mode_coordinates(basis, np.zeros(3), b0, False)
         c = dynamics._propagator(basis.lam, c0, trace.times, 0.0)
         assert np.max(np.abs(trace.p_ensemble
                              - self.dense_populations(basis, c))) <= 1e-11
+
+    # the lines of TestEigenSolve.test_real_roots_covered: two, one and no
+    # real modes at T2 = 1e3
+    @pytest.mark.parametrize("t2", [1e3, math.inf])
+    @pytest.mark.parametrize("n_sim, c_atom", [(64, 0.0), (65, 0.0), (65, 30.0)])
+    def test_folded_stage_matches_full_modes(self, monkeypatch, n_sim, c_atom,
+                                             t2):
+        # both stages carry the n - k representatives; the fields, node
+        # populations, loss integrals and final coherences agree with the
+        # dense rows applied to every mode's coordinates
+        p = solve_matched_params(1.0, c_atom, t2=t2)
+        ens = ensemble_for_params(p, n_sim=n_sim)
+        pulse = PulseSpec(duration=5.0)
+        calls = self.spy(monkeypatch)
+        echo = run_echo_cycle(p, p, ens, pulse, 25.0)
+        basis = calls[0][0]
+        n, k = basis.lam.size, basis.pairs
+        assert basis.g.size == ens.n and k > 0
+        assert self.handed(calls) == [(True, n - k, n)] * 2
+        inv_t2 = 0.0 if math.isinf(t2) else 1.0 / t2
+        cc = p.collective_coupling
+        for trace, (_, c, _) in zip((echo.storage_trace, echo.retrieval_trace),
+                                    calls):
+            full = self.expand(basis, c)
+            a1, bc, a2 = basis.a1 @ full, basis.bc @ full, basis.a2 @ full
+            nodes = basis.ensemble_rows(0, basis.g.size) @ full
+            pe = np.sum(np.abs(nodes) ** 2, axis=0)
+            sig = basis.collective @ full
+            dsig = (-1j * basis.a2 * (basis.lam * basis.ens_sum - cc)) @ full \
+                - 1j * cc * a2
+            if trace.kind == "storage":
+                drive = dynamics._drive_nodes(pulse, trace.times, basis.lam)[1:]
+            else:
+                drive = (np.zeros(trace.times.size),) * 3
+            losses = dynamics._hermite_losses(p, trace.times, a1, bc, a2, sig,
+                                              dsig, pe, inv_t2, *drive)
+            last = basis.share * nodes[basis.group, -1]
+            for got, ref in [(trace.cavity1, a1), (trace.control, bc),
+                             (trace.cavity2, a2), (trace.p_ensemble, pe),
+                             (trace.out_flux_integral, losses[0]),
+                             (trace.control_loss_integral, losses[1]),
+                             (trace.t2_loss_integral, losses[2]),
+                             (trace.ensemble.coherences, last)]:
+                assert np.max(np.abs(got - ref)) <= 1e-11
