@@ -48,7 +48,8 @@ from enum import Enum
 
 import numpy as np
 
-from .params import SystemParams, ParameterError, check_matching, cooperativities
+from .params import (SystemParams, ParameterError, ProtocolError,
+                     check_matching, cooperativities)
 
 RAMAN_ABSORB_PHASE = -1.0
 ECHO_EMISSION_PHASE = -1.0
@@ -56,10 +57,6 @@ CONTROL_RESET_PHASE = -1.0
 
 _DROP = 1e-30      # discard branches below this squared amplitude
 _CONSERVE = 1e-12  # per-operation conservation tolerance
-
-
-class ProtocolError(RuntimeError):
-    """Operation applied outside the protocol's phase discipline."""
 
 
 class ControlState(str, Enum):

@@ -40,18 +40,12 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from .params import (SystemParams, ParameterError, check_matching,
+# the layers are modules whose code runs on their first use (see the
+# package), so a command loads numpy and a layer only when it runs them
+from . import __version__, addressing, dynamics, spectral
+from .params import (MIN_N_SIM, IntegrationError, ParameterError,
+                     ProtocolError, PulseShape, SystemParams, check_matching,
                      cooperativities, params_digest, solve_matched_params)
-from .spectral import spectral_efficiency
-from .dynamics import (MIN_N_SIM, PulseShape, PulseSpec, IntegrationError,
-                       check_delay, check_margin, check_span,
-                       ensemble_for_params, integrate_storage, run_echo_cycle,
-                       blockade_phase_check)
-from .addressing import (AddressSpec, BranchEfficiencies, run_addressing,
-                         compose_with_dynamics, state_to_dict, ProtocolError)
 
 OUT_DIR_ENV = "ECHOQRAM_OUT_DIR"
 
@@ -185,8 +179,8 @@ _SCHEMA = (
          needed_by=(_S.SPECTRA, _S.CHECK_MATCHING, *_DYNAMICS), read_by=_ANY),
     _Key("read_params", _PARAMS, build=SystemParams, needed_by=(_S.BLOCKADE,),
          read_by=_CYCLES),
-    _Key("pulse", _OBJECT, build=PulseSpec, needed_by=_DYNAMICS,
-         read_by=_DYNAMICS),
+    _Key("pulse", _OBJECT, build=lambda **v: dynamics.PulseSpec(**v),
+         needed_by=_DYNAMICS, read_by=_DYNAMICS),
     _Key("pulse.shape", _CHOICE, choices=tuple(s.value for s in PulseShape),
          default=PulseShape.GAUSSIAN.value),
     _Key("pulse.duration", _NUM, required=True),
@@ -206,10 +200,11 @@ _SCHEMA = (
     _Key("span", _NUM, read_by=_DYNAMICS),
     _Key("solver_tol", _NUM, bound=("in (0, 1e-8]", lambda x: 0 < x <= 1e-8),
          default=1e-9, read_by=_DYNAMICS),
-    _Key("address", _OBJECT, build=AddressSpec, needed_by=(_S.ADDRESS,),
-         read_by=(_S.ADDRESS,)),
+    _Key("address", _OBJECT, build=lambda **v: addressing.AddressSpec(**v),
+         needed_by=(_S.ADDRESS,), read_by=(_S.ADDRESS,)),
     _Key("address.amplitudes", _LIST, item=_COMPLEX, required=True),
-    _Key("efficiencies", _OBJECT, build=BranchEfficiencies,
+    _Key("efficiencies", _OBJECT,
+         build=lambda **v: addressing.BranchEfficiencies(**v),
          read_by=(_S.ADDRESS,)),
     _Key("efficiencies.transfer_amplitude", _COMPLEX, default=1.0),
     _Key("efficiencies.blockade_reflection_amplitude", _COMPLEX, default=-1.0),
@@ -456,6 +451,7 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         # the checks below allocate the grid, so its size is bounded first
         if not cfg.grid_n <= 1e6:
             raise w.error("grid.n", f"'grid.n' must be <= 1e6, got {cfg.grid_n}")
+        import numpy as np
         # linspace overflows to inf or nan where center +- span does
         with np.errstate(all="ignore"):
             nu = _grid_points(cfg)
@@ -472,16 +468,18 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     # the read stage runs on the ensemble that the store stage loaded
     store, read = ((p.delta_in, p.collective_coupling) if p else None
                    for p in (cfg.params, cfg.read_params))
-    if read and not np.allclose(read, store, rtol=1e-9, atol=0.0):
+    if read and not all(r == s or abs(r - s) <= 1e-9 * abs(s)
+                        for r, s in zip(read, store)):
         raise w.error("read_params", "'read_params' describes another ensemble"
                       f": (delta_in, N*g2**2) = {read}, params carry {store}")
     # the library's refusals of line, storage span and delay, at their lines
     if cfg.span is not None:
-        _anchored(w, "span", check_span, cfg.span, cfg.params.delta_in)
+        _anchored(w, "span", dynamics.check_span, cfg.span,
+                  cfg.params.delta_in)
     if cfg.t_span is not None:
-        _anchored(w, "t_span", check_margin, cfg.t_span, cfg.pulse)
+        _anchored(w, "t_span", dynamics.check_margin, cfg.t_span, cfg.pulse)
     if sc in (Scenario.ECHO_CYCLE, Scenario.BLOCKADE):
-        _anchored(w, "tau", check_delay, cfg.tau, cfg.pulse.duration)
+        _anchored(w, "tau", dynamics.check_delay, cfg.tau, cfg.pulse.duration)
     if cfg.eff_from_dynamics and (cfg.params is None or cfg.tau is None):
         raise w.error("efficiencies.from_dynamics",
                       "efficiencies.from_dynamics needs 'params' and 'tau'")
@@ -514,7 +512,7 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
                               f"'{path}[{i}]' must be finite, got {v!r}")
     # each point as run_sweep builds it, its refusals at their lines
     for _, (_, _, pulse, tau), anchor in _sweep_points(cfg, w):
-        _anchored(w, anchor, check_delay, tau, pulse.duration)
+        _anchored(w, anchor, dynamics.check_delay, tau, pulse.duration)
     return cfg
 
 
@@ -591,8 +589,9 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(max(x, 1e-300))
 
 
-def _grid_points(cfg: ScenarioConfig) -> np.ndarray:
+def _grid_points(cfg: ScenarioConfig):
     """The spectra frequency grid: grid_n points over center +- span."""
+    import numpy as np
     return np.linspace(cfg.grid_center - cfg.grid_span,
                        cfg.grid_center + cfg.grid_span, cfg.grid_n)
 
@@ -600,8 +599,8 @@ def _grid_points(cfg: ScenarioConfig) -> np.ndarray:
 def _run_spectra(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     nu = _grid_points(cfg)
-    eps_t = spectral_efficiency(nu, p.with_(g1=0.0)).tolist()
-    eps_b = spectral_efficiency(nu, p).tolist()
+    eps_t = spectral.spectral_efficiency(nu, p.with_(g1=0.0)).tolist()
+    eps_b = spectral.spectral_efficiency(nu, p).tolist()
     cols = {"nu": nu.tolist(),
             "eps_transfer": eps_t, "eps_transfer_db": [_db(x) for x in eps_t],
             "eps_blockade": eps_b, "eps_blockade_db": [_db(x) for x in eps_b]}
@@ -620,12 +619,13 @@ def _run_check_matching(cfg: ScenarioConfig) -> _Artifact:
 
 
 def _run_store(cfg: ScenarioConfig) -> _Artifact:
+    import numpy as np
     p = cfg.params
     pulse = cfg.pulse
     span = cfg.t_span or (pulse.center - 6.0 * pulse.duration,
                           pulse.center + 6.0 * pulse.duration)
-    ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-    trace = integrate_storage(p, ens, pulse, span, cfg.solver_tol)
+    ens = dynamics.ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
+    trace = dynamics.integrate_storage(p, ens, pulse, span, cfg.solver_tol)
     fields = {"alpha_in": trace.alpha_in, "alpha_out": trace.alpha_out,
               "cavity1": trace.cavity1, "control": trace.control,
               "cavity2": trace.cavity2}
@@ -671,11 +671,12 @@ def _echo_summary(res) -> dict:
 def _run_echo(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     p_read = cfg.read_params or p
-    ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-    res = run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau, cfg.solver_tol)
+    ens = dynamics.ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
+    res = dynamics.run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau,
+                                  cfg.solver_tol)
     times = res.output_times.tolist()
-    re = np.real(res.output_waveform).tolist()
-    im = np.imag(res.output_waveform).tolist()
+    re = res.output_waveform.real.tolist()
+    im = res.output_waveform.imag.tolist()
     return _Artifact(f"echo: P={res.echo_probability:.6f}, "
                      f"fidelity={res.fidelity_time_reversed:.6f}",
                      ["time", "alpha_out_re", "alpha_out_im"],
@@ -688,10 +689,12 @@ def _run_echo(cfg: ScenarioConfig) -> _Artifact:
 def _run_blockade(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     p_read = cfg.read_params
-    ens = ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-    res = run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau, cfg.solver_tol)
-    chk = blockade_phase_check(p_read, res.ens_final, res.ens_stored, cfg.tau,
-                               res.t_final - (cfg.pulse.center + cfg.tau))
+    ens = dynamics.ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
+    res = dynamics.run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau,
+                                  cfg.solver_tol)
+    chk = dynamics.blockade_phase_check(
+        p_read, res.ens_final, res.ens_stored, cfg.tau,
+        res.t_final - (cfg.pulse.center + cfg.tau))
     c = cooperativities(p_read).c_atom
     return _report(f"blockade: P_echo={res.echo_probability:.3e}, "
                    f"phase-pi={chk.phase - math.pi:+.4f}, "
@@ -707,11 +710,11 @@ def _run_blockade(cfg: ScenarioConfig) -> _Artifact:
 
 def _run_address(cfg: ScenarioConfig) -> _Artifact:
     if cfg.eff_from_dynamics:
-        eff = compose_with_dynamics(cfg.params, cfg.tau)
+        eff = addressing.compose_with_dynamics(cfg.params, cfg.tau)
     else:
-        eff = cfg.efficiencies or BranchEfficiencies()
-    state = run_addressing(cfg.address.m, cfg.address, eff)
-    doc = state_to_dict(state)
+        eff = cfg.efficiencies or addressing.BranchEfficiencies()
+    state = addressing.run_addressing(cfg.address.m, cfg.address, eff)
+    doc = addressing.state_to_dict(state)
     meta = {"norm": doc.pop("norm"), "losses": doc.pop("losses")}
     rows = [[t["amplitude"]["re"], t["amplitude"]["im"], t["control"],
              "".join(str(b) for b in t["occupied"]), ";".join(t["emitted"])]
@@ -764,11 +767,24 @@ def _sweep_points(cfg: ScenarioConfig, w: _Walker | None = None):
                     "value": v, "tau": point[3]}, point, anchor)
 
 
+def __getattr__(name: str):
+    # cli.run_echo_cycle reads the dynamics layer's until it is rebound here
+    if name == "run_echo_cycle":
+        return dynamics.run_echo_cycle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_CLI = sys.modules[__name__]
+
+
 def _sweep_point(task: tuple) -> dict:
-    """Worker: one echo cycle. Top-level so process pools can pickle it."""
+    """Worker: one echo cycle. Top-level so process pools can pickle it.
+
+    The cycle is looked up on this module at each call, so rebinding
+    cli.run_echo_cycle reaches every point of a sweep."""
     cfg, p_store, p_read, pulse, tau = task
-    ens = ensemble_for_params(p_store, n_sim=cfg.n_sim, span=cfg.span)
-    res = run_echo_cycle(p_store, p_read, ens, pulse, tau, cfg.solver_tol)
+    ens = dynamics.ensemble_for_params(p_store, n_sim=cfg.n_sim, span=cfg.span)
+    res = _CLI.run_echo_cycle(p_store, p_read, ens, pulse, tau, cfg.solver_tol)
     return {"echo_probability": res.echo_probability,
             "fidelity_time_reversed": res.fidelity_time_reversed,
             "storage_probability": res.storage_probability,
@@ -846,6 +862,17 @@ _SUBCOMMANDS = {
 }
 
 
+def _workers(text: str) -> int:
+    """--workers: a whole number of processes, at least one."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="echoqram",
@@ -860,7 +887,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              f"else ${OUT_DIR_ENV}/<scenario>.<format>)")
         sp.add_argument("--format", choices=("csv", "json"), default=None,
                         help="artifact format (overrides config)")
-        sp.add_argument("--workers", type=int, default=1,
+        sp.add_argument("--workers", type=_workers, default=1,
                         help="parallel workers (sweep only)")
     return parser
 
@@ -903,7 +930,7 @@ def main(argv=None) -> int:
             return _cannot_write(out, exc)
 
         if cfg.scenario is Scenario.SWEEP:
-            art = _run_sweep_scenario(cfg, max(1, args.workers))
+            art = _run_sweep_scenario(cfg, args.workers)
         else:
             art = _RUNNERS[cfg.scenario](cfg)
         try:

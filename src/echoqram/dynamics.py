@@ -66,25 +66,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .params import SystemParams, ParameterError
-
-
-class IntegrationError(RuntimeError):
-    """Solver failure or conservation-ledger violation."""
+from .params import (MIN_N_SIM, IntegrationError, ParameterError, PulseShape,
+                     SystemParams)
 
 
 # ---------------------------------------------------------------------- pulses
-
-class PulseShape(str, Enum):
-    GAUSSIAN = "gaussian"
-    RISING_EXPONENTIAL = "rising_exponential"
-    DECAYING_EXPONENTIAL = "decaying_exponential"
-
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -191,10 +181,6 @@ class AtomEnsemble:
 
     def with_coherences(self, coherences) -> "AtomEnsemble":
         return replace(self, coherences=np.asarray(coherences, dtype=complex))
-
-
-#: fewest quadrature nodes a discretized line may have
-MIN_N_SIM = 16
 
 
 def discretize_ensemble(

@@ -3,6 +3,10 @@
 All rates share one unit convention: the decay rate of the input cavity
 (kappa) is the unit, so kappa = 1.0 by default and every other rate is
 quoted relative to it.
+
+This module uses no numpy, so it also holds what the CLI reads from the
+other layers before it runs one: the pulse shapes, the fewest nodes a
+line may have and the errors the layers raise.
 """
 
 from __future__ import annotations
@@ -11,11 +15,30 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, asdict, replace
+from enum import Enum
 from typing import NamedTuple
 
 
 class ParameterError(ValueError):
     """Physically invalid or inconsistent system parameters."""
+
+
+class IntegrationError(RuntimeError):
+    """Solver failure or conservation-ledger violation."""
+
+
+class ProtocolError(RuntimeError):
+    """Operation applied outside the protocol's phase discipline."""
+
+
+class PulseShape(str, Enum):
+    GAUSSIAN = "gaussian"
+    RISING_EXPONENTIAL = "rising_exponential"
+    DECAYING_EXPONENTIAL = "decaying_exponential"
+
+
+#: fewest quadrature nodes a discretized line may have
+MIN_N_SIM = 16
 
 
 @dataclass(frozen=True)

@@ -603,6 +603,15 @@ class TestBoundary:
                               "describes another ensemble")
         assert needle in err
 
+    def test_read_params_within_rounding_pass(self):
+        # the same line to 1e-9 relative, as a copied decimal gives it
+        read = solve_matched_params(1.0, 30.0).to_dict()
+        read["delta_in"] *= 1.0 + 5e-10
+        cfg = parse_scenario_config(cfg_text(
+            scenario="blockade", params=MATCHED, read_params=read,
+            pulse={"duration": 5.0}, tau=25.0, n_sim=64))
+        assert cfg.read_params.delta_in != cfg.params.delta_in
+
     def test_blockade_span_refused_at_its_line(self, tmp_path, capsys):
         text = cfg_text(scenario="blockade", params=MATCHED,
                         read_params={"matched": {"kappa": 1.0, "c_atom": 30.0}},
@@ -666,6 +675,18 @@ class TestBoundary:
         assert len(rows) == 2
         expect = min(2, os.cpu_count() or 1)
         assert seen == ([expect] if expect > 1 else [])
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_refused(self, tmp_path, capsys, workers):
+        # --workers 0 used to run one worker without a word
+        path = write(tmp_path, "sw.json", cfg_text(
+            scenario="sweep", params=MATCHED, pulse={"duration": 5.0},
+            tau=25.0, n_sim=64, sweep={"parameter": "tau", "values": [25.0]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(path), "--workers", workers])
+        assert exc.value.code == 2
+        assert (f"argument --workers: must be an integer >= 1, got "
+                f"{workers!r}") in capsys.readouterr().err
 
     # the keys a cross-key refusal anchors at when the fuzzed key moves
     # the other side: the line's span and the read stage's line against
@@ -883,12 +904,16 @@ class TestArtifacts:
 
 
 class TestImportLayering:
-    """The package runs on numpy alone: every subcommand completes in a
-    fresh interpreter where scipy cannot be imported, and loads none of it.
-    None loads the process-pool machinery either, which only a sweep with
-    more than one worker needs; the sweep case asks for one.  Nor does any
-    load numpy.ma, which costs a fresh interpreter 13-19 ms and which
-    np.unique imports on its first call.
+    """Each command loads only the layers it runs, and no scipy.
+
+    Every subcommand completes in a fresh interpreter where scipy cannot
+    be imported.  LAYERS names which of numpy and the lazily run layers
+    each case loads; a layer counts as loaded once its module is no longer
+    the package's placeholder type, so asking does not load it.  No case
+    loads the process-pool machinery, which only a sweep with more than
+    one worker needs (the sweep case asks for one), nor numpy.ma, which
+    costs a fresh interpreter 13-19 ms and which np.unique imports on its
+    first call.
 
     Two cases at a time keep the class under three seconds.
     """
@@ -896,31 +921,42 @@ class TestImportLayering:
     SWEEP = dict(scenario="sweep", params=MATCHED, pulse={"duration": 5.0},
                  tau=25.0, n_sim=64,
                  sweep={"parameter": "tau", "values": [25.0, 30.0]})
+    # g2 = 0 leaves C_pm undefined: the library refuses it once parsed
+    NO_ENSEMBLE = dict(scenario="check_matching", params={
+        "kappa": 1.0, "gamma": 1.0, "g1": 0.0, "g2": 0.0, "f2": 0.35,
+        "n_atoms": 1000, "delta_in": 0.5})
 
     # case: (subcommand or None for a bare import, committed config name or
-    # a config document)
+    # a config document, exit code, what it loads)
+    DYNAMICS = ("numpy", "dynamics")
     CASES = {
-        "import": (None, None),
-        "check-matching": ("check-matching", "check_matching.json"),
-        "spectra": ("spectra", "spectra_matched_c10.json"),
-        "address": ("address", "address_m4.json"),
-        "store": ("store", "store_gaussian.json"),
-        "echo": ("echo", TestBoundary.ECHO),
-        "blockade": ("blockade", "blockade_c30.json"),
-        "sweep": ("sweep", SWEEP),
+        "import": (None, None, 0, ()),
+        "check-matching": ("check-matching", "check_matching.json", 0, ()),
+        "check-matching refused": ("check-matching", NO_ENSEMBLE, 2, ()),
+        "spectra": ("spectra", "spectra_matched_c10.json", 0,
+                    ("numpy", "spectral")),
+        "address": ("address", "address_m4.json", 0, ("numpy", "addressing")),
+        "store": ("store", "store_gaussian.json", 0, DYNAMICS),
+        "echo": ("echo", TestBoundary.ECHO, 0, DYNAMICS),
+        "blockade": ("blockade", "blockade_c30.json", 0, DYNAMICS),
+        "sweep": ("sweep", SWEEP, 0, DYNAMICS),
     }
 
     SCRIPT = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
         "from echoqram import cli\n"
-        "if len(sys.argv) > 1:\n"
-        "    assert cli.main(sys.argv[1:]) == 0\n"
-        "print(json.dumps(sorted(m for m, mod in sys.modules.items()\n"
-        "                        if mod is not None and\n"
-        "                        (m == 'scipy' or m.startswith('scipy.')\n"
-        "                         or m == 'concurrent.futures.process'\n"
-        "                         or m == 'numpy.ma' or m.startswith('numpy.ma.')))))\n"
+        "code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+        "layers = ('spectral', 'dynamics', 'addressing')\n"
+        "print(json.dumps({'code': code, 'loaded': [\n"
+        "    m for m in ('numpy',) + layers\n"
+        "    if m == 'numpy' and m in sys.modules or m in layers and\n"
+        "    type(sys.modules['echoqram.' + m]).__name__ != '_Layer'],\n"
+        "    'unwanted': sorted(m for m, mod in sys.modules.items()\n"
+        "        if mod is not None and\n"
+        "        (m == 'scipy' or m.startswith('scipy.')\n"
+        "         or m == 'concurrent.futures.process'\n"
+        "         or m == 'numpy.ma' or m.startswith('numpy.ma.')))}))\n"
     )
 
     @pytest.fixture(scope="class")
@@ -929,7 +965,7 @@ class TestImportLayering:
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
 
         def run(case):
-            command, config = self.CASES[case]
+            command, config, _, _ = self.CASES[case]
             argv = []
             if command is not None:
                 cfg = (CONFIG_DIR / config if isinstance(config, str)
@@ -945,8 +981,104 @@ class TestImportLayering:
         with ThreadPoolExecutor(max_workers=2) as pool:
             return dict(zip(self.CASES, pool.map(run, self.CASES)))
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_scipy_modules_loaded(self, runs, case):
+    def result(self, runs, case):
         run = runs[case]
         assert run.returncode == 0, run.stderr
-        assert json.loads(run.stdout.splitlines()[-1]) == []
+        got = json.loads(run.stdout.splitlines()[-1])
+        assert got["code"] == self.CASES[case][2], run.stderr
+        return got
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_scipy_modules_loaded(self, runs, case):
+        assert self.result(runs, case)["unwanted"] == []
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_layers_loaded(self, runs, case):
+        assert self.result(runs, case)["loaded"] == list(self.CASES[case][3])
+
+
+def fresh(script: str, *argv: str) -> str:
+    """Run a script in a fresh interpreter on this checkout; its stdout."""
+    run = subprocess.run([sys.executable, "-c", script, *argv],
+                         env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+class TestLazyLayers:
+    """The layers that run on first use behave as modules imported up front."""
+
+    LAYERS = ("cli", "params", "spectral", "dynamics", "addressing")
+
+    def test_moved_names_are_re_exported(self):
+        from echoqram import addressing, dynamics, params
+        assert dynamics.PulseShape is params.PulseShape
+        assert dynamics.MIN_N_SIM == params.MIN_N_SIM
+        assert dynamics.IntegrationError is params.IntegrationError
+        assert addressing.ProtocolError is params.ProtocolError
+
+    def test_every_layer_registered_by_import(self):
+        out = fresh(
+            "import sys, json, echoqram.cli, echoqram\n"
+            f"names = {self.LAYERS!r}\n"
+            "mods = [sys.modules.get('echoqram.' + n) for n in names]\n"
+            "assert all(m is getattr(echoqram, n) for m, n in zip(mods, names))\n"
+            "print('numpy' in sys.modules)\n")
+        assert out.split() == ["False"]
+
+    def test_rebound_cycle_sees_every_sweep_point(self, tmp_path):
+        # a benchmark times each point of a sweep by rebinding the cycle
+        path = write(tmp_path, "sweep.json",
+                     cfg_text(**TestImportLayering.SWEEP))
+        out = fresh(
+            "import sys\n"
+            "from echoqram import cli, dynamics\n"
+            "cfg = cli.parse_scenario_config(open(sys.argv[1]).read())\n"
+            "inner = cli.run_echo_cycle\n"
+            "assert inner is dynamics.run_echo_cycle\n"
+            "seen = []\n"
+            "def counted(*args, **kwargs):\n"
+            "    seen.append(args[-2])\n"
+            "    return inner(*args, **kwargs)\n"
+            "cli.run_echo_cycle = counted\n"
+            "rows = cli.run_sweep(cfg, workers=1)\n"
+            "print(seen == [r['tau'] for r in rows], len(rows))\n",
+            str(path))
+        assert out.split() == ["True", "2"]
+
+    def test_star_import_binds_all(self):
+        out = fresh(
+            "import echoqram\n"
+            "names = {}\n"
+            "exec('from echoqram import *', names)\n"
+            "missing = set(echoqram.__all__) - set(names)\n"
+            "unlisted = set(echoqram.__all__) - set(dir(echoqram))\n"
+            "print(sorted(missing), sorted(unlisted))\n")
+        assert out.split() == ["[]", "[]"]
+
+    def test_first_touch_from_four_threads(self):
+        # before Python 3.12, LazyLoader hands the other threads the module
+        # half run, and they fail on a name it has not defined yet
+        out = fresh(
+            "import sys, threading, echoqram\n"
+            "from echoqram import cli\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "touches = [lambda: echoqram.run_echo_cycle,\n"
+            "           lambda: echoqram.PulseSpec(duration=1.0),\n"
+            "           lambda: cli.run_echo_cycle,\n"
+            "           lambda: echoqram.dynamics.check_delay]\n"
+            "barrier = threading.Barrier(len(touches), timeout=30)\n"
+            "errors = []\n"
+            "def touch(get):\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        get()\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=touch, args=(t,))\n"
+            "           for t in touches]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(30)\n"
+            "print(errors, sum(t.is_alive() for t in threads))\n")
+        assert out.split() == ["[]", "0"]
