@@ -43,9 +43,10 @@ from pathlib import Path
 # the layers are modules whose code runs on their first use (see the
 # package), so a command loads numpy and a layer only when it runs them
 from . import __version__, addressing, dynamics, spectral
-from .params import (MIN_N_SIM, IntegrationError, ParameterError,
-                     ProtocolError, PulseShape, SystemParams, check_matching,
-                     cooperativities, params_digest, solve_matched_params)
+from .params import (MAX_N_SIM, MAX_SAMPLES, MIN_N_SIM, IntegrationError,
+                     ParameterError, ProtocolError, PulseShape, SystemParams,
+                     check_matching, cooperativities, params_digest,
+                     solve_matched_params)
 
 OUT_DIR_ENV = "ECHOQRAM_OUT_DIR"
 
@@ -449,8 +450,9 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
                                       f"'{key.path}'")
     if sc is Scenario.SPECTRA:
         # the checks below allocate the grid, so its size is bounded first
-        if not cfg.grid_n <= 1e6:
-            raise w.error("grid.n", f"'grid.n' must be <= 1e6, got {cfg.grid_n}")
+        if not cfg.grid_n <= MAX_SAMPLES:
+            raise w.error("grid.n", f"'grid.n' must be <= {MAX_SAMPLES}, "
+                                    f"got {cfg.grid_n}")
         import numpy as np
         # linspace overflows to inf or nan where center +- span does
         with np.errstate(all="ignore"):
@@ -462,6 +464,9 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         if not rising:
             raise w.error("grid", "'grid' points must strictly increase: "
                                   "span is below the rounding of center")
+    # a stage's node operator holds 8 n_sim**2 bytes or more
+    if not cfg.n_sim <= MAX_N_SIM:
+        raise w.error("n_sim", f"'n_sim' must be <= {MAX_N_SIM}, got {cfg.n_sim}")
     if sc is Scenario.BLOCKADE and cfg.read_params.g1 == 0:
         raise w.error("read_params",
                       "'read_params.g1' must be > 0 for a blockade run")
@@ -472,14 +477,19 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
                         for r, s in zip(read, store)):
         raise w.error("read_params", "'read_params' describes another ensemble"
                       f": (delta_in, N*g2**2) = {read}, params carry {store}")
-    # the library's refusals of line, storage span and delay, at their lines
+    # the library's refusals of line, storage span, delay and output grids,
+    # at their lines
     if cfg.span is not None:
         _anchored(w, "span", dynamics.check_span, cfg.span,
                   cfg.params.delta_in)
     if cfg.t_span is not None:
         _anchored(w, "t_span", dynamics.check_margin, cfg.t_span, cfg.pulse)
+    if sc is Scenario.STORE:
+        _anchored(w, "t_span" if cfg.t_span else "pulse.duration",
+                  dynamics.check_samples, cfg.pulse, t_span=_store_span(cfg))
     if sc in (Scenario.ECHO_CYCLE, Scenario.BLOCKADE):
         _anchored(w, "tau", dynamics.check_delay, cfg.tau, cfg.pulse.duration)
+        _anchored(w, "tau", dynamics.check_samples, cfg.pulse, tau=cfg.tau)
     if cfg.eff_from_dynamics and (cfg.params is None or cfg.tau is None):
         raise w.error("efficiencies.from_dynamics",
                       "efficiencies.from_dynamics needs 'params' and 'tau'")
@@ -513,13 +523,15 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     # each point as run_sweep builds it, its refusals at their lines
     for _, (_, _, pulse, tau), anchor in _sweep_points(cfg, w):
         _anchored(w, anchor, dynamics.check_delay, tau, pulse.duration)
+        _anchored(w, anchor, dynamics.check_samples, pulse, tau=tau)
     return cfg
 
 
-def _anchored(w: _Walker | None, path: str, rule: Callable, *args):
-    """rule(*args), with a walker its ParameterError anchored at `path`."""
+def _anchored(w: _Walker | None, path: str, rule: Callable, *args, **kwargs):
+    """rule(*args, **kwargs), with a walker its ParameterError anchored at
+    `path`."""
     try:
-        return rule(*args)
+        return rule(*args, **kwargs)
     except ParameterError as exc:
         if w is None:
             raise
@@ -618,12 +630,18 @@ def _run_check_matching(cfg: ScenarioConfig) -> _Artifact:
                     "c_pm": coop.c_pm})
 
 
+def _store_span(cfg: ScenarioConfig) -> tuple[float, float]:
+    """t_span, or 6 pulse durations on either side of the pulse center."""
+    pulse = cfg.pulse
+    return cfg.t_span or (pulse.center - 6.0 * pulse.duration,
+                          pulse.center + 6.0 * pulse.duration)
+
+
 def _run_store(cfg: ScenarioConfig) -> _Artifact:
     import numpy as np
     p = cfg.params
     pulse = cfg.pulse
-    span = cfg.t_span or (pulse.center - 6.0 * pulse.duration,
-                          pulse.center + 6.0 * pulse.duration)
+    span = _store_span(cfg)
     ens = dynamics.ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
     trace = dynamics.integrate_storage(p, ens, pulse, span, cfg.solver_tol)
     fields = {"alpha_in": trace.alpha_in, "alpha_out": trace.alpha_out,

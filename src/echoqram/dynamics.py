@@ -33,19 +33,23 @@ conjugate pairs, and Aberth iterates one root of each pair, so the
 solve, the ensemble sums and the Cauchy rows of a mirror-conjugate
 state's coordinates take half the work.  One basis serves every call on
 the same (parameters, grid), so storage and retrieval share it on a
-mirrored grid.  The state is the free evolution of the start, a complex
-exp per block of samples times a table of in-block offset factors that
-every regular block shares, plus the pulse's convolution, one
+mirrored grid, and so does its node operator: the rows of V that a stage
+reads, formed once when the basis is first used.  The state is the free
+evolution of the start, a complex exp per block of samples times a table
+of in-block offset factors that every regular block shares, plus the
+pulse's convolution, one
 exponential-quadrature recurrence for every pulse shape: per output step
 the mode decays by exp(lam h) and gains weights, exact in its
 exponential, times the envelope at eight Gauss nodes.  A mirror-conjugate
 state (a mirrored line, a real envelope) has paired coordinates, so the
 stage carries one per conjugate pair and the real modes.  So a cycle
-costs its node populations at every sample, a matrix product that takes
-half the line's Cauchy rows on a mirror-conjugate state, folded onto the
-carried coordinates as one real product, one O(n) drive update per
-storage sample, and little else.  No array grows as the square of the
-mode count.
+costs its node populations at every sample, a matrix product with the
+node operator, which on a mirror-conjugate state takes half the line's
+Cauchy rows folded onto the carried coordinates as one real product, one
+O(n) drive update per storage sample, and little else.  The node
+operator is the one array that grows as the square of the mode count:
+8 n**2 bytes folded, 16 n**2 complex, 1.3 MB at n = 401, and a single
+slot holds the operator of the basis last used.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
@@ -70,8 +74,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import (MIN_N_SIM, IntegrationError, ParameterError, PulseShape,
-                     SystemParams)
+from .params import (MAX_SAMPLES, MIN_N_SIM, IntegrationError, ParameterError,
+                     PulseShape, SystemParams)
 
 
 # ---------------------------------------------------------------------- pulses
@@ -327,7 +331,7 @@ def _output_times(t_span: tuple[float, float], output_dt: float | None,
         output_dt = (t1 - t0) / 600.0
     if not (output_dt > 0 and math.isfinite(output_dt)):
         raise ParameterError(f"output_dt must be positive and finite, got {output_dt}")
-    ratio = (t1 - t0) / output_dt
+    ratio = _steps((t0, t1), output_dt)
     whole = abs(ratio - round(ratio)) <= _GRID_SNAP * ratio
     t_eval = np.linspace(t0, t1, (round(ratio) if whole else math.ceil(ratio)) + 1)
     if extra_eval:
@@ -343,6 +347,44 @@ def _output_times(t_span: tuple[float, float], output_dt: float | None,
         t_eval = np.sort(np.concatenate([t_eval, extra[~snap]]))
         t_eval = t_eval[np.concatenate(([True], t_eval[1:] != t_eval[:-1]))]
     return t_eval
+
+
+def _steps(t_span: tuple[float, float], output_dt: float) -> float:
+    """The step count (t1 - t0) / output_dt of an output grid, refused when
+    it is NaN or infinite or the grid would hold more than MAX_SAMPLES
+    samples."""
+    steps = (t_span[1] - t_span[0]) / output_dt if output_dt > 0 else math.inf
+    if not steps <= MAX_SAMPLES - 1:
+        raise ParameterError(
+            f"output grid over {t_span} at step {output_dt:.6g} needs "
+            f"{steps:.6g} steps: it must be finite and hold at most "
+            f"{MAX_SAMPLES} samples")
+    return steps
+
+
+def _storage_step(t_span: tuple[float, float], duration: float) -> float:
+    """integrate_storage's output step unless one is given."""
+    return min(duration / 30.0, (t_span[1] - t_span[0]) / 400.0)
+
+
+def _cycle_grids(pulse: PulseSpec, tau: float):
+    """The spans and output steps of an echo cycle's storage and of its
+    retrieval, which runs from the inversion tau after the pulse center to
+    8 durations after the echo at 2 tau."""
+    c, dt = pulse.center, pulse.duration
+    store, read = (c - 6.0 * dt, c + tau), (c + tau, c + 2.0 * tau + 8.0 * dt)
+    return (store, _storage_step(store, dt)), (read, dt / 40.0)
+
+
+def check_samples(pulse: PulseSpec, *, tau: float | None = None,
+                  t_span: tuple[float, float] | None = None) -> None:
+    """Refuse a storage over t_span, or an echo cycle with delay tau, whose
+    output grid needs a step count that is not finite or more than
+    MAX_SAMPLES samples: checked before anything is allocated."""
+    grids = (_cycle_grids(pulse, tau) if tau is not None
+             else [(t_span, _storage_step(t_span, pulse.duration))])
+    for span, step in grids:
+        _steps(span, step)
 
 
 def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
@@ -399,14 +441,14 @@ class _ModalBasis:
     inverse of V is V^T in exact arithmetic (_mode_coordinates refines
     it in floating point).  Only the three field rows of V are stored; the
     ensemble rows have the Cauchy form V_mk = -i g_m a2_k / (lam_k - D_m)
-    and are formed a block at a time.  Nodes that share a detuning are
-    merged into one node of coupling sqrt(sum g_j**2): `group` maps each
-    original node to its merged node, `share` holds g_j / g_m.  On a
-    mirrored line the modes are laid out as [pairs, reals, conjugates of
-    the pairs]: lam[-pairs:] = conj(lam[:pairs]) bit for bit.  A stage
-    whose state is mirror-conjugate carries the coordinates of the first
-    n - pairs modes only, the representatives; its conjugates follow as
-    c_k' = -flip_k conj(c_k).
+    and are formed once, into the basis' node operator.  Nodes that share
+    a detuning are merged into one node of coupling sqrt(sum g_j**2):
+    `group` maps each original node to its merged node, `share` holds
+    g_j / g_m.  On a mirrored line the modes are laid out as [pairs,
+    reals, conjugates of the pairs]: lam[-pairs:] = conj(lam[:pairs]) bit
+    for bit.  A stage whose state is mirror-conjugate carries the
+    coordinates of the first n - pairs modes only, the representatives;
+    its conjugates follow as c_k' = -flip_k conj(c_k).
     """
 
     lam: np.ndarray
@@ -422,7 +464,17 @@ class _ModalBasis:
     pairs: int              # conjugate pairs among the modes, 0 unless mirrored
     cond: float             # ||V||_F * ||V^-1||_F, bounds the 2-norm one
     residual: float         # worst relative eigenpair residual
-    drive: np.ndarray | None = None    # V^-1 e_a1: the mode coordinates of the input
+
+    @functools.cached_property
+    def drive(self) -> np.ndarray:
+        """V^-1 e_a1, the mode coordinates of the input over every mode,
+        solved on the first use of the basis."""
+        c = _mode_coordinates(self, np.array([1.0, 0.0, 0.0]),
+                              np.zeros(self.g.size), self.mirrored)
+        k = self.lam.size - c.size
+        c = np.concatenate((c, -self.flip[:k] * np.conj(c[:k])))
+        c.flags.writeable = False
+        return c
 
     @property
     def collective(self) -> np.ndarray:
@@ -440,9 +492,6 @@ class _ModalBasis:
     def flip(self) -> np.ndarray:
         """flip_k = a2_k' / conj(a2_k) = +-1 for the partner k' of mode k."""
         return np.sign((self.a2[self.partner] / np.conj(self.a2)).real)
-
-    def ensemble_rows(self, lo: int, hi: int) -> np.ndarray:
-        return self.node_rows(self.poles[lo:hi], self.g[lo:hi], self.lam.size)
 
     def node_rows(self, poles: np.ndarray, g: np.ndarray, modes: int) -> np.ndarray:
         """Rows -i g_m a2_k / (lam_k - D_m) of nodes with poles D_m and
@@ -673,16 +722,90 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
         raise IntegrationError(
             f"mode basis rejected: eigenpair residual {residual:.2e} (bound "
             f"{_RESIDUAL_BOUND:g}), cond(V) {cond:.3e} (bound {_COND_BOUND:g})")
-    basis = _ModalBasis(
+    return _ModalBasis(
         lam=lam, a1=a1 * scale_v, bc=bc * scale_v, a2=scale_v,
         ens_sum=s_ens,
         poles=poles, g=np.sqrt(g2), group=group, share=share,
         mirrored=mirrored, pairs=pairs, cond=cond, residual=residual)
-    return replace(basis, drive=_mode_coordinates(
-        basis, np.array([1.0, 0.0, 0.0]), np.zeros(g2.size), mirrored))
 
 
 # ------------------------------------------------------- modal propagation
+
+def _build_node_operator(basis: _ModalBasis, folded: bool) -> np.ndarray:
+    """The rows of V that a stage reads: the three field rows, then the
+    Cauchy rows of the merged nodes, formed a block of nodes at a time.
+
+    Unfolded, they are the complex rows of every node over every mode,
+    shape (3 + nodes, n).  Folded, for a mirror-conjugate state carried on
+    its n - k representatives, they cover the fields and the lower half
+    of the nodes.  The conjugates' columns of a row are those of its
+    mirror over the pairs, V_m,k' = -flip_k conj(V_M-1-m,k), so a row
+    reads a c + conj(b c) for its own part a over the representatives and
+    its mirror's part b over the pairs (zero on the real modes; a field is
+    its own mirror): Re = Re((a + b) c) and Im = Im((a - b) c).  Each takes
+    one real row, the real view of conj(a + b) and of i conj(a - b), whose
+    product with the real view of c, interleaved mode by mode, gives it:
+    each row of V becomes its Re row and its Im row, shape
+    (2 (3 + nodes), 2 (n - k)).
+    """
+    n, k = basis.lam.size, basis.pairs if folded else 0
+    nodes = (basis.g.size + 1) // 2 if folded else basis.g.size
+    fields = np.array([basis.a1, basis.bc, basis.a2])
+    op = np.empty((3 + nodes, 2, n - k) if folded else (3 + nodes, n),
+                  dtype=complex)
+
+    def fold(out, a, b):
+        np.conjugate(a + b, out=out[:, 0])
+        np.multiply(np.conj(a - b), 1j, out=out[:, 1])
+
+    if folded:
+        mirror = np.zeros((3, n - k), dtype=complex)
+        mirror[:, :k] = -basis.flip[:k] * np.conj(fields[:, n - k:])
+        fold(op[:3], fields[:, :n - k], mirror)
+    else:
+        op[:3] = fields
+    for lo in range(0, nodes, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, nodes)
+        poles, g = basis.poles[lo:hi], basis.g[lo:hi]
+        if folded:
+            # the mirror node's pole is the conjugate, its coupling the same
+            poles = np.concatenate((poles, np.conj(poles)))
+            g = np.concatenate((g, g))
+        blk = basis.node_rows(poles, g, n - k)
+        if not folded:
+            op[3 + lo:3 + hi] = blk
+            continue
+        blk[hi - lo:, k:] = 0.0
+        fold(op[3 + lo:3 + hi], blk[:hi - lo], blk[hi - lo:])
+    if folded:
+        op = op.view(float).reshape(2 * (3 + nodes), 2 * (n - k))
+    op.flags.writeable = False
+    return op
+
+
+class _OperatorSlot:
+    """One-slot cache of the node operator, keyed by the basis object: a
+    basis built again is another object and never reads a stale operator.
+    The old entry is released before the next is built, so one operator
+    is held at a time; `misses` counts the builds."""
+
+    def __init__(self) -> None:
+        self.entry: tuple | None = None
+        self.misses = 0
+
+    def __call__(self, basis: _ModalBasis, folded: bool) -> np.ndarray:
+        entry = self.entry
+        if entry is None or entry[0] is not basis or entry[1] != folded:
+            self.entry = entry = None
+            self.entry = entry = (basis, folded,
+                                  _build_node_operator(basis, folded))
+            self.misses += 1
+        return entry[2]
+
+
+#: the node operator of the basis last used, folded or not
+_node_operator = _OperatorSlot()
+
 
 def _mode_coordinates(basis: _ModalBasis, fields: np.ndarray,
                       bright: np.ndarray, mirrored: bool) -> np.ndarray:
@@ -691,51 +814,57 @@ def _mode_coordinates(basis: _ModalBasis, fields: np.ndarray,
     V^T is the inverse of V in exact arithmetic only: in a strongly
     non-normal basis (large cond) the rounding of the columns leaves
     V V^T - I far above machine precision, so V^T serves as the
-    preconditioner of a few refinement steps instead.
+    preconditioner of a few refinement steps instead.  The residual
+    r = y - V c and the step V^T r are products with the node operator.
 
     A mirror-conjugate state (a1 real, bc and a2 imaginary, b_M-1-m =
     conj(b_m)) on a mirrored line has paired coordinates, c_k' =
     -flip_k conj(c_k) for the partner k' of mode k, lam_k' = conj(lam_k),
-    with flip_k = a2_k' / conj(a2_k) = +-1; each step is made paired bit
-    for bit.  Its residuals are mirror-conjugate, so only the rows of the
-    lower half of the merged nodes are formed, as in _ensemble_at: the
-    upper rows of mode k are -flip_k times the conjugate lower rows of k'.
+    with flip_k = a2_k' / conj(a2_k) = +-1.  Its residuals are
+    mirror-conjugate, so only the fields and the lower half of the nodes
+    are formed, a node counting for itself and its mirror; the upper rows
+    of mode k are -flip_k times the conjugate lower rows of k'.  It is
+    solved for the n - k representatives on the folded operator: the
+    real view's transpose takes the rows a r + b conj(r), a pair's own
+    step and its conjugate's, read through the mirror.  A real mode is its
+    own partner and takes the mean of its step and its mirror, so it stays
+    paired bit for bit.  Returns every mode's coordinates, or the
+    representatives of a mirror-conjugate state.
     """
-    rows = (basis.a1, basis.bc, basis.a2)
     size = basis.g.size
     half = (size + 1) // 2 if mirrored else size
-    weight = np.where(np.arange(half) < size - half, 2.0, 1.0)
-    y_fields, y_ens = fields.astype(complex), bright[:half].astype(complex)
-    norm = math.sqrt(float(np.sum(np.abs(y_fields) ** 2)
-                           + weight @ np.abs(y_ens) ** 2))
+    k = basis.pairs if mirrored else 0
+    op = _node_operator(basis, k > 0)
+    if not k:
+        op = op[:3 + half]
+    weight = np.concatenate((np.ones(3), np.where(np.arange(half) < size - half,
+                                                  2.0, 1.0)))
+    y = np.concatenate((fields, bright[:half])).astype(complex)
+    norm = math.sqrt(float(weight @ np.abs(y) ** 2))
+    c = np.zeros(basis.lam.size - k, dtype=complex)
     if mirrored:
-        partner, flip = basis.partner, basis.flip
-    c = np.zeros(basis.lam.size, dtype=complex)
-    err = norm
-    # each pass forms every Cauchy block once, for both the residual
-    # r = y - V c and the step V^T r; the first pass starts from c = 0
+        flip = basis.flip[k:c.size]
+    r, err = y, norm
+    # the first pass starts from c = 0, so its residual is y
     for step in range(5):
-        r_fields = y_fields - np.array([row @ c for row in rows])
-        r_ens = y_ens.copy()
-        delta = sum(row * r for row, r in zip(rows, r_fields))
-        if step or np.any(r_ens):
-            for lo in range(0, half, _BLOCK):
-                hi = min(lo + _BLOCK, half)
-                blk = basis.ensemble_rows(lo, hi)
-                if step:
-                    r_ens[lo:hi] -= blk @ c
-                delta += (weight[lo:hi] * r_ens[lo:hi]) @ blk
-        if mirrored:
-            # the upper rows as the mirror of the doubled lower rows: the
-            # mean of the step and its mirror counts every row once
-            delta = 0.5 * (delta - flip * np.conj(delta[partner]))
         if step:
-            last, err = err, math.sqrt(float(np.sum(np.abs(r_fields) ** 2)
-                                             + weight @ np.abs(r_ens) ** 2))
+            r = y - ((op @ c.view(float)).view(complex) if k else op @ c)
+            last, err = err, math.sqrt(float(weight @ np.abs(r) ** 2))
             # stop well inside the ledger bound, once rounding stalls the
             # residual, or after four steps
             if err <= 1e-12 * norm or err > 0.5 * last or step == 4:
                 break
+        if k:
+            # the real view's transpose maps s to conj(a) s + conj(b)
+            # conj(s) for each row (a, b): s = conj(w r) gives the conjugate
+            # of a w r + b conj(w r)
+            delta = np.conj((np.conj(weight * r).view(float) @ op).view(complex))
+        else:
+            delta = (weight * r) @ op
+        if mirrored:
+            # every lower row counts twice, for itself and its mirror
+            delta *= 0.5
+            delta[k:] -= flip * np.conj(delta[k:])
         c += delta
     if not err <= 1e-9 * norm:
         raise IntegrationError(
@@ -940,59 +1069,39 @@ def _state_rows(basis: _ModalBasis, rows: np.ndarray, c: np.ndarray) -> np.ndarr
 
 def _ensemble_at(basis: _ModalBasis, c: np.ndarray, mirrored: bool):
     """Bright-ensemble population at every sample and the original nodes'
-    amplitudes at the last one.  A mirror-conjugate state, b_M-1-m =
-    conj(b_m), takes the rows of the lower half of the merged nodes only:
-    their populations count twice, a centre node once, and the upper half
-    of the last amplitudes is the conjugate mirror, the centre node real.
+    amplitudes at the last one, from the node operator a block of rows at
+    a time.  A mirror-conjugate state, b_M-1-m = conj(b_m), takes the rows
+    of the lower half of the merged nodes only: their populations count
+    twice, a centre node once, and the upper half of the last amplitudes
+    is the conjugate mirror, the centre node real.
 
     c holds the coordinates of the first n - k modes of the layout: every
     mode (k = 0), or of a mirror-conjugate state the k pairs and the real
-    modes.  The conjugates' columns of node m are those of its mirror node
-    over the pairs, V_m,k' = -flip_k conj(V_M-1-m,k), so node m reads
-    a c + conj(b c) for its row a over the representatives and the
-    mirror's row b over the pairs (zero on the real modes): Re(b_m) =
-    Re((a + b) c) and Im(b_m) = Im((a - b) c).  Both come from one real
-    product with the real and imaginary parts of c, interleaved mode by
-    mode, which is a view of c when it is stored sample by sample."""
+    modes.  Those take the folded operator, whose two real rows per node
+    give Re(b_m) and Im(b_m) from the real and imaginary parts of c,
+    interleaved mode by mode, which is a view of c when it is stored
+    sample by sample."""
     size = basis.g.size
     rows = (size + 1) // 2 if mirrored else size
-    weight = np.where(np.arange(rows) < size - rows, 2.0, 1.0)
+    k = basis.lam.size - c.shape[0]
+    per = 2 if k else 1     # operator rows per node
+    op = _node_operator(basis, k > 0)[3 * per:per * (3 + rows)]
+    weight = np.repeat(np.where(np.arange(rows) < size - rows, 2.0, 1.0), per)
+    if k:
+        c = np.ascontiguousarray(c.T).view(float).T
     pe = np.zeros(c.shape[1])
     last = np.empty(size, dtype=complex)
-    reps = c.shape[0]
-    k = basis.lam.size - reps
-    if k:
-        xy = np.ascontiguousarray(c.T).view(float).T
-    # a folded block takes two real rows per node, so half as many nodes
-    # keep its temporaries at the size of a complex block's
-    step = _BLOCK // 2 if k else _BLOCK
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        if not k:
-            blk = basis.ensemble_rows(lo, hi) @ c
-            pe += weight[lo:hi] @ (blk.real ** 2 + blk.imag ** 2)
-            last[lo:hi] = blk[:, -1]
-            continue
-        # the mirror node's pole is the conjugate, its coupling the same;
-        # x + iy times a row r takes (Re r, -Im r) for Re and (Im r, Re r)
-        # for Im, the real view of conj(r) and i conj(r)
-        h = hi - lo
-        poles, g = basis.poles[lo:hi], basis.g[lo:hi]
-        blk = basis.node_rows(np.concatenate((poles, np.conj(poles))),
-                              np.concatenate((g, g)), reps)
-        blk[h:, k:] = 0.0
-        np.conjugate(blk, out=blk)
-        diff = blk[:h] - blk[h:]
-        blk[:h] += blk[h:]
-        np.multiply(diff, 1j, out=blk[h:])
-        part = blk.view(float) @ xy
-        last[lo:hi] = part[:h, -1] + 1j * part[h:, -1]
-        np.square(part, out=part)
-        pe += np.concatenate((weight[lo:hi], weight[lo:hi])) @ part
+    for lo in range(0, op.shape[0], _BLOCK):
+        part = op[lo:lo + _BLOCK] @ c
+        end = part[:, -1]
+        last[lo // per:(lo + end.size) // per] = \
+            end[0::2] + 1j * end[1::2] if k else end
+        part = np.square(part, out=part) if k else part.real ** 2 + part.imag ** 2
+        pe += weight[lo:lo + _BLOCK] @ part
         # freed before the next block's are made, so that the heap holds
         # one block's at a time and the allocator keeps reusing it instead
         # of returning it to the system and faulting it in again
-        del blk, diff, part
+        del part, end
     if mirrored:
         last[rows:] = np.conj(last[:size - rows][::-1])
         last[size - rows:rows] = last[size - rows:rows].real
@@ -1092,7 +1201,7 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     if c is None or np.any(bright):
         c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright,
                                mirrored)
-        free = _propagator(lam, c0[:reps], nodes, nodes[0])
+        free = _propagator(lam, c0, nodes, nodes[0])
         c = free if c is None else np.add(c, free, out=c)
 
     # the fields, sig = sum_m g_m b_m and its derivative, from the rows
@@ -1137,7 +1246,7 @@ def integrate_storage(
     _check_tol(solver_tol)
     check_margin(t_span, pulse)
     if output_dt is None:
-        output_dt = min(pulse.duration / 30.0, (t_span[1] - t_span[0]) / 400.0)
+        output_dt = _storage_step(t_span, pulse.duration)
     times = _output_times(t_span, output_dt, ())
     return _modal_stage(p, ens, times, solver_tol, pulse)
 
@@ -1219,7 +1328,9 @@ def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
 
     mids = pulse.center + 0.5 * (t_out[:-1] + t_out[1:])
     delays = np.concatenate(([lo], mids[(mids > lo) & (mids < hi)], [hi]))
-    values = overlap(delays)
+    # a block of delays at a time keeps the (delays x samples) arrays small
+    values = np.concatenate([overlap(delays[i:i + _BLOCK // 2])
+                             for i in range(0, delays.size, _BLOCK // 2)])
     k = int(np.argmax(values))
     a, b = delays[max(k - 1, 0)], delays[min(k + 1, delays.size - 1)]
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
@@ -1264,21 +1375,21 @@ def run_echo_cycle(
     of the modulus).
     """
     check_delay(tau, pulse.duration)
+    check_samples(pulse, tau=tau)
     dt = pulse.duration
     c = pulse.center
-    t_inv = c + tau
-    storage = integrate_storage(
-        p_store, ens, pulse, (c - 6.0 * dt, t_inv), solver_tol)
+    (store, _), (read, read_dt) = _cycle_grids(pulse, tau)
+    storage = integrate_storage(p_store, ens, pulse, store, solver_tol)
     ens_stored = storage.ensemble
     inverted = invert_detunings(ens_stored)
 
     echo_center = c + 2.0 * tau
-    t_end = echo_center + 8.0 * dt
+    t_inv, t_end = read
     w_lo = max(echo_center - 6.0 * dt, t_inv)
     w_hi = min(echo_center + 6.0 * dt, t_end)
     retrieval = integrate_retrieval(
-        p_read, inverted, (t_inv, t_end), solver_tol,
-        output_dt=dt / 40.0, extra_eval=(w_lo, w_hi))
+        p_read, inverted, read, solver_tol,
+        output_dt=read_dt, extra_eval=(w_lo, w_hi))
 
     i_lo = int(np.searchsorted(retrieval.times, w_lo))
     i_hi = int(np.searchsorted(retrieval.times, w_hi))

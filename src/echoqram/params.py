@@ -39,6 +39,11 @@ class PulseShape(str, Enum):
 
 #: fewest quadrature nodes a discretized line may have
 MIN_N_SIM = 16
+#: most quadrature nodes a config may ask for: a stage's node operator
+#: holds 8 n**2 bytes folded or 16 n**2 complex, 1 GiB at this bound
+MAX_N_SIM = 8192
+#: most samples of a grid: a spectra grid's n, a stage's output times
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)

@@ -332,20 +332,47 @@ def echo_probability_quadrature(p_read: SystemParams, ens_stored: AtomEnsemble,
     16-point Gauss-Legendre rule, far inside rounding for the intervals
     a cycle samples, so the result checks the ledger's quadrature and
     not the propagation.
+
+    c is the full-mode solve refined, and a1 summed over the modes, in
+    extended precision (np.longdouble): at cond(V) ~ 2e6 (n_sim = 1601,
+    span 10) the solve and the sum each leave up to about 1e-12 of the
+    probability in double precision, the size of the differences this
+    route is asked to resolve.  Each node's exponential is its interval's
+    start times a node factor of the interval's length.
     """
     ens = invert_detunings(ens_stored)
     basis = _modal_basis(p_read, ens)
     weighted = basis.share * ens.coherences
     bright = (np.bincount(basis.group, weights=weighted.real)
               + 1j * np.bincount(basis.group, weights=weighted.imag))
-    c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright, False)
+    ext = np.clongdouble
+    lam, a2, g = basis.lam.astype(ext), basis.a2.astype(ext), basis.g.astype(ext)
+    poles = basis.poles.astype(ext)
+    fields = np.array([basis.a1, basis.bc, basis.a2]).astype(ext)
+    y = np.concatenate((np.zeros(3), bright)).astype(ext)
+    c = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright,
+                          False).astype(ext)
+    # two steps c += V^T (y - V c), the Cauchy rows a block at a time
+    for _ in range(2):
+        step = (y[:3] - fields @ c) @ fields
+        for lo in range(0, basis.g.size, 128):
+            rows = -1j * g[lo:lo + 128, None] * a2 / (lam - poles[lo:lo + 128, None])
+            step += (y[3 + lo:3 + lo + 128] - rows @ c) @ rows
+        c += step
     x, w = np.polynomial.legendre.leggauss(16)
     h = np.diff(times)
-    t = (times[:-1, None] + 0.5 * h[:, None] * (x + 1.0)).ravel()
-    wt = (0.5 * h[:, None] * w).ravel()
-    total = 0.0
-    for lo in range(0, t.size, 512):
-        a1 = np.exp(np.multiply.outer(t[lo:lo + 512] - t_inv, basis.lam)) \
-            @ (basis.a1 * c0)
-        total += float(wt[lo:lo + 512] @ (a1.real ** 2 + a1.imag ** 2))
-    return p_read.kappa * total
+    lengths, which = np.unique(h, return_inverse=True)
+    factors = np.exp(np.multiply.outer(
+        np.multiply.outer(lengths, 0.5 * (x + 1.0)).astype(np.longdouble), lam))
+    amp = fields[0] * c
+    total = np.longdouble(0.0)
+    for lo in range(0, h.size, 128):
+        start = np.exp(np.multiply.outer(
+            (times[lo:lo + 128] - t_inv).astype(np.longdouble), lam)) * amp
+        for j, length in enumerate(lengths):
+            sel = which[lo:lo + 128] == j
+            if np.any(sel):
+                a1 = start[:h.size - lo][sel] @ factors[j].T
+                total += np.sum((0.5 * length * w).astype(np.longdouble)
+                                * (a1.real ** 2 + a1.imag ** 2))
+    return p_read.kappa * float(total)

@@ -20,7 +20,8 @@ from echoqram import __version__
 from echoqram.cli import (_SCHEMA, ConfigError, Scenario, main,
                           parse_scenario_config, run_sweep)
 from echoqram.dynamics import MIN_N_SIM, discretize_ensemble
-from echoqram.params import ParameterError, params_digest, solve_matched_params
+from echoqram.params import (MAX_N_SIM, MAX_SAMPLES, ParameterError,
+                             params_digest, solve_matched_params)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -634,6 +635,38 @@ class TestBoundary:
             f"config error: {path}:{line}: pulse centered at 0.0 (duration "
             "5.0) needs >= 5 durations of margin inside span (-10.0, 30.0)\n")
         parse_scenario_config(cfg_text(**dict(doc, t_span=[-25.0, 25.0])))
+
+    @pytest.mark.parametrize("doc, path", [
+        (dict(scenario="sweep", params=MATCHED, pulse={"duration": 5.0},
+              sweep={"parameter": "tau", "values": [25.0, 1e300]}),
+         "sweep.values[1]"),
+        (dict(scenario="store", params=MATCHED, pulse={"duration": 5.0},
+              t_span=[-1e308, 1e308]), "t_span"),
+        (dict(ECHO, tau=1e300), "tau"),
+    ], ids=["swept-tau", "t_span", "tau"])
+    def test_absurd_time_span_refused_at_its_line(self, tmp_path, capsys,
+                                                   doc, path):
+        # grids of 6e300 and of infinitely many steps: refused before any
+        # array is made, at the key that sets the span
+        config = write(tmp_path, "span.json", cfg_text(**doc))
+        command = doc["scenario"].replace("echo_cycle", "echo")
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        line = indent_lines(doc)[0][path]
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}:{line}: output grid over")
+        assert f"at most {MAX_SAMPLES} samples" in err
+
+    def test_n_sim_bounded_at_parse(self, tmp_path, capsys):
+        # a line of 10**9 nodes would need an 8 EB node operator
+        doc = dict(self.ECHO, n_sim=10 ** 9)
+        config = write(tmp_path, "n.json", cfg_text(**doc))
+        assert main(["echo", "--config", str(config)]) == 2
+        line = indent_lines(doc)[0]["n_sim"]
+        assert capsys.readouterr().err == (
+            f"config error: {config}:{line}: 'n_sim' must be <= {MAX_N_SIM}, "
+            f"got {10 ** 9}\n")
+        parse_scenario_config(cfg_text(**dict(self.ECHO, n_sim=MAX_N_SIM)))
 
     def test_library_checks_remain(self):
         with pytest.raises(ParameterError, match=f">= {MIN_N_SIM}"):

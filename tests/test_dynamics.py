@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from echoqram import dynamics
-from echoqram.cli import main, parse_scenario_config
+from echoqram.cli import main, parse_scenario_config, run_sweep
 from echoqram.params import (ParameterError, params_digest,
                              solve_matched_params)
 from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
@@ -23,6 +23,20 @@ from oracles import (dense_generator, drive_integral_quadrature,
                      integrate, transfer_function_probe)
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def cauchy_rows(basis):
+    """Every merged node's row of V over every mode, from the Cauchy form
+    V_mk = -i g_m a2_k / (lam_k - D_m), built here at once."""
+    return -1j * basis.g[:, None] * basis.a2 / (basis.lam - basis.poles[:, None])
+
+
+def expand(basis, c):
+    """Every mode's coordinates from the representatives of a
+    mirror-conjugate state: c_k' = -flip_k conj(c_k)."""
+    k = basis.lam.size - c.shape[0]
+    flip = basis.flip[:k].reshape((k,) + (1,) * (c.ndim - 1))
+    return np.concatenate((c, -flip * np.conj(c[:k])))
 
 ALL_SHAPES = [PulseShape.GAUSSIAN, PulseShape.RISING_EXPONENTIAL,
               PulseShape.DECAYING_EXPONENTIAL]
@@ -922,8 +936,9 @@ class TestEigenSolve:
 
     @pytest.mark.parametrize("c_atom, t2", [(0.0, 1e3), (30.0, math.inf)])
     def test_half_row_coordinates(self, c_atom, t2):
-        # a mirror-conjugate target: paired coordinates bit for bit, the
-        # full rows' solution to the basis' conditioning
+        # a mirror-conjugate target: the representatives only, paired
+        # coordinates bit for bit, the full rows' solution to the basis'
+        # conditioning
         p = solve_matched_params(1.0, c_atom, t2=t2)
         ens = ensemble_for_params(p, n_sim=129)
         basis = self.fresh_basis(p, ens)
@@ -932,8 +947,10 @@ class TestEigenSolve:
         assert np.array_equal(bright[::-1], np.conj(bright))
         for fields, target in [((1.0, 0.0, 0.0), np.zeros(ens.n)),
                                ((0.0, 0.0, 0.0), bright)]:
-            half = dynamics._mode_coordinates(basis, np.array(fields),
+            reps = dynamics._mode_coordinates(basis, np.array(fields),
                                               target, True)
+            assert reps.size == basis.lam.size - basis.pairs
+            half = expand(basis, reps)
             full = dynamics._mode_coordinates(basis, np.array(fields),
                                               target, False)
             flip = np.sign((basis.a2[basis.partner]
@@ -966,16 +983,9 @@ class TestMirroredLine:
         return [(m, c.shape[0], basis.lam.size) for basis, c, m in calls]
 
     @staticmethod
-    def expand(basis, c):
-        """Every mode's coordinates from the representatives of a
-        mirror-conjugate state: c_k' = -flip_k conj(c_k)."""
-        k = basis.lam.size - c.shape[0]
-        return np.concatenate((c, -basis.flip[:k, None] * np.conj(c[:k])))
-
-    @staticmethod
     def dense_populations(basis, c):
         """sum over every merged node of |b_m|**2, the full rows at once."""
-        rows = basis.ensemble_rows(0, basis.g.size) @ c
+        rows = cauchy_rows(basis) @ c
         return np.sum(np.abs(rows) ** 2, axis=0)
 
     def storage_reference(self, p, ens, pulse, trace):
@@ -983,7 +993,7 @@ class TestMirroredLine:
         basis = dynamics._modal_basis(p, ens)
         c = dynamics._drive_integrals(pulse, basis.lam, trace.times)
         c *= (math.sqrt(p.kappa) * basis.drive)[:, None]
-        last = basis.ensemble_rows(0, basis.g.size) @ c[:, -1]
+        last = cauchy_rows(basis) @ c[:, -1]
         return self.dense_populations(basis, c), basis.share * last[basis.group]
 
     def retrieval_reference(self, p, trace):
@@ -1073,9 +1083,9 @@ class TestMirroredLine:
         cc = p.collective_coupling
         for trace, (_, c, _) in zip((echo.storage_trace, echo.retrieval_trace),
                                     calls):
-            full = self.expand(basis, c)
+            full = expand(basis, c)
             a1, bc, a2 = basis.a1 @ full, basis.bc @ full, basis.a2 @ full
-            nodes = basis.ensemble_rows(0, basis.g.size) @ full
+            nodes = cauchy_rows(basis) @ full
             pe = np.sum(np.abs(nodes) ** 2, axis=0)
             sig = basis.collective @ full
             dsig = (-1j * basis.a2 * (basis.lam * basis.ens_sum - cc)) @ full \
@@ -1094,3 +1104,82 @@ class TestMirroredLine:
                              (trace.t2_loss_integral, losses[2]),
                              (trace.ensemble.coherences, last)]:
                 assert np.max(np.abs(got - ref)) <= 1e-11
+
+
+class TestNodeOperator:
+    """Each basis forms its node operator once, into a single slot."""
+
+    @staticmethod
+    def builds(run):
+        """The node operators that run() builds, from the slot's misses."""
+        before = dynamics._node_operator.misses
+        run()
+        return dynamics._node_operator.misses - before
+
+    @staticmethod
+    def cycle_arrays(echo):
+        return [echo.storage_trace.p_ensemble, echo.storage_trace.cavity1,
+                echo.ens_stored.coherences, echo.retrieval_trace.p_ensemble,
+                echo.retrieval_trace.out_flux_integral, echo.output_waveform,
+                np.array([echo.echo_probability, echo.fidelity_time_reversed])]
+
+    def assert_same_cycle(self, a, b):
+        for x, y in zip(self.cycle_arrays(a), self.cycle_arrays(b)):
+            assert np.array_equal(x, y)
+
+    def test_sweep_builds_one_per_curve(self):
+        # the criterion-8 sweep runs curve-major: 3 T2 curves of 9 cycles,
+        # one basis, so one operator, per curve
+        cfg = parse_scenario_config(
+            (REPO / "configs" / "echo_sweep_t2.json").read_text())
+        assert self.builds(lambda: run_sweep(cfg)) == 3
+        assert self.builds(lambda: run_sweep(cfg)) == 3
+
+    def test_echo_builds_one_blockade_two(self, matched, blockade30):
+        # storage and retrieval share the basis of a mirrored grid and its
+        # operator; a blockaded read is another basis
+        p = matched.with_(t2=321.0)
+        ens = ensemble_for_params(p, n_sim=97)
+        pulse = PulseSpec(duration=5.0)
+        assert self.builds(lambda: run_echo_cycle(
+            p, blockade30.with_(t2=321.0), ens, pulse, 25.0)) == 2
+        # the slot holds the read's operator, not the storage's
+        assert self.builds(lambda: run_echo_cycle(p, p, ens, pulse, 25.0)) == 1
+
+    def test_operators_are_read_only(self, matched):
+        ens = ensemble_for_params(matched, n_sim=65)
+        basis = dynamics._modal_basis(matched, ens)
+        for folded in (True, False):
+            op = dynamics._node_operator(basis, folded)
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 0.0
+        assert not basis.drive.flags.writeable
+
+    def test_cold_and_warm_operators_agree(self, matched):
+        p = matched.with_(t2=654.0)
+        ens = ensemble_for_params(p, n_sim=97)
+        pulse = PulseSpec(duration=5.0)
+        cold = run_echo_cycle(p, p, ens, pulse, 25.0)
+        warm = run_echo_cycle(p, p, ens, pulse, 25.0)
+        # another basis takes the slot, so the operator is built again
+        other = ensemble_for_params(p, n_sim=96)
+        run_echo_cycle(p, p, other, pulse, 25.0)
+        assert self.builds(lambda: run_echo_cycle(p, p, ens, pulse, 25.0)) == 1
+        rebuilt = run_echo_cycle(p, p, ens, pulse, 25.0)
+        self.assert_same_cycle(cold, warm)
+        self.assert_same_cycle(cold, rebuilt)
+
+    def test_rebuilt_basis_reads_no_stale_operator(self, matched):
+        p = matched.with_(t2=987.0)
+        ens = ensemble_for_params(p, n_sim=97)
+        pulse = PulseSpec(duration=5.0)
+        first = run_echo_cycle(p, p, ens, pulse, 25.0)
+        old_basis = dynamics._modal_basis(p, ens)
+        old_op = dynamics._node_operator.entry[2]
+        dynamics._cached_basis.cache_clear()
+        again = run_echo_cycle(p, p, ens, pulse, 25.0)
+        basis, folded, op = dynamics._node_operator.entry
+        assert basis is dynamics._modal_basis(p, ens)
+        assert basis is not old_basis and op is not old_op
+        self.assert_same_cycle(first, again)
