@@ -43,10 +43,10 @@ from pathlib import Path
 # the layers are modules whose code runs on their first use (see the
 # package), so a command loads numpy and a layer only when it runs them
 from . import __version__, addressing, dynamics, spectral
-from .params import (MAX_N_SIM, MAX_SAMPLES, MIN_N_SIM, IntegrationError,
-                     ParameterError, ProtocolError, PulseShape, SystemParams,
-                     check_matching, cooperativities, params_digest,
-                     solve_matched_params)
+from .params import (MAX_BINS, MAX_N_SIM, MAX_SAMPLES, MIN_N_SIM,
+                     IntegrationError, ParameterError, ProtocolError,
+                     PulseShape, SystemParams, check_matching,
+                     cooperativities, params_digest, solve_matched_params)
 
 OUT_DIR_ENV = "ECHOQRAM_OUT_DIR"
 
@@ -467,6 +467,10 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     # a stage's node operator holds 8 n_sim**2 bytes or more
     if not cfg.n_sim <= MAX_N_SIM:
         raise w.error("n_sim", f"'n_sim' must be <= {MAX_N_SIM}, got {cfg.n_sim}")
+    # an address register holds M**2 cell factors
+    if cfg.address is not None and not cfg.address.m <= MAX_BINS:
+        raise w.error("address.amplitudes", "'address.amplitudes' must hold "
+                      f"at most {MAX_BINS} bins, got {cfg.address.m}")
     if sc is Scenario.BLOCKADE and cfg.read_params.g1 == 0:
         raise w.error("read_params",
                       "'read_params.g1' must be > 0 for a blockade run")
@@ -915,15 +919,31 @@ def _cannot_write(out: Path, exc: OSError) -> int:
     return 2
 
 
+def _read_config(path: Path) -> str:
+    """The config's text with universal newlines, as a text-mode read gives
+    it; a file that is not UTF-8 is refused at the line of its first bad
+    byte."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}", str(path))
+    try:
+        text, bad = raw.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, bad = raw[:exc.start].decode("utf-8"), exc
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if bad is not None:
+        raise ConfigError(f"config is not UTF-8: byte 0x{raw[bad.start]:02x} "
+                          f"({bad.reason})", str(path), text.count("\n") + 1)
+    return text
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     expected = _SUBCOMMANDS[args.command]
     cfg_path = Path(args.config)
     try:
-        try:
-            cfg_text = cfg_path.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}", str(cfg_path))
+        cfg_text = _read_config(cfg_path)
         cfg = parse_scenario_config(cfg_text, source=str(cfg_path))
         if cfg.scenario is not expected:
             raise ConfigError(

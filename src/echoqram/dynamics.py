@@ -34,22 +34,23 @@ solve, the ensemble sums and the Cauchy rows of a mirror-conjugate
 state's coordinates take half the work.  One basis serves every call on
 the same (parameters, grid), so storage and retrieval share it on a
 mirrored grid, and so does its node operator: the rows of V that a stage
-reads, formed once when the basis is first used.  The state is the free
-evolution of the start, a complex exp per block of samples times a table
-of in-block offset factors that every regular block shares, plus the
-pulse's convolution, one
-exponential-quadrature recurrence for every pulse shape: per output step
-the mode decays by exp(lam h) and gains weights, exact in its
-exponential, times the envelope at eight Gauss nodes.  A mirror-conjugate
-state (a mirrored line, a real envelope) has paired coordinates, so the
-stage carries one per conjugate pair and the real modes.  So a cycle
-costs its node populations at every sample, a matrix product with the
-node operator, which on a mirror-conjugate state takes half the line's
-Cauchy rows folded onto the carried coordinates as one real product, one
-O(n) drive update per storage sample, and little else.  The node
-operator is the one array that grows as the square of the mode count:
-8 n**2 bytes folded, 16 n**2 complex, 1.3 MB at n = 401, and a single
-slot holds the operator of the basis last used.
+reads, the fields, the collective amplitude sum_m g_m b_m and its rate,
+then the Cauchy rows of the nodes, formed once when the basis is first
+used, with the input's mode coordinates solved on it.  The state is the
+free evolution of the start, a complex exp per block of samples times a
+table of in-block offset factors that every regular block shares, plus
+the pulse's convolution, one exponential-quadrature recurrence for every
+pulse shape: per output step the mode decays by exp(lam h) and gains
+weights, exact in its exponential, times the envelope at eight Gauss
+nodes.  A mirror-conjugate state (a mirrored line, a real envelope) has
+paired coordinates, so the stage carries one per conjugate pair and the
+real modes, and its operator is folded onto those.  So a cycle costs
+its state at every sample, a matrix product with the node operator,
+which on a mirror-conjugate state takes half the line's Cauchy rows as
+one real product, one O(n) drive update per storage sample, and little
+else.  The node operator is the one array that grows as the square of
+the mode count: 8 n**2 bytes folded, 16 n**2 complex, 1.3 MB at
+n = 401, and a single slot holds the operator of the basis last used.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
@@ -439,9 +440,10 @@ class _ModalBasis:
 
     A is complex symmetric, so with columns scaled to v^T v = 1 the
     inverse of V is V^T in exact arithmetic (_mode_coordinates refines
-    it in floating point).  Only the three field rows of V are stored; the
-    ensemble rows have the Cauchy form V_mk = -i g_m a2_k / (lam_k - D_m)
-    and are formed once, into the basis' node operator.  Nodes that share
+    it in floating point).  The basis stores the three field rows of V
+    and the collective row sum_m g_m D_m V_mk; the ensemble rows have the
+    Cauchy form V_mk = -i g_m a2_k / (lam_k - D_m) and are formed once,
+    with the state rows, into the basis' node operator.  Nodes that share
     a detuning are merged into one node of coupling sqrt(sum g_j**2):
     `group` maps each original node to its merged node, `share` holds
     g_j / g_m.  On a mirrored line the modes are laid out as [pairs,
@@ -456,6 +458,7 @@ class _ModalBasis:
     bc: np.ndarray
     a2: np.ndarray
     ens_sum: np.ndarray     # S_k = sum_m g_m**2 / (lam_k - D_m)
+    ens_rate: np.ndarray    # sum_m g_m D_m V_mk = -i a2_k (lam_k S_k - N g2**2)
     poles: np.ndarray       # merged ensemble diagonal D_m = -(i*d_m + 1/T2)
     g: np.ndarray
     group: np.ndarray
@@ -464,17 +467,6 @@ class _ModalBasis:
     pairs: int              # conjugate pairs among the modes, 0 unless mirrored
     cond: float             # ||V||_F * ||V^-1||_F, bounds the 2-norm one
     residual: float         # worst relative eigenpair residual
-
-    @functools.cached_property
-    def drive(self) -> np.ndarray:
-        """V^-1 e_a1, the mode coordinates of the input over every mode,
-        solved on the first use of the basis."""
-        c = _mode_coordinates(self, np.array([1.0, 0.0, 0.0]),
-                              np.zeros(self.g.size), self.mirrored)
-        k = self.lam.size - c.size
-        c = np.concatenate((c, -self.flip[:k] * np.conj(c[:k])))
-        c.flags.writeable = False
-        return c
 
     @property
     def collective(self) -> np.ndarray:
@@ -492,15 +484,6 @@ class _ModalBasis:
     def flip(self) -> np.ndarray:
         """flip_k = a2_k' / conj(a2_k) = +-1 for the partner k' of mode k."""
         return np.sign((self.a2[self.partner] / np.conj(self.a2)).real)
-
-    def node_rows(self, poles: np.ndarray, g: np.ndarray, modes: int) -> np.ndarray:
-        """Rows -i g_m a2_k / (lam_k - D_m) of nodes with poles D_m and
-        couplings g_m, over the first `modes` modes."""
-        rows = self.lam[:modes] - poles[:, None]
-        np.reciprocal(rows, out=rows)
-        rows *= self.a2[:modes]
-        rows *= (-1j * g)[:, None]
-        return rows
 
 
 def _cavity_factor(z: np.ndarray, p: SystemParams, cdamp: complex):
@@ -724,7 +707,7 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
             f"{_RESIDUAL_BOUND:g}), cond(V) {cond:.3e} (bound {_COND_BOUND:g})")
     return _ModalBasis(
         lam=lam, a1=a1 * scale_v, bc=bc * scale_v, a2=scale_v,
-        ens_sum=s_ens,
+        ens_sum=s_ens, ens_rate=-1j * scale_v * (lam * s_ens - cc),
         poles=poles, g=np.sqrt(g2), group=group, share=share,
         mirrored=mirrored, pairs=pairs, cond=cond, residual=residual)
 
@@ -732,26 +715,28 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
 # ------------------------------------------------------- modal propagation
 
 def _build_node_operator(basis: _ModalBasis, folded: bool) -> np.ndarray:
-    """The rows of V that a stage reads: the three field rows, then the
-    Cauchy rows of the merged nodes, formed a block of nodes at a time.
+    """The rows of V that a stage reads: the five state rows a1, bc, a2,
+    sum_m g_m V_mk and sum_m g_m D_m V_mk, then the Cauchy rows of the
+    merged nodes, formed a block of nodes at a time.
 
-    Unfolded, they are the complex rows of every node over every mode,
-    shape (3 + nodes, n).  Folded, for a mirror-conjugate state carried on
-    its n - k representatives, they cover the fields and the lower half
-    of the nodes.  The conjugates' columns of a row are those of its
-    mirror over the pairs, V_m,k' = -flip_k conj(V_M-1-m,k), so a row
-    reads a c + conj(b c) for its own part a over the representatives and
-    its mirror's part b over the pairs (zero on the real modes; a field is
-    its own mirror): Re = Re((a + b) c) and Im = Im((a - b) c).  Each takes
-    one real row, the real view of conj(a + b) and of i conj(a - b), whose
-    product with the real view of c, interleaved mode by mode, gives it:
-    each row of V becomes its Re row and its Im row, shape
-    (2 (3 + nodes), 2 (n - k)).
+    Unfolded, they are the complex rows over every mode, shape
+    (5 + nodes, n).  Folded, for a mirror-conjugate state carried on its
+    n - k representatives, they cover the state rows and the lower half
+    of the nodes.  A conjugate's column is c_k' = -flip_k conj(c_k), so a
+    row reads a c + conj(b c) for its own part a over the representatives
+    and b_k = -flip_k conj(its column at k') over the pairs, zero on the
+    real modes; a node's b is its mirror's row, V_M-1-m,k, since D_M-1-m
+    = conj(D_m).  Then Re = Re((a + b) c) and Im = Im((a - b) c).  Each
+    takes one real row, the real view of conj(a + b) and of i conj(a - b),
+    whose product with the real view of c, interleaved mode by mode,
+    gives it: each row of V becomes its Re row and its Im row, shape
+    (2 (5 + nodes), 2 (n - k)).
     """
     n, k = basis.lam.size, basis.pairs if folded else 0
     nodes = (basis.g.size + 1) // 2 if folded else basis.g.size
-    fields = np.array([basis.a1, basis.bc, basis.a2])
-    op = np.empty((3 + nodes, 2, n - k) if folded else (3 + nodes, n),
+    state = np.array([basis.a1, basis.bc, basis.a2, basis.collective,
+                      basis.ens_rate])
+    op = np.empty((5 + nodes, 2, n - k) if folded else (5 + nodes, n),
                   dtype=complex)
 
     def fold(out, a, b):
@@ -759,11 +744,11 @@ def _build_node_operator(basis: _ModalBasis, folded: bool) -> np.ndarray:
         np.multiply(np.conj(a - b), 1j, out=out[:, 1])
 
     if folded:
-        mirror = np.zeros((3, n - k), dtype=complex)
-        mirror[:, :k] = -basis.flip[:k] * np.conj(fields[:, n - k:])
-        fold(op[:3], fields[:, :n - k], mirror)
+        mirror = np.zeros((5, n - k), dtype=complex)
+        mirror[:, :k] = -basis.flip[:k] * np.conj(state[:, n - k:])
+        fold(op[:5], state[:, :n - k], mirror)
     else:
-        op[:3] = fields
+        op[:5] = state
     for lo in range(0, nodes, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, nodes)
         poles, g = basis.poles[lo:hi], basis.g[lo:hi]
@@ -771,51 +756,64 @@ def _build_node_operator(basis: _ModalBasis, folded: bool) -> np.ndarray:
             # the mirror node's pole is the conjugate, its coupling the same
             poles = np.concatenate((poles, np.conj(poles)))
             g = np.concatenate((g, g))
-        blk = basis.node_rows(poles, g, n - k)
+        # -i g_m a2_k / (lam_k - D_m) over the carried modes
+        blk = basis.lam[:n - k] - poles[:, None]
+        np.reciprocal(blk, out=blk)
+        blk *= basis.a2[:n - k]
+        blk *= (-1j * g)[:, None]
         if not folded:
-            op[3 + lo:3 + hi] = blk
+            op[5 + lo:5 + hi] = blk
             continue
         blk[hi - lo:, k:] = 0.0
-        fold(op[3 + lo:3 + hi], blk[:hi - lo], blk[hi - lo:])
+        fold(op[5 + lo:5 + hi], blk[:hi - lo], blk[hi - lo:])
     if folded:
-        op = op.view(float).reshape(2 * (3 + nodes), 2 * (n - k))
+        op = op.view(float).reshape(2 * (5 + nodes), 2 * (n - k))
     op.flags.writeable = False
     return op
 
 
 class _OperatorSlot:
-    """One-slot cache of the node operator, keyed by the basis object: a
-    basis built again is another object and never reads a stale operator.
-    The old entry is released before the next is built, so one operator
-    is held at a time; `misses` counts the builds."""
+    """One-slot cache of the node operator and the drive solved on it,
+    keyed by the basis object and the fold: a basis built again is
+    another object and never reads a stale operator.  The old entry is
+    released before the next is built, so one operator is held at a time;
+    `misses` counts the builds."""
 
     def __init__(self) -> None:
         self.entry: tuple | None = None
         self.misses = 0
 
-    def __call__(self, basis: _ModalBasis, folded: bool) -> np.ndarray:
+    def __call__(self, basis: _ModalBasis,
+                 folded: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The node operator and V^-1 e_a1, the mode coordinates of the
+        input over the modes that the operator's stage carries."""
         entry = self.entry
         if entry is None or entry[0] is not basis or entry[1] != folded:
             self.entry = entry = None
-            self.entry = entry = (basis, folded,
-                                  _build_node_operator(basis, folded))
+            op = _build_node_operator(basis, folded)
+            drive = _mode_coordinates(basis, op, np.array([1.0, 0.0, 0.0]),
+                                      np.zeros(basis.g.size), folded)
+            drive.flags.writeable = False
+            self.entry = entry = (basis, folded, op, drive)
             self.misses += 1
-        return entry[2]
+        return entry[2:]
 
 
-#: the node operator of the basis last used, folded or not
+#: the node operator of the basis last used, folded or not, with its drive
 _node_operator = _OperatorSlot()
 
 
-def _mode_coordinates(basis: _ModalBasis, fields: np.ndarray,
-                      bright: np.ndarray, mirrored: bool) -> np.ndarray:
-    """Solve V c = y for the state y = (a1, bc, a2, merged ensemble).
+def _mode_coordinates(basis: _ModalBasis, op: np.ndarray, fields: np.ndarray,
+                      bright: np.ndarray, folded: bool) -> np.ndarray:
+    """Solve V c = y for the state y = (a1, bc, a2, merged ensemble) on the
+    node operator op of (basis, folded).
 
     V^T is the inverse of V in exact arithmetic only: in a strongly
     non-normal basis (large cond) the rounding of the columns leaves
     V V^T - I far above machine precision, so V^T serves as the
     preconditioner of a few refinement steps instead.  The residual
-    r = y - V c and the step V^T r are products with the node operator.
+    r = y - V c and the step V^T r are products with the node operator,
+    whose two collective rows take weight 0.
 
     A mirror-conjugate state (a1 real, bc and a2 imaginary, b_M-1-m =
     conj(b_m)) on a mirrored line has paired coordinates, c_k' =
@@ -823,48 +821,42 @@ def _mode_coordinates(basis: _ModalBasis, fields: np.ndarray,
     with flip_k = a2_k' / conj(a2_k) = +-1.  Its residuals are
     mirror-conjugate, so only the fields and the lower half of the nodes
     are formed, a node counting for itself and its mirror; the upper rows
-    of mode k are -flip_k times the conjugate lower rows of k'.  It is
-    solved for the n - k representatives on the folded operator: the
-    real view's transpose takes the rows a r + b conj(r), a pair's own
-    step and its conjugate's, read through the mirror.  A real mode is its
-    own partner and takes the mean of its step and its mirror, so it stays
-    paired bit for bit.  Returns every mode's coordinates, or the
-    representatives of a mirror-conjugate state.
+    of mode k are -flip_k times the conjugate lower rows of k'.  Folded,
+    it is solved for the n - k representatives: the real view's
+    transpose takes the rows a r + b conj(r), a pair's own step and its
+    conjugate's, read through the mirror.  A real mode is its own partner
+    and takes the mean of its step and its mirror, so it stays paired bit
+    for bit.  Returns every mode's coordinates, or folded the
+    representatives.
     """
     size = basis.g.size
-    half = (size + 1) // 2 if mirrored else size
-    k = basis.pairs if mirrored else 0
-    op = _node_operator(basis, k > 0)
-    if not k:
-        op = op[:3 + half]
-    weight = np.concatenate((np.ones(3), np.where(np.arange(half) < size - half,
-                                                  2.0, 1.0)))
-    y = np.concatenate((fields, bright[:half])).astype(complex)
+    half = (size + 1) // 2 if folded else size
+    weight = np.concatenate((np.ones(3), np.zeros(2),
+                             np.where(np.arange(half) < size - half, 2.0, 1.0)))
+    y = np.concatenate((fields, np.zeros(2), bright[:half])).astype(complex)
     norm = math.sqrt(float(weight @ np.abs(y) ** 2))
+    k = basis.pairs if folded else 0
     c = np.zeros(basis.lam.size - k, dtype=complex)
-    if mirrored:
-        flip = basis.flip[k:c.size]
     r, err = y, norm
     # the first pass starts from c = 0, so its residual is y
     for step in range(5):
         if step:
-            r = y - ((op @ c.view(float)).view(complex) if k else op @ c)
+            r = y - ((op @ c.view(float)).view(complex) if folded else op @ c)
             last, err = err, math.sqrt(float(weight @ np.abs(r) ** 2))
             # stop well inside the ledger bound, once rounding stalls the
             # residual, or after four steps
             if err <= 1e-12 * norm or err > 0.5 * last or step == 4:
                 break
-        if k:
+        if folded:
             # the real view's transpose maps s to conj(a) s + conj(b)
             # conj(s) for each row (a, b): s = conj(w r) gives the conjugate
-            # of a w r + b conj(w r)
+            # of a w r + b conj(w r); every lower row counts twice, for
+            # itself and its mirror
             delta = np.conj((np.conj(weight * r).view(float) @ op).view(complex))
+            delta *= 0.5
+            delta[k:] -= basis.flip[k:c.size] * np.conj(delta[k:])
         else:
             delta = (weight * r) @ op
-        if mirrored:
-            # every lower row counts twice, for itself and its mirror
-            delta *= 0.5
-            delta[k:] -= flip * np.conj(delta[k:])
         c += delta
     if not err <= 1e-9 * norm:
         raise IntegrationError(
@@ -1049,63 +1041,49 @@ def _rate(x, dx, ddx, weight: float):
             2.0 * weight * (np.abs(dx) ** 2 + (np.conj(x) * ddx).real))
 
 
-def _state_rows(basis: _ModalBasis, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """rows @ (the state) for rows over every mode.  The stage's
-    coordinates c hold every mode, or the n - k representatives of a
-    mirror-conjugate state, whose conjugates add conj(b @ c[:k]) with
-    b = -flip conj(rows at the conjugates): one product of the rows over
-    the representatives stacked on b."""
-    n = basis.lam.size
-    k = n - c.shape[0]
-    if not k:
-        return rows @ c
-    q = rows.shape[0]
-    folded = np.zeros((2 * q, n - k), dtype=complex)
-    folded[:q] = rows[:, :n - k]
-    folded[q:, :k] = -basis.flip[:k] * np.conj(rows[:, n - k:])
-    both = folded @ c
-    return both[:q] + np.conj(both[q:])
+def _state_at(basis: _ModalBasis, op: np.ndarray, c: np.ndarray,
+              folded: bool):
+    """a1, bc, a2, sig = sum_m g_m b_m and sum_m g_m D_m b_m, the
+    bright-ensemble population at every sample, and the original nodes'
+    amplitudes at the last one: the coordinates c through the node
+    operator op of (basis, folded), a block of rows at a time.
 
-
-def _ensemble_at(basis: _ModalBasis, c: np.ndarray, mirrored: bool):
-    """Bright-ensemble population at every sample and the original nodes'
-    amplitudes at the last one, from the node operator a block of rows at
-    a time.  A mirror-conjugate state, b_M-1-m = conj(b_m), takes the rows
-    of the lower half of the merged nodes only: their populations count
-    twice, a centre node once, and the upper half of the last amplitudes
-    is the conjugate mirror, the centre node real.
-
-    c holds the coordinates of the first n - k modes of the layout: every
-    mode (k = 0), or of a mirror-conjugate state the k pairs and the real
-    modes.  Those take the folded operator, whose two real rows per node
-    give Re(b_m) and Im(b_m) from the real and imaginary parts of c,
-    interleaved mode by mode, which is a view of c when it is stored
-    sample by sample."""
+    Folded, c holds the coordinates of a mirror-conjugate state's n - k
+    representatives, the k pairs and the real modes, and the operator
+    takes the lower half of the merged nodes only: their populations
+    count twice, a centre node once, and the upper half of the last
+    amplitudes is the conjugate mirror, the centre node real.  Its two
+    real rows per row of V give the real and imaginary parts from those
+    of c, interleaved mode by mode, which is a view of c when it is
+    stored sample by sample."""
     size = basis.g.size
-    rows = (size + 1) // 2 if mirrored else size
-    k = basis.lam.size - c.shape[0]
-    per = 2 if k else 1     # operator rows per node
-    op = _node_operator(basis, k > 0)[3 * per:per * (3 + rows)]
+    rows = (size + 1) // 2 if folded else size
+    per = 2 if folded else 1     # operator rows per row of V
     weight = np.repeat(np.where(np.arange(rows) < size - rows, 2.0, 1.0), per)
-    if k:
+    if folded:
         c = np.ascontiguousarray(c.T).view(float).T
+    state = op[:5 * per] @ c
+    if folded:
+        state = state[0::2] + 1j * state[1::2]
+    op = op[5 * per:]
     pe = np.zeros(c.shape[1])
     last = np.empty(size, dtype=complex)
     for lo in range(0, op.shape[0], _BLOCK):
         part = op[lo:lo + _BLOCK] @ c
         end = part[:, -1]
         last[lo // per:(lo + end.size) // per] = \
-            end[0::2] + 1j * end[1::2] if k else end
-        part = np.square(part, out=part) if k else part.real ** 2 + part.imag ** 2
+            end[0::2] + 1j * end[1::2] if folded else end
+        part = np.square(part, out=part) if folded \
+            else part.real ** 2 + part.imag ** 2
         pe += weight[lo:lo + _BLOCK] @ part
         # freed before the next block's are made, so that the heap holds
         # one block's at a time and the allocator keeps reusing it instead
         # of returning it to the system and faulting it in again
         del part, end
-    if mirrored:
+    if folded:
         last[rows:] = np.conj(last[:size - rows][::-1])
         last[size - rows:rows] = last[size - rows:rows].real
-    return pe, basis.share * last[basis.group]
+    return (*state, pe, basis.share * last[basis.group])
 
 
 #: largest phase of the fastest mode per step after an exponential's switch
@@ -1179,14 +1157,14 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     bright = (np.bincount(basis.group, weights=weighted.real)
               + 1j * np.bincount(basis.group, weights=weighted.imag))
     dark = b0 - basis.share * bright[basis.group]
-    mirrored = (basis.mirrored and np.array_equal(b0[::-1], np.conj(b0))
-                and (pulse is None or not pulse.carrier_detuning))
-    # the mode coordinates, of the representatives of a mirrored state and
+    folded = (basis.mirrored and np.array_equal(b0[::-1], np.conj(b0))
+              and (pulse is None or not pulse.carrier_detuning))
+    op, drive = _node_operator(basis, folded)
+    # the mode coordinates, of the representatives of a folded state and
     # stored sample by sample: the pulse's convolution plus the free
     # evolution of the bright start; a part that is zero is skipped unless
     # it is alone
-    reps = basis.lam.size - (basis.pairs if mirrored else 0)
-    lam = basis.lam[:reps]
+    lam = basis.lam[:drive.size]
     c = None
     if pulse is None:
         nodes, kind = times, "retrieval"
@@ -1195,23 +1173,18 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     else:
         nodes, ain, dain, ddain = _drive_nodes(pulse, times, basis.lam)
         c = _drive_integrals(pulse, lam, nodes)
-        c *= (math.sqrt(p.kappa) * basis.drive[:reps])[:, None]
+        c *= (math.sqrt(p.kappa) * drive)[:, None]
         cdf = _pulse_cdf(pulse, times)
         kind, alpha_in, l_in = "storage", pulse.amplitude(times), cdf - cdf[0]
     if c is None or np.any(bright):
-        c0 = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright,
-                               mirrored)
+        c0 = _mode_coordinates(basis, op, np.zeros(3, dtype=complex), bright,
+                               folded)
         free = _propagator(lam, c0, nodes, nodes[0])
         c = free if c is None else np.add(c, free, out=c)
 
-    # the fields, sig = sum_m g_m b_m and its derivative, from the rows
-    # sum_m g_m V_mk and sum_m g_m D_m V_mk
-    cc = p.collective_coupling
-    a1, bc, a2, sig, dsig = _state_rows(basis, np.array([
-        basis.a1, basis.bc, basis.a2, basis.collective,
-        -1j * basis.a2 * (basis.lam * basis.ens_sum - cc)]), c)
-    dsig -= 1j * cc * a2
-    pe, last = _ensemble_at(basis, c, mirrored)
+    a1, bc, a2, sig, dsig, pe, last = _state_at(basis, op, c, folded)
+    # d(sig)/dt = sum_m g_m (D_m b_m - i g_m a2)
+    dsig -= 1j * p.collective_coupling * a2
     losses = _hermite_losses(p, nodes, a1, bc, a2, sig, dsig, pe, inv_t2,
                              ain, dain, ddain)
     out = np.searchsorted(nodes, times)

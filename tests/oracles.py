@@ -37,8 +37,8 @@ from scipy.integrate import IntegrationWarning, quad, solve_ivp
 from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
                                PulseSpec, SimulationTrace, _check_coupled,
                                _check_tol, _modal_basis, _mode_coordinates,
-                               _output_times, _trace, ensemble_for_params,
-                               invert_detunings)
+                               _node_operator, _output_times, _trace,
+                               ensemble_for_params, invert_detunings)
 from echoqram.params import ParameterError, SystemParams, cooperativities
 from echoqram.spectral import lorentzian_lineshape, storage_transfer
 
@@ -350,7 +350,8 @@ def echo_probability_quadrature(p_read: SystemParams, ens_stored: AtomEnsemble,
     poles = basis.poles.astype(ext)
     fields = np.array([basis.a1, basis.bc, basis.a2]).astype(ext)
     y = np.concatenate((np.zeros(3), bright)).astype(ext)
-    c = _mode_coordinates(basis, np.zeros(3, dtype=complex), bright,
+    op, _ = _node_operator(basis, False)
+    c = _mode_coordinates(basis, op, np.zeros(3, dtype=complex), bright,
                           False).astype(ext)
     # two steps c += V^T (y - V c), the Cauchy rows a block at a time
     for _ in range(2):

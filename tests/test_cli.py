@@ -20,7 +20,7 @@ from echoqram import __version__
 from echoqram.cli import (_SCHEMA, ConfigError, Scenario, main,
                           parse_scenario_config, run_sweep)
 from echoqram.dynamics import MIN_N_SIM, discretize_ensemble
-from echoqram.params import (MAX_N_SIM, MAX_SAMPLES, ParameterError,
+from echoqram.params import (MAX_BINS, MAX_N_SIM, MAX_SAMPLES, ParameterError,
                              params_digest, solve_matched_params)
 
 REPO = Path(__file__).resolve().parent.parent
@@ -667,6 +667,35 @@ class TestBoundary:
             f"config error: {config}:{line}: 'n_sim' must be <= {MAX_N_SIM}, "
             f"got {10 ** 9}\n")
         parse_scenario_config(cfg_text(**dict(self.ECHO, n_sim=MAX_N_SIM)))
+
+    def test_address_bins_bounded_at_parse(self, tmp_path, capsys):
+        # a register holds M**2 cell factors; the norm is 1 at any length
+        def doc(m):
+            return dict(scenario="address",
+                        address={"amplitudes": [1.0] + [0.0] * (m - 1)})
+
+        config = write(tmp_path, "a.json", cfg_text(**doc(10 ** 5)))
+        assert main(["address", "--config", str(config)]) == 2
+        line = indent_lines(doc(10 ** 5))[0]["address.amplitudes"]
+        assert capsys.readouterr().err == (
+            f"config error: {config}:{line}: 'address.amplitudes' must hold "
+            f"at most {MAX_BINS} bins, got {10 ** 5}\n")
+        assert parse_scenario_config(cfg_text(**doc(MAX_BINS))).address.m \
+            == MAX_BINS
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        # a 0xff byte on a line of its own after a config that parses,
+        # its lines ended as on Windows
+        text = cfg_text(scenario="check_matching", params=MATCHED)
+        line = text.count("\n") + 2
+        config = tmp_path / "bad.json"
+        config.write_bytes(text.replace("\n", "\r\n").encode() + b"\r\n\xff")
+        assert main(["check-matching", "--config", str(config),
+                     "--out", str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {config}:{line}: config is not UTF-8: byte 0xff "
+            "(invalid start byte)\n")
+        assert not (tmp_path / "c.json").exists()
 
     def test_library_checks_remain(self):
         with pytest.raises(ParameterError, match=f">= {MIN_N_SIM}"):

@@ -947,11 +947,13 @@ class TestEigenSolve:
         assert np.array_equal(bright[::-1], np.conj(bright))
         for fields, target in [((1.0, 0.0, 0.0), np.zeros(ens.n)),
                                ((0.0, 0.0, 0.0), bright)]:
-            reps = dynamics._mode_coordinates(basis, np.array(fields),
+            op, _ = dynamics._node_operator(basis, True)
+            reps = dynamics._mode_coordinates(basis, op, np.array(fields),
                                               target, True)
             assert reps.size == basis.lam.size - basis.pairs
             half = expand(basis, reps)
-            full = dynamics._mode_coordinates(basis, np.array(fields),
+            op, _ = dynamics._node_operator(basis, False)
+            full = dynamics._mode_coordinates(basis, op, np.array(fields),
                                               target, False)
             flip = np.sign((basis.a2[basis.partner]
                             / np.conj(basis.a2)).real)
@@ -965,21 +967,21 @@ class TestMirroredLine:
 
     @staticmethod
     def spy(monkeypatch):
-        """Record the basis, coordinates and `mirrored` flag of every
-        node-population call."""
+        """Record the basis, coordinates and `folded` flag of every
+        call that reads a stage's state through the node operator."""
         calls = []
-        inner = dynamics._ensemble_at
+        inner = dynamics._state_at
 
-        def recording(basis, c, mirrored):
-            calls.append((basis, c, mirrored))
-            return inner(basis, c, mirrored)
+        def recording(basis, op, c, folded):
+            calls.append((basis, c, folded))
+            return inner(basis, op, c, folded)
 
-        monkeypatch.setattr(dynamics, "_ensemble_at", recording)
+        monkeypatch.setattr(dynamics, "_state_at", recording)
         return calls
 
     @staticmethod
     def handed(calls):
-        """(mirrored, coordinate rows, modes) of every recorded call."""
+        """(folded, coordinate rows, modes) of every recorded call."""
         return [(m, c.shape[0], basis.lam.size) for basis, c, m in calls]
 
     @staticmethod
@@ -992,7 +994,9 @@ class TestMirroredLine:
         """The stored populations and final node amplitudes, full rows."""
         basis = dynamics._modal_basis(p, ens)
         c = dynamics._drive_integrals(pulse, basis.lam, trace.times)
-        c *= (math.sqrt(p.kappa) * basis.drive)[:, None]
+        # the drive over every mode, solved on the unfolded operator
+        _, drive = dynamics._node_operator(basis, False)
+        c *= (math.sqrt(p.kappa) * drive)[:, None]
         last = cauchy_rows(basis) @ c[:, -1]
         return self.dense_populations(basis, c), basis.share * last[basis.group]
 
@@ -1001,8 +1005,9 @@ class TestMirroredLine:
         ens = invert_detunings(trace.ensemble)
         basis = dynamics._modal_basis(p, ens)
         assert basis.g.size == ens.n
-        c0 = dynamics._mode_coordinates(basis, np.zeros(3), ens.coherences,
-                                        False)
+        op, _ = dynamics._node_operator(basis, False)
+        c0 = dynamics._mode_coordinates(basis, op, np.zeros(3),
+                                        ens.coherences, False)
         return basis, c0
 
     def test_symmetric_cycle_matches_full_rows(self, matched, monkeypatch):
@@ -1056,7 +1061,8 @@ class TestMirroredLine:
         n = calls[0][0].lam.size
         assert self.handed(calls) == [(False, n, n)]
         basis = dynamics._modal_basis(matched, ens)
-        c0 = dynamics._mode_coordinates(basis, np.zeros(3), b0, False)
+        op, _ = dynamics._node_operator(basis, False)
+        c0 = dynamics._mode_coordinates(basis, op, np.zeros(3), b0, False)
         c = dynamics._propagator(basis.lam, c0, trace.times, 0.0)
         assert np.max(np.abs(trace.p_ensemble
                              - self.dense_populations(basis, c))) <= 1e-11
@@ -1146,15 +1152,31 @@ class TestNodeOperator:
         # the slot holds the read's operator, not the storage's
         assert self.builds(lambda: run_echo_cycle(p, p, ens, pulse, 25.0)) == 1
 
+    def test_carrier_echo_on_a_mirrored_line_builds_one(self, matched):
+        # the carrier breaks the mirror symmetry of the state, so both
+        # stages read the unfolded operator, and the drive is solved on it
+        p = matched.with_(t2=432.0)
+        ens = ensemble_for_params(p, n_sim=97)
+        assert dynamics._modal_basis(p, ens).mirrored
+        pulse = PulseSpec(duration=5.0, carrier_detuning=0.1)
+        assert self.builds(lambda: run_echo_cycle(p, p, ens, pulse,
+                                                  25.0)) == 1
+        assert dynamics._node_operator.entry[1] is False
+
     def test_operators_are_read_only(self, matched):
         ens = ensemble_for_params(matched, n_sim=65)
         basis = dynamics._modal_basis(matched, ens)
         for folded in (True, False):
-            op = dynamics._node_operator(basis, folded)
-            assert not op.flags.writeable
-            with pytest.raises(ValueError):
-                op[0, 0] = 0.0
-        assert not basis.drive.flags.writeable
+            op, drive = dynamics._node_operator(basis, folded)
+            # the drive is held with its operator, over the carried modes
+            held = dynamics._node_operator.entry
+            assert held[2] is op and held[3] is drive
+            assert drive.size == basis.lam.size - (basis.pairs if folded
+                                                   else 0)
+            for x in (op, drive):
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[0] = 0.0
 
     def test_cold_and_warm_operators_agree(self, matched):
         p = matched.with_(t2=654.0)
@@ -1179,7 +1201,7 @@ class TestNodeOperator:
         old_op = dynamics._node_operator.entry[2]
         dynamics._cached_basis.cache_clear()
         again = run_echo_cycle(p, p, ens, pulse, 25.0)
-        basis, folded, op = dynamics._node_operator.entry
+        basis, folded, op, _ = dynamics._node_operator.entry
         assert basis is dynamics._modal_basis(p, ens)
         assert basis is not old_basis and op is not old_op
         self.assert_same_cycle(first, again)
