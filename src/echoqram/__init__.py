@@ -65,7 +65,7 @@ _LAYER_OF = {name: layer for layer, names in {
         "ControlState", "Cell", "Term", "AddressSpec", "BranchEfficiencies",
         "QramState", "store_sequence", "absorb_address_bin", "rephase_cell",
         "reset_control", "run_addressing", "compose_with_dynamics",
-        "state_table", "state_to_dict"),
+        "state_to_dict"),
 }.items() for name in names}
 
 _LOAD_LOCK = threading.RLock()
@@ -129,5 +129,5 @@ __all__ = [
     "ControlState", "Cell", "Term", "AddressSpec", "BranchEfficiencies",
     "QramState", "ProtocolError", "store_sequence",
     "absorb_address_bin", "rephase_cell", "reset_control", "run_addressing",
-    "compose_with_dynamics", "state_table", "state_to_dict",
+    "compose_with_dynamics", "state_to_dict",
 ]

@@ -41,7 +41,6 @@ raising ProtocolError otherwise.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -616,24 +615,6 @@ def compose_with_dynamics(p: SystemParams, tau: float) -> BranchEfficiencies:
 
 
 # ------------------------------------------------------------------- reporting
-
-def state_table(state: QramState) -> str:
-    """Human-readable term table."""
-    lines = []
-    head = (f"{'amplitude':>24}  {'control':>7}  cells({state.m})"
-            f"{'':{max(0, 2 * state.m - 8)}}  emitted")
-    lines.append(head)
-    for t in state.terms:
-        a = t.amplitude
-        amp = f"{a.real:+.6f}{a.imag:+.6f}j"
-        cells = " ".join(
-            "." if c == 0 else ("+" if abs(cmath.phase(c)) < 1e-9 else "-")
-            for c in t.cells)
-        emitted = ", ".join(sorted(t.emitted)) or "-"
-        lines.append(f"{amp:>24}  {t.control.value:>7}  {cells:<{2 * state.m}}  {emitted}")
-    lines.append(f"norm = {state.norm:.12f}   losses = {state.loss_ledger() or {}}")
-    return "\n".join(lines)
-
 
 def state_to_dict(state: QramState) -> dict:
     """JSON-ready term list: amplitudes, control state, cell map, labels."""

@@ -136,7 +136,8 @@ class _Key:
 
     kind       one of the kinds above; `item` is the kind of a list's items
     choices    the values a choice accepts
-    bound      (text, test) that a number must pass
+    bound      (text, test) sides that a number, or a list's length before
+               its items convert, must pass; the first that fails is reported
     default    the value taken when the key is absent; None passes nothing
     required   the key must be present whenever its object is
     needed_by  the scenarios that need this top-level key
@@ -154,7 +155,7 @@ class _Key:
     kind: str
     item: str | None = None
     choices: tuple = ()
-    bound: tuple[str, Callable[[float], bool]] | None = None
+    bound: tuple[tuple[str, Callable[[float], bool]], ...] = ()
     default: object = None
     required: bool = False
     needed_by: tuple[Scenario, ...] = ()
@@ -188,22 +189,27 @@ _SCHEMA = (
     _Key("pulse.center", _NUM, default=0.0),
     _Key("pulse.carrier_detuning", _NUM, default=0.0),
     _Key("grid", _OBJECT, read_by=(_S.SPECTRA,)),
-    _Key("grid.span", _NUM, bound=("> 0", lambda x: x > 0), required=True,
+    _Key("grid.span", _NUM, bound=(("> 0", lambda x: x > 0),), required=True,
          dest="grid_span"),
-    _Key("grid.n", _INT, bound=(">= 2", lambda x: x >= 2), required=True,
-         dest="grid_n"),
+    _Key("grid.n", _INT, required=True, dest="grid_n",
+         bound=((">= 2", lambda x: x >= 2),
+                (f"<= {MAX_SAMPLES}", lambda x: x <= MAX_SAMPLES))),
     _Key("grid.center", _NUM, default=0.0, dest="grid_center"),
     _Key("tau", _NUM, needed_by=(_S.ECHO_CYCLE, _S.BLOCKADE),
          read_by=(*_CYCLES, _S.ADDRESS)),
     _Key("t_span", _PAIR, read_by=(_S.STORE,)),
-    _Key("n_sim", _INT, bound=(f">= {MIN_N_SIM}", lambda x: x >= MIN_N_SIM),
+    # a stage's node operator holds 8 n_sim**2 bytes or more
+    _Key("n_sim", _INT, bound=((f">= {MIN_N_SIM}", lambda x: x >= MIN_N_SIM),
+                               (f"<= {MAX_N_SIM}", lambda x: x <= MAX_N_SIM)),
          default=801, read_by=_DYNAMICS),
     _Key("span", _NUM, read_by=_DYNAMICS),
-    _Key("solver_tol", _NUM, bound=("in (0, 1e-8]", lambda x: 0 < x <= 1e-8),
+    _Key("solver_tol", _NUM, bound=(("in (0, 1e-8]", lambda x: 0 < x <= 1e-8),),
          default=1e-9, read_by=_DYNAMICS),
     _Key("address", _OBJECT, build=lambda **v: addressing.AddressSpec(**v),
          needed_by=(_S.ADDRESS,), read_by=(_S.ADDRESS,)),
-    _Key("address.amplitudes", _LIST, item=_COMPLEX, required=True),
+    # an address register holds M**2 cell factors
+    _Key("address.amplitudes", _LIST, item=_COMPLEX, required=True,
+         bound=((f"at most {MAX_BINS} bins", lambda m: m <= MAX_BINS),)),
     _Key("efficiencies", _OBJECT,
          build=lambda **v: addressing.BranchEfficiencies(**v),
          read_by=(_S.ADDRESS,)),
@@ -251,6 +257,10 @@ def _group(schema: tuple[_Key, ...]) -> dict[str, dict[str, _Key]]:
 
 
 _CHILDREN = _group(_SCHEMA)
+
+#: the key path that sets each argument a library rule may name
+_ARG_PATHS = {"span": "span", "t_span": "t_span", "tau": "tau",
+              "duration": "pulse.duration", "center": "pulse.center"}
 
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}\[\],:]|[^\s{}\[\],:"]+')
 
@@ -371,15 +381,23 @@ class _Walker:
             except (ParameterError, ArithmeticError) as exc:
                 raise self.error(path, f"'{path}': {exc}") from exc
         x = self.scalar(v, path, key.kind, key)
-        if key.bound is not None and not key.bound[1](x):
-            raise self.error(path, f"'{path}' must be {key.bound[0]}, got {x!r}")
+        if key.kind != _LIST:
+            self.bounded(x, path, key)
         return key.build(x) if key.build else x
+
+    def bounded(self, x, path: str, key: _Key) -> None:
+        """Refuse x, a value or a list's length, at its first failed side."""
+        for text, test in key.bound:
+            if not test(x):
+                verb = "hold" if key.kind == _LIST else "be"
+                raise self.error(path, f"'{path}' must {verb} {text}, got {x!r}")
 
     def scalar(self, v, path: str, kind: str, key: _Key):
         """A value that is not an object, checked and converted by kind."""
         if kind == _LIST:
             if not isinstance(v, list) or not v:
                 raise self.error(path, f"'{path}' must be a nonempty list")
+            self.bounded(len(v), path, key)
             return tuple(self.scalar(x, f"{path}[{i}]", key.item, key)
                          for i, x in enumerate(v))
         if kind == _PAIR:
@@ -428,9 +446,10 @@ class _Walker:
 def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     """Validate raw JSON text into a ScenarioConfig.
 
-    _SCHEMA gives every key, its kind, bound and default and the scenarios
-    that need it; the checks after the walk tie two keys together.  Every
-    message names the source and the line of the key path it is about.
+    _SCHEMA gives every key, its kind, bounds and default and the
+    scenarios that need it; the checks after the walk tie two keys
+    together.  Every message names the source and the line of the key
+    path it is about: for a library rule, the key that set its argument.
     """
     try:
         doc = json.loads(text)
@@ -449,10 +468,6 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
             raise w.error("scenario", f"scenario '{sc.value}' requires "
                                       f"'{key.path}'")
     if sc is Scenario.SPECTRA:
-        # the checks below allocate the grid, so its size is bounded first
-        if not cfg.grid_n <= MAX_SAMPLES:
-            raise w.error("grid.n", f"'grid.n' must be <= {MAX_SAMPLES}, "
-                                    f"got {cfg.grid_n}")
         import numpy as np
         # linspace overflows to inf or nan where center +- span does
         with np.errstate(all="ignore"):
@@ -464,13 +479,6 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         if not rising:
             raise w.error("grid", "'grid' points must strictly increase: "
                                   "span is below the rounding of center")
-    # a stage's node operator holds 8 n_sim**2 bytes or more
-    if not cfg.n_sim <= MAX_N_SIM:
-        raise w.error("n_sim", f"'n_sim' must be <= {MAX_N_SIM}, got {cfg.n_sim}")
-    # an address register holds M**2 cell factors
-    if cfg.address is not None and not cfg.address.m <= MAX_BINS:
-        raise w.error("address.amplitudes", "'address.amplitudes' must hold "
-                      f"at most {MAX_BINS} bins, got {cfg.address.m}")
     if sc is Scenario.BLOCKADE and cfg.read_params.g1 == 0:
         raise w.error("read_params",
                       "'read_params.g1' must be > 0 for a blockade run")
@@ -481,19 +489,18 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
                         for r, s in zip(read, store)):
         raise w.error("read_params", "'read_params' describes another ensemble"
                       f": (delta_in, N*g2**2) = {read}, params carry {store}")
-    # the library's refusals of line, storage span, delay and output grids,
-    # at their lines
+    # the library's refusals of line, storage span, delay and output grids
+    paths = dict(_ARG_PATHS, t_span="t_span" if cfg.t_span else "pulse.duration")
     if cfg.span is not None:
-        _anchored(w, "span", dynamics.check_span, cfg.span,
-                  cfg.params.delta_in)
+        _anchored(w, paths, dynamics.check_span, cfg.span, cfg.params.delta_in)
     if cfg.t_span is not None:
-        _anchored(w, "t_span", dynamics.check_margin, cfg.t_span, cfg.pulse)
+        _anchored(w, paths, dynamics.check_margin, cfg.t_span, cfg.pulse)
     if sc is Scenario.STORE:
-        _anchored(w, "t_span" if cfg.t_span else "pulse.duration",
-                  dynamics.check_samples, cfg.pulse, t_span=_store_span(cfg))
+        _anchored(w, paths, dynamics.check_samples, cfg.pulse,
+                  t_span=_store_span(cfg))
     if sc in (Scenario.ECHO_CYCLE, Scenario.BLOCKADE):
-        _anchored(w, "tau", dynamics.check_delay, cfg.tau, cfg.pulse.duration)
-        _anchored(w, "tau", dynamics.check_samples, cfg.pulse, tau=cfg.tau)
+        _anchored(w, paths, dynamics.check_delay, cfg.tau, cfg.pulse.duration)
+        _anchored(w, paths, dynamics.check_samples, cfg.pulse, tau=cfg.tau)
     if cfg.eff_from_dynamics and (cfg.params is None or cfg.tau is None):
         raise w.error("efficiencies.from_dynamics",
                       "efficiencies.from_dynamics needs 'params' and 'tau'")
@@ -517,29 +524,21 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         raise w.error("sweep.parameter",
                       "sweep needs 'tau' unless pulse_duration or tau is "
                       "swept (those set the delay per point)")
-    for name, values, path in (
-            (sweep.parameter, sweep.values, "sweep.values"),
-            (sweep.curve_parameter, sweep.curve_values, "sweep.curve_values")):
-        for i, v in enumerate(values):
-            if math.isinf(v) and name != "t2":
-                raise w.error(f"{path}[{i}]",
-                              f"'{path}[{i}]' must be finite, got {v!r}")
     # each point as run_sweep builds it, its refusals at their lines
-    for _, (_, _, pulse, tau), anchor in _sweep_points(cfg, w):
-        _anchored(w, anchor, dynamics.check_delay, tau, pulse.duration)
-        _anchored(w, anchor, dynamics.check_samples, pulse, tau=tau)
+    for _, (_, _, pulse, tau), paths in _sweep_points(cfg, w):
+        _anchored(w, paths, dynamics.check_delay, tau, pulse.duration)
+        _anchored(w, paths, dynamics.check_samples, pulse, tau=tau)
     return cfg
 
 
-def _anchored(w: _Walker | None, path: str, rule: Callable, *args, **kwargs):
-    """rule(*args, **kwargs), with a walker its ParameterError anchored at
-    `path`."""
+def _anchored(w: _Walker | None, paths: dict, rule: Callable, *args, **kw):
+    """rule(*args, **kw); with a walker, a refusal sits on paths[exc.arg]."""
     try:
-        return rule(*args, **kwargs)
+        return rule(*args, **kw)
     except ParameterError as exc:
         if w is None:
             raise
-        raise w.error(path, str(exc)) from exc
+        raise w.error(paths.get(exc.arg, ""), str(exc)) from exc
 
 
 # ------------------------------------------------------------------ scenarios
@@ -748,16 +747,16 @@ def _run_address(cfg: ScenarioConfig) -> _Artifact:
 
 # ---------------------------------------------------------------------- sweep
 
-def _apply_sweep_value(point: tuple, anchor: str, name: str, value: float,
+def _apply_sweep_value(point: tuple, paths: dict, name: str, value: float,
                        path: str, tau_over_duration: float):
     """Point (p_store, p_read, pulse, tau) with `name` set to the value at
-    `path`, and the key path that now sets its delay."""
+    `path`, and `paths` with the key path that now sets its delay."""
     p_store, p_read, pulse, tau = point
     if name == "pulse_duration":
-        pulse = replace(pulse, duration=value)
-        tau, anchor = tau_over_duration * value, "sweep.tau_over_duration"
+        pulse, tau = replace(pulse, duration=value), tau_over_duration * value
+        paths = {**paths, "tau": "sweep.tau_over_duration", "duration": path}
     elif name == "tau":
-        tau, anchor = value, path
+        tau, paths = value, {**paths, "tau": path}
     elif name == "t2":
         p_store = p_store.with_(t2=value)
         p_read = p_read.with_(t2=value)
@@ -765,28 +764,28 @@ def _apply_sweep_value(point: tuple, anchor: str, name: str, value: float,
         p_read = p_read.with_(g1=value)
     elif name == "delta_c":
         p_read = p_read.with_(delta_c=value)
-    return (p_store, p_read, pulse, tau), anchor
+    return (p_store, p_read, pulse, tau), paths
 
 
 def _sweep_points(cfg: ScenarioConfig, w: _Walker | None = None):
     """Each sweep point in (curve, value) order: its label, its (p_store,
-    p_read, pulse, tau) and the key path that set its delay.  With a
-    walker, a swept value the library refuses is anchored at its line."""
+    p_read, pulse, tau) and the key paths that set its rules' arguments.
+    With a walker, a swept value the library refuses is at its line."""
     sweep = cfg.sweep
     start = (cfg.params, cfg.read_params or cfg.params, cfg.pulse, cfg.tau)
     for j, cval in enumerate(sweep.curve_values or (None,)):
         for i, v in enumerate(sweep.values):
-            point, anchor = start, "tau"
+            point, paths = start, _ARG_PATHS
             for name, value, path in (
                     (sweep.curve_parameter, cval, f"sweep.curve_values[{j}]"),
                     (sweep.parameter, v, f"sweep.values[{i}]")):
                 if name is not None:
-                    point, anchor = _anchored(
-                        w, path, _apply_sweep_value, point, anchor, name,
-                        value, path, sweep.tau_over_duration)
+                    point, paths = _anchored(
+                        w, {None: path}, _apply_sweep_value, point, paths,
+                        name, value, path, sweep.tau_over_duration)
             yield ({"curve_parameter": sweep.curve_parameter,
                     "curve_value": cval, "parameter": sweep.parameter,
-                    "value": v, "tau": point[3]}, point, anchor)
+                    "value": v, "tau": point[3]}, point, paths)
 
 
 def __getattr__(name: str):

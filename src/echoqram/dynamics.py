@@ -229,7 +229,7 @@ def check_span(span: float, delta_in: float) -> None:
     if not span >= 20.0 * delta_in:
         raise ParameterError(
             f"span {span} too small: need >= 20*delta_in = {20.0 * delta_in} "
-            "to keep the truncated line mass negligible")
+            "to keep the truncated line mass negligible", arg="span")
 
 
 def check_margin(t_span: tuple[float, float], pulse: PulseSpec) -> None:
@@ -239,7 +239,7 @@ def check_margin(t_span: tuple[float, float], pulse: PulseSpec) -> None:
             and t_span[1] >= pulse.center + 5.0 * pulse.duration):
         raise ParameterError(
             f"pulse centered at {pulse.center} (duration {pulse.duration}) needs "
-            f">= 5 durations of margin inside span {t_span}")
+            f">= 5 durations of margin inside span {t_span}", arg="t_span")
 
 
 def ensemble_for_params(
@@ -350,42 +350,57 @@ def _output_times(t_span: tuple[float, float], output_dt: float | None,
     return t_eval
 
 
-def _steps(t_span: tuple[float, float], output_dt: float) -> float:
-    """The step count (t1 - t0) / output_dt of an output grid, refused when
-    it is NaN or infinite or the grid would hold more than MAX_SAMPLES
-    samples."""
+def _steps(t_span: tuple[float, float], output_dt: float,
+           arg: str | None = None) -> float:
+    """The step count (t1 - t0) / output_dt of an output grid, refused,
+    naming `arg`, when it is NaN or infinite or the grid would hold more
+    than MAX_SAMPLES samples."""
     steps = (t_span[1] - t_span[0]) / output_dt if output_dt > 0 else math.inf
     if not steps <= MAX_SAMPLES - 1:
         raise ParameterError(
             f"output grid over {t_span} at step {output_dt:.6g} needs "
             f"{steps:.6g} steps: it must be finite and hold at most "
-            f"{MAX_SAMPLES} samples")
+            f"{MAX_SAMPLES} samples", arg=arg)
     return steps
 
 
-def _storage_step(t_span: tuple[float, float], duration: float) -> float:
-    """integrate_storage's output step unless one is given."""
-    return min(duration / 30.0, (t_span[1] - t_span[0]) / 400.0)
+def _storage_step(length: float, duration: float) -> float:
+    """integrate_storage's default output step over a span this long."""
+    return min(duration / 30.0, length / 400.0)
 
 
 def _cycle_grids(pulse: PulseSpec, tau: float):
     """The spans and output steps of an echo cycle's storage and of its
     retrieval, which runs from the inversion tau after the pulse center to
-    8 durations after the echo at 2 tau."""
+    8 durations after the echo at 2 tau; the steps from the spans' lengths,
+    which a center far from t = 0 does not round away."""
     c, dt = pulse.center, pulse.duration
     store, read = (c - 6.0 * dt, c + tau), (c + tau, c + 2.0 * tau + 8.0 * dt)
-    return (store, _storage_step(store, dt)), (read, dt / 40.0)
+    return (store, _storage_step(6.0 * dt + tau, dt)), (read, dt / 40.0)
 
 
 def check_samples(pulse: PulseSpec, *, tau: float | None = None,
                   t_span: tuple[float, float] | None = None) -> None:
     """Refuse a storage over t_span, or an echo cycle with delay tau, whose
     output grid needs a step count that is not finite or more than
-    MAX_SAMPLES samples: checked before anything is allocated."""
-    grids = (_cycle_grids(pulse, tau) if tau is not None
-             else [(t_span, _storage_step(t_span, pulse.duration))])
+    MAX_SAMPLES samples, naming `t_span` or `tau`, or `duration` when a
+    step rounds to 0; or whose pulse center rounds by the finest step or
+    more, naming `center`.  Checked before anything is allocated."""
+    if tau is not None:
+        grids, arg = _cycle_grids(pulse, tau), "tau"
+    else:
+        grids = [(t_span, _storage_step(t_span[1] - t_span[0], pulse.duration))]
+        arg = "t_span"
+    # at center 0 only a step that rounds to 0 rounds the grid away
+    step = min(step for _, step in grids)
+    if pulse.center and not math.ulp(pulse.center) < step:
+        raise ParameterError(
+            f"pulse center {pulse.center} rounds by "
+            f"{math.ulp(pulse.center):.6g}, not below the output step "
+            f"{step:.6g}: the grid cannot resolve times around it",
+            arg="center")
     for span, step in grids:
-        _steps(span, step)
+        _steps(span, step, arg if step > 0 else "duration")
 
 
 def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
@@ -1219,7 +1234,7 @@ def integrate_storage(
     _check_tol(solver_tol)
     check_margin(t_span, pulse)
     if output_dt is None:
-        output_dt = _storage_step(t_span, pulse.duration)
+        output_dt = _storage_step(t_span[1] - t_span[0], pulse.duration)
     times = _output_times(t_span, output_dt, ())
     return _modal_stage(p, ens, times, solver_tol, pulse)
 
@@ -1325,7 +1340,7 @@ def check_delay(tau: float, duration: float) -> None:
     if tau < 5.0 * duration:
         raise ParameterError(
             f"tau = {tau} too small: need >= 5 pulse durations "
-            f"({5.0 * duration}) after the pulse center")
+            f"({5.0 * duration}) after the pulse center", arg="tau")
 
 
 def run_echo_cycle(

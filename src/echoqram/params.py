@@ -20,7 +20,12 @@ from typing import NamedTuple
 
 
 class ParameterError(ValueError):
-    """Physically invalid or inconsistent system parameters."""
+    """Physically invalid or inconsistent system parameters; `arg` names
+    the argument of the rule that refused them, when the rule names one."""
+
+    def __init__(self, message: str, arg: str | None = None):
+        super().__init__(message)
+        self.arg = arg
 
 
 class IntegrationError(RuntimeError):

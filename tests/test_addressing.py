@@ -16,7 +16,7 @@ from echoqram.addressing import (AddressSpec, BranchEfficiencies, Cell,
                                  QramState, RAMAN_ABSORB_PHASE, Term,
                                  absorb_address_bin, compose_with_dynamics,
                                  rephase_cell, reset_control, run_addressing,
-                                 state_table, state_to_dict, store_sequence)
+                                 state_to_dict, store_sequence)
 from echoqram.addressing import _FEW_ROWS, _times
 from echoqram.cli import main
 
@@ -426,15 +426,6 @@ class TestComposedEfficiencies:
 
 
 class TestReporting:
-    def test_state_table(self):
-        s = run_addressing(2, uniform_addr(2))
-        text = state_table(s)
-        assert "g_c" in text
-        assert "norm = " in text
-        assert "psi_a[1], psi_in[1]" in text
-        # emptied cell renders as '.', bounced bystander as '-'
-        assert ". -" in text or "- ." in text
-
     def test_state_dict_and_save(self, tmp_path, capsys):
         s = run_addressing(2, addr(0.6, 0.8))
         doc = state_to_dict(s)

@@ -657,6 +657,79 @@ class TestBoundary:
         assert err.startswith(f"config error: {config}:{line}: output grid over")
         assert f"at most {MAX_SAMPLES} samples" in err
 
+    @pytest.mark.parametrize("center", [1e17, 1e300])
+    @pytest.mark.parametrize("doc", [
+        ECHO,
+        dict(scenario="store", params=MATCHED, pulse={"duration": 5.0},
+             n_sim=64),
+        dict(SWEEP, sweep={"parameter": "pulse_duration",
+                           "values": [5.0, 6.0]}),
+    ], ids=["echo", "store", "sweep"])
+    def test_far_center_refused_at_its_line(self, tmp_path, capsys, doc,
+                                            center):
+        # the output grid cannot resolve times around such a center, so
+        # the center carries the line, not the keys that set the spans
+        for near in (1e9, 1e12):
+            parse_scenario_config(cfg_text(**dict(
+                doc, pulse={"duration": 5.0, "center": near})))
+        doc = dict(doc, pulse={"duration": 5.0, "center": center})
+        config = write(tmp_path, "c.json", cfg_text(**doc))
+        command = doc["scenario"].replace("echo_cycle", "echo")
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        line = indent_lines(doc)[0]["pulse.center"]
+        assert capsys.readouterr().err.startswith(
+            f"config error: {config}:{line}: pulse center {center!r} rounds "
+            "by ")
+
+    @pytest.mark.parametrize("doc, path", [
+        (dict(ECHO, pulse={"duration": 5e-324}), "pulse.duration"),
+        (dict(SWEEP, sweep={"parameter": "pulse_duration",
+                            "values": [5.0, 5e-324]}), "sweep.values[1]"),
+    ], ids=["echo", "swept"])
+    def test_unresolvable_duration_refused_at_its_line(self, tmp_path,
+                                                       capsys, doc, path):
+        # the output step duration/40 rounds to 0: the duration tips the
+        # grid, not the delay
+        config = write(tmp_path, "d.json", cfg_text(**doc))
+        command = doc["scenario"].replace("echo_cycle", "echo")
+        assert main([command, "--config", str(config)]) == 2
+        line = indent_lines(doc)[0][path]
+        assert capsys.readouterr().err.startswith(
+            f"config error: {config}:{line}: output grid over")
+
+    @pytest.mark.parametrize("where", ["values", "curve_values"])
+    @pytest.mark.parametrize("parameter, needle", [
+        ("pulse_duration", "pulse duration must be positive, got inf"),
+        ("tau", "needs inf steps"),
+        ("g1", "g1 must be finite and >= 0"),
+        ("delta_c", "delta_c must be finite"),
+    ])
+    def test_infinite_swept_value_refused_at_its_line(
+            self, tmp_path, capsys, parameter, needle, where):
+        # the library refuses each one while the point is built; only t2
+        # may be infinite
+        finite = 25.0 if parameter == "tau" else 5.0
+        if where == "values":
+            sweep = {"parameter": parameter, "values": [finite, "inf"]}
+        else:
+            sweep = {"parameter": "t2", "values": [100.0],
+                     "curve_parameter": parameter,
+                     "curve_values": [finite, "inf"]}
+        doc = dict(self.SWEEP, sweep=sweep)
+        if parameter not in ("tau", "pulse_duration"):
+            doc["tau"] = 25.0
+        config = write(tmp_path, "inf.json", cfg_text(**doc))
+        assert main(["sweep", "--config", str(config)]) == 2
+        line = indent_lines(doc)[0][f"sweep.{where}[1]"]
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}:{line}: ")
+        assert needle in err
+
+    def test_infinite_t2_sweeps(self):
+        parse_scenario_config(cfg_text(**self.SWEEP, tau=25.0, sweep={
+            "parameter": "t2", "values": [100.0, "inf"]}))
+
     def test_n_sim_bounded_at_parse(self, tmp_path, capsys):
         # a line of 10**9 nodes would need an 8 EB node operator
         doc = dict(self.ECHO, n_sim=10 ** 9)
@@ -682,6 +755,16 @@ class TestBoundary:
             f"at most {MAX_BINS} bins, got {10 ** 5}\n")
         assert parse_scenario_config(cfg_text(**doc(MAX_BINS))).address.m \
             == MAX_BINS
+
+    def test_long_register_refused_before_its_items(self):
+        # the length is checked before any item converts, so a bad item
+        # past the bound does not hide it
+        text = cfg_text(scenario="address", address={
+            "amplitudes": [1.0] + [0.0] * MAX_BINS + ["x"]})
+        with pytest.raises(ConfigError, match=(
+                f"'address.amplitudes' must hold at most {MAX_BINS} bins, "
+                f"got {MAX_BINS + 2}")):
+            parse_scenario_config(text)
 
     def test_config_not_utf8(self, tmp_path, capsys):
         # a 0xff byte on a line of its own after a config that parses,
@@ -789,6 +872,7 @@ class TestBoundary:
     @example("sweep.parameter", "tau")         # the durations become delays
     @example("pulse.duration", 7.0)            # t_span short of 5 durations
     @example("pulse.center", 40.0)             # t_span ends 20 after it
+    @example("pulse.center", 2.882303761517118e17)   # rounds by 64
     def test_fuzzed_scalars_raise_only_config_error(self, path, value):
         explicit = {"kappa": 1.0, "gamma": 1.0, "g1": 0.0,
                     "g2": 0.011180339887498949, "f2": 0.3535533905932738,

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,6 +127,13 @@ class TestValidation:
         p = make()
         q = p.with_(g1=0.25)
         assert q.g1 == 0.25 and p.g1 == 0.0 and q is not p
+
+    def test_error_names_its_argument_and_pickles(self):
+        # sweep workers raise it across a process boundary
+        exc = pickle.loads(pickle.dumps(ParameterError("tau = 1 too small",
+                                                       arg="tau")))
+        assert (str(exc), exc.arg) == ("tau = 1 too small", "tau")
+        assert ParameterError("bare").arg is None
 
 
 def read_back(d: dict) -> SystemParams:

@@ -21,8 +21,8 @@ def test_python_blocks_run(capsys):
 
 def test_config_table_is_the_schema():
     """The README's config table lists the paths of cli._SCHEMA, each with
-    its kind, default, bound or choices, where it is required and which
-    scenarios read it."""
+    its kind, default, every side of its bound or its choices, where it is
+    required and which scenarios read it."""
     section = README.read_text().split("### Config schema")[1]
     section = section.split("\n### ")[0]
     rows = {m[1]: [c.strip() for c in m[2].split("|")]
@@ -41,7 +41,8 @@ def test_config_table_is_the_schema():
         else:
             expect = {math.inf: "inf", (): []}.get(key.default, key.default)
             assert json.loads(default.strip("`")) == expect, key.path
-        assert bound == (key.bound[0] if key.bound
+        assert bound == (", ".join(text for text, _ in key.bound)
+                         if key.bound
                          else ", ".join(map(code, key.choices))), key.path
         assert needed == ("yes" if key.required
                           else ", ".join(code(s.value) for s in key.needed_by)), \
