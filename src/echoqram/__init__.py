@@ -115,19 +115,8 @@ def __dir__():
 
 __all__ = [
     "__version__",
-    "SystemParams", "ParameterError", "Cooperativities", "MatchingReport",
-    "cooperativities", "check_matching", "solve_matched_params",
-    "params_digest",
-    "lorentzian_lineshape", "broadened_response", "storage_transfer",
-    "spectral_efficiency", "resonant_efficiency", "matched_window",
-    "blockade_reflection",
-    "PulseSpec", "PulseShape", "AtomEnsemble", "discretize_ensemble",
-    "ensemble_for_params", "invert_detunings", "SimulationTrace",
-    "IntegrationError", "integrate_storage", "integrate_retrieval",
-    "run_echo_cycle", "EchoResult", "blockade_phase_check", "PhaseCheck",
-    "RAMAN_ABSORB_PHASE", "ECHO_EMISSION_PHASE", "CONTROL_RESET_PHASE",
-    "ControlState", "Cell", "Term", "AddressSpec", "BranchEfficiencies",
-    "QramState", "ProtocolError", "store_sequence",
-    "absorb_address_bin", "rephase_cell", "reset_control", "run_addressing",
-    "compose_with_dynamics", "state_to_dict",
+    "SystemParams", "ParameterError", "IntegrationError", "ProtocolError",
+    "PulseShape", "Cooperativities", "MatchingReport", "cooperativities",
+    "check_matching", "solve_matched_params", "params_digest",
+    *_LAYER_OF,
 ]

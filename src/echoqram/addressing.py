@@ -410,19 +410,13 @@ def _add_losses(losses: tuple[tuple[str, float], ...],
     return tuple(sorted(d.items()))
 
 
-def store_sequence(m: int, payload_labels=None) -> QramState:
-    """Memory loaded with M distinct qubits, control atom in its ground state."""
+def store_sequence(m: int) -> QramState:
+    """Memory loaded with M distinct qubits psi_in[1..M], control atom in
+    its ground state."""
     if m < 1:
         raise ParameterError(f"need at least one cell, got M = {m}")
-    if payload_labels is None:
-        payload_labels = [f"psi_in[{i}]" for i in range(1, m + 1)]
-    payload_labels = list(payload_labels)
-    if len(payload_labels) != m:
-        raise ParameterError(f"expected {m} payload labels, got {len(payload_labels)}")
-    if len(set(payload_labels)) != m:
-        raise ParameterError("payload labels must be distinct")
-    cells = tuple(Cell(index=i + 1, payload_label=payload_labels[i])
-                  for i in range(m))
+    cells = tuple(Cell(index=i, payload_label=f"psi_in[{i}]")
+                  for i in range(1, m + 1))
     root = Term(amplitude=1.0 + 0.0j, control=ControlState.G,
                 cells=(1.0 + 0.0j,) * m)
     return QramState(cells_meta=cells, terms=(root,))

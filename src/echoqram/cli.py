@@ -43,7 +43,7 @@ from pathlib import Path
 # the layers are modules whose code runs on their first use (see the
 # package), so a command loads numpy and a layer only when it runs them
 from . import __version__, addressing, dynamics, spectral
-from .params import (MAX_BINS, MAX_N_SIM, MAX_SAMPLES, MIN_N_SIM,
+from .params import (MAX_BINS, MAX_N_SIM, MAX_SAMPLES, MIN_N_SIM, SOLVER_TOL,
                      IntegrationError, ParameterError, ProtocolError,
                      PulseShape, SystemParams, check_matching,
                      cooperativities, params_digest, solve_matched_params)
@@ -102,13 +102,14 @@ class ScenarioConfig:
     t_span: tuple[float, float] | None = None
     n_sim: int = 801
     span: float | None = None
-    solver_tol: float = 1e-9
     address: AddressSpec | None = None
     efficiencies: BranchEfficiencies | None = None
     eff_from_dynamics: bool = False
     out_path: str | None = None
     out_format: str | None = None
     sweep: SweepSpec | None = None
+    # not a field: the ledger tolerance of every run, which no config sets
+    solver_tol = SOLVER_TOL
 
 
 # --------------------------------------------------------------- config schema
@@ -203,8 +204,6 @@ _SCHEMA = (
                                (f"<= {MAX_N_SIM}", lambda x: x <= MAX_N_SIM)),
          default=801, read_by=_DYNAMICS),
     _Key("span", _NUM, read_by=_DYNAMICS),
-    _Key("solver_tol", _NUM, bound=(("in (0, 1e-8]", lambda x: 0 < x <= 1e-8),),
-         default=1e-9, read_by=_DYNAMICS),
     _Key("address", _OBJECT, build=lambda **v: addressing.AddressSpec(**v),
          needed_by=(_S.ADDRESS,), read_by=(_S.ADDRESS,)),
     # an address register holds M**2 cell factors
@@ -515,10 +514,14 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     if sweep.curve_parameter is not None and not sweep.curve_values:
         raise w.error("sweep.curve_parameter",
                       "sweep.curve_parameter needs sweep.curve_values")
-    if sweep.parameter == "pulse_duration" and cfg.tau is not None:
-        raise w.error("tau", "sweeping pulse_duration fixes tau = "
-                             "tau_over_duration * duration; remove the "
-                             "explicit 'tau'")
+    if sweep.parameter == "pulse_duration":
+        fixed = ("sweeping pulse_duration fixes tau = tau_over_duration * "
+                 "duration")
+        if cfg.tau is not None:
+            raise w.error("tau", f"{fixed}; remove the explicit 'tau'")
+        if sweep.curve_parameter == "tau":
+            raise w.error("sweep.curve_parameter",
+                          f"{fixed}; a tau curve would be ignored")
     axes = (sweep.parameter, sweep.curve_parameter)
     if cfg.tau is None and "pulse_duration" not in axes and "tau" not in axes:
         raise w.error("sweep.parameter",
@@ -646,7 +649,7 @@ def _run_store(cfg: ScenarioConfig) -> _Artifact:
     pulse = cfg.pulse
     span = _store_span(cfg)
     ens = dynamics.ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-    trace = dynamics.integrate_storage(p, ens, pulse, span, cfg.solver_tol)
+    trace = dynamics.integrate_storage(p, ens, pulse, span)
     fields = {"alpha_in": trace.alpha_in, "alpha_out": trace.alpha_out,
               "cavity1": trace.cavity1, "control": trace.control,
               "cavity2": trace.cavity2}
@@ -693,8 +696,7 @@ def _run_echo(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     p_read = cfg.read_params or p
     ens = dynamics.ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-    res = dynamics.run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau,
-                                  cfg.solver_tol)
+    res = dynamics.run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau)
     times = res.output_times.tolist()
     re = res.output_waveform.real.tolist()
     im = res.output_waveform.imag.tolist()
@@ -711,8 +713,7 @@ def _run_blockade(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
     p_read = cfg.read_params
     ens = dynamics.ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-    res = dynamics.run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau,
-                                  cfg.solver_tol)
+    res = dynamics.run_echo_cycle(p, p_read, ens, cfg.pulse, cfg.tau)
     chk = dynamics.blockade_phase_check(
         p_read, res.ens_final, res.ens_stored, cfg.tau,
         res.t_final - (cfg.pulse.center + cfg.tau))
@@ -805,7 +806,7 @@ def _sweep_point(task: tuple) -> dict:
     cli.run_echo_cycle reaches every point of a sweep."""
     cfg, p_store, p_read, pulse, tau = task
     ens = dynamics.ensemble_for_params(p_store, n_sim=cfg.n_sim, span=cfg.span)
-    res = _CLI.run_echo_cycle(p_store, p_read, ens, pulse, tau, cfg.solver_tol)
+    res = _CLI.run_echo_cycle(p_store, p_read, ens, pulse, tau)
     return {"echo_probability": res.echo_probability,
             "fidelity_time_reversed": res.fidelity_time_reversed,
             "storage_probability": res.storage_probability,
@@ -908,8 +909,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              f"else ${OUT_DIR_ENV}/<scenario>.<format>)")
         sp.add_argument("--format", choices=("csv", "json"), default=None,
                         help="artifact format (overrides config)")
-        sp.add_argument("--workers", type=_workers, default=1,
-                        help="parallel workers (sweep only)")
+        if scenario is Scenario.SWEEP:
+            sp.add_argument("--workers", type=_workers, default=1,
+                            help="parallel worker processes")
     return parser
 
 

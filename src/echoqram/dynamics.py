@@ -61,9 +61,9 @@ or off at its center, so storage samples that instant twice, each copy
 with its one-sided drive, and splits every step after it until the
 fastest mode, which the jump rings, turns by at most half a radian per
 step.  Every run checks the ledger at each output time and aborts when
-it drifts beyond 100x solver_tol, which is all solver_tol bounds here; a
-mode basis whose eigenpair residual or condition number exceeds a fixed
-bound is refused as well.
+it drifts beyond 100x params.SOLVER_TOL, a constant that bounds nothing
+else; a mode basis whose eigenpair residual or condition number exceeds
+a fixed bound is refused as well.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import (MAX_SAMPLES, MIN_N_SIM, IntegrationError, ParameterError,
-                     PulseShape, SystemParams)
+from .params import (MAX_SAMPLES, MIN_N_SIM, SOLVER_TOL, IntegrationError,
+                     ParameterError, PulseShape, SystemParams)
 
 
 # ---------------------------------------------------------------------- pulses
@@ -309,12 +309,6 @@ def _check_coupled(p: SystemParams) -> None:
         raise ParameterError(
             "time-domain propagation needs coupled cavities (f2 > 0) and a "
             "coupled ensemble (N*g2**2 > 0)")
-
-
-def _check_tol(solver_tol: float) -> None:
-    # written so that NaN fails the check as well
-    if not (0 < solver_tol <= 1e-8):
-        raise ParameterError(f"solver_tol must be in (0, 1e-8], got {solver_tol}")
 
 
 #: relative rounding within which a step count is whole and an extra time
@@ -1160,7 +1154,7 @@ def _hermite_losses(p: SystemParams, nodes: np.ndarray, a1, bc, a2, sig,
 
 
 def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
-                 solver_tol: float, pulse: PulseSpec | None) -> SimulationTrace:
+                 pulse: PulseSpec | None) -> SimulationTrace:
     """One stage from the ensemble's state, with the cavities and the
     control atom empty: storage under `pulse`, retrieval without one."""
     basis = _modal_basis(p, ens)
@@ -1211,7 +1205,7 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
         pe = pe + dark_p * np.exp(-2.0 * inv_t2 * elapsed)
         l_t2 = l_t2 - dark_p * np.expm1(-2.0 * inv_t2 * elapsed)
         last = last + dark * np.exp(-(1j * ens.detunings + inv_t2) * elapsed[-1])
-    return _trace(p, ens, kind, solver_tol, times, a1, bc, a2, alpha_in, pe,
+    return _trace(p, ens, kind, SOLVER_TOL, times, a1, bc, a2, alpha_in, pe,
                   l_out, l_c, l_t2, l_in, ens.probability, last)
 
 
@@ -1220,30 +1214,26 @@ def integrate_storage(
     ens: AtomEnsemble,
     pulse: PulseSpec,
     t_span: tuple[float, float],
-    solver_tol: float = 1e-9,
-    *,
-    output_dt: float | None = None,
 ) -> SimulationTrace:
     """Drive the memory from the ensemble's state with a normalized input
     pulse; `initial_probability` is the loaded probability.
 
     The span must contain the pulse with at least 5 durations of margin on
-    each side so the stored probability has settled at the end.
+    each side so the stored probability has settled at the end, and its
+    output grid must pass check_samples.
     """
     _check_ensemble(p, ens)
-    _check_tol(solver_tol)
     check_margin(t_span, pulse)
-    if output_dt is None:
-        output_dt = _storage_step(t_span[1] - t_span[0], pulse.duration)
-    times = _output_times(t_span, output_dt, ())
-    return _modal_stage(p, ens, times, solver_tol, pulse)
+    check_samples(pulse, t_span=t_span)
+    times = _output_times(
+        t_span, _storage_step(t_span[1] - t_span[0], pulse.duration), ())
+    return _modal_stage(p, ens, times, pulse)
 
 
 def integrate_retrieval(
     p: SystemParams,
     ens: AtomEnsemble,
     t_span: tuple[float, float],
-    solver_tol: float = 1e-9,
     *,
     output_dt: float | None = None,
     extra_eval: tuple[float, ...] = (),
@@ -1254,11 +1244,10 @@ def integrate_retrieval(
     re-emits leaves through the input cavity as alpha_out.
     """
     _check_ensemble(p, ens)
-    _check_tol(solver_tol)
     if ens.probability <= 0.0:
         raise ParameterError("retrieval needs an ensemble with nonzero coherence")
     times = _output_times(t_span, output_dt, extra_eval)
-    return _modal_stage(p, ens, times, solver_tol, None)
+    return _modal_stage(p, ens, times, None)
 
 
 # ----------------------------------------------------------------- echo cycle
@@ -1349,7 +1338,6 @@ def run_echo_cycle(
     ens: AtomEnsemble,
     pulse: PulseSpec,
     tau: float,
-    solver_tol: float = 1e-9,
 ) -> EchoResult:
     """Store a pulse, invert the detunings tau after the pulse center,
     and integrate the readout stage with parameters p_read.
@@ -1367,7 +1355,7 @@ def run_echo_cycle(
     dt = pulse.duration
     c = pulse.center
     (store, _), (read, read_dt) = _cycle_grids(pulse, tau)
-    storage = integrate_storage(p_store, ens, pulse, store, solver_tol)
+    storage = integrate_storage(p_store, ens, pulse, store)
     ens_stored = storage.ensemble
     inverted = invert_detunings(ens_stored)
 
@@ -1376,8 +1364,7 @@ def run_echo_cycle(
     w_lo = max(echo_center - 6.0 * dt, t_inv)
     w_hi = min(echo_center + 6.0 * dt, t_end)
     retrieval = integrate_retrieval(
-        p_read, inverted, read, solver_tol,
-        output_dt=read_dt, extra_eval=(w_lo, w_hi))
+        p_read, inverted, read, output_dt=read_dt, extra_eval=(w_lo, w_hi))
 
     i_lo = int(np.searchsorted(retrieval.times, w_lo))
     i_hi = int(np.searchsorted(retrieval.times, w_hi))

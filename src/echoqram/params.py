@@ -54,6 +54,10 @@ MAX_SAMPLES = 10**6
 #: in 0.44, 0.70 and 1.8 s at M = 256, 512 and 1024 (2-core x86-64 Linux,
 #: Python 3.11), so about 1.4 GB at this bound
 MAX_BINS = 2048
+#: the probability ledger's tolerance, and all it bounds: a stage whose
+#: ledger drifts beyond 100 x SOLVER_TOL is refused.  Storage and
+#: retrieval are exact in the mode basis, so it sets no step size
+SOLVER_TOL = 1e-9
 
 
 @dataclass(frozen=True)

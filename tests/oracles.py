@@ -36,7 +36,7 @@ from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
                                PulseSpec, SimulationTrace, _check_coupled,
-                               _check_tol, _modal_basis, _mode_coordinates,
+                               _modal_basis, _mode_coordinates,
                                _node_operator, _output_times, _trace,
                                ensemble_for_params, invert_detunings)
 from echoqram.params import ParameterError, SystemParams, cooperativities
@@ -58,7 +58,6 @@ def integrate(
     """Adaptive DOP853 integration of the full equations with a running
     ledger; every Runge-Kutta stage costs one Python call of the
     right-hand side."""
-    _check_tol(solver_tol)
     t_eval = _output_times(t_span, output_dt, extra_eval)
     t0, t1 = t_eval[0], t_eval[-1]
     n = ens.n

@@ -89,10 +89,6 @@ class TestSpecs:
     def test_store_sequence_validation(self):
         with pytest.raises(ParameterError):
             store_sequence(0)
-        with pytest.raises(ParameterError):
-            store_sequence(2, payload_labels=["a"])
-        with pytest.raises(ParameterError):
-            store_sequence(2, payload_labels=["a", "a"])
 
 
 class TestSingleCell:

@@ -228,12 +228,6 @@ class TestStorage:
             integrate_storage(matched, ens, PulseSpec(duration=10.0),
                               (-10.0, 10.0))
 
-    def test_solver_tol_validation(self, matched):
-        ens = ensemble_for_params(matched, n_sim=64)
-        with pytest.raises(ParameterError):
-            integrate_storage(matched, ens, PulseSpec(duration=5.0),
-                              (-30.0, 30.0), solver_tol=1e-6)
-
     def test_grid_line_mismatch(self, matched):
         # the nodes discretize delta_in alone: a stage on another line is
         # refused, whatever its coupling
@@ -248,6 +242,16 @@ class TestStorage:
         trace = integrate_storage(stronger, ens, PulseSpec(duration=5.0),
                                   (-30.0, 30.0))
         assert trace.ensemble.delta_in == matched.delta_in
+
+    def test_far_center_refused(self, matched):
+        # ulp(1e17) is 16, above the output step 0.15: the storage ran and
+        # failed its ledger by 36 instead
+        ens = ensemble_for_params(matched, n_sim=64)
+        c = 1e17
+        with pytest.raises(ParameterError, match="pulse center") as exc:
+            integrate_storage(matched, ens, PulseSpec(duration=5.0, center=c),
+                              (c - 30.0, c + 30.0))
+        assert exc.value.arg == "center"
 
     def test_retrieval_needs_coherence(self, matched):
         ens = ensemble_for_params(matched, n_sim=64)
@@ -358,9 +362,10 @@ class TestEchoCycle:
     @pytest.mark.parametrize("output_dt", [0.0, -1.0, math.nan, math.inf])
     def test_bad_output_step_refused(self, matched, output_dt):
         ens = ensemble_for_params(matched, n_sim=64)
+        loaded = ens.with_coherences(np.full(ens.n, 1.0 / math.sqrt(ens.n)))
         with pytest.raises(ParameterError, match="output_dt"):
-            integrate_storage(matched, ens, PulseSpec(duration=1.0), (-6.0, 6.0),
-                              output_dt=output_dt)
+            integrate_retrieval(matched, loaded, (0.0, 10.0),
+                                output_dt=output_dt)
 
 
 class TestBlockadePhase:
@@ -672,15 +677,13 @@ class TestModalPropagator:
         """run_echo_cycle with both stages integrated by DOP853."""
         tol = 1e-10
 
-        def storage(p, e, pl, span, solver_tol=1e-9, *, output_dt=None):
-            if output_dt is None:
-                output_dt = min(pl.duration / 30.0, (span[1] - span[0]) / 400.0)
+        def storage(p, e, pl, span):
+            output_dt = min(pl.duration / 30.0, (span[1] - span[0]) / 400.0)
             return integrate(p, e, pl.amplitude, span,
                              np.zeros(e.n, complex), (0, 0, 0), tol,
                              output_dt)
 
-        def retrieval(p, e, span, solver_tol=1e-9, *, output_dt=None,
-                      extra_eval=()):
+        def retrieval(p, e, span, *, output_dt=None, extra_eval=()):
             return integrate(p, e, None, span, e.coherences.copy(),
                              (0, 0, 0), tol, output_dt,
                              extra_eval=extra_eval, kind="retrieval")
@@ -809,11 +812,6 @@ class TestModalPropagator:
         finally:
             dynamics._cached_basis.cache_clear()
 
-    def test_nan_solver_tol_rejected(self, matched):
-        ens = ensemble_for_params(matched, n_sim=64)
-        with pytest.raises(ParameterError):
-            integrate_storage(matched, ens, PulseSpec(duration=5.0),
-                              (-30.0, 30.0), solver_tol=math.nan)
 
 
 class TestEigenSolve:
