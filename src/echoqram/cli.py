@@ -29,13 +29,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
+import itertools
 import json
 import math
 import os
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -552,12 +552,14 @@ class _Artifact:
 
     `meta` becomes leading `#` lines in CSV and top-level keys in JSON;
     `header` and `rows` are the CSV table, `body` the rest of the JSON
-    document.  `summary` is the line printed on success.
+    document.  `rows` may be an iterator, which only a CSV write runs,
+    and `body` may hold numpy arrays, which only a JSON write lists, one
+    at a time.  `summary` is the line printed on success.
     """
 
     summary: str
     header: list[str]
-    rows: list
+    rows: Iterable
     body: dict
     meta: dict = field(default_factory=dict)
 
@@ -582,25 +584,29 @@ def _write_artifact(out: Path, fmt: str, cfg: ScenarioConfig, cfg_text: str,
                               if cfg.params is not None else None),
             "read_params_sha256": (params_digest(cfg.read_params)
                                    if cfg.read_params is not None else None)}
-    if fmt == "csv":
-        buf = io.StringIO()
-        for k, v in meta.items():
-            v = json.dumps(v) if isinstance(v, (dict, list)) else v
-            buf.write(f"# {k}={v}\n")
-        table = csv.writer(buf, lineterminator="\n")
-        table.writerow(art.header)
-        table.writerows(art.rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps({**meta, **art.body}) + "\n"
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            if fmt == "csv":
+                for k, v in meta.items():
+                    v = json.dumps(v) if isinstance(v, (dict, list)) else v
+                    fh.write(f"# {k}={v}\n")
+                table = csv.writer(fh, lineterminator="\n")
+                table.writerow(art.header)
+                table.writerows(art.rows)
+            else:
+                fh.write(json.dumps({**meta, **art.body}, default=_listed) + "\n")
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _listed(value):
+    """The JSON encoder's fallback: a numpy array as its list."""
+    if not hasattr(value, "tolist"):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return value.tolist()
 
 
 def _db(x: float) -> float:
@@ -661,22 +667,22 @@ def _run_store(cfg: ScenarioConfig) -> _Artifact:
         "t2_loss_integral": trace.t2_loss_integral,
         "in_flux_integral": trace.in_flux_integral,
         "ledger_residual": trace.ledger_residual}
-    # long format: one row per (series, time), real series with im = 0
-    times = trace.times.tolist()
-    rows = []
-    for name, arr in {**fields, **probabilities}.items():
-        arr = np.asarray(arr, dtype=complex)
-        rows.extend(zip(times, [name] * len(times), arr.real.tolist(),
-                        arr.imag.tolist()))
-    body = {"params": p.to_dict(), "times": times,
-            "fields": {name: {"re": np.real(arr).tolist(),
-                              "im": np.imag(arr).tolist()}
+
+    def rows():
+        # long format: one row per (series, time), real series with im = 0
+        times = trace.times.tolist()
+        for name, arr in {**fields, **probabilities}.items():
+            arr = np.asarray(arr, dtype=complex)
+            yield from zip(times, itertools.repeat(name), arr.real.tolist(),
+                           arr.imag.tolist())
+
+    body = {"params": p.to_dict(), "times": trace.times,
+            "fields": {name: {"re": arr.real, "im": arr.imag}
                        for name, arr in fields.items()},
-            "probabilities": {name: np.asarray(arr).tolist()
-                              for name, arr in probabilities.items()}}
+            "probabilities": probabilities}
     return _Artifact(f"store: probability {trace.ensemble.probability:.6f}, "
                      f"ledger residual {trace.max_ledger_residual:.2e}",
-                     ["time", "series", "re", "im"], rows, body,
+                     ["time", "series", "re", "im"], rows(), body,
                      meta={"kind": trace.kind, "solver_tol": trace.solver_tol,
                            "initial_probability": trace.initial_probability})
 

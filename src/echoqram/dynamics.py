@@ -37,20 +37,29 @@ mirrored grid, and so does its node operator: the rows of V that a stage
 reads, the fields, the collective amplitude sum_m g_m b_m and its rate,
 then the Cauchy rows of the nodes, formed once when the basis is first
 used, with the input's mode coordinates solved on it.  The state is the
-free evolution of the start, a complex exp per block of samples times a
-table of in-block offset factors that every regular block shares, plus
-the pulse's convolution, one exponential-quadrature recurrence for every
+free evolution of the start, a complex exp per run of samples times a
+table of in-run offset factors that every regular run shares, plus the
+pulse's convolution, one exponential-quadrature recurrence for every
 pulse shape: per output step the mode decays by exp(lam h) and gains
 weights, exact in its exponential, times the envelope at eight Gauss
 nodes.  A mirror-conjugate state (a mirrored line, a real envelope) has
 paired coordinates, so the stage carries one per conjugate pair and the
-real modes, and its operator is folded onto those.  So a cycle costs
-its state at every sample, a matrix product with the node operator,
-which on a mirror-conjugate state takes half the line's Cauchy rows as
-one real product, one O(n) drive update per storage sample, and little
-else.  The node operator is the one array that grows as the square of
-the mode count: 8 n**2 bytes folded, 16 n**2 complex, 1.3 MB at
-n = 401, and a single slot holds the operator of the basis last used.
+real modes, and its operator is folded onto those.
+
+A stage runs over blocks of _BLOCK samples.  Each block continues the
+drive's recurrence from the row the last one ended on, evaluates the
+free evolution at its own anchor times, takes the fields, the
+collective rows and the node populations from one product with the
+node operator, and adds its Hermite increments to the running losses;
+only its output samples leave it.  So a cycle costs one matrix product
+with the node operator per block, which on a mirror-conjugate state
+takes half the line's Cauchy rows as one real product, one O(n) drive
+update per storage sample, and little else.  A stage holds its node
+operator, the one array that grows as the square of the mode count
+(8 n**2 bytes folded, 16 n**2 complex, 1.3 MB at n = 401; a single slot
+holds the operator of the basis last used), its output samples, and
+one block: about (modes + nodes) x _BLOCK numbers, however long its
+grid.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
@@ -61,7 +70,7 @@ or off at its center, so storage samples that instant twice, each copy
 with its one-sided drive, and splits every step after it until the
 fastest mode, which the jump rings, turns by at most half a radian per
 step.  Every run checks the ledger at each output time and aborts when
-it drifts beyond 100x params.SOLVER_TOL, a constant that bounds nothing
+it drifts beyond 10x params.SOLVER_TOL, a constant that bounds nothing
 else; a mode basis whose eigenpair residual or condition number exceeds
 a fixed bound is refused as well.
 """
@@ -406,10 +415,10 @@ def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
     p2 = np.abs(a2) ** 2
     residual = (p1 + pc + p2 + pe + l_out + l_c + l_t2) - (l_in + p0)
     worst = float(np.max(np.abs(residual)))
-    if not worst <= 100.0 * solver_tol:
+    if not worst <= 10.0 * solver_tol:
         raise IntegrationError(
             f"probability ledger violated on {kind}: max residual "
-            f"{worst:.3e} > 100*{solver_tol}")
+            f"{worst:.3e} > 10*{solver_tol}")
     return SimulationTrace(
         times=times, cavity1=a1, control=bc, cavity2=a2,
         alpha_in=ain, alpha_out=math.sqrt(p.kappa) * a1 - ain,
@@ -423,8 +432,9 @@ def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
 
 # ------------------------------------------------------------ modal basis
 
-#: rows per block in every sum over modes, nodes or samples, so that no
-#: temporary grows as (number of modes)**2
+#: samples per block of a stage, and rows per block of the other sums
+#: over samples, so that no temporary grows as (number of samples) x
+#: (number of modes)
 _BLOCK = 128
 #: rows per block of the elementwise sums over poles or roots, which take
 #: no matrix product: a block this small keeps its temporaries in cache
@@ -874,31 +884,39 @@ def _mode_coordinates(basis: _ModalBasis, op: np.ndarray, fields: np.ndarray,
     return c
 
 
-def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray,
-                t0: float) -> np.ndarray:
-    """amp_k exp(lam_k (t_j - t0)) for every mode k and sample j, stored
-    sample by sample.
+def _offset_table(lam: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets t_j - t_0 of the first _BLOCK // 2 samples of a grid and
+    their factors exp(lam_k (t_j - t_0)), which every block of the grid
+    whose offsets repeat them shares."""
+    first = t[:_BLOCK // 2] - t[0]
+    return first, np.exp(np.multiply.outer(first, lam))
 
-    Each block of samples is its anchor's exponential exp(lam (t_a - t0))
-    times the offset factors exp(lam (t_j - t_a)).  A block whose offsets
-    repeat the first block's, to the rounding of the sample times, reuses
-    the first block's factors, so a uniform grid takes one complex exp per
-    mode and anchor plus one table; a block holding an off-grid sample
-    takes its own offsets.
+
+def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray, t0: float,
+                table: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """amp_k exp(lam_k (t_j - t0)) for every mode k and sample j of a block
+    t of the grid that starts at t0, stored sample by sample.
+
+    Each run of _BLOCK // 2 samples is its anchor's exponential
+    exp(lam (t_a - t0)) times the offset factors exp(lam (t_j - t_a)), so
+    nothing compounds from block to block.  A run whose offsets repeat
+    those of `table`, the grid's _offset_table (the block's own by
+    default), to the rounding of the sample times, reuses its factors, so
+    a uniform grid takes one complex exp per mode and anchor plus one
+    table; a run holding an off-grid sample takes its own offsets.
     """
+    first, factors = _offset_table(lam, t) if table is None else table
     out = np.empty((t.size, lam.size), dtype=complex)
     width = _BLOCK // 2
-    first = t[:width] - t[0]
-    table = np.exp(np.multiply.outer(first, lam))
     tol = 16.0 * np.finfo(float).eps * max(abs(t0), float(np.max(np.abs(t))))
     for lo in range(0, t.size, width):
         off = t[lo:lo + width] - t[lo]
         if np.all(np.abs(off - first[:off.size]) <= tol):
-            factors = table[:off.size]
+            run = factors[:off.size]
         else:
-            factors = np.exp(np.multiply.outer(off, lam))
+            run = np.exp(np.multiply.outer(off, lam))
         anchor = amp * np.exp(lam * (t[lo] - t0))
-        np.multiply(anchor, factors, out=out[lo:lo + width])
+        np.multiply(anchor, run, out=out[lo:lo + width])
     return out.T
 
 
@@ -971,60 +989,86 @@ def _pulse_cdf(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
     return -np.expm1(-2.0 * np.maximum(s, 0.0))
 
 
-def _drive_integrals(pulse: PulseSpec, lam: np.ndarray,
-                     t: np.ndarray) -> np.ndarray:
-    """I_k(t_j) = integral from t_0 to t_j of exp(lam_k (t_j - s)) a_in(s) ds,
-    stored sample by sample.
+class _DrivePlan(NamedTuple):
+    """What every block of a grid's drive shares: its steps grouped by
+    length, and per group the weights and the decay exp(lam h)."""
 
-    One exponential-quadrature recurrence for every pulse shape
-    (Hochbruck & Ostermann, Acta Numerica 19, 2010),
-    I(t_j+1) = exp(lam h) I(t_j) + carrier(t_j+1) sum W(h) env(nodes); the
-    weights take the carrier detuning into mu = lam + i om, so only the
-    real envelope is interpolated.  Gauss nodes are interior and an
-    exponential pulse's switching instant is a sample, so no step
-    interpolates across the edge.
-    """
-    n = lam.size
+    starts: np.ndarray      # each group's shortest step, ascending
+    offsets: list           # each group's Gauss nodes within a step
+    weights: list           # each group's weights, real over imaginary
+    decay_hi: list          # exp(lam h) = hi + lo in two doubles
+    decay_lo: list
+
+
+def _drive_plan(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray) -> _DrivePlan:
+    """The drive's set-up on the samples t.  Steps of one length to
+    rounding form a group, whose mean keeps the summed steps on the
+    samples; the weights take the carrier detuning into mu = lam + i om,
+    so only the real envelope is interpolated."""
     h = np.diff(t)
-    # one group per run of lengths within rounding: its mean keeps the
-    # summed steps on the samples
     order = np.argsort(h)
     tol = 16.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    new = np.diff(h[order], prepend=-np.inf) > tol
     group = np.empty(h.size, dtype=int)
-    group[order] = np.cumsum(np.diff(h[order], prepend=-np.inf) > tol) - 1
+    group[order] = np.cumsum(new) - 1
     lengths = np.bincount(group, weights=h) / np.bincount(group)
-    out = np.zeros((t.size, n), dtype=complex).T
-    for g, length in enumerate(lengths):
+    offsets, weights = [], []
+    for length in lengths:
         m = max(1, math.ceil(length / (_DRIVE_STEP * pulse.duration) - _GRID_SNAP))
         w = _drive_weights(lam + 1j * pulse.carrier_detuning, length / m, m)
         # real and imaginary parts stacked for one real product: a complex
         # product this thin is slow on threaded BLAS
-        stacked = np.concatenate((w.real, w.imag))
-        steps = np.flatnonzero(group == g)
-        nodes = ((np.arange(m)[:, None] + _drive_rule()[0]) * (length / m)).ravel()
-        env = pulse.envelope(t[steps] + nodes[:, None])
-        for k in range(0, steps.size, _BLOCK):
-            part = stacked @ env[:, k:k + _BLOCK]
-            cols = steps[k:k + _BLOCK] + 1
-            if cols[-1] - cols[0] == cols.size - 1:
-                # a run of samples: slices, not a scatter into strided memory
-                cols = slice(cols[0], cols[-1] + 1)
-            out.real[:, cols] = part[:n]
-            out.imag[:, cols] = part[n:]
-    if pulse.carrier_detuning:
-        out[:, 1:] *= np.exp(-1j * pulse.carrier_detuning * (t[1:] - pulse.center))
-    # the recurrence, one O(n) update per step in place; exp(lam h) is the
-    # sum hi + lo of two doubles, from extended precision where there is
-    # any, since one factor reused at every step compounds its rounding
+        weights.append(np.concatenate((w.real, w.imag)))
+        offsets.append(((np.arange(m)[:, None] + _drive_rule()[0])
+                        * (length / m)).ravel())
+    # exp(lam h) is the sum hi + lo of two doubles, from extended precision
+    # where there is any, since one factor reused at every step compounds
+    # its rounding
     decay = np.exp(np.multiply.outer(lengths.astype(np.longdouble),
                                      lam.astype(np.clongdouble)))
     hi = decay.astype(complex)
     lo = (decay - hi).astype(complex)
-    # every update runs over one sample's contiguous row; an update is
-    # small enough that it writes through row views and a product buffer
-    # made once
+    return _DrivePlan(h[order][new], offsets, weights, list(hi), list(lo))
+
+
+def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
+                     plan: _DrivePlan | None = None,
+                     start: np.ndarray | None = None) -> np.ndarray:
+    """I_k(t_j) = start_k exp(lam_k (t_j - t_0)) + integral from t_0 to
+    t_j of exp(lam_k (t_j - s)) a_in(s) ds on a block t of samples,
+    stored sample by sample; start is 0 unless given.
+
+    One exponential-quadrature recurrence for every pulse shape
+    (Hochbruck & Ostermann, Acta Numerica 19, 2010),
+    I(t_j+1) = exp(lam h) I(t_j) + carrier(t_j+1) sum W(h) env(nodes), with
+    the weights and decays of `plan`, the _drive_plan of the grid the block
+    belongs to (the block's own by default).  Gauss nodes are interior and
+    an exponential pulse's switching instant is a sample, so no step
+    interpolates across the edge.
+    """
+    if plan is None:
+        plan = _drive_plan(pulse, lam, t)
+    n = lam.size
+    h = np.diff(t)
+    group = np.searchsorted(plan.starts, h, side="right") - 1
+    out = np.empty((t.size, n), dtype=complex).T
+    out[:, 0] = 0.0 if start is None else start
+    for g in np.flatnonzero(np.bincount(group, minlength=len(plan.starts))):
+        steps = np.flatnonzero(group == g)
+        part = plan.weights[g] @ pulse.envelope(t[steps] + plan.offsets[g][:, None])
+        cols = steps + 1
+        if cols[-1] - cols[0] == cols.size - 1:
+            # a run of samples: slices, not a scatter into strided memory
+            cols = slice(cols[0], cols[-1] + 1)
+        out.real[:, cols] = part[:n]
+        out.imag[:, cols] = part[n:]
+    if pulse.carrier_detuning:
+        out[:, 1:] *= np.exp(-1j * pulse.carrier_detuning * (t[1:] - pulse.center))
+    # the recurrence, one O(n) update per step in place; every update runs
+    # over one sample's contiguous row, and is small enough that it writes
+    # through row views and a product buffer made once
     rows, term = list(out.T), np.empty(n, dtype=complex)
-    lo, hi = list(lo), list(hi)
+    hi, lo = plan.decay_hi, plan.decay_lo
     for j, g in enumerate(group.tolist()):
         np.multiply(lo[g], rows[j], out=term)
         rows[j + 1] += term
@@ -1033,29 +1077,27 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray,
     return out
 
 
-def _hermite_cumulative(t: np.ndarray, r: np.ndarray, dr: np.ndarray,
-                        ddr: np.ndarray) -> np.ndarray:
-    """Running integral of r by the two-point quintic Hermite rule, exact
-    for polynomials of degree five, from values and two derivatives."""
+def _hermite_cumulative(t: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Running integrals over the samples t of each row of rates[0], from
+    its values and two derivatives rates[0], rates[1], rates[2], by the
+    two-point quintic Hermite rule, exact for polynomials of degree
+    five."""
     h = np.diff(t)
-    inc = h * (0.5 * (r[:-1] + r[1:]) + h * ((dr[:-1] - dr[1:]) / 10.0
-                                             + h * (ddr[:-1] + ddr[1:]) / 120.0))
-    return np.concatenate(([0.0], np.cumsum(inc)))
-
-
-def _rate(x, dx, ddx, weight: float):
-    """weight*|x|**2 and its first two time derivatives."""
-    return (weight * np.abs(x) ** 2,
-            2.0 * weight * (np.conj(x) * dx).real,
-            2.0 * weight * (np.abs(dx) ** 2 + (np.conj(x) * ddx).real))
+    pair = rates[:, :, :-1] + rates[:, :, 1:]
+    slope = rates[1, :, :-1] - rates[1, :, 1:]
+    inc = h * (0.5 * pair[0] + h * (0.1 * slope + (h / 120.0) * pair[2]))
+    out = np.zeros(rates.shape[1:])
+    np.cumsum(inc, axis=1, out=out[:, 1:])
+    return out
 
 
 def _state_at(basis: _ModalBasis, op: np.ndarray, c: np.ndarray,
               folded: bool):
     """a1, bc, a2, sig = sum_m g_m b_m and sum_m g_m D_m b_m, the
-    bright-ensemble population at every sample, and the original nodes'
-    amplitudes at the last one: the coordinates c through the node
-    operator op of (basis, folded), a block of rows at a time.
+    bright-ensemble population at every sample of a block, and the
+    original nodes' amplitudes at its last one: the coordinates c, stored
+    sample by sample, through the node operator op of (basis, folded) in
+    one product.
 
     Folded, c holds the coordinates of a mirror-conjugate state's n - k
     representatives, the k pairs and the real modes, and the operator
@@ -1063,35 +1105,27 @@ def _state_at(basis: _ModalBasis, op: np.ndarray, c: np.ndarray,
     count twice, a centre node once, and the upper half of the last
     amplitudes is the conjugate mirror, the centre node real.  Its two
     real rows per row of V give the real and imaginary parts from those
-    of c, interleaved mode by mode, which is a view of c when it is
-    stored sample by sample."""
+    of c, interleaved mode by mode, which is a view of c.  The product
+    is taken as samples times operator rows, the orientation in which
+    BLAS keeps its peak on a block this narrow."""
     size = basis.g.size
     rows = (size + 1) // 2 if folded else size
     per = 2 if folded else 1     # operator rows per row of V
     weight = np.repeat(np.where(np.arange(rows) < size - rows, 2.0, 1.0), per)
-    if folded:
-        c = np.ascontiguousarray(c.T).view(float).T
-    state = op[:5 * per] @ c
+    c = np.ascontiguousarray(c.T)
+    full = (c.view(float) if folded else c) @ op.T
+    state, nodes = full[:, :5 * per].T, full[:, 5 * per:]
+    end = nodes[-1]
     if folded:
         state = state[0::2] + 1j * state[1::2]
-    op = op[5 * per:]
-    pe = np.zeros(c.shape[1])
-    last = np.empty(size, dtype=complex)
-    for lo in range(0, op.shape[0], _BLOCK):
-        part = op[lo:lo + _BLOCK] @ c
-        end = part[:, -1]
-        last[lo // per:(lo + end.size) // per] = \
-            end[0::2] + 1j * end[1::2] if folded else end
-        part = np.square(part, out=part) if folded \
-            else part.real ** 2 + part.imag ** 2
-        pe += weight[lo:lo + _BLOCK] @ part
-        # freed before the next block's are made, so that the heap holds
-        # one block's at a time and the allocator keeps reusing it instead
-        # of returning it to the system and faulting it in again
-        del part, end
-    if folded:
+        last = np.empty(size, dtype=complex)
+        last[:rows] = end[0::2] + 1j * end[1::2]
         last[rows:] = np.conj(last[:size - rows][::-1])
         last[size - rows:rows] = last[size - rows:rows].real
+        pe = np.square(nodes, out=nodes) @ weight
+    else:
+        last = end.copy()
+        pe = (nodes.real ** 2 + nodes.imag ** 2) @ weight
     return (*state, pe, basis.share * last[basis.group])
 
 
@@ -1129,34 +1163,62 @@ def _drive_nodes(pulse: PulseSpec, times: np.ndarray, lam: np.ndarray):
     return nodes, ain, alpha * ain, alpha * alpha * ain
 
 
+@functools.lru_cache(maxsize=4)
+def _derivative_map(p: SystemParams) -> np.ndarray:
+    """The rows, over (a1, bc, a2, sig, ain, dain, ddain), of a_out and bc
+    with their first and second time derivatives, then a2 and its
+    derivative, from the equations of motion."""
+    sqrtk = math.sqrt(p.kappa)
+    cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
+    e = np.eye(7, dtype=complex)
+    da1 = -0.5 * p.kappa * e[0] - 1j * p.g1 * e[1] - 1j * p.f2 * e[2] + sqrtk * e[4]
+    dbc = -1j * p.g1 * e[0] + cdamp * e[1]
+    da2 = -1j * p.f2 * e[0] - 1j * e[3]
+    dda1 = -0.5 * p.kappa * da1 - 1j * p.g1 * dbc - 1j * p.f2 * da2 + sqrtk * e[5]
+    ddbc = -1j * p.g1 * da1 + cdamp * dbc
+    out = np.array([sqrtk * e[0] - e[4], e[1], sqrtk * da1 - e[5], dbc,
+                    sqrtk * dda1 - e[6], ddbc, e[2], da2])
+    out.flags.writeable = False     # every caller shares it
+    return out
+
+
 def _hermite_losses(p: SystemParams, nodes: np.ndarray, a1, bc, a2, sig,
                     dsig, pe, inv_t2: float, ain, dain, ddain) -> np.ndarray:
     """Loss integrals by the quintic Hermite rule on time derivatives from
     the equations of motion, under the input amplitude ain with its first
     two time derivatives; sig = sum_j g_j b_j comes with its derivative."""
-    sqrtk = math.sqrt(p.kappa)
-    cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
-    da2 = -1j * sig - 1j * p.f2 * a1
-    dbc = cdamp * bc - 1j * p.g1 * a1
-    da1 = -1j * p.g1 * bc - 1j * p.f2 * a2 - 0.5 * p.kappa * a1 + sqrtk * ain
-    ddbc = cdamp * dbc - 1j * p.g1 * da1
-    dda1 = (-1j * p.g1 * dbc - 1j * p.f2 * da2 - 0.5 * p.kappa * da1
-            + sqrtk * dain)
-    dpe = -2.0 * inv_t2 * pe + 2.0 * (-1j * a2 * np.conj(sig)).real
-    ddpe = -2.0 * inv_t2 * dpe + 2.0 * (-1j * (da2 * np.conj(sig)
-                                             + a2 * np.conj(dsig))).real
-    return np.array([
-        _hermite_cumulative(nodes, *_rate(sqrtk * a1 - ain, sqrtk * da1 - dain,
-                                          sqrtk * dda1 - ddain, 1.0)),
-        _hermite_cumulative(nodes, *_rate(bc, dbc, ddbc, p.gamma)),
-        _hermite_cumulative(nodes, 2.0 * inv_t2 * pe, 2.0 * inv_t2 * dpe,
-                            2.0 * inv_t2 * ddpe)])
+    y = _derivative_map(p) @ np.array([a1, bc, a2, sig, ain, dain, ddain])
+    x, dx, ddx = y[0:2], y[2:4], y[4:6]
+    conj = np.conj(x)
+    # the rates |a_out|**2, gamma |bc|**2 and (2/T2) pe, each with its
+    # first two derivatives, as (derivative order, loss, node)
+    rates = np.empty((3, 3, nodes.size))
+    rates[0, :2] = x.real ** 2 + x.imag ** 2
+    rates[1, :2] = 2.0 * (conj * dx).real
+    rates[2, :2] = 2.0 * (dx.real ** 2 + dx.imag ** 2 + (conj * ddx).real)
+    rates[:, 1] *= p.gamma
+    # d pe/dt = -(2/T2) pe + 2 Im(a2 conj(sig))
+    s = np.conj(sig)
+    rates[0, 2] = pe
+    rates[1, 2] = 2.0 * (y[6] * s).imag - 2.0 * inv_t2 * pe
+    rates[2, 2] = (2.0 * (y[7] * s + y[6] * np.conj(dsig)).imag
+                   - 2.0 * inv_t2 * rates[1, 2])
+    rates[:, 2] *= 2.0 * inv_t2
+    return _hermite_cumulative(nodes, rates)
 
 
 def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
                  pulse: PulseSpec | None) -> SimulationTrace:
     """One stage from the ensemble's state, with the cavities and the
-    control atom empty: storage under `pulse`, retrieval without one."""
+    control atom empty: storage under `pulse`, retrieval without one.
+
+    The nodes run in blocks of _BLOCK, and only the output samples and
+    the running losses leave a block.  A block's mode coordinates, of the
+    representatives of a folded state, are the pulse's convolution,
+    continued from the row the last block ended on, plus the free
+    evolution of the bright start; a part that is zero is skipped unless
+    it is alone.  The loss integrals step from the last block's final
+    node, whose values they carry."""
     basis = _modal_basis(p, ens)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     b0 = ens.coherences
@@ -1169,36 +1231,64 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     folded = (basis.mirrored and np.array_equal(b0[::-1], np.conj(b0))
               and (pulse is None or not pulse.carrier_detuning))
     op, drive = _node_operator(basis, folded)
-    # the mode coordinates, of the representatives of a folded state and
-    # stored sample by sample: the pulse's convolution plus the free
-    # evolution of the bright start; a part that is zero is skipped unless
-    # it is alone
     lam = basis.lam[:drive.size]
-    c = None
+    plan = free = None
     if pulse is None:
         nodes, kind = times, "retrieval"
-        ain = dain = ddain = alpha_in = np.zeros(times.size, dtype=complex)
-        l_in = np.zeros(times.size)
+        alpha_in, l_in = np.zeros(times.size, dtype=complex), np.zeros(times.size)
     else:
-        nodes, ain, dain, ddain = _drive_nodes(pulse, times, basis.lam)
-        c = _drive_integrals(pulse, lam, nodes)
-        c *= (math.sqrt(p.kappa) * drive)[:, None]
+        nodes, *inputs = _drive_nodes(pulse, times, basis.lam)
+        inputs = np.array(inputs)
+        plan, gain = _drive_plan(pulse, lam, nodes), math.sqrt(p.kappa) * drive
         cdf = _pulse_cdf(pulse, times)
         kind, alpha_in, l_in = "storage", pulse.amplitude(times), cdf - cdf[0]
-    if c is None or np.any(bright):
+    if plan is None or np.any(bright):
         c0 = _mode_coordinates(basis, op, np.zeros(3, dtype=complex), bright,
                                folded)
-        free = _propagator(lam, c0, nodes, nodes[0])
-        c = free if c is None else np.add(c, free, out=c)
+        free = c0, _offset_table(lam, nodes)
 
-    a1, bc, a2, sig, dsig, pe, last = _state_at(basis, op, c, folded)
-    # d(sig)/dt = sum_m g_m (D_m b_m - i g_m a2)
-    dsig -= 1j * p.collective_coupling * a2
-    losses = _hermite_losses(p, nodes, a1, bc, a2, sig, dsig, pe, inv_t2,
-                             ain, dain, ddain)
     out = np.searchsorted(nodes, times)
-    a1, bc, a2, pe = a1[out], bc[out], a2[out], pe[out]
-    l_out, l_c, l_t2 = losses[:, out]
+    fields = np.empty((3, times.size), dtype=complex)
+    pe, losses = np.empty(times.size), np.empty((3, times.size))
+    # the Hermite rule's columns at the node the last block ended on, then
+    # at the block's own: a1, bc, a2, sig, its rate, the bright population,
+    # and the input with its first two derivatives
+    cols = np.zeros((9, _BLOCK + 1), dtype=complex)
+    row, carried = None, np.zeros(3)
+    for lo in range(0, nodes.size, _BLOCK):
+        hi = min(lo + _BLOCK, nodes.size)
+        # the node the block continues from, the last block's final one
+        first = max(lo - 1, 0)
+        c = None
+        if plan is not None:
+            integrals = _drive_integrals(pulse, lam, nodes[first:hi], plan, row)
+            row = integrals[:, -1].copy()
+            c = integrals[:, lo - first:]
+            c *= gain[:, None]
+        if free is not None:
+            part = _propagator(lam, free[0], nodes[lo:hi], nodes[0], free[1])
+            c = part if c is None else np.add(c, part, out=c)
+        *state, population, last = _state_at(basis, op, c, folded)
+        own = slice(lo - first, hi - first)
+        cols[:5, own] = state
+        cols[5, own] = population
+        if plan is not None:
+            cols[6:, own] = inputs[:, lo:hi]
+        # d(sig)/dt = sum_m g_m (D_m b_m - i g_m a2)
+        cols[4, own] -= 1j * p.collective_coupling * cols[2, own]
+        block = cols[:, :own.stop]
+        losses_at = _hermite_losses(p, nodes[first:hi], *block[:5],
+                                    block[5].real, inv_t2, *block[6:])
+        losses_at += carried[:, None]
+        carried = losses_at[:, -1]
+        j0, j1 = np.searchsorted(out, (lo, hi))
+        pick = out[j0:j1] - first
+        fields[:, j0:j1] = block[:3, pick]
+        pe[j0:j1] = block[5, pick].real
+        losses[:, j0:j1] = losses_at[:, pick]
+        cols[:, 0] = block[:, -1]
+    a1, bc, a2 = fields
+    l_out, l_c, l_t2 = losses
     dark_p = float(np.sum(np.abs(dark) ** 2))
     if dark_p > 0:
         elapsed = times - times[0]

@@ -47,7 +47,10 @@ MIN_N_SIM = 16
 #: most quadrature nodes a config may ask for: a stage's node operator
 #: holds 8 n**2 bytes folded or 16 n**2 complex, 1 GiB at this bound
 MAX_N_SIM = 8192
-#: most samples of a grid: a spectra grid's n, a stage's output times
+#: most samples of a grid: a spectra grid's n, a stage's output times.  A
+#: stage peaks at its node operator, plus its output arrays (about 200
+#: bytes per output sample, 200 MB at this bound), plus one block of 128
+#: samples by (modes + nodes), whatever the length of its grid
 MAX_SAMPLES = 10**6
 #: most time bins of an address register: a run holds M**2 cell factors.
 #: An `address` command with equal amplitudes peaked at 54, 115 and 357 MB
@@ -55,7 +58,7 @@ MAX_SAMPLES = 10**6
 #: Python 3.11), so about 1.4 GB at this bound
 MAX_BINS = 2048
 #: the probability ledger's tolerance, and all it bounds: a stage whose
-#: ledger drifts beyond 100 x SOLVER_TOL is refused.  Storage and
+#: ledger drifts beyond 10 x SOLVER_TOL is refused.  Storage and
 #: retrieval are exact in the mode basis, so it sets no step size
 SOLVER_TOL = 1e-9
 
