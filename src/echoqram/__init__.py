@@ -62,7 +62,7 @@ _LAYER_OF = {name: layer for layer, names in {
         "EchoResult", "blockade_phase_check", "PhaseCheck"),
     "addressing": (
         "RAMAN_ABSORB_PHASE", "ECHO_EMISSION_PHASE", "CONTROL_RESET_PHASE",
-        "ControlState", "Cell", "Term", "AddressSpec", "BranchEfficiencies",
+        "ControlState", "Term", "AddressSpec", "BranchEfficiencies",
         "QramState", "store_sequence", "absorb_address_bin", "rephase_cell",
         "reset_control", "run_addressing", "compose_with_dynamics",
         "state_to_dict"),

@@ -63,14 +63,6 @@ class ControlState(str, Enum):
     AU = "au_c"
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Static metadata of one memory cell (1-based index)."""
-
-    index: int
-    payload_label: str
-
-
 def _address_label(n: int) -> str:
     return f"psi_a[{n}]"
 
@@ -186,27 +178,26 @@ def _with_label(labels: np.ndarray, hashes: np.ndarray, rows: np.ndarray,
 class QramState:
     """Immutable superposition over protocol branches plus loss ledger.
 
-    QramState(cells_meta, terms, ...) builds a state from Term objects;
+    QramState(m, terms, ...) builds a state of m cells from Term objects;
     the protocol operations build theirs directly from branch arrays.
     terms is the tuple of Term objects sorted by pending bin, absorbed bin,
     control state and emitted labels (ties in row order), built on first
     access; a state built from terms keeps the given order.
     """
 
-    __slots__ = ("cells_meta", "losses", "consumed_bins", "rephased_cells",
+    __slots__ = ("m", "losses", "consumed_bins", "rephased_cells",
                  "_amp", "_cols", "_control", "_pending", "_absorbed",
                  "_labels", "_hashes", "_repeats", "_order", "_terms", "_norm")
 
-    def __init__(self, cells_meta: tuple[Cell, ...], terms: tuple[Term, ...],
+    def __init__(self, m: int, terms: tuple[Term, ...],
                  losses: tuple[tuple[str, float], ...] = (),
                  consumed_bins: frozenset[int] = frozenset(),
                  rephased_cells: frozenset[int] = frozenset()) -> None:
         terms = tuple(terms)
-        m = len(cells_meta)
         if any(len(t.cells) != m for t in terms):
             raise ParameterError(f"every term needs one factor per cell ({m})")
         cells = np.array([t.cells for t in terms], dtype=complex)
-        self._set(tuple(cells_meta), losses, consumed_bins, rephased_cells,
+        self._set(m, losses, consumed_bins, rephased_cells,
                   np.array([t.amplitude for t in terms], dtype=complex),
                   tuple(_frozen(cells.reshape(len(terms), m).T.copy())),
                   np.array([_CONTROLS.index(t.control) for t in terms], dtype=int),
@@ -223,12 +214,12 @@ class QramState:
         state._set(*fields)
         return state
 
-    def _set(self, cells_meta, losses, consumed_bins, rephased_cells,
+    def _set(self, m, losses, consumed_bins, rephased_cells,
              amp, cols, control, pending, absorbed, labels, hashes,
              repeats) -> None:
         """cols must hold read-only arrays; repeats is False only when no
         two rows share a branch key, True when some may."""
-        self.cells_meta = cells_meta
+        self.m = m
         self.losses = losses
         self.consumed_bins = consumed_bins
         self.rephased_cells = rephased_cells
@@ -264,10 +255,6 @@ class QramState:
                     self._absorbed[order].tolist(),
                     self._labels[order].tolist()))
         return self._terms
-
-    @property
-    def m(self) -> int:
-        return len(self.cells_meta)
 
     @property
     def norm(self) -> float:
@@ -383,7 +370,7 @@ def _next_state(before: QramState, op: str, changed: np.ndarray | None,
             a[rows] for a in (amp, control, pending, absorbed, labels, hashes))
         cols = tuple(_frozen(c[rows]) for c in cols)
     after = QramState._of(
-        before.cells_meta,
+        before.m,
         before.losses if losses is None else losses,
         before.consumed_bins if consumed_bins is None else consumed_bins,
         before.rephased_cells if rephased_cells is None else rephased_cells,
@@ -415,11 +402,9 @@ def store_sequence(m: int) -> QramState:
     its ground state."""
     if m < 1:
         raise ParameterError(f"need at least one cell, got M = {m}")
-    cells = tuple(Cell(index=i, payload_label=f"psi_in[{i}]")
-                  for i in range(1, m + 1))
     root = Term(amplitude=1.0 + 0.0j, control=ControlState.G,
                 cells=(1.0 + 0.0j,) * m)
-    return QramState(cells_meta=cells, terms=(root,))
+    return QramState(m, (root,))
 
 
 def absorb_address_bin(state: QramState, n: int, addr: AddressSpec) -> QramState:
@@ -510,7 +495,7 @@ def rephase_cell(state: QramState, m: int,
     leak2 = abs(eff.leakage_amplitude) ** 2
     scatter2 = max(0.0, 1.0 - abs(b_amp) ** 2 - leak2)
     b_phase = b_amp / abs(b_amp) if abs(b_amp) > 0 else 1.0
-    payload = state.cells_meta[m - 1].payload_label
+    payload = f"psi_in[{m}]"
 
     amp = state._amp
     w_emit = float(np.vdot(amp[au], amp[au]).real)
@@ -622,8 +607,8 @@ def state_to_dict(state: QramState) -> dict:
                state._pending[order].tolist(), state._absorbed[order].tolist())
     return {
         "m": state.m,
-        "cells": [{"index": c.index, "payload_label": c.payload_label}
-                  for c in state.cells_meta],
+        "cells": [{"index": i, "payload_label": f"psi_in[{i}]"}
+                  for i in range(1, state.m + 1)],
         "terms": [{
             "amplitude": {"re": a_re, "im": a_im},
             "control": _CONTROLS[control].value,

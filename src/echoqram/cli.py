@@ -264,12 +264,15 @@ _ARG_PATHS = {"span": "span", "t_span": "t_span", "tau": "tau",
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}\[\],:]|[^\s{}\[\],:"]+')
 
 
-def _key_lines(text: str) -> dict[str, int]:
-    """The line of every key path in JSON text that json.loads accepted.
+def _key_lines(text: str, find: str) -> dict[str, int]:
+    """The line of every key path in JSON text that json.loads accepted,
+    up to the path `find`.
 
     "grid.span" is the key "span" inside "grid", "sweep.values[1]" the
-    second item of that list and "" the document itself.  A repeated key
-    keeps its last line, as json.loads keeps its last value.
+    second item of that list and "" the document itself.  A path's
+    ancestors are recorded before it, and the scan stops once `find` is
+    recorded, unless its key is spelled again later in the text: a
+    repeated key keeps its last line, as json.loads keeps its last value.
     """
     lines: dict[str, int] = {}
     containers: list[list] = []   # open: [path, next item index or None]
@@ -294,14 +297,17 @@ def _key_lines(text: str) -> dict[str, int]:
             name = json.loads(tok)
             path = f"{parent}.{name}" if parent else name
             lines[path] = line
+            if path == find and text.find(tok, m.end()) < 0:
+                return lines
             want_key = False
         else:
             # a value: an object's value sits on its key's line already
-            if not containers:
+            if not containers or containers[-1][1] is not None:
+                if containers:
+                    path = f"{containers[-1][0]}[{containers[-1][1]}]"
                 lines[path] = line
-            elif containers[-1][1] is not None:
-                path = f"{containers[-1][0]}[{containers[-1][1]}]"
-                lines[path] = line
+                if path == find:
+                    return lines
             if tok in ("{", "["):
                 containers.append([path, None if tok == "{" else 0])
                 want_key = tok == "{"
@@ -327,7 +333,7 @@ class _Walker:
         self.routed: dict = {}
 
     def error(self, path: str, message: str) -> ConfigError:
-        lines = _key_lines(self.text)
+        lines = _key_lines(self.text, path)
         while path not in lines:
             path = path[:max(path.rfind("."), path.rfind("["), 0)]
         return ConfigError(message, self.source, lines[path])
@@ -595,11 +601,25 @@ def _write_artifact(out: Path, fmt: str, cfg: ScenarioConfig, cfg_text: str,
                 table.writerow(art.header)
                 table.writerows(art.rows)
             else:
-                fh.write(json.dumps({**meta, **art.body}, default=_listed) + "\n")
+                _dump(fh, {**meta, **art.body})
+                fh.write("\n")
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _dump(fh, value) -> None:
+    """Write json.dumps(value, default=_listed) to fh, a dict whose keys
+    are all strings an entry at a time, so that no one string holds the
+    document: each leaf goes through json.dumps, any other dict too."""
+    if not (isinstance(value, dict) and all(isinstance(k, str) for k in value)):
+        fh.write(json.dumps(value, default=_listed))
+        return
+    for i, (key, item) in enumerate(value.items()):
+        fh.write(f"{', ' if i else '{'}{json.dumps(key)}: ")
+        _dump(fh, item)
+    fh.write("}" if value else "{}")
 
 
 def _listed(value):
@@ -683,7 +703,7 @@ def _run_store(cfg: ScenarioConfig) -> _Artifact:
     return _Artifact(f"store: probability {trace.ensemble.probability:.6f}, "
                      f"ledger residual {trace.max_ledger_residual:.2e}",
                      ["time", "series", "re", "im"], rows(), body,
-                     meta={"kind": trace.kind, "solver_tol": trace.solver_tol,
+                     meta={"kind": trace.kind, "solver_tol": SOLVER_TOL,
                            "initial_probability": trace.initial_probability})
 
 
@@ -956,7 +976,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares scenario '{cfg.scenario.value}' but the "
                 f"'{args.command}' subcommand expects '{expected.value}'",
-                str(cfg_path), _key_lines(cfg_text)["scenario"])
+                str(cfg_path), _key_lines(cfg_text, "scenario")["scenario"])
         fmt = args.format or cfg.out_format or "csv"
         out_dir = Path(os.environ.get(OUT_DIR_ENV, "."))
         if args.out is not None:

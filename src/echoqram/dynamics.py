@@ -46,20 +46,23 @@ nodes.  A mirror-conjugate state (a mirrored line, a real envelope) has
 paired coordinates, so the stage carries one per conjugate pair and the
 real modes, and its operator is folded onto those.
 
-A stage runs over blocks of _BLOCK samples.  Each block continues the
-drive's recurrence from the row the last one ended on, evaluates the
+A stage runs over blocks of at most _BLOCK samples, and consecutive
+blocks share their edge node, so each block is a whole piece of the
+stage from its first node to its last.  Only the drive's row at the
+shared node and the three running loss integrals cross the edge.  Each
+block continues the drive's recurrence from that row, evaluates the
 free evolution at its own anchor times, takes the fields, the
 collective rows and the node populations from one product with the
 node operator, and adds its Hermite increments to the running losses;
-only its output samples leave it.  So a cycle costs one matrix product
-with the node operator per block, which on a mirror-conjugate state
-takes half the line's Cauchy rows as one real product, one O(n) drive
-update per storage sample, and little else.  A stage holds its node
-operator, the one array that grows as the square of the mode count
-(8 n**2 bytes folded, 16 n**2 complex, 1.3 MB at n = 401; a single slot
-holds the operator of the basis last used), its output samples, and
-one block: about (modes + nodes) x _BLOCK numbers, however long its
-grid.
+only the output samples it owns leave it, the shared node going with
+the earlier block.  So a cycle costs one matrix product with the node
+operator per block, which on a mirror-conjugate state takes half the
+line's Cauchy rows as one real product, one O(n) drive update per
+storage sample, and little else.  A stage holds its node operator, the
+one array that grows as the square of the mode count (8 n**2 bytes
+folded, 16 n**2 complex, 1.3 MB at n = 401; a single slot holds the
+operator of the basis last used), its output samples, and one block:
+about (modes + nodes) x _BLOCK numbers, however long its grid.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
@@ -293,7 +296,6 @@ class SimulationTrace:
     ledger_residual: np.ndarray
     ensemble: AtomEnsemble              # state at the final sample
     initial_probability: float
-    solver_tol: float
     kind: str
     params: SystemParams
 
@@ -426,15 +428,15 @@ def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
         out_flux_integral=l_out, control_loss_integral=l_c,
         t2_loss_integral=l_t2, in_flux_integral=l_in,
         ledger_residual=residual, ensemble=ens.with_coherences(final_coherences),
-        initial_probability=p0, solver_tol=solver_tol, kind=kind, params=p,
+        initial_probability=p0, kind=kind, params=p,
     )
 
 
 # ------------------------------------------------------------ modal basis
 
-#: samples per block of a stage, and rows per block of the other sums
-#: over samples, so that no temporary grows as (number of samples) x
-#: (number of modes)
+#: most samples per block of a stage, whose blocks share their edge
+#: sample, and rows per block of the other sums over samples, so that no
+#: temporary grows as (number of samples) x (number of modes)
 _BLOCK = 128
 #: rows per block of the elementwise sums over poles or roots, which take
 #: no matrix product: a block this small keeps its temporaries in cache
@@ -893,19 +895,19 @@ def _offset_table(lam: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray, t0: float,
-                table: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """amp_k exp(lam_k (t_j - t0)) for every mode k and sample j of a block
     t of the grid that starts at t0, stored sample by sample.
 
     Each run of _BLOCK // 2 samples is its anchor's exponential
     exp(lam (t_a - t0)) times the offset factors exp(lam (t_j - t_a)), so
     nothing compounds from block to block.  A run whose offsets repeat
-    those of `table`, the grid's _offset_table (the block's own by
-    default), to the rounding of the sample times, reuses its factors, so
-    a uniform grid takes one complex exp per mode and anchor plus one
-    table; a run holding an off-grid sample takes its own offsets.
+    those of `table`, the grid's _offset_table, to the rounding of the
+    sample times, reuses its factors, so a uniform grid takes one complex
+    exp per mode and anchor plus one table; a run holding an off-grid
+    sample takes its own offsets.
     """
-    first, factors = _offset_table(lam, t) if table is None else table
+    first, factors = table
     out = np.empty((t.size, lam.size), dtype=complex)
     width = _BLOCK // 2
     tol = 16.0 * np.finfo(float).eps * max(abs(t0), float(np.max(np.abs(t))))
@@ -1032,7 +1034,7 @@ def _drive_plan(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray) -> _DrivePlan:
 
 
 def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
-                     plan: _DrivePlan | None = None,
+                     plan: _DrivePlan,
                      start: np.ndarray | None = None) -> np.ndarray:
     """I_k(t_j) = start_k exp(lam_k (t_j - t_0)) + integral from t_0 to
     t_j of exp(lam_k (t_j - s)) a_in(s) ds on a block t of samples,
@@ -1042,12 +1044,10 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
     (Hochbruck & Ostermann, Acta Numerica 19, 2010),
     I(t_j+1) = exp(lam h) I(t_j) + carrier(t_j+1) sum W(h) env(nodes), with
     the weights and decays of `plan`, the _drive_plan of the grid the block
-    belongs to (the block's own by default).  Gauss nodes are interior and
-    an exponential pulse's switching instant is a sample, so no step
-    interpolates across the edge.
+    belongs to.  Gauss nodes are interior and an exponential pulse's
+    switching instant is a sample, so no step interpolates across the
+    edge.
     """
-    if plan is None:
-        plan = _drive_plan(pulse, lam, t)
     n = lam.size
     h = np.diff(t)
     group = np.searchsorted(plan.starts, h, side="right") - 1
@@ -1093,21 +1093,19 @@ def _hermite_cumulative(t: np.ndarray, rates: np.ndarray) -> np.ndarray:
 
 def _state_at(basis: _ModalBasis, op: np.ndarray, c: np.ndarray,
               folded: bool):
-    """a1, bc, a2, sig = sum_m g_m b_m and sum_m g_m D_m b_m, the
-    bright-ensemble population at every sample of a block, and the
-    original nodes' amplitudes at its last one: the coordinates c, stored
-    sample by sample, through the node operator op of (basis, folded) in
-    one product.
+    """The rows a1, bc, a2, sig = sum_m g_m b_m and sum_m g_m D_m b_m, the
+    bright-ensemble population at every sample of a block, and the node
+    rows at its last one: the coordinates c, stored sample by sample,
+    through the node operator op of (basis, folded) in one product.
 
     Folded, c holds the coordinates of a mirror-conjugate state's n - k
     representatives, the k pairs and the real modes, and the operator
     takes the lower half of the merged nodes only: their populations
-    count twice, a centre node once, and the upper half of the last
-    amplitudes is the conjugate mirror, the centre node real.  Its two
-    real rows per row of V give the real and imaginary parts from those
-    of c, interleaved mode by mode, which is a view of c.  The product
-    is taken as samples times operator rows, the orientation in which
-    BLAS keeps its peak on a block this narrow."""
+    count twice, a centre node once.  Its two real rows per row of V give
+    the real and imaginary parts from those of c, interleaved mode by
+    mode, which is a view of c; the node rows stay so interleaved.  The
+    product is taken as samples times operator rows, the orientation in
+    which BLAS keeps its peak on a block this narrow."""
     size = basis.g.size
     rows = (size + 1) // 2 if folded else size
     per = 2 if folded else 1     # operator rows per row of V
@@ -1115,18 +1113,13 @@ def _state_at(basis: _ModalBasis, op: np.ndarray, c: np.ndarray,
     c = np.ascontiguousarray(c.T)
     full = (c.view(float) if folded else c) @ op.T
     state, nodes = full[:, :5 * per].T, full[:, 5 * per:]
-    end = nodes[-1]
+    end = nodes[-1].copy()
     if folded:
         state = state[0::2] + 1j * state[1::2]
-        last = np.empty(size, dtype=complex)
-        last[:rows] = end[0::2] + 1j * end[1::2]
-        last[rows:] = np.conj(last[:size - rows][::-1])
-        last[size - rows:rows] = last[size - rows:rows].real
         pe = np.square(nodes, out=nodes) @ weight
     else:
-        last = end.copy()
         pe = (nodes.real ** 2 + nodes.imag ** 2) @ weight
-    return (*state, pe, basis.share * last[basis.group])
+    return state, pe, end
 
 
 #: largest phase of the fastest mode per step after an exponential's switch
@@ -1212,13 +1205,14 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     """One stage from the ensemble's state, with the cavities and the
     control atom empty: storage under `pulse`, retrieval without one.
 
-    The nodes run in blocks of _BLOCK, and only the output samples and
-    the running losses leave a block.  A block's mode coordinates, of the
+    The nodes run in blocks of at most _BLOCK, each starting on the node
+    the last one ended on, and only the output samples it owns and the
+    running losses leave a block.  A block's mode coordinates, of the
     representatives of a folded state, are the pulse's convolution,
-    continued from the row the last block ended on, plus the free
+    continued from the drive's row at the shared node, plus the free
     evolution of the bright start; a part that is zero is skipped unless
-    it is alone.  The loss integrals step from the last block's final
-    node, whose values they carry."""
+    it is alone.  The loss integrals continue from their values at the
+    shared node."""
     basis = _modal_basis(p, ens)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     b0 = ens.coherences
@@ -1236,6 +1230,7 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     if pulse is None:
         nodes, kind = times, "retrieval"
         alpha_in, l_in = np.zeros(times.size, dtype=complex), np.zeros(times.size)
+        inputs = np.broadcast_to(0j, (3, nodes.size))   # a view, no samples
     else:
         nodes, *inputs = _drive_nodes(pulse, times, basis.lam)
         inputs = np.array(inputs)
@@ -1250,43 +1245,39 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     out = np.searchsorted(nodes, times)
     fields = np.empty((3, times.size), dtype=complex)
     pe, losses = np.empty(times.size), np.empty((3, times.size))
-    # the Hermite rule's columns at the node the last block ended on, then
-    # at the block's own: a1, bc, a2, sig, its rate, the bright population,
-    # and the input with its first two derivatives
-    cols = np.zeros((9, _BLOCK + 1), dtype=complex)
-    row, carried = None, np.zeros(3)
-    for lo in range(0, nodes.size, _BLOCK):
+    row, carried, j1 = None, np.zeros(3), 0
+    # consecutive blocks share their edge node, which the earlier one owns
+    for lo in range(0, nodes.size - 1, _BLOCK - 1):
         hi = min(lo + _BLOCK, nodes.size)
-        # the node the block continues from, the last block's final one
-        first = max(lo - 1, 0)
-        c = None
+        block, c = nodes[lo:hi], None
         if plan is not None:
-            integrals = _drive_integrals(pulse, lam, nodes[first:hi], plan, row)
-            row = integrals[:, -1].copy()
-            c = integrals[:, lo - first:]
+            c = _drive_integrals(pulse, lam, block, plan, row)
+            row = c[:, -1].copy()
             c *= gain[:, None]
         if free is not None:
-            part = _propagator(lam, free[0], nodes[lo:hi], nodes[0], free[1])
+            part = _propagator(lam, free[0], block, nodes[0], free[1])
             c = part if c is None else np.add(c, part, out=c)
-        *state, population, last = _state_at(basis, op, c, folded)
-        own = slice(lo - first, hi - first)
-        cols[:5, own] = state
-        cols[5, own] = population
-        if plan is not None:
-            cols[6:, own] = inputs[:, lo:hi]
+        state, population, end = _state_at(basis, op, c, folded)
         # d(sig)/dt = sum_m g_m (D_m b_m - i g_m a2)
-        cols[4, own] -= 1j * p.collective_coupling * cols[2, own]
-        block = cols[:, :own.stop]
-        losses_at = _hermite_losses(p, nodes[first:hi], *block[:5],
-                                    block[5].real, inv_t2, *block[6:])
+        state[4] -= 1j * p.collective_coupling * state[2]
+        losses_at = _hermite_losses(p, block, *state, population, inv_t2,
+                                    *inputs[:, lo:hi])
         losses_at += carried[:, None]
         carried = losses_at[:, -1]
-        j0, j1 = np.searchsorted(out, (lo, hi))
-        pick = out[j0:j1] - first
-        fields[:, j0:j1] = block[:3, pick]
-        pe[j0:j1] = block[5, pick].real
+        j0, j1 = j1, np.searchsorted(out, hi)
+        pick = out[j0:j1] - lo
+        fields[:, j0:j1] = state[:3, pick]
+        pe[j0:j1] = population[pick]
         losses[:, j0:j1] = losses_at[:, pick]
-        cols[:, 0] = block[:, -1]
+    # the amplitudes at the last node; folded, its rows hold the lower half
+    # of the merged nodes, whose conjugate mirror is the upper half, and a
+    # centre node is real
+    if folded:
+        low = end.view(complex)
+        up = basis.g.size - low.size
+        end = np.concatenate((low, np.conj(low[:up][::-1])))
+        end[up:low.size].imag = 0.0
+    last = basis.share * end[basis.group]
     a1, bc, a2 = fields
     l_out, l_c, l_t2 = losses
     dark_p = float(np.sum(np.abs(dark) ** 2))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from echoqram.params import ParameterError, solve_matched_params
-from echoqram.addressing import (AddressSpec, BranchEfficiencies, Cell,
+from echoqram.addressing import (AddressSpec, BranchEfficiencies,
                                  CONTROL_RESET_PHASE, ControlState,
                                  ECHO_EMISSION_PHASE, ProtocolError,
                                  QramState, RAMAN_ABSORB_PHASE, Term,
@@ -83,7 +83,7 @@ class TestSpecs:
         assert len(s.terms) == 1
         assert s.terms[0].amplitude == 1.0
         assert s.terms[0].control is ControlState.G
-        assert s.cells_meta[1].payload_label == "psi_in[2]"
+        assert state_to_dict(s)["cells"][1]["payload_label"] == "psi_in[2]"
         assert s.norm == 1.0
 
     def test_store_sequence_validation(self):
@@ -204,29 +204,22 @@ class TestProtocolErrors:
             rephase_cell(s, 1)
 
     def test_rephase_empty_cell(self):
-        meta = (Cell(index=1, payload_label="psi_in[1]"),)
         term = Term(amplitude=1.0 + 0.0j, control=ControlState.G,
                     cells=(0.0 + 0.0j,))
-        s = QramState(cells_meta=meta, terms=(term,),
-                      consumed_bins=frozenset({1}))
+        s = QramState(1, (term,), consumed_bins=frozenset({1}))
         with pytest.raises(ProtocolError):
             rephase_cell(s, 1)
 
     def test_term_with_wrong_cell_count(self):
-        meta = tuple(Cell(index=i, payload_label=f"psi_in[{i}]")
-                     for i in (1, 2))
         term = Term(amplitude=1.0 + 0.0j, control=ControlState.G,
                     cells=(1.0 + 0.0j,))
         with pytest.raises(ParameterError):
-            QramState(cells_meta=meta, terms=(term,))
+            QramState(2, (term,))
 
     def test_rephase_wrong_pairing(self):
-        meta = tuple(Cell(index=i, payload_label=f"psi_in[{i}]")
-                     for i in (1, 2))
         term = Term(amplitude=1.0 + 0.0j, control=ControlState.AU,
                     cells=(1.0 + 0.0j, 1.0 + 0.0j), absorbed_bin=1)
-        s = QramState(cells_meta=meta, terms=(term,),
-                      consumed_bins=frozenset({1, 2}))
+        s = QramState(2, (term,), consumed_bins=frozenset({1, 2}))
         with pytest.raises(ProtocolError):
             rephase_cell(s, 2)
 
@@ -243,15 +236,12 @@ class TestProtocolErrors:
 class TestInterference:
     """Branches that become identical are merged on every step."""
 
-    META = tuple(Cell(index=i, payload_label=f"psi_in[{i}]") for i in (1, 2))
-
     def au_pair(self, a1, a2):
         # two branches that differ only in the bounce phase of cell 1
         terms = tuple(Term(amplitude=a, control=ControlState.AU,
                            cells=(phase, 1.0 + 0.0j), absorbed_bin=1)
                       for a, phase in ((a1, 1.0 + 0.0j), (a2, -1.0 + 0.0j)))
-        return QramState(cells_meta=self.META, terms=terms,
-                         consumed_bins=frozenset({1}))
+        return QramState(2, terms, consumed_bins=frozenset({1}))
 
     def test_emptied_cell_merges_branches(self):
         t_amp = 0.9
@@ -535,15 +525,12 @@ class TestSharedState:
         assert lossy.loss_total > ideal.loss_total
 
     def test_from_terms(self):
-        meta = tuple(Cell(index=i, payload_label=f"psi_in[{i}]")
-                     for i in (1, 2))
         terms = (Term(amplitude=0.6, control=ControlState.AU,
                       cells=(1.0, 1.0), absorbed_bin=1),
                  Term(amplitude=0.8, control=ControlState.G,
                       cells=(1.0, 1.0), pending_bin=2))
         children = self.derive_three(
-            lambda: QramState(cells_meta=meta, terms=terms,
-                              consumed_bins=frozenset({1})),
+            lambda: QramState(2, terms, consumed_bins=frozenset({1})),
             lambda p: rephase_cell(p, 1))
         assert [t.cells for t in children[0].terms] == [(0.0, 1.0), (-1.0, 1.0)]
 

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from echoqram import __version__
-from echoqram.cli import (_SCHEMA, ConfigError, Scenario, main,
-                          parse_scenario_config, run_sweep)
+from echoqram.cli import (_SCHEMA, ConfigError, Scenario, _dump, _key_lines,
+                          _listed, main, parse_scenario_config, run_sweep)
 from echoqram.dynamics import MIN_N_SIM, discretize_ensemble
 from echoqram.params import (MAX_BINS, MAX_N_SIM, MAX_SAMPLES, ParameterError,
                              params_digest, solve_matched_params)
@@ -778,6 +778,19 @@ class TestBoundary:
         assert parse_scenario_config(cfg_text(**doc(MAX_BINS))).address.m \
             == MAX_BINS
 
+    def test_anchor_stops_at_its_key(self):
+        # the line lookup records the key's ancestors and the key, not the
+        # items of its list; a key spelled again later keeps its last line
+        doc = dict(scenario="address", address={"amplitudes": [1.0, 0.0]})
+        text = cfg_text(**doc)
+        lines = _key_lines(text, "address.amplitudes")
+        assert lines == {k: v for k, v in indent_lines(doc)[0].items()
+                         if k in ("", "scenario", "address",
+                                  "address.amplitudes")}
+        assert _key_lines(text, "") == {"": 1}
+        twice = '{"tau": 1.0,\n "n_sim": 64,\n "tau": 2.0}'
+        assert _key_lines(twice, "tau")["tau"] == 3
+
     def test_long_register_refused_before_its_items(self):
         # the length is checked before any item converts, so a bad item
         # past the bound does not hide it
@@ -998,6 +1011,38 @@ class TestArtifacts:
         assert {k: stamped.get(k) for k in expect} == expect
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             sorted([path.name, out.name])
+
+    def test_json_written_a_value_at_a_time(self):
+        # string-keyed dicts stream entry by entry, any other dict and every
+        # leaf through json.dumps: the bytes are json.dumps's
+        import io
+        import numpy as np
+        doc = {"a": {"b": {}, "c": {1: "x", 2.5: [1, 2]}, "d": {"e": None}},
+               "f": np.arange(3.0), "g": [{"h": 1}, {}], "i": "\u00e9\"",
+               "j": {}, "k": {"l": {"m": np.array([[1.5, -0.0]])}}}
+        buf = io.StringIO()
+        _dump(buf, doc)
+        assert buf.getvalue() == json.dumps(doc, default=_listed)
+
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_committed_json_artifacts_are_json_dumps(self, tmp_path, capsys,
+                                                     monkeypatch, config):
+        import echoqram.cli as cli
+        docs, inner = [], cli._dump
+
+        def recording(fh, value):
+            docs.append(value)
+            inner(fh, value)
+
+        monkeypatch.setattr(cli, "_dump", recording)
+        command = {s.value: name for name, s in cli._SUBCOMMANDS.items()}
+        scenario = json.loads(config.read_text())["scenario"]
+        out = tmp_path / "artifact.json"
+        assert main([command[scenario], "--config", str(config),
+                     "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text() == json.dumps(docs[0], default=_listed) + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_write_keeps_previous_artifact(self, tmp_path, capsys,

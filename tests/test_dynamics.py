@@ -493,7 +493,8 @@ class TestKernels:
             p, ensemble_for_params(p, n_sim=64, span=10.0))
         times = dynamics._output_times((-10.0, 10.0), 0.02, extra)
         amp = [1.0, 1j] @ np.random.default_rng(5).normal(size=(2, basis.lam.size))
-        got = dynamics._propagator(basis.lam, amp, times, times[0])
+        got = dynamics._propagator(basis.lam, amp, times, times[0],
+                                   dynamics._offset_table(basis.lam, times))
         ref = amp[:, None] * np.exp(np.multiply.outer(basis.lam, times - times[0]))
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
@@ -518,7 +519,8 @@ class TestKernels:
         # and the switching instant among them
         nodes = (times if pulse.shape is PulseShape.GAUSSIAN
                  else np.union1d(times, [pulse.center]))
-        got = dynamics._drive_integrals(pulse, lam, nodes)
+        got = dynamics._drive_integrals(
+            pulse, lam, nodes, dynamics._drive_plan(pulse, lam, nodes))
         cols = np.union1d(np.linspace(0, nodes.size - 1, 4).astype(int),
                           np.searchsorted(nodes, [*extra, pulse.center]))
         ref = np.array([[drive_integral_quadrature(pulse, mode, nodes[0],
@@ -563,7 +565,8 @@ class TestKernels:
         times = dynamics._output_times((1.0 - 6.0 * 31.6, 1.0 + 5.0 * 31.6),
                                        11.0 * 31.6 / 400.0, ())
         lam = np.array([-0.0014 - 0.29j, -0.01 + 0.5j, -1e-6 - 2.0j])
-        got = dynamics._drive_integrals(pulse, lam, times)
+        got = dynamics._drive_integrals(
+            pulse, lam, times, dynamics._drive_plan(pulse, lam, times))
         cols = [100, 200, 300, 400]
         ref = np.array([[drive_integral_quadrature(pulse, mode, times[0],
                                                    times[j]) for j in cols]
@@ -583,7 +586,8 @@ class TestKernels:
         pulse = PulseSpec(duration=10.0, carrier_detuning=carrier)
         times = dynamics._output_times((-60.0, 60.0), 0.3, ())
         ref = gaussian_drive_closed_form(pulse, lam, times)
-        got = dynamics._drive_integrals(pulse, lam, times)
+        got = dynamics._drive_integrals(
+            pulse, lam, times, dynamics._drive_plan(pulse, lam, times))
         assert np.max(np.abs(got - ref)) <= 1.2e-14 * np.max(np.abs(ref))
 
 
@@ -1003,13 +1007,19 @@ class TestMirroredLine:
 
     @staticmethod
     def stages(calls, *traces):
-        """Each trace's coordinates, its blocks' joined in order; no block
+        """Each trace's coordinates, its blocks' joined in order: a later
+        block of a stage repeats the node the last one ended on.  No block
         holds more than _BLOCK samples."""
         assert all(0 < c.shape[1] <= dynamics._BLOCK for _, c, _ in calls)
-        joined = np.concatenate([c for _, c, _ in calls], axis=1)
-        bounds = np.cumsum([0] + [trace.times.size for trace in traces])
-        assert joined.shape[1] == bounds[-1]
-        return [joined[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        blocks, joined = iter(c for _, c, _ in calls), []
+        for trace in traces:
+            parts = [next(blocks)]
+            while sum(c.shape[1] for c in parts) < trace.times.size:
+                parts.append(next(blocks)[:, 1:])
+            joined.append(np.concatenate(parts, axis=1))
+            assert joined[-1].shape[1] == trace.times.size
+        assert next(blocks, None) is None
+        return joined
 
     @staticmethod
     def dense_populations(basis, c):
@@ -1020,7 +1030,9 @@ class TestMirroredLine:
     def storage_reference(self, p, ens, pulse, trace):
         """The stored populations and final node amplitudes, full rows."""
         basis = dynamics._modal_basis(p, ens)
-        c = dynamics._drive_integrals(pulse, basis.lam, trace.times)
+        c = dynamics._drive_integrals(
+            pulse, basis.lam, trace.times,
+            dynamics._drive_plan(pulse, basis.lam, trace.times))
         # the drive over every mode, solved on the unfolded operator
         _, drive = dynamics._node_operator(basis, False)
         c *= (math.sqrt(p.kappa) * drive)[:, None]
@@ -1056,8 +1068,9 @@ class TestMirroredLine:
         # the retrieval starts from the stored state, inverted
         retrieval = echo.retrieval_trace
         basis, c0 = self.retrieval_reference(p, echo.storage_trace)
-        c = dynamics._propagator(basis.lam, c0, retrieval.times,
-                                 retrieval.times[0])
+        c = dynamics._propagator(
+            basis.lam, c0, retrieval.times, retrieval.times[0],
+            dynamics._offset_table(basis.lam, retrieval.times))
         assert np.max(np.abs(retrieval.p_ensemble
                              - self.dense_populations(basis, c))) <= 1e-11
 
@@ -1095,7 +1108,8 @@ class TestMirroredLine:
         basis = dynamics._modal_basis(matched, ens)
         op, _ = dynamics._node_operator(basis, False)
         c0 = dynamics._mode_coordinates(basis, op, np.zeros(3), b0, False)
-        c = dynamics._propagator(basis.lam, c0, trace.times, 0.0)
+        c = dynamics._propagator(basis.lam, c0, trace.times, 0.0,
+                                 dynamics._offset_table(basis.lam, trace.times))
         assert np.max(np.abs(trace.p_ensemble
                              - self.dense_populations(basis, c))) <= 1e-11
 
@@ -1311,18 +1325,20 @@ class TestStageBlocks:
 
     def test_gaussian_storage_and_retrieval(self, monkeypatch, matched):
         # 401 storage and 601 retrieval samples, neither a whole number of
-        # blocks; the retrieval starts from the stored state, inverted
+        # blocks, which start every _BLOCK - 1 samples; the retrieval
+        # starts from the stored state, inverted
+        stride = dynamics._BLOCK - 1
         p = matched.with_(t2=100.0)
         ens = ensemble_for_params(p, n_sim=64, span=10.0)
         stored = self.check_storage(monkeypatch, p, ens, PulseSpec(duration=5.0),
                                     (-30.0, 30.0), True)
-        assert stored.times.size % dynamics._BLOCK
+        assert (stored.times.size - 1) % stride
         loaded = invert_detunings(stored.ensemble)
         trace, calls = self.blocked(monkeypatch, integrate_retrieval, p,
                                     loaded, (30.0, 50.0))
-        assert trace.times.size % dynamics._BLOCK
-        assert [m for m, _ in calls] == [True] * -(-trace.times.size
-                                                   // dynamics._BLOCK)
+        assert (trace.times.size - 1) % stride
+        assert [m for m, _ in calls] == [True] * -(-(trace.times.size - 1)
+                                                   // stride)
         self.agree(trace, self.one_block(monkeypatch, integrate_retrieval, p,
                                          loaded, (30.0, 50.0)))
         self.against_dop853(trace, p, loaded, None, (30.0, 50.0), None)
@@ -1330,20 +1346,62 @@ class TestStageBlocks:
     @pytest.mark.parametrize("shape", ALL_SHAPES[1:])
     def test_switching_instant_on_a_block_edge(self, monkeypatch, matched,
                                                shape):
-        # 255 output samples before the center at step 1/15: the switching
-        # instant's first copy ends the second block, its second starts
-        # the third
+        # the node that the second and third blocks share, node `edge`, is
+        # the switching instant's first copy, then its second: `before`
+        # output samples at step 1/15 precede the center, 555 steps in all
         p = matched.with_(t2=100.0)
         ens = ensemble_for_params(p, n_sim=64, span=10.0)
         pulse = PulseSpec(shape=shape, duration=2.0)
-        span = (-16.95, 20.05)
-        times = dynamics._output_times(
-            span, dynamics._storage_step(span[1] - span[0], 2.0), ())
-        nodes = dynamics._drive_nodes(pulse, times,
-                                      dynamics._modal_basis(p, ens).lam)[0]
-        edge = 2 * dynamics._BLOCK
-        assert nodes[edge - 1] == nodes[edge] == pulse.center
-        self.check_storage(monkeypatch, p, ens, pulse, span, True)
+        lam = dynamics._modal_basis(p, ens).lam
+        edge = 2 * (dynamics._BLOCK - 1)
+        for before in (edge, edge - 1):
+            start = -(before - 0.75) / 15.0
+            span = (start, start + 37.0)
+            times = dynamics._output_times(
+                span, dynamics._storage_step(span[1] - span[0], 2.0), ())
+            nodes = dynamics._drive_nodes(pulse, times, lam)[0]
+            assert nodes[before] == nodes[before + 1] == pulse.center
+            self.check_storage(monkeypatch, p, ens, pulse, span, True)
+
+    def test_blocks_share_one_edge_node(self, monkeypatch, matched):
+        # the samples and coordinates of every block, driven in a storage
+        # and free in a retrieval: consecutive blocks share exactly one
+        # node, where the drive's coordinates agree bit for bit and the
+        # free evolution's, anchored in each block, to rounding
+        p = matched.with_(t2=100.0)
+        ens = ensemble_for_params(p, n_sim=64, span=10.0)
+        pulse = PulseSpec(duration=5.0)
+        stored = integrate_storage(p, ens, pulse, (-30.0, 30.0))
+        loaded = invert_detunings(stored.ensemble)
+        for kernel, stage, args, tol in [
+                ("_drive_integrals", integrate_storage,
+                 (p, ens, pulse, (-30.0, 30.0)), 0.0),
+                ("_propagator", integrate_retrieval,
+                 (p, loaded, (30.0, 50.0)), 1e-14)]:
+            samples, coords = [], []
+            inner, state_at = getattr(dynamics, kernel), dynamics._state_at
+
+            def sampled(*a):
+                samples.append(a[2])
+                return inner(*a)
+
+            def recording(basis, op, c, folded):
+                coords.append(c)
+                return state_at(basis, op, c, folded)
+
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, kernel, sampled)
+                m.setattr(dynamics, "_state_at", recording)
+                trace = stage(*args)
+            assert len(samples) == len(coords) > 2
+            assert [t.size for t in samples] == [c.shape[1] for c in coords]
+            assert all(t.size == dynamics._BLOCK for t in samples[:-1])
+            assert 1 < samples[-1].size <= dynamics._BLOCK
+            assert np.array_equal(np.concatenate(
+                [samples[0]] + [t[1:] for t in samples[1:]]), trace.times)
+            for a, b in zip(coords, coords[1:]):
+                assert np.max(np.abs(a[:, -1] - b[:, 0])) \
+                    <= tol * np.max(np.abs(a[:, -1]))
 
     @pytest.mark.parametrize("shape", ALL_SHAPES)
     def test_loaded_storage(self, monkeypatch, shape):
