@@ -26,17 +26,17 @@ control atom empty, under the pulse in storage and without it in
 retrieval.  A is complex symmetric with arrowhead structure, so its
 eigenvalues are the roots of a secular equation, found by Aberth
 iteration in O(n**2) operations, and its eigenvectors have closed
-Cauchy forms; nodes that share a detuning are merged first, and the
-part of their state the cavity does not see dephases in closed form.
-On a mirrored line (delta_c = 0 or g1 = 0) the roots are real or
-conjugate pairs, and Aberth iterates one root of each pair, so the
-solve, the ensemble sums and the Cauchy rows of a mirror-conjugate
-state's coordinates take half the work.  One basis serves every call on
-the same (parameters, grid), so storage and retrieval share it on a
-mirrored grid, and so does its node operator: the rows of V that a stage
-reads, the fields, the collective amplitude sum_m g_m b_m and its rate,
-then the Cauchy rows of the nodes, formed once when the basis is first
-used, with the input's mode coordinates solved on it.  The state is the
+Cauchy forms; the detunings are distinct (discretize_ensemble merges
+the clipped tails), so no pole of the arrowhead repeats.  On a mirrored
+line (delta_c = 0 or g1 = 0) the roots are real or conjugate pairs, and
+Aberth iterates one root of each pair, so the solve, the ensemble sums
+and the Cauchy rows of a mirror-conjugate state's coordinates take half
+the work.  One basis serves every call on the same (parameters, grid),
+so storage and retrieval share it on a mirrored grid, and so does its
+node operator: the rows of V that a stage reads, the fields, the
+collective amplitude sum_m g_m b_m and its rate, then the Cauchy rows of
+the nodes, formed once when the basis is first used, with the input's
+mode coordinates solved on it.  The state is the
 free evolution of the start, a complex exp per run of samples times a
 table of in-run offset factors that every regular run shares, plus the
 pulse's convolution, one exponential-quadrature recurrence for every
@@ -159,9 +159,10 @@ class AtomEnsemble:
     """Discretized inhomogeneous line.
 
     coherences holds the mode amplitudes b_j = sqrt(N*w_j) * beta(Delta_j),
-    so `probability` is their plain square sum.  delta_in keeps the half
-    width of the line the nodes discretize (0 when built standalone): a
-    stage whose parameters carry another line is refused.
+    so `probability` is their plain square sum, one node per detuning.
+    delta_in keeps the half width of the line the nodes discretize (0
+    when built standalone): a stage whose parameters carry another line
+    is refused.
     """
 
     detunings: np.ndarray
@@ -179,8 +180,10 @@ class AtomEnsemble:
         if not (d.shape == w.shape == c.shape) or d.ndim != 1 or d.size == 0:
             raise ParameterError("detunings, weights, coherences must be equal-length 1-d arrays")
         # every check below is written so that NaN fails it
-        if not (np.all(np.isfinite(d)) and np.all(np.diff(d) >= 0)):
-            raise ParameterError("detunings must be finite and sorted ascending")
+        if not (np.all(np.isfinite(d)) and np.all(np.diff(d) > 0)):
+            raise ParameterError("detunings must be finite and strictly ascending")
+        if not np.all(np.isfinite(c)):
+            raise ParameterError("coherences must be finite")
         if not np.all(w > 0):
             raise ParameterError("weights must be positive")
         if not abs(float(np.sum(w)) - 1.0) <= 1e-12:
@@ -208,12 +211,15 @@ def discretize_ensemble(
     """Build quadrature nodes and weights for the Lorentzian line.
 
     span is the half width of the detuning window (default 40*delta_in).
-    Nodes sit at equal-probability midpoints of the full line, with
-    outliers clipped to +-span, so weights are exactly 1/n and no mass is
-    dropped.
+    Nodes sit at the n_sim equal-probability midpoints of the full line,
+    of equal weight; the outliers are clipped to +-span and merged there
+    into one node per edge, of weight (clipped count)/n_sim, so no mass
+    is dropped and the line holds at most n_sim nodes, all distinct.
     """
-    if n_sim < MIN_N_SIM:
-        raise ParameterError(f"n_sim must be >= {MIN_N_SIM}, got {n_sim}")
+    # written so that NaN and inf fail the check as well
+    if not (n_sim >= MIN_N_SIM and n_sim % 1 == 0):
+        raise ParameterError(f"n_sim must be an integer >= {MIN_N_SIM}, got {n_sim}")
+    n_sim = int(n_sim)
     # written so that NaN fails the check as well
     if not 0 < delta_in < math.inf:
         raise ParameterError(f"delta_in must be positive and finite, got {delta_in}")
@@ -231,8 +237,9 @@ def discretize_ensemble(
         det[half] = 0.0
     w = np.full(n_sim, 1.0 / n_sim)
     w /= np.sum(w)
-    return AtomEnsemble(detunings=det, weights=w,
-                        coherences=np.zeros(n_sim, dtype=complex),
+    first = np.flatnonzero(np.concatenate(([True], det[1:] != det[:-1])))
+    return AtomEnsemble(detunings=det[first], weights=np.add.reduceat(w, first),
+                        coherences=np.zeros(first.size, dtype=complex),
                         delta_in=delta_in)
 
 
@@ -464,14 +471,13 @@ class _ModalBasis:
     it in floating point).  The basis stores the three field rows of V
     and the collective row sum_m g_m D_m V_mk; the ensemble rows have the
     Cauchy form V_mk = -i g_m a2_k / (lam_k - D_m) and are formed once,
-    with the state rows, into the basis' node operator.  Nodes that share
-    a detuning are merged into one node of coupling sqrt(sum g_j**2):
-    `group` maps each original node to its merged node, `share` holds
-    g_j / g_m.  On a mirrored line the modes are laid out as [pairs,
-    reals, conjugates of the pairs]: lam[-pairs:] = conj(lam[:pairs]) bit
-    for bit.  A stage whose state is mirror-conjugate carries the
-    coordinates of the first n - pairs modes only, the representatives;
-    its conjugates follow as c_k' = -flip_k conj(c_k).
+    with the state rows, into the basis' node operator, one row per node
+    of the grid: its detunings are distinct.  On a mirrored line the modes
+    are laid out as [pairs, reals, conjugates of the pairs]: lam[-pairs:]
+    = conj(lam[:pairs]) bit for bit.  A stage whose state is
+    mirror-conjugate carries the coordinates of the first n - pairs modes
+    only, the representatives; its conjugates follow as c_k' = -flip_k
+    conj(c_k).
     """
 
     lam: np.ndarray
@@ -480,10 +486,8 @@ class _ModalBasis:
     a2: np.ndarray
     ens_sum: np.ndarray     # S_k = sum_m g_m**2 / (lam_k - D_m)
     ens_rate: np.ndarray    # sum_m g_m D_m V_mk = -i a2_k (lam_k S_k - N g2**2)
-    poles: np.ndarray       # merged ensemble diagonal D_m = -(i*d_m + 1/T2)
+    poles: np.ndarray       # ensemble diagonal D_m = -(i*d_m + 1/T2)
     g: np.ndarray
-    group: np.ndarray
-    share: np.ndarray
     mirrored: bool          # delta_c = 0 or g1 = 0, D_M-1-m = conj(D_m)
     pairs: int              # conjugate pairs among the modes, 0 unless mirrored
     cond: float             # ||V||_F * ||V^-1||_F, bounds the 2-norm one
@@ -688,18 +692,15 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
     cc = p.collective_coupling
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
-    first = np.concatenate(([True], det[1:] != det[:-1]))
-    group = np.cumsum(first) - 1
-    g2_nodes = cc * w
-    g2 = np.bincount(group, weights=g2_nodes)
-    share = np.sqrt(g2_nodes / g2[group])
-    poles = -(1j * det[first] + inv_t2)
+    g2 = cc * w
+    poles = -(1j * det + inv_t2)
     scale = (float(np.max(np.abs(poles))) + 0.5 * p.kappa + abs(cdamp)
              + p.f2 + p.g1 + math.sqrt(cc))
 
     # with g1 = 0 the control atom, and delta_c with it, enters no equation
-    mirrored = (p.delta_c == 0 or p.g1 == 0) and all(np.array_equal(x[::-1], y) for x, y in (
-        (poles, np.conj(poles)), (g2, g2), (share, share), (group, group[-1] - group)))
+    mirrored = ((p.delta_c == 0 or p.g1 == 0)
+                and np.array_equal(poles[::-1], np.conj(poles))
+                and np.array_equal(g2[::-1], g2))
     lam, pairs = _secular_roots(p, cdamp, poles, g2, scale, mirrored)
     # the sums at a pair's conjugate are the conjugate sums; at a real root
     # of a mirrored line they are real
@@ -729,8 +730,8 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
     return _ModalBasis(
         lam=lam, a1=a1 * scale_v, bc=bc * scale_v, a2=scale_v,
         ens_sum=s_ens, ens_rate=-1j * scale_v * (lam * s_ens - cc),
-        poles=poles, g=np.sqrt(g2), group=group, share=share,
-        mirrored=mirrored, pairs=pairs, cond=cond, residual=residual)
+        poles=poles, g=np.sqrt(g2), mirrored=mirrored, pairs=pairs,
+        cond=cond, residual=residual)
 
 
 # ------------------------------------------------------- modal propagation
@@ -738,7 +739,7 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
 def _build_node_operator(basis: _ModalBasis, folded: bool) -> np.ndarray:
     """The rows of V that a stage reads: the five state rows a1, bc, a2,
     sum_m g_m V_mk and sum_m g_m D_m V_mk, then the Cauchy rows of the
-    merged nodes, formed a block of nodes at a time.
+    nodes, formed a block of nodes at a time.
 
     Unfolded, they are the complex rows over every mode, shape
     (5 + nodes, n).  Folded, for a mirror-conjugate state carried on its
@@ -825,8 +826,8 @@ _node_operator = _OperatorSlot()
 
 
 def _mode_coordinates(basis: _ModalBasis, op: np.ndarray, fields: np.ndarray,
-                      bright: np.ndarray, folded: bool) -> np.ndarray:
-    """Solve V c = y for the state y = (a1, bc, a2, merged ensemble) on the
+                      coherences: np.ndarray, folded: bool) -> np.ndarray:
+    """Solve V c = y for the state y = (a1, bc, a2, coherences) on the
     node operator op of (basis, folded).
 
     V^T is the inverse of V in exact arithmetic only: in a strongly
@@ -854,7 +855,7 @@ def _mode_coordinates(basis: _ModalBasis, op: np.ndarray, fields: np.ndarray,
     half = (size + 1) // 2 if folded else size
     weight = np.concatenate((np.ones(3), np.zeros(2),
                              np.where(np.arange(half) < size - half, 2.0, 1.0)))
-    y = np.concatenate((fields, np.zeros(2), bright[:half])).astype(complex)
+    y = np.concatenate((fields, np.zeros(2), coherences[:half])).astype(complex)
     norm = math.sqrt(float(weight @ np.abs(y) ** 2))
     k = basis.pairs if folded else 0
     c = np.zeros(basis.lam.size - k, dtype=complex)
@@ -1094,16 +1095,16 @@ def _hermite_cumulative(t: np.ndarray, rates: np.ndarray) -> np.ndarray:
 def _state_at(basis: _ModalBasis, op: np.ndarray, c: np.ndarray,
               folded: bool):
     """The rows a1, bc, a2, sig = sum_m g_m b_m and sum_m g_m D_m b_m, the
-    bright-ensemble population at every sample of a block, and the node
-    rows at its last one: the coordinates c, stored sample by sample,
-    through the node operator op of (basis, folded) in one product.
+    ensemble population at every sample of a block, and the node rows at
+    its last one: the coordinates c, stored sample by sample, through the
+    node operator op of (basis, folded) in one product.
 
     Folded, c holds the coordinates of a mirror-conjugate state's n - k
     representatives, the k pairs and the real modes, and the operator
-    takes the lower half of the merged nodes only: their populations
-    count twice, a centre node once.  Its two real rows per row of V give
-    the real and imaginary parts from those of c, interleaved mode by
-    mode, which is a view of c; the node rows stay so interleaved.  The
+    takes the lower half of the nodes only: their populations count
+    twice, a centre node once.  Its two real rows per row of V give the
+    real and imaginary parts from those of c, interleaved mode by mode,
+    which is a view of c; the node rows stay so interleaved.  The
     product is taken as samples times operator rows, the orientation in
     which BLAS keeps its peak on a block this narrow."""
     size = basis.g.size
@@ -1210,18 +1211,12 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     running losses leave a block.  A block's mode coordinates, of the
     representatives of a folded state, are the pulse's convolution,
     continued from the drive's row at the shared node, plus the free
-    evolution of the bright start; a part that is zero is skipped unless
-    it is alone.  The loss integrals continue from their values at the
-    shared node."""
+    evolution of the start; a part that is zero is skipped unless it is
+    alone.  The loss integrals continue from their values at the shared
+    node."""
     basis = _modal_basis(p, ens)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     b0 = ens.coherences
-    # split each merged node into the part the cavity sees and a dark
-    # remainder, which only dephases
-    weighted = basis.share * b0
-    bright = (np.bincount(basis.group, weights=weighted.real)
-              + 1j * np.bincount(basis.group, weights=weighted.imag))
-    dark = b0 - basis.share * bright[basis.group]
     folded = (basis.mirrored and np.array_equal(b0[::-1], np.conj(b0))
               and (pulse is None or not pulse.carrier_detuning))
     op, drive = _node_operator(basis, folded)
@@ -1237,9 +1232,8 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
         plan, gain = _drive_plan(pulse, lam, nodes), math.sqrt(p.kappa) * drive
         cdf = _pulse_cdf(pulse, times)
         kind, alpha_in, l_in = "storage", pulse.amplitude(times), cdf - cdf[0]
-    if plan is None or np.any(bright):
-        c0 = _mode_coordinates(basis, op, np.zeros(3, dtype=complex), bright,
-                               folded)
+    if plan is None or np.any(b0):
+        c0 = _mode_coordinates(basis, op, np.zeros(3, dtype=complex), b0, folded)
         free = c0, _offset_table(lam, nodes)
 
     out = np.searchsorted(nodes, times)
@@ -1270,24 +1264,15 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
         pe[j0:j1] = population[pick]
         losses[:, j0:j1] = losses_at[:, pick]
     # the amplitudes at the last node; folded, its rows hold the lower half
-    # of the merged nodes, whose conjugate mirror is the upper half, and a
-    # centre node is real
+    # of the nodes, whose conjugate mirror is the upper half, and a centre
+    # node is real
     if folded:
         low = end.view(complex)
         up = basis.g.size - low.size
         end = np.concatenate((low, np.conj(low[:up][::-1])))
         end[up:low.size].imag = 0.0
-    last = basis.share * end[basis.group]
-    a1, bc, a2 = fields
-    l_out, l_c, l_t2 = losses
-    dark_p = float(np.sum(np.abs(dark) ** 2))
-    if dark_p > 0:
-        elapsed = times - times[0]
-        pe = pe + dark_p * np.exp(-2.0 * inv_t2 * elapsed)
-        l_t2 = l_t2 - dark_p * np.expm1(-2.0 * inv_t2 * elapsed)
-        last = last + dark * np.exp(-(1j * ens.detunings + inv_t2) * elapsed[-1])
-    return _trace(p, ens, kind, SOLVER_TOL, times, a1, bc, a2, alpha_in, pe,
-                  l_out, l_c, l_t2, l_in, ens.probability, last)
+    return _trace(p, ens, kind, SOLVER_TOL, times, *fields, alpha_in, pe,
+                  *losses, l_in, ens.probability, end)
 
 
 def integrate_storage(
@@ -1504,6 +1489,8 @@ def blockade_phase_check(
         raise ParameterError(
             f"stored probability {ens_initial.probability:.3f} < 0.5: "
             "storage failed, blockade comparison is meaningless")
+    if not (math.isfinite(tau) and math.isfinite(elapsed)):
+        raise ParameterError(f"tau and elapsed must be finite, got {tau}, {elapsed}")
     if elapsed <= tau:
         raise ParameterError("elapsed must exceed tau (echo before the end)")
     back = invert_detunings(ens_after)  # restore the original node order

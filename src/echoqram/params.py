@@ -89,17 +89,16 @@ class SystemParams:
     t2: float = math.inf
 
     def __post_init__(self) -> None:
-        if not (self.kappa > 0):
-            raise ParameterError(f"kappa must be positive, got {self.kappa}")
-        if not (self.gamma > 0):
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        if not (self.delta_in > 0):
-            raise ParameterError(f"delta_in must be positive, got {self.delta_in}")
+        # every check is written so that NaN and inf fail it
+        for name in ("kappa", "gamma", "delta_in"):
+            v = getattr(self, name)
+            if not 0 < v < math.inf:
+                raise ParameterError(f"{name} must be positive and finite, got {v}")
         for name in ("g1", "g2", "f2"):
             v = getattr(self, name)
-            if not (v >= 0) or not math.isfinite(v):
+            if not 0 <= v < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0, got {v}")
-        if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
+        if not (1 <= self.n_atoms < math.inf and self.n_atoms % 1 == 0):
             raise ParameterError(f"n_atoms must be a positive integer, got {self.n_atoms}")
         if not (self.t2 > 0):
             raise ParameterError(f"t2 must be positive (math.inf allowed), got {self.t2}")

@@ -325,12 +325,10 @@ def echo_probability_quadrature(p_read: SystemParams, ens_stored: AtomEnsemble,
     retrieval that starts from invert_detunings(ens_stored) at t_inv.
 
     a1(t) = sum_k a1_k c_k exp(lam_k (t - t_inv)) in the modes of the
-    read stage, with c the mode coordinates of the part of the initial
-    state the cavity sees; the dark remainder of merged nodes never
-    reaches a1.  Each interval between consecutive times takes a
-    16-point Gauss-Legendre rule, far inside rounding for the intervals
-    a cycle samples, so the result checks the ledger's quadrature and
-    not the propagation.
+    read stage, with c the mode coordinates of the initial state.  Each
+    interval between consecutive times takes a 16-point Gauss-Legendre
+    rule, far inside rounding for the intervals a cycle samples, so the
+    result checks the ledger's quadrature and not the propagation.
 
     c is the full-mode solve refined, and a1 summed over the modes, in
     extended precision (np.longdouble): at cond(V) ~ 2e6 (n_sim = 1601,
@@ -341,17 +339,14 @@ def echo_probability_quadrature(p_read: SystemParams, ens_stored: AtomEnsemble,
     """
     ens = invert_detunings(ens_stored)
     basis = _modal_basis(p_read, ens)
-    weighted = basis.share * ens.coherences
-    bright = (np.bincount(basis.group, weights=weighted.real)
-              + 1j * np.bincount(basis.group, weights=weighted.imag))
     ext = np.clongdouble
     lam, a2, g = basis.lam.astype(ext), basis.a2.astype(ext), basis.g.astype(ext)
     poles = basis.poles.astype(ext)
     fields = np.array([basis.a1, basis.bc, basis.a2]).astype(ext)
-    y = np.concatenate((np.zeros(3), bright)).astype(ext)
+    y = np.concatenate((np.zeros(3), ens.coherences)).astype(ext)
     op, _ = _node_operator(basis, False)
-    c = _mode_coordinates(basis, op, np.zeros(3, dtype=complex), bright,
-                          False).astype(ext)
+    c = _mode_coordinates(basis, op, np.zeros(3, dtype=complex),
+                          ens.coherences, False).astype(ext)
     # two steps c += V^T (y - V c), the Cauchy rows a block at a time
     for _ in range(2):
         step = (y[:3] - fields @ c) @ fields

@@ -26,7 +26,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def cauchy_rows(basis):
-    """Every merged node's row of V over every mode, from the Cauchy form
+    """Every node's row of V over every mode, from the Cauchy form
     V_mk = -i g_m a2_k / (lam_k - D_m), built here at once."""
     return -1j * basis.g[:, None] * basis.a2 / (basis.lam - basis.poles[:, None])
 
@@ -121,6 +121,28 @@ class TestDiscretization:
         assert ens.detunings[-1] == 20.0
         assert np.sum(ens.weights) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("n_sim, span, nodes", [(801, None, 791),
+                                                    (401, 10.0, 391)])
+    def test_clipped_tails_merge_into_edge_nodes(self, n_sim, span, nodes):
+        ens = discretize_ensemble(n_sim, 0.5, span=span)
+        edge = 20.0 if span is None else span
+        u = (np.arange(n_sim) + 0.5) / n_sim
+        clipped = np.count_nonzero(0.5 * np.tan(np.pi * (u - 0.5)) >= edge)
+        assert ens.n == nodes == n_sim - 2 * (clipped - 1)
+        assert np.all(np.diff(ens.detunings) > 0)
+        assert ens.detunings[0] == -edge and ens.detunings[-1] == edge
+        assert ens.weights[0] == ens.weights[-1]
+        assert ens.weights[0] == pytest.approx(clipped / n_sim, rel=1e-15)
+        assert np.all(ens.weights[1:-1] == ens.weights[1])
+        assert ens.weights[1] == pytest.approx(1.0 / n_sim, rel=1e-15)
+        assert np.sum(ens.weights) == pytest.approx(1.0, abs=1e-15)
+
+    def test_equal_detunings_refused(self):
+        with pytest.raises(ParameterError, match="strictly ascending"):
+            AtomEnsemble(detunings=np.array([0.0, 1.0, 1.0]),
+                         weights=np.full(3, 1.0 / 3.0),
+                         coherences=np.zeros(3, complex))
+
     @pytest.mark.parametrize("call", [
         lambda: discretize_ensemble(8, 0.5),
         lambda: discretize_ensemble(64, 0.0),
@@ -131,6 +153,11 @@ class TestDiscretization:
     def test_rejects(self, call):
         with pytest.raises(ParameterError):
             call()
+
+    @pytest.mark.parametrize("n_sim", [64.5, math.nan, math.inf])
+    def test_non_integral_n_sim_refused(self, n_sim):
+        with pytest.raises(ParameterError, match="n_sim"):
+            discretize_ensemble(n_sim, 0.5)
 
     def test_ensemble_validation(self):
         with pytest.raises(ParameterError):
@@ -161,6 +188,15 @@ class TestDiscretization:
         AtomEnsemble(**good)
         with pytest.raises(ParameterError):
             AtomEnsemble(**{**good, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_ensemble_refuses_non_finite_coherences(self, value):
+        # retrieval from such a state ended in "mode basis cannot resolve
+        # the state" after a RuntimeWarning
+        with pytest.raises(ParameterError, match="coherences"):
+            AtomEnsemble(detunings=np.array([0.0, 1.0]),
+                         weights=np.array([0.5, 0.5]),
+                         coherences=np.array([0.5, value]))
 
     def test_for_params_carries_line(self, matched):
         ens = ensemble_for_params(matched, n_sim=64)
@@ -405,6 +441,16 @@ class TestBlockadePhase:
         ens = ensemble_for_params(blockade30, n_sim=64)
         with pytest.raises(ParameterError):
             blockade_phase_check(blockade30, ens, ens, 1.0, 2.0)
+
+    @pytest.mark.parametrize("tau, elapsed", [(math.nan, 10.0), (1.0, math.inf),
+                                              (1.0, math.nan)])
+    def test_non_finite_times_refused(self, blockade30, tau, elapsed):
+        # these returned PhaseCheck(nan, nan)
+        ens = ensemble_for_params(blockade30, n_sim=64).with_coherences(
+            np.full(64, 0.125, complex))
+        with pytest.raises(ParameterError, match="finite"):
+            blockade_phase_check(blockade30, invert_detunings(ens), ens,
+                                 tau, elapsed)
 
     def test_requires_matching_grid(self, blockade_cycle, blockade30):
         echo, _ = blockade_cycle
@@ -688,11 +734,14 @@ class TestModalPropagator:
     @staticmethod
     def clipped_grid(p):
         # clip harder than discretize_ensemble does, so that several
-        # nodes share each edge detuning and get merged
+        # nodes share each edge detuning, and merge each run of them into
+        # one node of their summed weight
         ens = ensemble_for_params(p, n_sim=64, span=10.0)
         det = np.clip(ens.detunings, -4.0, 4.0)
-        assert np.count_nonzero(np.diff(det) == 0) >= 4
-        return AtomEnsemble(det, ens.weights, ens.coherences, ens.delta_in)
+        first = np.flatnonzero(np.concatenate(([True], np.diff(det) != 0)))
+        assert first.size <= ens.n - 4
+        return AtomEnsemble(det[first], np.add.reduceat(ens.weights, first),
+                            np.zeros(first.size, complex), ens.delta_in)
 
     @staticmethod
     def oracle_cycle(monkeypatch, p_store, p_read, ens, pulse, tau):
@@ -789,8 +838,8 @@ class TestModalPropagator:
     def test_loaded_storage_matches_dop853(self, shape, t2, clipped):
         # a pulse stored into a memory that already holds 0.25 of an
         # excitation, with random phases: the loaded part evolves and
-        # re-emits alongside the drive; on the clipped grid the merged
-        # nodes carry a dark part as well
+        # re-emits alongside the drive; the clipped grid holds merged
+        # edge nodes of larger weight
         p = solve_matched_params(1.0, 0.0, t2=t2)
         ens = (self.clipped_grid(p) if clipped
                else ensemble_for_params(p, n_sim=64, span=10.0))
@@ -1023,7 +1072,7 @@ class TestMirroredLine:
 
     @staticmethod
     def dense_populations(basis, c):
-        """sum over every merged node of |b_m|**2, the full rows at once."""
+        """sum over every node of |b_m|**2, the full rows at once."""
         rows = cauchy_rows(basis) @ c
         return np.sum(np.abs(rows) ** 2, axis=0)
 
@@ -1037,10 +1086,10 @@ class TestMirroredLine:
         _, drive = dynamics._node_operator(basis, False)
         c *= (math.sqrt(p.kappa) * drive)[:, None]
         last = cauchy_rows(basis) @ c[:, -1]
-        return self.dense_populations(basis, c), basis.share * last[basis.group]
+        return self.dense_populations(basis, c), last
 
     def retrieval_reference(self, p, trace):
-        # a line with no merged nodes: the whole state is bright
+        # one node per detuning: the whole state is in the node rows
         ens = invert_detunings(trace.ensemble)
         basis = dynamics._modal_basis(p, ens)
         assert basis.g.size == ens.n
@@ -1148,7 +1197,7 @@ class TestMirroredLine:
                 drive = (np.zeros(trace.times.size),) * 3
             losses = dynamics._hermite_losses(p, trace.times, a1, bc, a2, sig,
                                               dsig, pe, inv_t2, *drive)
-            last = basis.share * nodes[basis.group, -1]
+            last = nodes[:, -1]
             for got, ref in [(trace.cavity1, a1), (trace.control, bc),
                              (trace.cavity2, a2), (trace.p_ensemble, pe),
                              (trace.out_flux_integral, losses[0]),

@@ -115,6 +115,15 @@ class TestValidation:
         with pytest.raises(ParameterError):
             make(**kw)
 
+    @pytest.mark.parametrize("kw", [
+        dict(n_atoms=math.inf), dict(n_atoms=math.nan), dict(kappa=math.inf),
+        dict(gamma=math.inf), dict(delta_in=math.inf),
+    ])
+    def test_non_finite_refused(self, kw):
+        # a count that int() cannot take, or a rate that makes c_pm inf
+        with pytest.raises(ParameterError):
+            make(**kw)
+
     def test_infinite_t2_allowed(self):
         assert math.isinf(make(t2=math.inf).t2)
 
