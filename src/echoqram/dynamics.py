@@ -34,9 +34,9 @@ and the Cauchy rows of a mirror-conjugate state's coordinates take half
 the work.  One basis serves every call on the same (parameters, grid),
 so storage and retrieval share it on a mirrored grid, and so does its
 node operator: the rows of V that a stage reads, the fields, the
-collective amplitude sum_m g_m b_m and its rate, then the Cauchy rows of
-the nodes, formed once when the basis is first used, with the input's
-mode coordinates solved on it.  The state is the
+collective amplitude sum_m g_m b_m and its rate (lam times its row),
+then the Cauchy rows of the nodes, formed once when the basis is first
+used, with the input's mode coordinates solved on it.  The state is the
 free evolution of the start, a complex exp per run of samples times a
 table of in-run offset factors that every regular run shares, plus the
 pulse's convolution, one exponential-quadrature recurrence for every
@@ -469,46 +469,29 @@ class _ModalBasis:
     A is complex symmetric, so with columns scaled to v^T v = 1 the
     inverse of V is V^T in exact arithmetic (_mode_coordinates refines
     it in floating point).  The basis stores the three field rows of V
-    and the collective row sum_m g_m D_m V_mk; the ensemble rows have the
-    Cauchy form V_mk = -i g_m a2_k / (lam_k - D_m) and are formed once,
-    with the state rows, into the basis' node operator, one row per node
-    of the grid: its detunings are distinct.  On a mirrored line the modes
-    are laid out as [pairs, reals, conjugates of the pairs]: lam[-pairs:]
-    = conj(lam[:pairs]) bit for bit.  A stage whose state is
-    mirror-conjugate carries the coordinates of the first n - pairs modes
-    only, the representatives; its conjugates follow as c_k' = -flip_k
-    conj(c_k).
+    and the collective row sum_m g_m V_mk, the amplitude cavity 2 sees;
+    the ensemble rows have the Cauchy form V_mk = -i g_m a2_k / (lam_k -
+    D_m) and are formed once, with the state rows, into the basis' node
+    operator, one row per node of the grid: its detunings are distinct.
+    On a mirrored line the modes are laid out as [pairs, reals,
+    conjugates of the pairs]: lam[-pairs:] = conj(lam[:pairs]) bit for
+    bit.  A stage whose state is mirror-conjugate carries the
+    coordinates of the first n - pairs modes only, the representatives;
+    its conjugates follow as c_k' = -flip_k conj(c_k).
     """
 
     lam: np.ndarray
     a1: np.ndarray
     bc: np.ndarray
     a2: np.ndarray
-    ens_sum: np.ndarray     # S_k = sum_m g_m**2 / (lam_k - D_m)
-    ens_rate: np.ndarray    # sum_m g_m D_m V_mk = -i a2_k (lam_k S_k - N g2**2)
+    collective: np.ndarray  # sum_m g_m V_mk = -i a2_k sum_m g_m**2 / (lam_k - D_m)
+    flip: np.ndarray        # a2_k' / conj(a2_k) = +-1, k' the conjugate of mode k
     poles: np.ndarray       # ensemble diagonal D_m = -(i*d_m + 1/T2)
     g: np.ndarray
     mirrored: bool          # delta_c = 0 or g1 = 0, D_M-1-m = conj(D_m)
     pairs: int              # conjugate pairs among the modes, 0 unless mirrored
     cond: float             # ||V||_F * ||V^-1||_F, bounds the 2-norm one
     residual: float         # worst relative eigenpair residual
-
-    @property
-    def collective(self) -> np.ndarray:
-        """Row sum_m g_m V_mk: the ensemble amplitude cavity 2 sees."""
-        return -1j * self.a2 * self.ens_sum
-
-    @property
-    def partner(self) -> np.ndarray:
-        """Index of each mode's conjugate; a real mode is its own."""
-        n, k = self.lam.size, self.pairs
-        idx = np.arange(n)
-        return np.concatenate((idx[n - k:], idx[k:n - k], idx[:k]))
-
-    @property
-    def flip(self) -> np.ndarray:
-        """flip_k = a2_k' / conj(a2_k) = +-1 for the partner k' of mode k."""
-        return np.sign((self.a2[self.partner] / np.conj(self.a2)).real)
 
 
 def _cavity_factor(z: np.ndarray, p: SystemParams, cdamp: complex):
@@ -727,19 +710,28 @@ def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis
         raise IntegrationError(
             f"mode basis rejected: eigenpair residual {residual:.2e} (bound "
             f"{_RESIDUAL_BOUND:g}), cond(V) {cond:.3e} (bound {_COND_BOUND:g})")
+    # a2 of each mode's conjugate; a real mode is its own
+    mate = np.concatenate((scale_v[reps:], scale_v[pairs:reps], scale_v[:pairs]))
     return _ModalBasis(
         lam=lam, a1=a1 * scale_v, bc=bc * scale_v, a2=scale_v,
-        ens_sum=s_ens, ens_rate=-1j * scale_v * (lam * s_ens - cc),
+        collective=-1j * scale_v * s_ens,
+        flip=np.sign((mate / np.conj(scale_v)).real),
         poles=poles, g=np.sqrt(g2), mirrored=mirrored, pairs=pairs,
         cond=cond, residual=residual)
 
 
 # ------------------------------------------------------- modal propagation
 
-def _build_node_operator(basis: _ModalBasis, folded: bool) -> np.ndarray:
-    """The rows of V that a stage reads: the five state rows a1, bc, a2,
-    sum_m g_m V_mk and sum_m g_m D_m V_mk, then the Cauchy rows of the
-    nodes, formed a block of nodes at a time.
+class _NodeOperator(NamedTuple):
+    rows: np.ndarray        # the rows of V that a stage reads
+    weight: np.ndarray      # each row's weight in a sum over the state
+
+
+def _build_node_operator(basis: _ModalBasis, folded: bool) -> _NodeOperator:
+    """The rows of V that a stage reads, with their weights: the five
+    state rows a1, bc, a2, sig_k = sum_m g_m V_mk and its rate lam_k sig_k
+    (the input's coordinates V^-1 e_a1 carry no sig part), then the Cauchy
+    rows of the nodes, formed a block of nodes at a time.
 
     Unfolded, they are the complex rows over every mode, shape
     (5 + nodes, n).  Folded, for a mirror-conjugate state carried on its
@@ -754,10 +746,10 @@ def _build_node_operator(basis: _ModalBasis, folded: bool) -> np.ndarray:
     gives it: each row of V becomes its Re row and its Im row, shape
     (2 (5 + nodes), 2 (n - k)).
     """
-    n, k = basis.lam.size, basis.pairs if folded else 0
-    nodes = (basis.g.size + 1) // 2 if folded else basis.g.size
+    n, k, size = basis.lam.size, basis.pairs if folded else 0, basis.g.size
+    nodes = (size + 1) // 2 if folded else size
     state = np.array([basis.a1, basis.bc, basis.a2, basis.collective,
-                      basis.ens_rate])
+                      basis.lam * basis.collective])
     op = np.empty((5 + nodes, 2, n - k) if folded else (5 + nodes, n),
                   dtype=complex)
 
@@ -788,25 +780,28 @@ def _build_node_operator(basis: _ModalBasis, folded: bool) -> np.ndarray:
             continue
         blk[hi - lo:, k:] = 0.0
         fold(op[5 + lo:5 + hi], blk[:hi - lo], blk[hi - lo:])
+    weight = np.concatenate((np.ones(3), np.zeros(2),
+                             np.where(np.arange(nodes) < size - nodes, 2.0, 1.0)))
     if folded:
         op = op.view(float).reshape(2 * (5 + nodes), 2 * (n - k))
-    op.flags.writeable = False
-    return op
+        weight = np.repeat(weight, 2)
+    op.flags.writeable = weight.flags.writeable = False
+    return _NodeOperator(op, weight)
 
 
 class _OperatorSlot:
-    """One-slot cache of the node operator and the drive solved on it,
-    keyed by the basis object and the fold: a basis built again is
-    another object and never reads a stale operator.  The old entry is
-    released before the next is built, so one operator is held at a time;
-    `misses` counts the builds."""
+    """One-slot cache of the node operator, its rows and their weights,
+    and the drive solved on it, keyed by the basis object and the fold: a
+    basis built again is another object and never reads a stale
+    operator.  The old entry is released before the next is built, so one
+    operator is held at a time; `misses` counts the builds."""
 
     def __init__(self) -> None:
         self.entry: tuple | None = None
         self.misses = 0
 
     def __call__(self, basis: _ModalBasis,
-                 folded: bool) -> tuple[np.ndarray, np.ndarray]:
+                 folded: bool) -> tuple[_NodeOperator, np.ndarray]:
         """The node operator and V^-1 e_a1, the mode coordinates of the
         input over the modes that the operator's stage carries."""
         entry = self.entry
@@ -825,7 +820,7 @@ class _OperatorSlot:
 _node_operator = _OperatorSlot()
 
 
-def _mode_coordinates(basis: _ModalBasis, op: np.ndarray, fields: np.ndarray,
+def _mode_coordinates(basis: _ModalBasis, op: _NodeOperator, fields: np.ndarray,
                       coherences: np.ndarray, folded: bool) -> np.ndarray:
     """Solve V c = y for the state y = (a1, bc, a2, coherences) on the
     node operator op of (basis, folded).
@@ -851,11 +846,9 @@ def _mode_coordinates(basis: _ModalBasis, op: np.ndarray, fields: np.ndarray,
     for bit.  Returns every mode's coordinates, or folded the
     representatives.
     """
-    size = basis.g.size
-    half = (size + 1) // 2 if folded else size
-    weight = np.concatenate((np.ones(3), np.zeros(2),
-                             np.where(np.arange(half) < size - half, 2.0, 1.0)))
-    y = np.concatenate((fields, np.zeros(2), coherences[:half])).astype(complex)
+    weight = op.weight[::2] if folded else op.weight    # one per row of V
+    y = np.concatenate((fields, np.zeros(2),
+                        coherences[:weight.size - 5])).astype(complex)
     norm = math.sqrt(float(weight @ np.abs(y) ** 2))
     k = basis.pairs if folded else 0
     c = np.zeros(basis.lam.size - k, dtype=complex)
@@ -863,7 +856,8 @@ def _mode_coordinates(basis: _ModalBasis, op: np.ndarray, fields: np.ndarray,
     # the first pass starts from c = 0, so its residual is y
     for step in range(5):
         if step:
-            r = y - ((op @ c.view(float)).view(complex) if folded else op @ c)
+            r = y - ((op.rows @ c.view(float)).view(complex) if folded
+                     else op.rows @ c)
             last, err = err, math.sqrt(float(weight @ np.abs(r) ** 2))
             # stop well inside the ledger bound, once rounding stalls the
             # residual, or after four steps
@@ -874,11 +868,11 @@ def _mode_coordinates(basis: _ModalBasis, op: np.ndarray, fields: np.ndarray,
             # conj(s) for each row (a, b): s = conj(w r) gives the conjugate
             # of a w r + b conj(w r); every lower row counts twice, for
             # itself and its mirror
-            delta = np.conj((np.conj(weight * r).view(float) @ op).view(complex))
+            delta = np.conj((np.conj(weight * r).view(float) @ op.rows).view(complex))
             delta *= 0.5
             delta[k:] -= basis.flip[k:c.size] * np.conj(delta[k:])
         else:
-            delta = (weight * r) @ op
+            delta = (weight * r) @ op.rows
         c += delta
     if not err <= 1e-9 * norm:
         raise IntegrationError(
@@ -1092,12 +1086,11 @@ def _hermite_cumulative(t: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return out
 
 
-def _state_at(basis: _ModalBasis, op: np.ndarray, c: np.ndarray,
-              folded: bool):
-    """The rows a1, bc, a2, sig = sum_m g_m b_m and sum_m g_m D_m b_m, the
+def _state_at(op: _NodeOperator, c: np.ndarray, folded: bool):
+    """The rows a1, bc, a2, sig = sum_m g_m b_m and d(sig)/dt, the
     ensemble population at every sample of a block, and the node rows at
     its last one: the coordinates c, stored sample by sample, through the
-    node operator op of (basis, folded) in one product.
+    node operator op, folded or not, in one product.
 
     Folded, c holds the coordinates of a mirror-conjugate state's n - k
     representatives, the k pairs and the real modes, and the operator
@@ -1107,13 +1100,11 @@ def _state_at(basis: _ModalBasis, op: np.ndarray, c: np.ndarray,
     which is a view of c; the node rows stay so interleaved.  The
     product is taken as samples times operator rows, the orientation in
     which BLAS keeps its peak on a block this narrow."""
-    size = basis.g.size
-    rows = (size + 1) // 2 if folded else size
     per = 2 if folded else 1     # operator rows per row of V
-    weight = np.repeat(np.where(np.arange(rows) < size - rows, 2.0, 1.0), per)
     c = np.ascontiguousarray(c.T)
-    full = (c.view(float) if folded else c) @ op.T
+    full = (c.view(float) if folded else c) @ op.rows.T
     state, nodes = full[:, :5 * per].T, full[:, 5 * per:]
+    weight = op.weight[5 * per:]
     end = nodes[-1].copy()
     if folded:
         state = state[0::2] + 1j * state[1::2]
@@ -1251,9 +1242,7 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
         if free is not None:
             part = _propagator(lam, free[0], block, nodes[0], free[1])
             c = part if c is None else np.add(c, part, out=c)
-        state, population, end = _state_at(basis, op, c, folded)
-        # d(sig)/dt = sum_m g_m (D_m b_m - i g_m a2)
-        state[4] -= 1j * p.collective_coupling * state[2]
+        state, population, end = _state_at(op, c, folded)
         losses_at = _hermite_losses(p, block, *state, population, inv_t2,
                                     *inputs[:, lo:hi])
         losses_at += carried[:, None]
@@ -1345,12 +1334,13 @@ _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
                   lo: float, hi: float) -> float:
-    """Largest normalized overlap of a_out with the conjugated pulse
-    mirrored at a delay in [lo, hi], by the trapezoid rule on t_out.
+    """Largest normalized overlap of a_out with the pulse mirrored at a
+    delay d in [lo, hi], a_in(d - t), by the trapezoid rule on t_out.
 
-    The carrier phase of the mirrored pulse factors out of the modulus,
-    so only its envelope is evaluated.  The delays halfway between the
-    samples, shifted by the pulse center, are evaluated in one call: an
+    Its carrier is exp(+i om t) times a phase of d alone, which drops out
+    of the modulus, so a_out takes exp(-i om t) once and only the
+    envelope is evaluated.  The delays halfway between the samples,
+    shifted by the pulse center, are evaluated in one call: an
     exponential pulse's edge crosses a sample only between two of them,
     so its overlap is constant around each and no peak is missed.  Golden
     section then refines the bracket around the best delay, where the
@@ -1361,7 +1351,7 @@ def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
     out_norm = float(np.abs(a_out) ** 2 @ weights)
     if not out_norm > 0:
         return 0.0
-    carried = weights * a_out * np.exp(1j * pulse.carrier_detuning * t_out)
+    carried = weights * a_out * np.exp(-1j * pulse.carrier_detuning * t_out)
 
     def overlap(delays: np.ndarray) -> np.ndarray:
         env = pulse.envelope(delays[:, None] - t_out)
@@ -1411,10 +1401,10 @@ def run_echo_cycle(
     tau is measured from the pulse center; the echo is expected around
     center + 2*tau and the retrieval window spans +-6 durations of it.
     The time-reversal fidelity is the normalized overlap between the
-    output waveform and the conjugated input mirrored at a delay d,
-    a_in(d - t), maximized over d within 2 durations of 2*center + 2*tau,
-    where the mirror image lands on the echo (a global phase drops out
-    of the modulus).
+    output waveform and the input mirrored at a delay d, a_in(d - t),
+    maximized over d within 2 durations of 2*center + 2*tau, where the
+    mirror image lands on the echo (a global phase drops out of the
+    modulus).
     """
     check_delay(tau, pulse.duration)
     check_samples(pulse, tau=tau)

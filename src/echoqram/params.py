@@ -100,6 +100,9 @@ class SystemParams:
                 raise ParameterError(f"{name} must be finite and >= 0, got {v}")
         if not (1 <= self.n_atoms < math.inf and self.n_atoms % 1 == 0):
             raise ParameterError(f"n_atoms must be a positive integer, got {self.n_atoms}")
+        # an integral float is stored as the int it equals, so that equal
+        # parameter sets share one provenance digest
+        object.__setattr__(self, "n_atoms", int(self.n_atoms))
         if not (self.t2 > 0):
             raise ParameterError(f"t2 must be positive (math.inf allowed), got {self.t2}")
         if not math.isfinite(self.delta_c):

@@ -52,13 +52,16 @@ def broadened_response(delta, delta_in: float):
     return out if out.ndim else complex(out)
 
 
-def _atom_term(delta, p: SystemParams):
-    """g1**2 / (delta - delta_c + i*gamma/2), with infinities preserved."""
-    den = delta - p.delta_c + 0.5j * p.gamma
+def _divide(num, den, limit):
+    """num / den, and `limit` where den is not finite or is a pole."""
+    bad = ~np.isfinite(den) | (np.abs(den) < POLE_GUARD)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(np.abs(den) < POLE_GUARD, np.inf, p.g1 ** 2 / np.where(
-            np.abs(den) < POLE_GUARD, 1.0, den))
-    return out
+        return np.where(bad, limit, num / np.where(bad, 1.0, den))
+
+
+def _atom_term(delta, p: SystemParams):
+    """g1**2 / (delta - delta_c + i*gamma/2), infinite at its pole."""
+    return _divide(p.g1 ** 2, delta - p.delta_c + 0.5j * p.gamma, np.inf)
 
 
 def storage_transfer(delta, p: SystemParams):
@@ -71,10 +74,7 @@ def storage_transfer(delta, p: SystemParams):
     gt = 1.0 / (p.delta_in - 1j * delta)
     ensemble_factor = p.collective_coupling * gt - 1j * delta
     cavity_factor = p.kappa / 2.0 + 1j * _atom_term(delta, p) - 1j * delta
-    den = ensemble_factor * cavity_factor + p.f2 ** 2
-    bad = ~np.isfinite(den) | (np.abs(den) < POLE_GUARD)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(bad, 0.0 + 0.0j, p.f2 ** 2 / np.where(bad, 1.0, den))
+    out = _divide(p.f2 ** 2, ensemble_factor * cavity_factor + p.f2 ** 2, 0j)
     return out if out.ndim else complex(out)
 
 
@@ -127,15 +127,8 @@ def blockade_reflection(nu, p: SystemParams):
     """
     nu = np.asarray(nu, dtype=float)
     gt = 1.0 / (p.delta_in - 1j * nu)
-    ens_den = nu + 1j * p.collective_coupling * gt
-    atom = _atom_term(nu, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ens_term = np.where(np.abs(ens_den) < POLE_GUARD, np.inf,
-                            p.f2 ** 2 / np.where(np.abs(ens_den) < POLE_GUARD, 1.0, ens_den))
-    den = nu + 0.5j * p.kappa - atom - ens_term
-    bad = ~np.isfinite(den) | (np.abs(den) < POLE_GUARD)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(bad, -1.0 + 0.0j,
-                       1j * p.kappa / np.where(bad, 1.0, den) - 1.0)
+    ens_term = _divide(p.f2 ** 2, nu + 1j * p.collective_coupling * gt, np.inf)
+    den = nu + 0.5j * p.kappa - _atom_term(nu, p) - ens_term
+    out = _divide(1j * p.kappa, den, 0j) - 1.0
     return out if out.ndim else complex(out)
 

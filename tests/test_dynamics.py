@@ -639,8 +639,8 @@ class TestKernels:
 
 def overlaps(pulse, t, a_out, delays):
     """The fidelity objective: normalized trapezoid overlap of a_out with
-    the conjugated pulse mirrored at each delay."""
-    ref = np.conj(pulse.amplitude(np.asarray(delays)[:, None] - t))
+    the pulse mirrored at each delay d, a_in(d - t)."""
+    ref = pulse.amplitude(np.asarray(delays)[:, None] - t)
     num = np.abs(np.trapezoid(np.conj(ref) * a_out, t, axis=1)) ** 2
     return num / (np.trapezoid(np.abs(ref) ** 2, t, axis=1)
                   * np.trapezoid(np.abs(a_out) ** 2, t))
@@ -652,21 +652,23 @@ class TestFidelitySearch:
     def test_two_peaks_returns_the_higher(self, shape):
         # the lower peak sits where a bounded Brent search starts, seven
         # durations from the higher one; an exponential's overlap is a
-        # staircase in the delay, one step per sample
-        pulse = PulseSpec(shape=shape, duration=0.3)
+        # staircase in the delay, one step per sample.  With a carrier,
+        # each peak is the mirrored input a_in(d - t) itself
         t = np.linspace(-4.0, 4.0, 1601)
         lo, hi = -2.0, 2.0
         low, high = lo + 0.38 * (hi - lo), 1.6
-        a_out = 0.8 * np.conj(pulse.amplitude(low - t)) \
-            + np.conj(pulse.amplitude(high - t))
-        got = dynamics._best_overlap(pulse, t, a_out, lo, hi)
-        delays = np.linspace(lo, hi, 4001)
-        grid = overlaps(pulse, t, a_out, delays)
-        near_low = np.abs(delays - low) < 0.3
-        near_high = np.abs(delays - high) < 0.3
-        assert np.max(grid[near_high]) > np.max(grid[near_low])
-        assert got >= np.max(grid[near_high]) - 1e-12
-        assert got < np.max(grid[near_high]) + 1e-3
+        for carrier in (0.0, 3.0):
+            pulse = PulseSpec(shape=shape, duration=0.3,
+                              carrier_detuning=carrier)
+            a_out = 0.8 * pulse.amplitude(low - t) + pulse.amplitude(high - t)
+            got = dynamics._best_overlap(pulse, t, a_out, lo, hi)
+            delays = np.linspace(lo, hi, 4001)
+            grid = overlaps(pulse, t, a_out, delays)
+            near_low = np.abs(delays - low) < 0.3
+            near_high = np.abs(delays - high) < 0.3
+            assert np.max(grid[near_high]) > np.max(grid[near_low])
+            assert got >= np.max(grid[near_high]) - 1e-12
+            assert got < np.max(grid[near_high]) + 1e-3
 
     def test_echo_config_beats_fine_grid(self):
         cfg = parse_scenario_config(
@@ -677,6 +679,22 @@ class TestFidelitySearch:
         center = pulse.center + 2.0 * cfg.tau
         delays = np.linspace(center - 2.0 * pulse.duration,
                              center + 2.0 * pulse.duration, 4001)
+        grid = overlaps(pulse, echo.output_times, echo.output_waveform, delays)
+        assert echo.fidelity_time_reversed >= np.max(grid) - 1e-12
+
+    def test_carrier_echo_matches_the_mirrored_input(self):
+        # a carrier-detuned echo is scored against a_in(d - t), whose
+        # carrier runs the other way in t from the input's, not against
+        # its conjugate
+        cfg = parse_scenario_config(
+            (REPO / "configs" / "echo_matched.json").read_text())
+        p = cfg.params
+        pulse = PulseSpec(duration=cfg.pulse.duration, carrier_detuning=0.1)
+        echo = run_echo_cycle(p, p, ensemble_for_params(p, n_sim=201),
+                              pulse, cfg.tau)
+        assert echo.fidelity_time_reversed >= 0.9999
+        delays = np.linspace(2.0 * cfg.tau - 2.0 * pulse.duration,
+                             2.0 * cfg.tau + 2.0 * pulse.duration, 4001)
         grid = overlaps(pulse, echo.output_times, echo.output_waveform, delays)
         assert echo.fidelity_time_reversed >= np.max(grid) - 1e-12
 
@@ -1024,9 +1042,11 @@ class TestEigenSolve:
             op, _ = dynamics._node_operator(basis, False)
             full = dynamics._mode_coordinates(basis, op, np.array(fields),
                                               target, False)
-            flip = np.sign((basis.a2[basis.partner]
-                            / np.conj(basis.a2)).real)
-            assert np.array_equal(half[basis.partner], -flip * np.conj(half))
+            n, k = basis.lam.size, basis.pairs
+            partner = np.r_[n - k:n, k:n - k, :k]
+            flip = np.sign((basis.a2[partner] / np.conj(basis.a2)).real)
+            assert np.array_equal(flip, basis.flip)
+            assert np.array_equal(half[partner], -flip * np.conj(half))
             assert np.max(np.abs(half - full)) <= 1e-15 * basis.cond \
                 * np.max(np.abs(full))
 
@@ -1037,13 +1057,15 @@ class TestMirroredLine:
     @staticmethod
     def spy(monkeypatch):
         """Record the basis, coordinates and `folded` flag of every
-        call that reads a stage's state through the node operator."""
+        call that reads a stage's state through the node operator: the
+        slot holds the basis of the operator the call reads."""
         calls = []
         inner = dynamics._state_at
 
-        def recording(basis, op, c, folded):
-            calls.append((basis, c, folded))
-            return inner(basis, op, c, folded)
+        def recording(op, c, folded):
+            assert dynamics._node_operator.entry[2] is op
+            calls.append((dynamics._node_operator.entry[0], c, folded))
+            return inner(op, c, folded)
 
         monkeypatch.setattr(dynamics, "_state_at", recording)
         return calls
@@ -1189,8 +1211,8 @@ class TestMirroredLine:
             nodes = cauchy_rows(basis) @ full
             pe = np.sum(np.abs(nodes) ** 2, axis=0)
             sig = basis.collective @ full
-            dsig = (-1j * basis.a2 * (basis.lam * basis.ens_sum - cc)) @ full \
-                - 1j * cc * a2
+            # d(sig)/dt = sum_m g_m (D_m b_m - i g_m a2)
+            dsig = (basis.g * basis.poles) @ nodes - 1j * cc * a2
             if trace.kind == "storage":
                 drive = dynamics._drive_nodes(pulse, trace.times, basis.lam)[1:]
             else:
@@ -1258,6 +1280,20 @@ class TestNodeOperator:
                                                   25.0)) == 1
         assert dynamics._node_operator.entry[1] is False
 
+    @pytest.mark.parametrize("c_atom, t2, delta_c", [
+        (0.0, 1e4, 0.0), (30.0, math.inf, 0.0), (30.0, 1e3, 0.2)])
+    def test_rate_row_is_lam_times_collective(self, c_atom, t2, delta_c):
+        # lam_k sum_m g_m V_mk = sum_m g_m (A V)_mk
+        #                      = sum_m g_m D_m V_mk - i N g2**2 a2_k
+        p = solve_matched_params(1.0, c_atom, t2=t2, delta_c=delta_c)
+        basis = dynamics._modal_basis(p, ensemble_for_params(p, n_sim=201))
+        ref = (basis.g * basis.poles) @ cauchy_rows(basis) \
+            - 1j * p.collective_coupling * basis.a2
+        got = basis.lam * basis.collective
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        op, _ = dynamics._node_operator(basis, False)
+        assert np.array_equal(op.rows[3:5], [basis.collective, got])
+
     def test_operators_are_read_only(self, matched):
         ens = ensemble_for_params(matched, n_sim=65)
         basis = dynamics._modal_basis(matched, ens)
@@ -1268,7 +1304,7 @@ class TestNodeOperator:
             assert held[2] is op and held[3] is drive
             assert drive.size == basis.lam.size - (basis.pairs if folded
                                                    else 0)
-            for x in (op, drive):
+            for x in (*op, drive):
                 assert not x.flags.writeable
                 with pytest.raises(ValueError):
                     x[0] = 0.0
@@ -1312,9 +1348,9 @@ class TestStageBlocks:
         calls = []
         inner = dynamics._state_at
 
-        def recording(basis, op, c, folded):
+        def recording(op, c, folded):
             calls.append((folded, c.shape[1]))
-            return inner(basis, op, c, folded)
+            return inner(op, c, folded)
 
         with monkeypatch.context() as m:
             m.setattr(dynamics, "_state_at", recording)
@@ -1434,9 +1470,9 @@ class TestStageBlocks:
                 samples.append(a[2])
                 return inner(*a)
 
-            def recording(basis, op, c, folded):
+            def recording(op, c, folded):
                 coords.append(c)
-                return state_at(basis, op, c, folded)
+                return state_at(op, c, folded)
 
             with monkeypatch.context() as m:
                 m.setattr(dynamics, kernel, sampled)

@@ -183,3 +183,10 @@ class TestSerialization:
         assert params_digest(p) == params_digest(make())
         assert params_digest(p) != params_digest(make(g1=0.1))
         assert len(params_digest(p)) == 12
+
+    def test_digest_of_an_integral_float_n_atoms(self):
+        # equal parameter sets share one digest, however N was written
+        p, q = make(n_atoms=1000), make(n_atoms=1000.0)
+        assert p == q and hash(p) == hash(q)
+        assert params_digest(p) == params_digest(q)
+        assert type(q.n_atoms) is int
