@@ -36,13 +36,15 @@ so storage and retrieval share it on a mirrored grid, and so does its
 node operator: the rows of V that a stage reads, the fields, the
 collective amplitude sum_m g_m b_m and its rate (lam times its row),
 then the Cauchy rows of the nodes, formed once when the basis is first
-used, with the input's mode coordinates solved on it.  The state is the
-free evolution of the start, a complex exp per run of samples times a
-table of in-run offset factors that every regular run shares, plus the
-pulse's convolution, one exponential-quadrature recurrence for every
-pulse shape: per output step the mode decays by exp(lam h) and gains
-weights, exact in its exponential, times the envelope at eight Gauss
-nodes.  A mirror-conjugate state (a mirrored line, a real envelope) has
+used, with the input's mode coordinates solved on it.  Each stage forms
+its mode coordinates with one kernel.  Storage runs one
+exponential-quadrature recurrence for every pulse shape from the
+ensemble's coordinates: per step the mode decays by exp(lam h) and gains
+weights, exact in its exponential and scaled by the input's coordinate
+once, times the envelope at eight Gauss nodes.  Retrieval is the free
+evolution of the start on its uniform output grid, a complex exp per run
+of samples times one table of in-run offset factors that every run
+shares.  A mirror-conjugate state (a mirrored line, a real envelope) has
 paired coordinates, so the stage carries one per conjugate pair and the
 real modes, and its operator is folded onto those.
 
@@ -50,7 +52,7 @@ A stage runs over blocks of at most _BLOCK samples, and consecutive
 blocks share their edge node, so each block is a whole piece of the
 stage from its first node to its last.  Only the drive's row at the
 shared node and the three running loss integrals cross the edge.  Each
-block continues the drive's recurrence from that row, evaluates the
+block continues the drive's recurrence from that row, or evaluates the
 free evolution at its own anchor times, takes the fields, the
 collective rows and the node populations from one product with the
 node operator, and adds its Hermite increments to the running losses;
@@ -108,8 +110,11 @@ class PulseSpec:
     carrier_detuning: float = 0.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.shape, str) and not isinstance(self.shape, PulseShape):
+        try:
             object.__setattr__(self, "shape", PulseShape(self.shape))
+        except ValueError:
+            raise ParameterError(f"unknown pulse shape {self.shape!r}, not one of "
+                                 f"{', '.join(PulseShape)}", arg="shape") from None
         if not (self.duration > 0 and math.isfinite(self.duration)):
             raise ParameterError(f"pulse duration must be positive, got {self.duration}")
         if not math.isfinite(self.center) or not math.isfinite(self.carrier_detuning):
@@ -121,10 +126,10 @@ class PulseSpec:
         dt = self.duration
         if self.shape is PulseShape.GAUSSIAN:
             out = (np.pi * dt ** 2) ** -0.25 * np.exp(-0.5 * s ** 2 / dt ** 2)
-        elif self.shape is PulseShape.RISING_EXPONENTIAL:
-            out = np.where(s <= 0, np.sqrt(2.0 / dt) * np.exp(s / dt), 0.0)
         else:
-            out = np.where(s >= 0, np.sqrt(2.0 / dt) * np.exp(-s / dt), 0.0)
+            # x <= 0 is the lit side; exp would overflow on the dark one
+            x = s if self.shape is PulseShape.RISING_EXPONENTIAL else -s
+            out = np.where(x <= 0, np.sqrt(2.0 / dt) * np.exp(np.minimum(x, 0.0) / dt), 0.0)
         return out if out.ndim else float(out)
 
     def amplitude(self, t):
@@ -329,37 +334,24 @@ def _check_coupled(p: SystemParams) -> None:
             "coupled ensemble (N*g2**2 > 0)")
 
 
-#: relative rounding within which a step count is whole and an extra time
-#: replaces its grid point: the grid keeps one step and every extra time
+#: relative rounding within which a step count is whole, and an echo
+#: window's edge lies on a sample
 _GRID_SNAP = 1e-9
 
 
-def _output_times(t_span: tuple[float, float], output_dt: float | None,
-                  extra_eval: tuple[float, ...]) -> np.ndarray:
-    """Uniform output grid over the span plus the requested extra times."""
+def _output_times(t_span: tuple[float, float], output_dt: float | None) -> np.ndarray:
+    """Uniform output grid over the span."""
     t0, t1 = map(float, t_span)
-    if not t1 > t0:
-        raise ParameterError(f"empty integration span {t_span}")
+    # written so that NaN and inf fail the check as well
+    if not (t1 > t0 and math.isfinite(t1 - t0)):
+        raise ParameterError(f"integration span {t_span} must be finite and nonempty")
     if output_dt is None:
         output_dt = (t1 - t0) / 600.0
     if not (output_dt > 0 and math.isfinite(output_dt)):
         raise ParameterError(f"output_dt must be positive and finite, got {output_dt}")
     ratio = _steps((t0, t1), output_dt)
     whole = abs(ratio - round(ratio)) <= _GRID_SNAP * ratio
-    t_eval = np.linspace(t0, t1, (round(ratio) if whole else math.ceil(ratio)) + 1)
-    if extra_eval:
-        extra = np.asarray(extra_eval, dtype=float)
-        if not np.all((extra >= t0) & (extra <= t1)):
-            raise ParameterError("extra evaluation times fall outside the span")
-        step = t_eval[1] - t_eval[0]
-        near = np.rint((extra - t0) / step).astype(int)
-        snap = np.abs(t_eval[near] - extra) <= _GRID_SNAP * step
-        t_eval[near[snap]] = extra[snap]
-        # sorted without repeats, as np.unique returns it; np.unique would
-        # import numpy.ma on its first call
-        t_eval = np.sort(np.concatenate([t_eval, extra[~snap]]))
-        t_eval = t_eval[np.concatenate(([True], t_eval[1:] != t_eval[:-1]))]
-    return t_eval
+    return np.linspace(t0, t1, (round(ratio) if whole else math.ceil(ratio)) + 1)
 
 
 def _steps(t_span: tuple[float, float], output_dt: float,
@@ -881,39 +873,27 @@ def _mode_coordinates(basis: _ModalBasis, op: _NodeOperator, fields: np.ndarray,
     return c
 
 
-def _offset_table(lam: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The offsets t_j - t_0 of the first _BLOCK // 2 samples of a grid and
-    their factors exp(lam_k (t_j - t_0)), which every block of the grid
-    whose offsets repeat them shares."""
-    first = t[:_BLOCK // 2] - t[0]
-    return first, np.exp(np.multiply.outer(first, lam))
+def _offset_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The factors exp(lam_k (t_j - t_0)) of the first _BLOCK // 2 samples
+    of a uniform grid, which every run of its samples shares."""
+    return np.exp(np.multiply.outer(t[:_BLOCK // 2] - t[0], lam))
 
 
 def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray, t0: float,
-                table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                table: np.ndarray) -> np.ndarray:
     """amp_k exp(lam_k (t_j - t0)) for every mode k and sample j of a block
-    t of the grid that starts at t0, stored sample by sample.
+    t of the uniform grid that starts at t0, stored sample by sample.
 
     Each run of _BLOCK // 2 samples is its anchor's exponential
-    exp(lam (t_a - t0)) times the offset factors exp(lam (t_j - t_a)), so
-    nothing compounds from block to block.  A run whose offsets repeat
-    those of `table`, the grid's _offset_table, to the rounding of the
-    sample times, reuses its factors, so a uniform grid takes one complex
-    exp per mode and anchor plus one table; a run holding an off-grid
-    sample takes its own offsets.
+    exp(lam (t_a - t0)) times the offset factors exp(lam (t_j - t_a)) of
+    `table`, the grid's _offset_table, so nothing compounds from block to
+    block and the grid takes one complex exp per mode and anchor.
     """
-    first, factors = table
     out = np.empty((t.size, lam.size), dtype=complex)
     width = _BLOCK // 2
-    tol = 16.0 * np.finfo(float).eps * max(abs(t0), float(np.max(np.abs(t))))
     for lo in range(0, t.size, width):
-        off = t[lo:lo + width] - t[lo]
-        if np.all(np.abs(off - first[:off.size]) <= tol):
-            run = factors[:off.size]
-        else:
-            run = np.exp(np.multiply.outer(off, lam))
         anchor = amp * np.exp(lam * (t[lo] - t0))
-        np.multiply(anchor, run, out=out[lo:lo + width])
+        np.multiply(anchor, table[:t.size - lo], out=out[lo:lo + width])
     return out.T
 
 
@@ -997,11 +977,13 @@ class _DrivePlan(NamedTuple):
     decay_lo: list
 
 
-def _drive_plan(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray) -> _DrivePlan:
-    """The drive's set-up on the samples t.  Steps of one length to
-    rounding form a group, whose mean keeps the summed steps on the
-    samples; the weights take the carrier detuning into mu = lam + i om,
-    so only the real envelope is interpolated."""
+def _drive_plan(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
+                gain: np.ndarray) -> _DrivePlan:
+    """The drive's set-up on the samples t, each mode's input scaled by
+    gain_k.  Steps of one length to rounding form a group, whose mean
+    keeps the summed steps on the samples; the weights take the gain, and
+    the carrier detuning into mu = lam + i om, so only the real envelope
+    is interpolated."""
     h = np.diff(t)
     order = np.argsort(h)
     tol = 16.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
@@ -1013,6 +995,7 @@ def _drive_plan(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray) -> _DrivePlan:
     for length in lengths:
         m = max(1, math.ceil(length / (_DRIVE_STEP * pulse.duration) - _GRID_SNAP))
         w = _drive_weights(lam + 1j * pulse.carrier_detuning, length / m, m)
+        w *= gain[:, None]
         # real and imaginary parts stacked for one real product: a complex
         # product this thin is slow on threaded BLAS
         weights.append(np.concatenate((w.real, w.imag)))
@@ -1031,17 +1014,20 @@ def _drive_plan(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray) -> _DrivePlan:
 def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
                      plan: _DrivePlan,
                      start: np.ndarray | None = None) -> np.ndarray:
-    """I_k(t_j) = start_k exp(lam_k (t_j - t_0)) + integral from t_0 to
-    t_j of exp(lam_k (t_j - s)) a_in(s) ds on a block t of samples,
-    stored sample by sample; start is 0 unless given.
+    """I_k(t_j) = start_k exp(lam_k (t_j - t_0)) + gain_k times the
+    integral from t_0 to t_j of exp(lam_k (t_j - s)) a_in(s) ds on a
+    block t of samples, stored sample by sample; start is 0 unless given,
+    gain that of `plan`.
 
     One exponential-quadrature recurrence for every pulse shape
     (Hochbruck & Ostermann, Acta Numerica 19, 2010),
     I(t_j+1) = exp(lam h) I(t_j) + carrier(t_j+1) sum W(h) env(nodes), with
     the weights and decays of `plan`, the _drive_plan of the grid the block
-    belongs to.  Gauss nodes are interior and an exponential pulse's
-    switching instant is a sample, so no step interpolates across the
-    edge.
+    belongs to: started from I(t_0) = start, it carries the start's free
+    evolution with the pulse's convolution, so storage from a loaded
+    ensemble needs no second kernel.  Gauss nodes are interior and an
+    exponential pulse's switching instant is a sample, so no step
+    interpolates across the edge.
     """
     n = lam.size
     h = np.diff(t)
@@ -1200,11 +1186,11 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     The nodes run in blocks of at most _BLOCK, each starting on the node
     the last one ended on, and only the output samples it owns and the
     running losses leave a block.  A block's mode coordinates, of the
-    representatives of a folded state, are the pulse's convolution,
-    continued from the drive's row at the shared node, plus the free
-    evolution of the start; a part that is zero is skipped unless it is
-    alone.  The loss integrals continue from their values at the shared
-    node."""
+    representatives of a folded state, come from one kernel: in storage
+    the drive's recurrence, started from the ensemble's coordinates and
+    continued from its row at the shared node; in retrieval the free
+    evolution of the start on the uniform output grid.  The loss
+    integrals continue from their values at the shared node."""
     basis = _modal_basis(p, ens)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     b0 = ens.coherences
@@ -1212,36 +1198,33 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
               and (pulse is None or not pulse.carrier_detuning))
     op, drive = _node_operator(basis, folded)
     lam = basis.lam[:drive.size]
-    plan = free = None
+    c0 = (_mode_coordinates(basis, op, np.zeros(3, dtype=complex), b0, folded)
+          if np.any(b0) else None)
     if pulse is None:
         nodes, kind = times, "retrieval"
         alpha_in, l_in = np.zeros(times.size, dtype=complex), np.zeros(times.size)
         inputs = np.broadcast_to(0j, (3, nodes.size))   # a view, no samples
+        table = _offset_table(lam, nodes)
     else:
         nodes, *inputs = _drive_nodes(pulse, times, basis.lam)
         inputs = np.array(inputs)
-        plan, gain = _drive_plan(pulse, lam, nodes), math.sqrt(p.kappa) * drive
+        plan = _drive_plan(pulse, lam, nodes, math.sqrt(p.kappa) * drive)
         cdf = _pulse_cdf(pulse, times)
         kind, alpha_in, l_in = "storage", pulse.amplitude(times), cdf - cdf[0]
-    if plan is None or np.any(b0):
-        c0 = _mode_coordinates(basis, op, np.zeros(3, dtype=complex), b0, folded)
-        free = c0, _offset_table(lam, nodes)
 
     out = np.searchsorted(nodes, times)
     fields = np.empty((3, times.size), dtype=complex)
     pe, losses = np.empty(times.size), np.empty((3, times.size))
-    row, carried, j1 = None, np.zeros(3), 0
+    row, carried, j1 = c0, np.zeros(3), 0
     # consecutive blocks share their edge node, which the earlier one owns
     for lo in range(0, nodes.size - 1, _BLOCK - 1):
         hi = min(lo + _BLOCK, nodes.size)
-        block, c = nodes[lo:hi], None
-        if plan is not None:
+        block = nodes[lo:hi]
+        if pulse is None:
+            c = _propagator(lam, c0, block, nodes[0], table)
+        else:
             c = _drive_integrals(pulse, lam, block, plan, row)
             row = c[:, -1].copy()
-            c *= gain[:, None]
-        if free is not None:
-            part = _propagator(lam, free[0], block, nodes[0], free[1])
-            c = part if c is None else np.add(c, part, out=c)
         state, population, end = _state_at(op, c, folded)
         losses_at = _hermite_losses(p, block, *state, population, inv_t2,
                                     *inputs[:, lo:hi])
@@ -1280,8 +1263,7 @@ def integrate_storage(
     _check_ensemble(p, ens)
     check_margin(t_span, pulse)
     check_samples(pulse, t_span=t_span)
-    times = _output_times(
-        t_span, _storage_step(t_span[1] - t_span[0], pulse.duration), ())
+    times = _output_times(t_span, _storage_step(t_span[1] - t_span[0], pulse.duration))
     return _modal_stage(p, ens, times, pulse)
 
 
@@ -1291,9 +1273,10 @@ def integrate_retrieval(
     t_span: tuple[float, float],
     *,
     output_dt: float | None = None,
-    extra_eval: tuple[float, ...] = (),
 ) -> SimulationTrace:
-    """Free evolution of a loaded ensemble with the drive removed.
+    """Free evolution of a loaded ensemble with the drive removed, sampled
+    on a uniform grid: step output_dt (default: span / 600), or the
+    largest step below it that divides the span.
 
     The cavities and the control atom start empty; whatever the ensemble
     re-emits leaves through the input cavity as alpha_out.
@@ -1301,7 +1284,7 @@ def integrate_retrieval(
     _check_ensemble(p, ens)
     if ens.probability <= 0.0:
         raise ParameterError("retrieval needs an ensemble with nonzero coherence")
-    times = _output_times(t_span, output_dt, extra_eval)
+    times = _output_times(t_span, output_dt)
     return _modal_stage(p, ens, times, None)
 
 
@@ -1313,7 +1296,7 @@ class EchoResult:
 
     echo_probability: float
     fidelity_time_reversed: float
-    echo_window: tuple[float, float]
+    echo_window: tuple[float, float]    # the window's first and last sample
     output_times: np.ndarray
     output_waveform: np.ndarray
     storage_probability: float
@@ -1399,7 +1382,8 @@ def run_echo_cycle(
     and integrate the readout stage with parameters p_read.
 
     tau is measured from the pulse center; the echo is expected around
-    center + 2*tau and the retrieval window spans +-6 durations of it.
+    center + 2*tau and the echo window is the retrieval samples within
+    +-6 durations of it, its ends being `echo_window`.
     The time-reversal fidelity is the normalized overlap between the
     output waveform and the input mirrored at a delay d, a_in(d - t),
     maximized over d within 2 durations of 2*center + 2*tau, where the
@@ -1419,16 +1403,17 @@ def run_echo_cycle(
     t_inv, t_end = read
     w_lo = max(echo_center - 6.0 * dt, t_inv)
     w_hi = min(echo_center + 6.0 * dt, t_end)
-    retrieval = integrate_retrieval(
-        p_read, inverted, read, output_dt=read_dt, extra_eval=(w_lo, w_hi))
+    retrieval = integrate_retrieval(p_read, inverted, read, output_dt=read_dt)
 
-    i_lo = int(np.searchsorted(retrieval.times, w_lo))
-    i_hi = int(np.searchsorted(retrieval.times, w_hi))
+    # the samples in [w_lo, w_hi], an edge within rounding of one on it
+    snap, times = _GRID_SNAP * read_dt, retrieval.times
+    i_lo = int(np.searchsorted(times, w_lo - snap))
+    i_hi = int(np.searchsorted(times, w_hi + snap, side="right")) - 1
     echo_probability = float(retrieval.out_flux_integral[i_hi]
                              - retrieval.out_flux_integral[i_lo])
 
     sel = slice(i_lo, i_hi + 1)
-    t_out = retrieval.times[sel]
+    t_out = times[sel]
     a_out = retrieval.alpha_out[sel]
     mirror = echo_center + c
     fidelity = _best_overlap(pulse, t_out, a_out, mirror - 2.0 * dt,
@@ -1437,7 +1422,7 @@ def run_echo_cycle(
     return EchoResult(
         echo_probability=echo_probability,
         fidelity_time_reversed=fidelity,
-        echo_window=(w_lo, w_hi),
+        echo_window=(float(t_out[0]), float(t_out[-1])),
         output_times=t_out.copy(),
         output_waveform=a_out.copy(),
         storage_probability=ens_stored.probability,

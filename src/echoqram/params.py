@@ -197,7 +197,8 @@ def check_matching(p: SystemParams, tol: float = 1e-9) -> MatchingReport:
     The first residual is |C_pm - 1| (absolute), the second is the relative
     residual of the feed-rate condition, the third is |delta_in - kappa/2|/kappa.
     """
-    if tol <= 0:
+    # written so that NaN fails the check as well
+    if not tol > 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     c = cooperativities(p)
     target = second_condition_target(p)

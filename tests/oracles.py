@@ -52,13 +52,12 @@ def integrate(
     y0_fields: tuple[complex, complex, complex],
     solver_tol: float,
     output_dt: float | None,
-    extra_eval: tuple[float, ...] = (),
     kind: str = "storage",
 ) -> SimulationTrace:
     """Adaptive DOP853 integration of the full equations with a running
     ledger; every Runge-Kutta stage costs one Python call of the
     right-hand side."""
-    t_eval = _output_times(t_span, output_dt, extra_eval)
+    t_eval = _output_times(t_span, output_dt)
     t0, t1 = t_eval[0], t_eval[-1]
     n = ens.n
     kappa, g1, f2 = p.kappa, p.g1, p.f2

@@ -38,6 +38,13 @@ def expand(basis, c):
     flip = basis.flip[:k].reshape((k,) + (1,) * (c.ndim - 1))
     return np.concatenate((c, -flip * np.conj(c[:k])))
 
+
+def unit_plan(pulse, lam, t):
+    """The drive plan of the samples t with unit gain: the recurrence then
+    gives the bare convolutions."""
+    return dynamics._drive_plan(pulse, lam, t, np.ones(lam.size))
+
+
 ALL_SHAPES = [PulseShape.GAUSSIAN, PulseShape.RISING_EXPONENTIAL,
               PulseShape.DECAYING_EXPONENTIAL]
 
@@ -96,6 +103,23 @@ class TestPulses:
     def test_rejects(self, kw):
         with pytest.raises(ParameterError):
             PulseSpec(**kw)
+
+    @pytest.mark.parametrize("shape", [None, 0, "square"])
+    def test_unknown_shape_refused(self, shape):
+        # a value that is not a member would run as a decaying exponential
+        with pytest.raises(ParameterError, match="unknown pulse shape") as err:
+            PulseSpec(shape=shape)
+        assert err.value.arg == "shape"
+
+    @pytest.mark.parametrize("shape", ALL_SHAPES[1:])
+    def test_exponential_envelope_far_from_center(self, shape):
+        # 1e4 durations on either side: exp of the dark side's exponent
+        # would overflow, which the suite's warning filter turns into a
+        # failure
+        pulse = PulseSpec(shape=shape, duration=5.0, center=1.0)
+        s = pulse.center + pulse.duration * np.array([-1e4, 1e4])
+        assert np.array_equal(pulse.envelope(s), [0.0, 0.0])
+        assert np.array_equal(pulse.amplitude(s), [0.0, 0.0])
 
 
 class TestDiscretization:
@@ -312,6 +336,15 @@ class TestStorage:
         with pytest.raises(ParameterError):
             integrate_retrieval(matched, ens, (0.0, 10.0))
 
+    @pytest.mark.parametrize("span", [(0.0, math.inf), (-math.inf, 0.0),
+                                      (0.0, math.nan), (1.0, 1.0)])
+    def test_retrieval_refuses_its_span(self, matched, span):
+        # the span is the fault, not the default step it would imply
+        ens = ensemble_for_params(matched, n_sim=64)
+        loaded = ens.with_coherences(np.sqrt(ens.weights))
+        with pytest.raises(ParameterError, match="must be finite and nonempty"):
+            integrate_retrieval(matched, loaded, span)
+
 
 class TestEchoCycle:
     def test_matched_echo(self, echo_inf):
@@ -376,6 +409,25 @@ class TestEchoCycle:
             steps = np.diff(times)
             assert np.all(np.abs(steps - dt / 40.0) <= 1e-12 * dt), dt
             assert set(echo.echo_window) <= set(times.tolist()), dt
+
+    def test_echo_window_on_an_uneven_grid(self, matched):
+        # 40 tau / duration = 213.2 is not whole: the retrieval grid keeps
+        # its uniform step and the window is the samples within +-6
+        # durations of the echo, both ends among them
+        ens = ensemble_for_params(matched, n_sim=201)
+        echo = run_echo_cycle(matched, matched, ens, PulseSpec(duration=10.0),
+                              53.3)
+        times = echo.retrieval_trace.times
+        steps = np.diff(times)
+        assert np.max(steps) - np.min(steps) <= 1e-12 * 10.0
+        w_lo, w_hi = echo.echo_window
+        assert w_lo == times[0] == echo.output_times[0]
+        assert w_hi == echo.output_times[-1] in times
+        assert 166.6 - steps[0] < w_hi <= 166.6
+        # the echo probability when the window's ends were inserted into
+        # the grid as extra samples
+        assert echo.echo_probability == pytest.approx(0.9997619141499298,
+                                                      rel=1e-12)
 
     @pytest.mark.parametrize("n_sim", [1201, 1601])
     def test_fine_grid_short_pulse_passes_its_ledger(self, matched, n_sim):
@@ -528,16 +580,13 @@ class TestFaddeeva:
 class TestKernels:
     """The propagation kernels against direct dense evaluations."""
 
-    @pytest.mark.parametrize("extra", [(), (-6.789, 4.321), (-9.99, -9.5)])
-    def test_propagator_matches_exp(self, blockade30, extra):
-        # extra samples off the uniform grid, in a later block and in the
-        # first, whose offsets the other blocks are compared against.  Both
-        # sides round the phase lam*(t - t0) to about 2e-16 of its size,
-        # which this grid keeps below 200
+    def test_propagator_matches_exp(self, blockade30):
+        # both sides round the phase lam*(t - t0) to about 2e-16 of its
+        # size, which this grid keeps below 200
         p = blockade30.with_(t2=100.0)
         basis = dynamics._modal_basis(
             p, ensemble_for_params(p, n_sim=64, span=10.0))
-        times = dynamics._output_times((-10.0, 10.0), 0.02, extra)
+        times = dynamics._output_times((-10.0, 10.0), 0.02)
         amp = [1.0, 1j] @ np.random.default_rng(5).normal(size=(2, basis.lam.size))
         got = dynamics._propagator(basis.lam, amp, times, times[0],
                                    dynamics._offset_table(basis.lam, times))
@@ -565,8 +614,7 @@ class TestKernels:
         # and the switching instant among them
         nodes = (times if pulse.shape is PulseShape.GAUSSIAN
                  else np.union1d(times, [pulse.center]))
-        got = dynamics._drive_integrals(
-            pulse, lam, nodes, dynamics._drive_plan(pulse, lam, nodes))
+        got = dynamics._drive_integrals(pulse, lam, nodes, unit_plan(pulse, lam, nodes))
         cols = np.union1d(np.linspace(0, nodes.size - 1, 4).astype(int),
                           np.searchsorted(nodes, [*extra, pulse.center]))
         ref = np.array([[drive_integral_quadrature(pulse, mode, nodes[0],
@@ -583,7 +631,7 @@ class TestKernels:
         pulse = PulseSpec(shape=shape, duration=2.0, center=1.0,
                           carrier_detuning=carrier)
         extra = (-3.217, 4.4444)
-        times = dynamics._output_times((-11.0, 13.0), 2.0 / 30.0, extra)
+        times = np.union1d(dynamics._output_times((-11.0, 13.0), 2.0 / 30.0), extra)
         self.check_drive(pulse, lam[np.argsort(np.abs(lam))[::6]], times, extra)
 
     @pytest.mark.parametrize("steps", [5, 60])
@@ -599,7 +647,7 @@ class TestKernels:
                             [4.0, 11.0, 13.0, 40.0]]) / h
         lam = np.concatenate([1j * r, (-1.0 + 1j) * r / math.sqrt(2.0), -r])
         extra = (-3.217, 4.4444)
-        times = dynamics._output_times((-11.0, 13.0), steps * h, extra)
+        times = np.union1d(dynamics._output_times((-11.0, 13.0), steps * h), extra)
         self.check_drive(pulse, lam, times, extra)
 
     def test_drive_integrals_long_grid(self):
@@ -609,10 +657,9 @@ class TestKernels:
         # a phase drift of about 2e-13
         pulse = PulseSpec(duration=31.6, center=1.0, carrier_detuning=0.3)
         times = dynamics._output_times((1.0 - 6.0 * 31.6, 1.0 + 5.0 * 31.6),
-                                       11.0 * 31.6 / 400.0, ())
+                                       11.0 * 31.6 / 400.0)
         lam = np.array([-0.0014 - 0.29j, -0.01 + 0.5j, -1e-6 - 2.0j])
-        got = dynamics._drive_integrals(
-            pulse, lam, times, dynamics._drive_plan(pulse, lam, times))
+        got = dynamics._drive_integrals(pulse, lam, times, unit_plan(pulse, lam, times))
         cols = [100, 200, 300, 400]
         ref = np.array([[drive_integral_quadrature(pulse, mode, times[0],
                                                    times[j]) for j in cols]
@@ -630,10 +677,9 @@ class TestKernels:
         lam = dynamics._modal_basis(
             matched, ensemble_for_params(matched, n_sim=401)).lam
         pulse = PulseSpec(duration=10.0, carrier_detuning=carrier)
-        times = dynamics._output_times((-60.0, 60.0), 0.3, ())
+        times = dynamics._output_times((-60.0, 60.0), 0.3)
         ref = gaussian_drive_closed_form(pulse, lam, times)
-        got = dynamics._drive_integrals(
-            pulse, lam, times, dynamics._drive_plan(pulse, lam, times))
+        got = dynamics._drive_integrals(pulse, lam, times, unit_plan(pulse, lam, times))
         assert np.max(np.abs(got - ref)) <= 1.2e-14 * np.max(np.abs(ref))
 
 
@@ -772,10 +818,9 @@ class TestModalPropagator:
                              np.zeros(e.n, complex), (0, 0, 0), tol,
                              output_dt)
 
-        def retrieval(p, e, span, *, output_dt=None, extra_eval=()):
+        def retrieval(p, e, span, *, output_dt=None):
             return integrate(p, e, None, span, e.coherences.copy(),
-                             (0, 0, 0), tol, output_dt,
-                             extra_eval=extra_eval, kind="retrieval")
+                             (0, 0, 0), tol, output_dt, kind="retrieval")
 
         with monkeypatch.context() as m:
             m.setattr(dynamics, "integrate_storage", storage)
@@ -1101,12 +1146,11 @@ class TestMirroredLine:
     def storage_reference(self, p, ens, pulse, trace):
         """The stored populations and final node amplitudes, full rows."""
         basis = dynamics._modal_basis(p, ens)
-        c = dynamics._drive_integrals(
-            pulse, basis.lam, trace.times,
-            dynamics._drive_plan(pulse, basis.lam, trace.times))
         # the drive over every mode, solved on the unfolded operator
         _, drive = dynamics._node_operator(basis, False)
-        c *= (math.sqrt(p.kappa) * drive)[:, None]
+        c = dynamics._drive_integrals(
+            pulse, basis.lam, trace.times, dynamics._drive_plan(
+                pulse, basis.lam, trace.times, math.sqrt(p.kappa) * drive))
         last = cauchy_rows(basis) @ c[:, -1]
         return self.dense_populations(basis, c), last
 
@@ -1443,7 +1487,7 @@ class TestStageBlocks:
             start = -(before - 0.75) / 15.0
             span = (start, start + 37.0)
             times = dynamics._output_times(
-                span, dynamics._storage_step(span[1] - span[0], 2.0), ())
+                span, dynamics._storage_step(span[1] - span[0], 2.0))
             nodes = dynamics._drive_nodes(pulse, times, lam)[0]
             assert nodes[before] == nodes[before + 1] == pulse.center
             self.check_storage(monkeypatch, p, ens, pulse, span, True)
@@ -1490,13 +1534,32 @@ class TestStageBlocks:
 
     @pytest.mark.parametrize("shape", ALL_SHAPES)
     def test_loaded_storage(self, monkeypatch, shape):
-        # the drive and the free evolution of the start, both blocked
+        # the drive's recurrence started from the load's coordinates, blocked
         p = solve_matched_params(1.0, 0.0, t2=1e3)
         ens = self.mirrored_load(ensemble_for_params(p, n_sim=64, span=10.0))
         pulse = PulseSpec(shape=shape, duration=2.0, center=1.0)
         trace = self.check_storage(monkeypatch, p, ens, pulse, (-11.0, 13.0),
                                    True)
         assert trace.initial_probability == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_loaded_storage_is_linear(self, matched, shape):
+        # storage carries its start in the drive's recurrence: from a
+        # loaded ensemble it is the store into the empty one plus the free
+        # evolution of the load, over 60,181 samples whose per-step
+        # rounding the recurrence accumulates
+        ens = ensemble_for_params(matched, n_sim=401, span=10.0)
+        loaded = self.mirrored_load(ens)
+        pulse = PulseSpec(shape=shape, duration=5.0)
+        span = (-30.0, 10000.0)
+        full = integrate_storage(matched, loaded, pulse, span)
+        empty = integrate_storage(matched, ens, pulse, span)
+        step = dynamics._storage_step(span[1] - span[0], pulse.duration)
+        free = integrate_retrieval(matched, loaded, span, output_dt=step)
+        assert np.array_equal(full.times, free.times)
+        got = full.ensemble.coherences
+        ref = empty.ensemble.coherences + free.ensemble.coherences
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_carrier_detuned_stage(self, monkeypatch, blockade30):
         # the carrier breaks the state's mirror symmetry: every mode's

@@ -80,6 +80,11 @@ class TestMatching:
         assert rep.c_pm_residual == pytest.approx(1.0, rel=1e-12)
         assert not rep.all_matched
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_tolerance_refused(self, tol):
+        with pytest.raises(ParameterError, match="tolerance must be positive"):
+            check_matching(solve_matched_params(1.0, 0.0), tol=tol)
+
     def test_report_dict_keys(self):
         d = check_matching(solve_matched_params(1.0, 0.0)).to_dict()
         for key in ("c_pm_residual", "second_condition_residual",
