@@ -685,21 +685,24 @@ def _run_store(cfg: ScenarioConfig) -> _Artifact:
         "out_flux_integral": trace.out_flux_integral,
         "control_loss_integral": trace.control_loss_integral,
         "t2_loss_integral": trace.t2_loss_integral,
-        "in_flux_integral": trace.in_flux_integral,
-        "ledger_residual": trace.ledger_residual}
+        "in_flux_integral": trace.in_flux_integral}
 
     def rows():
-        # long format: one row per (series, time), real series with im = 0
+        # long format: one row per (series, time), real series with im = 0;
+        # the ledger residual at its checkpoints only
         times = trace.times.tolist()
-        for name, arr in {**fields, **probabilities}.items():
+        series = {name: (times, arr) for name, arr in {**fields, **probabilities}.items()}
+        series["ledger_residual"] = (trace.ledger_times.tolist(), trace.ledger_residual)
+        for name, (at, arr) in series.items():
             arr = np.asarray(arr, dtype=complex)
-            yield from zip(times, itertools.repeat(name), arr.real.tolist(),
+            yield from zip(at, itertools.repeat(name), arr.real.tolist(),
                            arr.imag.tolist())
 
     body = {"params": p.to_dict(), "times": trace.times,
             "fields": {name: {"re": arr.real, "im": arr.imag}
                        for name, arr in fields.items()},
-            "probabilities": probabilities}
+            "probabilities": probabilities,
+            "ledger": {"times": trace.ledger_times, "residual": trace.ledger_residual}}
     return _Artifact(f"store: probability {trace.ensemble.probability:.6f}, "
                      f"ledger residual {trace.max_ledger_residual:.2e}",
                      ["time", "series", "re", "im"], rows(), body,

@@ -53,18 +53,24 @@ blocks share their edge node, so each block is a whole piece of the
 stage from its first node to its last.  Only the drive's row at the
 shared node and the three running loss integrals cross the edge.  Each
 block continues the drive's recurrence from that row, or evaluates the
-free evolution at its own anchor times, takes the fields, the
-collective rows and the node populations from one product with the
-node operator, and adds its Hermite increments to the running losses;
-only the output samples it owns leave it, the shared node going with
-the earlier block.  So a cycle costs one matrix product with the node
-operator per block, which on a mirror-conjugate state takes half the
-line's Cauchy rows as one real product, one O(n) drive update per
-storage sample, and little else.  A stage holds its node operator, the
+free evolution at its own anchor times, takes the fields and the
+collective rows at every node from the five state rows of the node
+operator, O(n) per node, and adds its Hermite increments to the running
+losses; only the output samples it owns leave it, the shared node going
+with the earlier block.  The node populations come from the probability
+balance, not from the node rows: what the input left after the field
+populations and the output and control losses is the ensemble's
+population plus its dephasing loss, which for a finite T2 is a scalar
+recurrence on the same nodes.  The node rows are read at the ledger's
+checkpoints alone, every _CHECK-th node and the stage's last, in one
+product with the node operator per block, which on a mirror-conjugate
+state takes half the line's Cauchy rows as one real product.  So a cycle
+costs O(n) per node, one O(n) drive update per storage sample, and one
+pass over the operator per block.  A stage holds its node operator, the
 one array that grows as the square of the mode count (8 n**2 bytes
 folded, 16 n**2 complex, 1.3 MB at n = 401; a single slot holds the
 operator of the basis last used), its output samples, and one block:
-about (modes + nodes) x _BLOCK numbers, however long its grid.
+about (modes + 5) x _BLOCK numbers, however long its grid.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
@@ -74,15 +80,18 @@ Hermite rule on exact time derivatives.  An exponential pulse switches on
 or off at its center, so storage samples that instant twice, each copy
 with its one-sided drive, and splits every step after it until the
 fastest mode, which the jump rings, turns by at most half a radian per
-step.  Every run checks the ledger at each output time and aborts when
-it drifts beyond 10x params.SOLVER_TOL, a constant that bounds nothing
-else; a mode basis whose eigenpair residual or condition number exceeds
-a fixed bound is refused as well.
+step.  Between checkpoints the balance closes the ledger by
+construction; at each checkpoint the population from the node rows is
+checked against the balance's, and every run aborts when the two drift
+apart beyond 10x params.SOLVER_TOL, a constant that bounds nothing else;
+a mode basis whose eigenpair residual or condition number exceeds a
+fixed bound is refused as well.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -289,7 +298,14 @@ def invert_detunings(ens: AtomEnsemble) -> AtomEnsemble:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Sampled amplitudes, probabilities, and conservation ledger."""
+    """Sampled amplitudes, probabilities, and conservation ledger.
+
+    p_ensemble is the node population the probability balance leaves at
+    each output sample.  The ledger is checked where a stage reads its
+    node rows, at the checkpoints `ledger_times`: `ledger_residual` is the
+    population from the node rows minus the balance's there, which
+    between checkpoints is zero by construction and is not reported.
+    """
 
     times: np.ndarray
     cavity1: np.ndarray
@@ -305,7 +321,8 @@ class SimulationTrace:
     control_loss_integral: np.ndarray   # gamma * int |bc|^2
     t2_loss_integral: np.ndarray        # (2/T2) * sum_j int |b_j|^2
     in_flux_integral: np.ndarray        # int |a_in|^2
-    ledger_residual: np.ndarray
+    ledger_times: np.ndarray            # the checkpoints
+    ledger_residual: np.ndarray         # at the checkpoints
     ensemble: AtomEnsemble              # state at the final sample
     initial_probability: float
     kind: str
@@ -408,13 +425,10 @@ def check_samples(pulse: PulseSpec, *, tau: float | None = None,
 
 
 def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
-           times, a1, bc, a2, ain, pe,
-           l_out, l_c, l_t2, l_in, p0: float, final_coherences) -> SimulationTrace:
-    """Close the probability ledger, enforce it, and package the trace."""
-    p1 = np.abs(a1) ** 2
-    pc = np.abs(bc) ** 2
-    p2 = np.abs(a2) ** 2
-    residual = (p1 + pc + p2 + pe + l_out + l_c + l_t2) - (l_in + p0)
+           times, a1, bc, a2, ain, pe, l_out, l_c, l_t2, l_in, p0: float,
+           final_coherences, ledger_times, residual) -> SimulationTrace:
+    """Enforce the probability ledger's residual at its checkpoints, and
+    package the trace."""
     worst = float(np.max(np.abs(residual)))
     if not worst <= 10.0 * solver_tol:
         raise IntegrationError(
@@ -423,10 +437,12 @@ def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
     return SimulationTrace(
         times=times, cavity1=a1, control=bc, cavity2=a2,
         alpha_in=ain, alpha_out=math.sqrt(p.kappa) * a1 - ain,
-        p_cavity1=p1, p_control=pc, p_cavity2=p2, p_ensemble=pe,
+        p_cavity1=np.abs(a1) ** 2, p_control=np.abs(bc) ** 2,
+        p_cavity2=np.abs(a2) ** 2, p_ensemble=pe,
         out_flux_integral=l_out, control_loss_integral=l_c,
         t2_loss_integral=l_t2, in_flux_integral=l_in,
-        ledger_residual=residual, ensemble=ens.with_coherences(final_coherences),
+        ledger_times=ledger_times, ledger_residual=residual,
+        ensemble=ens.with_coherences(final_coherences),
         initial_probability=p0, kind=kind, params=p,
     )
 
@@ -437,6 +453,9 @@ def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
 #: sample, and rows per block of the other sums over samples, so that no
 #: temporary grows as (number of samples) x (number of modes)
 _BLOCK = 128
+#: a stage reads its node rows, and checks its ledger, at every _CHECK-th
+#: node and at its last
+_CHECK = 32
 #: rows per block of the elementwise sums over poles or roots, which take
 #: no matrix product: a block this small keeps its temporaries in cache
 _ROW_BLOCK = 16
@@ -1058,46 +1077,50 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
     return out
 
 
-def _hermite_cumulative(t: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Running integrals over the samples t of each row of rates[0], from
-    its values and two derivatives rates[0], rates[1], rates[2], by the
-    two-point quintic Hermite rule, exact for polynomials of degree
-    five."""
+def _hermite_steps(t: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The integral over each step between the samples t of rates[0], or
+    of each of its rows, from its values and two derivatives rates[0],
+    rates[1], rates[2], by the two-point quintic Hermite rule, exact for
+    polynomials of degree five."""
     h = np.diff(t)
-    pair = rates[:, :, :-1] + rates[:, :, 1:]
-    slope = rates[1, :, :-1] - rates[1, :, 1:]
-    inc = h * (0.5 * pair[0] + h * (0.1 * slope + (h / 120.0) * pair[2]))
-    out = np.zeros(rates.shape[1:])
-    np.cumsum(inc, axis=1, out=out[:, 1:])
-    return out
+    pair = rates[..., :-1] + rates[..., 1:]
+    slope = rates[1, ..., :-1] - rates[1, ..., 1:]
+    return h * (0.5 * pair[0] + h * (0.1 * slope + (h / 120.0) * pair[2]))
 
 
-def _state_at(op: _NodeOperator, c: np.ndarray, folded: bool):
-    """The rows a1, bc, a2, sig = sum_m g_m b_m and d(sig)/dt, the
-    ensemble population at every sample of a block, and the node rows at
-    its last one: the coordinates c, stored sample by sample, through the
-    node operator op, folded or not, in one product.
+def _state_at(op: _NodeOperator, c: np.ndarray, folded: bool) -> np.ndarray:
+    """The rows a1, bc, a2, sig = sum_m g_m b_m and d(sig)/dt at every
+    sample of a block: the coordinates c, stored sample by sample,
+    through the five state rows of the node operator op, folded or not,
+    in one product of O(n) per sample.  The node rows are read only at
+    the ledger's checkpoints, by _nodes_at.
 
     Folded, c holds the coordinates of a mirror-conjugate state's n - k
-    representatives, the k pairs and the real modes, and the operator
-    takes the lower half of the nodes only: their populations count
-    twice, a centre node once.  Its two real rows per row of V give the
-    real and imaginary parts from those of c, interleaved mode by mode,
-    which is a view of c; the node rows stay so interleaved.  The
-    product is taken as samples times operator rows, the orientation in
-    which BLAS keeps its peak on a block this narrow."""
+    representatives, the k pairs and the real modes, and each row of V
+    takes two real rows that give the real and imaginary parts from those
+    of c, interleaved mode by mode, which is a view of c.  The product is
+    taken as samples times operator rows, the orientation in which BLAS
+    keeps its peak on a block this narrow."""
+    c = np.ascontiguousarray(c.T)
+    if not folded:
+        return (c @ op.rows[:5].T).T
+    state = (c.view(float) @ op.rows[:10].T).T
+    return state[0::2] + 1j * state[1::2]
+
+
+def _nodes_at(op: _NodeOperator, c: np.ndarray, folded: bool):
+    """The node population and the node rows at each of the samples c,
+    from one product with the node rows of op.
+
+    Folded, the operator takes the lower half of the nodes only: their
+    populations count twice, a centre node once, and the node rows stay
+    interleaved, real part and imaginary part, node by node."""
     per = 2 if folded else 1     # operator rows per row of V
     c = np.ascontiguousarray(c.T)
-    full = (c.view(float) if folded else c) @ op.rows.T
-    state, nodes = full[:, :5 * per].T, full[:, 5 * per:]
+    rows = (c.view(float) if folded else c) @ op.rows[5 * per:].T
     weight = op.weight[5 * per:]
-    end = nodes[-1].copy()
-    if folded:
-        state = state[0::2] + 1j * state[1::2]
-        pe = np.square(nodes, out=nodes) @ weight
-    else:
-        pe = (nodes.real ** 2 + nodes.imag ** 2) @ weight
-    return state, pe, end
+    pe = (np.square(rows) if folded else rows.real ** 2 + rows.imag ** 2) @ weight
+    return pe, rows
 
 
 #: largest phase of the fastest mode per step after an exponential's switch
@@ -1154,28 +1177,56 @@ def _derivative_map(p: SystemParams) -> np.ndarray:
 
 
 def _hermite_losses(p: SystemParams, nodes: np.ndarray, a1, bc, a2, sig,
-                    dsig, pe, inv_t2: float, ain, dain, ddain) -> np.ndarray:
-    """Loss integrals by the quintic Hermite rule on time derivatives from
-    the equations of motion, under the input amplitude ain with its first
-    two time derivatives; sig = sum_j g_j b_j comes with its derivative."""
+                    dsig, inv_t2: float, ain, dain, ddain, start: np.ndarray,
+                    budget):
+    """The three loss integrals on a block of nodes, continued from their
+    values `start` at its first node, and the node population that the
+    probability balance leaves at each node.
+
+    The output and control losses take the quintic Hermite rule on time
+    derivatives from the equations of motion, under the input amplitude
+    ain with its first two time derivatives; sig = sum_j g_j b_j comes with
+    its derivative.  What the budget p0 + l_in leaves after the field
+    populations and those two losses, Q, is the node population plus the
+    dephasing loss, so pe = Q - l_t2.  For a finite T2, l_t2 takes the
+    same rule on its rate (2/T2) pe = (2/T2)(Q - l_t2), which is affine in
+    l_t2, so the rule is a scalar linear recurrence, one step per node,
+    implicit in the step's end: l_t2 decays by the (3,3) Pade form of
+    exp(-2 h/T2)."""
     y = _derivative_map(p) @ np.array([a1, bc, a2, sig, ain, dain, ddain])
     x, dx, ddx = y[0:2], y[2:4], y[4:6]
     conj = np.conj(x)
-    # the rates |a_out|**2, gamma |bc|**2 and (2/T2) pe, each with its
-    # first two derivatives, as (derivative order, loss, node)
-    rates = np.empty((3, 3, nodes.size))
-    rates[0, :2] = x.real ** 2 + x.imag ** 2
-    rates[1, :2] = 2.0 * (conj * dx).real
-    rates[2, :2] = 2.0 * (dx.real ** 2 + dx.imag ** 2 + (conj * ddx).real)
+    # the rates |a_out|**2 and gamma |bc|**2, each with its first two
+    # derivatives, as (derivative order, loss, node)
+    rates = np.empty((3, 2, nodes.size))
+    rates[0] = x.real ** 2 + x.imag ** 2
+    rates[1] = 2.0 * (conj * dx).real
+    rates[2] = 2.0 * (dx.real ** 2 + dx.imag ** 2 + (conj * ddx).real)
     rates[:, 1] *= p.gamma
-    # d pe/dt = -(2/T2) pe + 2 Im(a2 conj(sig))
-    s = np.conj(sig)
-    rates[0, 2] = pe
-    rates[1, 2] = 2.0 * (y[6] * s).imag - 2.0 * inv_t2 * pe
-    rates[2, 2] = (2.0 * (y[7] * s + y[6] * np.conj(dsig)).imag
-                   - 2.0 * inv_t2 * rates[1, 2])
-    rates[:, 2] *= 2.0 * inv_t2
-    return _hermite_cumulative(nodes, rates)
+    losses = np.empty((3, nodes.size))
+    losses[:, 0] = start
+    losses[:2, 1:] = np.cumsum(_hermite_steps(nodes, rates), axis=1) + start[:2, None]
+    q = (budget - np.abs(a1) ** 2 - np.abs(bc) ** 2 - np.abs(a2) ** 2
+         - losses[0] - losses[1])
+    if not inv_t2:
+        losses[2, 1:] = start[2]
+        return losses, q - start[2]
+    # with k = 2/T2 each derivative of the rate k pe = k (Q - l_t2) is a
+    # part from Q, through d pe/dt = 2 Im(a2 conj(sig)) - k pe, plus -k,
+    # k**2 and -k**3 times l_t2
+    k, s = 2.0 * inv_t2, np.conj(sig)
+    part = np.empty((3, nodes.size))
+    part[0] = k * q
+    part[1] = 2.0 * k * (y[6] * s).imag - k * part[0]
+    part[2] = 2.0 * k * (y[7] * s + y[6] * np.conj(dsig)).imag - k * part[1]
+    kh = k * np.diff(nodes)
+    even, odd = 1.0 + kh * kh / 10.0, kh * (0.5 + kh * kh / 120.0)
+    keep = (even - odd) / (even + odd)
+    gain = _hermite_steps(nodes, part) / (even + odd)
+    losses[2, 1:] = list(itertools.accumulate(
+        zip(keep.tolist(), gain.tolist()), lambda l, kg: kg[0] * l + kg[1],
+        initial=float(start[2])))[1:]
+    return losses, q - losses[2]
 
 
 def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
@@ -1189,8 +1240,13 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     representatives of a folded state, come from one kernel: in storage
     the drive's recurrence, started from the ensemble's coordinates and
     continued from its row at the shared node; in retrieval the free
-    evolution of the start on the uniform output grid.  The loss
-    integrals continue from their values at the shared node."""
+    evolution of the start on the uniform output grid.  Every node takes
+    the five state rows only, and its population from the probability
+    balance; the loss integrals continue from their values at the shared
+    node.  The node rows are read at the checkpoints alone, every _CHECK-th
+    node and the stage's last: there they give an independent population,
+    which the ledger checks against the balance, and at the last node the
+    final amplitudes."""
     basis = _modal_basis(p, ens)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     b0 = ens.coherences
@@ -1209,13 +1265,16 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
         nodes, *inputs = _drive_nodes(pulse, times, basis.lam)
         inputs = np.array(inputs)
         plan = _drive_plan(pulse, lam, nodes, math.sqrt(p.kappa) * drive)
-        cdf = _pulse_cdf(pulse, times)
+        cdf = _pulse_cdf(pulse, nodes)
         kind, alpha_in, l_in = "storage", pulse.amplitude(times), cdf - cdf[0]
+    budget = ens.probability + l_in
 
     out = np.searchsorted(nodes, times)
+    checks = np.append(np.arange(0, nodes.size - 1, _CHECK), nodes.size - 1)
+    residual = np.empty(checks.size)
     fields = np.empty((3, times.size), dtype=complex)
     pe, losses = np.empty(times.size), np.empty((3, times.size))
-    row, carried, j1 = c0, np.zeros(3), 0
+    row, carried, j1, k1 = c0, np.zeros(3), 0, 0
     # consecutive blocks share their edge node, which the earlier one owns
     for lo in range(0, nodes.size - 1, _BLOCK - 1):
         hi = min(lo + _BLOCK, nodes.size)
@@ -1225,26 +1284,32 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
         else:
             c = _drive_integrals(pulse, lam, block, plan, row)
             row = c[:, -1].copy()
-        state, population, end = _state_at(op, c, folded)
-        losses_at = _hermite_losses(p, block, *state, population, inv_t2,
-                                    *inputs[:, lo:hi])
-        losses_at += carried[:, None]
+        state = _state_at(op, c, folded)
+        losses_at, balance = _hermite_losses(p, block, *state, inv_t2,
+                                             *inputs[:, lo:hi], carried,
+                                             budget[lo:hi])
         carried = losses_at[:, -1]
+        k0, k1 = k1, np.searchsorted(checks, hi)
+        at = checks[k0:k1] - lo
+        population, rows = _nodes_at(op, c[:, at], folded)
+        residual[k0:k1] = population - balance[at]
         j0, j1 = j1, np.searchsorted(out, hi)
         pick = out[j0:j1] - lo
         fields[:, j0:j1] = state[:3, pick]
-        pe[j0:j1] = population[pick]
+        pe[j0:j1] = balance[pick]
         losses[:, j0:j1] = losses_at[:, pick]
-    # the amplitudes at the last node; folded, its rows hold the lower half
-    # of the nodes, whose conjugate mirror is the upper half, and a centre
-    # node is real
+    # the amplitudes at the last node, the last checkpoint; folded, its
+    # rows hold the lower half of the nodes, whose conjugate mirror is the
+    # upper half, and a centre node is real
+    end = rows[-1]
     if folded:
         low = end.view(complex)
         up = basis.g.size - low.size
         end = np.concatenate((low, np.conj(low[:up][::-1])))
         end[up:low.size].imag = 0.0
     return _trace(p, ens, kind, SOLVER_TOL, times, *fields, alpha_in, pe,
-                  *losses, l_in, ens.probability, end)
+                  *losses, l_in[out], ens.probability, end, nodes[checks],
+                  residual)
 
 
 def integrate_storage(

@@ -100,10 +100,13 @@ def integrate(
            if drive is not None else np.zeros_like(sol.t, dtype=complex))
     p0 = float(np.sum(np.abs(y0_modes) ** 2)
                + sum(abs(v) ** 2 for v in y0_fields))
-    return _trace(p, ens, kind, solver_tol, sol.t,
-                  a1, bc, a2, ain, np.sum(np.abs(b) ** 2, axis=0),
-                  sol.y[3 + n].real, sol.y[4 + n].real, sol.y[5 + n].real,
-                  sol.y[6 + n].real, p0, b[:, -1])
+    pe = np.sum(np.abs(b) ** 2, axis=0)
+    losses = sol.y[3 + n:7 + n].real
+    # the ledger closes at every output time, from the integrated populations
+    residual = (np.abs(a1) ** 2 + np.abs(bc) ** 2 + np.abs(a2) ** 2 + pe
+                + losses[0] + losses[1] + losses[2]) - (losses[3] + p0)
+    return _trace(p, ens, kind, solver_tol, sol.t, a1, bc, a2, ain, pe,
+                  *losses, p0, b[:, -1], sol.t, residual)
 
 
 def dense_generator(p: SystemParams, ens: AtomEnsemble) -> np.ndarray:

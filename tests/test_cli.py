@@ -399,6 +399,21 @@ class TestMain:
         assert main(["spectra", "--config", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("center", [1e10, 1e12, 1e15])
+    def test_far_center_fails_the_storage_ledger(self, tmp_path, capsys,
+                                                 center):
+        # a grid that resolves such a center still rounds its samples by
+        # ulp(center): the storage ledger drifts past its 1e-8 bound, and
+        # the run exits 3 with no artifact
+        doc = json.loads((CONFIG_DIR / "echo_matched.json").read_text())
+        doc["pulse"]["center"] = center
+        path = write(tmp_path, "far.json", cfg_text(**doc))
+        out = tmp_path / "far_echo.json"
+        assert main(["echo", "--config", str(path), "--out", str(out)]) == 3
+        assert "probability ledger violated on storage" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def make_cfg(self, workers_note=""):

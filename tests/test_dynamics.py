@@ -778,6 +778,14 @@ class TestTraceExport:
         assert {"alpha_in", "alpha_out", "ledger_residual"} <= names
         p_ens = [float(r[2]) for r in rows if r[1] == "p_ensemble"]
         assert p_ens == trace.p_ensemble.tolist()
+        # the ledger's residual at its checkpoints only, every 32nd
+        # sample and the last
+        ledger = [(float(r[0]), float(r[2])) for r in rows
+                  if r[1] == "ledger_residual"]
+        assert ledger == list(zip(trace.ledger_times.tolist(),
+                                  trace.ledger_residual.tolist()))
+        assert trace.ledger_times.tolist() == \
+            trace.times[np.r_[0:trace.times.size - 1:32, -1]].tolist()
 
     def test_json(self, matched, tmp_path, capsys):
         text, trace = self.export(matched, tmp_path, "json")
@@ -790,6 +798,9 @@ class TestTraceExport:
         assert doc["params"]["t2"] == "inf"
         assert doc["fields"]["alpha_out"]["im"] == \
             np.imag(trace.alpha_out).tolist()
+        assert doc["ledger"] == {"times": trace.ledger_times.tolist(),
+                                 "residual": trace.ledger_residual.tolist()}
+        assert "ledger_residual" not in doc["probabilities"]
 
 
 class TestModalPropagator:
@@ -1261,16 +1272,86 @@ class TestMirroredLine:
                 drive = dynamics._drive_nodes(pulse, trace.times, basis.lam)[1:]
             else:
                 drive = (np.zeros(trace.times.size),) * 3
-            losses = dynamics._hermite_losses(p, trace.times, a1, bc, a2, sig,
-                                              dsig, pe, inv_t2, *drive)
+            # the losses from zero, and the population that the balance
+            # leaves, on the budget p0 + l_in
+            losses, balance = dynamics._hermite_losses(
+                p, trace.times, a1, bc, a2, sig, dsig, inv_t2, *drive,
+                np.zeros(3), trace.initial_probability + trace.in_flux_integral)
             last = nodes[:, -1]
             for got, ref in [(trace.cavity1, a1), (trace.control, bc),
                              (trace.cavity2, a2), (trace.p_ensemble, pe),
+                             (balance, pe),
                              (trace.out_flux_integral, losses[0]),
                              (trace.control_loss_integral, losses[1]),
                              (trace.t2_loss_integral, losses[2]),
                              (trace.ensemble.coherences, last)]:
                 assert np.max(np.abs(got - ref)) <= 1e-11
+
+
+class TestPopulationBalance:
+    """Every node takes its population from the probability balance, and
+    the node rows are read at the ledger's checkpoints alone: the two
+    agree at every node of a stage."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Per stage, each block's basis, coordinates, fold, nodes and
+        balance."""
+        stages = []
+        stage, state_at, losses = (dynamics._modal_stage, dynamics._state_at,
+                                   dynamics._hermite_losses)
+
+        def recording_stage(*args):
+            stages.append([])
+            return stage(*args)
+
+        def recording_state(op, c, folded):
+            stages[-1].append([dynamics._node_operator.entry[0], c, folded])
+            return state_at(op, c, folded)
+
+        def recording_losses(p, nodes, *args):
+            out = losses(p, nodes, *args)
+            stages[-1][-1] += [nodes, out[1]]
+            return out
+
+        monkeypatch.setattr(dynamics, "_modal_stage", recording_stage)
+        monkeypatch.setattr(dynamics, "_state_at", recording_state)
+        monkeypatch.setattr(dynamics, "_hermite_losses", recording_losses)
+        return stages
+
+    @pytest.mark.parametrize("t2", [1e3, math.inf])
+    @pytest.mark.parametrize("folded", [True, False])
+    @pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN,
+                                       PulseShape.RISING_EXPONENTIAL])
+    def test_balance_matches_node_rows(self, monkeypatch, shape, folded, t2):
+        # a carrier breaks the mirror symmetry of both stages, which then
+        # carry every mode on complex rows
+        p = solve_matched_params(1.0, 0.0, t2=t2)
+        ens = ensemble_for_params(p, n_sim=64, span=10.0)
+        pulse = PulseSpec(shape=shape, duration=2.0,
+                          carrier_detuning=0.0 if folded else 0.1)
+        stages = self.spy(monkeypatch)
+        echo = run_echo_cycle(p, p, ens, pulse, 10.0)
+        traces = (echo.storage_trace, echo.retrieval_trace)
+        assert len(stages) == len(traces)
+        for trace, blocks in zip(traces, stages):
+            assert {m for _, _, m, _, _ in blocks} == {folded}
+            for basis, c, m, nodes, balance in blocks:
+                full = expand(basis, c) if m else c
+                rows = np.sum(np.abs(cauchy_rows(basis) @ full) ** 2, axis=0)
+                assert np.max(np.abs(balance - rows)) <= 1e-10
+            # consecutive blocks share their edge node: the nodes are the
+            # output samples, but for an exponential's storage, which
+            # samples its switching instant twice and splits the steps after
+            nodes = np.concatenate([blocks[0][3]] + [b[3][1:] for b in blocks[1:]])
+            if trace.kind == "storage" and shape is not PulseShape.GAUSSIAN:
+                assert np.count_nonzero(nodes == pulse.center) == 2
+                assert nodes.size > trace.times.size
+            else:
+                assert np.array_equal(nodes, trace.times)
+        for trace in (echo.storage_trace, echo.retrieval_trace):
+            assert trace.ledger_times[-1] == trace.times[-1]
+            assert 0.0 < trace.max_ledger_residual <= 1e-10
 
 
 class TestNodeOperator:
