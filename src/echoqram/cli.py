@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -560,7 +559,9 @@ class _Artifact:
     `header` and `rows` are the CSV table, `body` the rest of the JSON
     document.  `rows` may be an iterator, which only a CSV write runs,
     and `body` may hold numpy arrays, which only a JSON write lists, one
-    at a time.  `summary` is the line printed on success.
+    at a time.  With `text` set, `rows` yields the table's lines as
+    strings, written as they are.  `summary` is the line printed on
+    success.
     """
 
     summary: str
@@ -568,6 +569,7 @@ class _Artifact:
     rows: Iterable
     body: dict
     meta: dict = field(default_factory=dict)
+    text: bool = False
 
 
 def _report(summary: str, doc: dict) -> _Artifact:
@@ -599,7 +601,10 @@ def _write_artifact(out: Path, fmt: str, cfg: ScenarioConfig, cfg_text: str,
                     fh.write(f"# {k}={v}\n")
                 table = csv.writer(fh, lineterminator="\n")
                 table.writerow(art.header)
-                table.writerows(art.rows)
+                if art.text:
+                    fh.writelines(art.rows)
+                else:
+                    table.writerows(art.rows)
             else:
                 _dump(fh, {**meta, **art.body})
                 fh.write("\n")
@@ -669,6 +674,11 @@ def _store_span(cfg: ScenarioConfig) -> tuple[float, float]:
                           pulse.center + 6.0 * pulse.duration)
 
 
+#: samples per run of the store's CSV lines, which are joined a run at a
+#: time
+_CSV_RUN = 4096
+
+
 def _run_store(cfg: ScenarioConfig) -> _Artifact:
     import numpy as np
     p = cfg.params
@@ -687,16 +697,34 @@ def _run_store(cfg: ScenarioConfig) -> _Artifact:
         "t2_loss_integral": trace.t2_loss_integral,
         "in_flux_integral": trace.in_flux_integral}
 
+    def reprs(values: np.ndarray, form: str = "{}") -> list:
+        """The repr of each float, put in `form`; a run that holds one
+        value bit for bit puts its repr in once."""
+        bits = np.ascontiguousarray(values).view(np.int64)
+        if np.all(bits == bits[0]):
+            return [form.format(float.__repr__(float(values[0])))] * values.size
+        strs = map(float.__repr__, values.tolist())
+        return list(strs if form == "{}" else map(form.format, strs))
+
     def rows():
-        # long format: one row per (series, time), real series with im = 0;
-        # the ledger residual at its checkpoints only
-        times = trace.times.tolist()
+        # long format: one line per (series, time), real series with im =
+        # 0, the ledger residual at its checkpoints only, in the bytes that
+        # csv.writer writes for their rows.  Each time's repr is taken
+        # once, and a run of samples of one series is joined from its
+        # columns: time, ",series,", re and ",im" with the newline
+        times = list(map(float.__repr__, trace.times.tolist()))
         series = {name: (times, arr) for name, arr in {**fields, **probabilities}.items()}
-        series["ledger_residual"] = (trace.ledger_times.tolist(), trace.ledger_residual)
+        series["ledger_residual"] = (list(map(float.__repr__, trace.ledger_times.tolist())),
+                                     trace.ledger_residual)
         for name, (at, arr) in series.items():
             arr = np.asarray(arr, dtype=complex)
-            yield from zip(at, itertools.repeat(name), arr.real.tolist(),
-                           arr.imag.tolist())
+            for lo in range(0, arr.size, _CSV_RUN):
+                part = arr[lo:lo + _CSV_RUN]
+                cols = [f",{name},"] * (4 * part.size)
+                cols[0::4] = at[lo:lo + part.size]
+                cols[2::4] = reprs(part.real)
+                cols[3::4] = reprs(part.imag, ",{}\n")
+                yield "".join(cols)
 
     body = {"params": p.to_dict(), "times": trace.times,
             "fields": {name: {"re": arr.real, "im": arr.imag}
@@ -707,7 +735,8 @@ def _run_store(cfg: ScenarioConfig) -> _Artifact:
                      f"ledger residual {trace.max_ledger_residual:.2e}",
                      ["time", "series", "re", "im"], rows(), body,
                      meta={"kind": trace.kind, "solver_tol": SOLVER_TOL,
-                           "initial_probability": trace.initial_probability})
+                           "initial_probability": trace.initial_probability},
+                     text=True)
 
 
 def _echo_summary(res) -> dict:

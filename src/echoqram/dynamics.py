@@ -48,9 +48,11 @@ shares.  A mirror-conjugate state (a mirrored line, a real envelope) has
 paired coordinates, so the stage carries one per conjugate pair and the
 real modes, and its operator is folded onto those.
 
-A stage runs over blocks of at most _BLOCK samples, and consecutive
-blocks share their edge node, so each block is a whole piece of the
-stage from its first node to its last.  Only the drive's row at the
+A stage runs over blocks whose mode coordinates fit _BLOCK_BYTES, and
+never fewer than _MIN_BLOCK samples, so a stage of a few hundred modes
+and samples, every stage of the criterion-8 sweep, is one block.
+Consecutive blocks share their edge node, so each block is a whole piece
+of the stage from its first node to its last.  Only the drive's row at the
 shared node and the three running loss integrals cross the edge.  Each
 block continues the drive's recurrence from that row, or evaluates the
 free evolution at its own anchor times, takes the fields and the
@@ -69,8 +71,10 @@ costs O(n) per node, one O(n) drive update per storage sample, and one
 pass over the operator per block.  A stage holds its node operator, the
 one array that grows as the square of the mode count (8 n**2 bytes
 folded, 16 n**2 complex, 1.3 MB at n = 401; a single slot holds the
-operator of the basis last used), its output samples, and one block:
-about (modes + 5) x _BLOCK numbers, however long its grid.
+operator of the basis last used), its output samples, and one block,
+whose coordinates take at most _BLOCK_BYTES (2 MB), or _MIN_BLOCK
+samples' worth on a line of more than 1024 modes, however long its
+grid.
 
 Probability is conserved against explicit loss ledgers: the cavity output
 integral, the control-atom relaxation integral gamma*int|bc|**2, and the
@@ -449,10 +453,18 @@ def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
 
 # ------------------------------------------------------------ modal basis
 
-#: most samples per block of a stage, whose blocks share their edge
-#: sample, and rows per block of the other sums over samples, so that no
-#: temporary grows as (number of samples) x (number of modes)
-_BLOCK = 128
+#: bytes of mode coordinates per block of a stage, whose blocks share
+#: their edge sample, so that no temporary grows as (number of samples) x
+#: (number of modes): a stage of a few hundred modes and samples runs as
+#: one block, and pays each block's fixed cost once
+_BLOCK_BYTES = 2 ** 21
+#: fewest samples per block, which a stage of more than _BLOCK_BYTES / (16
+#: _MIN_BLOCK) = 1024 modes takes above the budget
+_MIN_BLOCK = 128
+#: samples per run of the free evolution, which share one table of offset
+#: factors; it does not grow with the block, since the table takes _RUN
+#: complex exps per mode
+_RUN = 64
 #: a stage reads its node rows, and checks its ledger, at every _CHECK-th
 #: node and at its last
 _CHECK = 32
@@ -893,9 +905,9 @@ def _mode_coordinates(basis: _ModalBasis, op: _NodeOperator, fields: np.ndarray,
 
 
 def _offset_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The factors exp(lam_k (t_j - t_0)) of the first _BLOCK // 2 samples
-    of a uniform grid, which every run of its samples shares."""
-    return np.exp(np.multiply.outer(t[:_BLOCK // 2] - t[0], lam))
+    """The factors exp(lam_k (t_j - t_0)) of the first _RUN samples of a
+    uniform grid, which every run of its samples shares."""
+    return np.exp(np.multiply.outer(t[:_RUN] - t[0], lam))
 
 
 def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray, t0: float,
@@ -903,16 +915,15 @@ def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray, t0: float,
     """amp_k exp(lam_k (t_j - t0)) for every mode k and sample j of a block
     t of the uniform grid that starts at t0, stored sample by sample.
 
-    Each run of _BLOCK // 2 samples is its anchor's exponential
+    Each run of _RUN samples is its anchor's exponential
     exp(lam (t_a - t0)) times the offset factors exp(lam (t_j - t_a)) of
-    `table`, the grid's _offset_table, so nothing compounds from block to
-    block and the grid takes one complex exp per mode and anchor.
+    `table`, the grid's _offset_table, so nothing compounds from run to
+    run and the grid takes one complex exp per mode and anchor.
     """
     out = np.empty((t.size, lam.size), dtype=complex)
-    width = _BLOCK // 2
-    for lo in range(0, t.size, width):
+    for lo in range(0, t.size, _RUN):
         anchor = amp * np.exp(lam * (t[lo] - t0))
-        np.multiply(anchor, table[:t.size - lo], out=out[lo:lo + width])
+        np.multiply(anchor, table[:t.size - lo], out=out[lo:lo + _RUN])
     return out.T
 
 
@@ -991,7 +1002,7 @@ class _DrivePlan(NamedTuple):
 
     starts: np.ndarray      # each group's shortest step, ascending
     offsets: list           # each group's Gauss nodes within a step
-    weights: list           # each group's weights, real over imaginary
+    weights: list           # each group's weights, (node, mode re/im)
     decay_hi: list          # exp(lam h) = hi + lo in two doubles
     decay_lo: list
 
@@ -1015,9 +1026,11 @@ def _drive_plan(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
         m = max(1, math.ceil(length / (_DRIVE_STEP * pulse.duration) - _GRID_SNAP))
         w = _drive_weights(lam + 1j * pulse.carrier_detuning, length / m, m)
         w *= gain[:, None]
-        # real and imaginary parts stacked for one real product: a complex
-        # product this thin is slow on threaded BLAS
-        weights.append(np.concatenate((w.real, w.imag)))
+        # one real row per Gauss node, real and imaginary parts interleaved
+        # mode by mode: a real product with the envelope lands in the float
+        # view of the sample-major coordinates, and a complex product this
+        # thin is slow on threaded BLAS
+        weights.append(np.ascontiguousarray(w.T).view(float))
         offsets.append(((np.arange(m)[:, None] + _drive_rule()[0])
                         * (length / m)).ravel())
     # exp(lam h) is the sum hi + lo of two doubles, from extended precision
@@ -1048,33 +1061,36 @@ def _drive_integrals(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
     exponential pulse's switching instant is a sample, so no step
     interpolates across the edge.
     """
-    n = lam.size
     h = np.diff(t)
     group = np.searchsorted(plan.starts, h, side="right") - 1
-    out = np.empty((t.size, n), dtype=complex).T
-    out[:, 0] = 0.0 if start is None else start
+    out = np.empty((t.size, lam.size), dtype=complex)
+    out[0] = 0.0 if start is None else start
+    # each sample's row, real and imaginary parts interleaved mode by mode,
+    # which is how the weights order their columns
+    flat = out.view(float)
     for g in np.flatnonzero(np.bincount(group, minlength=len(plan.starts))):
         steps = np.flatnonzero(group == g)
-        part = plan.weights[g] @ pulse.envelope(t[steps] + plan.offsets[g][:, None])
+        env = pulse.envelope(t[steps, None] + plan.offsets[g])
         cols = steps + 1
         if cols[-1] - cols[0] == cols.size - 1:
-            # a run of samples: slices, not a scatter into strided memory
-            cols = slice(cols[0], cols[-1] + 1)
-        out.real[:, cols] = part[:n]
-        out.imag[:, cols] = part[n:]
+            # a run of samples: the product is written in place
+            np.matmul(env, plan.weights[g], out=flat[cols[0]:cols[-1] + 1])
+        else:
+            flat[cols] = env @ plan.weights[g]
     if pulse.carrier_detuning:
-        out[:, 1:] *= np.exp(-1j * pulse.carrier_detuning * (t[1:] - pulse.center))
+        out[1:] *= np.exp(-1j * pulse.carrier_detuning
+                          * (t[1:] - pulse.center))[:, None]
     # the recurrence, one O(n) update per step in place; every update runs
     # over one sample's contiguous row, and is small enough that it writes
     # through row views and a product buffer made once
-    rows, term = list(out.T), np.empty(n, dtype=complex)
+    rows, term = list(out), np.empty(lam.size, dtype=complex)
     hi, lo = plan.decay_hi, plan.decay_lo
     for j, g in enumerate(group.tolist()):
         np.multiply(lo[g], rows[j], out=term)
         rows[j + 1] += term
         np.multiply(hi[g], rows[j], out=term)
         rows[j + 1] += term
-    return out
+    return out.T
 
 
 def _hermite_steps(t: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -1234,9 +1250,10 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     """One stage from the ensemble's state, with the cavities and the
     control atom empty: storage under `pulse`, retrieval without one.
 
-    The nodes run in blocks of at most _BLOCK, each starting on the node
-    the last one ended on, and only the output samples it owns and the
-    running losses leave a block.  A block's mode coordinates, of the
+    The nodes run in blocks whose coordinates fit _BLOCK_BYTES, of at
+    least _MIN_BLOCK nodes, each starting on the node the last one ended
+    on, and only the output samples it owns and the running losses leave
+    a block.  A block's mode coordinates, of the
     representatives of a folded state, come from one kernel: in storage
     the drive's recurrence, started from the ensemble's coordinates and
     continued from its row at the shared node; in retrieval the free
@@ -1275,9 +1292,11 @@ def _modal_stage(p: SystemParams, ens: AtomEnsemble, times: np.ndarray,
     fields = np.empty((3, times.size), dtype=complex)
     pe, losses = np.empty(times.size), np.empty((3, times.size))
     row, carried, j1, k1 = c0, np.zeros(3), 0, 0
+    # samples per block, at 16 bytes of coordinates per mode and sample
+    size = max(_MIN_BLOCK, _BLOCK_BYTES // (16 * lam.size))
     # consecutive blocks share their edge node, which the earlier one owns
-    for lo in range(0, nodes.size - 1, _BLOCK - 1):
-        hi = min(lo + _BLOCK, nodes.size)
+    for lo in range(0, nodes.size - 1, size - 1):
+        hi = min(lo + size, nodes.size)
         block = nodes[lo:hi]
         if pulse is None:
             c = _propagator(lam, c0, block, nodes[0], table)
@@ -1380,19 +1399,46 @@ _DELAY_TOL = 1e-6
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
+def _mid_scan(pulse: PulseSpec, t_out: np.ndarray, carried: np.ndarray,
+              weights: np.ndarray, lo: float, hi: float):
+    """The delays in (lo, hi) halfway between the samples t_out, shifted
+    by the pulse center, and at each delay d |sum_i env(d - t_i)
+    carried_i|**2 and sum_i env(d - t_i)**2 weights_i.
+
+    On the uniform grid t_out a mid delay k less sample i depends on k - i
+    alone, so every envelope value comes from one lattice of those
+    differences, (delays + samples - 1) values, and each sum over the
+    samples is a product with a window of it: the two sums are the valid
+    part of the lattice's convolutions with carried and weights."""
+    mids = pulse.center + 0.5 * (t_out[:-1] + t_out[1:])
+    inside = np.flatnonzero((mids > lo) & (mids < hi))
+    if not inside.size:
+        return mids[inside], np.zeros(0), np.zeros(0)
+    # the envelope at mid delay k0 + a less sample i is lattice[a - i + N -
+    # 1], N samples: the first mid less every sample, from the last, then
+    # the later mids less the first sample
+    k0, k1 = inside[0], inside[-1]
+    lattice = pulse.envelope(np.concatenate(
+        (mids[k0] - t_out[::-1], mids[k0 + 1:k1 + 1] - t_out[0])))
+    num = np.abs(np.convolve(lattice, carried, "valid")) ** 2
+    den = np.convolve(lattice * lattice, weights, "valid")
+    return mids[inside], num, den
+
+
 def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
                   lo: float, hi: float) -> float:
     """Largest normalized overlap of a_out with the pulse mirrored at a
-    delay d in [lo, hi], a_in(d - t), by the trapezoid rule on t_out.
+    delay d in [lo, hi], a_in(d - t), by the trapezoid rule on the
+    uniform grid t_out.
 
     Its carrier is exp(+i om t) times a phase of d alone, which drops out
     of the modulus, so a_out takes exp(-i om t) once and only the
     envelope is evaluated.  The delays halfway between the samples,
-    shifted by the pulse center, are evaluated in one call: an
-    exponential pulse's edge crosses a sample only between two of them,
-    so its overlap is constant around each and no peak is missed.  Golden
-    section then refines the bracket around the best delay, where the
-    overlap of a smooth pulse peaks.
+    shifted by the pulse center, are scanned first, by _mid_scan, with lo
+    and hi: an exponential pulse's edge crosses a sample only between two
+    of them, so its overlap is constant around each and no peak is
+    missed.  Golden section then refines the bracket around the best
+    delay, where the overlap of a smooth pulse peaks.
     """
     h = np.diff(t_out)
     weights = 0.5 * (np.concatenate((h, [0.0])) + np.concatenate(([0.0], h)))
@@ -1401,17 +1447,18 @@ def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
         return 0.0
     carried = weights * a_out * np.exp(-1j * pulse.carrier_detuning * t_out)
 
+    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return np.divide(num, den * out_norm, out=np.zeros_like(num),
+                         where=den > 0)
+
     def overlap(delays: np.ndarray) -> np.ndarray:
         env = pulse.envelope(delays[:, None] - t_out)
-        num = np.abs(env @ carried) ** 2
-        den = (env * env) @ weights * out_norm
-        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        return ratio(np.abs(env @ carried) ** 2, (env * env) @ weights)
 
-    mids = pulse.center + 0.5 * (t_out[:-1] + t_out[1:])
-    delays = np.concatenate(([lo], mids[(mids > lo) & (mids < hi)], [hi]))
-    # a block of delays at a time keeps the (delays x samples) arrays small
-    values = np.concatenate([overlap(delays[i:i + _BLOCK // 2])
-                             for i in range(0, delays.size, _BLOCK // 2)])
+    mids, num, den = _mid_scan(pulse, t_out, carried, weights, lo, hi)
+    delays = np.concatenate(([lo], mids, [hi]))
+    ends = overlap(np.array([lo, hi]))
+    values = np.concatenate((ends[:1], ratio(num, den), ends[1:]))
     k = int(np.argmax(values))
     a, b = delays[max(k - 1, 0)], delays[min(k + 1, delays.size - 1)]
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)

@@ -228,16 +228,22 @@ def solve_matched_params(
     coupling realizes the requested single-atom cooperativity with the
     given gamma (default gamma = kappa); c_atom_target = 0 decouples it.
     """
-    if kappa <= 0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
-    if c_atom_target < 0:
-        raise ParameterError(f"c_atom_target must be >= 0, got {c_atom_target}")
+    # every check is written so that NaN and inf fail it
+    if not 0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa}",
+                             arg="kappa")
+    if not 0 <= c_atom_target < math.inf:
+        raise ParameterError(
+            f"c_atom_target must be finite and >= 0, got {c_atom_target}",
+            arg="c_atom_target")
     if not (n_atoms >= 1 and float(n_atoms).is_integer()):
-        raise ParameterError(f"n_atoms must be a positive integer, got {n_atoms}")
+        raise ParameterError(f"n_atoms must be a positive integer, got {n_atoms}",
+                             arg="n_atoms")
     if gamma is None:
         gamma = kappa
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ParameterError(f"gamma must be positive and finite, got {gamma}",
+                             arg="gamma")
     delta_in = kappa / 2.0
     ng2sq = delta_in ** 2 * (kappa / 2.0) / (delta_in + kappa / 2.0)
     f2 = math.sqrt(kappa * ng2sq / (2.0 * delta_in))

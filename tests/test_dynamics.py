@@ -744,6 +744,68 @@ class TestFidelitySearch:
         grid = overlaps(pulse, echo.output_times, echo.output_waveform, delays)
         assert echo.fidelity_time_reversed >= np.max(grid) - 1e-12
 
+    @staticmethod
+    def window(pulse, tau):
+        """An echo window as run_echo_cycle takes it: the samples of the
+        uniform retrieval grid within 6 durations of the echo, a waveform
+        on them with the trapezoid weights and the carrier taken off, and
+        the bracket of delays within 2 durations of the mirror image."""
+        d, c = pulse.duration, pulse.center
+        t = np.linspace(c + tau, c + 2.0 * tau + 8.0 * d, 521)
+        t = t[np.abs(t - c - 2.0 * tau) <= 6.0 * d + 1e-9]
+        rng = np.random.default_rng(5)
+        a_out = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+        h = np.diff(t)
+        weights = 0.5 * (np.concatenate((h, [0.0])) + np.concatenate(([0.0], h)))
+        carried = weights * a_out * np.exp(-1j * pulse.carrier_detuning * t)
+        mirror = 2.0 * (c + tau)
+        return t, carried, weights, (mirror - 2.0 * d, mirror + 2.0 * d)
+
+    @staticmethod
+    def direct_scan(pulse, t, carried, weights, lo, hi):
+        """_mid_scan's delays and sums from one row of envelope values per
+        delay."""
+        mids = pulse.center + 0.5 * (t[:-1] + t[1:])
+        mids = mids[(mids > lo) & (mids < hi)]
+        env = pulse.envelope(mids[:, None] - t)
+        return mids, np.abs(env @ carried) ** 2, (env * env) @ weights
+
+    @pytest.mark.parametrize("carrier", [0.0, 0.7])
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_lattice_scan_matches_direct(self, shape, carrier):
+        # mid delay k less sample i depends on k - i alone on the uniform
+        # grid, so one lattice of envelope values serves every delay
+        pulse = PulseSpec(shape=shape, duration=10.0, center=0.37,
+                          carrier_detuning=carrier)
+        t, carried, weights, (lo, hi) = self.window(pulse, 50.0)
+        got = dynamics._mid_scan(pulse, t, carried, weights, lo, hi)
+        ref = self.direct_scan(pulse, t, carried, weights, lo, hi)
+        assert got[0].size == ref[0].size > 100
+        assert np.array_equal(got[0], ref[0])
+        for x, y in zip(got[1:], ref[1:]):
+            assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_lattice_scan_of_a_short_bracket(self, shape):
+        # lo == hi holds no mid delay, and a bracket under one step holds
+        # the one mid inside it or none; the search still refines it
+        pulse = PulseSpec(shape=shape, duration=10.0, center=0.37)
+        t, carried, weights, _ = self.window(pulse, 50.0)
+        mids = pulse.center + 0.5 * (t[:-1] + t[1:])
+        k, step = mids.size // 2, t[1] - t[0]
+        for lo, hi, count in [(mids[k], mids[k], 0), (t[k], t[k], 0),
+                              (mids[k] - 0.3 * step, mids[k] + 0.3 * step, 1),
+                              (mids[k] + 0.1 * step, mids[k] + 0.9 * step, 0)]:
+            got = dynamics._mid_scan(pulse, t, carried, weights, lo, hi)
+            ref = self.direct_scan(pulse, t, carried, weights, lo, hi)
+            assert got[0].size == got[1].size == got[2].size == count
+            assert np.array_equal(got[0], ref[0])
+            for x, y in zip(got[1:], ref[1:]):
+                assert np.allclose(x, y, rtol=1e-13, atol=0.0)
+            a_out = carried / weights * np.exp(1j * pulse.carrier_detuning * t)
+            best = dynamics._best_overlap(pulse, t, a_out, lo, hi)
+            assert 0.0 <= best <= 1.0 + 1e-12
+
 
 class TestTraceExport:
     """A storage trace reaches files through the store subcommand."""
@@ -1114,9 +1176,12 @@ class TestMirroredLine:
     def spy(monkeypatch):
         """Record the basis, coordinates and `folded` flag of every
         call that reads a stage's state through the node operator: the
-        slot holds the basis of the operator the call reads."""
+        slot holds the basis of the operator the call reads.  The block
+        budget is 0, so that every stage runs over blocks of _MIN_BLOCK
+        samples."""
         calls = []
         inner = dynamics._state_at
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 0)
 
         def recording(op, c, folded):
             assert dynamics._node_operator.entry[2] is op
@@ -1136,8 +1201,8 @@ class TestMirroredLine:
     def stages(calls, *traces):
         """Each trace's coordinates, its blocks' joined in order: a later
         block of a stage repeats the node the last one ended on.  No block
-        holds more than _BLOCK samples."""
-        assert all(0 < c.shape[1] <= dynamics._BLOCK for _, c, _ in calls)
+        holds more than _MIN_BLOCK samples."""
+        assert all(0 < c.shape[1] <= dynamics._MIN_BLOCK for _, c, _ in calls)
         blocks, joined = iter(c for _, c, _ in calls), []
         for trace in traces:
             parts = [next(blocks)]
@@ -1464,12 +1529,14 @@ class TestNodeOperator:
 
 
 class TestStageBlocks:
-    """A stage runs over blocks of _BLOCK nodes: each case agrees with the
-    same stage run as one block to rounding, and with DOP853."""
+    """A stage runs over blocks of _MIN_BLOCK nodes when its budget is 0:
+    each case agrees with the same stage run as one block to rounding, and
+    with DOP853."""
 
     @staticmethod
-    def blocked(monkeypatch, stage, *args, **kw):
-        """The stage as it runs, with the (folded, samples) of every block."""
+    def blocked(monkeypatch, stage, *args, budget=0, **kw):
+        """The stage under a block budget, by default in blocks of
+        _MIN_BLOCK samples, with the (folded, samples) of every block."""
         calls = []
         inner = dynamics._state_at
 
@@ -1479,14 +1546,15 @@ class TestStageBlocks:
 
         with monkeypatch.context() as m:
             m.setattr(dynamics, "_state_at", recording)
+            m.setattr(dynamics, "_BLOCK_BYTES", budget)
             trace = stage(*args, **kw)
         return trace, calls
 
     @staticmethod
     def one_block(monkeypatch, stage, *args, **kw):
-        """The same stage with _BLOCK above its node count."""
+        """The same stage with a budget above its coordinates."""
         with monkeypatch.context() as m:
-            m.setattr(dynamics, "_BLOCK", 10 ** 6)
+            m.setattr(dynamics, "_BLOCK_BYTES", 10 ** 12)
             return stage(*args, **kw)
 
     @staticmethod
@@ -1526,7 +1594,7 @@ class TestStageBlocks:
         trace, calls = self.blocked(monkeypatch, integrate_storage, p, ens,
                                     pulse, span)
         assert len(calls) > 1 and {m for m, _ in calls} == {folded}
-        assert all(0 < size <= dynamics._BLOCK for _, size in calls)
+        assert all(0 < size <= dynamics._MIN_BLOCK for _, size in calls)
         self.agree(trace, self.one_block(monkeypatch, integrate_storage, p,
                                          ens, pulse, span))
         self.against_dop853(trace, p, ens, pulse, span, dynamics._storage_step(
@@ -1535,9 +1603,9 @@ class TestStageBlocks:
 
     def test_gaussian_storage_and_retrieval(self, monkeypatch, matched):
         # 401 storage and 601 retrieval samples, neither a whole number of
-        # blocks, which start every _BLOCK - 1 samples; the retrieval
+        # blocks, which start every _MIN_BLOCK - 1 samples; the retrieval
         # starts from the stored state, inverted
-        stride = dynamics._BLOCK - 1
+        stride = dynamics._MIN_BLOCK - 1
         p = matched.with_(t2=100.0)
         ens = ensemble_for_params(p, n_sim=64, span=10.0)
         stored = self.check_storage(monkeypatch, p, ens, PulseSpec(duration=5.0),
@@ -1563,7 +1631,7 @@ class TestStageBlocks:
         ens = ensemble_for_params(p, n_sim=64, span=10.0)
         pulse = PulseSpec(shape=shape, duration=2.0)
         lam = dynamics._modal_basis(p, ens).lam
-        edge = 2 * (dynamics._BLOCK - 1)
+        edge = 2 * (dynamics._MIN_BLOCK - 1)
         for before in (edge, edge - 1):
             start = -(before - 0.75) / 15.0
             span = (start, start + 37.0)
@@ -1572,6 +1640,52 @@ class TestStageBlocks:
             nodes = dynamics._drive_nodes(pulse, times, lam)[0]
             assert nodes[before] == nodes[before + 1] == pulse.center
             self.check_storage(monkeypatch, p, ens, pulse, span, True)
+
+    def test_sweep_line_runs_each_stage_as_one_block(self, monkeypatch):
+        # the criterion-8 sweep's line, n_sim 401 on span 10 at T2 = 100: a
+        # cycle's 401 storage and 521 retrieval samples each fit the budget,
+        # and agree with the same cycle over blocks of _MIN_BLOCK samples
+        p = solve_matched_params(1.0, 0.0, t2=100.0)
+        ens = ensemble_for_params(p, n_sim=401, span=10.0)
+        pulse = PulseSpec(duration=10.0)
+        one, calls = self.blocked(monkeypatch, run_echo_cycle, p, p, ens,
+                                  pulse, 50.0, budget=dynamics._BLOCK_BYTES)
+        assert [size for _, size in calls] == [401, 521]
+        blocked, calls = self.blocked(monkeypatch, run_echo_cycle, p, p, ens,
+                                      pulse, 50.0)
+        # 400 and 520 steps, _MIN_BLOCK - 1 to a block
+        assert len(calls) == 4 + 5
+        assert all(0 < size <= dynamics._MIN_BLOCK for _, size in calls)
+        for name in ("echo_probability", "fidelity_time_reversed",
+                     "storage_probability"):
+            assert getattr(one, name) == pytest.approx(getattr(blocked, name),
+                                                       rel=1e-12, abs=0.0)
+        self.agree(one.storage_trace, blocked.storage_trace)
+        self.agree(one.retrieval_trace, blocked.retrieval_trace)
+
+    @pytest.mark.parametrize("n_sim, sizes", [(401, [401]),
+                                              (3201, [128, 128, 128, 20])])
+    def test_block_holds_the_budget(self, monkeypatch, matched, n_sim, sizes):
+        # 16 bytes per mode and sample: the 197 modes of n_sim 401 fit a
+        # 401-sample storage in the budget; the 1552 of n_sim 3201 take
+        # more than _BLOCK_BYTES / _MIN_BLOCK per sample, so its blocks hold
+        # _MIN_BLOCK samples, the fewest a block takes
+        ens = ensemble_for_params(matched, n_sim=n_sim, span=10.0)
+        coords = []
+        inner = dynamics._state_at
+
+        def recording(op, c, folded):
+            coords.append(c.shape)
+            return inner(op, c, folded)
+
+        monkeypatch.setattr(dynamics, "_state_at", recording)
+        integrate_storage(matched, ens, PulseSpec(duration=5.0), (-30.0, 30.0))
+        assert [size for _, size in coords] == sizes
+        (modes,) = {modes for modes, _ in coords}
+        if n_sim == 401:
+            assert 16 * modes * sizes[0] <= dynamics._BLOCK_BYTES
+        else:
+            assert 16 * modes * dynamics._MIN_BLOCK > dynamics._BLOCK_BYTES
 
     def test_blocks_share_one_edge_node(self, monkeypatch, matched):
         # the samples and coordinates of every block, driven in a storage
@@ -1602,11 +1716,12 @@ class TestStageBlocks:
             with monkeypatch.context() as m:
                 m.setattr(dynamics, kernel, sampled)
                 m.setattr(dynamics, "_state_at", recording)
+                m.setattr(dynamics, "_BLOCK_BYTES", 0)
                 trace = stage(*args)
             assert len(samples) == len(coords) > 2
             assert [t.size for t in samples] == [c.shape[1] for c in coords]
-            assert all(t.size == dynamics._BLOCK for t in samples[:-1])
-            assert 1 < samples[-1].size <= dynamics._BLOCK
+            assert all(t.size == dynamics._MIN_BLOCK for t in samples[:-1])
+            assert 1 < samples[-1].size <= dynamics._MIN_BLOCK
             assert np.array_equal(np.concatenate(
                 [samples[0]] + [t[1:] for t in samples[1:]]), trace.times)
             for a, b in zip(coords, coords[1:]):

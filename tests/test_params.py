@@ -107,6 +107,22 @@ class TestMatching:
         with pytest.raises(ParameterError):
             solve_matched_params(1.0, 30.0, **kw)
 
+    @pytest.mark.parametrize("kappa, c_atom, kw, arg", [
+        (math.nan, 30.0, {}, "kappa"), (math.inf, 30.0, {}, "kappa"),
+        (-math.inf, 30.0, {}, "kappa"),
+        (1.0, math.nan, {}, "c_atom_target"), (1.0, math.inf, {}, "c_atom_target"),
+        (1.0, -1.0, {}, "c_atom_target"),
+        (1.0, 30.0, dict(gamma=math.inf), "gamma"),
+        (1.0, 30.0, dict(gamma=math.nan), "gamma"),
+        (1.0, 30.0, dict(n_atoms=math.nan), "n_atoms"),
+    ])
+    def test_solve_refusal_names_its_argument(self, kappa, c_atom, kw, arg):
+        # a NaN kappa would pass a `kappa <= 0` guard and be refused as a
+        # NaN gamma, and a non-finite c_atom_target as a non-finite g1
+        with pytest.raises(ParameterError, match=f"^{arg} must be") as info:
+            solve_matched_params(kappa, c_atom, **kw)
+        assert info.value.arg == arg
+
 
 class TestValidation:
     @pytest.mark.parametrize("kw", [
