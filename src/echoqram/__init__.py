@@ -10,7 +10,7 @@ Modules:
 
 Importing the package runs `params` alone, which uses no numpy.  The other
 three layers are registered in sys.modules and as attributes of the
-package, but their code runs on the first access to any of their
+package, but their code runs on the first read or write of any of their
 attributes (`import echoqram.dynamics` is one: the import system reads
 the module's __spec__).  A name re-exported here resolves through its
 layer the same way.  So each command pays only for the layers it runs:
@@ -73,7 +73,7 @@ _loading: set = set()   # layers whose code is running
 
 
 class _Layer(types.ModuleType):
-    """A layer whose code has not run: the first attribute access runs it."""
+    """A layer whose code has not run: a first read or write runs it."""
 
     def __getattribute__(self, name):
         with _LOAD_LOCK:
@@ -87,6 +87,10 @@ class _Layer(types.ModuleType):
                 finally:
                     _loading.discard(self)
         return types.ModuleType.__getattribute__(self, name)
+
+    def __setattr__(self, name, value):
+        self.__dict__   # runs the layer, so its code cannot undo the write
+        types.ModuleType.__setattr__(self, name, value)
 
 
 def _register(name: str) -> types.ModuleType:

@@ -497,14 +497,10 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
     paths = dict(_ARG_PATHS, t_span="t_span" if cfg.t_span else "pulse.duration")
     if cfg.span is not None:
         _anchored(w, paths, dynamics.check_span, cfg.span, cfg.params.delta_in)
-    if cfg.t_span is not None:
-        _anchored(w, paths, dynamics.check_margin, cfg.t_span, cfg.pulse)
     if sc is Scenario.STORE:
-        _anchored(w, paths, dynamics.check_samples, cfg.pulse,
-                  t_span=_store_span(cfg))
+        _anchored(w, paths, dynamics.storage_grid, cfg.pulse, cfg.t_span)
     if sc in (Scenario.ECHO_CYCLE, Scenario.BLOCKADE):
-        _anchored(w, paths, dynamics.check_delay, cfg.tau, cfg.pulse.duration)
-        _anchored(w, paths, dynamics.check_samples, cfg.pulse, tau=cfg.tau)
+        _anchored(w, paths, dynamics.cycle_grids, cfg.pulse, cfg.tau)
     if cfg.eff_from_dynamics and (cfg.params is None or cfg.tau is None):
         raise w.error("efficiencies.from_dynamics",
                       "efficiencies.from_dynamics needs 'params' and 'tau'")
@@ -534,8 +530,7 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
                       "swept (those set the delay per point)")
     # each point as run_sweep builds it, its refusals at their lines
     for _, (_, _, pulse, tau), paths in _sweep_points(cfg, w):
-        _anchored(w, paths, dynamics.check_delay, tau, pulse.duration)
-        _anchored(w, paths, dynamics.check_samples, pulse, tau=tau)
+        _anchored(w, paths, dynamics.cycle_grids, pulse, tau)
     return cfg
 
 
@@ -667,13 +662,6 @@ def _run_check_matching(cfg: ScenarioConfig) -> _Artifact:
                     "c_pm": coop.c_pm})
 
 
-def _store_span(cfg: ScenarioConfig) -> tuple[float, float]:
-    """t_span, or 6 pulse durations on either side of the pulse center."""
-    pulse = cfg.pulse
-    return cfg.t_span or (pulse.center - 6.0 * pulse.duration,
-                          pulse.center + 6.0 * pulse.duration)
-
-
 #: samples per run of the store's CSV lines, which are joined a run at a
 #: time
 _CSV_RUN = 4096
@@ -682,10 +670,8 @@ _CSV_RUN = 4096
 def _run_store(cfg: ScenarioConfig) -> _Artifact:
     import numpy as np
     p = cfg.params
-    pulse = cfg.pulse
-    span = _store_span(cfg)
     ens = dynamics.ensemble_for_params(p, n_sim=cfg.n_sim, span=cfg.span)
-    trace = dynamics.integrate_storage(p, ens, pulse, span)
+    trace = dynamics.integrate_storage(p, ens, cfg.pulse, cfg.t_span)
     fields = {"alpha_in": trace.alpha_in, "alpha_out": trace.alpha_out,
               "cavity1": trace.cavity1, "control": trace.control,
               "cavity2": trace.cavity2}

@@ -269,16 +269,6 @@ def check_span(span: float, delta_in: float) -> None:
             "to keep the truncated line mass negligible", arg="span")
 
 
-def check_margin(t_span: tuple[float, float], pulse: PulseSpec) -> None:
-    """Refuse a storage span, or a NaN one, that leaves the pulse center
-    less than five pulse durations of margin on either side."""
-    if not (t_span[0] <= pulse.center - 5.0 * pulse.duration
-            and t_span[1] >= pulse.center + 5.0 * pulse.duration):
-        raise ParameterError(
-            f"pulse centered at {pulse.center} (duration {pulse.duration}) needs "
-            f">= 5 durations of margin inside span {t_span}", arg="t_span")
-
-
 def ensemble_for_params(
     p: SystemParams,
     n_sim: int = 801,
@@ -389,33 +379,11 @@ def _steps(t_span: tuple[float, float], output_dt: float,
     return steps
 
 
-def _storage_step(length: float, duration: float) -> float:
-    """integrate_storage's default output step over a span this long."""
-    return min(duration / 30.0, length / 400.0)
-
-
-def _cycle_grids(pulse: PulseSpec, tau: float):
-    """The spans and output steps of an echo cycle's storage and of its
-    retrieval, which runs from the inversion tau after the pulse center to
-    8 durations after the echo at 2 tau; the steps from the spans' lengths,
-    which a center far from t = 0 does not round away."""
-    c, dt = pulse.center, pulse.duration
-    store, read = (c - 6.0 * dt, c + tau), (c + tau, c + 2.0 * tau + 8.0 * dt)
-    return (store, _storage_step(6.0 * dt + tau, dt)), (read, dt / 40.0)
-
-
-def check_samples(pulse: PulseSpec, *, tau: float | None = None,
-                  t_span: tuple[float, float] | None = None) -> None:
-    """Refuse a storage over t_span, or an echo cycle with delay tau, whose
-    output grid needs a step count that is not finite or more than
-    MAX_SAMPLES samples, naming `t_span` or `tau`, or `duration` when a
-    step rounds to 0; or whose pulse center rounds by the finest step or
-    more, naming `center`.  Checked before anything is allocated."""
-    if tau is not None:
-        grids, arg = _cycle_grids(pulse, tau), "tau"
-    else:
-        grids = [(t_span, _storage_step(t_span[1] - t_span[0], pulse.duration))]
-        arg = "t_span"
+def _check_grids(pulse: PulseSpec, grids, arg: str):
+    """The (span, step) grids, refused before anything is allocated where
+    the pulse center rounds by the finest step or more, naming `center`,
+    or where _steps refuses one, naming `arg`, or `duration` when its step
+    rounds to 0."""
     # at center 0 only a step that rounds to 0 rounds the grid away
     step = min(step for _, step in grids)
     if pulse.center and not math.ulp(pulse.center) < step:
@@ -426,6 +394,43 @@ def check_samples(pulse: PulseSpec, *, tau: float | None = None,
             arg="center")
     for span, step in grids:
         _steps(span, step, arg if step > 0 else "duration")
+    return grids
+
+
+def storage_grid(pulse: PulseSpec, t_span: tuple[float, float] | None = None):
+    """integrate_storage's (span, output step): t_span, or by default 6
+    durations on either side of the pulse center, at min(duration / 30,
+    length / 400).  A t_span, or a NaN one, that leaves the center less
+    than 5 durations of margin on either side is refused, naming `t_span`,
+    and so is a grid that _check_grids refuses."""
+    c, dt = pulse.center, pulse.duration
+    if t_span is None:
+        t_span = (c - 6.0 * dt, c + 6.0 * dt)
+    elif not (t_span[0] <= c - 5.0 * dt and t_span[1] >= c + 5.0 * dt):
+        raise ParameterError(
+            f"pulse centered at {c} (duration {dt}) needs "
+            f">= 5 durations of margin inside span {t_span}", arg="t_span")
+    step = min(dt / 30.0, (t_span[1] - t_span[0]) / 400.0)
+    return _check_grids(pulse, [(t_span, step)], "t_span")[0]
+
+
+def cycle_grids(pulse: PulseSpec, tau: float):
+    """An echo cycle's (span, output step) of storage, up to the inversion
+    tau after the pulse center, and of retrieval, from there to 8
+    durations after the echo at 2 tau, at duration / 40.  The storage step
+    is storage_grid's for the length 6 durations + tau, which a center far
+    from t = 0 does not round away.  A tau, or a NaN one, below 5
+    durations is refused, naming `tau`, and so are grids that
+    _check_grids refuses."""
+    c, dt = pulse.center, pulse.duration
+    # written so that NaN fails the check as well
+    if not tau >= 5.0 * dt:
+        raise ParameterError(
+            f"tau = {tau} too small: need >= 5 pulse durations "
+            f"({5.0 * dt}) after the pulse center", arg="tau")
+    return _check_grids(pulse, [
+        ((c - 6.0 * dt, c + tau), min(dt / 30.0, (6.0 * dt + tau) / 400.0)),
+        ((c + tau, c + 2.0 * tau + 8.0 * dt), dt / 40.0)], "tau")
 
 
 def _trace(p: SystemParams, ens: AtomEnsemble, kind: str, solver_tol: float,
@@ -1335,19 +1340,18 @@ def integrate_storage(
     p: SystemParams,
     ens: AtomEnsemble,
     pulse: PulseSpec,
-    t_span: tuple[float, float],
+    t_span: tuple[float, float] | None = None,
 ) -> SimulationTrace:
     """Drive the memory from the ensemble's state with a normalized input
     pulse; `initial_probability` is the loaded probability.
 
-    The span must contain the pulse with at least 5 durations of margin on
-    each side so the stored probability has settled at the end, and its
-    output grid must pass check_samples.
+    The span, by default 6 durations on either side of the pulse center,
+    must contain the pulse with at least 5 durations of margin on each
+    side so the stored probability has settled at the end; its output
+    grid is storage_grid's, which refuses it otherwise.
     """
     _check_ensemble(p, ens)
-    check_margin(t_span, pulse)
-    check_samples(pulse, t_span=t_span)
-    times = _output_times(t_span, _storage_step(t_span[1] - t_span[0], pulse.duration))
+    times = _output_times(*storage_grid(pulse, t_span))
     return _modal_stage(p, ens, times, pulse)
 
 
@@ -1475,14 +1479,6 @@ def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
     return float(max(values[k], f1, f2))
 
 
-def check_delay(tau: float, duration: float) -> None:
-    """Refuse an inversion less than five pulse durations after the pulse."""
-    if tau < 5.0 * duration:
-        raise ParameterError(
-            f"tau = {tau} too small: need >= 5 pulse durations "
-            f"({5.0 * duration}) after the pulse center", arg="tau")
-
-
 def run_echo_cycle(
     p_store: SystemParams,
     p_read: SystemParams,
@@ -1502,11 +1498,8 @@ def run_echo_cycle(
     mirror image lands on the echo (a global phase drops out of the
     modulus).
     """
-    check_delay(tau, pulse.duration)
-    check_samples(pulse, tau=tau)
-    dt = pulse.duration
-    c = pulse.center
-    (store, _), (read, read_dt) = _cycle_grids(pulse, tau)
+    (store, _), (read, read_dt) = cycle_grids(pulse, tau)
+    dt, c = pulse.duration, pulse.center
     storage = integrate_storage(p_store, ens, pulse, store)
     ens_stored = storage.ensemble
     inverted = invert_detunings(ens_stored)

@@ -1275,6 +1275,23 @@ class TestLazyLayers:
             str(path))
         assert out.split() == ["True", "2"]
 
+    @pytest.mark.parametrize("script", [
+        "from echoqram import dynamics\n"
+        "dynamics._CHECK = 7\n"
+        "print(dynamics._CHECK == 7)\n",
+        "from echoqram import cli, dynamics\n"
+        "def cycle(*args):\n"
+        "    pass\n"
+        "dynamics.run_echo_cycle = cycle\n"
+        "print(cli.run_echo_cycle is cycle)\n",
+    ], ids=["constant", "cycle"])
+    def test_write_before_first_use_is_kept(self, script):
+        # the write runs the layer first, whose code would otherwise
+        # overwrite it on the first read
+        assert fresh("import sys\n" + script
+                     + "print('numpy' in sys.modules)\n").split() == [
+            "True", "True"]
+
     def test_star_import_binds_all(self):
         out = fresh(
             "import echoqram\n"
@@ -1295,7 +1312,7 @@ class TestLazyLayers:
             "touches = [lambda: echoqram.run_echo_cycle,\n"
             "           lambda: echoqram.PulseSpec(duration=1.0),\n"
             "           lambda: cli.run_echo_cycle,\n"
-            "           lambda: echoqram.dynamics.check_delay]\n"
+            "           lambda: echoqram.dynamics.cycle_grids]\n"
             "barrier = threading.Barrier(len(touches), timeout=30)\n"
             "errors = []\n"
             "def touch(get):\n"

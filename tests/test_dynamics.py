@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from echoqram import dynamics
+from echoqram import cli, dynamics
 from echoqram.cli import main, parse_scenario_config, run_sweep
 from echoqram.params import (ParameterError, params_digest,
                              solve_matched_params)
@@ -472,6 +472,91 @@ class TestEchoCycle:
         with pytest.raises(ParameterError, match="output_dt"):
             integrate_retrieval(matched, loaded, (0.0, 10.0),
                                 output_dt=output_dt)
+
+
+class TestGrids:
+    """storage_grid and cycle_grids decide a run's sample grids, and refuse
+    them, for the parser and the stages alike."""
+
+    @pytest.mark.parametrize("name", ["echo_matched.json",
+                                      "echo_sweep_t2.json"])
+    def test_stages_run_the_checked_grids(self, name):
+        cfg = parse_scenario_config((REPO / "configs" / name).read_text())
+        point = (cfg.params, cfg.read_params or cfg.params, cfg.pulse, cfg.tau)
+        if cfg.sweep is not None:
+            point = list(cli._sweep_points(cfg))[-1][1]
+        p_store, p_read, pulse, tau = point
+        ens = ensemble_for_params(p_store, n_sim=cfg.n_sim, span=cfg.span)
+        echo = run_echo_cycle(p_store, p_read, ens, pulse, tau)
+        grids = dynamics.cycle_grids(pulse, tau)
+        assert len(grids) == 2
+        for trace, grid in zip((echo.storage_trace, echo.retrieval_trace),
+                               grids):
+            assert np.array_equal(trace.times, dynamics._output_times(*grid))
+
+    def test_default_storage_span(self, matched):
+        ens = ensemble_for_params(matched, n_sim=64)
+        pulse = PulseSpec(duration=5.0, center=7.5)
+        default = integrate_storage(matched, ens, pulse)
+        explicit = integrate_storage(matched, ens, pulse, (-22.5, 37.5))
+        for name in ("times", "cavity1", "control", "cavity2", "alpha_out",
+                     "p_ensemble", "out_flux_integral", "t2_loss_integral",
+                     "ledger_times", "ledger_residual"):
+            assert np.array_equal(getattr(default, name),
+                                  getattr(explicit, name)), name
+        assert np.array_equal(default.ensemble.coherences,
+                              explicit.ensemble.coherences)
+
+    @pytest.mark.parametrize("run, arg, message", [
+        (lambda p, e: run_echo_cycle(p, p, e, PulseSpec(duration=10.0), 20.0),
+         "tau", "tau = 20.0 too small: need >= 5 pulse durations (50.0) "
+                "after the pulse center"),
+        (lambda p, e: run_echo_cycle(p, p, e, PulseSpec(duration=10.0),
+                                     math.nan),
+         "tau", "tau = nan too small: need >= 5 pulse durations (50.0) "
+                "after the pulse center"),
+        (lambda p, e: integrate_storage(p, e, PulseSpec(duration=10.0),
+                                        (-10.0, 10.0)),
+         "t_span", "pulse centered at 0.0 (duration 10.0) needs >= 5 "
+                   "durations of margin inside span (-10.0, 10.0)"),
+        (lambda p, e: integrate_storage(p, e, PulseSpec(duration=10.0),
+                                        (math.nan, 60.0)),
+         "t_span", "pulse centered at 0.0 (duration 10.0) needs >= 5 "
+                   "durations of margin inside span (nan, 60.0)"),
+        (lambda p, e: run_echo_cycle(p, p, e, PulseSpec(duration=1.0), 1e5),
+         "tau", "output grid over (-6.0, 100000.0) at step 0.0333333 needs "
+                "3.00018e+06 steps: it must be finite and hold at most "
+                "1000000 samples"),
+        (lambda p, e: integrate_storage(p, e, PulseSpec(duration=5.0),
+                                        (-30.0, 2e5)),
+         "t_span", "output grid over (-30.0, 200000.0) at step 0.166667 "
+                   "needs 1.20018e+06 steps: it must be finite and hold at "
+                   "most 1000000 samples"),
+        (lambda p, e: integrate_storage(p, e, PulseSpec(duration=5e-324)),
+         "duration", "output grid over (-3e-323, 3e-323) at step 0 needs "
+                     "inf steps: it must be finite and hold at most 1000000 "
+                     "samples"),
+        (lambda p, e: run_echo_cycle(p, p, e, PulseSpec(duration=5e-324),
+                                     25.0),
+         "duration", "output grid over (-3e-323, 25.0) at step 0 needs inf "
+                     "steps: it must be finite and hold at most 1000000 "
+                     "samples"),
+        (lambda p, e: integrate_storage(p, e, PulseSpec(duration=5.0,
+                                                        center=1e17)),
+         "center", "pulse center 1e+17 rounds by 16, not below the output "
+                   "step 0.16: the grid cannot resolve times around it"),
+        (lambda p, e: run_echo_cycle(p, p, e, PulseSpec(duration=5.0,
+                                                        center=1e17), 25.0),
+         "center", "pulse center 1e+17 rounds by 16, not below the output "
+                   "step 0.125: the grid cannot resolve times around it"),
+    ], ids=["delay", "nan-delay", "margin", "nan-margin", "tau-samples",
+            "t_span-samples", "storage-duration", "cycle-duration",
+            "storage-center", "cycle-center"])
+    def test_refusals_through_the_stages(self, matched, run, arg, message):
+        ens = ensemble_for_params(matched, n_sim=64)
+        with pytest.raises(ParameterError) as exc:
+            run(matched, ens)
+        assert (str(exc.value), exc.value.arg) == (message, arg)
 
 
 class TestBlockadePhase:
@@ -1597,8 +1682,8 @@ class TestStageBlocks:
         assert all(0 < size <= dynamics._MIN_BLOCK for _, size in calls)
         self.agree(trace, self.one_block(monkeypatch, integrate_storage, p,
                                          ens, pulse, span))
-        self.against_dop853(trace, p, ens, pulse, span, dynamics._storage_step(
-            span[1] - span[0], pulse.duration))
+        self.against_dop853(trace, p, ens, pulse, span, dynamics.storage_grid(
+            pulse, span)[1])
         return trace
 
     def test_gaussian_storage_and_retrieval(self, monkeypatch, matched):
@@ -1636,7 +1721,7 @@ class TestStageBlocks:
             start = -(before - 0.75) / 15.0
             span = (start, start + 37.0)
             times = dynamics._output_times(
-                span, dynamics._storage_step(span[1] - span[0], 2.0))
+                span, dynamics.storage_grid(pulse, span)[1])
             nodes = dynamics._drive_nodes(pulse, times, lam)[0]
             assert nodes[before] == nodes[before + 1] == pulse.center
             self.check_storage(monkeypatch, p, ens, pulse, span, True)
@@ -1750,7 +1835,7 @@ class TestStageBlocks:
         span = (-30.0, 10000.0)
         full = integrate_storage(matched, loaded, pulse, span)
         empty = integrate_storage(matched, ens, pulse, span)
-        step = dynamics._storage_step(span[1] - span[0], pulse.duration)
+        step = dynamics.storage_grid(pulse, span)[1]
         free = integrate_retrieval(matched, loaded, span, output_dt=step)
         assert np.array_equal(full.times, free.times)
         got = full.ensemble.coherences
