@@ -576,15 +576,16 @@ def compose_with_dynamics(p: SystemParams, tau: float) -> BranchEfficiencies:
     of the cavity.
     """
     if tau < 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
+        raise ParameterError(f"tau must be >= 0, got {tau}", arg="tau")
     report = check_matching(p)
     if not report.all_matched:
         raise ParameterError(
             "addressing composition assumes impedance matching; residuals "
-            f"{report.to_dict()}")
+            f"{report.to_dict()}", arg="params")
     c = cooperativities(p).c_atom
     if c <= 0:
-        raise ParameterError("blockade branch needs a coupled control atom (g1 > 0)")
+        raise ParameterError("blockade branch needs a coupled control atom (g1 > 0)",
+                             arg="params")
     transfer = 1.0 if math.isinf(p.t2) else math.exp(-2.0 * tau / p.t2)
     return BranchEfficiencies(
         transfer_amplitude=transfer,

@@ -80,6 +80,13 @@ class Scenario(str, Enum):
 
 
 @dataclass(frozen=True)
+class GridSpec:
+    span: float = 3.0
+    n: int = 1201
+    center: float = 0.0
+
+
+@dataclass(frozen=True)
 class SweepSpec:
     parameter: str
     values: tuple[float, ...]
@@ -94,19 +101,15 @@ class ScenarioConfig:
     params: SystemParams | None = None
     read_params: SystemParams | None = None
     pulse: PulseSpec | None = None
-    grid_span: float = 3.0
-    grid_n: int = 1201
-    grid_center: float = 0.0
+    grid: GridSpec = GridSpec()
     tau: float | None = None
     t_span: tuple[float, float] | None = None
     n_sim: int = 801
     span: float | None = None
     address: AddressSpec | None = None
     efficiencies: BranchEfficiencies | None = None
-    eff_from_dynamics: bool = False
-    out_path: str | None = None
-    out_format: str | None = None
     sweep: SweepSpec | None = None
+    output: tuple[str | None, str | None] = (None, None)   # (path, format)
     # not a field: the ledger tolerance of every run, which no config sets
     solver_tol = SOLVER_TOL
 
@@ -143,12 +146,10 @@ class _Key:
     needed_by  the scenarios that need this top-level key
     read_by    the scenarios whose runner reads this top-level key; the
                others refuse it
-    alone      the key must be the only one in its object, and it stands
-               for the object: its value, or none when it has a dest
+    alone      the key must be the only one in its object, and its value
+               stands for the object
     build      makes what the config holds from the checked value, or from
                an object's values by key name
-    dest       the ScenarioConfig field that takes the value, for a key
-               whose object is not built into one
     """
 
     path: str
@@ -162,7 +163,6 @@ class _Key:
     read_by: tuple[Scenario, ...] = ()
     alone: bool = False
     build: Callable | None = None
-    dest: str | None = None
 
 
 def _matched(kappa: float, c_atom: float, **rest) -> SystemParams:
@@ -188,13 +188,12 @@ _SCHEMA = (
     _Key("pulse.duration", _NUM, required=True),
     _Key("pulse.center", _NUM, default=0.0),
     _Key("pulse.carrier_detuning", _NUM, default=0.0),
-    _Key("grid", _OBJECT, read_by=(_S.SPECTRA,)),
-    _Key("grid.span", _NUM, bound=(("> 0", lambda x: x > 0),), required=True,
-         dest="grid_span"),
-    _Key("grid.n", _INT, required=True, dest="grid_n",
+    _Key("grid", _OBJECT, build=GridSpec, read_by=(_S.SPECTRA,)),
+    _Key("grid.span", _NUM, bound=(("> 0", lambda x: x > 0),), required=True),
+    _Key("grid.n", _INT, required=True,
          bound=((">= 2", lambda x: x >= 2),
                 (f"<= {MAX_SAMPLES}", lambda x: x <= MAX_SAMPLES))),
-    _Key("grid.center", _NUM, default=0.0, dest="grid_center"),
+    _Key("grid.center", _NUM, default=0.0),
     _Key("tau", _NUM, needed_by=(_S.ECHO_CYCLE, _S.BLOCKADE),
          read_by=(*_CYCLES, _S.ADDRESS)),
     _Key("t_span", _PAIR, read_by=(_S.STORE,)),
@@ -214,8 +213,8 @@ _SCHEMA = (
     _Key("efficiencies.transfer_amplitude", _COMPLEX, default=1.0),
     _Key("efficiencies.blockade_reflection_amplitude", _COMPLEX, default=-1.0),
     _Key("efficiencies.leakage_amplitude", _COMPLEX, default=0.0),
-    _Key("efficiencies.from_dynamics", _CHOICE, choices=(True,), alone=True,
-         dest="eff_from_dynamics"),
+    # composed by the parser from params and tau
+    _Key("efficiencies.from_dynamics", _CHOICE, choices=(True,), alone=True),
     _Key("sweep", _OBJECT, build=SweepSpec, needed_by=(_S.SWEEP,),
          read_by=(_S.SWEEP,)),
     _Key("sweep.parameter", _CHOICE, choices=SWEEP_PARAMETERS, required=True),
@@ -223,9 +222,10 @@ _SCHEMA = (
     _Key("sweep.curve_parameter", _CHOICE, choices=SWEEP_PARAMETERS),
     _Key("sweep.curve_values", _LIST, item=_INF, default=()),
     _Key("sweep.tau_over_duration", _NUM, default=5.0),
-    _Key("output", _OBJECT, read_by=_ANY),
-    _Key("output.path", _STR, dest="out_path"),
-    _Key("output.format", _CHOICE, choices=("csv", "json"), dest="out_format"),
+    _Key("output", _OBJECT, build=lambda path=None, format=None: (path, format),
+         read_by=_ANY),
+    _Key("output.path", _STR),
+    _Key("output.format", _CHOICE, choices=("csv", "json")),
     _Key("params.kappa", _NUM, required=True),
     _Key("params.gamma", _NUM, required=True),
     _Key("params.g1", _NUM, required=True),
@@ -258,7 +258,8 @@ _CHILDREN = _group(_SCHEMA)
 
 #: the key path that sets each argument a library rule may name
 _ARG_PATHS = {"span": "span", "t_span": "t_span", "tau": "tau",
-              "duration": "pulse.duration", "center": "pulse.center"}
+              "duration": "pulse.duration", "center": "pulse.center",
+              "params": "params"}
 
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}\[\],:]|[^\s{}\[\],:"]+')
 
@@ -322,14 +323,12 @@ class _Walker:
 
     An error is anchored at the line of the key path it names, or of the
     nearest enclosing key that the document has; the lines are found only
-    then, so a valid config does not pay for them.  A value whose key has
-    a `dest` is collected in `routed`.
+    then, so a valid config does not pay for them.
     """
 
     def __init__(self, text: str, source: str):
         self.text = text
         self.source = source
-        self.routed: dict = {}
 
     def error(self, path: str, message: str) -> ConfigError:
         lines = _key_lines(self.text, path)
@@ -355,19 +354,12 @@ class _Walker:
         values = {}
         for name, key in keys.items():
             if name in node:
-                value = self.value(node[name], _join(path, name), key)
+                values[name] = self.value(node[name], _join(path, name), key)
             elif key.required and not alone:
                 raise self.error(path, "missing required key "
                                        f"'{_join(path, name)}'")
-            elif key.default is None or alone:
-                continue
-            else:
-                value = key.default
-            if key.dest:
-                self.routed[key.dest] = value
-            elif key.build or key.kind != _OBJECT:
-                # an object without a build only groups keys with a dest
-                values[name] = value
+            elif key.default is not None and not alone:
+                values[name] = key.default
         return values
 
     def value(self, v, path: str, key: _Key):
@@ -377,9 +369,7 @@ class _Walker:
             values = self.object(v, path, schema)
             alone = [name for name in v if _CHILDREN[schema][name].alone]
             if alone:
-                return values.get(alone[0])
-            if key.build is None:
-                return None
+                return values[alone[0]]
             try:
                 return key.build(**values)
             except (ParameterError, ArithmeticError) as exc:
@@ -461,7 +451,7 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         raise ConfigError(f"invalid JSON: {exc.msg}", source,
                           exc.lineno, exc.colno) from exc
     w = _Walker(text, source)
-    cfg = ScenarioConfig(**w.object(doc, "", ""), **w.routed)
+    cfg = ScenarioConfig(**w.object(doc, "", ""))
     sc, sweep = cfg.scenario, cfg.sweep
     for name in doc:
         if sc not in _CHILDREN[""][name].read_by:
@@ -475,7 +465,7 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         import numpy as np
         # linspace overflows to inf or nan where center +- span does
         with np.errstate(all="ignore"):
-            nu = _grid_points(cfg)
+            nu = _grid_points(cfg.grid)
             rising = bool(np.all(np.diff(nu) > 0))
         if not np.all(np.isfinite(nu)):
             raise w.error("grid", "'grid' points must be finite: center +- "
@@ -501,9 +491,22 @@ def parse_scenario_config(text: str, source: str = "config") -> ScenarioConfig:
         _anchored(w, paths, dynamics.storage_grid, cfg.pulse, cfg.t_span)
     if sc in (Scenario.ECHO_CYCLE, Scenario.BLOCKADE):
         _anchored(w, paths, dynamics.cycle_grids, cfg.pulse, cfg.tau)
-    if cfg.eff_from_dynamics and (cfg.params is None or cfg.tau is None):
+    if cfg.efficiencies is True and (cfg.params is None or cfg.tau is None):
         raise w.error("efficiencies.from_dynamics",
                       "efficiencies.from_dynamics needs 'params' and 'tau'")
+    # the couplings the runner divides by, refused at the parameters lacking one
+    if sc in _DYNAMICS or sc is Scenario.SPECTRA:
+        coupled = (dynamics if sc in _DYNAMICS else spectral).check_coupled
+    elif sc is Scenario.CHECK_MATCHING or cfg.efficiencies is True:
+        coupled = cooperativities
+    else:
+        coupled = None
+    for name, p in (("params", cfg.params), ("read_params", cfg.read_params)):
+        if coupled and p is not None:
+            _anchored(w, {None: name}, coupled, p)
+    if cfg.efficiencies is True:
+        cfg = replace(cfg, efficiencies=_anchored(
+            w, paths, addressing.compose_with_dynamics, cfg.params, cfg.tau))
     if sweep is None:
         return cfg
     if sweep.curve_parameter == sweep.parameter:
@@ -633,16 +636,15 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(max(x, 1e-300))
 
 
-def _grid_points(cfg: ScenarioConfig):
-    """The spectra frequency grid: grid_n points over center +- span."""
+def _grid_points(grid: GridSpec):
+    """The spectra frequency grid: n points over center +- span."""
     import numpy as np
-    return np.linspace(cfg.grid_center - cfg.grid_span,
-                       cfg.grid_center + cfg.grid_span, cfg.grid_n)
+    return np.linspace(grid.center - grid.span, grid.center + grid.span, grid.n)
 
 
 def _run_spectra(cfg: ScenarioConfig) -> _Artifact:
     p = cfg.params
-    nu = _grid_points(cfg)
+    nu = _grid_points(cfg.grid)
     eps_t = spectral.spectral_efficiency(nu, p.with_(g1=0.0)).tolist()
     eps_b = spectral.spectral_efficiency(nu, p).tolist()
     cols = {"nu": nu.tolist(),
@@ -775,10 +777,7 @@ def _run_blockade(cfg: ScenarioConfig) -> _Artifact:
 
 
 def _run_address(cfg: ScenarioConfig) -> _Artifact:
-    if cfg.eff_from_dynamics:
-        eff = addressing.compose_with_dynamics(cfg.params, cfg.tau)
-    else:
-        eff = cfg.efficiencies or addressing.BranchEfficiencies()
+    eff = cfg.efficiencies or addressing.BranchEfficiencies()
     state = addressing.run_addressing(cfg.address.m, cfg.address, eff)
     doc = addressing.state_to_dict(state)
     meta = {"norm": doc.pop("norm"), "losses": doc.pop("losses")}
@@ -878,21 +877,16 @@ def _run_sweep_scenario(cfg: ScenarioConfig, workers: int) -> _Artifact:
     sweep = cfg.sweep
     rows = run_sweep(cfg, workers=workers)
     if sweep.curve_parameter:
-        # wide table: one row per swept value, one column pair per curve
-        per_curve: dict = {}
-        for r in rows:
-            per_curve.setdefault(r["curve_value"], {})[r["value"]] = r
+        # wide table: one row per swept value, one column pair per curve;
+        # rows[i::n] are value i's, the rows being in (curve, value) order
         header = [sweep.parameter]
         for cv in sweep.curve_values:
             header += [f"p_echo[{sweep.curve_parameter}={cv:g}]",
                        f"fidelity[{sweep.curve_parameter}={cv:g}]"]
-        table = []
-        for v in sweep.values:
-            row = [float(v)]
-            for cv in sweep.curve_values:
-                r = per_curve[cv][v]
-                row += [r["echo_probability"], r["fidelity_time_reversed"]]
-            table.append(row)
+        n = len(sweep.values)
+        table = [[float(v)] + [x for r in rows[i::n] for x in
+                               (r["echo_probability"], r["fidelity_time_reversed"])]
+                 for i, v in enumerate(sweep.values)]
     else:
         # the delay column is redundant when tau is the swept axis
         with_tau = sweep.parameter != "tau"
@@ -908,23 +902,15 @@ def _run_sweep_scenario(cfg: ScenarioConfig, workers: int) -> _Artifact:
 
 # ----------------------------------------------------------------------- main
 
-_RUNNERS = {
-    Scenario.SPECTRA: _run_spectra,
-    Scenario.CHECK_MATCHING: _run_check_matching,
-    Scenario.STORE: _run_store,
-    Scenario.ECHO_CYCLE: _run_echo,
-    Scenario.BLOCKADE: _run_blockade,
-    Scenario.ADDRESS: _run_address,
-}
-
+#: each subcommand's scenario and runner, which a sweep also gives --workers
 _SUBCOMMANDS = {
-    "spectra": Scenario.SPECTRA,
-    "check-matching": Scenario.CHECK_MATCHING,
-    "store": Scenario.STORE,
-    "echo": Scenario.ECHO_CYCLE,
-    "blockade": Scenario.BLOCKADE,
-    "address": Scenario.ADDRESS,
-    "sweep": Scenario.SWEEP,
+    "spectra": (Scenario.SPECTRA, _run_spectra),
+    "check-matching": (Scenario.CHECK_MATCHING, _run_check_matching),
+    "store": (Scenario.STORE, _run_store),
+    "echo": (Scenario.ECHO_CYCLE, _run_echo),
+    "blockade": (Scenario.BLOCKADE, _run_blockade),
+    "address": (Scenario.ADDRESS, _run_address),
+    "sweep": (Scenario.SWEEP, _run_sweep_scenario),
 }
 
 
@@ -945,7 +931,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Time-bin quantum RAM simulator: spectra, echo dynamics, "
                     "and addressing scenarios from JSON configs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, scenario in _SUBCOMMANDS.items():
+    for name, (scenario, _) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=f"run the {scenario.value} scenario")
         sp.add_argument("--config", required=True, help="JSON scenario config")
         sp.add_argument("--out", default=None,
@@ -985,7 +971,7 @@ def _read_config(path: Path) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    expected = _SUBCOMMANDS[args.command]
+    expected, runner = _SUBCOMMANDS[args.command]
     cfg_path = Path(args.config)
     try:
         cfg_text = _read_config(cfg_path)
@@ -995,16 +981,16 @@ def main(argv=None) -> int:
                 f"config declares scenario '{cfg.scenario.value}' but the "
                 f"'{args.command}' subcommand expects '{expected.value}'",
                 str(cfg_path), _key_lines(cfg_text, "scenario")["scenario"])
-        fmt = args.format or cfg.out_format or "csv"
+        path, fmt = cfg.output
+        fmt = args.format or fmt or "csv"
         out_dir = Path(os.environ.get(OUT_DIR_ENV, "."))
         if args.out is not None:
             # explicit command-line path wins and is taken literally
             out = Path(args.out)
-        elif cfg.out_path is not None:
-            # relative config paths land in the default output directory
-            out = Path(cfg.out_path)
-            if not out.is_absolute():
-                out = out_dir / out
+        elif path is not None:
+            # a relative config path lands in the default output directory,
+            # which an absolute one replaces
+            out = out_dir / path
         else:
             out = out_dir / f"{cfg.scenario.value}.{fmt}"
         try:
@@ -1012,10 +998,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             return _cannot_write(out, exc)
 
-        if cfg.scenario is Scenario.SWEEP:
-            art = _run_sweep_scenario(cfg, args.workers)
-        else:
-            art = _RUNNERS[cfg.scenario](cfg)
+        art = (runner(cfg, args.workers) if expected is Scenario.SWEEP
+               else runner(cfg))
         try:
             _write_artifact(out, fmt, cfg, cfg_text, art)
         except OSError as exc:

@@ -338,7 +338,8 @@ def _check_ensemble(p: SystemParams, ens: AtomEnsemble) -> None:
             f"params carry {p.delta_in}")
 
 
-def _check_coupled(p: SystemParams) -> None:
+def check_coupled(p: SystemParams) -> None:
+    """Refuse uncoupled cavities (f2 = 0) or an uncoupled ensemble."""
     if p.f2 == 0 or p.collective_coupling == 0:
         raise ParameterError(
             "time-domain propagation needs coupled cavities (f2 > 0) and a "
@@ -699,7 +700,7 @@ def _cached_basis(p: SystemParams, det_bytes: bytes, w_bytes: bytes) -> _ModalBa
 
 
 def _build_basis(p: SystemParams, det: np.ndarray, w: np.ndarray) -> _ModalBasis:
-    _check_coupled(p)
+    check_coupled(p)
     cc = p.collective_coupling
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     cdamp = -(1j * p.delta_c + 0.5 * p.gamma)
@@ -932,9 +933,8 @@ def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray, t0: float,
     return out.T
 
 
-#: Gauss nodes theta_q per drive step of at most _DRIVE_STEP durations
+#: Gauss nodes theta_q per drive step
 _DRIVE_NODES = 8
-_DRIVE_STEP = 1.0 / 30.0
 #: a drive weight is closed form from |mu h| = _DRIVE_SPLIT up, else a
 #: _DRIVE_RULE-point Gauss rule; both within 6e-15 of sum |W| there
 _DRIVE_SPLIT = 12.0
@@ -973,13 +973,12 @@ def _drive_rule() -> tuple[np.ndarray, ...]:
     return theta, 1.0 - x, values, ends[0], ends[1]
 
 
-def _drive_weights(mu: np.ndarray, s: float, m: int) -> np.ndarray:
-    """Weights of env(t + (r + theta_q) s), r < m, in the integral over
-    [t, t + m s] of exp(mu_k (t + m s - u)) env(u) du: s times the integral
-    of exp(z (1 - theta)) l_q(theta), z = mu s, by the fine rule for |z| <
+def _drive_weights(mu: np.ndarray, s: float) -> np.ndarray:
+    """Weights of env(t + theta_q s) in the integral over [t, t + s] of
+    exp(mu_k (t + s - u)) env(u) du: s times the integral of
+    exp(z (1 - theta)) l_q(theta), z = mu s, by the fine rule for |z| <
     _DRIVE_SPLIT, else by parts, sum_k<P (exp(z) l_q^(k)(0) - l_q^(k)(1)) /
-    z**(k+1), whose terms stay within 15 times the first; times
-    exp(z (m - 1 - r)) for the sub-intervals that follow."""
+    z**(k+1), whose terms stay within 15 times the first."""
     _, x1, values, d0, d1 = _drive_rule()
     z = mu * s
     w = np.empty((z.size, _DRIVE_NODES), dtype=complex)
@@ -987,8 +986,7 @@ def _drive_weights(mu: np.ndarray, s: float, m: int) -> np.ndarray:
     w[near] = np.exp(np.multiply.outer(z[near], x1)) @ values
     powers = np.cumprod(np.repeat(1.0 / z[~near, None], _DRIVE_NODES, axis=1), axis=1)
     w[~near] = np.exp(z[~near, None]) * (powers @ d0) - powers @ d1
-    later = np.exp(np.multiply.outer(z, np.arange(m - 1, -1, -1.0)))
-    return (later[:, :, None] * (s * w)[:, None, :]).reshape(z.size, m * _DRIVE_NODES)
+    return s * w
 
 
 def _pulse_cdf(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
@@ -1028,16 +1026,13 @@ def _drive_plan(pulse: PulseSpec, lam: np.ndarray, t: np.ndarray,
     lengths = np.bincount(group, weights=h) / np.bincount(group)
     offsets, weights = [], []
     for length in lengths:
-        m = max(1, math.ceil(length / (_DRIVE_STEP * pulse.duration) - _GRID_SNAP))
-        w = _drive_weights(lam + 1j * pulse.carrier_detuning, length / m, m)
-        w *= gain[:, None]
+        w = _drive_weights(lam + 1j * pulse.carrier_detuning, length) * gain[:, None]
         # one real row per Gauss node, real and imaginary parts interleaved
         # mode by mode: a real product with the envelope lands in the float
         # view of the sample-major coordinates, and a complex product this
         # thin is slow on threaded BLAS
         weights.append(np.ascontiguousarray(w.T).view(float))
-        offsets.append(((np.arange(m)[:, None] + _drive_rule()[0])
-                        * (length / m)).ravel())
+        offsets.append(_drive_rule()[0] * length)
     # exp(lam h) is the sum hi + lo of two doubles, from extended precision
     # where there is any, since one factor reused at every step compounds
     # its rounding

@@ -78,10 +78,15 @@ def storage_transfer(delta, p: SystemParams):
     return out if out.ndim else complex(out)
 
 
-def spectral_efficiency(delta, p: SystemParams):
-    """Storage efficiency density ratio eps(delta), dimensionless in [0, 1]."""
+def check_coupled(p: SystemParams) -> None:
+    """Refuse uncoupled cavities (f2 = 0), for which eps is undefined."""
     if p.f2 == 0:
         raise ParameterError("spectral efficiency undefined for f2 = 0")
+
+
+def spectral_efficiency(delta, p: SystemParams):
+    """Storage efficiency density ratio eps(delta), dimensionless in [0, 1]."""
+    check_coupled(p)
     delta = np.asarray(delta, dtype=float)
     f = storage_transfer(delta, p)
     g = lorentzian_lineshape(delta, p.delta_in)

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from echoqram.dynamics import (AtomEnsemble, IntegrationError, PulseShape,
-                               PulseSpec, SimulationTrace, _check_coupled,
+                               PulseSpec, SimulationTrace, check_coupled,
                                _modal_basis, _mode_coordinates,
                                _node_operator, _output_times, _trace,
                                ensemble_for_params, invert_detunings)
@@ -157,7 +157,7 @@ def transfer_function_probe(
     only when the homogeneous width 1/T2 spans a few node spacings around
     delta; a narrower line, T2 = inf included, is refused.
     """
-    _check_coupled(p)
+    check_coupled(p)
     ens = ensemble_for_params(p, n_sim=n_sim, span=span)
     inv_t2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
     det = ens.detunings

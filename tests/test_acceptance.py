@@ -183,7 +183,7 @@ def test_criterion_09_unitarity_ledger(storage_cases, echo_inf, echo_decay,
         ok = ok and scan(echo.max_ledger_residual, 10.0 * tol)
     _report(9, "unitarity ledger", ok,
             f"{runs} integrations, worst |in - (system+out+losses)| "
-            f"= {worst:.2e} at every output step (bound 10*tol = 1e-8)")
+            f"= {worst:.2e} at every checkpoint (bound 10*tol = 1e-8)")
 
 
 def test_criterion_10_addressing_identity():

@@ -1,6 +1,7 @@
 import builtins
 import concurrent.futures
 import csv
+import dataclasses
 import errno
 import hashlib
 import json
@@ -17,8 +18,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from echoqram import __version__
-from echoqram.cli import (_SCHEMA, ConfigError, Scenario, _dump, _key_lines,
-                          _listed, main, parse_scenario_config, run_sweep)
+from echoqram.cli import (_SCHEMA, _SUBCOMMANDS, ConfigError, Scenario,
+                          ScenarioConfig, _dump, _key_lines, _listed, main,
+                          parse_scenario_config, run_sweep)
 from echoqram.dynamics import MIN_N_SIM, discretize_ensemble
 from echoqram.params import (MAX_BINS, MAX_N_SIM, MAX_SAMPLES, ParameterError,
                              params_digest, solve_matched_params)
@@ -27,6 +29,11 @@ REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
 
 MATCHED = {"matched": {"kappa": 1.0, "c_atom": 0.0}}
+# the matched parameters of MATCHED, spelled out
+EXPLICIT = {"kappa": 1.0, "gamma": 1.0, "g1": 0.0, "g2": 0.011180339887498949,
+            "f2": 0.3535533905932738, "n_atoms": 1000, "delta_in": 0.5}
+#: the subcommand that runs each scenario
+COMMAND = {s.value: name for name, (s, _) in _SUBCOMMANDS.items()}
 
 
 def cfg_text(**doc):
@@ -66,8 +73,13 @@ class TestParsing:
         cfg = parse_scenario_config(cfg_text(
             scenario="spectra", params=MATCHED, grid={"span": 2.0, "n": 11}))
         assert cfg.scenario is Scenario.SPECTRA
-        assert cfg.grid_span == 2.0
+        assert cfg.grid.span == 2.0
         assert cfg.params.delta_in == 0.5
+
+    def test_one_field_per_top_level_key(self):
+        # each top-level key builds its own value, and nothing else does
+        assert ([f.name for f in dataclasses.fields(ScenarioConfig)]
+                == [key.path for key in _SCHEMA if "." not in key.path])
 
     def test_committed_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.json")):
@@ -393,7 +405,7 @@ class TestMain:
         def boom(cfg):
             raise IntegrationError("synthetic blowup")
 
-        monkeypatch.setitem(cli_mod._RUNNERS, Scenario.SPECTRA, boom)
+        monkeypatch.setitem(cli_mod._SUBCOMMANDS, "spectra", (Scenario.SPECTRA, boom))
         path = write(tmp_path, "s.json", cfg_text(
             scenario="spectra", params=MATCHED, grid={"span": 1.0, "n": 5}))
         assert main(["spectra", "--config", str(path)]) == 3
@@ -492,6 +504,84 @@ class TestBoundary:
             name = next(iter(node))
             key, node = f"{key}.{name}" if key else name, node[name]
         assert f"{path}:{indent_lines(doc)[0][key]}: " in err
+
+    ADDRESS = dict(scenario="address",
+                   params={"matched": {"kappa": 1.0, "c_atom": 30.0}},
+                   tau=50.0, efficiencies={"from_dynamics": True},
+                   address={"amplitudes": [[1.0, 0.0]]})
+    BLOCKADE = dict(scenario="blockade", params=MATCHED,
+                    read_params=solve_matched_params(1.0, 30.0).to_dict(),
+                    pulse={"duration": 5.0}, tau=25.0, n_sim=64)
+
+    @pytest.mark.parametrize("command, doc, anchor, needle", [
+        # the composition of the address branches from the dynamics
+        ("address", dict(ADDRESS, tau=-1.0), "tau",
+         "tau must be >= 0, got -1.0"),
+        ("address", dict(ADDRESS, params={"matched": {"kappa": 1.0,
+                                                      "c_atom": 0.0}}),
+         "params", "blockade branch needs a coupled control atom"),
+        ("address", dict(ADDRESS, params=dict(EXPLICIT, g1=1.0, f2=0.3)),
+         "params", "addressing composition assumes impedance matching"),
+        # the couplings that each runner divides by
+        ("echo", dict(ECHO, params=dict(EXPLICIT, f2=0.0)),
+         "params", "time-domain propagation needs coupled cavities"),
+        ("echo", dict(ECHO, params=dict(EXPLICIT, g2=0.0)),
+         "params", "time-domain propagation needs coupled cavities"),
+        ("blockade", dict(BLOCKADE, read_params=dict(BLOCKADE["read_params"],
+                                                     f2=0.0)),
+         "read_params", "time-domain propagation needs coupled cavities"),
+        ("spectra", dict(scenario="spectra", params=dict(EXPLICIT, f2=0.0)),
+         "params", "spectral efficiency undefined for f2 = 0"),
+        ("check-matching", dict(scenario="check_matching",
+                                params=dict(EXPLICIT, g2=0.0)),
+         "params", "c_pm undefined for g2 = 0"),
+    ], ids=["address-tau", "address-c_atom", "address-unmatched", "echo-f2",
+            "echo-g2", "blockade-read_f2", "spectra-f2", "check_matching-g2"])
+    def test_composition_and_coupling_refused_at_their_line(
+            self, tmp_path, capsys, command, doc, anchor, needle):
+        # the parser runs the rules that the runner would, so each refusal
+        # sits on the key that set what it refuses
+        path = write(tmp_path, "c.json", cfg_text(**doc))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        line = indent_lines(doc)[0][anchor]
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}:{line}: {needle}")
+
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_committed_config_leaves_at_zero_and_below(self, tmp_path, capsys,
+                                                       config):
+        # every number of a committed config set to 0 and then to -1: each
+        # run succeeds, fails numerically, or is refused at a line
+        base = json.loads(config.read_text())
+        if "n_sim" in base:
+            base["n_sim"] = 64
+
+        def leaves(node, at=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if isinstance(value, (dict, list)):
+                    yield from leaves(value, (*at, key))
+                elif isinstance(value, (int, float)) and value is not True:
+                    yield (*at, key)
+
+        path = tmp_path / config.name
+        for at in leaves(base):
+            for value in (0, -1):
+                doc = json.loads(json.dumps(base))
+                node = doc
+                for key in at[:-1]:
+                    node = node[key]
+                node[at[-1]] = value
+                path.write_text(cfg_text(**doc))
+                code = main([COMMAND[doc["scenario"]], "--config", str(path),
+                             "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3), (at, value)
+                if code == 2:
+                    assert re.match(rf"config error: {re.escape(str(path))}"
+                                    r":\d+: ", err), err
 
     def test_grid_not_an_object(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", cfg_text(
@@ -1051,10 +1141,9 @@ class TestArtifacts:
             inner(fh, value)
 
         monkeypatch.setattr(cli, "_dump", recording)
-        command = {s.value: name for name, s in cli._SUBCOMMANDS.items()}
         scenario = json.loads(config.read_text())["scenario"]
         out = tmp_path / "artifact.json"
-        assert main([command[scenario], "--config", str(config),
+        assert main([COMMAND[scenario], "--config", str(config),
                      "--format", "json", "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_text() == json.dumps(docs[0], default=_listed) + "\n"
