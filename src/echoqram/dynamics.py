@@ -468,8 +468,8 @@ _BLOCK_BYTES = 2 ** 21
 #: _MIN_BLOCK) = 1024 modes takes above the budget
 _MIN_BLOCK = 128
 #: samples per run of the free evolution, which share one table of offset
-#: factors; it does not grow with the block, since the table takes _RUN
-#: complex exps per mode
+#: factors; it does not grow with the block, since the table takes
+#: 2 isqrt(_RUN) complex exps per mode
 _RUN = 64
 #: a stage reads its node rows, and checks its ledger, at every _CHECK-th
 #: node and at its last
@@ -912,8 +912,16 @@ def _mode_coordinates(basis: _ModalBasis, op: _NodeOperator, fields: np.ndarray,
 
 def _offset_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The factors exp(lam_k (t_j - t_0)) of the first _RUN samples of a
-    uniform grid, which every run of its samples shares."""
-    return np.exp(np.multiply.outer(t[:_RUN] - t[0], lam))
+    uniform grid, which every run of its samples shares.
+
+    With s = isqrt(_RUN), offset j = s a + b is offset s a plus offset b,
+    so its factor is a coarse one, of every s-th offset, times a fine one,
+    of the first s: 2 s complex exps per mode and one extra rounding."""
+    d = t[:_RUN] - t[0]
+    s = math.isqrt(_RUN)
+    coarse = np.exp(np.multiply.outer(d[::s], lam))
+    fine = np.exp(np.multiply.outer(d[:s], lam))
+    return (coarse[:, None] * fine).reshape(-1, lam.size)[:d.size]
 
 
 def _propagator(lam: np.ndarray, amp: np.ndarray, t: np.ndarray, t0: float,
@@ -1392,10 +1400,13 @@ class EchoResult:
     retrieval_trace: SimulationTrace
 
 
-#: golden-section bracket, in pulse durations, at which the fidelity search
-#: stops: a delay 1e-6 durations off the peak loses about 1e-12 of overlap
+#: distance, in pulse durations, at which the fidelity search stops: Brent's
+#: method ends once both ends of its bracket lie within this of its best
+#: delay, and a delay 1e-6 durations off the peak loses about 1e-12 of
+#: overlap
 _DELAY_TOL = 1e-6
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+#: Brent's golden-section step, the share of the larger side it steps into
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def _mid_scan(pulse: PulseSpec, t_out: np.ndarray, carried: np.ndarray,
@@ -1424,6 +1435,61 @@ def _mid_scan(pulse: PulseSpec, t_out: np.ndarray, carried: np.ndarray,
     return mids[inside], num, den
 
 
+def _brent_max(f, a: float, b: float, x: float, fx: float,
+               tol: float) -> float:
+    """The largest value of f found by Brent's method on [a, b], from x in
+    it, whose value fx is known: a parabola through the three best points
+    sets each step, and a golden-section step into the larger side
+    replaces it where the parabola's step would leave the bracket or not
+    shrink.  It stops once a and b lie within tol of the best point."""
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        # the shortest step: half of tol, plus an ulp so that x + step is
+        # not x where tol is below the rounding of x
+        step = 0.5 * tol + math.ulp(x)
+        m = 0.5 * (a + b)
+        if max(x - a, b - x) <= 2.0 * step:
+            return fx
+        parabola = False
+        if abs(e) > step:
+            # the vertex of the parabola through (x, fx), (w, fw), (v, fv)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            parabola = (abs(p) < abs(0.5 * q * e)
+                        and q * (a - x) < p < q * (b - x))
+            if parabola:
+                e, d = d, p / q
+                if min(x + d - a, b - x - d) < 2.0 * step:
+                    d = math.copysign(step, m - x)
+        if not parabola:
+            e = a - x if x >= m else b - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= step else math.copysign(step, d))
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
                   lo: float, hi: float) -> float:
     """Largest normalized overlap of a_out with the pulse mirrored at a
@@ -1436,8 +1502,8 @@ def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
     shifted by the pulse center, are scanned first, by _mid_scan, with lo
     and hi: an exponential pulse's edge crosses a sample only between two
     of them, so its overlap is constant around each and no peak is
-    missed.  Golden section then refines the bracket around the best
-    delay, where the overlap of a smooth pulse peaks.
+    missed.  Brent's method then refines the best delay within its two
+    neighbours, where the overlap of a smooth pulse peaks.
     """
     h = np.diff(t_out)
     weights = 0.5 * (np.concatenate((h, [0.0])) + np.concatenate(([0.0], h)))
@@ -1459,19 +1525,11 @@ def _best_overlap(pulse: PulseSpec, t_out: np.ndarray, a_out: np.ndarray,
     ends = overlap(np.array([lo, hi]))
     values = np.concatenate((ends[:1], ratio(num, den), ends[1:]))
     k = int(np.argmax(values))
-    a, b = delays[max(k - 1, 0)], delays[min(k + 1, delays.size - 1)]
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = overlap(np.array([x1, x2]))
-    while b - a > _DELAY_TOL * pulse.duration:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = overlap(np.array([x1]))[0]
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = overlap(np.array([x2]))[0]
-    return float(max(values[k], f1, f2))
+    return _brent_max(lambda d: float(overlap(np.array([d]))[0]),
+                      float(delays[max(k - 1, 0)]),
+                      float(delays[min(k + 1, delays.size - 1)]),
+                      float(delays[k]), float(values[k]),
+                      _DELAY_TOL * pulse.duration)
 
 
 def run_echo_cycle(

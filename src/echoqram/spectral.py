@@ -18,6 +18,12 @@ delta into the ensemble coherence is
 
 and the spectral storage efficiency is
 eps(delta) = 2*pi*N*kappa*(g2/f2)**2 * G(delta) * |F(delta)|**2.
+
+Each closed form is homogeneous in the rates.  F and the reflection,
+which are dimensionless, are evaluated in units of kappa, where
+POLE_GUARD applies; G and Gt, which carry the dimension of an inverse
+rate, in units of delta_in, and scaled back.  So the same line at kappa =
+1e-100 or 1e100 gives the values of kappa = 1 on the scaled grid.
 """
 
 from __future__ import annotations
@@ -26,16 +32,23 @@ import numpy as np
 
 from .params import SystemParams, ParameterError, cooperativities
 
-#: denominators smaller than this are treated as poles and replaced by limits
+#: denominators smaller than this, in units of kappa, are treated as poles
+#: and replaced by limits
 POLE_GUARD = 1e-30
+
+
+def _per(x, rate: float) -> np.ndarray:
+    """x in units of rate, as a float array (0-d for a scalar x, so that a
+    scalar takes numpy's arithmetic as a grid does)."""
+    return np.asarray(np.asarray(x, dtype=float) / rate)
 
 
 def lorentzian_lineshape(nu, delta_in: float):
     """Normalized Lorentzian line of half width delta_in."""
     if delta_in <= 0:
         raise ParameterError(f"delta_in must be positive, got {delta_in}")
-    nu = np.asarray(nu, dtype=float)
-    out = delta_in / (np.pi * (nu ** 2 + delta_in ** 2))
+    x = _per(nu, delta_in)
+    out = 1.0 / (np.pi * (x ** 2 + 1.0)) / delta_in
     return out if out.ndim else float(out)
 
 
@@ -47,9 +60,16 @@ def broadened_response(delta, delta_in: float):
     """
     if delta_in <= 0:
         raise ParameterError(f"delta_in must be positive, got {delta_in}")
-    delta = np.asarray(delta, dtype=float)
-    out = 1.0 / (delta_in - 1j * delta)
+    x = _per(delta, delta_in)
+    out = 1.0 / (1.0 - 1j * x) / delta_in
     return out if out.ndim else complex(out)
+
+
+def _in_kappa_units(p: SystemParams) -> SystemParams:
+    """p with every rate divided by kappa, so kappa = 1."""
+    k = p.kappa
+    return p.with_(kappa=1.0, gamma=p.gamma / k, g1=p.g1 / k, g2=p.g2 / k,
+                   f2=p.f2 / k, delta_in=p.delta_in / k, delta_c=p.delta_c / k)
 
 
 def _divide(num, den, limit):
@@ -70,7 +90,8 @@ def storage_transfer(delta, p: SystemParams):
     Poles at grid points (possible only in lossless corners such as
     gamma -> 0 with delta = delta_c) return the limiting value 0.
     """
-    delta = np.asarray(delta, dtype=float)
+    delta = _per(delta, p.kappa)
+    p = _in_kappa_units(p)
     gt = 1.0 / (p.delta_in - 1j * delta)
     ensemble_factor = p.collective_coupling * gt - 1j * delta
     cavity_factor = p.kappa / 2.0 + 1j * _atom_term(delta, p) - 1j * delta
@@ -130,7 +151,8 @@ def blockade_reflection(nu, p: SystemParams):
     An exact pole of the atom term (gamma = 0, nu = delta_c) gives the
     limit -1: the atom reflects everything.
     """
-    nu = np.asarray(nu, dtype=float)
+    nu = _per(nu, p.kappa)
+    p = _in_kappa_units(p)
     gt = 1.0 / (p.delta_in - 1j * nu)
     ens_term = _divide(p.f2 ** 2, nu + 1j * p.collective_coupling * gt, np.inf)
     den = nu + 0.5j * p.kappa - _atom_term(nu, p) - ens_term

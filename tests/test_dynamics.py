@@ -678,6 +678,40 @@ class TestKernels:
         ref = amp[:, None] * np.exp(np.multiply.outer(basis.lam, times - times[0]))
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
+    @pytest.mark.parametrize("case", ["sweep_d1", "sweep_d100", "echo",
+                                      "blockade"])
+    def test_offset_table_matches_extended_exp(self, case, monkeypatch):
+        # the product of a coarse and a fine table adds one rounding to
+        # what a direct exp loses by rounding its argument lam (t_j - t_0),
+        # which alone reaches 1.1e-13 on the duration-100 grid
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("numpy's long double is no wider than a double here")
+        name = {"echo": "echo_matched", "blockade": "blockade_c30"}.get(
+            case, "echo_sweep_t2")
+        cfg = parse_scenario_config((REPO / "configs" / f"{name}.json").read_text())
+        if case.startswith("sweep"):
+            duration = cfg.sweep.values[0 if case == "sweep_d1" else -1]
+            p = cfg.params.with_(t2=1e4)
+            args = (p, p, PulseSpec(duration=duration),
+                    cfg.sweep.tau_over_duration * duration)
+        else:
+            args = (cfg.params, cfg.read_params or cfg.params, cfg.pulse, cfg.tau)
+        ens = ensemble_for_params(args[0], n_sim=cfg.n_sim, span=cfg.span)
+        grids, table = [], dynamics._offset_table
+        monkeypatch.setattr(dynamics, "_offset_table",
+                            lambda lam, t: grids.append((lam, t)) or table(lam, t))
+        run_echo_cycle(*args[:2], ens, *args[2:])
+        assert grids
+        for lam, t in grids:
+            got = table(lam, t)
+            d = t[:dynamics._RUN]
+            assert got.shape == (d.size, lam.size)
+            ref = np.exp(np.multiply.outer(
+                d.astype(np.longdouble) - d[0], lam.astype(np.clongdouble)))
+            direct = np.exp(np.multiply.outer(d - d[0], lam))
+            lost = np.abs(direct - ref) / np.abs(ref)
+            assert np.all(np.abs(got - ref) / np.abs(ref) <= lost + 1e-13)
+
     def test_gaussian_storage_over_long_span(self, matched):
         # 9,000 drive steps of modes that T2 = 2 damps: a closed form that
         # completes the square has the factor exp(sd**2 Re(lam)**2 / 2) =
@@ -779,8 +813,7 @@ def overlaps(pulse, t, a_out, delays):
 
 
 class TestFidelitySearch:
-    @pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN,
-                                       PulseShape.DECAYING_EXPONENTIAL])
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
     def test_two_peaks_returns_the_higher(self, shape):
         # the lower peak sits where a bounded Brent search starts, seven
         # durations from the higher one; an exponential's overlap is a
@@ -801,6 +834,37 @@ class TestFidelitySearch:
             assert np.max(grid[near_high]) > np.max(grid[near_low])
             assert got >= np.max(grid[near_high]) - 1e-12
             assert got < np.max(grid[near_high]) + 1e-3
+
+    @pytest.mark.parametrize("command, name", [
+        ("sweep", "echo_sweep_t2"), ("echo", "echo_matched"),
+        ("blockade", "blockade_c30")])
+    def test_search_takes_few_envelope_evaluations(self, command, name,
+                                                   monkeypatch, tmp_path):
+        # one for the scan's lattice, one for the bracket's two ends, and
+        # Brent's method refines the scan's best delay in the rest, where
+        # a golden section took 21 evaluations
+        counts, searching = [], []
+        envelope, search = PulseSpec.envelope, dynamics._best_overlap
+
+        def counted_envelope(pulse, t):
+            if searching:
+                counts[-1] += 1
+            return envelope(pulse, t)
+
+        def counted_search(*args):
+            counts.append(0)
+            searching.append(True)
+            try:
+                return search(*args)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(PulseSpec, "envelope", counted_envelope)
+        monkeypatch.setattr(dynamics, "_best_overlap", counted_search)
+        assert main([command, "--config", str(REPO / "configs" / f"{name}.json"),
+                     "--out", str(tmp_path / "out.json")]) == 0
+        assert len(counts) == (27 if command == "sweep" else 1)
+        assert max(counts) <= 10
 
     def test_echo_config_beats_fine_grid(self):
         cfg = parse_scenario_config(

@@ -192,6 +192,28 @@ class TestBlockadeReflection:
             echo_probability_narrowband(p, -1.0)
 
 
+class TestScaleInvariance:
+    """Every closed form is homogeneous in the rates, so a line whose
+    rates are all kappa times the unit line's takes the unit line's values
+    on the grid scaled by kappa, from kappa 1e-100 to 1e100."""
+
+    @pytest.mark.parametrize("kappa", [1e-100, 1e-50, 1e-10, 1e10, 1e50, 1e100])
+    @pytest.mark.parametrize("c_atom", [0.0, 10.0])
+    def test_closed_forms_scale_with_kappa(self, kappa, c_atom):
+        # a RuntimeWarning fails the test (pyproject's filterwarnings)
+        unit = solve_matched_params(1.0, c_atom)
+        p = solve_matched_params(kappa, c_atom, gamma=kappa)
+        nu = np.linspace(-3.0, 3.0, 601)
+        for f in (spectral_efficiency, storage_transfer):
+            ref = f(nu, unit)
+            assert np.all(np.abs(f(kappa * nu, p) - ref) <= 1e-13 * np.abs(ref))
+        # the matched line reflects nothing at its center, so the
+        # reflection is compared on the scale of its peak
+        ref = blockade_reflection(nu, unit)
+        assert (np.max(np.abs(blockade_reflection(kappa * nu, p) - ref))
+                <= 1e-13 * np.max(np.abs(ref)))
+
+
 class TestGridAndSpectrum:
     def test_uniform_grid(self, matched, tmp_path, capsys):
         # the spectra grid: n points from center - span to center + span
